@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard clean
+.PHONY: ci fmt-check vet build test race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e clean
 
-ci: fmt-check vet build test race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench-wire-guard bench-ingest-guard
+ci: fmt-check vet build test race smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench-wire-guard bench-ingest-guard bench-e2e
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt-check:
@@ -115,6 +115,13 @@ bench-ingest:
 # holds on any hardware; re-baseline with `make bench-ingest`.
 bench-ingest-guard:
 	$(GO) run ./cmd/ursa-bench -guard-ingest BENCH_ingest.json
+
+# The end-to-end harness (bench/, the BENCHMARK.json contract) is a module of
+# its own, so none of the targets above builds it: vet it and run its tests
+# (unit tests plus a ~15 s smoke run of every workload) so a change to an API
+# it calls cannot break it unnoticed.
+bench-e2e:
+	$(GO) -C bench vet . && $(GO) -C bench test .
 
 clean:
 	$(GO) clean ./...

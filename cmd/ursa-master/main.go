@@ -89,7 +89,7 @@ func main() {
 		tenantWeights = flag.String("tenant-weights", "",
 			"weighted fair-share map as name=weight pairs, e.g. ops=3,batch=1 (unlisted tenants weigh 1)")
 		admissionInterval = flag.Duration("admission-interval", 0,
-			"batched admission flush period (0 = default)")
+			"minimum spacing between batched admission flushes (0 = default)")
 		intakeCap = flag.Int("intake-cap", 0,
 			"max submissions parked in intake before rejection (0 = default)")
 		clientSendQueue = flag.Int("client-send-queue", 0,

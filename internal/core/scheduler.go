@@ -11,7 +11,9 @@ import (
 
 // Scheduler is Ursa's centralized scheduler (§4.2.2): it admits jobs under a
 // cluster-wide memory reservation to prevent memory deadlock, and places
-// ready tasks onto workers in batches at the scheduling interval.
+// ready tasks onto workers in batches: every SchedInterval, and on a live
+// driver additionally at the end of each control-loop batch that changed
+// what is placeable (see PlaceIfChanged).
 //
 // Admission is multi-tenant: each tenant has its own queue ordered by the
 // paper's intra-queue policy (EJF submission order or SRJF priority), and a
@@ -53,6 +55,14 @@ type Scheduler struct {
 
 	ticking  bool
 	stopTick func()
+
+	// placeChanged records that ready tasks were added or a monotask
+	// completion freed worker capacity since the last placement pass — the
+	// only events (besides the passage of time, which the periodic tick
+	// covers) that can make a pending task placeable.
+	placeChanged bool
+	// eventPasses and timerPasses count placement passes by trigger.
+	eventPasses, timerPasses uint64
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -347,9 +357,11 @@ func (s *Scheduler) admit(j *Job) {
 	j.jm.onAdmit()
 }
 
-// addReadyTasks registers estimated, ready tasks for placement at the next
-// scheduling interval. The job's stage index makes the common case — all
-// tasks landing in existing pool entries — O(tasks) instead of O(pool).
+// addReadyTasks registers estimated, ready tasks for the next placement
+// pass: the end of the current control-loop batch on a live driver, the next
+// scheduling interval in simulation. The job's stage index makes the common
+// case — all tasks landing in existing pool entries — O(tasks) instead of
+// O(pool).
 func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
 	if j.pendingIdx == nil {
 		j.pendingIdx = make(map[*dag.Stage]*PendingStage)
@@ -363,6 +375,7 @@ func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
 		}
 		ps.add(t)
 	}
+	s.placeChanged = true
 	s.ensureTicking()
 }
 
@@ -435,6 +448,13 @@ func (s *Scheduler) QueuedCount() int { return s.nqueued }
 // state: call on the control loop.
 func (s *Scheduler) AdmittedCount() int { return len(s.admitted) }
 
+// PlacementPasses returns how many placement passes have run, split by
+// trigger: event counts passes run by PlaceIfChanged, timer those run by the
+// periodic SchedInterval tick. Loop-owned state: call on the control loop.
+func (s *Scheduler) PlacementPasses() (event, timer uint64) {
+	return s.eventPasses, s.timerPasses
+}
+
 // ShareError measures how far reservation holdings sit from the weighted
 // fair point: the maximum over demanding tenants of |share_i − fairShare_i|,
 // where share_i is the tenant's fraction of all reserved memory and
@@ -479,8 +499,9 @@ func (s *Scheduler) ensureTicking() {
 	s.stopTick = s.sys.Loop.Every(s.sys.Cfg.SchedInterval, s.tick)
 }
 
-// tick is one scheduling interval: refresh priorities, run placement over
-// the pending pool, dispatch the resulting assignments.
+// tick is one scheduling interval: a placement pass whatever has or has not
+// changed, because time alone makes tasks placeable (APT decays below EPT,
+// the W·T aging term grows, rate windows roll).
 func (s *Scheduler) tick() {
 	if len(s.pending) == 0 {
 		// Nothing placeable: stop ticking until new ready tasks arrive.
@@ -491,6 +512,33 @@ func (s *Scheduler) tick() {
 		s.stopTick()
 		return
 	}
+	s.timerPasses++
+	s.place()
+}
+
+// PlaceIfChanged runs one placement pass if ready tasks were added or worker
+// capacity was freed since the last pass and there is something to place.
+// The live path installs it as the driver's end-of-batch hook, so a task is
+// placed in the batch that made it ready instead of waiting out the
+// interval; one batch runs at most one pass, however many completions or
+// submissions it carried. Tasks the pass cannot place stay in the pool for
+// the periodic tick. Loop-owned: call on the control loop.
+func (s *Scheduler) PlaceIfChanged() {
+	if !s.placeChanged {
+		return
+	}
+	if len(s.pending) == 0 {
+		s.placeChanged = false
+		return
+	}
+	s.eventPasses++
+	s.place()
+}
+
+// place is one placement pass: refresh priorities, run placement over the
+// pending pool, dispatch the resulting assignments.
+func (s *Scheduler) place() {
+	s.placeChanged = false
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer
 	if placer == nil {

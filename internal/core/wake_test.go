@@ -1,0 +1,275 @@
+package core
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"ursa/internal/cluster"
+	"ursa/internal/dag"
+	"ursa/internal/eventloop"
+	"ursa/internal/resource"
+)
+
+// heldExecutor parks every started monotask until the test completes it, so
+// a test decides which completions happen and in which control-loop batch.
+// It mirrors the real executors' core accounting: a running CPU monotask
+// holds one core of its worker.
+type heldExecutor struct {
+	held []*heldMT
+}
+
+type heldMT struct {
+	w    *Worker
+	mt   *dag.Monotask
+	done func(bytes, seconds float64)
+}
+
+func (e *heldExecutor) Start(w *Worker, _ *Job, mt *dag.Monotask, done func(bytes, seconds float64)) func() {
+	if mt.Kind == resource.CPU {
+		w.Machine.Cores.MustAlloc(1)
+	}
+	e.held = append(e.held, &heldMT{w: w, mt: mt, done: done})
+	return func() {}
+}
+
+// take removes and returns every held monotask.
+func (e *heldExecutor) take() []*heldMT {
+	h := e.held
+	e.held = nil
+	return h
+}
+
+// complete finishes h, reporting the given measured execution time.
+func (h *heldMT) complete(seconds float64) {
+	if h.mt.Kind == resource.CPU {
+		h.w.Machine.Cores.FreeAlloc(1)
+	}
+	h.done(h.mt.InputBytes, seconds)
+}
+
+// cpuJob is a single-stage job of parts CPU tasks over bytesPerTask each.
+func cpuJob(parts int, bytesPerTask float64) JobSpec {
+	g := dag.NewGraph()
+	in := g.CreateData(parts)
+	in.SetUniformInput(bytesPerTask * float64(parts))
+	out := g.CreateData(parts)
+	g.CreateOp(resource.CPU, "work").Read(in).Create(out)
+	return JobSpec{Name: "cpu", Graph: g, MemEstimate: 1}
+}
+
+// liveHarness is the scheduling core under a LiveDriver with the end-of-batch
+// hook wired as internal/live wires it. SchedInterval is an hour, so within a
+// test no periodic tick fires and every pass counted is an event pass.
+type liveHarness struct {
+	t    *testing.T
+	drv  *eventloop.LiveDriver
+	sys  *System
+	exec *heldExecutor
+	done chan error
+}
+
+func newLiveHarness(t *testing.T) *liveHarness {
+	t.Helper()
+	drv := eventloop.NewLiveDriver()
+	clus := cluster.New(drv.Loop(), cluster.Config{
+		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
+		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
+	})
+	sys := NewSystem(drv.Loop(), clus, Config{SchedInterval: 3600 * eventloop.Second})
+	h := &liveHarness{t: t, drv: drv, sys: sys, exec: &heldExecutor{}, done: make(chan error, 1)}
+	sys.SetExecutor(h.exec)
+	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
+	go func() { h.done <- drv.Run(context.Background()) }()
+	t.Cleanup(func() {
+		drv.Stop()
+		if err := <-h.done; err != nil {
+			t.Errorf("driver: %v", err)
+		}
+	})
+	return h
+}
+
+// onLoop runs fn on the control loop and waits for it. The test sends one
+// closure at a time to an otherwise idle driver, so each call is one batch of
+// its own, and a later call observes the effect of every earlier batch's
+// end-of-batch hook.
+func (h *liveHarness) onLoop(fn func()) {
+	h.t.Helper()
+	ran := make(chan struct{})
+	h.drv.Send(func() {
+		fn()
+		close(ran)
+	})
+	select {
+	case <-ran:
+	case <-time.After(30 * time.Second):
+		h.t.Fatal("control loop did not run the closure")
+	}
+}
+
+// passes reads the placement-pass counters on the loop.
+func (h *liveHarness) passes() (event, timer uint64) {
+	h.onLoop(func() { event, timer = h.sys.Sched.PlacementPasses() })
+	return
+}
+
+// TestOnePlacementPassPerBatch: N ready-task reports, and then N monotask
+// completions, delivered in one control-loop batch cause exactly one
+// placement pass each — and the pass runs in that batch, not at the tick.
+func TestOnePlacementPassPerBatch(t *testing.T) {
+	h := newLiveHarness(t)
+
+	// Three submissions due in one batch: three addReadyTasks, one pass.
+	var jobs []*Job
+	h.onLoop(func() {
+		for i := 0; i < 3; i++ {
+			spec := JobSpec{Name: "job", Graph: shuffleJob(2, 2, 4e6), MemEstimate: 1}
+			jobs = append(jobs, h.sys.MustSubmit(spec, h.sys.Loop.Now()))
+		}
+	})
+	if ev, tm := h.passes(); ev != 1 || tm != 0 {
+		t.Fatalf("after 3 submissions in one batch: %d event / %d timer passes, want 1 / 0", ev, tm)
+	}
+	var maps []*heldMT
+	h.onLoop(func() { maps = h.exec.take() })
+	if len(maps) != 6 {
+		t.Fatalf("%d map monotasks started by the event pass, want 6", len(maps))
+	}
+
+	// Six completions queued while a batch runs are drained together in
+	// the next one. They finish all three map stages, so three reduce stages
+	// become ready in that batch: still one pass, and it places them.
+	h.onLoop(func() {
+		for _, m := range maps {
+			m := m
+			h.drv.Send(func() { m.complete(0.001) })
+		}
+	})
+	if ev, tm := h.passes(); ev != 2 || tm != 0 {
+		t.Fatalf("after 6 completions in one batch: %d event / %d timer passes, want 2 / 0", ev, tm)
+	}
+	h.onLoop(func() {
+		for _, j := range jobs {
+			if n := len(j.jm.TaskPlacedAt); n != 4 {
+				t.Errorf("job %d: %d tasks placed, want all 4 (2 map + 2 reduce)", j.ID, n)
+			}
+		}
+	})
+}
+
+// TestNoPlacementPassWithoutChange: control-loop traffic that changes nothing
+// placeable — heartbeats, status queries, probes — runs zero passes, and so
+// does an idle loop.
+func TestNoPlacementPassWithoutChange(t *testing.T) {
+	h := newLiveHarness(t)
+	for i := 0; i < 1000; i++ {
+		h.drv.Send(func() {})
+	}
+	if ev, tm := h.passes(); ev != 0 || tm != 0 {
+		t.Fatalf("1000 no-op sends on an idle system: %d event / %d timer passes, want 0 / 0", ev, tm)
+	}
+
+	// The same with work in flight and nothing pending: the pass that placed
+	// the job reset the bit, and no-op traffic does not set it.
+	h.onLoop(func() { h.sys.MustSubmit(cpuJob(2, 1e6), h.sys.Loop.Now()) })
+	for i := 0; i < 1000; i++ {
+		h.drv.Send(func() {})
+	}
+	if ev, tm := h.passes(); ev != 1 || tm != 0 {
+		t.Fatalf("1000 no-op sends beside a running job: %d event / %d timer passes, want 1 / 0", ev, tm)
+	}
+}
+
+// TestFallbackTickPlacesWhatEventPassCouldNot: a task that no worker can
+// host at event time stays in the pool, and the periodic tick places it once
+// time alone has made it placeable — here the measured CPU rate relaxing back
+// to nominal over idle rate windows, which lowers APT below EPT with no
+// completion or submission to set the changed bit.
+//
+// The test plays the driver on a virtual clock: it advances the loop and
+// calls PlaceIfChanged where a batch would end, so every instant is exact.
+func TestFallbackTickPlacesWhatEventPassCouldNot(t *testing.T) {
+	loop := eventloop.New()
+	clus := cluster.New(loop, cluster.Config{
+		Machines: 2, CoresPerMachine: 1, MemPerMachine: 8 * resource.GB,
+		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
+	})
+	const window = 10 * eventloop.Millisecond
+	// EPT defaults to 3 ms: a 1-core worker at the nominal 1e8 B/s is loaded
+	// past it by more than 3e5 queued bytes.
+	sys := NewSystem(loop, clus, Config{SchedInterval: eventloop.Millisecond, RateWindow: window})
+	exec := &heldExecutor{}
+	sys.SetExecutor(exec)
+	batchEnd := func(until eventloop.Time) {
+		loop.RunUntil(until)
+		sys.Sched.PlaceIfChanged()
+	}
+
+	// Job A: four 2.5e5-byte tasks, two per worker — one runs, one queues.
+	a := sys.MustSubmit(cpuJob(4, 2.5e5), 0)
+	batchEnd(0)
+	first := exec.take()
+	if len(a.jm.TaskPlacedAt) != 4 || len(first) != 2 {
+		t.Fatalf("job A: %d tasks placed, %d running; want 4 and 2", len(a.jm.TaskPlacedAt), len(first))
+	}
+	// The running monotask on each worker reports a very slow execution and
+	// the queued one takes its core. One window later the slow sample is
+	// blended in: the rate halves, and the 2.5e5 bytes still assigned are
+	// 5 ms of work against the 3 ms EPT.
+	for _, m := range first {
+		m.complete(1.0)
+	}
+	batchEnd(0)
+	at := eventloop.Time(window)
+	batchEnd(at)
+	for _, w := range sys.Workers {
+		if apt := w.APT(resource.CPU); apt <= sys.Cfg.EPT.Seconds() {
+			t.Fatalf("worker %d: APT %.4fs, want above EPT %.4fs", w.ID, apt, sys.Cfg.EPT.Seconds())
+		}
+	}
+
+	// Job B becomes ready now. The event pass runs and can place nothing.
+	evBefore, _ := sys.Sched.PlacementPasses()
+	b := sys.MustSubmit(cpuJob(1, 1e3), at)
+	batchEnd(at)
+	ev, tmBefore := sys.Sched.PlacementPasses()
+	if ev != evBefore+1 {
+		t.Fatalf("%d event passes for job B's submission, want 1", ev-evBefore)
+	}
+	if len(b.jm.TaskPlacedAt) != 0 {
+		t.Fatal("job B placed at event time on workers loaded past EPT")
+	}
+
+	// No event from here on. Two idle windows later the rate has relaxed to
+	// 0.875 of nominal, APT is 2.86 ms, and the next tick places B.
+	loop.RunUntil(at + 3*eventloop.Time(window))
+	ev2, tm := sys.Sched.PlacementPasses()
+	if len(b.jm.TaskPlacedAt) != 1 {
+		t.Fatal("job B still unplaced after the load estimate drained: the fallback tick lost it")
+	}
+	for _, placed := range b.jm.TaskPlacedAt {
+		if want := at + 2*eventloop.Time(window); placed != want {
+			t.Errorf("job B placed at %v, want the first tick at %v", placed, want)
+		}
+	}
+	if ev2 != ev || tm <= tmBefore {
+		t.Errorf("passes moved by %d event / %d timer, want 0 event and some timer", ev2-ev, tm-tmBefore)
+	}
+}
+
+// TestSimulationRunsNoEventPasses: a SimDriver has no batch boundary and no
+// hook, so a simulated run places on the SchedInterval tick only.
+func TestSimulationRunsNoEventPasses(t *testing.T) {
+	loop, clus := testCluster(4)
+	sys := NewSystem(loop, clus, Config{})
+	submitN(t, sys, 5, eventloop.Second)
+	eventloop.NewSimDriver(loop).Run()
+	if !sys.AllDone() {
+		t.Fatal("jobs did not complete")
+	}
+	ev, tm := sys.Sched.PlacementPasses()
+	if ev != 0 || tm == 0 {
+		t.Fatalf("simulated run: %d event / %d timer passes, want 0 event and some timer", ev, tm)
+	}
+}

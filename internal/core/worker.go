@@ -326,6 +326,7 @@ func (w *Worker) start(item *queuedMT, counted bool) {
 	}
 	done := func(bytes, seconds float64) {
 		w.markDirty() // load, rates and concurrency slots change below
+		w.sys.Sched.placeChanged = true
 		delete(w.active, mt)
 		w.rates[mt.Kind].sample(bytes, seconds)
 		if counted {

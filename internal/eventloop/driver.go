@@ -77,9 +77,16 @@ func (d *SimDriver) Stop() { d.L.Stop() }
 // the driver goroutine with the loop clock first advanced to "now", so from
 // the control plane's perspective a live completion is indistinguishable
 // from a timer that fired at its arrival instant.
+//
+// One pass of Run's loop — drain the inbox, run the due timers — is a batch.
+// SetBatchEnd installs a hook that runs at the end of every batch that
+// executed at least one callback: the place to react once to everything the
+// batch changed, however many events it carried. SimDriver has no inbox and
+// therefore no batch boundary and no hook.
 type LiveDriver struct {
-	loop  *Loop
-	start time.Time
+	loop     *Loop
+	start    time.Time
+	batchEnd func()
 
 	mu     sync.Mutex
 	queue  []func()
@@ -106,6 +113,12 @@ func (d *LiveDriver) Loop() *Loop { return d.loop }
 // Now returns the loop's current virtual time (microseconds since Run
 // started; zero before Run).
 func (d *LiveDriver) Now() Time { return d.loop.Now() }
+
+// SetBatchEnd installs fn as the end-of-batch hook: Run calls it on the
+// driver goroutine once per batch, after the inbox events and the due timers
+// of that batch have run, and only if at least one of them did. It is not
+// called once Stop has been requested. Call before Run.
+func (d *LiveDriver) SetBatchEnd(fn func()) { d.batchEnd = fn }
 
 // Send queues fn for execution on the driver goroutine. Safe from any
 // goroutine; never blocks. After Run has returned, sends are discarded —
@@ -176,7 +189,9 @@ func (d *LiveDriver) Run(ctx context.Context) error {
 	for {
 		// 1. Run external events that have arrived, each at the current
 		// wall instant.
-		for _, fn := range d.drain() {
+		batch := d.drain()
+		timersBefore := d.loop.Executed
+		for _, fn := range batch {
 			d.loop.RunUntil(d.wallNow())
 			fn()
 			if d.stopRequested() {
@@ -188,7 +203,16 @@ func (d *LiveDriver) Run(ctx context.Context) error {
 		if d.stopRequested() {
 			return nil
 		}
-		// 3. Sleep until the next timer is due, an external event arrives,
+		// 3. End of batch: one hook call for everything the batch changed.
+		// A wake-up that found nothing to run (a notify token left over
+		// from an event an earlier drain already took) is not a batch.
+		if d.batchEnd != nil && (len(batch) > 0 || d.loop.Executed != timersBefore) {
+			d.batchEnd()
+			if d.stopRequested() {
+				return nil
+			}
+		}
+		// 4. Sleep until the next timer is due, an external event arrives,
 		// or we are told to stop.
 		var timerC <-chan time.Time
 		if next, ok := d.loop.NextAt(); ok {

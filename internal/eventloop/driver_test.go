@@ -148,3 +148,86 @@ func TestLiveDriverStopFromOtherGoroutine(t *testing.T) {
 		t.Fatal("Run did not return after Stop")
 	}
 }
+
+// TestLiveDriverBatchEndOncePerBatch: the end-of-batch hook runs on the
+// driver goroutine exactly once per drained batch, after that batch's inbox
+// events and due timers, however many events the batch carried. Both batches
+// are queued before the driver can drain them (the first before Run, the
+// second from the hook itself), so the log is decided by ordering alone.
+func TestLiveDriverBatchEndOncePerBatch(t *testing.T) {
+	d := NewLiveDriver()
+	var log []string
+	ev := func(name string) func() { return func() { log = append(log, name) } }
+	d.Send(ev("a1"))
+	d.Send(ev("a2"))
+	d.Send(ev("a3"))
+	d.Loop().Post(ev("timer"))
+	hooks := 0
+	d.SetBatchEnd(func() {
+		log = append(log, "end")
+		hooks++
+		switch hooks {
+		case 1:
+			d.Send(ev("b1"))
+			d.Send(ev("b2"))
+		case 2:
+			d.Stop()
+		}
+	})
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The timer was due at time zero, so the first inbox event's clock
+	// advance runs it; what matters is that it precedes the hook.
+	want := []string{"timer", "a1", "a2", "a3", "end", "b1", "b2", "end"}
+	if len(log) != len(want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log = %v, want %v", log, want)
+		}
+	}
+}
+
+// TestLiveDriverBatchEndAfterDueTimers: a timer that comes due while the
+// batch's inbox events run still fires before the hook.
+func TestLiveDriverBatchEndAfterDueTimers(t *testing.T) {
+	d := NewLiveDriver()
+	var log []string
+	d.Send(func() {
+		log = append(log, "event")
+		d.Loop().Post(func() { log = append(log, "timer") })
+	})
+	d.SetBatchEnd(func() {
+		log = append(log, "end")
+		d.Stop()
+	})
+	if err := d.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 3 || log[0] != "event" || log[1] != "timer" || log[2] != "end" {
+		t.Fatalf("log = %v, want [event timer end]", log)
+	}
+}
+
+// TestLiveDriverBatchEndNeverAfterStop: a batch that requested Stop — from an
+// inbox event or from a timer — ends the run without the hook.
+func TestLiveDriverBatchEndNeverAfterStop(t *testing.T) {
+	for _, from := range []string{"event", "timer"} {
+		d := NewLiveDriver()
+		if from == "event" {
+			d.Send(d.Stop)
+		} else {
+			d.Loop().Post(d.Stop)
+		}
+		hooks := 0
+		d.SetBatchEnd(func() { hooks++ })
+		if err := d.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if hooks != 0 {
+			t.Errorf("stop from %s: hook ran %d times after Stop, want 0", from, hooks)
+		}
+	}
+}

@@ -48,9 +48,12 @@ type Config struct {
 	// unbounded for local datasets.
 	MemPerWorker float64
 	// Core configures the scheduler. Zero fields default like the
-	// simulation, except SchedInterval (10ms — a wall-clock tick),
-	// RateWindow (1s) and SmallMonotaskBytes (1, so every monotask goes
-	// through the worker queues and the full §4.2.3 path is exercised).
+	// simulation, except SchedInterval (10ms of wall clock — here only the
+	// fallback period: a ready task is placed at the end of the control-loop
+	// batch that made it ready, and the tick covers what time alone makes
+	// placeable), RateWindow (1s) and SmallMonotaskBytes (1, so every
+	// monotask goes through the worker queues and the full §4.2.3 path is
+	// exercised).
 	Core core.Config
 	// SampleInterval enables cluster-utilization sampling at this period
 	// for metrics/trace emission; 0 disables.
@@ -169,6 +172,7 @@ func NewSystem(cfg Config) *System {
 	drv := eventloop.NewLiveDriver()
 	clus := cluster.New(drv.Loop(), cfg.clusterConfig())
 	sys := core.NewSystem(drv.Loop(), clus, cfg.Core)
+	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
 	s := &System{Drv: drv, Core: sys, Cluster: clus, cfg: cfg}
 	if cfg.NewBackend != nil {
 		s.exec = cfg.NewBackend(s)
@@ -296,9 +300,12 @@ func (s *System) Fail(err error) {
 
 // Run drives the control loop against the wall clock until every submitted
 // job finishes, an executor fails, or ctx is cancelled. The scheduler path
-// is exactly the simulation's: admission under the memory reservation,
-// batched placement ticks, per-resource worker queues — only the clock and
-// the execution back-end differ.
+// is exactly the simulation's: admission under the memory reservation, the
+// same batched placement pass, per-resource worker queues — only the clock,
+// the execution back-end and what triggers the pass differ: here it runs at
+// the end of every control-loop batch that changed what is placeable
+// (NewSystem wires Scheduler.PlaceIfChanged to the driver's end-of-batch
+// hook), with the SchedInterval tick as the time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.started {

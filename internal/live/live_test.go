@@ -135,9 +135,17 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 
 // TestLiveMultiJobMeasuredRates: several concurrent jobs all complete through
 // the shared worker queues, and the workers' rate monitors pick up *measured*
-// samples — at least one worker's CPU rate departs from the configured seed.
+// samples — at least one worker's observed CPU rate departs from the
+// configured seed.
+//
+// A monitor commits its samples when a read finds their window closed, so the
+// loop is kept alive for one RateWindow of loop time past the last completion:
+// however quickly the jobs ran, the window holding the last sample has ended
+// when the rates are read. The assertion is on Deviation, the observed-rate
+// average that (unlike Rate) does not decay back to nominal over idle windows,
+// so a late shutdown timer cannot undo it either.
 func TestLiveMultiJobMeasuredRates(t *testing.T) {
-	cfg := Config{Workers: 2}
+	cfg := Config{Workers: 2, Serve: true}
 	cfg.Core.RateWindow = 5 * eventloop.Millisecond
 	sys := NewSystem(cfg)
 
@@ -153,6 +161,12 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 		}
 		outs[i], handles[i] = out, j
 	}
+	finished := 0
+	sys.OnJobFinished = func(*core.Job) {
+		if finished++; finished == jobs {
+			sys.Drv.Loop().After(cfg.Core.RateWindow, sys.Shutdown)
+		}
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := sys.Run(ctx); err != nil {
@@ -167,15 +181,63 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 			t.Errorf("job %d: total count = %d, want %d", i, total, 3000*4)
 		}
 	}
-	seed := float64(sys.Cluster.Cfg.CoreRate)
 	moved := false
 	for _, w := range sys.Core.Workers {
-		if w.Rate(resource.CPU) != seed {
+		if w.Deviation(resource.CPU) != 1 {
 			moved = true
 		}
 	}
 	if !moved {
-		t.Error("no worker CPU rate departed from the seed — measured samples not fed back")
+		t.Error("no worker's observed CPU rate departed from the seed — measured samples not fed back")
+	}
+}
+
+// TestLivePlacesInTheBatchThatMadeReady: on the live path a task is placed
+// by the end-of-batch pass of the control-loop batch that made it ready —
+// admission for the first stage, the last upstream completion for the second
+// — not at the next SchedInterval tick. SchedInterval is a minute here, so a
+// task left to the tick would fail the bound by four orders of magnitude and
+// the run by its timeout; both stamps are loop-clock readings taken within
+// one batch.
+func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
+	cfg := Config{Workers: 2}
+	cfg.Core.SchedInterval = 60 * eventloop.Second
+	sys := NewSystem(cfg)
+	g, in, _ := wordCount(6, 4)
+	j, err := sys.Submit(core.JobSpec{Name: "wc", Graph: g},
+		[]localrt.PlanInput{{Dataset: in, Rows: inputLines(400)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stages := j.Core.Plan.Stages
+	if len(stages) != 2 {
+		t.Fatalf("wordcount has %d stages, want 2", len(stages))
+	}
+	jm := j.Core.JM()
+	ready := j.Core.Admitted
+	for _, st := range stages {
+		var lastDone eventloop.Time
+		for _, task := range st.Tasks {
+			placed, ok := jm.TaskPlacedAt[task]
+			if !ok {
+				t.Fatalf("stage %d: task never placed", st.ID)
+			}
+			if wait := placed - ready; wait < 0 || wait >= eventloop.Time(eventloop.Millisecond) {
+				t.Errorf("stage %d: task waited %v for placement, want under 1ms", st.ID, wait)
+			}
+			if d := jm.TaskDoneAt[task]; d > lastDone {
+				lastDone = d
+			}
+		}
+		ready = lastDone // the Sync edge: stage 2 is ready when all of stage 1 is done
+	}
+	if ev, tm := sys.Core.Sched.PlacementPasses(); ev == 0 || tm != 0 {
+		t.Errorf("%d event / %d timer passes, want every pass event-triggered", ev, tm)
 	}
 }
 

@@ -217,13 +217,12 @@ func TestReplayMatchesLiveState(t *testing.T) {
 }
 
 // TestTenantIntakeCap checks the per-tenant intake bound: with a cap of 1
-// and admission parked, a tenant's second submission is rejected while
-// another tenant's passes.
+// and admission parked (the master is never Run, so the pump never starts), a
+// tenant's second submission is rejected while another tenant's passes.
 func TestTenantIntakeCap(t *testing.T) {
 	lc := startCluster(t, 1, Config{
-		Serve:             true,
-		TenantIntakeCap:   1,
-		AdmissionInterval: 10 * time.Second, // park the intake: nothing drains during the test
+		Serve:           true,
+		TenantIntakeCap: 1,
 	})
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 100, InParts: 2, OutParts: 2})
 

@@ -244,27 +244,33 @@ func shardFor(tenant string) int {
 	return int(h.Sum32() % nIntakeShards)
 }
 
-// pump is the batched admission pipeline: wait for intake, let one
-// AdmissionInterval of submissions accumulate, flush them through the
-// scheduler in one pass, repeat.
+// pump is the batched admission pipeline: wait for intake, flush it through
+// the scheduler in one pass, repeat. AdmissionInterval is the minimum spacing
+// between passes: a submission that finds the intake idle for that long is
+// flushed at once, and one that arrives sooner waits out only the remainder,
+// during which a burst accumulates into one batch.
 func (fd *frontDoor) pump() {
 	select {
 	case <-fd.started:
 	case <-fd.quit:
 		return
 	}
+	var lastFlush time.Time
 	for {
 		select {
 		case <-fd.quit:
 			return
 		case <-fd.notify:
 		}
-		select {
-		case <-fd.quit:
-			return
-		case <-time.After(fd.m.cfg.AdmissionInterval):
+		if wait := fd.m.cfg.AdmissionInterval - time.Since(lastFlush); wait > 0 {
+			select {
+			case <-fd.quit:
+				return
+			case <-time.After(wait):
+			}
 		}
 		fd.flush()
+		lastFlush = time.Now()
 	}
 }
 

@@ -165,6 +165,48 @@ func TestFrontDoorDrainRejects(t *testing.T) {
 	waitRun(t, runErr)
 }
 
+// TestFrontDoorLeadingEdgeFlush: AdmissionInterval is the minimum spacing
+// between admission passes, not a delay every submission pays. With an hour's
+// interval, a submission that finds the intake idle is still acked — only an
+// immediate flush can do that — and a burst arriving after that flush is held
+// for the rest of the interval as one pending batch.
+func TestFrontDoorLeadingEdgeFlush(t *testing.T) {
+	lc, runErr := startServeCluster(t, 1, Config{AdmissionInterval: time.Hour})
+	log := newStatusLog()
+	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: log.add})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	first, err := c.Submit("micro", params)
+	if err != nil {
+		t.Fatalf("submit on an idle intake: %v", err)
+	}
+	// A flush sweeps up whatever arrives while its admission pass runs, so
+	// the burst waits until the first job has run: the flush that admitted
+	// it ended when its admission pass did, before any of its monotasks.
+	log.waitState(t, first, wire.StateFinished)
+
+	const burst = 4
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		go func() {
+			_, err := c.Submit("micro", params)
+			errs <- err
+		}()
+	}
+	waitFor(t, "the whole burst held on the intake", func() bool { return lc.Master.fd.queued.Load() == burst })
+	if batches, jobs := lc.Master.Ingest().BatchStats(); batches != 1 || jobs != 1 {
+		t.Errorf("%d admission batches carrying %d jobs, want 1 and 1", batches, jobs)
+	}
+
+	// Drain answers the held burst, so nothing outlives the test.
+	lc.Master.Drain()
+	for i := 0; i < burst; i++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "draining") {
+			t.Errorf("held submission: err = %v, want draining rejection", err)
+		}
+	}
+	waitRun(t, runErr)
+}
+
 // TestFrontDoorBadWorkloadRejected: a submission for an unknown workload is
 // acked with the build error; the connection and the cluster stay healthy.
 func TestFrontDoorBadWorkloadRejected(t *testing.T) {

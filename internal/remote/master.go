@@ -96,12 +96,14 @@ type Config struct {
 	// running after pre-submitted jobs finish, until Drain. Off by default —
 	// the classic submit-then-run batch mode.
 	Serve bool
-	// AdmissionInterval paces the front door's batched admission flushes:
-	// submissions arriving within one interval are queued on the intake
-	// shards and admitted together in a single scheduler pass, so the
-	// reservation check, SRJF rank refresh and queue insert are paid once
-	// per batch instead of once per job. Default 2ms — the p99 ack-latency
-	// floor a submission pays for batching. Serve mode only.
+	// AdmissionInterval is the minimum spacing between the front door's
+	// batched admission flushes: a submission that finds the intake idle is
+	// flushed at once, and submissions arriving within one interval of the
+	// previous flush are queued on the intake shards and admitted together
+	// in a single scheduler pass, so the reservation check, SRJF rank
+	// refresh and queue insert are paid once per batch instead of once per
+	// job. Default 2ms — the most a submission waits for batching. Serve
+	// mode only.
 	AdmissionInterval time.Duration
 	// IntakeCap bounds submissions queued at the intake ahead of admission;
 	// beyond it new SubmitJobs are rejected ("intake full") instead of
