@@ -17,16 +17,22 @@
 //	                   repeated records: u32(len) u32(crc32-IEEE of payload) payload
 //	snap-<index>.snap: "USNP" u8(version) u64(index) u32(len) u32(crc) payload
 //
-// A snapshot at index i captures the state after applying records [0, i);
-// Snapshot atomically writes the snap file (temp + rename + dir fsync),
-// rotates appends into a fresh log-<i> segment, and deletes segments and
-// snapshots that precede it — compaction bounded only by snapshot cadence.
+// A snapshot at index i captures the state after applying records [0, i).
+// Snapshot only makes the cut, in memory: later appends belong to segment
+// log-<i>. The disk work follows in order on the flush path — the old
+// segment's tail and fsync, the snap file (temp + rename + dir fsync), the
+// fresh log-<i> segment, and the deletion of the segments and snapshots that
+// precede it — compaction bounded only by snapshot cadence.
 //
-// Appends are buffered; durability is batched. Either the owner calls Sync
-// explicitly, or a SyncInterval is configured and a background flusher
-// syncs dirty buffers at that cadence — one fsync absorbing every append
-// since the last, the classic group-commit trade: bounded loss window
-// (unsynced suffix re-executes, it was never acknowledged), full throughput.
+// Appends are buffered; durability is batched. Neither Append nor Snapshot
+// touches the disk. The owner calls Sync explicitly, or a SyncInterval is
+// configured and the background flusher syncs at that cadence — one fsync
+// absorbing every append since the last, the classic group-commit trade:
+// bounded loss window (unsynced suffix re-executes, it was never
+// acknowledged), full throughput. All file I/O happens on that one ordered
+// path, so the bytes on disk are always a prefix of the history in memory: a
+// segment receives records only after its predecessor is complete and
+// fsynced and the snapshot between them has landed.
 package journal
 
 import (
@@ -64,8 +70,9 @@ var ErrCorrupt = errors.New("journal: corrupt record (bad checksum)")
 
 // Options shape a journal.
 type Options struct {
-	// SyncInterval batches fsyncs: a background flusher syncs dirty appends
-	// at this cadence. 0 disables the flusher — the owner calls Sync.
+	// SyncInterval batches fsyncs: the background flusher syncs dirty appends
+	// at this cadence. With 0 it runs only to complete snapshots, and the
+	// owner calls Sync for durability in between.
 	SyncInterval time.Duration
 }
 
@@ -88,21 +95,43 @@ type Journal struct {
 	dir string
 	opt Options
 
-	mu      sync.Mutex
-	f       *os.File
-	wbuf    []byte // appended but not yet written to the file
-	dirty   bool   // written but not yet fsynced
-	next    uint64 // index of the next record
-	segBase uint64 // first index of the current segment
-	err     error  // sticky write error
+	// mu guards the in-memory log. Append and Snapshot take only mu, so
+	// they never wait for the disk.
+	mu    sync.Mutex
+	wbuf  []byte // appended to the newest segment but not yet written
+	spare []byte // the other half of wbuf's double buffer
+	cuts  []cut  // snapshots taken but not yet on disk, oldest first
+	// stateBufs are snapshot payload buffers whose snapshot is on disk, kept
+	// for the next Snapshot to encode into: a fresh megabyte-sized buffer
+	// costs its writer more (growth, zeroing, page faults) than encoding it.
+	stateBufs [][]byte
+	next      uint64 // index of the next record
+	err       error  // sticky write error
 
 	appends   uint64 // records appended over this Journal's lifetime
 	syncs     uint64
-	snapshots uint64
+	snapshots uint64 // snapshots completed on disk
 
+	// ioMu serializes the flush path and guards the on-disk segment it
+	// writes. It is taken before mu, never while holding it.
+	ioMu    sync.Mutex
+	f       *os.File
+	dirty   bool   // written but not yet fsynced
+	segBase uint64 // first index of the segment f
+
+	kick     chan struct{} // a snapshot was cut: flush without waiting for the tick
 	quit     chan struct{}
 	quitOnce sync.Once
 	wg       sync.WaitGroup
+}
+
+// cut is a snapshot taken in memory whose disk work is pending: tail is what
+// the segment it closes had buffered, idx the snapshot's index and the base
+// of the successor segment, state the snapshot payload.
+type cut struct {
+	tail  []byte
+	idx   uint64
+	state []byte
 }
 
 // Open opens (or creates) the journal in dir and replays it: the newest
@@ -140,7 +169,8 @@ func Open(dir string, opt Options) (*Journal, Replayed, error) {
 		lastSeg, haveSeg = base, true
 	}
 
-	j := &Journal{dir: dir, opt: opt, next: rep.NextIndex, quit: make(chan struct{})}
+	j := &Journal{dir: dir, opt: opt, next: rep.NextIndex,
+		kick: make(chan struct{}, 1), quit: make(chan struct{})}
 	if haveSeg {
 		j.segBase = lastSeg
 		f, err := os.OpenFile(filepath.Join(dir, segName(lastSeg)), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -153,10 +183,8 @@ func Open(dir string, opt Options) (*Journal, Replayed, error) {
 			return nil, Replayed{}, err
 		}
 	}
-	if opt.SyncInterval > 0 {
-		j.wg.Add(1)
-		go j.flusher()
-	}
+	j.wg.Add(1)
+	go j.flusher()
 	return j, rep, nil
 }
 
@@ -348,81 +376,146 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 	return idx, nil
 }
 
-// Sync flushes buffered appends and fsyncs the segment — the group commit.
+// Sync brings the disk up to date with memory — the group commit. It
+// completes pending snapshots oldest first, then writes and fsyncs what the
+// newest segment has buffered.
 func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.syncLocked()
+	j.ioMu.Lock()
+	defer j.ioMu.Unlock()
+	for {
+		j.mu.Lock()
+		if j.err != nil {
+			j.mu.Unlock()
+			return j.err
+		}
+		var c cut
+		buf := j.wbuf
+		snap := len(j.cuts) > 0
+		if snap {
+			c, j.cuts[0] = j.cuts[0], cut{}
+			j.cuts = j.cuts[1:]
+			buf = c.tail
+		} else {
+			j.wbuf, j.spare = j.spare[:0], nil
+		}
+		j.mu.Unlock()
+
+		synced, err := j.writeSync(buf)
+		if err == nil && snap {
+			err = j.finishSnapshot(c)
+		}
+
+		j.mu.Lock()
+		if synced {
+			j.syncs++
+		}
+		if err != nil && j.err == nil {
+			j.err = err
+		}
+		if err == nil && snap {
+			j.snapshots++
+			if len(j.stateBufs) < 2 {
+				j.stateBufs = append(j.stateBufs, c.state[:0])
+			}
+		}
+		if j.spare == nil {
+			j.spare = buf[:0] // written out: reuse it as the next buffer
+		}
+		err = j.err
+		j.mu.Unlock()
+		if err != nil || !snap {
+			return err
+		}
+	}
 }
 
-func (j *Journal) syncLocked() error {
-	if j.err != nil {
-		return j.err
-	}
-	if len(j.wbuf) > 0 {
-		if _, err := j.f.Write(j.wbuf); err != nil {
-			j.err = fmt.Errorf("journal: %w", err)
-			return j.err
+// writeSync appends buf to the current segment file and fsyncs it if
+// anything is unsynced. Caller holds ioMu.
+func (j *Journal) writeSync(buf []byte) (synced bool, err error) {
+	if len(buf) > 0 {
+		if _, err := j.f.Write(buf); err != nil {
+			return false, fmt.Errorf("journal: %w", err)
 		}
-		j.wbuf = j.wbuf[:0]
 		j.dirty = true
 	}
-	if j.dirty {
-		if err := j.f.Sync(); err != nil {
-			j.err = fmt.Errorf("journal: %w", err)
-			return j.err
-		}
-		j.dirty = false
-		j.syncs++
+	if !j.dirty {
+		return false, nil
+	}
+	if err := j.f.Sync(); err != nil {
+		return false, fmt.Errorf("journal: %w", err)
+	}
+	j.dirty = false
+	return true, nil
+}
+
+// Snapshot cuts a snapshot covering every record appended so far and directs
+// later appends to a fresh segment. encode appends the state's encoding to
+// the (recycled, empty) buffer it is given and returns it; it runs before
+// Snapshot returns, on the caller's goroutine, so the state it sees is the
+// one the records so far produce. Snapshot does no I/O: the flush path (the
+// background flusher, Sync, Close) then completes the old segment, writes
+// the snapshot file so that it appears atomically, opens the new segment and
+// compacts — segments and snapshots entirely covered by the new snapshot are
+// deleted. A failure of that disk work surfaces as the journal's sticky
+// error.
+func (j *Journal) Snapshot(encode func(dst []byte) []byte) error {
+	j.mu.Lock()
+	if j.err != nil {
+		j.mu.Unlock()
+		return j.err
+	}
+	var buf []byte
+	if n := len(j.stateBufs); n > 0 {
+		buf, j.stateBufs = j.stateBufs[n-1], j.stateBufs[:n-1]
+	}
+	j.mu.Unlock()
+	// The one writer is here, so no Append can slip between the encoding and
+	// the cut.
+	state := encode(buf[:0])
+	j.mu.Lock()
+	j.cuts = append(j.cuts, cut{tail: j.wbuf, idx: j.next, state: state})
+	j.wbuf, j.spare = j.spare[:0], nil
+	j.mu.Unlock()
+	select {
+	case j.kick <- struct{}{}:
+	default:
 	}
 	return nil
 }
 
-// Snapshot records the state encoding as covering every record appended so
-// far, rotates appends into a fresh segment, and compacts: segments and
-// snapshots entirely covered by the new snapshot are deleted. The snapshot
-// file appears atomically (temp + rename).
-func (j *Journal) Snapshot(state []byte) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.syncLocked(); err != nil {
-		return err
-	}
-	idx := j.next
-
-	hdr := make([]byte, snapHeaderLen, snapHeaderLen+len(state))
-	copy(hdr, snapMagic)
+// finishSnapshot does a cut's disk work once the segment it closes is
+// complete and fsynced. Caller holds ioMu.
+func (j *Journal) finishSnapshot(c cut) error {
+	var hdr [snapHeaderLen]byte
+	copy(hdr[:], snapMagic)
 	hdr[4] = version
-	binary.BigEndian.PutUint64(hdr[5:], idx)
-	binary.BigEndian.PutUint32(hdr[13:], uint32(len(state)))
-	binary.BigEndian.PutUint32(hdr[17:], crc32.ChecksumIEEE(state))
+	binary.BigEndian.PutUint64(hdr[5:], c.idx)
+	binary.BigEndian.PutUint32(hdr[13:], uint32(len(c.state)))
+	binary.BigEndian.PutUint32(hdr[17:], crc32.ChecksumIEEE(c.state))
 	tmp := filepath.Join(j.dir, "snap.tmp")
-	if err := atomicWrite(tmp, filepath.Join(j.dir, snapName(idx)), append(hdr, state...)); err != nil {
-		j.err = err
+	if err := atomicWrite(tmp, filepath.Join(j.dir, snapName(c.idx)), hdr[:], c.state); err != nil {
 		return err
 	}
 
 	// Rotate: further appends land in the post-snapshot segment.
 	oldSeg := j.segBase
 	j.f.Close()
-	if err := j.openSegment(idx); err != nil {
-		j.err = err
+	if err := j.openSegment(c.idx); err != nil {
 		return err
 	}
-	j.snapshots++
 
 	// Compact: everything the new snapshot covers is garbage. Best-effort —
 	// a leftover file is re-deleted at the next snapshot.
 	if segs, err := listSegments(j.dir); err == nil {
 		for _, base := range segs {
-			if base <= oldSeg && base != idx {
+			if base <= oldSeg && base != c.idx {
 				os.Remove(filepath.Join(j.dir, segName(base)))
 			}
 		}
 	}
 	if ents, err := os.ReadDir(j.dir); err == nil {
 		for _, ent := range ents {
-			if si, ok := parseBase(ent.Name(), "snap-", ".snap"); ok && si < idx {
+			if si, ok := parseBase(ent.Name(), "snap-", ".snap"); ok && si < c.idx {
 				os.Remove(filepath.Join(j.dir, ent.Name()))
 			}
 		}
@@ -430,14 +523,19 @@ func (j *Journal) Snapshot(state []byte) error {
 	return nil
 }
 
-// atomicWrite writes data to tmp, fsyncs, renames onto path and fsyncs the
-// directory — the file either exists complete or not at all.
-func atomicWrite(tmp, path string, data []byte) error {
+// atomicWrite writes the parts, in order, to tmp, fsyncs, renames onto path
+// and fsyncs the directory — the file either exists complete or not at all.
+func atomicWrite(tmp, path string, parts ...[]byte) error {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if _, err := f.Write(data); err == nil {
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -465,25 +563,38 @@ func (j *Journal) NextIndex() uint64 {
 	return j.next
 }
 
-// Stats returns lifetime counters: records appended, fsyncs, snapshots,
-// and the current unsynced depth in records-worth of bytes.
+// Stats returns lifetime counters: records appended, fsyncs, snapshots
+// completed on disk, and the bytes buffered in memory awaiting the next
+// flush.
 func (j *Journal) Stats() (appends, syncs, snapshots uint64, unsyncedBytes int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appends, j.syncs, j.snapshots, len(j.wbuf)
+	unsyncedBytes = len(j.wbuf)
+	for i := range j.cuts {
+		unsyncedBytes += len(j.cuts[i].tail)
+	}
+	return j.appends, j.syncs, j.snapshots, unsyncedBytes
 }
 
+// flusher is the background flush path: it syncs every SyncInterval (when
+// one is configured) and as soon as a snapshot is cut, so a snapshot's disk
+// work never waits for its owner to call Sync.
 func (j *Journal) flusher() {
 	defer j.wg.Done()
-	t := time.NewTicker(j.opt.SyncInterval)
-	defer t.Stop()
+	var tick <-chan time.Time
+	if j.opt.SyncInterval > 0 {
+		t := time.NewTicker(j.opt.SyncInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-j.quit:
 			return
-		case <-t.C:
-			j.Sync()
+		case <-tick:
+		case <-j.kick:
 		}
+		j.Sync() // the error is sticky: the next Append, Sync or Close reports it
 	}
 }
 
@@ -491,13 +602,12 @@ func (j *Journal) flusher() {
 func (j *Journal) Close() error {
 	j.quitOnce.Do(func() { close(j.quit) })
 	j.wg.Wait()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return j.err
+	err := j.Sync()
+	j.ioMu.Lock()
+	defer j.ioMu.Unlock()
+	if j.f != nil {
+		j.f.Close()
+		j.f = nil
 	}
-	err := j.syncLocked()
-	j.f.Close()
-	j.f = nil
 	return err
 }

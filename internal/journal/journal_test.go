@@ -30,6 +30,11 @@ func appendAll(t *testing.T, j *Journal, payloads [][]byte) {
 	}
 }
 
+// encodes is a Snapshot encoder for a fixed state payload.
+func encodes(state []byte) func([]byte) []byte {
+	return func(dst []byte) []byte { return append(dst, state...) }
+}
+
 func testPayloads(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
@@ -176,11 +181,11 @@ func TestSnapshotCompactsAndReplays(t *testing.T) {
 
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, payloads[:10])
-	if err := j.Snapshot([]byte("state@10")); err != nil {
+	if err := j.Snapshot(encodes([]byte("state@10"))); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	appendAll(t, j, payloads[10:20])
-	if err := j.Snapshot([]byte("state@20")); err != nil {
+	if err := j.Snapshot(encodes([]byte("state@20"))); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	appendAll(t, j, payloads[20:])
@@ -217,7 +222,7 @@ func TestSnapshotTornTailAfterSnapshot(t *testing.T) {
 
 	j, _ := mustOpen(t, dir, Options{})
 	appendAll(t, j, payloads[:6])
-	if err := j.Snapshot([]byte("s6")); err != nil {
+	if err := j.Snapshot(encodes([]byte("s6"))); err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, j, payloads[6:])
@@ -307,5 +312,105 @@ func TestOversizeRecordRejected(t *testing.T) {
 	defer j.Close()
 	if _, err := j.Append(make([]byte, MaxRecord+1)); err == nil {
 		t.Fatal("oversize append accepted")
+	}
+}
+
+// TestSnapshotCrashBeforeSuccessorSegment: the snapshot file lands before its
+// successor segment is created, so a crash between the two leaves a snapshot
+// with no segment at or after it. Open starts that segment itself.
+func TestSnapshotCrashBeforeSuccessorSegment(t *testing.T) {
+	dir := t.TempDir()
+	payloads := testPayloads(6)
+	j, _ := mustOpen(t, dir, Options{})
+	appendAll(t, j, payloads)
+	if err := j.Snapshot(encodes([]byte("s6"))); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if err := os.Remove(filepath.Join(dir, segName(6))); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rep := mustOpen(t, dir, Options{})
+	if string(rep.Snapshot) != "s6" || rep.SnapIndex != 6 || len(rep.Events) != 0 || rep.NextIndex != 6 {
+		t.Fatalf("replayed %q @ %d + %d events, next %d; want s6 @ 6, none, 6",
+			rep.Snapshot, rep.SnapIndex, len(rep.Events), rep.NextIndex)
+	}
+	if _, err := j.Append([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, rep = mustOpen(t, dir, Options{})
+	checkEvents(t, rep.Events, [][]byte{[]byte("after")})
+}
+
+// TestSnapshotCutIsConsistentUnderConcurrentFlush: Snapshot only cuts in
+// memory and the flusher does the disk work behind it, concurrently with
+// further appends and cuts. Whatever the interleaving, a reopened journal
+// holds a snapshot taken at index i followed by exactly the records from i
+// on, and the snapshot is the last one cut.
+func TestSnapshotCutIsConsistentUnderConcurrentFlush(t *testing.T) {
+	dir := t.TempDir()
+	payloads := testPayloads(400)
+	j, _ := mustOpen(t, dir, Options{SyncInterval: 50 * time.Microsecond})
+	lastCut := 0
+	for i, p := range payloads {
+		if _, err := j.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%37 == 0 {
+			lastCut = i + 1
+			if err := j.Snapshot(encodes([]byte(fmt.Sprintf("state@%d", lastCut)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, snaps, unsynced := j.Stats(); snaps != uint64(len(payloads)/37) || unsynced != 0 {
+		t.Fatalf("after Close: %d snapshots on disk, %d bytes unsynced; want %d and 0", snaps, unsynced, len(payloads)/37)
+	}
+
+	_, rep := mustOpen(t, dir, Options{})
+	if want := fmt.Sprintf("state@%d", lastCut); string(rep.Snapshot) != want || rep.SnapIndex != uint64(lastCut) {
+		t.Fatalf("snapshot = %q @ %d, want %s @ %d", rep.Snapshot, rep.SnapIndex, want, lastCut)
+	}
+	checkEvents(t, rep.Events, payloads[lastCut:])
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		switch ent.Name() {
+		case segName(uint64(lastCut)), snapName(uint64(lastCut)):
+		default:
+			t.Errorf("compaction left %s behind", ent.Name())
+		}
+	}
+}
+
+// TestSnapshotCompletesWithoutSync: a snapshot's disk work does not wait for
+// the owner to call Sync or Close, even with no SyncInterval configured.
+func TestSnapshotCompletesWithoutSync(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{})
+	defer j.Close()
+	appendAll(t, j, testPayloads(5))
+	if err := j.Snapshot(encodes([]byte("s5"))); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, _, snaps, _ := j.Stats(); snaps == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot never reached the disk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName(5))); err != nil {
+		t.Fatalf("snapshot file: %v", err)
 	}
 }

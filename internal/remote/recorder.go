@@ -57,7 +57,7 @@ func (r *recorder) record(ev cpstate.Event) {
 		r.sinceSnap++
 		if r.sinceSnap >= r.snapEvery {
 			r.sinceSnap = 0
-			if err := r.jnl.Snapshot(r.state.AppendEncoded(nil)); err != nil {
+			if err := r.jnl.Snapshot(r.state.AppendEncoded); err != nil {
 				if r.err == nil {
 					r.err = err
 				}
