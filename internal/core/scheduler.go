@@ -61,8 +61,8 @@ type Scheduler struct {
 	// only events (besides the passage of time, which the periodic tick
 	// covers) that can make a pending task placeable.
 	placeChanged bool
-	// eventPasses and timerPasses count placement passes by trigger.
-	eventPasses, timerPasses uint64
+	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
+	passes, eventPasses uint64
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -452,7 +452,7 @@ func (s *Scheduler) AdmittedCount() int { return len(s.admitted) }
 // trigger: event counts passes run by PlaceIfChanged, timer those run by the
 // periodic SchedInterval tick. Loop-owned state: call on the control loop.
 func (s *Scheduler) PlacementPasses() (event, timer uint64) {
-	return s.eventPasses, s.timerPasses
+	return s.eventPasses, s.passes - s.eventPasses
 }
 
 // ShareError measures how far reservation holdings sit from the weighted
@@ -499,23 +499,6 @@ func (s *Scheduler) ensureTicking() {
 	s.stopTick = s.sys.Loop.Every(s.sys.Cfg.SchedInterval, s.tick)
 }
 
-// tick is one scheduling interval: a placement pass whatever has or has not
-// changed, because time alone makes tasks placeable (APT decays below EPT,
-// the W·T aging term grows, rate windows roll).
-func (s *Scheduler) tick() {
-	if len(s.pending) == 0 {
-		// Nothing placeable: stop ticking until new ready tasks arrive.
-		// Queued jobs need no tick — admission is retried when a running
-		// job finishes, and every path that produces ready tasks calls
-		// ensureTicking.
-		s.ticking = false
-		s.stopTick()
-		return
-	}
-	s.timerPasses++
-	s.place()
-}
-
 // PlaceIfChanged runs one placement pass if ready tasks were added or worker
 // capacity was freed since the last pass and there is something to place.
 // The live path installs it as the driver's end-of-batch hook, so a task is
@@ -532,12 +515,25 @@ func (s *Scheduler) PlaceIfChanged() {
 		return
 	}
 	s.eventPasses++
-	s.place()
+	s.tick()
 }
 
-// place is one placement pass: refresh priorities, run placement over the
-// pending pool, dispatch the resulting assignments.
-func (s *Scheduler) place() {
+// tick is one placement pass: refresh priorities, run placement over the
+// pending pool, dispatch the resulting assignments. The SchedInterval timer
+// runs it whatever has or has not changed, because time alone makes tasks
+// placeable (APT decays below EPT, the W·T aging term grows, rate windows
+// roll); PlaceIfChanged runs the same pass when an event did.
+func (s *Scheduler) tick() {
+	if len(s.pending) == 0 {
+		// Nothing placeable: stop ticking until new ready tasks arrive.
+		// Queued jobs need no tick — admission is retried when a running
+		// job finishes, and every path that produces ready tasks calls
+		// ensureTicking.
+		s.ticking = false
+		s.stopTick()
+		return
+	}
+	s.passes++
 	s.placeChanged = false
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer

@@ -146,6 +146,9 @@ func TestOnePlacementPassPerBatch(t *testing.T) {
 			h.drv.Send(func() { m.complete(0.001) })
 		}
 	})
+	// The next closure sent may still join the completions' batch and run
+	// before its hook; the one after that cannot.
+	h.onLoop(func() {})
 	if ev, tm := h.passes(); ev != 2 || tm != 0 {
 		t.Fatalf("after 6 completions in one batch: %d event / %d timer passes, want 2 / 0", ev, tm)
 	}

@@ -325,8 +325,8 @@ func (w *Worker) start(item *queuedMT, counted bool) {
 		w.running[mt.Kind]++
 	}
 	done := func(bytes, seconds float64) {
-		w.markDirty() // load, rates and concurrency slots change below
-		w.sys.Sched.placeChanged = true
+		w.markDirty()                   // load, rates and concurrency slots change below
+		w.sys.Sched.placeChanged = true // freed capacity can make a pending task placeable
 		delete(w.active, mt)
 		w.rates[mt.Kind].sample(bytes, seconds)
 		if counted {
