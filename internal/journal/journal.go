@@ -101,12 +101,12 @@ type Journal struct {
 	wbuf  []byte // appended to the newest segment but not yet written
 	spare []byte // the other half of wbuf's double buffer
 	cuts  []cut  // snapshots taken but not yet on disk, oldest first
-	// stateBufs are snapshot payload buffers whose snapshot is on disk, kept
-	// for the next Snapshot to encode into: a fresh megabyte-sized buffer
-	// costs its writer more (growth, zeroing, page faults) than encoding it.
-	stateBufs [][]byte
-	next      uint64 // index of the next record
-	err       error  // sticky write error
+	// stateBuf is the payload buffer of a snapshot already on disk, kept for
+	// the next Snapshot to encode into: a fresh megabyte-sized buffer costs
+	// its writer more (growth, zeroing, page faults) than encoding it.
+	stateBuf []byte
+	next     uint64 // index of the next record
+	err      error  // sticky write error
 
 	appends   uint64 // records appended over this Journal's lifetime
 	syncs     uint64
@@ -389,14 +389,14 @@ func (j *Journal) Sync() error {
 			return j.err
 		}
 		var c cut
-		buf := j.wbuf
+		var buf []byte
 		snap := len(j.cuts) > 0
 		if snap {
 			c, j.cuts[0] = j.cuts[0], cut{}
 			j.cuts = j.cuts[1:]
 			buf = c.tail
 		} else {
-			j.wbuf, j.spare = j.spare[:0], nil
+			buf = j.takeWbuf()
 		}
 		j.mu.Unlock()
 
@@ -414,9 +414,7 @@ func (j *Journal) Sync() error {
 		}
 		if err == nil && snap {
 			j.snapshots++
-			if len(j.stateBufs) < 2 {
-				j.stateBufs = append(j.stateBufs, c.state[:0])
-			}
+			j.stateBuf = c.state[:0]
 		}
 		if j.spare == nil {
 			j.spare = buf[:0] // written out: reuse it as the next buffer
@@ -427,6 +425,14 @@ func (j *Journal) Sync() error {
 			return err
 		}
 	}
+}
+
+// takeWbuf hands over the bytes buffered for the newest segment and installs
+// the spare buffer in their place. Caller holds mu.
+func (j *Journal) takeWbuf() []byte {
+	buf := j.wbuf
+	j.wbuf, j.spare = j.spare[:0], nil
+	return buf
 }
 
 // writeSync appends buf to the current segment file and fsyncs it if
@@ -464,17 +470,14 @@ func (j *Journal) Snapshot(encode func(dst []byte) []byte) error {
 		j.mu.Unlock()
 		return j.err
 	}
-	var buf []byte
-	if n := len(j.stateBufs); n > 0 {
-		buf, j.stateBufs = j.stateBufs[n-1], j.stateBufs[:n-1]
-	}
+	buf := j.stateBuf
+	j.stateBuf = nil
 	j.mu.Unlock()
 	// The one writer is here, so no Append can slip between the encoding and
 	// the cut.
-	state := encode(buf[:0])
+	state := encode(buf)
 	j.mu.Lock()
-	j.cuts = append(j.cuts, cut{tail: j.wbuf, idx: j.next, state: state})
-	j.wbuf, j.spare = j.spare[:0], nil
+	j.cuts = append(j.cuts, cut{tail: j.takeWbuf(), idx: j.next, state: state})
 	j.mu.Unlock()
 	select {
 	case j.kick <- struct{}{}:
