@@ -63,6 +63,10 @@ type Scheduler struct {
 	placeChanged bool
 	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
 	passes, eventPasses uint64
+	// lastPass is when the latest pass ran; placeWake is the timer that runs
+	// the event pass PlaceIfChanged put off to keep passes eventPassGap apart.
+	lastPass  eventloop.Time
+	placeWake eventloop.Timer
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -505,7 +509,16 @@ func (s *Scheduler) ensureTicking() {
 // placed in the batch that made it ready instead of waiting out the
 // interval; one batch runs at most one pass, however many completions or
 // submissions it carried. Tasks the pass cannot place stay in the pool for
-// the periodic tick. Loop-owned: call on the control loop.
+// the periodic tick.
+//
+// Passes keep eventPassGap apart: a change that finds the scheduler quiet for
+// that long is placed at once, and one that comes sooner is placed when the
+// gap has passed, together with everything that changed meanwhile. Under
+// sustained load placement therefore runs on a clock, at twice the tick's
+// rate, not as fast as the processor drains the inbox: a loop that places
+// per event runs the cluster's CPU to saturation, and its throughput then
+// follows every disturbance of the machine (see DESIGN.md §8).
+// Loop-owned: call on the control loop.
 func (s *Scheduler) PlaceIfChanged() {
 	if !s.placeChanged {
 		return
@@ -514,9 +527,19 @@ func (s *Scheduler) PlaceIfChanged() {
 		s.placeChanged = false
 		return
 	}
+	if due := s.lastPass + eventloop.Time(s.eventPassGap()); s.passes > 0 && s.sys.Loop.Now() < due {
+		if !s.placeWake.Active() {
+			s.placeWake = s.sys.Loop.At(due, s.PlaceIfChanged)
+		}
+		return
+	}
 	s.eventPasses++
 	s.tick()
 }
+
+// eventPassGap is the least time between a placement pass and the event pass
+// after it: half the scheduling interval.
+func (s *Scheduler) eventPassGap() eventloop.Duration { return s.sys.Cfg.SchedInterval / 2 }
 
 // tick is one placement pass: refresh priorities, run placement over the
 // pending pool, dispatch the resulting assignments. The SchedInterval timer
@@ -535,6 +558,7 @@ func (s *Scheduler) tick() {
 	}
 	s.passes++
 	s.placeChanged = false
+	s.lastPass = s.sys.Loop.Now()
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer
 	if placer == nil {

@@ -59,8 +59,7 @@ func cpuJob(parts int, bytesPerTask float64) JobSpec {
 }
 
 // liveHarness is the scheduling core under a LiveDriver with the end-of-batch
-// hook wired as internal/live wires it. SchedInterval is an hour, so within a
-// test no periodic tick fires and every pass counted is an event pass.
+// hook wired as internal/live wires it.
 type liveHarness struct {
 	t    *testing.T
 	drv  *eventloop.LiveDriver
@@ -69,14 +68,14 @@ type liveHarness struct {
 	done chan error
 }
 
-func newLiveHarness(t *testing.T) *liveHarness {
+func newLiveHarness(t *testing.T, schedInterval eventloop.Duration) *liveHarness {
 	t.Helper()
 	drv := eventloop.NewLiveDriver()
 	clus := cluster.New(drv.Loop(), cluster.Config{
 		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
 		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
 	})
-	sys := NewSystem(drv.Loop(), clus, Config{SchedInterval: 3600 * eventloop.Second})
+	sys := NewSystem(drv.Loop(), clus, Config{SchedInterval: schedInterval})
 	h := &liveHarness{t: t, drv: drv, sys: sys, exec: &heldExecutor{}, done: make(chan error, 1)}
 	sys.SetExecutor(h.exec)
 	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
@@ -116,9 +115,14 @@ func (h *liveHarness) passes() (event, timer uint64) {
 
 // TestOnePlacementPassPerBatch: N ready-task reports, and then N monotask
 // completions, delivered in one control-loop batch cause exactly one
-// placement pass each — and the pass runs in that batch, not at the tick.
+// placement pass each, and an event pass at that: the first in the batch
+// itself, the second — closer to the first than the gap between passes — when
+// the gap has passed, before the tick.
 func TestOnePlacementPassPerBatch(t *testing.T) {
-	h := newLiveHarness(t)
+	// The tick started by the first submission is due after 100 ms and the
+	// put-off event pass after 50: the loop runs timers in order, so the tick
+	// finds the pool empty whatever the wall clock does in between.
+	h := newLiveHarness(t, 100*eventloop.Millisecond)
 
 	// Three submissions due in one batch: three addReadyTasks, one pass.
 	var jobs []*Job
@@ -146,26 +150,86 @@ func TestOnePlacementPassPerBatch(t *testing.T) {
 			h.drv.Send(func() { m.complete(0.001) })
 		}
 	})
-	// The next closure sent may still join the completions' batch and run
-	// before its hook; the one after that cannot.
-	h.onLoop(func() {})
+	placed := func() (n int) {
+		h.onLoop(func() {
+			for _, j := range jobs {
+				n += len(j.jm.TaskPlacedAt)
+			}
+		})
+		return n
+	}
+	for deadline := time.Now().Add(30 * time.Second); placed() != 12; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tasks placed, want all 12 (3 jobs of 2 map + 2 reduce)", placed())
+		}
+	}
 	if ev, tm := h.passes(); ev != 2 || tm != 0 {
 		t.Fatalf("after 6 completions in one batch: %d event / %d timer passes, want 2 / 0", ev, tm)
 	}
-	h.onLoop(func() {
-		for _, j := range jobs {
-			if n := len(j.jm.TaskPlacedAt); n != 4 {
-				t.Errorf("job %d: %d tasks placed, want all 4 (2 map + 2 reduce)", j.ID, n)
-			}
-		}
+}
+
+// TestEventPassesKeepTheirGap: an event pass runs at once when the last pass
+// is at least half a SchedInterval old, and otherwise exactly when it is, as
+// one pass for everything that changed meanwhile.
+//
+// Like the fallback test below it plays the driver on a virtual clock: it
+// advances the loop and calls PlaceIfChanged where a batch would end.
+func TestEventPassesKeepTheirGap(t *testing.T) {
+	loop := eventloop.New()
+	clus := cluster.New(loop, cluster.Config{
+		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
+		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
 	})
+	sys := NewSystem(loop, clus, Config{SchedInterval: 10 * eventloop.Millisecond})
+	sys.SetExecutor(&heldExecutor{})
+	const ms = eventloop.Time(eventloop.Millisecond)
+	submitAt := func(at eventloop.Time) *Job {
+		j := sys.MustSubmit(cpuJob(1, 1e3), at)
+		loop.RunUntil(at)
+		sys.Sched.PlaceIfChanged()
+		return j
+	}
+	placedAt := func(j *Job) eventloop.Time {
+		for _, at := range j.jm.TaskPlacedAt {
+			return at
+		}
+		return -1
+	}
+
+	a := submitAt(0)
+	if got := placedAt(a); got != 0 {
+		t.Fatalf("first job placed at %v, want at once", got)
+	}
+	// 1 ms and 2 ms after that pass: both wait for its 5 ms gap to end.
+	b, c := submitAt(1*ms), submitAt(2*ms)
+	if placedAt(b) >= 0 || placedAt(c) >= 0 {
+		t.Fatal("a job was placed inside the gap after the first pass")
+	}
+	loop.RunUntil(5 * ms)
+	if pb, pc := placedAt(b), placedAt(c); pb != 5*ms || pc != 5*ms {
+		t.Fatalf("jobs submitted inside the gap placed at %v and %v, want both at 5ms", pb, pc)
+	}
+	if ev, tm := sys.Sched.PlacementPasses(); ev != 2 || tm != 0 {
+		t.Fatalf("%d event / %d timer passes, want 2 / 0: one put-off pass for both jobs", ev, tm)
+	}
+	// The scheduler has been quiet for longer than the gap: at once again.
+	d := submitAt(20 * ms)
+	if got := placedAt(d); got != 20*ms {
+		t.Fatalf("job submitted after a quiet gap placed at %v, want 20ms", got)
+	}
+	// Every tick since found the pool empty and stopped itself.
+	loop.RunUntil(40 * ms)
+	if ev, tm := sys.Sched.PlacementPasses(); ev != 3 || tm != 0 {
+		t.Fatalf("%d event / %d timer passes, want 3 / 0", ev, tm)
+	}
 }
 
 // TestNoPlacementPassWithoutChange: control-loop traffic that changes nothing
 // placeable — heartbeats, status queries, probes — runs zero passes, and so
 // does an idle loop.
 func TestNoPlacementPassWithoutChange(t *testing.T) {
-	h := newLiveHarness(t)
+	// SchedInterval is an hour: no tick fires within the test.
+	h := newLiveHarness(t, 3600*eventloop.Second)
 	for i := 0; i < 1000; i++ {
 		h.drv.Send(func() {})
 	}
