@@ -40,8 +40,9 @@ type Config struct {
 	// SchedInterval is the period of the placement tick. In simulation it is
 	// the paper's task-placement batching interval (§4.2.2): every ready
 	// task waits for the next tick. On a live driver placement is triggered
-	// by the events that make tasks placeable (Scheduler.PlaceIfChanged) and
-	// the tick is only the fallback for what time alone changes.
+	// by the events that make tasks placeable (Scheduler.PlaceIfChanged),
+	// with passes half an interval apart, and the tick is only the fallback
+	// for what time alone changes.
 	SchedInterval eventloop.Duration
 	// EPT is the expected processing time horizon, "slightly larger than
 	// the scheduling interval" to cover communication delay.

@@ -63,10 +63,11 @@ type Scheduler struct {
 	placeChanged bool
 	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
 	passes, eventPasses uint64
-	// lastPass is when the latest pass ran; placeWake is the timer that runs
-	// the event pass PlaceIfChanged put off to keep passes eventPassGap apart.
-	lastPass  eventloop.Time
-	placeWake eventloop.Timer
+	// lastEventPass is when the latest event pass ran; placeWake is the timer
+	// that runs the one PlaceIfChanged put off to keep them eventPassGap
+	// apart.
+	lastEventPass eventloop.Time
+	placeWake     eventloop.Timer
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -362,8 +363,8 @@ func (s *Scheduler) admit(j *Job) {
 }
 
 // addReadyTasks registers estimated, ready tasks for the next placement
-// pass: the end of the current control-loop batch on a live driver, the next
-// scheduling interval in simulation. The job's stage index makes the common
+// pass: the next scheduling interval in simulation, the event pass
+// PlaceIfChanged runs on a live driver. The job's stage index makes the common
 // case — all tasks landing in existing pool entries — O(tasks) instead of
 // O(pool).
 func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
@@ -511,9 +512,9 @@ func (s *Scheduler) ensureTicking() {
 // submissions it carried. Tasks the pass cannot place stay in the pool for
 // the periodic tick.
 //
-// Passes keep eventPassGap apart: a change that finds the scheduler quiet for
-// that long is placed at once, and one that comes sooner is placed when the
-// gap has passed, together with everything that changed meanwhile. Under
+// Event passes keep eventPassGap apart: a change that finds the last one at
+// least that old is placed at once, and one that comes sooner is placed when
+// the gap has passed, together with everything that changed meanwhile. Under
 // sustained load placement therefore runs on a clock, at twice the tick's
 // rate, not as fast as the processor drains the inbox: a loop that places
 // per event runs the cluster's CPU to saturation, and its throughput then
@@ -527,18 +528,20 @@ func (s *Scheduler) PlaceIfChanged() {
 		s.placeChanged = false
 		return
 	}
-	if due := s.lastPass + eventloop.Time(s.eventPassGap()); s.passes > 0 && s.sys.Loop.Now() < due {
+	now := s.sys.Loop.Now()
+	if due := s.lastEventPass + eventloop.Time(s.eventPassGap()); s.eventPasses > 0 && now < due {
 		if !s.placeWake.Active() {
 			s.placeWake = s.sys.Loop.At(due, s.PlaceIfChanged)
 		}
 		return
 	}
 	s.eventPasses++
+	s.lastEventPass = now
 	s.tick()
 }
 
-// eventPassGap is the least time between a placement pass and the event pass
-// after it: half the scheduling interval.
+// eventPassGap is the least time between two event passes: half the
+// scheduling interval.
 func (s *Scheduler) eventPassGap() eventloop.Duration { return s.sys.Cfg.SchedInterval / 2 }
 
 // tick is one placement pass: refresh priorities, run placement over the
@@ -558,7 +561,6 @@ func (s *Scheduler) tick() {
 	}
 	s.passes++
 	s.placeChanged = false
-	s.lastPass = s.sys.Loop.Now()
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer
 	if placer == nil {
