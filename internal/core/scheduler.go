@@ -64,8 +64,8 @@ type Scheduler struct {
 	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
 	passes, eventPasses uint64
 	// lastEventPass is when the latest event pass ran; placeWake is the timer
-	// that runs the one PlaceIfChanged put off to keep them eventPassGap
-	// apart.
+	// that runs the one PlaceIfChanged put off to keep them half a
+	// SchedInterval apart.
 	lastEventPass eventloop.Time
 	placeWake     eventloop.Timer
 }
@@ -512,13 +512,14 @@ func (s *Scheduler) ensureTicking() {
 // submissions it carried. Tasks the pass cannot place stay in the pool for
 // the periodic tick.
 //
-// Event passes keep eventPassGap apart: a change that finds the last one at
-// least that old is placed at once, and one that comes sooner is placed when
-// the gap has passed, together with everything that changed meanwhile. Under
-// sustained load placement therefore runs on a clock, at twice the tick's
-// rate, not as fast as the processor drains the inbox: a loop that places
-// per event runs the cluster's CPU to saturation, and its throughput then
-// follows every disturbance of the machine (see DESIGN.md §8).
+// Event passes keep half a SchedInterval apart: a change that finds the last
+// one at least that old is placed at once, and one that comes sooner is
+// placed when the gap has passed, together with everything that changed
+// meanwhile. Under sustained load placement therefore runs on a clock, at
+// twice the tick's rate, not as fast as the processor drains the inbox: a
+// loop that places per event runs the cluster's CPU to saturation, and its
+// throughput then follows every disturbance of the machine (see DESIGN.md
+// §8).
 // Loop-owned: call on the control loop.
 func (s *Scheduler) PlaceIfChanged() {
 	if !s.placeChanged {
@@ -529,7 +530,7 @@ func (s *Scheduler) PlaceIfChanged() {
 		return
 	}
 	now := s.sys.Loop.Now()
-	if due := s.lastEventPass + eventloop.Time(s.eventPassGap()); s.eventPasses > 0 && now < due {
+	if due := s.lastEventPass + eventloop.Time(s.sys.Cfg.SchedInterval/2); s.eventPasses > 0 && now < due {
 		if !s.placeWake.Active() {
 			s.placeWake = s.sys.Loop.At(due, s.PlaceIfChanged)
 		}
@@ -539,10 +540,6 @@ func (s *Scheduler) PlaceIfChanged() {
 	s.lastEventPass = now
 	s.tick()
 }
-
-// eventPassGap is the least time between two event passes: half the
-// scheduling interval.
-func (s *Scheduler) eventPassGap() eventloop.Duration { return s.sys.Cfg.SchedInterval / 2 }
 
 // tick is one placement pass: refresh priorities, run placement over the
 // pending pool, dispatch the resulting assignments. The SchedInterval timer

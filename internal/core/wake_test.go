@@ -168,7 +168,7 @@ func TestOnePlacementPassPerBatch(t *testing.T) {
 	}
 }
 
-// TestEventPassesKeepTheirGap: an event pass runs at once when the last pass
+// TestEventPassesKeepTheirGap: an event pass runs at once when the last one
 // is at least half a SchedInterval old, and otherwise exactly when it is, as
 // one pass for everything that changed meanwhile.
 //

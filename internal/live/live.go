@@ -50,7 +50,7 @@ type Config struct {
 	// Core configures the scheduler. Zero fields default like the
 	// simulation, except SchedInterval (10ms of wall clock — here only the
 	// fallback period: a ready task is placed at the end of the control-loop
-	// batch that made it ready or half an interval after the previous pass,
+	// batch that made it ready or half an interval after the previous such pass,
 	// and the tick covers what time alone makes placeable), RateWindow (1s)
 	// and SmallMonotaskBytes (1, so every monotask goes through the worker
 	// queues and the full §4.2.3 path is exercised).
