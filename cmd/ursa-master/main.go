@@ -94,8 +94,6 @@ func main() {
 			"max submissions parked in intake before rejection (0 = default)")
 		clientSendQueue = flag.Int("client-send-queue", 0,
 			"outbound frame queue per client connection; status updates drop when full (0 = default)")
-		naiveAdmission = flag.Bool("naive-admission", false,
-			"baseline mode: one full admission pass per submission (benchmarking only)")
 		tenantIntakeCap = flag.Int("tenant-intake-cap", 0,
 			"max queued submissions per tenant before rejection (0 = global cap only)")
 
@@ -147,7 +145,6 @@ func main() {
 		AdmissionInterval:   *admissionInterval,
 		IntakeCap:           *intakeCap,
 		ClientSendQueue:     *clientSendQueue,
-		NaiveAdmission:      *naiveAdmission,
 		TenantIntakeCap:     *tenantIntakeCap,
 		JournalDir:          *journalDir,
 		LeaseTTL:            *lease,

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -19,8 +22,7 @@ type PlacementBench struct {
 	Sys     *System
 	Pending []*PendingStage
 
-	ctx    *PlaceContext
-	placer Placer
+	ctx *PlaceContext
 }
 
 // benchClusterConfig is the uniform hardware shape the fixtures share.
@@ -123,7 +125,6 @@ func newPlacementBench(clusCfg cluster.Config, nStages, tasksPerStage int) *Plac
 		pb.Pending = append(pb.Pending, ps)
 	}
 
-	pb.placer = defaultPlacer
 	pb.ctx = &PlaceContext{
 		Now:        loop.Now(),
 		Cfg:        &sys.Cfg,
@@ -134,17 +135,10 @@ func newPlacementBench(clusCfg cluster.Config, nStages, tasksPerStage int) *Plac
 	return pb
 }
 
-// EnableScalable turns on the sub-linear placement path for this fixture:
-// incremental dirty-worker snapshots, top-K candidate selection and the
-// parallel ranking pass (Config.ScalablePlacement). The context reads the
-// system config through a pointer, so the flags take effect on the next
-// Tick.
-func (pb *PlacementBench) EnableScalable() {
-	pb.Sys.Cfg = pb.Sys.Cfg.ScalablePlacement()
-}
-
 // Configure applies an arbitrary config mutation to the fixture (e.g. a
-// single placement flag for an equivalence test).
+// placement flag, or Config.Placer to run the fixture under another placer).
+// The context reads the system config through a pointer, so the change takes
+// effect on the next Tick.
 func (pb *PlacementBench) Configure(f func(*Config)) {
 	f(&pb.Sys.Cfg)
 }
@@ -159,5 +153,56 @@ func (pb *PlacementBench) Tick() int {
 // TickPlacements runs one full placement pass and returns the placements
 // it produced. The slice is reused by the next Tick/TickPlacements call.
 func (pb *PlacementBench) TickPlacements() []Placement {
-	return pb.placer.Place(pb.ctx)
+	placer := pb.Sys.Cfg.Placer
+	if placer == nil {
+		placer = defaultPlacer
+	}
+	return placer.Place(pb.ctx)
+}
+
+// FullRebuildPlacer is Algorithm 1 with nothing carried between passes: it
+// discards the context's cached worker snapshots and candidate index, so
+// every pass re-reads every worker. It is the reference the equivalence
+// suites compare the default placer against (installed through
+// Config.Placer) and has no other use: it does strictly more work for, as
+// those suites prove, bit-identical placements.
+type FullRebuildPlacer struct{}
+
+func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
+	ctx.snapValid = false
+	ctx.idxValid = false
+	return Algorithm1{}.Place(ctx)
+}
+
+// CheckingPlacer places with Algorithm 1 as the scheduler runs it and, over
+// the same interval on a context of its own, with FullRebuildPlacer, and
+// counts the passes on which the two disagree. Tests install it through
+// Config.Placer on the paths no simulated twin run can cover (live drivers,
+// the TCP cluster), where wall-clock time makes two runs incomparable but
+// two placers on one pass are not. The counters are written on the control
+// loop; read them after it has stopped. Stage-aware placement only: the
+// DisableStageAware ablation marks tasks as it plans them, so it cannot be
+// run twice over one pool.
+type CheckingPlacer struct {
+	Passes    int    // passes compared
+	Diffs     int    // passes on which the placers disagreed
+	FirstDiff string // the first disagreement, for the failure message
+
+	ref PlaceContext
+}
+
+func (c *CheckingPlacer) Place(ctx *PlaceContext) []Placement {
+	got := Algorithm1{}.Place(ctx)
+	c.ref.Now, c.ref.Cfg, c.ref.Workers, c.ref.Pending = ctx.Now, ctx.Cfg, ctx.Workers, ctx.Pending
+	c.ref.orderBoost = ctx.orderBoost
+	want := FullRebuildPlacer{}.Place(&c.ref)
+	if !slices.Equal(got, want) {
+		if c.Diffs == 0 {
+			c.FirstDiff = fmt.Sprintf("pass %d at %v: %d placements, full rebuild %d",
+				c.Passes, ctx.Now, len(got), len(want))
+		}
+		c.Diffs++
+	}
+	c.Passes++
+	return got
 }

@@ -6,8 +6,6 @@
 package core
 
 import (
-	"runtime"
-
 	"ursa/internal/eventloop"
 	"ursa/internal/resource"
 )
@@ -64,20 +62,13 @@ type Config struct {
 	// RateWindow is the processing-rate observation period at workers.
 	RateWindow eventloop.Duration
 
-	// IncrementalSnapshots makes the placement tick refresh only dirty
-	// workers' snapshots and headroom vectors (workers mark themselves
-	// dirty on monotask enqueue/start/finish, memory reserve/release,
-	// device activity and failure) instead of rebuilding all O(W) entries
-	// every interval. Placements are bit-identical to the full rebuild —
-	// rate blending is anchored to the monitor's window grid (see
-	// rateMonitor.roll), so a clean worker's snapshot is provably
-	// unchanged. Off by default (exact full rebuild each tick).
-	IncrementalSnapshots bool
-	// CandidateWorkers bounds how many candidate workers each task is
-	// scored against: the top K by headroom on the task's dominant
-	// resource kind, drawn from a bucketed per-kind index that also
-	// applies the memory gate. 0 (default) or any value ≥ the worker count
-	// selects the exact full scan.
+	// CandidateWorkers is the one approximation knob of placement: it
+	// bounds how many candidate workers each task is scored against to the
+	// top K by headroom on the task's dominant resource kind, drawn from a
+	// bucketed per-kind index that also applies the memory gate, trading a
+	// bounded score loss for O(K) instead of O(W) scoring per task. 0
+	// (default) or any value ≥ the worker count selects the exact full
+	// scan, which is what every binary and experiment runs.
 	CandidateWorkers int
 	// InterferencePenalty scales each resource term of the placement score
 	// F(t,w) by the worker's observed-vs-nominal rate deviation, normalized
@@ -88,12 +79,6 @@ type Config struct {
 	// their nominal rates. Off by default: placement is bit-identical to
 	// the penalty-free score (guarded by the equivalence suites).
 	InterferencePenalty bool
-	// RankParallelism shards the ranking pass of Algorithm 1's two-pass
-	// placement across up to this many goroutines with per-goroutine
-	// scratch state; candidate scores merge in stable stage order, so
-	// placements are bit-identical to the serial pass. 0 or 1 (default)
-	// keeps the pass serial. The commit pass is always serial.
-	RankParallelism int
 
 	// DisableStageAware switches Algorithm 1 to greedy per-task placement
 	// (the Figure 7 ablation).
@@ -144,23 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RateWindow <= 0 {
 		c.RateWindow = 5 * eventloop.Second
-	}
-	return c
-}
-
-// ScalablePlacement returns c with the sub-linear placement optimizations
-// enabled: incremental dirty-worker snapshots, top-K candidate selection
-// (16 candidates unless already set) and a parallel ranking pass sized to
-// GOMAXPROCS. Incremental snapshots and parallel ranking are bit-identical
-// to the exact path; top-K is an approximation that trades a bounded score
-// loss for O(K) instead of O(W) scoring per task.
-func (c Config) ScalablePlacement() Config {
-	c.IncrementalSnapshots = true
-	if c.CandidateWorkers == 0 {
-		c.CandidateWorkers = 16
-	}
-	if c.RankParallelism == 0 {
-		c.RankParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

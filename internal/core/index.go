@@ -10,9 +10,8 @@ package core
 // scheduling interval: trial and commit mutations of D during the pass do
 // not move workers between buckets (candidate selection is a pre-filter;
 // scoring still reads the live D values, so scores stay exact). Across
-// ticks the index is maintained incrementally — only workers whose
-// snapshot was refreshed are re-bucketed — pairing with the dirty-worker
-// snapshot path.
+// ticks the index is maintained incrementally: only workers whose
+// snapshot was refreshed are re-bucketed.
 //
 // Headroom values live in [0, 1] *per worker by construction*, including on
 // heterogeneous clusters: D_r = max(0, (EPT−APT_r)/EPT) normalizes each
@@ -32,9 +31,8 @@ package core
 // interference-penalized score: the penalty scales scores by at most 1, so
 // ranking by D_r remains an admissible candidate pre-filter, and scoring
 // (which applies the penalty) stays exact for whichever candidates are
-// examined. With K ≥ W every worker is examined and the index path is
-// bit-identical to the exact scan, penalty on or off — the property the
-// heterogeneous equivalence suites pin.
+// examined. With K ≥ W no index is built at all (prepareIndex): the exact
+// scan runs.
 type headroomIndex struct {
 	n       int          // number of indexed workers
 	buckets [4][][]int32 // [kind][bucket] → worker ids, low bucket = low headroom

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -18,17 +17,18 @@ type Placement struct {
 
 // PlaceContext is the scheduler state handed to a placement algorithm at
 // each scheduling interval. Worker rates and memory levels are snapshotted
-// once per interval: placement is O(stages × tasks × workers) in the worst
-// case (O(stages × tasks × K) with Config.CandidateWorkers), so
-// per-candidate indirection matters.
+// per worker and carried from one interval to the next, refreshed only for
+// workers whose state changed (see prepare): placement is O(stages × tasks
+// × workers) in the worst case (O(stages × tasks × K) with
+// Config.CandidateWorkers), so per-candidate indirection matters.
 //
 // The context owns all scratch state the placement pass needs (headroom
 // vectors, the trial-placement undo journal, candidate ranking and output
-// buffers, the top-K worker index and per-goroutine ranking shards) and
-// reuses it across scheduling intervals, so a steady-state tick runs
-// without heap allocation. The scheduler keeps one PlaceContext alive for
-// the lifetime of the run; slices returned by Place are valid only until
-// the next Place call on the same context.
+// buffers, the top-K worker index) and reuses it across scheduling
+// intervals, so a steady-state tick runs without heap allocation. The
+// scheduler keeps one PlaceContext alive for the lifetime of the run;
+// slices returned by Place are valid only until the next Place call on the
+// same context.
 type PlaceContext struct {
 	Now     eventloop.Time
 	Cfg     *Config
@@ -43,8 +43,8 @@ type PlaceContext struct {
 
 	// Interference penalty state (Config.InterferencePenalty). dev holds
 	// each worker's observed-vs-nominal CPU rate deviation (the no-decay
-	// Worker.Deviation signal), refreshed under the same dirty/stale
-	// discipline as invRateEPT; pen holds the derived per-worker score
+	// Worker.Deviation signal), refreshed with the rest of the worker's
+	// snapshot; pen holds the derived per-worker score
 	// factor in [penFloor, 1]. The signal is CPU-only: network and disk
 	// observed rates drop below nominal whenever the scheduler's own
 	// placements share a link (per-flow fair sharing), so a below-nominal
@@ -66,11 +66,12 @@ type PlaceContext struct {
 	// out accumulates the interval's placements.
 	out []Placement
 
-	// Incremental snapshot state (Config.IncrementalSnapshots). A worker's
-	// snapshot is refreshed only when its epoch moved since the last
-	// refresh (markDirty), its time-driven staleness deadline passed (a
-	// rate-window boundary with pending samples), or the previous commit
-	// pass mutated its headroom vector (touched).
+	// Snapshot bookkeeping. A worker's snapshot is refreshed only when its
+	// epoch moved since the last refresh (markDirty), its time-driven
+	// staleness deadline passed (a rate-window boundary with pending
+	// samples), or the previous commit pass mutated its headroom vector
+	// (touched). snapValid is false until the first pass has filled every
+	// entry.
 	snapEpoch []uint64
 	staleAt   []eventloop.Time
 	refreshed []bool // workers whose snapshot was refreshed this tick
@@ -88,9 +89,6 @@ type PlaceContext struct {
 	useIdx   bool
 	candK    int
 
-	// shards hold the per-goroutine scratch of the parallel ranking pass.
-	shards []rankShard
-
 	orderBoost func(*Job, eventloop.Time) float64
 }
 
@@ -107,16 +105,6 @@ type stageCand struct {
 	score float64
 }
 
-// rankShard is one goroutine's private scratch for the parallel ranking
-// pass: its own copy of the interval-initial headroom vectors, its own
-// trial-undo journal, and its slice of the candidate list. Shards are
-// reused across ticks.
-type rankShard struct {
-	d     []dVec
-	undo  []undoEntry
-	cands []stageCand
-}
-
 // OrderBoost returns the W·T job-ordering score addend for a stage of job j.
 func (ctx *PlaceContext) OrderBoost(j *Job) float64 {
 	if ctx.orderBoost == nil {
@@ -125,15 +113,19 @@ func (ctx *PlaceContext) OrderBoost(j *Job) float64 {
 	return ctx.orderBoost(j, ctx.Now)
 }
 
-// prepare snapshots worker state for this interval, reusing the snapshot
-// slices from previous intervals. With Config.IncrementalSnapshots it
-// refreshes only workers that are dirty (epoch moved), time-stale (a
+// prepare brings the per-worker snapshots up to date for this interval. It
+// re-reads only workers that are dirty (epoch moved), time-stale (a
 // rate-window boundary with pending samples passed) or were mutated by the
-// previous commit pass; placements are bit-identical to the full rebuild.
+// previous commit pass. Skipping the others is exact, not approximate: every
+// mutation of a worker's queues, load, cores, memory or liveness calls
+// markDirty, and rate blending is anchored to the monitor's window grid (see
+// rateMonitor.roll), so a clean worker's rates, deviation, memory and APT
+// are provably what they were at its last refresh. The first pass on a
+// context, and any pass after the worker count changed, reads every worker.
 func (ctx *PlaceContext) prepare() {
 	ept := ctx.Cfg.EPT.Seconds()
 	n := len(ctx.Workers)
-	full := !ctx.Cfg.IncrementalSnapshots || !ctx.snapValid || len(ctx.d) != n
+	full := !ctx.snapValid || len(ctx.d) != n
 	if cap(ctx.invRateEPT) < n {
 		ctx.invRateEPT = make([][3]float64, n)
 		ctx.memFree = make([]float64, n)
@@ -195,7 +187,7 @@ func (ctx *PlaceContext) prepare() {
 		// staleness deadline is the next window boundary still pending.
 		ctx.staleAt[i] = w.snapshotStaleAt()
 	}
-	ctx.snapValid = ctx.Cfg.IncrementalSnapshots
+	ctx.snapValid = true
 	if ctx.usePen {
 		ctx.computePenalty()
 	}
@@ -233,10 +225,10 @@ const penFloor = 0.01
 // untouched network term steer it onto a machine the CPU evidence says to
 // avoid.
 //
-// The factors are recomputed from dev every tick in O(W); dev itself
-// follows the incremental dirty/stale refresh discipline, so with clean
-// workers the inputs — and therefore the factors — are bitwise stable and
-// the incremental-snapshot exactness argument carries over.
+// The factors are recomputed from dev every tick in O(W); dev itself is
+// refreshed with the worker's snapshot, so with clean workers the inputs —
+// and therefore the factors — are bitwise stable and prepare's exactness
+// argument carries over.
 func (ctx *PlaceContext) computePenalty() {
 	maxDev := 0.0
 	for i, d := range ctx.dev {
@@ -328,8 +320,6 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 	// interval O(2 · stages · tasks · workers) — O(K) per task with
 	// CandidateWorkers. Trial plans mutate D in place and roll back
 	// through the undo journal, so no candidate copies the headroom array.
-	// The ranking pass scores every stage against the same initial D, so
-	// it shards across goroutines when RankParallelism > 1 (see rankPass).
 	ctx.rankPass(d)
 	cands := ctx.cands
 	if len(cands) > smallSortThreshold {
@@ -366,68 +356,26 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 
 // rankPass runs the keep=false ranking pass of the two-pass placement,
 // filling ctx.cands with the viable stages and their scores against the
-// interval's initial headroom. With Config.RankParallelism > 1 the pending
-// pool is sharded into contiguous blocks across a bounded goroutine pool;
-// every goroutine works on its own copy of the initial headroom vectors
-// and its own undo journal (reads of the snapshot arrays, the candidate
-// index and job ranks are shared but immutable during the pass), and the
-// per-shard candidate lists are concatenated in shard order afterwards.
-// Because the serial pass also scores every stage against the restored
-// initial headroom, the merged candidate list — order and float scores —
-// is bit-identical to the serial one.
+// interval's initial headroom (stageScoreOn restores d after every stage).
 func (ctx *PlaceContext) rankPass(d []dVec) {
 	ctx.cands = ctx.cands[:0]
-	par := ctx.Cfg.RankParallelism
-	if par > len(ctx.Pending) {
-		par = len(ctx.Pending)
-	}
-	if par <= 1 {
-		for _, ps := range ctx.Pending {
-			if !stageViable(ctx, ps, d) {
-				continue
-			}
-			score, placed := ctx.stageScoreOn(ps, d, &ctx.undo, false)
-			if placed == 0 {
-				continue
-			}
-			ctx.cands = append(ctx.cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
+	for _, ps := range ctx.Pending {
+		if !stageViable(ctx, ps, d) {
+			continue
 		}
-		return
-	}
-	for len(ctx.shards) < par {
-		ctx.shards = append(ctx.shards, rankShard{})
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < par; s++ {
-		sh := &ctx.shards[s]
-		sh.d = append(sh.d[:0], d...)
-		sh.cands = sh.cands[:0]
-		lo := s * len(ctx.Pending) / par
-		hi := (s + 1) * len(ctx.Pending) / par
-		wg.Add(1)
-		go func(sh *rankShard, block []*PendingStage) {
-			defer wg.Done()
-			for _, ps := range block {
-				if !stageViable(ctx, ps, sh.d) {
-					continue
-				}
-				score, placed := ctx.stageScoreOn(ps, sh.d, &sh.undo, false)
-				if placed == 0 {
-					continue
-				}
-				sh.cands = append(sh.cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
-			}
-		}(sh, ctx.Pending[lo:hi])
-	}
-	wg.Wait()
-	for s := 0; s < par; s++ {
-		ctx.cands = append(ctx.cands, ctx.shards[s].cands...)
+		score, placed := ctx.stageScoreOn(ps, d, &ctx.undo, false)
+		if placed == 0 {
+			continue
+		}
+		ctx.cands = append(ctx.cands, stageCand{ps, score + ctx.OrderBoost(ps.Job)})
 	}
 }
 
 // prepareIndex decides whether top-K candidate selection applies this tick
-// and brings the headroom index in sync with d. With incremental snapshots
-// only refreshed workers are re-bucketed; otherwise the index is rebuilt.
+// (0 < K < W; anything else is the exact scan and builds no index) and
+// brings the headroom index in sync with d: only workers whose snapshot was
+// refreshed are re-bucketed, and the index is rebuilt when it was not in
+// use on the previous tick or the worker count changed.
 func (ctx *PlaceContext) prepareIndex(d []dVec) {
 	k := ctx.Cfg.CandidateWorkers
 	ctx.useIdx = k > 0 && k < len(ctx.Workers)
@@ -436,7 +384,7 @@ func (ctx *PlaceContext) prepareIndex(d []dVec) {
 		ctx.idxValid = false
 		return
 	}
-	if !ctx.idxValid || !ctx.Cfg.IncrementalSnapshots || ctx.idx.n != len(d) {
+	if !ctx.idxValid || ctx.idx.n != len(d) {
 		ctx.idx.rebuild(d)
 		ctx.idxValid = true
 		return
@@ -517,10 +465,10 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 	return false
 }
 
-// computeD evaluates the per-worker headroom vectors from live worker state
-// into the context's reusable buffer — only for refreshed workers when
-// snapshots are incremental (a clean worker's APT inputs are unchanged by
-// construction) — and recounts the workers that retain any headroom.
+// computeD evaluates the headroom vectors of the workers prepare refreshed
+// from live worker state into the context's reusable buffer (a clean
+// worker's APT inputs are unchanged by construction) and recounts the
+// workers that retain any headroom.
 func (ctx *PlaceContext) computeD() []dVec {
 	ept := ctx.Cfg.EPT.Seconds()
 	d := ctx.d
@@ -658,13 +606,11 @@ func applyInc(d dVec, inc dVec) dVec {
 // the stage's tasks greedily against d, mutating d in place and journalling
 // each mutation in undo. When keep is false (the ranking pass) every
 // mutation is rolled back before returning, so d is restored to its
-// pre-call state and no context-level state is touched — which is what
-// makes the ranking pass shardable across goroutines with per-shard d and
-// undo. When keep is true (the commit pass, always on ctx.d/ctx.undo) the
-// mutations stand, the plan's placements are appended to ctx.out, mutated
-// workers are marked for snapshot refresh, and the O(1) headroom count is
-// maintained. It returns the normalized score (plus the stage bonus when
-// every task was placed) and the number of tasks placed.
+// pre-call state and no context-level state is touched. When keep is true
+// (the commit pass) the mutations stand, the plan's placements are appended
+// to ctx.out, mutated workers are marked for snapshot refresh, and the O(1)
+// headroom count is maintained. It returns the normalized score (plus the
+// stage bonus when every task was placed) and the number of tasks placed.
 func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEntry, keep bool) (float64, int) {
 	mark := len(*undo)
 	score := 0.0

@@ -29,16 +29,13 @@ func BenchmarkPlacementTickSmall(b *testing.B) {
 	}
 }
 
-// benchTickAt runs the placement tick benchmark at a given cluster scale,
-// optionally with the scalable (sub-linear) placement path enabled. The
-// exact/scalable pairs at each scale feed the EXPERIMENTS.md cluster-scale
-// table and the ≥5× acceptance bar at 1024 workers.
-func benchTickAt(b *testing.B, workers, stages, tasks int, scalable bool) {
+// benchTickAt runs the placement tick benchmark at a given cluster scale
+// with CandidateWorkers = k (0: the exact scan). The exact/top-K pair at
+// 1024 workers feeds the EXPERIMENTS.md cluster-scale table.
+func benchTickAt(b *testing.B, workers, stages, tasks, k int) {
 	b.Helper()
 	pb := NewPlacementBench(workers, stages, tasks)
-	if scalable {
-		pb.EnableScalable()
-	}
+	pb.Configure(func(c *Config) { c.CandidateWorkers = k })
 	if pb.Tick() == 0 {
 		b.Fatal("placement pass placed nothing; fixture is not exercising the hot path")
 	}
@@ -50,14 +47,13 @@ func benchTickAt(b *testing.B, workers, stages, tasks int, scalable bool) {
 }
 
 // BenchmarkPlacementTickMediumExact / ...Medium measure a 256-worker pool.
-func BenchmarkPlacementTickMediumExact(b *testing.B) { benchTickAt(b, 256, 64, 16, false) }
-func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 16, true) }
+func BenchmarkPlacementTickMediumExact(b *testing.B) { benchTickAt(b, 256, 64, 16, 0) }
+func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 16, 16) }
 
-// BenchmarkPlacementTickLargeExact is the exact serial scan at cluster scale:
-// 1024 workers × 256 stages × 16 tasks. Its ratio to
-// BenchmarkPlacementTickLarge is the headline speedup of ISSUE 2.
-func BenchmarkPlacementTickLargeExact(b *testing.B) { benchTickAt(b, 1024, 256, 16, false) }
+// BenchmarkPlacementTickLargeExact is the exact scan at cluster scale: 1024
+// workers × 256 stages × 16 tasks.
+func BenchmarkPlacementTickLargeExact(b *testing.B) { benchTickAt(b, 1024, 256, 16, 0) }
 
-// BenchmarkPlacementTickLarge is the same pool under Config.ScalablePlacement
-// (incremental snapshots + top-K candidate index + parallel ranking).
-func BenchmarkPlacementTickLarge(b *testing.B) { benchTickAt(b, 1024, 256, 16, true) }
+// BenchmarkPlacementTickLarge is the same pool scored against the top 16
+// candidate workers per task.
+func BenchmarkPlacementTickLarge(b *testing.B) { benchTickAt(b, 1024, 256, 16, 16) }

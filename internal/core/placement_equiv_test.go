@@ -1,12 +1,12 @@
 package core
 
-// Equivalence suite for the sub-linear placement path (ISSUE 2): the
-// incremental dirty-worker snapshots, the top-K candidate index with K ≥ W,
-// and the parallel ranking pass must each produce placements bit-identical
-// to the exact serial scan — at tick granularity on the saturated bench
-// fixture and at system granularity on full simulated runs (including a
-// worker failure). Run under -race in CI: the parallel ranking pass spawns
-// goroutines inside the simulation.
+// Equivalence suite for placement's carried state: Algorithm 1 as the
+// scheduler runs it (snapshots refreshed for dirty workers only) must
+// produce placements bit-identical to FullRebuildPlacer, which re-reads
+// every worker on every pass, at tick granularity on the saturated bench
+// fixtures and at system granularity on full simulated runs (including a
+// worker failure). The top-K approximation is pinned separately: where it
+// is an exact scan, that it is deterministic, and that it starves nothing.
 
 import (
 	"testing"
@@ -51,40 +51,35 @@ func assertSameTicks(t *testing.T, name string, exact, variant *PlacementBench, 
 	}
 }
 
-func TestTickEquivalenceIncrementalSnapshots(t *testing.T) {
+// fullRebuild installs the reference placer on a fixture or a config.
+func fullRebuild(c *Config) { c.Placer = FullRebuildPlacer{} }
+
+func TestTickEquivalence(t *testing.T) {
 	exact := NewPlacementBench(48, 24, 8)
-	inc := NewPlacementBench(48, 24, 8)
-	inc.Configure(func(c *Config) { c.IncrementalSnapshots = true })
-	assertSameTicks(t, "incremental", exact, inc, 6)
+	exact.Configure(fullRebuild)
+	assertSameTicks(t, "default", exact, NewPlacementBench(48, 24, 8), 6)
 }
 
-func TestTickEquivalenceTopKAtLeastW(t *testing.T) {
-	for _, k := range []int{48, 64, 1 << 20} {
+// TestTickTopKIndexGate pins where CandidateWorkers is an approximation and where
+// it is not: the candidate index is built only for 0 < K < W, so K ≥ W is the
+// exact scan (same placements, no index), and K < W goes through the index.
+func TestTickTopKIndexGate(t *testing.T) {
+	for _, k := range []int{0, 48, 1 << 20} {
 		exact := NewPlacementBench(48, 24, 8)
+		exact.Configure(fullRebuild)
 		topk := NewPlacementBench(48, 24, 8)
 		topk.Configure(func(c *Config) { c.CandidateWorkers = k })
-		assertSameTicks(t, "topk-exact", exact, topk, 4)
+		assertSameTicks(t, "K>=W", exact, topk, 4)
+		if topk.ctx.useIdx || topk.ctx.idxValid {
+			t.Fatalf("CandidateWorkers=%d on 48 workers built a candidate index", k)
+		}
 	}
-}
-
-func TestTickEquivalenceParallelRanking(t *testing.T) {
-	for _, par := range []int{2, 4, 9} {
-		exact := NewPlacementBench(48, 24, 8)
-		pr := NewPlacementBench(48, 24, 8)
-		pr.Configure(func(c *Config) { c.RankParallelism = par })
-		assertSameTicks(t, "parallel-rank", exact, pr, 4)
+	topk := NewPlacementBench(48, 24, 8)
+	topk.Configure(func(c *Config) { c.CandidateWorkers = 47 })
+	topk.Tick()
+	if !topk.ctx.useIdx || !topk.ctx.idxValid {
+		t.Fatal("CandidateWorkers=47 on 48 workers did not build a candidate index")
 	}
-}
-
-func TestTickEquivalenceAllFlagsExactK(t *testing.T) {
-	exact := NewPlacementBench(48, 24, 8)
-	all := NewPlacementBench(48, 24, 8)
-	all.Configure(func(c *Config) {
-		c.IncrementalSnapshots = true
-		c.CandidateWorkers = 48 // K = W: exact scan, index plumbing active
-		c.RankParallelism = 4
-	})
-	assertSameTicks(t, "all-flags", exact, all, 6)
 }
 
 // TestTickTopKSmallDeterministic pins down that the approximate K < W path
@@ -93,11 +88,7 @@ func TestTickEquivalenceAllFlagsExactK(t *testing.T) {
 func TestTickTopKSmallDeterministic(t *testing.T) {
 	mk := func() *PlacementBench {
 		pb := NewPlacementBench(48, 24, 8)
-		pb.Configure(func(c *Config) {
-			c.IncrementalSnapshots = true
-			c.CandidateWorkers = 8
-			c.RankParallelism = 3
-		})
+		pb.Configure(func(c *Config) { c.CandidateWorkers = 8 })
 		return pb
 	}
 	a, b := mk(), mk()
@@ -117,41 +108,20 @@ func TestTickTopKSmallDeterministic(t *testing.T) {
 	}
 }
 
-// TestTickEquivalenceHetero re-proves the optimized paths' exactness on a
-// mixed-capacity cluster with interference-displaced measured rates — the
-// setting the bucketed index's [0,1]-per-worker invariant and the
-// incremental penalty snapshot must survive — with the interference penalty
-// both off and on. K = W keeps the index plumbing active while remaining an
-// exact scan.
+// TestTickEquivalenceHetero re-proves exactness on a mixed-capacity cluster
+// with interference-displaced measured rates, the setting the penalty
+// snapshot must survive, with the interference penalty both off and on.
 func TestTickEquivalenceHetero(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
-		{"topk-exact", func(c *Config) { c.CandidateWorkers = 48 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
-			c.CandidateWorkers = 48
-			c.RankParallelism = 4
-		}},
-	}
 	for _, penalty := range []bool{false, true} {
 		name := "penalty-off"
 		if penalty {
 			name = "penalty-on"
 		}
-		for _, v := range variants {
-			exact := NewPlacementBenchHetero(48, 24, 8)
-			exact.Configure(func(c *Config) { c.InterferencePenalty = penalty })
-			variant := NewPlacementBenchHetero(48, 24, 8)
-			variant.Configure(func(c *Config) {
-				c.InterferencePenalty = penalty
-				v.mod(c)
-			})
-			assertSameTicks(t, name+"/"+v.name, exact, variant, 6)
-		}
+		exact := NewPlacementBenchHetero(48, 24, 8)
+		exact.Configure(func(c *Config) { c.InterferencePenalty = penalty; fullRebuild(c) })
+		variant := NewPlacementBenchHetero(48, 24, 8)
+		variant.Configure(func(c *Config) { c.InterferencePenalty = penalty })
+		assertSameTicks(t, name, exact, variant, 6)
 	}
 }
 
@@ -178,23 +148,10 @@ func runSystem(t *testing.T, cfg Config, n int, failAt eventloop.Duration) []eve
 }
 
 // TestSystemEquivalence runs full simulations and demands bit-identical
-// job finish times between the exact serial scheduler and each optimized
-// path, under both ordering policies and across a worker failure (which
-// exercises the dirty marking in fail/abort paths).
+// job finish times between the default scheduler and the full rebuild,
+// under both ordering policies and across a worker failure (which exercises
+// the dirty marking in fail/abort paths).
 func TestSystemEquivalence(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
-		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 4
-		}},
-	}
 	scenarios := []struct {
 		name   string
 		policy Policy
@@ -205,17 +162,11 @@ func TestSystemEquivalence(t *testing.T) {
 		{"ejf-fault", EJF, 2 * eventloop.Second},
 	}
 	for _, sc := range scenarios {
-		base := Config{Policy: sc.policy}
-		want := runSystem(t, base, 6, sc.failAt)
-		for _, v := range variants {
-			cfg := base
-			v.mod(&cfg)
-			got := runSystem(t, cfg, 6, sc.failAt)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s/%s: job %d finished at %v, exact %v",
-						sc.name, v.name, i, got[i], want[i])
-				}
+		want := runSystem(t, Config{Policy: sc.policy, Placer: FullRebuildPlacer{}}, 6, sc.failAt)
+		got := runSystem(t, Config{Policy: sc.policy}, 6, sc.failAt)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: job %d finished at %v, full rebuild %v", sc.name, i, got[i], want[i])
 			}
 		}
 	}
@@ -223,22 +174,9 @@ func TestSystemEquivalence(t *testing.T) {
 
 // TestSystemEquivalenceHetero runs full simulations on a mixed-capacity
 // cluster (one machine contended) and demands bit-identical job finish
-// times between the exact serial scheduler and each optimized path, with
-// the interference penalty off and on.
+// times between the default scheduler and the full rebuild, with the
+// interference penalty off and on.
 func TestSystemEquivalenceHetero(t *testing.T) {
-	variants := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"incremental", func(c *Config) { c.IncrementalSnapshots = true }},
-		{"topk-exact", func(c *Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *Config) { c.RankParallelism = 4 }},
-		{"all", func(c *Config) {
-			c.IncrementalSnapshots = true
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 4
-		}},
-	}
 	run := func(cfg Config) []eventloop.Time {
 		t.Helper()
 		loop, clus := heteroTestCluster(3, 1, 0.5)
@@ -255,21 +193,11 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 		return out
 	}
 	for _, penalty := range []bool{false, true} {
-		name := "penalty-off"
-		if penalty {
-			name = "penalty-on"
-		}
-		base := Config{InterferencePenalty: penalty}
-		want := run(base)
-		for _, v := range variants {
-			cfg := base
-			v.mod(&cfg)
-			got := run(cfg)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Errorf("%s/%s: job %d finished at %v, exact %v",
-						name, v.name, i, got[i], want[i])
-				}
+		want := run(Config{InterferencePenalty: penalty, Placer: FullRebuildPlacer{}})
+		got := run(Config{InterferencePenalty: penalty})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("penalty=%v: job %d finished at %v, full rebuild %v", penalty, i, got[i], want[i])
 			}
 		}
 	}
@@ -279,10 +207,7 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 // path still drives full workloads to completion (no task starves because
 // its viable worker sits outside the candidate set forever).
 func TestSystemTopKSmallCompletes(t *testing.T) {
-	cfg := Config{}
-	cfg.IncrementalSnapshots = true
-	cfg.CandidateWorkers = 2 // 4 workers: genuinely restrictive
-	cfg.RankParallelism = 2
+	cfg := Config{CandidateWorkers: 2} // 4 workers: genuinely restrictive
 	times := runSystem(t, cfg, 6, 0)
 	for i, at := range times {
 		if at <= 0 {

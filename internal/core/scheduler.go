@@ -671,8 +671,7 @@ const jobRankStep = 5.0
 // orderBoost converts a job's ordering state into the additive placement
 // score of §4.2.2: a rank term that enforces the policy order (EJF or SRJF)
 // plus the paper's W·T aging term. The rank was cached by computeRanks at
-// the last priority refresh, so each lookup is O(1); the parallel ranking
-// pass also relies on this being a pure read.
+// the last priority refresh, so each lookup is O(1).
 func (s *Scheduler) orderBoost(j *Job, now eventloop.Time) float64 {
 	if s.sys.Cfg.DisableJobOrdering {
 		return 0

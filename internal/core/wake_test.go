@@ -20,17 +20,19 @@ type heldExecutor struct {
 }
 
 type heldMT struct {
-	w    *Worker
-	mt   *dag.Monotask
-	done func(bytes, seconds float64)
+	w       *Worker
+	mt      *dag.Monotask
+	done    func(bytes, seconds float64)
+	aborted bool // its worker failed: the completion must never be reported
 }
 
 func (e *heldExecutor) Start(w *Worker, _ *Job, mt *dag.Monotask, done func(bytes, seconds float64)) func() {
 	if mt.Kind == resource.CPU {
 		w.Machine.Cores.MustAlloc(1)
 	}
-	e.held = append(e.held, &heldMT{w: w, mt: mt, done: done})
-	return func() {}
+	h := &heldMT{w: w, mt: mt, done: done}
+	e.held = append(e.held, h)
+	return func() { h.aborted = true }
 }
 
 // take removes and returns every held monotask.
@@ -42,6 +44,9 @@ func (e *heldExecutor) take() []*heldMT {
 
 // complete finishes h, reporting the given measured execution time.
 func (h *heldMT) complete(seconds float64) {
+	if h.aborted {
+		return
+	}
 	if h.mt.Kind == resource.CPU {
 		h.w.Machine.Cores.FreeAlloc(1)
 	}
@@ -70,12 +75,17 @@ type liveHarness struct {
 
 func newLiveHarness(t *testing.T, schedInterval eventloop.Duration) *liveHarness {
 	t.Helper()
-	drv := eventloop.NewLiveDriver()
-	clus := cluster.New(drv.Loop(), cluster.Config{
+	return newLiveHarnessOn(t, cluster.Config{
 		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
 		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
-	})
-	sys := NewSystem(drv.Loop(), clus, Config{SchedInterval: schedInterval})
+	}, Config{SchedInterval: schedInterval})
+}
+
+func newLiveHarnessOn(t *testing.T, clusCfg cluster.Config, cfg Config) *liveHarness {
+	t.Helper()
+	drv := eventloop.NewLiveDriver()
+	clus := cluster.New(drv.Loop(), clusCfg)
+	sys := NewSystem(drv.Loop(), clus, cfg)
 	h := &liveHarness{t: t, drv: drv, sys: sys, exec: &heldExecutor{}, done: make(chan error, 1)}
 	sys.SetExecutor(h.exec)
 	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
@@ -339,4 +349,114 @@ func TestSimulationRunsNoEventPasses(t *testing.T) {
 	if ev != 0 || tm == 0 {
 		t.Fatalf("simulated run: %d event / %d timer passes, want 0 event and some timer", ev, tm)
 	}
+}
+
+// TestLivePlacementMatchesFullRebuild is the live-path check of the carried
+// worker snapshots, which the simulated equivalence suites cannot give: under
+// a LiveDriver, on the wall clock, with event passes between the ticks, every
+// placement pass of a multi-job run (a worker failure, a graceful drain, a
+// profiled join and a re-profiling included) must place exactly what
+// FullRebuildPlacer places over the same interval. CheckingPlacer compares
+// the two on every pass. The wall clock decides only which passes happen and
+// when rate windows roll, never what the two placers are asked.
+func TestLivePlacementMatchesFullRebuild(t *testing.T) {
+	chk := &CheckingPlacer{}
+	h := newLiveHarnessOn(t, cluster.Config{
+		Machines: 4, CoresPerMachine: 2, MemPerMachine: 8 * resource.GB,
+		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8, NetPerFlowFraction: 0.75,
+	}, Config{
+		SchedInterval: eventloop.Millisecond,
+		RateWindow:    2 * eventloop.Millisecond, // windows roll during the run
+		Placer:        chk,
+	})
+	submit := func(n int) {
+		for i := 0; i < n; i++ {
+			spec := JobSpec{Name: "job", Graph: shuffleJob(8, 4, 8e6), MemEstimate: 1e9}
+			h.sys.MustSubmit(spec, h.sys.Loop.Now())
+		}
+	}
+	// step completes, in one batch, every monotask the executor holds, at a
+	// measured rate that differs per worker so the monitors leave nominal. It
+	// also counts the workers the last pass did not re-read.
+	skipped := 0
+	step := func(also func()) (completed int, done bool) {
+		h.onLoop(func() {
+			for _, fresh := range h.sys.Sched.pctx.refreshed {
+				if !fresh {
+					skipped++
+				}
+			}
+			held := h.exec.take()
+			completed = len(held)
+			for _, m := range held {
+				m.complete(1e-6 + m.mt.InputBytes/(1e8/float64(1+m.w.ID%3)))
+			}
+			if also != nil {
+				also()
+			}
+			done = h.sys.AllDone()
+		})
+		return
+	}
+	runUntilDone := func(events map[int]func()) {
+		t.Helper()
+		deadline := time.Now().Add(60 * time.Second)
+		for n := 0; ; {
+			completed, done := step(events[n])
+			delete(events, n)
+			if done {
+				return
+			}
+			if completed > 0 {
+				n++
+			} else {
+				time.Sleep(100 * time.Microsecond) // a put-off pass or the tick is due
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run stuck after %d steps", n)
+			}
+		}
+	}
+
+	h.onLoop(func() { submit(4) })
+	var joined *Worker
+	runUntilDone(map[int]func(){
+		1: func() { h.sys.FailWorker(1) },
+		2: func() { submit(2) },
+		3: func() { h.sys.BeginDrain(2) },
+		4: func() {
+			joined = h.sys.AddWorkerProfile(cluster.MachineProfile{Cores: 4, CoreRate: 5e7})
+			submit(2)
+		},
+	})
+	if joined == nil || len(h.sys.Workers) != 5 {
+		t.Fatal("the run finished before the scripted events happened; make the jobs longer")
+	}
+	// Everything is idle. Two one-task jobs, one after the other, leave the
+	// context holding snapshots of workers that nothing has touched since:
+	// only markDirty makes the next pass see that worker 3 was re-declared
+	// and that the joined worker is draining.
+	for i := 0; i < 2; i++ {
+		h.onLoop(func() { h.sys.MustSubmit(cpuJob(1, 1e5), h.sys.Loop.Now()) })
+		runUntilDone(nil)
+	}
+	h.onLoop(func() {
+		h.sys.SetWorkerProfile(3, cluster.MachineProfile{Cores: 8, Mem: 4 * resource.GB})
+		h.sys.BeginDrain(joined.ID)
+		submit(3)
+	})
+	runUntilDone(nil)
+
+	h.onLoop(func() {
+		if chk.Diffs != 0 {
+			t.Errorf("%d of %d live placement passes differ from the full rebuild; first: %s",
+				chk.Diffs, chk.Passes, chk.FirstDiff)
+		}
+		if chk.Passes < 10 {
+			t.Errorf("only %d placement passes compared", chk.Passes)
+		}
+		if skipped == 0 {
+			t.Error("every sampled pass re-read every worker: carried snapshots never exercised")
+		}
+	})
 }

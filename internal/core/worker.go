@@ -53,8 +53,8 @@ type Worker struct {
 	// epoch counts state changes that can alter the scheduler's per-worker
 	// snapshot (queue contents, load, rates, idle cores, memory
 	// reservations, failure). PlaceContext compares it against the epoch
-	// captured at the last snapshot refresh to skip clean workers when
-	// Config.IncrementalSnapshots is enabled; see placement.go.
+	// captured at the last snapshot refresh to skip clean workers; see
+	// PlaceContext.prepare.
 	epoch uint64
 }
 
@@ -484,10 +484,9 @@ const rateDecayEps = 1e-9
 // per-window steps whether the windows are observed one roll at a time or
 // all at once — so *what* the rate is at any virtual time is a function of
 // time and the sample history alone, never of how often the scheduler
-// happens to read it. Incremental snapshot refreshes
-// (Config.IncrementalSnapshots) rely on this: a clean worker's rate() is
-// provably unchanged until the boundary reported by nextChange, so
-// skipping the read is exact.
+// happens to read it. PlaceContext.prepare relies on this: a clean worker's
+// rate() is provably unchanged until the boundary reported by nextChange,
+// so skipping the read is exact.
 func (r *rateMonitor) roll() {
 	now := r.loop.Now()
 	elapsed := now - r.windowStart

@@ -9,50 +9,30 @@ import (
 	"ursa/internal/workload"
 )
 
-// System-level equivalence for the sub-linear placement path (ISSUE 2) on
-// realistic workloads: every optimized configuration — incremental dirty
-// snapshots, top-K candidate index with K ≥ W, parallel ranking — must
-// reproduce the exact serial scheduler's results bit for bit, JCT by JCT,
-// on the paper cluster. Run under -race in CI.
-
-// placementVariants are the optimized configurations that must be exact.
-func placementVariants() []struct {
-	name string
-	mod  func(*core.Config)
-} {
-	return []struct {
-		name string
-		mod  func(*core.Config)
-	}{
-		{"incremental", func(c *core.Config) { c.IncrementalSnapshots = true }},
-		{"topk-exact", func(c *core.Config) { c.CandidateWorkers = 1 << 20 }},
-		{"parallel-rank", func(c *core.Config) { c.RankParallelism = 6 }},
-		{"all", func(c *core.Config) {
-			c.IncrementalSnapshots = true
-			c.CandidateWorkers = 1 << 20
-			c.RankParallelism = 6
-		}},
-	}
-}
+// System-level equivalence for placement's carried state on realistic
+// workloads: the default scheduler, which refreshes only dirty workers'
+// snapshots, must reproduce core.FullRebuildPlacer (every worker re-read on
+// every pass) bit for bit, JCT by JCT, on the paper cluster. Run under -race
+// in CI.
 
 // assertSameResult demands bit-identical aggregate metrics and JCT vectors.
 func assertSameResult(t *testing.T, name string, want, got Result) {
 	t.Helper()
 	if got.Makespan != want.Makespan {
-		t.Errorf("%s: makespan %v != exact %v", name, got.Makespan, want.Makespan)
+		t.Errorf("%s: makespan %v != full rebuild %v", name, got.Makespan, want.Makespan)
 	}
 	if got.AvgJCT != want.AvgJCT {
-		t.Errorf("%s: avgJCT %v != exact %v", name, got.AvgJCT, want.AvgJCT)
+		t.Errorf("%s: avgJCT %v != full rebuild %v", name, got.AvgJCT, want.AvgJCT)
 	}
 	if got.Eff != want.Eff {
-		t.Errorf("%s: efficiency %+v != exact %+v", name, got.Eff, want.Eff)
+		t.Errorf("%s: efficiency %+v != full rebuild %+v", name, got.Eff, want.Eff)
 	}
 	if len(got.JCTs) != len(want.JCTs) {
-		t.Fatalf("%s: %d JCTs, exact has %d", name, len(got.JCTs), len(want.JCTs))
+		t.Fatalf("%s: %d JCTs, full rebuild has %d", name, len(got.JCTs), len(want.JCTs))
 	}
 	for i := range want.JCTs {
 		if got.JCTs[i] != want.JCTs[i] {
-			t.Errorf("%s: job %d JCT %v != exact %v", name, i, got.JCTs[i], want.JCTs[i])
+			t.Errorf("%s: job %d JCT %v != full rebuild %v", name, i, got.JCTs[i], want.JCTs[i])
 		}
 	}
 }
@@ -64,24 +44,22 @@ func runEquivalence(t *testing.T, gen func() *workload.Workload, base core.Confi
 
 func runEquivalenceOn(t *testing.T, gen func() *workload.Workload, base core.Config, clusCfg cluster.Config) {
 	t.Helper()
-	want := RunUrsa(gen(), base, clusCfg, 0)
-	for _, v := range placementVariants() {
-		cfg := base
-		v.mod(&cfg)
-		got := RunUrsa(gen(), cfg, clusCfg, 0)
-		assertSameResult(t, v.name, want, got)
-	}
+	ref := base
+	ref.Placer = core.FullRebuildPlacer{}
+	want := RunUrsa(gen(), ref, clusCfg, 0)
+	got := RunUrsa(gen(), base, clusCfg, 0)
+	assertSameResult(t, "default", want, got)
 }
 
-// TestEquivalenceTPCH runs a small seeded TPC-H mix through every optimized
-// placement configuration and demands bit-identical results.
+// TestEquivalenceTPCH runs a small seeded TPC-H mix under both placers and
+// demands bit-identical results.
 func TestEquivalenceTPCH(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(6, 5*eventloop.Second, 7) }
 	runEquivalence(t, gen, core.Config{})
 }
 
 // TestEquivalenceTPCHSRJF repeats the TPC-H equivalence under SRJF ordering,
-// whose priority refresh feeds the cached ranks the parallel pass reads.
+// whose priorities move with every completion.
 func TestEquivalenceTPCHSRJF(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(5, 4*eventloop.Second, 11) }
 	runEquivalence(t, gen, core.Config{Policy: core.SRJF})
@@ -94,10 +72,10 @@ func TestEquivalenceSynthetic(t *testing.T) {
 	runEquivalence(t, gen, core.Config{})
 }
 
-// TestEquivalenceHetero re-proves the optimized paths' exactness at the
-// experiment level on the contended heterogeneous testbed — the setting
-// where interference-displaced measured rates and the penalty snapshot
-// stress the incremental refresh discipline — with the penalty off and on.
+// TestEquivalenceHetero re-proves exactness at the experiment level on the
+// contended heterogeneous testbed, the setting where interference-displaced
+// measured rates and the penalty snapshot stress the refresh discipline,
+// with the penalty off and on.
 func TestEquivalenceHetero(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(4, 10*eventloop.Second, 7) }
 	clusCfg := heteroPaperCluster(5, 0.1)

@@ -83,15 +83,6 @@ func (r *Runtime) SetCodec(c BlobCodec) {
 	r.codec = c
 }
 
-// SetBlobCache toggles blob caching. Disabling it (the legacy benchmark
-// baseline) makes every ContribBlob/PartBlobsAppend call re-encode from
-// rows — the encode-per-fetch behaviour this store exists to eliminate.
-func (r *Runtime) SetBlobCache(on bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.blobCacheOff = !on
-}
-
 // SetSpill configures the memory budget (bytes of cached blobs) and the
 // spill directory ("" = the system temp dir). budget <= 0 disables
 // spilling. A tiny budget (e.g. 1) spills every contribution — the
@@ -181,8 +172,7 @@ func (b *BlobRef) ReadAt(p []byte, off int64) (int, error) {
 // canonical (producer-sorted) order, to dst and returns it — the zero-copy
 // serve path. In-memory handles alias the store's cached blobs (immutable by
 // contract); job-input partitions that were never served before are encoded
-// (once) on first call. With the blob cache disabled it re-encodes per call,
-// reproducing the legacy encode-per-fetch cost.
+// (once) on first call.
 func (r *Runtime) PartBlobsAppend(dst []BlobRef, d *dag.Dataset, part int) ([]BlobRef, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -232,22 +222,10 @@ func (r *Runtime) ContribBlob(d *dag.Dataset, part, mtID int) (blob []byte, flag
 }
 
 // blobOfLocked returns c's encoded bytes for a non-spilled contribution,
-// encoding (and, cache permitting, caching) them if only rows are held.
+// encoding and caching them if only rows are held.
 func (r *Runtime) blobOfLocked(d *dag.Dataset, part int, c *contrib) ([]byte, byte, int, error) {
-	if c.blob != nil && !r.blobCacheOff {
+	if c.blob != nil {
 		return c.blob, c.flags, c.rawLen, nil
-	}
-	if r.blobCacheOff {
-		// Legacy baseline: encode fresh on every serve, from rows.
-		rows := c.rows
-		if rows == nil && c.blob != nil {
-			// Fetched contribution held as blob: it IS the encoding.
-			return c.blob, c.flags, c.rawLen, nil
-		}
-		if r.codec == nil {
-			return nil, 0, 0, errors.New("localrt: no codec installed")
-		}
-		return encodeWith(r.codec, rows)
 	}
 	if r.codec == nil {
 		return nil, 0, 0, errors.New("localrt: no codec installed")

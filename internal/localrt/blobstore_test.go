@@ -286,37 +286,6 @@ func TestSpillWriteFailureDegradesToMemory(t *testing.T) {
 	}
 }
 
-func TestBlobCacheOffReencodesPerServe(t *testing.T) {
-	g, in, out := passthrough(2)
-	rt := New(g.MustBuild())
-	rt.SetCodec(fakeCodec{})
-	rt.SetBlobCache(false)
-	rt.SetInput(in, inputRows(6))
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.BlobBytes() != 0 {
-		t.Fatalf("BlobBytes = %d with cache off, want 0", rt.BlobBytes())
-	}
-	refs1, err := rt.PartBlobsAppend(nil, out, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs2, err := rt.PartBlobsAppend(nil, out, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs1) == 0 {
-		t.Fatal("no refs")
-	}
-	if &refs1[0].Data[0] == &refs2[0].Data[0] {
-		t.Fatal("cache-off serve returned the same backing array (cached)")
-	}
-	if !bytes.Equal(refs1[0].Data, refs2[0].Data) {
-		t.Fatal("re-encoded blobs differ")
-	}
-}
-
 func TestDecodeErrorPropagates(t *testing.T) {
 	g := dag.NewGraph()
 	d := g.CreateData(1)

@@ -117,10 +117,9 @@ type Runtime struct {
 
 	// Encode-once state (see blobstore.go). codec == nil keeps the runtime
 	// rows-only — the pure-local path pays no serialization cost.
-	codec        BlobCodec
-	blobCacheOff bool
-	blobBytes    int64
-	spill        spillState
+	codec     BlobCodec
+	blobBytes int64
+	spill     spillState
 }
 
 // New builds a runtime for the plan. Input datasets must be provided via
@@ -269,7 +268,7 @@ func (r *Runtime) insertContribLocked(d *dag.Dataset, part int, c contrib) {
 	copy(p[i+1:], p[i:])
 	p[i] = c
 	parts[part] = p
-	if c.blob != nil && !r.blobCacheOff {
+	if c.blob != nil {
 		r.accountBlobLocked(d, part, &parts[part][i])
 	}
 }
@@ -429,10 +428,10 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 	// contributions (shuffle fetch, Complete shipping, master checkpoint) is
 	// a byte copy of this one encoding.
 	r.mu.Lock()
-	codec, cacheOff := r.codec, r.blobCacheOff
+	codec := r.codec
 	r.mu.Unlock()
 	var encs []contrib
-	if codec != nil && !cacheOff {
+	if codec != nil {
 		encs = make([]contrib, len(writes))
 		for i, w := range writes {
 			blob, flags, rawLen, err := encodeWith(codec, w.Rows)

@@ -1,22 +1,16 @@
 // BENCH_ingest.json: the multi-tenant front door's performance snapshot.
 // One loopback serve-mode cluster (real TCP, real wire protocol), thousands
 // of concurrent closed-loop submitters, tens of thousands of jobs queued
-// behind the admission memory gate.
-//
-// Both arms run over the identical harness and the identical standing
-// backlog: an untimed prefill phase pushes Prefill jobs through the batched
-// pipeline, then the admission mode is switched and Jobs further submissions
-// are timed. The arms differ only in what happens per timed submission:
-//
-//   - batched: the shipping pipeline — intake shards drained by the pump,
-//     one driver crossing and one admission pass per batch;
-//   - naive: one driver crossing and one full reservation/rank/sort pass
-//     per submission — the one-lock-per-submit baseline, whose per-submit
-//     cost is O(backlog log backlog) against the standing queue.
+// behind the admission memory gate: an untimed prefill phase builds a
+// standing backlog of Prefill jobs, then Jobs further submissions are timed
+// against it.
 //
 // The figures of merit are sustained submissions/s, the p50/p99
-// submission→ack latency, the end-of-run queued backlog, and the sampled
-// per-tenant share error under a skewed (1 heavy + N light) tenant mix.
+// submission→ack latency, the mean admission batch (how many submissions
+// one driver crossing and one reservation/rank/sort pass serve; a front door
+// that stopped batching reads 1), the end-of-run queued backlog, and the
+// sampled per-tenant share error under a skewed (1 heavy + N light) tenant
+// mix.
 //
 //	go run ./cmd/ursa-bench -ingest BENCH_ingest.json
 //	go run ./cmd/ursa-bench -guard-ingest BENCH_ingest.json
@@ -44,11 +38,11 @@ type IngestOptions struct {
 	// Submitters is the number of concurrent client connections, each a
 	// closed loop (submit, wait for ack, repeat).
 	Submitters int
-	// Prefill is the standing backlog built through the batched pipeline
-	// (untimed) before either arm's measurement starts, so both arms pay
-	// their per-submission admission cost against the same queue depth.
+	// Prefill is the standing backlog built (untimed) before the
+	// measurement starts, so every timed admission pass runs against that
+	// queue depth.
 	Prefill int
-	// Jobs is the timed submission count, identical for both arms.
+	// Jobs is the timed submission count.
 	Jobs int
 }
 
@@ -59,12 +53,11 @@ var DefaultIngestOptions = IngestOptions{Submitters: 2000, Prefill: 20000, Jobs:
 // GuardIngestOptions is the CI regression-guard scale: fewer submitters and
 // timed jobs than the snapshot so the run stays in the tens of seconds, but
 // the same 20,000-job standing backlog. The backlog must stay at snapshot
-// depth: the naive baseline's per-submit pass cost is linear in the backlog,
-// so a shallow queue lets it keep pace and the ratio collapses — batching's
-// win is only unmistakable in the regime the front door is built for.
+// depth: an admission pass costs time linear in it, which is the cost
+// batching amortizes and the regime the front door is built for.
 var GuardIngestOptions = IngestOptions{Submitters: 800, Prefill: 20000, Jobs: 1600}
 
-// IngestArm is one arm's measurement.
+// IngestArm is one measurement of the front door.
 type IngestArm struct {
 	Jobs       int     `json:"jobs"`
 	Prefill    int     `json:"prefill"`
@@ -78,7 +71,7 @@ type IngestArm struct {
 	// the queue depth the admission pipeline was sustaining.
 	QueuedEnd int `json:"queued_end"`
 	// Batches/MeanBatch are the admission pipeline's amortization figures
-	// over the timed phase (each naive submission is its own batch of 1).
+	// over the timed phase.
 	Batches   int     `json:"batches"`
 	MeanBatch float64 `json:"mean_batch"`
 	// ShareError is the per-tenant weighted fair-share error sampled on the
@@ -96,11 +89,11 @@ type IngestReport struct {
 	MaxProcs  int    `json:"max_procs"`
 
 	Batched IngestArm `json:"batched"`
-	Naive   IngestArm `json:"naive"`
-	// SpeedupVsNaive is batched subs/s over naive subs/s — the tentpole
-	// acceptance ratio (≥5× at snapshot scale).
-	SpeedupVsNaive float64 `json:"speedup_vs_naive"`
 }
+
+// ingestSchema names the document layout LoadIngest accepts. (v1 compared
+// against a second arm that the master can no longer run.)
+const ingestSchema = "ursa-bench-ingest/v2"
 
 // ingestTenants is the skewed tenant mix: one heavy tenant with 3× weight
 // plus three light tenants. Submitters round-robin across the mix, so every
@@ -171,10 +164,10 @@ func hammer(clients []*remote.Client, params []byte, n int, record bool) ([]time
 	return latencies, nil
 }
 
-// runIngestArm measures one arm: start a loopback serve cluster, build the
-// standing backlog through the batched pipeline, switch the admission mode,
-// hammer the timed phase, read the scheduler's end state, drain.
-func runIngestArm(opts IngestOptions, naive bool) (IngestArm, error) {
+// runIngest takes one measurement: start a loopback serve cluster, build the
+// standing backlog, hammer the timed phase, read the scheduler's end state,
+// drain.
+func runIngest(opts IngestOptions) (IngestArm, error) {
 	arm := IngestArm{Jobs: opts.Jobs, Prefill: opts.Prefill, Submitters: opts.Submitters}
 	cfg := remote.Config{
 		Serve: true,
@@ -242,12 +235,9 @@ func runIngestArm(opts IngestOptions, naive bool) (IngestArm, error) {
 		return arm, fmt.Errorf("ingest: dial: %w", dialErr)
 	}
 
-	// Prefill through the batched pipeline regardless of arm, then flip to
-	// the arm's admission mode for the timed phase.
 	if _, err := hammer(clients, params, opts.Prefill, false); err != nil {
 		return arm, fmt.Errorf("ingest: prefill: %w", err)
 	}
-	lc.Master.SetNaiveAdmission(naive)
 	ingest := lc.Master.Ingest()
 	batches0, batchedJobs0 := ingest.BatchStats()
 	drops0 := ingest.StatusDrops()
@@ -299,34 +289,32 @@ func runIngestArm(opts IngestOptions, naive bool) (IngestArm, error) {
 	return arm, nil
 }
 
-// CollectIngest runs both arms at the given scale and assembles the report.
+// CollectIngest measures the front door at the given scale and assembles the
+// report.
 func CollectIngest(opts IngestOptions) (*IngestReport, error) {
 	rep := &IngestReport{
-		Schema:    "ursa-bench-ingest/v1",
+		Schema:    ingestSchema,
 		Command:   "go run ./cmd/ursa-bench -ingest BENCH_ingest.json",
 		GoVersion: runtime.Version(),
 		MaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	var err error
-	// Naive first, so any warm-up effect (page cache, branch predictors,
-	// lazily grown runtime structures) flatters the baseline, not us.
-	if rep.Naive, err = runIngestArm(opts, true); err != nil {
-		return nil, fmt.Errorf("naive arm: %w", err)
-	}
-	if rep.Batched, err = runIngestArm(opts, false); err != nil {
-		return nil, fmt.Errorf("batched arm: %w", err)
-	}
-	if rep.Naive.SubsPerSec > 0 {
-		rep.SpeedupVsNaive = rep.Batched.SubsPerSec / rep.Naive.SubsPerSec
+	if rep.Batched, err = runIngest(opts); err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-// LoadIngest parses a BENCH_ingest.json document.
+// LoadIngest parses a BENCH_ingest.json document, refusing a layout other
+// than the current one.
 func LoadIngest(r io.Reader) (*IngestReport, error) {
 	rep := &IngestReport{}
 	if err := json.NewDecoder(r).Decode(rep); err != nil {
 		return nil, err
+	}
+	if rep.Schema != ingestSchema {
+		return nil, fmt.Errorf("schema %q, want %q: regenerate the snapshot with `make bench-ingest`",
+			rep.Schema, ingestSchema)
 	}
 	return rep, nil
 }

@@ -55,8 +55,8 @@ type Report struct {
 	Command   string `json:"command"`
 	GoVersion string `json:"go_version"`
 	// GoMaxProcs is the process's GOMAXPROCS while the serial scenarios ran;
-	// NumCPU is the machine's logical CPU count. The parallel scenarios run
-	// at NumCPU (raising GOMAXPROCS for their duration if needed), so the
+	// NumCPU is the machine's logical CPU count. The parallel scenario runs
+	// at NumCPU (raising GOMAXPROCS for its duration if needed), so the
 	// pair documents exactly what "parallel" meant on this machine.
 	GoMaxProcs int `json:"go_maxprocs"`
 	NumCPU     int `json:"num_cpu"`
@@ -65,10 +65,9 @@ type Report struct {
 	// stages × 16 tasks (the BenchmarkPlacementTick scenario).
 	PlacementTick Benchmark `json:"placement_tick"`
 	// PlacementTickLarge is the cluster-scale pass — 1024 workers × 256
-	// stages × 16 tasks — under Config.ScalablePlacement (incremental
-	// snapshots, top-K candidate index, parallel ranking); ...LargeExact is
-	// the same pool on the exact serial scan. Their ratio is the ISSUE 2
-	// speedup (acceptance bar: ≥5×).
+	// stages × 16 tasks — with Config.CandidateWorkers = 16 (each task
+	// scored against its top 16 candidates); ...LargeExact is the same pool
+	// on the exact scan. Their ratio is what the approximation buys.
 	PlacementTickLarge      Benchmark `json:"placement_tick_large"`
 	PlacementTickLargeExact Benchmark `json:"placement_tick_large_exact"`
 	// PlacementTickHetero is the headline pool on a mixed-capacity fleet
@@ -81,8 +80,10 @@ type Report struct {
 	EventLoopTimers Benchmark `json:"eventloop_timers"`
 	// Table1Serial and Table1Parallel run the full Table 1 experiment (six
 	// independent simulation runs) with Workers=1 and Workers=NumCPU.
-	Table1Serial   Benchmark `json:"experiment_table1_serial"`
-	Table1Parallel Benchmark `json:"experiment_table1_parallel"`
+	// Table1Parallel is absent from a report collected on a one-CPU
+	// machine, where it would be a second serial measurement.
+	Table1Serial   Benchmark  `json:"experiment_table1_serial"`
+	Table1Parallel *Benchmark `json:"experiment_table1_parallel,omitempty"`
 }
 
 // measure converts a testing.BenchmarkResult into a Benchmark, deriving the
@@ -104,14 +105,13 @@ func measure(fn func(b *testing.B), opsPerIter float64, unit string) Benchmark {
 }
 
 // placementTickBench is the shared scenario body for the placement_tick
-// family: a saturated pool at the given scale, optionally on the scalable
-// (sub-linear) path. Exported via MeasurePlacementTick for the bench guard.
-func placementTickBench(workers, stages, tasks int, scalable bool) func(b *testing.B) {
+// family: a saturated pool at the given scale with Config.CandidateWorkers
+// = k (0: the exact scan). Exported via MeasurePlacementTick for the bench
+// guard.
+func placementTickBench(workers, stages, tasks, k int) func(b *testing.B) {
 	return func(b *testing.B) {
 		pb := core.NewPlacementBench(workers, stages, tasks)
-		if scalable {
-			pb.EnableScalable()
-		}
+		pb.Configure(func(c *core.Config) { c.CandidateWorkers = k })
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -123,12 +123,12 @@ func placementTickBench(workers, stages, tasks int, scalable bool) func(b *testi
 }
 
 // MeasurePlacementTick re-measures only the headline placement_tick scenario
-// (64 workers × 32 stages × 16 tasks, exact path). The bench guard uses it
+// (64 workers × 32 stages × 16 tasks, exact scan). The bench guard uses it
 // to compare the current tree against the checked-in BENCH_core.json without
 // paying for the full Collect run.
 func MeasurePlacementTick() Benchmark {
 	initTesting.Do(testing.Init)
-	return measure(placementTickBench(64, 32, 16, false), 1, "ticks/s")
+	return measure(placementTickBench(64, 32, 16, 0), 1, "ticks/s")
 }
 
 // placementTickHeteroBench is the mixed-capacity, penalty-enabled variant of
@@ -169,7 +169,7 @@ func Load(r io.Reader) (*Report, error) {
 // restoring the previous setting afterwards. Earlier snapshots recorded the
 // "parallel" Table 1 scenario while GOMAXPROCS was pinned low, silently
 // measuring a serial run; forcing NumCPU (and recording it) makes the
-// parallel numbers mean what they say.
+// parallel number mean what it says.
 func atFullProcs(fn func()) {
 	n := runtime.NumCPU()
 	prev := runtime.GOMAXPROCS(0)
@@ -192,14 +192,10 @@ func Collect() *Report {
 		NumCPU:     runtime.NumCPU(),
 	}
 
-	rep.PlacementTick = measure(placementTickBench(64, 32, 16, false), 1, "ticks/s")
+	rep.PlacementTick = measure(placementTickBench(64, 32, 16, 0), 1, "ticks/s")
 	rep.PlacementTickHetero = measure(placementTickHeteroBench(64, 32, 16), 1, "ticks/s")
-	rep.PlacementTickLargeExact = measure(placementTickBench(1024, 256, 16, false), 1, "ticks/s")
-	atFullProcs(func() {
-		lg := measure(placementTickBench(1024, 256, 16, true), 1, "ticks/s")
-		lg.Workers = runtime.GOMAXPROCS(0)
-		rep.PlacementTickLarge = lg
-	})
+	rep.PlacementTickLargeExact = measure(placementTickBench(1024, 256, 16, 0), 1, "ticks/s")
+	rep.PlacementTickLarge = measure(placementTickBench(1024, 256, 16, 16), 1, "ticks/s")
 
 	const timerBatch = 1024
 	rep.EventLoopTimers = measure(func(b *testing.B) {
@@ -232,11 +228,13 @@ func Collect() *Report {
 	// the machine's, not whatever the process happened to be pinned to.
 	rep.Table1Serial = measure(table1(1), 6, "sim-runs/s")
 	rep.Table1Serial.Workers = 1
-	atFullProcs(func() {
-		par := measure(table1(runtime.NumCPU()), 6, "sim-runs/s")
-		par.Workers = runtime.NumCPU()
-		rep.Table1Parallel = par
-	})
+	if runtime.NumCPU() >= 2 {
+		atFullProcs(func() {
+			par := measure(table1(runtime.NumCPU()), 6, "sim-runs/s")
+			par.Workers = runtime.NumCPU()
+			rep.Table1Parallel = &par
+		})
+	}
 	return rep
 }
 

@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -35,5 +36,23 @@ func TestMeasureAndWriteJSON(t *testing.T) {
 	}
 	if _, ok := decoded["placement_tick"].(map[string]any); !ok {
 		t.Fatalf("placement_tick missing: %v", decoded)
+	}
+}
+
+// TestLoadIngestRejectsOldSchema: a BENCH_ingest.json from before the naive
+// arm was removed must be refused with the command that regenerates it, not
+// silently read as a report with no baseline.
+func TestLoadIngestRejectsOldSchema(t *testing.T) {
+	old := `{"schema":"ursa-bench-ingest/v1","batched":{"subs_per_sec":21758},"naive":{"subs_per_sec":1112},"speedup_vs_naive":19.5}`
+	if _, err := LoadIngest(strings.NewReader(old)); err == nil || !strings.Contains(err.Error(), "make bench-ingest") {
+		t.Fatalf("v1 document: err = %v, want a refusal naming `make bench-ingest`", err)
+	}
+	cur := &IngestReport{Schema: ingestSchema, Batched: IngestArm{SubsPerSec: 1}}
+	var buf bytes.Buffer
+	if err := cur.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIngest(&buf); err != nil {
+		t.Fatalf("current document refused: %v", err)
 	}
 }

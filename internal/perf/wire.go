@@ -2,9 +2,10 @@
 // scenarios pin the tentpole claims of the zero-copy data plane — serving a
 // partition from the encode-once blob store is a copy, not a marshal; the
 // pooled frame path runs allocation-free at steady state; spilled
-// partitions stream from disk at disk-like rates — against the legacy
-// encode-per-fetch baseline, which is kept runnable (Runtime.SetBlobCache)
-// precisely so the ratio stays measurable on any machine.
+// partitions stream from disk at disk-like rates — against the
+// encode-per-fetch baseline the store replaced, reproduced here as what it
+// was (one codec call per contribution per serve) so the ratio stays
+// measurable on any machine.
 //
 //	go run ./cmd/ursa-bench -wire BENCH_wire.json
 //	go run ./cmd/ursa-bench -guard-wire BENCH_wire.json
@@ -47,9 +48,9 @@ type WireReport struct {
 	// before copying bytes to the socket. Steady state must not allocate.
 	EncodeOnceServe Benchmark `json:"encode_once_serve"`
 	// LegacyServe is the same partition served the pre-encode-once way:
-	// every fetch re-marshals every contribution's rows (gob). The
-	// EncodeOnceServe speedup ratio over this is the tentpole acceptance
-	// number (≥3×).
+	// every fetch re-marshals every contribution's rows (gob), here by
+	// calling the codec directly. The EncodeOnceServe speedup ratio over
+	// this is the tentpole acceptance number (≥3×).
 	LegacyServe Benchmark `json:"legacy_serve"`
 	// FetchRoundTrip is a complete client fetch of the partition over
 	// loopback TCP through the pooled frame path: request encode, server
@@ -73,10 +74,9 @@ func wireRows(contrib int) []localrt.Row {
 }
 
 // wireStore builds a runtime whose dataset's partition 0 holds the scenario
-// contributions, pre-encoded when encodeOnce is true and rows-only (so every
-// serve re-marshals) when false. Returns the store, the dataset, and the
-// partition's total encoded bytes.
-func wireStore(encodeOnce bool) (*localrt.Runtime, *dag.Dataset, int) {
+// contributions, pre-encoded as a producer commits them. Returns the store,
+// the dataset, and the partition's total encoded bytes.
+func wireStore() (*localrt.Runtime, *dag.Dataset, int) {
 	g := dag.NewGraph()
 	d := g.CreateData(1)
 	out := g.CreateData(1)
@@ -84,34 +84,36 @@ func wireStore(encodeOnce bool) (*localrt.Runtime, *dag.Dataset, int) {
 	op.SetUDF(localrt.UDF(func(ins [][]localrt.Row) []localrt.Row { return ins[0] }))
 	rt := localrt.New(g.MustBuild())
 	rt.SetCodec(workload.Codec{})
-	if !encodeOnce {
-		rt.SetBlobCache(false)
-	}
 	total := 0
 	for c := 0; c < wireContribs; c++ {
-		rows := wireRows(c)
-		if encodeOnce {
-			blob, flags, rawLen, err := (workload.Codec{}).EncodeBlob(rows)
-			if err != nil {
-				panic(err)
-			}
-			total += len(blob)
-			rt.InsertEncoded(d, 0, c, blob, flags, rawLen)
-		} else {
-			rt.InsertContribution(d, 0, c, rows)
-		}
-	}
-	if !encodeOnce {
-		// Same bytes either way; size once for the throughput figure.
-		refs, err := rt.PartBlobsAppend(nil, d, 0)
+		blob, flags, rawLen, err := (workload.Codec{}).EncodeBlob(wireRows(c))
 		if err != nil {
 			panic(err)
 		}
-		for i := range refs {
-			total += refs[i].Len
-		}
+		total += len(blob)
+		rt.InsertEncoded(d, 0, c, blob, flags, rawLen)
 	}
 	return rt, d, total
+}
+
+// legacyServeBench measures what a serve cost before the encode-once store:
+// marshalling every contribution's rows on every fetch.
+func legacyServeBench() func(b *testing.B) {
+	contribs := make([][]localrt.Row, wireContribs)
+	for c := range contribs {
+		contribs[c] = wireRows(c)
+	}
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, rows := range contribs {
+				if _, _, _, err := (workload.Codec{}).EncodeBlob(rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 }
 
 // serveBench measures PartBlobsAppend over the scenario partition.
@@ -164,13 +166,10 @@ func MeasureWireServe() (encodeOnce, legacy Benchmark) {
 	initTesting.Do(testing.Init)
 	rowsPerOp := float64(wireContribs * wireRowsPer)
 
-	rt, d, bytes := wireStore(true)
+	rt, d, bytes := wireStore()
 	defer rt.Close()
 	encodeOnce = withBytes(bestOf(3, serveBench(rt, d), rowsPerOp, "rows/s"), bytes)
-
-	lrt, ld, lbytes := wireStore(false)
-	defer lrt.Close()
-	legacy = withBytes(measure(serveBench(lrt, ld), rowsPerOp, "rows/s"), lbytes)
+	legacy = withBytes(measure(legacyServeBench(), rowsPerOp, "rows/s"), bytes)
 	return encodeOnce, legacy
 }
 
@@ -186,7 +185,7 @@ func CollectWire() (*WireReport, error) {
 	rep.EncodeOnceServe, rep.LegacyServe = MeasureWireServe()
 
 	// Full fetch over loopback through the pooled frame path.
-	rt, d, bytes := wireStore(true)
+	rt, d, bytes := wireStore()
 	defer rt.Close()
 	srv, err := shuffle.Listen("127.0.0.1:0", shuffle.ServerConfig{},
 		func(int64) *localrt.Runtime { return rt }, nil)

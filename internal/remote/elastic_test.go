@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/core"
 	"ursa/internal/elastic"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -232,7 +233,19 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 // and queue), then drains back to the minimum once the queue empties and
 // the scale-down hysteresis elapses. 2 → 5 → 2, all through the public
 // provisioner seam.
-func TestElasticAutoscaleLoopback(t *testing.T) {
+func TestElasticAutoscaleLoopback(t *testing.T) { testElasticAutoscaleLoopback(t, core.Config{}) }
+
+// TestElasticAutoscaleLoopbackCheckedPlacement repeats the scenario with
+// every placement pass compared with core.FullRebuildPlacer, so the carried
+// worker snapshots are checked across mid-run joins and graceful drains on
+// the real cluster.
+func TestElasticAutoscaleLoopbackCheckedPlacement(t *testing.T) {
+	chk := &core.CheckingPlacer{}
+	testElasticAutoscaleLoopback(t, core.Config{Placer: chk})
+	assertPlacementChecked(t, chk)
+}
+
+func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 	var (
 		addrMu     sync.Mutex
 		masterAddr string
@@ -269,6 +282,7 @@ func TestElasticAutoscaleLoopback(t *testing.T) {
 		AutoscaleInterval: 20 * time.Millisecond,
 		MemPerWorker:      1,
 		Provisioner:       prov,
+		Core:              coreCfg,
 	})
 	addrMu.Lock()
 	masterAddr = lc.Master.Addr()

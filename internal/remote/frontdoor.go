@@ -34,14 +34,12 @@ type frontDoor struct {
 	started chan struct{} // closed on the loop once the driver is running
 
 	draining atomic.Bool
-	naive    atomic.Bool // per-submit admission (baseline mode); see Master.SetNaiveAdmission
 	quit     chan struct{}
 	quitOnce sync.Once
 
-	// submitMu serializes stagePending+SubmitBatch pairs so the executor's
-	// pending-record FIFO always matches submission order, and fences the
-	// drain flag: once drain() has held and released it, no further batch
-	// can slip into the scheduler.
+	// submitMu is held by flush, the only submitter, from reading the drain
+	// flag to shipping a batch, and by drain while it sets the flag: once
+	// drain has released it, no further batch can slip into the scheduler.
 	submitMu sync.Mutex
 
 	mu      sync.Mutex
@@ -103,7 +101,6 @@ func newFrontDoor(m *Master) *frontDoor {
 		byID:    make(map[int64]*feJob),
 		byCore:  make(map[*core.Job]*feJob),
 	}
-	fd.naive.Store(m.cfg.NaiveAdmission)
 	// The job-state hook is installed by the master (it records the
 	// control-plane event first, then delegates here for status streaming).
 	go fd.pump()
@@ -111,8 +108,7 @@ func newFrontDoor(m *Master) *frontDoor {
 }
 
 // markStarted runs on the control loop as the driver's first inbox event
-// (Master.Run sends it right before Sys.Run), releasing the pump and any
-// naive-mode submitters.
+// (Master.Run sends it right before Sys.Run), releasing the pump.
 func (fd *frontDoor) markStarted() {
 	select {
 	case <-fd.started:
@@ -213,10 +209,6 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 	sub := intakeSub{
 		link: link, submitID: msg.SubmitID,
 		tenant: msg.Tenant, workload: msg.Workload, params: msg.Params,
-	}
-	if fd.naive.Load() {
-		fd.submitNaive(sub)
-		return
 	}
 	sh := &fd.shards[shardFor(msg.Tenant)]
 	sh.mu.Lock()
@@ -370,24 +362,6 @@ func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
 	fd.Ingest.ObserveBatch(len(subs))
 	fd.m.Sys.SubmitBatch(subs, after)
 	return len(subs)
-}
-
-// submitNaive is the benchmark baseline: one driver crossing and one full
-// admission pass per submission, serialized on submitMu.
-func (fd *frontDoor) submitNaive(sub intakeSub) {
-	select {
-	case <-fd.started:
-	case <-fd.quit:
-		return
-	}
-	fd.submitMu.Lock()
-	if fd.draining.Load() {
-		fd.submitMu.Unlock()
-		fd.reject(sub.link, sub.submitID, "draining")
-		return
-	}
-	fd.submitBatch([]intakeSub{sub}, nil)
-	fd.submitMu.Unlock()
 }
 
 // rejectIntake acks everything still parked on the intake with a terminal

@@ -135,11 +135,6 @@ type Config struct {
 	// frames of buffer; further JobStatus frames are dropped and counted
 	// (Ingest.StatusDrops) rather than buffered or fatal. Default 256.
 	ClientSendQueue int
-	// NaiveAdmission disables intake batching: every submission takes its
-	// own driver crossing and full admission pass. The one-lock-per-submit
-	// baseline the ingest benchmark compares against; never set in real
-	// deployments.
-	NaiveAdmission bool
 	// Elastic enables cluster elasticity: graceful drains (DrainWorker) and
 	// mid-run worker joins — a fresh agent registering against a full,
 	// running master grows the registry instead of being rejected. An
@@ -570,16 +565,6 @@ func (m *Master) Ingest() *metrics.Ingest {
 		return nil
 	}
 	return m.fd.Ingest
-}
-
-// SetNaiveAdmission switches the front door between the batched admission
-// pipeline and the per-submit baseline at runtime. The benchmark harness uses
-// this to build an identical standing backlog through the fast path before
-// measuring either arm. No-op outside serve mode.
-func (m *Master) SetNaiveAdmission(naive bool) {
-	if m.fd != nil {
-		m.fd.naive.Store(naive)
-	}
 }
 
 // Drain starts a graceful front-door shutdown: new submissions are rejected,

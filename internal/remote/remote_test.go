@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/core"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -149,8 +150,33 @@ func TestLoopbackWordCount(t *testing.T) {
 // TestLoopbackSQLAnalytics runs every canned OLAP query on a 3-agent
 // cluster; finished rows (ORDER BY applied) must be identical — same rows,
 // same order — to direct execution.
-func TestLoopbackSQLAnalytics(t *testing.T) {
-	lc := startCluster(t, 3, Config{})
+func TestLoopbackSQLAnalytics(t *testing.T) { testLoopbackSQLAnalytics(t, core.Config{}) }
+
+// TestLoopbackSQLAnalyticsCheckedPlacement repeats the run with every
+// placement pass on the master compared with core.FullRebuildPlacer: the
+// scheduler's carried worker snapshots, driven by real agents' completions
+// and measured rates, must place exactly what re-reading every worker places.
+func TestLoopbackSQLAnalyticsCheckedPlacement(t *testing.T) {
+	chk := &core.CheckingPlacer{}
+	testLoopbackSQLAnalytics(t, core.Config{Placer: chk})
+	assertPlacementChecked(t, chk)
+}
+
+// assertPlacementChecked reads a CheckingPlacer once its control loop has
+// stopped.
+func assertPlacementChecked(t *testing.T, chk *core.CheckingPlacer) {
+	t.Helper()
+	if chk.Passes == 0 {
+		t.Fatal("no placement pass was compared")
+	}
+	if chk.Diffs != 0 {
+		t.Fatalf("%d of %d placement passes differ from the full rebuild; first: %s",
+			chk.Diffs, chk.Passes, chk.FirstDiff)
+	}
+}
+
+func testLoopbackSQLAnalytics(t *testing.T, coreCfg core.Config) {
+	lc := startCluster(t, 3, Config{Core: coreCfg})
 	var jobs []*RemoteJob
 	var specs []struct {
 		name   string
