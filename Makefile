@@ -1,9 +1,10 @@
 # Developer entry points. `make ci` is the gate every change must pass; the
-# other targets are its pieces plus the performance tooling.
+# other targets are its pieces plus the performance tooling and `make loc`
+# (non-test Go lines per package; informational, not a gate).
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e clean
+.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e loc clean
 
 ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench-wire-guard bench-ingest-guard bench-e2e
 
@@ -129,6 +130,14 @@ bench-ingest-guard:
 # it calls cannot break it unnoticed.
 bench-e2e:
 	$(GO) -C bench vet . && $(GO) -C bench test .
+
+# Non-test Go lines per package under internal/ (subpackages included), the
+# count simplicity changes cite: cat | wc -l over every *.go that is not a
+# *_test.go.
+loc:
+	@for pkg in internal/*/; do pkg=$${pkg%/}; \
+		printf '%-24s %6d\n' $$pkg $$(find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -337,7 +337,7 @@ func printResults(m *remote.Master, limit int) {
 	for _, j := range m.Jobs() {
 		rows, err := j.ResultRows()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ursa-master: %s results: %v\n", j.Name, err)
+			fmt.Fprintf(os.Stderr, "ursa-master: %s results: %v\n", j.Built.Spec.Name, err)
 			continue
 		}
 		fmt.Printf("\n%s: %d result rows", j.Built.Spec.Name, len(rows))

@@ -28,6 +28,29 @@ type MonotaskExecutor interface {
 	Start(w *Worker, j *Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func())
 }
 
+// HoldCore is the core accounting of an executor that runs monotasks for
+// real, mirroring the simulated one so placement sees real occupancy: a CPU
+// monotask holds one core of its worker, allocated and in use, from Start
+// until release; other kinds hold none. release is idempotent — completion
+// and abort may both call it — and, like HoldCore itself, runs on the
+// control loop.
+func HoldCore(w *Worker, mt *dag.Monotask) (release func()) {
+	if mt.Kind != resource.CPU {
+		return func() {}
+	}
+	w.Machine.Cores.MustAlloc(1)
+	w.Machine.Cores.Use(1)
+	released := false
+	return func() {
+		if released {
+			return
+		}
+		released = true
+		w.Machine.Cores.Unuse(1)
+		w.Machine.Cores.FreeAlloc(1)
+	}
+}
+
 // simExecutor is the discrete-event execution model: CPU monotasks occupy a
 // core for dispatch overhead plus work/rate; network and disk monotasks
 // drive a flow on the machine's shared device. It schedules everything on

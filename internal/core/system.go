@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
@@ -180,13 +181,28 @@ func (s *System) FailWorker(id int) {
 		return
 	}
 	victims := w.fail()
-	byJob := make(map[*Job][]*dag.Task)
-	for t, j := range victims {
-		j.Plan.ResetForRetry(t)
-		byJob[j] = append(byJob[j], t)
+	// Re-report in (job ID, task ID) order, one batch per job: the order
+	// tasks re-enter the pending pool decides later placements, and map
+	// order would make two runs of one seed differ.
+	tasks := make([]*dag.Task, 0, len(victims))
+	for t := range victims {
+		tasks = append(tasks, t)
 	}
-	for j, tasks := range byJob {
-		j.jm.reportReady(tasks)
+	sort.Slice(tasks, func(a, b int) bool {
+		ja, jb := victims[tasks[a]], victims[tasks[b]]
+		if ja != jb {
+			return ja.ID < jb.ID
+		}
+		return tasks[a].ID < tasks[b].ID
+	})
+	for lo := 0; lo < len(tasks); {
+		j, hi := victims[tasks[lo]], lo
+		for hi < len(tasks) && victims[tasks[hi]] == j {
+			j.Plan.ResetForRetry(tasks[hi])
+			hi++
+		}
+		j.jm.reportReady(tasks[lo:hi])
+		lo = hi
 	}
 }
 

@@ -23,16 +23,17 @@ type heldMT struct {
 	w       *Worker
 	mt      *dag.Monotask
 	done    func(bytes, seconds float64)
+	release func()
 	aborted bool // its worker failed: the completion must never be reported
 }
 
 func (e *heldExecutor) Start(w *Worker, _ *Job, mt *dag.Monotask, done func(bytes, seconds float64)) func() {
-	if mt.Kind == resource.CPU {
-		w.Machine.Cores.MustAlloc(1)
-	}
-	h := &heldMT{w: w, mt: mt, done: done}
+	h := &heldMT{w: w, mt: mt, done: done, release: HoldCore(w, mt)}
 	e.held = append(e.held, h)
-	return func() { h.aborted = true }
+	return func() {
+		h.aborted = true
+		h.release()
+	}
 }
 
 // take removes and returns every held monotask.
@@ -47,9 +48,7 @@ func (h *heldMT) complete(seconds float64) {
 	if h.aborted {
 		return
 	}
-	if h.mt.Kind == resource.CPU {
-		h.w.Machine.Cores.FreeAlloc(1)
-	}
+	h.release()
 	h.done(h.mt.InputBytes, seconds)
 }
 

@@ -2,6 +2,7 @@ package cpstate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ursa/internal/wire"
@@ -60,6 +61,12 @@ type WorkerState struct {
 // Live reports whether the slot can still receive work.
 func (w WorkerState) Live() bool { return !w.Failed && !w.Draining && !w.Drained }
 
+// ServesPeers reports whether the worker's shuffle server still answers for
+// the contributions it committed. A draining worker's does, until its drain
+// completes; a failed or drained worker's partitions are read from the
+// master's canonical store instead.
+func (w WorkerState) ServesPeers() bool { return !w.Failed && !w.Drained }
+
 // Placement is an in-flight dispatch.
 type Placement struct {
 	Worker int32
@@ -114,6 +121,24 @@ func New() *State {
 		Origins:        make(map[PartKey][]int32),
 		TenantReserved: make(map[string]float64),
 	}
+}
+
+// Worker returns registry slot id, or the zero WorkerState (an empty, live
+// slot) for an ID the registry has not seen.
+func (st *State) Worker(id int) WorkerState {
+	if id < 0 || id >= len(st.Workers) {
+		return WorkerState{}
+	}
+	return st.Workers[id]
+}
+
+// MaxJobID returns the highest wire-level job ID ever submitted, 0 when
+// none: a master mints new IDs above it.
+func (st *State) MaxJobID() int64 {
+	if len(st.Order) == 0 {
+		return 0
+	}
+	return slices.Max(st.Order)
 }
 
 // Apply folds one event into the state. It is the only mutation path and is

@@ -64,6 +64,19 @@ func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestAblationFaultDeterministic: worker failures re-report their victims in
+// a fixed order, so two runs of the fault ablation at one seed agree to the
+// last digit (System.FailWorker used to re-report in map order).
+func TestAblationFaultDeterministic(t *testing.T) {
+	opt := Options{Scale: 0.4, Seed: 7, Workers: 1}
+	first := AblationFault(opt)
+	for i := 0; i < 3; i++ {
+		if again := AblationFault(opt); !reflect.DeepEqual(first.Rows, again.Rows) {
+			t.Fatalf("run %d differs from the first at the same seed:\n%v\n%v", i+2, first.Rows, again.Rows)
+		}
+	}
+}
+
 // benchTable1 runs Table 1 at full scale with the given worker bound.
 func benchTable1(b *testing.B, workers int) {
 	b.ReportAllocs()

@@ -77,24 +77,10 @@ func (e *executor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done fun
 		panic(fmt.Sprintf("live: job %d has no registered runtime", j.ID))
 	}
 
-	// Mirror the simulation's core accounting so placement sees real
-	// occupancy: a running CPU monotask holds one core of its logical
-	// worker for its whole (measured) duration. release runs on the
-	// control loop, from either the completion or the abort path.
-	var release func()
-	if mt.Kind == resource.CPU {
-		w.Machine.Cores.MustAlloc(1)
-		w.Machine.Cores.Use(1)
-		released := false
-		release = func() {
-			if released {
-				return
-			}
-			released = true
-			w.Machine.Cores.Unuse(1)
-			w.Machine.Cores.FreeAlloc(1)
-		}
-	}
+	// A running CPU monotask holds one core of its logical worker for its
+	// whole (measured) duration. release runs on the control loop, from
+	// either the completion or the abort path.
+	release := core.HoldCore(w, mt)
 
 	// aborted is set on the control loop when the worker fails (§4.3); the
 	// straggling goroutine's eventual completion is then discarded — the
@@ -130,9 +116,7 @@ func (e *executor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done fun
 			if aborted.Load() {
 				return
 			}
-			if release != nil {
-				release()
-			}
+			release()
 			if err != nil {
 				e.sys.Fail(fmt.Errorf("live: %v failed: %w", mt, err))
 				return
@@ -143,8 +127,6 @@ func (e *executor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done fun
 
 	return func() {
 		aborted.Store(true)
-		if release != nil {
-			release()
-		}
+		release()
 	}
 }

@@ -135,6 +135,9 @@ type Job struct {
 	rt   *localrt.Runtime
 }
 
+// Runtime returns the runtime holding the job's materialized datasets.
+func (j *Job) Runtime() *localrt.Runtime { return j.rt }
+
 // Rows returns the materialized rows of a dataset after the job ran. It
 // panics on a storage error (spilled store closed, undecodable blob) — use
 // RowsErr where those are reachable.
@@ -243,7 +246,8 @@ type Submission struct {
 // runs, so per-job cost is an append instead of a full reservation/rank/sort
 // pass and a lock round-trip each. It does not block on the loop; after (if
 // set) runs on the loop once the admission pass completes. Before Run it
-// executes synchronously.
+// executes synchronously. The jobs reach the caller through OnQueued only —
+// not Jobs() — so a long-lived service can let a finished job's runtime go.
 func (s *System) SubmitBatch(subs []Submission, after func()) {
 	run := func() {
 		for i := range subs {
@@ -254,9 +258,6 @@ func (s *System) SubmitBatch(subs []Submission, after func()) {
 			}
 			j := &Job{rt: rt}
 			j.Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
-			s.mu.Lock()
-			s.jobs = append(s.jobs, j)
-			s.mu.Unlock()
 			s.exec.RegisterJob(j.Core, rt)
 			if sub.OnQueued != nil {
 				sub.OnQueued(j)
@@ -281,7 +282,8 @@ func (s *System) SubmitBatch(subs []Submission, after func()) {
 // loop drains. Serve-mode callers use it once the front door has drained.
 func (s *System) Shutdown() { s.Drv.Stop() }
 
-// Jobs returns the submitted live jobs in submission order.
+// Jobs returns the jobs submitted through Submit and SubmitPlan, in
+// submission order.
 func (s *System) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

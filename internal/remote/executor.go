@@ -2,17 +2,14 @@ package remote
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"ursa/internal/core"
 	"ursa/internal/cpstate"
 	"ursa/internal/dag"
-	"ursa/internal/live"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/workload"
-	"ursa/internal/resource"
 	"ursa/internal/wire"
 )
 
@@ -23,60 +20,29 @@ import (
 // (bytes, seconds) sample into the worker's rate monitor — the §4.2.2
 // feedback loop closed over a socket.
 //
-// Scheduler-facing state (dispatches, origins, sequence counter) is owned
-// by the control loop: Start and the abort hooks run on it by the executor
-// contract, and completions are relayed onto it through the driver inbox.
-// The job-record map is mutex-guarded because the master's shuffle server
-// resolves jobs from its own connection goroutines.
+// Everything here is owned by the control loop: Start and the abort hooks
+// run on it by the executor contract, and completions are relayed onto it
+// through the driver inbox. Which workers hold which committed partition —
+// the §4.3 checkpoint metadata fetch specs are built from — is not here: the
+// Commit event writes it into the control-plane state (State.Origins), and
+// buildFetches reads it there.
 type remoteExecutor struct {
-	m   *Master
-	sys *live.System
+	m *Master
 
-	// Loop-owned state.
 	seq        uint64
-	dispatches map[dispatchKey]*dispatchState
-	// origins records which workers hold committed contributions for each
-	// produced partition — the §4.3 checkpoint metadata that fetch specs
-	// are built from. Input partitions never appear: agents seed those
-	// locally from the deterministic builder.
-	origins map[originKey][]int
-	// contribBytes sizes each worker's committed contribution per partition
-	// (encoded blob bytes), so a drain can report how much fetch traffic its
-	// migration rerouted to the canonical store.
-	contribBytes map[contribSrc]float64
+	dispatches map[cpstate.MTKey]*dispatchState
 	// fetchRefs counts, per origin worker, the in-flight dispatches whose
 	// fetch specs name it as a peer-to-peer holder. A drain completes only
 	// once the worker's count reaches zero: until then some agent may still
 	// be pulling from its shuffle server, and cutting it loose would turn a
 	// graceful drain into fetch fallbacks.
 	fetchRefs map[int]int
-	// precommits holds commits inherited from the previous generation whose
-	// outputs the takeover already pulled into the canonical store: when the
-	// scheduler re-places such a monotask, Start completes it immediately
-	// from the checkpoint instead of re-dispatching (§4.3 across masters).
-	precommits map[dispatchKey]cpstate.CommitState
-
-	mu         sync.Mutex
-	pending    []*jobRec // FIFO, consumed in RegisterJob order
-	jobs       map[int64]*jobRec
-	byCore     map[*core.Job]*jobRec
-	nextWireID int64
-}
-
-type dispatchKey struct {
-	job int64
-	mt  int32
-}
-
-type originKey struct {
-	job  int64
-	ds   int32
-	part int32
-}
-
-type contribSrc struct {
-	key    originKey
-	worker int
+	// recovered marks the commits inherited from the previous generation
+	// (State.Commits) whose every output the takeover pulled back into the
+	// canonical store: when the scheduler re-places such a monotask, Start
+	// completes it from the checkpoint instead of re-dispatching (§4.3
+	// across masters).
+	recovered map[cpstate.MTKey]bool
 }
 
 type dispatchState struct {
@@ -91,138 +57,28 @@ type dispatchState struct {
 	fetchOrigins []int
 }
 
-// jobRec is the master's record of one submitted workload job. wireID is
-// the job's stable wire-level identity — what Prepare/Dispatch frames and
-// control-plane events carry. It is decoupled from core.Job.ID (which is a
-// dense per-scheduler index) precisely so a takeover master resubmitting
-// the backlog keeps every ID the workers and the journal already hold.
-// 0 means unassigned; real IDs start at 1.
-type jobRec struct {
-	wireID int64
-	name   string
-	params []byte
-	built  *workload.BuiltJob
-	core   *core.Job
-	rt     *localrt.Runtime
-
-	// Reservation-correction samples, loop-owned: reserved is the admission
-	// reservation stashed at JobAdmitted (the core zeroes its copy before
-	// the finished hook), memPeak accumulates the workers' per-monotask
-	// memory high-water marks — an aggregate-materialized-working-set proxy
-	// for the job's true peak.
-	reserved float64
-	memPeak  float64
-}
-
-func newRemoteExecutor(m *Master, sys *live.System) *remoteExecutor {
+func newRemoteExecutor(m *Master) *remoteExecutor {
 	return &remoteExecutor{
-		m:   m,
-		sys: sys,
+		m: m,
 		// Sequence numbers are namespaced by generation (gen g starts at
 		// (g-1)<<32), so a commit token minted by a dead master can never
 		// collide with one minted after takeover — PR 4's at-most-once
 		// (jobID, mtID, seq) discipline extended across generations.
-		seq:          uint64(m.gen-1) << 32,
-		dispatches:   make(map[dispatchKey]*dispatchState),
-		origins:      make(map[originKey][]int),
-		contribBytes: make(map[contribSrc]float64),
-		fetchRefs:    make(map[int]int),
-		precommits:   make(map[dispatchKey]cpstate.CommitState),
-		jobs:         make(map[int64]*jobRec),
-		byCore:       make(map[*core.Job]*jobRec),
+		seq:        uint64(m.gen-1) << 32,
+		dispatches: make(map[cpstate.MTKey]*dispatchState),
+		fetchRefs:  make(map[int]int),
+		recovered:  make(map[cpstate.MTKey]bool),
 	}
 }
 
-// setPending stages the workload identity for the RegisterJob callback that
-// the imminent SubmitPlan will trigger.
-func (e *remoteExecutor) setPending(name string, params []byte, bj *workload.BuiltJob) {
-	e.stagePending(&jobRec{name: name, params: params, built: bj})
-}
-
-// stagePending appends workload records to the FIFO that RegisterJob pops.
-// Callers must stage records in the exact order the matching submissions
-// reach the control loop: Master.Submit stages one and submits synchronously
-// before Run, and the front door stages a whole batch then ships it in a
-// single SubmitBatch closure — both keep staging and submission atomic, so
-// the queues can never interleave out of order.
-func (e *remoteExecutor) stagePending(recs ...*jobRec) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, rec := range recs {
-		if rec.wireID == 0 {
-			e.nextWireID++
-			rec.wireID = e.nextWireID
-		} else if rec.wireID > e.nextWireID {
-			// Takeover resubmission stages explicit inherited IDs; later fresh
-			// submissions must mint above them.
-			e.nextWireID = rec.wireID
-		}
-	}
-	e.pending = append(e.pending, recs...)
-}
-
-// RegisterJob implements live.Backend: it binds the core job and canonical
-// runtime to the staged workload record, and configures the runtime as the
-// job's checkpoint store — encode-once codec (checkpointed blobs are served
-// to fallback fetches as stored) plus the optional spill budget.
-func (e *remoteExecutor) RegisterJob(j *core.Job, rt *localrt.Runtime) {
+// RegisterJob implements live.Backend: it configures the job's runtime as
+// its checkpoint store — encode-once codec (checkpointed blobs are served to
+// fallback fetches as stored) plus the optional spill budget. The job's row
+// is created by whoever submitted it and knows its identity.
+func (e *remoteExecutor) RegisterJob(_ *core.Job, rt *localrt.Runtime) {
 	rt.SetCodec(workload.Codec{Compress: e.m.cfg.Compress})
 	if e.m.cfg.ShuffleMemBudget > 0 {
 		rt.SetSpill(e.m.cfg.ShuffleMemBudget, e.m.cfg.ShuffleSpillDir)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.pending) == 0 {
-		panic("remote: job submitted without a staged workload record (use Master.Submit or the front door, not Sys.Submit)")
-	}
-	rec := e.pending[0]
-	e.pending = e.pending[1:]
-	rec.core = j
-	rec.rt = rt
-	e.jobs[rec.wireID] = rec
-	e.byCore[j] = rec
-}
-
-// liveJobRecs returns every registered job that has not reached a terminal
-// state, ordered by wire ID — the catch-up Prepare set for an elastically
-// joined worker. The executor's registry is the one complete index: batch
-// jobs and front-door jobs both pass through RegisterJob, while
-// Master.jobs only sees the batch path.
-func (e *remoteExecutor) liveJobRecs() []*jobRec {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]*jobRec, 0, len(e.jobs))
-	for _, rec := range e.jobs {
-		if rec.core == nil || rec.core.State == core.JobFinished || rec.core.State == core.JobCancelled {
-			continue
-		}
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].wireID < out[j].wireID })
-	return out
-}
-
-func (e *remoteExecutor) record(jobID int64) *jobRec {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.jobs[jobID]
-}
-
-func (e *remoteExecutor) recordByCore(j *core.Job) *jobRec {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.byCore[j]
-}
-
-// closeRuntimes releases every job's canonical store (spill files). Called
-// from Master.Close after the shuffle server is down.
-func (e *remoteExecutor) closeRuntimes() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, rec := range e.jobs {
-		if rec.rt != nil {
-			rec.rt.Close()
-		}
 	}
 }
 
@@ -230,9 +86,9 @@ func (e *remoteExecutor) closeRuntimes() {
 // broadcasts Shutdown so agents drain and exit cleanly. Graceful close
 // flushes the queued frame before the sockets drop.
 func (e *remoteExecutor) Close() {
+	e.m.broadcast(wire.Shutdown{}, attached)
 	for _, link := range e.m.workers {
-		if link != nil && !link.failed && !link.drained {
-			link.conn.Send(wire.Shutdown{})
+		if link != nil {
 			link.conn.CloseGraceful()
 		}
 	}
@@ -244,13 +100,11 @@ func (e *remoteExecutor) Close() {
 // placement sees real occupancy, and ships the Dispatch with one fetch spec
 // per input-partition holder.
 func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func()) {
-	e.mu.Lock()
-	rec := e.byCore[j]
-	e.mu.Unlock()
-	if rec == nil {
-		panic(fmt.Sprintf("remote: job %d has no workload record", j.ID))
+	rj := e.m.jobs.of(j)
+	if rj == nil {
+		panic(fmt.Sprintf("remote: job %d has no row (use Master.Submit or the front door, not Sys.Submit)", j.ID))
 	}
-	key := dispatchKey{rec.wireID, int32(mt.ID)}
+	key := cpstate.MTKey{Job: rj.id, MT: int32(mt.ID)}
 
 	// Precommit short-circuit: the previous generation already committed
 	// this monotask and the takeover pulled its outputs into the canonical
@@ -258,63 +112,56 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 	// completion is posted (not run inline) so it lands outside the
 	// scheduler's placement pass, like any real completion; the worker-
 	// measured seconds re-feed the rate monitors as a normal sample.
-	if cs, ok := e.precommits[key]; ok {
-		delete(e.precommits, key)
+	if e.recovered[key] {
+		delete(e.recovered, key)
+		var seconds float64
+		e.m.rec.read(func(st *cpstate.State) { seconds = st.Commits[key].Seconds })
 		cancelled := false
-		bytes, seconds := mt.InputBytes, cs.Seconds
-		e.sys.Drv.Loop().Post(func() {
+		e.m.Sys.Drv.Loop().Post(func() {
 			if cancelled {
 				return
 			}
 			e.m.Journal.ObservePrecommit()
-			done(bytes, seconds)
+			done(mt.InputBytes, seconds)
 		})
 		return func() { cancelled = true }
 	}
 
-	var release func()
-	if mt.Kind == resource.CPU {
-		w.Machine.Cores.MustAlloc(1)
-		w.Machine.Cores.Use(1)
-		released := false
-		release = func() {
-			if released {
-				return
-			}
-			released = true
-			w.Machine.Cores.Unuse(1)
-			w.Machine.Cores.FreeAlloc(1)
-		}
-	}
-
 	e.seq++
 	st := &dispatchState{
-		seq: e.seq, worker: w.ID, mt: mt, done: done, release: release,
+		seq: e.seq, worker: w.ID, mt: mt, done: done, release: core.HoldCore(w, mt),
 		sentAt: time.Now(),
 	}
-	fetches := e.buildFetches(rec, mt, w.ID)
+	var fetches []wire.FetchSpec
+	parts, storeAddr := localrt.InputParts(rj.rt().Plan(), mt), e.m.shuffleSrv.Addr()
+	e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID, storeAddr) })
 	for _, sp := range fetches {
 		o := int(sp.Origin)
-		if sp.Origin < 0 || containsInt(st.fetchOrigins, o) {
+		if sp.Origin < 0 || slices.Contains(st.fetchOrigins, o) {
 			continue
 		}
 		st.fetchOrigins = append(st.fetchOrigins, o)
 		e.fetchRefs[o]++
 	}
 	e.dispatches[key] = st
-	e.m.rec.record(cpstate.Placed{
-		JobID: key.job, MTID: key.mt, Worker: int32(w.ID), Seq: st.seq,
+	placed := e.m.rec.record(cpstate.Placed{
+		JobID: key.Job, MTID: key.MT, Worker: int32(w.ID), Seq: st.seq,
 	})
 
-	d := wire.Dispatch{JobID: key.job, MTID: key.mt, Seq: st.seq, Fetches: fetches}
-	link := e.m.workers[w.ID]
+	d := wire.Dispatch{JobID: key.Job, MTID: key.MT, Seq: st.seq, Fetches: fetches}
+	link := e.m.link(w.ID)
 	e.m.Transport.ObserveDispatch(w.ID)
-	if link == nil || link.failed || !link.conn.Send(d) {
-		// The conn died under us; schedule the failure instead of handling
-		// it reentrantly inside the scheduler's placement pass. The abort
-		// hook below reclaims this dispatch when FailWorker fires.
+	// A placement the fenced recorder dropped is not dispatched: commits
+	// since the fence never became origins, and an agent fed from those
+	// frozen fetch specs would keep a partial output for the next generation
+	// to reuse (DESIGN §13).
+	if link == nil || !placed || !link.conn.Send(d) {
+		// The conn died under us (or Close is about to cut it); schedule the
+		// failure instead of handling it reentrantly inside the scheduler's
+		// placement pass. The abort hook below reclaims this dispatch when
+		// FailWorker fires.
 		cause := fmt.Errorf("remote: dispatch to worker %d failed", w.ID)
-		e.sys.Drv.Loop().Post(func() { e.m.failWorker(w.ID, cause) })
+		e.m.Sys.Drv.Loop().Post(func() { e.m.failWorker(w.ID, cause) })
 	}
 
 	return func() {
@@ -322,58 +169,45 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 			return
 		}
 		delete(e.dispatches, key)
-		if st.release != nil {
-			st.release()
-		}
+		st.release()
 		e.releaseFetchRefs(st)
 		// Best-effort: tell the agent to discard the in-flight execution.
 		// If the connection is gone the seq check drops the completion.
-		if link != nil && !link.failed {
-			link.conn.Send(wire.Abort{JobID: key.job, MTID: key.mt, Seq: st.seq})
+		if link != nil {
+			link.conn.Send(wire.Abort{JobID: key.Job, MTID: key.MT, Seq: st.seq})
 		}
 	}
 }
 
-// buildFetches names a holder for every input partition the monotask reads.
-// No recorded origin means the partition is a job input (or empty) — the
-// agent seeded it locally, nothing to fetch. A dead origin redirects the
-// whole partition to the master's canonical store, which holds every
-// committed contribution (§4.3); otherwise each surviving origin except the
-// executing worker itself serves its own contribution, keeping the hot path
-// peer-to-peer.
-func (e *remoteExecutor) buildFetches(rec *jobRec, mt *dag.Monotask, workerID int) []wire.FetchSpec {
+// buildFetches names a holder for every input partition a monotask of job
+// jobID, running on worker workerID, reads — a pure function of the
+// control-plane state. No recorded origin means the partition is a job input
+// (or empty): the agent seeded it locally from the deterministic builder,
+// nothing to fetch. An origin that no longer serves peers (failed, or
+// drained: its contributions now live only in the canonical store) redirects
+// the whole partition to the master's store at storeAddr, which holds every
+// committed contribution (§4.3); a draining origin still serves. Otherwise
+// each origin except the executing worker itself serves its own
+// contribution, keeping the hot path peer-to-peer.
+func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, workerID int, storeAddr string) []wire.FetchSpec {
 	var out []wire.FetchSpec
-	jobID := rec.wireID
-	for _, dp := range localrt.InputParts(rec.rt.Plan(), mt) {
-		key := originKey{jobID, int32(dp.Dataset.ID), int32(dp.Part)}
-		origins := e.origins[key]
-		if len(origins) == 0 {
-			continue
-		}
-		anyDead := false
+	for _, dp := range parts {
+		ds, part := int32(dp.Dataset.ID), int32(dp.Part)
+		origins := st.Origins[cpstate.PartKey{Job: jobID, DS: ds, Part: part}]
+		allServe := true
 		for _, o := range origins {
-			// Drained counts as dead for routing (its contributions now live
-			// only in the canonical store); draining does not — a draining
-			// worker keeps serving shuffle peers until its drain completes.
-			if w := e.m.workers[o]; w.failed || w.drained {
-				anyDead = true
-				break
-			}
+			allServe = allServe && st.Worker(int(o)).ServesPeers()
 		}
-		if anyDead {
-			out = append(out, wire.FetchSpec{
-				DatasetID: key.ds, Part: key.part, Origin: -1,
-				Addr: e.m.shuffleSrv.Addr(),
-			})
+		if !allServe {
+			out = append(out, wire.FetchSpec{DatasetID: ds, Part: part, Origin: -1, Addr: storeAddr})
 			continue
 		}
 		for _, o := range origins {
-			if o == workerID {
+			if int(o) == workerID {
 				continue // the executing agent already holds its own writes
 			}
 			out = append(out, wire.FetchSpec{
-				DatasetID: key.ds, Part: key.part, Origin: int32(o),
-				Addr: e.m.workers[o].shuffleAddr,
+				DatasetID: ds, Part: part, Origin: o, Addr: st.Worker(int(o)).ShuffleAddr,
 			})
 		}
 	}
@@ -385,7 +219,7 @@ func (e *remoteExecutor) buildFetches(rec *jobRec, mt *dag.Monotask, workerID in
 // aborted or re-dispatched attempts are dropped, so a monotask's outputs
 // enter the checkpoint exactly once and its rate sample is counted once.
 func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
-	key := dispatchKey{c.JobID, c.MTID}
+	key := cpstate.MTKey{Job: c.JobID, MT: c.MTID}
 	st := e.dispatches[key]
 	if st == nil || st.seq != c.Seq || st.worker != workerID {
 		// Stale: aborted, re-dispatched, duplicate, or minted by a previous
@@ -395,19 +229,18 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		return
 	}
 	delete(e.dispatches, key)
-	if st.release != nil {
-		st.release()
-	}
+	st.release()
 	e.releaseFetchRefs(st)
 	if c.Err != "" {
-		e.sys.Fail(fmt.Errorf("remote: worker %d: %v failed: %s", workerID, st.mt, c.Err))
+		e.m.Sys.Fail(fmt.Errorf("remote: worker %d: %v failed: %s", workerID, st.mt, c.Err))
 		return
 	}
-	rec := e.record(c.JobID)
-	for _, w := range c.Writes {
-		ds := rec.rt.DatasetByID(int(w.DatasetID))
+	rj := e.m.jobs.get(c.JobID)
+	writes := make([]cpstate.CommitWrite, len(c.Writes))
+	for i, w := range c.Writes {
+		ds := rj.rt().DatasetByID(int(w.DatasetID))
 		if ds == nil {
-			e.sys.Fail(fmt.Errorf("remote: worker %d wrote unknown dataset %d", workerID, w.DatasetID))
+			e.m.Sys.Fail(fmt.Errorf("remote: worker %d wrote unknown dataset %d", workerID, w.DatasetID))
 			return
 		}
 		// Checkpoint at the master (§4.3): completed monotask outputs are
@@ -415,16 +248,13 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		// stored exactly as the worker encoded it — no decode, no re-encode —
 		// so fallback fetches serve byte-identical contributions, and the
 		// rows materialize lazily only if the master itself reads them.
-		okey := originKey{c.JobID, w.DatasetID, w.Part}
-		rec.rt.InsertEncoded(ds, int(w.Part), int(c.MTID), w.Rows, w.Flags, int(w.RawLen))
-		e.noteOrigin(okey, workerID)
-		e.contribBytes[contribSrc{okey, workerID}] += float64(len(w.Rows))
-	}
-	rec.memPeak += c.MemPeak
-	writes := make([]cpstate.CommitWrite, len(c.Writes))
-	for i, w := range c.Writes {
+		rj.rt().InsertEncoded(ds, int(w.Part), int(c.MTID), w.Rows, w.Flags, int(w.RawLen))
+		rj.contribBytes[contribSrc{w.DatasetID, w.Part, workerID}] += float64(len(w.Rows))
 		writes[i] = cpstate.CommitWrite{DS: w.DatasetID, Part: w.Part}
 	}
+	rj.memPeak += c.MemPeak
+	// Recording the commit is what makes this worker an origin of each
+	// partition written.
 	e.m.rec.record(cpstate.Commit{
 		JobID: c.JobID, MTID: c.MTID, Worker: int32(workerID), Seq: c.Seq,
 		Seconds: c.Seconds, Writes: writes,
@@ -432,15 +262,6 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 	e.m.Transport.ObserveCompletion(workerID, time.Since(st.sentAt).Seconds(), c.FetchedWireBytes, c.FetchedRawBytes)
 	e.m.Transport.ObserveFetchDegradation(workerID, int(c.FetchRetries), int(c.FetchFallbacks))
 	st.done(st.mt.InputBytes, c.Seconds)
-}
-
-func (e *remoteExecutor) noteOrigin(key originKey, workerID int) {
-	for _, o := range e.origins[key] {
-		if o == workerID {
-			return
-		}
-	}
-	e.origins[key] = append(e.origins[key], workerID)
 }
 
 // releaseFetchRefs drops a settled dispatch's holds on its fetch origins.
@@ -456,29 +277,22 @@ func (e *remoteExecutor) releaseFetchRefs(st *dispatchState) {
 	st.fetchOrigins = nil
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // migrateOrigins accounts a drained worker's committed contributions: every
 // partition listing it as an origin will now route to the canonical store
-// (buildFetches sees the drained flag — origin lists are never rewritten,
+// (buildFetches sees WorkerDrained — origin lists are never rewritten,
 // mirroring the failure path). Returns the partition count and encoded
 // bytes whose serving moved. Loop-owned.
 func (e *remoteExecutor) migrateOrigins(workerID int) (parts int, bytes float64) {
-	for key, origins := range e.origins {
-		for _, o := range origins {
-			if o == workerID {
-				parts++
-				bytes += e.contribBytes[contribSrc{key, workerID}]
-				break
+	e.m.rec.read(func(st *cpstate.State) {
+		for key, origins := range st.Origins {
+			if !slices.Contains(origins, int32(workerID)) {
+				continue
+			}
+			parts++
+			if rj := e.m.jobs.get(key.Job); rj != nil {
+				bytes += rj.contribBytes[contribSrc{key.DS, key.Part, workerID}]
 			}
 		}
-	}
+	})
 	return parts, bytes
 }

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"fmt"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -44,8 +43,6 @@ type frontDoor struct {
 
 	mu      sync.Mutex
 	clients map[*clientLink]struct{}
-	byID    map[int64]*feJob
-	byCore  map[*core.Job]*feJob
 }
 
 // nIntakeShards spreads intake contention across tenant-hashed locks; a
@@ -80,15 +77,6 @@ type clientLink struct {
 	conn *wire.Conn
 }
 
-// feJob tracks one client-submitted job from ack to terminal status. wireID
-// is the stable wire-level job ID acked to (and used by) the client.
-type feJob struct {
-	link     *clientLink
-	submitID int64
-	wireID   int64
-	job      *live.Job
-}
-
 func newFrontDoor(m *Master) *frontDoor {
 	fd := &frontDoor{
 		m:       m,
@@ -98,8 +86,6 @@ func newFrontDoor(m *Master) *frontDoor {
 		started: make(chan struct{}),
 		quit:    make(chan struct{}),
 		clients: make(map[*clientLink]struct{}),
-		byID:    make(map[int64]*feJob),
-		byCore:  make(map[*core.Job]*feJob),
 	}
 	// The job-state hook is installed by the master (it records the
 	// control-plane event first, then delegates here for status streaming).
@@ -168,8 +154,8 @@ func (fd *frontDoor) handleClientMsg(link *clientLink, msg wire.Msg) {
 func (fd *frontDoor) queryJob(link *clientLink, q wire.JobQuery) {
 	state := wire.StateNotFound
 	detail := "unknown job"
-	if phase, ok := fd.m.rec.JobPhase(q.JobID); ok {
-		switch phase {
+	if js, ok := fd.m.rec.job(q.JobID); ok {
+		switch js.Phase {
 		case cpstate.PhaseQueued:
 			state, detail = wire.StateQueued, ""
 		case cpstate.PhaseAdmitted:
@@ -329,12 +315,11 @@ func (fd *frontDoor) collect(max int) []intakeSub {
 	return out
 }
 
-// submitBatch builds each submission's workload off the loop, stages the
-// executor records in submission order, and ships the whole batch in one
-// driver crossing. Returns how many submissions were shipped (build failures
-// are acked with the error and skipped). Caller holds submitMu.
+// submitBatch builds each submission's workload off the loop and ships the
+// whole batch in one driver crossing. Returns how many submissions were
+// shipped (build failures are acked with the error and skipped). Caller
+// holds submitMu.
 func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
-	recs := make([]*jobRec, 0, len(batch))
 	subs := make([]live.Submission, 0, len(batch))
 	for i := range batch {
 		in := batch[i]
@@ -346,10 +331,9 @@ func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
 		spec := bj.Spec
 		spec.Tenant = in.tenant
 		spec.MemEstimate *= fd.m.reserveFactor(in.workload)
-		recs = append(recs, &jobRec{name: in.workload, params: in.params, built: bj})
 		subs = append(subs, live.Submission{
 			Spec: spec, Plan: bj.Plan, Inputs: bj.Inputs,
-			OnQueued: func(j *live.Job) { fd.bindJob(in.link, in.submitID, in.tenant, j) },
+			OnQueued: func(j *live.Job) { fd.bindJob(in, bj, j) },
 		})
 	}
 	if len(subs) == 0 {
@@ -358,7 +342,6 @@ func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
 		}
 		return 0
 	}
-	fd.m.exec.stagePending(recs...)
 	fd.Ingest.ObserveBatch(len(subs))
 	fd.m.Sys.SubmitBatch(subs, after)
 	return len(subs)
@@ -379,61 +362,28 @@ func (fd *frontDoor) rejectIntake(reason string) {
 }
 
 // bindJob runs on the control loop via Submission.OnQueued: the job is in
-// the scheduler's tenant queue and registered with the executor, so its
-// stable wire ID is durable — record its submission in the control-plane
-// state machine, ack it, and index it for status streaming and cancellation.
-func (fd *frontDoor) bindJob(link *clientLink, submitID int64, tenant string, j *live.Job) {
-	rec := fd.m.exec.recordByCore(j.Core)
+// the scheduler's tenant queue and no admission hook can fire before this
+// returns. It creates the job's row — minting the stable wire ID — records
+// the submission in the control-plane state, and acks it.
+func (fd *frontDoor) bindJob(in intakeSub, bj *workload.BuiltJob, j *live.Job) {
+	rj := &RemoteJob{Built: bj, Live: j, client: in.link, submitID: in.submitID}
+	fd.m.jobs.add(rj)
 	fd.m.rec.record(cpstate.JobSubmitted{
-		JobID: rec.wireID, Tenant: tenant, Workload: rec.name, Params: rec.params,
+		JobID: rj.id, Tenant: in.tenant, Workload: in.workload, Params: in.params,
 	})
-	fe := &feJob{link: link, submitID: submitID, wireID: rec.wireID, job: j}
-	fd.mu.Lock()
-	fd.byID[rec.wireID] = fe
-	fd.byCore[j.Core] = fe
-	fd.mu.Unlock()
 	fd.Ingest.ObserveSubmission()
-	link.conn.Send(wire.SubmitAck{SubmitID: submitID, JobID: rec.wireID})
+	in.link.conn.Send(wire.SubmitAck{SubmitID: in.submitID, JobID: rj.id})
 }
 
-// onJobState is the core's job-state hook (control loop). For front-door
-// jobs it streams lifecycle transitions to the owning client and — on
-// admission — broadcasts the job's Prepare to the worker agents. The hook
-// fires before the scheduler dispatches any of the job's monotasks, and each
-// worker connection is FIFO, so Prepare precedes every Dispatch exactly as
-// in the batch path's upfront broadcast.
-func (fd *frontDoor) onJobState(j *core.Job) {
-	fd.mu.Lock()
-	fe := fd.byCore[j]
-	fd.mu.Unlock()
-	if fe == nil {
-		return // not a front-door job (pre-submitted batch job)
+// sendStatus streams one lifecycle update to the client that submitted rj,
+// if one did (fd is nil outside serve mode, where no job has a client). A
+// full client queue drops the frame (counted): no buffering, no failed link.
+func (fd *frontDoor) sendStatus(rj *RemoteJob, state byte, detail string) {
+	if rj.client == nil {
+		return
 	}
-	switch j.State {
-	case core.JobAdmitted:
-		rec := fd.m.exec.recordByCore(j)
-		p := wire.Prepare{JobID: rec.wireID, Workload: rec.name, Params: rec.params}
-		for _, link := range fd.m.workers {
-			if link != nil && !link.failed && !link.drained && !link.draining {
-				link.conn.Send(p)
-			}
-		}
-		fd.sendStatus(fe, wire.StateAdmitted, "")
-	case core.JobFinished:
-		fd.sendStatus(fe, wire.StateFinished,
-			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
-		fd.forget(fe)
-	case core.JobCancelled:
-		fd.sendStatus(fe, wire.StateCancelled, "cancelled")
-		fd.forget(fe)
-	}
-}
-
-// sendStatus streams one lifecycle update; a full client queue drops the
-// frame (counted) instead of buffering or failing the link.
-func (fd *frontDoor) sendStatus(fe *feJob, state byte, detail string) {
-	ok := fe.link.conn.TrySend(wire.JobStatus{
-		SubmitID: fe.submitID, JobID: fe.wireID,
+	ok := rj.client.conn.TrySend(wire.JobStatus{
+		SubmitID: rj.submitID, JobID: rj.id,
 		State: state, Detail: detail,
 	})
 	if !ok {
@@ -441,27 +391,21 @@ func (fd *frontDoor) sendStatus(fe *feJob, state byte, detail string) {
 	}
 }
 
-func (fd *frontDoor) forget(fe *feJob) {
-	fd.mu.Lock()
-	delete(fd.byID, fe.wireID)
-	delete(fd.byCore, fe.job.Core)
-	fd.mu.Unlock()
-}
-
 // cancelJob relays a client cancellation onto the loop; lazy cancellation in
 // the scheduler makes it O(1). The terminal status flows from onJobState.
+// Only front-door jobs can be cancelled this way.
 func (fd *frontDoor) cancelJob(jobID int64) {
 	fd.m.Sys.Drv.Send(func() {
-		fd.mu.Lock()
-		fe := fd.byID[jobID]
-		fd.mu.Unlock()
-		if fe == nil {
-			return
-		}
-		if fd.m.Sys.Core.CancelJob(fe.job.Core) {
-			fd.Ingest.ObserveCancel()
+		if rj := fd.m.jobs.get(jobID); rj != nil && rj.client != nil {
+			fd.cancel(rj)
 		}
 	})
+}
+
+func (fd *frontDoor) cancel(rj *RemoteJob) {
+	if fd.m.Sys.Core.CancelJob(rj.Live.Core) {
+		fd.Ingest.ObserveCancel()
+	}
 }
 
 // drain begins the graceful shutdown: refuse new submissions, terminally ack
@@ -475,17 +419,9 @@ func (fd *frontDoor) drain() {
 	fd.submitMu.Unlock()
 	fd.rejectIntake("draining")
 	fd.m.Sys.Drv.Send(func() {
-		fd.mu.Lock()
-		queued := make([]*feJob, 0, len(fd.byCore))
-		for j, fe := range fd.byCore {
-			if j.State == core.JobQueued {
-				queued = append(queued, fe)
-			}
-		}
-		fd.mu.Unlock()
-		for _, fe := range queued {
-			if fd.m.Sys.Core.CancelJob(fe.job.Core) {
-				fd.Ingest.ObserveCancel()
+		for _, rj := range fd.m.jobs.all() {
+			if rj.client != nil && rj.Live.Core.State == core.JobQueued {
+				fd.cancel(rj)
 			}
 		}
 		fd.maybeFinishDrain()

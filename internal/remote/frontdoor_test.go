@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ursa/internal/core"
-	"ursa/internal/live"
 	"ursa/internal/metrics"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
@@ -273,10 +271,9 @@ func TestFrontDoorStatusDropCounter(t *testing.T) {
 	conn := wire.NewConnConfig(a, wire.Config{SendQueue: 1})
 	defer conn.Close()
 	fd := &frontDoor{Ingest: metrics.NewIngest()}
-	fe := &feJob{link: &clientLink{conn: conn}, submitID: 1,
-		job: &live.Job{Core: &core.Job{ID: 7}}}
+	rj := &RemoteJob{client: &clientLink{conn: conn}, submitID: 1, id: 7}
 	for i := 0; i < 16; i++ {
-		fd.sendStatus(fe, wire.StateAdmitted, "")
+		fd.sendStatus(rj, wire.StateAdmitted, "")
 	}
 	if drops := fd.Ingest.StatusDrops(); drops == 0 {
 		t.Fatal("no status drops counted with a full 1-frame queue")

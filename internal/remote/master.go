@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -231,55 +232,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// workerLink is the master's handle on one registered agent. conn and
-// shuffleAddr are written once during registration (before Run, or on the
-// control loop for elastic joins); the state flags are owned by the control
-// loop thereafter. The drain lifecycle is draining → drained: a draining
-// worker takes no new dispatches but still serves shuffle fetches peer-to-
-// peer and finishes its in-flight monotasks; a drained worker is gone — its
-// partitions' fetch routing has migrated to the master's canonical store
-// and its connection is closed.
+// workerLink is one row of the master's connection table: a worker with an
+// open control connection. Its lifecycle (failed, draining, drained) and
+// shuffle address are the control-plane state's (State.Workers[id], read
+// through recorder.worker); recording WorkerFailed/Draining/Drained is what
+// changes them. A row is written once at registration (before Run, or on the
+// control loop for elastic joins) and dropped when the connection closes for
+// good: on failure and when a drain completes. A slot without a row never
+// registered, is gone, or — on a takeover master — has not re-attached.
 type workerLink struct {
-	id          int
-	conn        *wire.Conn
-	shuffleAddr string
-	cores       int
-	failed      bool
-	draining    bool
-	drained     bool
-	// drainPending: the core reported the worker idle, but in-flight
+	id   int
+	conn *wire.Conn
+	// drainPending: the core reported the draining worker idle, but in-flight
 	// dispatches elsewhere still hold fetch references on it — the drain
 	// completes when the last reference drops (maybeFinishDrain).
 	drainPending bool
 }
 
-// RemoteJob is one submitted workload job.
-type RemoteJob struct {
-	// Name is the workload registry name the job was built from.
-	Name string
-	// Built is the master's build of the workload.
-	Built *workload.BuiltJob
-	// Live is the scheduler-side job handle; its runtime doubles as the
-	// canonical checkpoint store the completions populate.
-	Live *live.Job
+// What the master may send a worker is answered from the connection table
+// and the journaled lifecycle together. The drain lifecycle is draining →
+// drained: a draining worker takes no new dispatches but finishes its
+// in-flight monotasks and still serves shuffle fetches peer-to-peer (the
+// routing question, cpstate.WorkerState.ServesPeers, needs no connection); a
+// drained worker is gone — its partitions route to the master's canonical
+// store and its connection is closed.
 
-	params []byte
-}
+// dispatchable: the worker takes Prepares and new monotasks.
+func dispatchable(l *workerLink, w cpstate.WorkerState) bool { return l != nil && w.Live() }
 
-// ResultRows returns the job's output rows (with the workload's Finish
-// post-processing applied) after the run completes. The canonical store
-// holds checkpointed completions as encoded (possibly spilled) blobs, so
-// the read itself can fail.
-func (j *RemoteJob) ResultRows() ([]localrt.Row, error) {
-	rows, err := j.Live.RowsErr(j.Built.Output)
-	if err != nil {
-		return nil, err
-	}
-	if j.Built.Finish != nil {
-		return j.Built.Finish(rows)
-	}
-	return rows, nil
-}
+// attached: the worker is a member holding job plans, possibly draining and
+// still flushing completions: it gets JobDone and Shutdown.
+func attached(l *workerLink, w cpstate.WorkerState) bool { return l != nil && w.ServesPeers() }
 
 // Master runs the scheduling core over a cluster of worker agents.
 type Master struct {
@@ -322,10 +305,14 @@ type Master struct {
 	leaseStop chan struct{}
 	leaseWG   sync.WaitGroup
 
+	// jobs is the one job table: batch, inherited and front-door jobs alike.
+	jobs *jobTable
+
+	// mu guards workers against Close and the handshake goroutines; the
+	// control loop, the only writer once Run has started, reads it bare.
 	mu      sync.Mutex
 	workers []*workerLink
 	nreg    int
-	jobs    []*RemoteJob
 	started bool
 	start   time.Time
 
@@ -333,13 +320,12 @@ type Master struct {
 }
 
 // takeoverState carries a promoted standby's inheritance into newMaster:
-// the replayed control-plane state, the open journal, the new generation,
-// and the standby's already-bound listener (workers were told to re-dial
-// its address, so the master adopts it instead of opening its own).
+// the replayed control-plane state, the open journal, and the standby's
+// already-bound listener (workers were told to re-dial its address, so the
+// master adopts it instead of opening its own).
 type takeoverState struct {
 	st  *cpstate.State
 	jnl *journal.Journal
-	gen int64
 	ln  net.Listener
 }
 
@@ -388,27 +374,24 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	// of this incarnation marks whose authority the tail belongs to.
 	st := cpstate.New()
 	if tk != nil {
-		st = tk.st
-		m.gen = tk.gen
-		m.jnl = tk.jnl
-	} else {
-		m.gen = 1
-		if cfg.JournalDir != "" {
-			jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{
-				SyncInterval: cfg.JournalSyncInterval,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if rep.NextIndex > 0 || rep.Snapshot != nil {
-				jnl.Close()
-				return nil, fmt.Errorf(
-					"remote: journal dir %s is not empty; recover it with a standby takeover (-standby), not a fresh master",
-					cfg.JournalDir)
-			}
-			m.jnl = jnl
+		st, m.jnl = tk.st, tk.jnl
+	} else if cfg.JournalDir != "" {
+		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{
+			SyncInterval: cfg.JournalSyncInterval,
+		})
+		if err != nil {
+			return nil, err
 		}
+		if rep.NextIndex > 0 || rep.Snapshot != nil {
+			jnl.Close()
+			return nil, fmt.Errorf(
+				"remote: journal dir %s is not empty; recover it with a standby takeover (-standby), not a fresh master",
+				cfg.JournalDir)
+		}
+		m.jnl = jnl
 	}
+	m.gen = st.Gen + 1
+	m.jobs = newJobTable(st.MaxJobID())
 	m.rec = newRecorder(st, m.jnl, m.Journal, cfg.SnapshotEvery)
 	m.rec.record(cpstate.Generation{Gen: m.gen})
 	m.Journal.SetGeneration(m.gen)
@@ -423,25 +406,6 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		}
 		if m.needed == 0 {
 			close(m.ready) // every inherited slot is gone; don't wait on registrations
-		}
-		// Dead and drained registry slots become placeholder links so worker
-		// IDs, origin lists and fetch routing keep their old meaning —
-		// buildFetches sees the slot failed/drained and degrades the
-		// partition to the canonical store, exactly the §4.3 path. A worker
-		// that was mid-drain at the crash is inherited as draining; the
-		// takeover completes its drain during recovery (its committed
-		// contributions are already checkpointed, and its agent lost the
-		// connection anyway).
-		for i, w := range tk.st.Workers {
-			if w.Live() {
-				continue
-			}
-			m.workers[i] = &workerLink{
-				id: i, shuffleAddr: w.ShuffleAddr, cores: int(w.Cores),
-				failed:   w.Failed,
-				draining: !w.Failed && w.Draining && !w.Drained,
-				drained:  !w.Failed && w.Drained,
-			}
 		}
 	}
 
@@ -468,17 +432,14 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		Core:           cfg.Core,
 		SampleInterval: cfg.SampleInterval,
 		Serve:          cfg.Serve,
-		NewBackend: func(s *live.System) live.Backend {
-			m.exec = newRemoteExecutor(m, s)
+		NewBackend: func(*live.System) live.Backend {
+			m.exec = newRemoteExecutor(m)
 			return m.exec
 		},
 	})
 	if cfg.Serve {
 		m.fd = newFrontDoor(m)
 	}
-	// The master owns the job-state hook: lifecycle transitions are recorded
-	// as control-plane events first, then relayed to the front door's status
-	// streaming. The front door no longer installs its own hook.
 	m.Sys.Core.OnJobStateChange = m.onJobState
 	// The core fires this once per drain, on the control loop, the moment
 	// the draining worker's last in-flight monotask commits (possibly
@@ -523,27 +484,56 @@ func (m *Master) startLease() {
 }
 
 // onJobState is the core's job-state hook (control loop): record the
-// lifecycle event in the state machine, then let the front door stream it.
+// lifecycle event — which is the phase change — and stream it to the
+// submitting client, if there is one. A job's first (queued) notification
+// precedes its row and is recorded by whoever creates the row.
 func (m *Master) onJobState(j *core.Job) {
-	if rec := m.exec.recordByCore(j); rec != nil {
-		switch j.State {
-		case core.JobAdmitted:
-			m.rec.record(cpstate.JobAdmitted{JobID: rec.wireID, Reserved: j.ReservedMem()})
-			// Stash the reservation now: the core zeroes it before the
-			// finished-state hook fires, and the corrector needs the pair.
-			rec.reserved = j.ReservedMem()
-		case core.JobFinished:
-			m.rec.record(cpstate.JobFinished{JobID: rec.wireID})
-			if m.corrector != nil {
-				m.corrector.Observe(rec.name, rec.reserved, rec.memPeak)
+	rj := m.jobs.of(j)
+	if rj == nil {
+		return
+	}
+	switch j.State {
+	case core.JobAdmitted:
+		m.rec.record(cpstate.JobAdmitted{JobID: rj.id, Reserved: j.ReservedMem()})
+		// Stash the reservation now: the core zeroes it before the
+		// finished-state hook fires, and the corrector needs the pair.
+		rj.reserved = j.ReservedMem()
+		// The hook fires before the scheduler dispatches any of the job's
+		// monotasks, and each worker connection is FIFO, so agents build the
+		// plan before any of its monotasks arrive. On a takeover master the
+		// re-Prepare is idempotent on agents that already hold the plan.
+		if p, ok := m.prepare(rj); ok {
+			m.broadcast(p, dispatchable)
+		}
+		m.fd.sendStatus(rj, wire.StateAdmitted, "")
+	case core.JobFinished:
+		m.rec.record(cpstate.JobFinished{JobID: rj.id})
+		if m.corrector != nil {
+			if js, ok := m.rec.job(rj.id); ok {
+				m.corrector.Observe(js.Workload, rj.reserved, rj.memPeak)
 				m.Elastic.ObserveCorrection(m.corrector.Range())
 			}
-		case core.JobCancelled:
-			m.rec.record(cpstate.JobCancelled{JobID: rec.wireID})
 		}
+		m.fd.sendStatus(rj, wire.StateFinished,
+			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
+		m.broadcast(wire.JobDone{JobID: rj.id}, attached)
+		m.release(rj)
+	case core.JobCancelled:
+		// Never admitted, so never prepared on the agents: no JobDone.
+		m.rec.record(cpstate.JobCancelled{JobID: rj.id})
+		m.fd.sendStatus(rj, wire.StateCancelled, "cancelled")
+		m.release(rj)
 	}
-	if m.fd != nil {
-		m.fd.onJobState(j)
+}
+
+// release lets a terminal job go. Nobody holds a front-door job's handle:
+// with the agents told to forget it, the row goes and its canonical store
+// with it (resolveJob then answers not-found); the control-plane state keeps
+// the job's identity and phase for JobQuery. A held job stays until Close.
+func (m *Master) release(rj *RemoteJob) {
+	if !rj.held {
+		m.jobs.remove(rj)
+		rj.rt().Close()
 	}
 }
 
@@ -553,11 +543,17 @@ func (m *Master) Generation() int64 { return m.gen }
 
 // StateBytes returns the canonical encoding of the control-plane state —
 // the bytes a journal replay must reproduce exactly.
-func (m *Master) StateBytes() []byte { return m.rec.StateBytes() }
+func (m *Master) StateBytes() (b []byte) {
+	m.rec.read(func(st *cpstate.State) { b = st.AppendEncoded(nil) })
+	return b
+}
 
 // CommitCount returns how many accepted commits the control-plane state
 // currently holds (terminal jobs compact theirs away).
-func (m *Master) CommitCount() int { return m.rec.CommitCount() }
+func (m *Master) CommitCount() (n int) {
+	m.rec.read(func(st *cpstate.State) { n = len(st.Commits) })
+	return n
+}
 
 // Ingest exposes the front-door counters (nil unless Config.Serve).
 func (m *Master) Ingest() *metrics.Ingest {
@@ -584,11 +580,10 @@ func (m *Master) Addr() string { return m.ln.Addr().String() }
 // ShuffleAddr is the master's canonical-store fetch address.
 func (m *Master) ShuffleAddr() string { return m.shuffleSrv.Addr() }
 
-// Jobs returns the submitted jobs in submission order.
+// Jobs returns the jobs submitted through Submit (on a promoted standby:
+// the inherited backlog) in submission order.
 func (m *Master) Jobs() []*RemoteJob {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*RemoteJob(nil), m.jobs...)
+	return slices.DeleteFunc(m.jobs.all(), func(rj *RemoteJob) bool { return !rj.held })
 }
 
 func (m *Master) logf(format string, args ...any) {
@@ -597,9 +592,10 @@ func (m *Master) logf(format string, args ...any) {
 	}
 }
 
+// resolveJob is the shuffle server's job lookup.
 func (m *Master) resolveJob(jobID int64) *localrt.Runtime {
-	if rec := m.exec.record(jobID); rec != nil {
-		return rec.rt
+	if rj := m.jobs.get(jobID); rj != nil {
+		return rj.rt()
 	}
 	return nil
 }
@@ -620,20 +616,26 @@ func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 		return nil, err
 	}
 	bj.Spec.MemEstimate *= m.reserveFactor(name)
-	m.exec.setPending(name, params, bj)
-	lj, err := m.Sys.SubmitPlan(bj.Spec, bj.Plan, bj.Inputs)
+	rj, err := m.submitHeld(0, bj.Spec, bj)
 	if err != nil {
 		return nil, err
 	}
-	rj := &RemoteJob{Name: name, Built: bj, Live: lj, params: params}
-	if rec := m.exec.recordByCore(lj.Core); rec != nil {
-		m.rec.record(cpstate.JobSubmitted{
-			JobID: rec.wireID, Tenant: bj.Spec.Tenant, Workload: name, Params: params,
-		})
+	m.rec.record(cpstate.JobSubmitted{
+		JobID: rj.id, Tenant: bj.Spec.Tenant, Workload: name, Params: params,
+	})
+	return rj, nil
+}
+
+// submitHeld hands a built job to the scheduler before Run and creates its
+// row under wire ID id (0 mints a fresh one). The loop is not running yet,
+// so nothing can look the job up between SubmitPlan returning and the add.
+func (m *Master) submitHeld(id int64, spec core.JobSpec, bj *workload.BuiltJob) (*RemoteJob, error) {
+	lj, err := m.Sys.SubmitPlan(spec, bj.Plan, bj.Inputs)
+	if err != nil {
+		return nil, err
 	}
-	m.mu.Lock()
-	m.jobs = append(m.jobs, rj)
-	m.mu.Unlock()
+	rj := &RemoteJob{Built: bj, Live: lj, id: id, held: true}
+	m.jobs.add(rj)
 	return rj, nil
 }
 
@@ -724,9 +726,9 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		// Re-attach after a failover: the worker claims its previous slot so
 		// every ID in the replayed state (placements, origins, registry)
 		// still names it. Only a takeover master accepts these, and only for
-		// slots the replayed registry holds as live and unclaimed.
+		// slots the registry holds as live and unclaimed.
 		id = int(reg.WorkerID)
-		if m.takeover == nil || id >= len(m.workers) || m.workers[id] != nil {
+		if m.takeover == nil || id >= len(m.workers) || m.workers[id] != nil || !m.rec.worker(id).Live() {
 			m.mu.Unlock()
 			m.logf("master: rejecting re-attach for worker %d from %v (slot unavailable)",
 				id, nc.RemoteAddr())
@@ -745,7 +747,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		id = m.nreg
 	}
 	m.nreg++
-	link := &workerLink{id: id, conn: c, shuffleAddr: reg.ShuffleAddr, cores: int(reg.Cores)}
+	link := &workerLink{id: id, conn: c}
 	m.workers[id] = link
 	full := m.nreg == m.needed
 	m.mu.Unlock()
@@ -757,7 +759,19 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		m.Journal.ObserveReattach()
 	}
 	m.Transport.ObserveRegister(id, time.Now())
-	c.Send(wire.Welcome{
+	c.Send(m.welcome(id, reg))
+	m.logf("master: worker %d registered from %v (cores=%d shuffle=%s gen=%d reattach=%v)",
+		id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr, m.gen, reattach)
+	m.applyProfile(id, reg)
+	if full {
+		close(m.ready)
+	}
+	go m.readLoop(link)
+}
+
+// welcome is the master's answer to a registration it accepted as worker id.
+func (m *Master) welcome(id int, reg wire.Register) wire.Welcome {
+	return wire.Welcome{
 		WorkerID:          int32(id),
 		HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
 		MaxFrame:          int64(m.cfg.MaxFrame),
@@ -766,14 +780,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		// byte on every blob keeps mixed outcomes interoperable regardless.
 		Compress: m.cfg.Compress && reg.Compress,
 		Gen:      m.gen,
-	})
-	m.logf("master: worker %d registered from %v (cores=%d shuffle=%s gen=%d reattach=%v)",
-		id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr, m.gen, reattach)
-	m.applyProfile(id, reg)
-	if full {
-		close(m.ready)
 	}
-	go m.readLoop(link)
 }
 
 // regProfile maps a registration's advertised hardware onto a machine
@@ -819,14 +826,14 @@ func (m *Master) applyProfile(id int, reg wire.Register) {
 // registry grows by one slot on the control loop — the scheduling core
 // gains a worker, so placement and admission see the new capacity in the
 // same loop turn — and the agent receives Welcome plus a Prepare for every
-// non-terminal job, so dispatches that land on it later (strictly after
-// this closure, FIFO per connection) find their plans built.
+// admitted job, so dispatches that land on it later (strictly after this
+// closure, FIFO per connection) find their plans built.
 func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 	joined := make(chan *workerLink, 1)
 	m.Sys.Drv.Send(func() {
 		m.mu.Lock()
 		id := len(m.workers)
-		link := &workerLink{id: id, conn: c, shuffleAddr: reg.ShuffleAddr, cores: int(reg.Cores)}
+		link := &workerLink{id: id, conn: c}
 		m.workers = append(m.workers, link)
 		m.nreg++
 		m.needed++ // keep nreg >= needed: the next fresh agent is elastic too
@@ -843,21 +850,14 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 		})
 		m.Elastic.ObserveJoin()
 		m.Transport.ObserveRegister(id, time.Now())
-		c.Send(wire.Welcome{
-			WorkerID:          int32(id),
-			HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
-			MaxFrame:          int64(m.cfg.MaxFrame),
-			MasterShuffleAddr: m.shuffleSrv.Addr(),
-			Compress:          m.cfg.Compress && reg.Compress,
-			Gen:               m.gen,
-		})
-		// The executor's registry is the complete in-flight set: front-door
-		// jobs never enter m.jobs, and a dispatch for any of them could land
-		// on this worker as soon as the core sees its capacity. Re-Prepare is
-		// idempotent, so overlapping with a front-door admission broadcast on
-		// this same loop turn is harmless.
-		for _, rec := range m.exec.liveJobRecs() {
-			c.Send(wire.Prepare{JobID: rec.wireID, Workload: rec.name, Params: rec.params})
+		c.Send(m.welcome(id, reg))
+		// A dispatch for any admitted job could land on this worker as soon
+		// as the core sees its capacity; jobs still queued are prepared here
+		// with everyone else when they are admitted.
+		for _, rj := range m.jobs.all() {
+			if p, ok := m.prepare(rj); ok && rj.Live.Core.State == core.JobAdmitted {
+				c.Send(p)
+			}
 		}
 		m.updateMembership()
 		m.logf("master: worker %d joined elastically from %v (cores=%d shuffle=%s)",
@@ -885,22 +885,52 @@ func (m *Master) DrainWorker(id int, reason string) {
 	m.Sys.Drv.Send(func() { m.beginDrain(id, reason) })
 }
 
+// link returns slot id's connection row, nil without one. Loop-owned.
+func (m *Master) link(id int) *workerLink {
+	if id < 0 || id >= len(m.workers) {
+		return nil
+	}
+	return m.workers[id]
+}
+
+// worker returns slot id's connection row and journaled lifecycle — the two
+// arguments of dispatchable and attached. Loop-owned.
+func (m *Master) worker(id int) (*workerLink, cpstate.WorkerState) {
+	return m.link(id), m.rec.worker(id)
+}
+
+// dropLink removes a closed connection's row. Loop-owned.
+func (m *Master) dropLink(id int) {
+	m.mu.Lock()
+	m.workers[id] = nil
+	m.mu.Unlock()
+}
+
+// broadcast sends msg to every worker that to accepts. Loop-owned.
+func (m *Master) broadcast(msg wire.Msg, to func(*workerLink, cpstate.WorkerState) bool) {
+	for id := range m.workers {
+		if l, w := m.worker(id); to(l, w) {
+			l.conn.Send(msg)
+		}
+	}
+}
+
+// prepare builds a job's Prepare frame from its journaled identity.
+func (m *Master) prepare(rj *RemoteJob) (wire.Prepare, bool) {
+	js, ok := m.rec.job(rj.id)
+	return wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params}, ok
+}
+
 // beginDrain is the loop-side drain entry point.
 func (m *Master) beginDrain(id int, reason string) {
-	if id < 0 || id >= len(m.workers) {
+	link, w := m.worker(id)
+	if !dispatchable(link, w) {
 		return
 	}
-	link := m.workers[id]
-	if link == nil || link.failed || link.draining || link.drained {
-		return
-	}
-	link.draining = true
 	m.rec.record(cpstate.WorkerDraining{Worker: int32(id)})
 	m.Elastic.ObserveDrainStart()
 	m.logf("master: draining worker %d (%s)", id, reason)
-	if link.conn != nil {
-		link.conn.Send(wire.DrainWorker{WorkerID: int32(id), Reason: reason})
-	}
+	link.conn.Send(wire.DrainWorker{WorkerID: int32(id), Reason: reason})
 	m.updateMembership()
 	// Last: the core excludes the worker from placement and admission
 	// capacity, and fires OnWorkerDrained (finishDrain) once its in-flight
@@ -916,78 +946,61 @@ func (m *Master) beginDrain(id int, reason string) {
 // settle — only then is it provable that no peer will pull from its
 // shuffle server again.
 func (m *Master) finishDrain(id int) {
-	link := m.workers[id]
-	if link == nil || link.failed || link.drained {
-		return
+	if link := m.link(id); link != nil {
+		link.drainPending = true
+		m.maybeFinishDrain(id)
 	}
-	link.drainPending = true
-	m.maybeFinishDrain(id)
 }
 
 // maybeFinishDrain completes a pending drain once no in-flight dispatch
 // still holds a fetch reference on the worker (remoteExecutor.fetchRefs).
-// Loop-owned. Every contribution the worker ever committed is already
-// checkpointed in the canonical store (handleComplete inserts each one), so
-// migration is pure routing: mark the link drained and buildFetches serves
-// its partitions from the master — no data moves, and no fetch ever falls
-// back mid-flight because the worker kept serving shuffle peers until this
-// moment, when it provably has no consumers left.
+// Loop-owned. The worker kept serving shuffle peers until this moment, when
+// it provably has no consumers left, so no fetch ever falls back mid-flight.
 func (m *Master) maybeFinishDrain(id int) {
-	if id < 0 || id >= len(m.workers) {
+	link := m.link(id)
+	if link == nil || !link.drainPending || m.exec.fetchRefs[id] > 0 {
 		return
 	}
-	link := m.workers[id]
-	if link == nil || link.failed || link.drained || !link.drainPending {
-		return
-	}
-	if m.exec.fetchRefs[id] > 0 {
-		return
-	}
-	link.drainPending = false
-	link.draining = false
-	link.drained = true
+	m.dropLink(id)
+	m.recordDrained(id)
+	link.conn.Send(wire.DrainDone{WorkerID: int32(id)})
+	link.conn.CloseGraceful()
+}
+
+// recordDrained deregisters a worker whose drain is complete. Every
+// contribution it ever committed is already checkpointed in the canonical
+// store (handleComplete inserts each one), so migration is pure routing:
+// once WorkerDrained is recorded, buildFetches serves its partitions from
+// the master — no data moves. Loop-owned, or a takeover's recovery.
+func (m *Master) recordDrained(id int) {
 	parts, bytes := m.exec.migrateOrigins(id)
 	m.rec.record(cpstate.WorkerDrained{Worker: int32(id)})
 	m.Elastic.ObserveDrainDone(parts, bytes)
 	m.logf("master: worker %d drained (%d partitions, %.0f B rerouted to the canonical store)",
 		id, parts, bytes)
-	if link.conn != nil {
-		link.conn.Send(wire.DrainDone{WorkerID: int32(id)})
-		link.conn.CloseGraceful()
-	}
 	m.updateMembership()
 }
 
 // updateMembership refreshes the elastic monitor's membership snapshot.
 // Loop-owned.
 func (m *Master) updateMembership() {
-	live, draining := 0, 0
-	for _, l := range m.workers {
-		switch {
-		case l == nil || l.failed || l.drained:
-		case l.draining:
-			draining++
-		default:
-			live++
-		}
-	}
-	m.Elastic.SetMembership(live, draining)
+	s := m.signals()
+	m.Elastic.SetMembership(s.Live, s.Draining)
 }
 
 // signals samples the autoscaler's view of the cluster. Loop-owned.
 func (m *Master) signals() elastic.Signals {
 	s := elastic.Signals{Joined: m.Elastic.Joined()}
 	var capCores, freeCores float64
-	for i, l := range m.workers {
-		switch {
-		case l == nil || l.failed || l.drained:
-		case l.draining:
-			s.Draining++
-		default:
+	for id := range m.workers {
+		switch l, w := m.worker(id); {
+		case dispatchable(l, w):
 			s.Live++
-			cores := m.Sys.Core.Workers[i].Machine.Cores
+			cores := m.Sys.Core.Workers[id].Machine.Cores
 			capCores += cores.Capacity()
 			freeCores += cores.Free()
+		case attached(l, w):
+			s.Draining++
 		}
 	}
 	sched := m.Sys.Core.Sched
@@ -1008,15 +1021,10 @@ func (m *Master) signals() elastic.Signals {
 // worker still holds in-flight work.
 func (m *Master) drainOneIdle() bool {
 	for id := len(m.workers) - 1; id >= 0; id-- {
-		l := m.workers[id]
-		if l == nil || l.failed || l.draining || l.drained {
-			continue
+		if dispatchable(m.worker(id)) && m.Sys.Core.Workers[id].Idle() {
+			m.beginDrain(id, "autoscaler scale-down")
+			return true
 		}
-		if !m.Sys.Core.Workers[id].Idle() {
-			continue
-		}
-		m.beginDrain(id, "autoscaler scale-down")
-		return true
 	}
 	return false
 }
@@ -1072,21 +1080,21 @@ func (m *Master) readLoop(link *workerLink) {
 	})
 }
 
-// failWorker declares one worker dead. Runs on the control loop: it marks
-// the link (so future fetch specs route around it), closes the connection,
-// and hands the victim to the core's §4.3 recovery — abort hooks reclaim
-// dispatch state, in-flight monotasks reset for retry, placement re-places
-// them on surviving workers.
+// failWorker declares one worker dead. Runs on the control loop: it records
+// the failure (so future fetch specs route around the worker), closes and
+// drops the connection, and hands the victim to the core's §4.3 recovery —
+// abort hooks reclaim dispatch state, in-flight monotasks reset for retry,
+// placement re-places them on surviving workers. Idempotence and the
+// all-dead check read the dropped row, not the recorded event: after Close
+// has fenced the recorder its cut connections must still end the run.
 func (m *Master) failWorker(id int, cause error) {
-	link := m.workers[id]
-	if link == nil || link.failed || link.drained {
-		// A drained worker's connection closing is the drain protocol's
-		// normal epilogue, not a failure.
+	link := m.link(id)
+	if link == nil {
+		// Already failed — or drained, whose connection closing is the drain
+		// protocol's normal epilogue, not a failure.
 		return
 	}
-	link.failed = true
-	link.draining = false
-	link.drainPending = false
+	m.dropLink(id)
 	m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
 	m.Transport.ObserveFailure(id)
 	m.Elastic.ObserveFail()
@@ -1095,7 +1103,7 @@ func (m *Master) failWorker(id int, cause error) {
 	m.Sys.Core.FailWorker(id)
 	m.updateMembership()
 	for _, l := range m.workers {
-		if l != nil && !l.failed && !l.drained {
+		if l != nil {
 			return
 		}
 	}
@@ -1120,9 +1128,9 @@ func (m *Master) WaitWorkers(ctx context.Context) error {
 	}
 }
 
-// Run waits for the cluster to assemble, broadcasts job plans, arms the
-// liveness and stats tickers, and drives the scheduling core until every
-// job finishes or the back-end fails. It must follow all Submits.
+// Run waits for the cluster to assemble, arms the liveness and stats
+// tickers, and drives the scheduling core until every job finishes or the
+// back-end fails. It must follow all Submits.
 func (m *Master) Run(ctx context.Context) error {
 	if err := m.WaitWorkers(ctx); err != nil {
 		return err
@@ -1130,45 +1138,18 @@ func (m *Master) Run(ctx context.Context) error {
 	m.mu.Lock()
 	m.started = true
 	m.start = time.Now()
-	jobs := append([]*RemoteJob(nil), m.jobs...)
 	m.mu.Unlock()
-
-	// Prepare precedes every Dispatch on each per-worker connection (FIFO),
-	// so agents build each plan before any of its monotasks arrive. Frames
-	// carry the stable wire-level job ID, which survives takeovers (the
-	// core's own IDs renumber when a standby resubmits the backlog). On a
-	// takeover master the re-Prepare is idempotent on agents that already
-	// hold the plan, and failed placeholder slots have no connection.
-	m.mu.Lock()
-	links := append([]*workerLink(nil), m.workers...)
-	m.mu.Unlock()
-	for _, rj := range jobs {
-		rec := m.exec.recordByCore(rj.Live.Core)
-		p := wire.Prepare{JobID: rec.wireID, Workload: rj.Name, Params: rj.params}
-		for _, link := range links {
-			if link != nil && !link.failed && !link.drained && !link.draining {
-				link.conn.Send(p)
-			}
-		}
-	}
 
 	loop := m.Sys.Drv.Loop()
 	hb := m.cfg.HeartbeatInterval
 	stopLiveness := loop.Every(eventloop.Duration(hb/time.Microsecond), func() {
 		deadline := time.Duration(m.cfg.HeartbeatMisses) * hb
 		for id, age := range m.Transport.HeartbeatAges(time.Now()) {
-			// Workers outside the registry (counters created by an observe
-			// call racing registration) are not failable — there is no link
-			// to tear down yet, and an age measured from an unset timestamp
-			// would be garbage. HeartbeatAges already clamps the
-			// just-registered window (zero LastHeartbeat → age 0), so a
-			// worker that handshook but hasn't heartbeated yet only becomes
-			// failable HeartbeatMisses×interval after registration stamped
-			// its first timestamp.
-			if id < 0 || id >= len(m.workers) || m.workers[id] == nil {
-				continue
-			}
-			if age > deadline {
+			// Only a worker with a connection row is failable. HeartbeatAges
+			// clamps the just-registered window (zero LastHeartbeat → age 0),
+			// so a worker that handshook but hasn't heartbeated yet becomes
+			// failable HeartbeatMisses×interval after registration.
+			if m.link(id) != nil && age > deadline {
 				m.failWorker(id, fmt.Errorf("remote: no heartbeat for %v (limit %v)", age, deadline))
 			}
 		}
@@ -1218,18 +1199,6 @@ func (m *Master) Run(ctx context.Context) error {
 	}
 	userCB := m.Sys.OnJobFinished
 	m.Sys.OnJobFinished = func(j *core.Job) {
-		// Cancelled jobs were never prepared on the agents — no JobDone to
-		// broadcast for them.
-		if rec := m.exec.recordByCore(j); rec != nil && j.State != core.JobCancelled {
-			done := wire.JobDone{JobID: rec.wireID}
-			for _, link := range m.workers {
-				// Draining workers still get JobDone: they hold the plan and
-				// may still be flushing their final completions for it.
-				if link != nil && !link.failed && !link.drained {
-					link.conn.Send(done)
-				}
-			}
-		}
 		if userCB != nil {
 			userCB(j)
 		}
@@ -1269,14 +1238,16 @@ func (m *Master) Close() {
 		links := append([]*workerLink(nil), m.workers...)
 		m.mu.Unlock()
 		for _, link := range links {
-			if link != nil && link.conn != nil { // placeholder slots have no conn
+			if link != nil {
 				link.conn.Close()
 			}
 		}
 		m.shuffleSrv.Close()
 		// With the fetch server down, nothing can still be streaming from the
-		// canonical stores' spill files: release them.
-		m.exec.closeRuntimes()
+		// canonical stores' spill files: release those still held.
+		for _, rj := range m.jobs.all() {
+			rj.rt().Close()
+		}
 		if m.leaseStop != nil {
 			close(m.leaseStop)
 			m.leaseWG.Wait()

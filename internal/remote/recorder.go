@@ -18,9 +18,10 @@ import (
 // control loop), so the journal's append order IS the apply order and a
 // standby replaying the log reconstructs byte-identical state.
 //
-// The recorder is always active — the state machine is the source of truth
-// for generation, JobQuery answers and the failover tests even when nothing
-// persists — journaling only adds durability.
+// The recorder is always active — the state it folds is the master's
+// registry (worker lifecycle and addresses, partition origins, job identity
+// and phase; DESIGN §13), read back through read/worker/job, even when
+// nothing persists — journaling only adds durability.
 type recorder struct {
 	metrics *metrics.Journal
 
@@ -34,20 +35,20 @@ type recorder struct {
 }
 
 func newRecorder(st *cpstate.State, jnl *journal.Journal, jm *metrics.Journal, snapEvery int) *recorder {
-	if snapEvery <= 0 {
-		snapEvery = 1024
-	}
 	return &recorder{state: st, jnl: jnl, metrics: jm, snapEvery: snapEvery}
 }
 
-// record applies one event and journals it. Journal write errors are sticky
-// and surfaced via Err — the in-memory state machine stays authoritative,
-// matching the no-journal mode's behavior.
-func (r *recorder) record(ev cpstate.Event) {
+// record applies one event and journals it, and reports whether it did:
+// false once the recorder is fenced. Since the master reads its registry
+// back from the state, a dropped event is a decision that did not happen —
+// the executor sends no Dispatch whose Placed was dropped. Journal write
+// errors are sticky and surfaced via Err — the in-memory state machine stays
+// authoritative, matching the no-journal mode's behavior.
+func (r *recorder) record(ev cpstate.Event) bool {
 	r.mu.Lock()
 	if r.fenced {
 		r.mu.Unlock()
-		return
+		return false
 	}
 	cpstate.Apply(r.state, ev)
 	if r.jnl != nil {
@@ -69,6 +70,7 @@ func (r *recorder) record(ev cpstate.Event) {
 	journaled := r.jnl != nil
 	r.mu.Unlock()
 	r.metrics.ObserveEvent(journaled)
+	return true
 }
 
 // fence ends this master's authority over the state machine: every later
@@ -90,30 +92,30 @@ func (r *recorder) Err() error {
 	return r.err
 }
 
-// StateBytes returns the canonical encoding of the current state — what the
-// replay-determinism tests compare against an offline journal replay.
-func (r *recorder) StateBytes() []byte {
+// read runs fn on the state under the recorder's lock — the master's read
+// path into its own registry. On the control loop the lock is uncontended
+// (handshake goroutines are the only other writer). fn must not keep st or
+// anything reachable from it, and must not record.
+func (r *recorder) read(fn func(st *cpstate.State)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.state.AppendEncoded(nil)
+	fn(r.state)
 }
 
-// CommitCount returns how many accepted commits the live state holds.
-func (r *recorder) CommitCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.state.Commits)
+// worker returns registry slot id's lifecycle and shuffle address.
+func (r *recorder) worker(id int) (w cpstate.WorkerState) {
+	r.read(func(st *cpstate.State) { w = st.Worker(id) })
+	return w
 }
 
-// JobPhase looks one job up by wire ID: (phase, true) if the state machine
-// knows it, false if it never existed or predates the oldest retained
-// snapshot — the JobQuery not-found answer.
-func (r *recorder) JobPhase(jobID int64) (cpstate.JobPhase, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	js := r.state.Jobs[jobID]
-	if js == nil {
-		return 0, false
-	}
-	return js.Phase, true
+// job returns one job's journaled identity and phase by wire ID; false if
+// the job never existed or predates the oldest retained snapshot — the
+// JobQuery not-found answer. Params is shared, not copied: nothing writes it.
+func (r *recorder) job(id int64) (js cpstate.JobState, ok bool) {
+	r.read(func(st *cpstate.State) {
+		if p := st.Jobs[id]; p != nil {
+			js, ok = *p, true
+		}
+	})
+	return js, ok
 }

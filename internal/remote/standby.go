@@ -120,7 +120,7 @@ func (s *Standby) Takeover(ctx context.Context) (*Master, error) {
 		cpstate.Apply(st, ev)
 		replayBytes += len(evb)
 	}
-	m, err := newMaster(s.cfg, &takeoverState{st: st, jnl: jnl, gen: st.Gen + 1, ln: s.ln})
+	m, err := newMaster(s.cfg, &takeoverState{st: st, jnl: jnl, ln: s.ln})
 	if err != nil {
 		jnl.Close()
 		return nil, err
@@ -173,19 +173,31 @@ type contribKey struct {
 	mt   int32
 }
 
-// recoverFromState rebuilds the master's runtime side from the replayed
-// control-plane state, before any worker re-attaches (single-goroutine: the
-// control loop is not running yet). Three steps: resubmit the non-terminal
-// backlog under its original wire IDs, pull committed outputs from the
-// surviving workers' shuffle servers back into the canonical store, and arm
-// the precommit map so fully recovered commits short-circuit re-execution.
+// recoverFromState rebuilds what the replayed control-plane state does not
+// hold, before any worker re-attaches (single-goroutine: the control loop is
+// not running yet, and st is the state the recorder now folds into):
+// resubmit the non-terminal backlog under its original wire IDs, pull
+// committed outputs from the surviving workers' shuffle servers back into
+// the canonical store, and mark the commits that came back whole so they
+// short-circuit re-execution. Origins and the worker registry are read where
+// they are.
 func (m *Master) recoverFromState(st *cpstate.State) error {
-	// Dead registry slots are failed in the scheduler up front, so placement
-	// never targets them; their placeholder links were installed by
-	// newMaster. No in-flight work exists yet, so this only marks capacity.
 	for i, w := range st.Workers {
-		if w.Failed {
+		switch {
+		case w.Failed:
+			// Failed in the scheduler up front, so placement never targets the
+			// slot. No in-flight work exists yet, so this only marks capacity.
 			m.Sys.Core.FailWorker(i)
+		case w.Draining || w.Drained:
+			// Workers the old generation was draining (or had drained) stay
+			// out of the new one: their agents lost the control connection and
+			// were being decommissioned anyway. BeginDrain excludes them from
+			// placement and admission capacity; an interrupted drain, with
+			// nothing in flight any more, completes here.
+			m.Sys.Core.BeginDrain(i)
+			if !w.Drained {
+				m.recordDrained(i)
+			}
 		}
 	}
 
@@ -203,39 +215,10 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		}
 		spec := bj.Spec
 		spec.Tenant = js.Tenant
-		// Stage with the inherited wire ID; the submission is already in the
-		// replayed state, so no JobSubmitted event is recorded here.
-		m.exec.stagePending(&jobRec{wireID: id, name: js.Workload, params: js.Params, built: bj})
-		lj, err := m.Sys.SubmitPlan(spec, bj.Plan, bj.Inputs)
-		if err != nil {
+		// The submission is already in the replayed state, so no JobSubmitted
+		// event is recorded here.
+		if _, err := m.submitHeld(id, spec, bj); err != nil {
 			return fmt.Errorf("remote: takeover resubmit job %d: %w", id, err)
-		}
-		m.mu.Lock()
-		m.jobs = append(m.jobs, &RemoteJob{Name: js.Workload, Built: bj, Live: lj, params: js.Params})
-		m.mu.Unlock()
-	}
-
-	// Origins carry over verbatim: they name registry slots, which keep
-	// their IDs across the takeover. Dead origins degrade fetches to the
-	// canonical store via the usual §4.3 routing.
-	for pk, origins := range st.Origins {
-		ids := make([]int, len(origins))
-		for i, o := range origins {
-			ids[i] = int(o)
-		}
-		m.exec.origins[originKey{pk.Job, pk.DS, pk.Part}] = ids
-	}
-
-	// Workers the old generation was draining (or had drained) stay out of
-	// the new one: their agents lost the control connection and were being
-	// decommissioned anyway. BeginDrain excludes them from placement and
-	// admission capacity; with nothing in flight yet they are immediately
-	// idle, so finishDrain runs synchronously here — completing an
-	// interrupted drain records its WorkerDrained event, while an
-	// already-drained slot's placeholder makes it a no-op.
-	for i, w := range st.Workers {
-		if !w.Failed && (w.Draining || w.Drained) {
-			m.Sys.Core.BeginDrain(i)
 		}
 	}
 
@@ -260,18 +243,18 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		return c
 	}
 	for pk, origins := range st.Origins {
-		rec := m.exec.record(pk.Job)
-		if rec == nil {
+		rj := m.jobs.get(pk.Job)
+		if rj == nil {
 			continue // terminal job: its commits were compacted, nothing needs it
 		}
-		ds := rec.rt.DatasetByID(int(pk.DS))
+		ds := rj.rt().DatasetByID(int(pk.DS))
 		if ds == nil {
 			return fmt.Errorf("remote: takeover job %d has no dataset %d", pk.Job, pk.DS)
 		}
 		for _, o := range origins {
 			// Drained workers' processes have exited; a still-draining one may
 			// yet serve its shuffle port, so it stays worth trying.
-			if int(o) >= len(st.Workers) || st.Workers[o].Failed || st.Workers[o].Drained {
+			if int(o) >= len(st.Workers) || !st.Workers[o].ServesPeers() {
 				continue
 			}
 			pk := pk
@@ -280,7 +263,7 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 					pc := &resp.Contribs[i]
 					// InsertEncoded is idempotent per (part, producer), so
 					// overlapping fetches from multiple holders dedup here.
-					rec.rt.InsertEncoded(ds, int(pk.Part), int(pc.MTID),
+					rj.rt().InsertEncoded(ds, int(pk.Part), int(pc.MTID),
 						append([]byte(nil), pc.Rows...), pc.Flags, int(pc.RawLen))
 					have[contribKey{pk.Job, pk.DS, pk.Part, pc.MTID}] = true
 				}
@@ -300,7 +283,6 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 	// completes it from the checkpoint instead of re-dispatching. Anything
 	// less re-executes — agents' local commits are idempotent, so a rerun on
 	// the original worker reuses its work.
-	precommits := 0
 	for mtk, cs := range st.Commits {
 		complete := true
 		for _, wr := range cs.Writes {
@@ -310,10 +292,9 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 			}
 		}
 		if complete {
-			m.exec.precommits[dispatchKey{mtk.Job, mtk.MT}] = cs
-			precommits++
+			m.exec.recovered[mtk] = true
 		}
 	}
-	m.logf("master: takeover recovered %d/%d commits as precommits", precommits, len(st.Commits))
+	m.logf("master: takeover recovered %d/%d commits as precommits", len(m.exec.recovered), len(st.Commits))
 	return nil
 }
