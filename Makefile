@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e loc clean
+.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e loc clean
 
-ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos bench-wire-guard bench-ingest-guard bench-e2e
+ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench-wire-guard bench-ingest-guard bench-e2e
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt-check:
@@ -86,6 +86,13 @@ fuzz-wire:
 # -fuzz '^FuzzDecodeEvent$' to hunt for new crashers.
 fuzz-events:
 	$(GO) test -run '^FuzzDecodeEvent$$' ./internal/cpstate
+
+# One-shot fuzz pass over the row blob codec's seed corpus: one encoding of
+# every registered row type, every truncation of a multi-run blob, a DEFLATE
+# blob. It lives in internal/sqlmini, the one package whose tests can name
+# every registered type. Add -fuzz '^FuzzDecodeBlob$' to hunt for crashers.
+fuzz-rows:
+	$(GO) test -run '^FuzzDecodeBlob$$' ./internal/sqlmini
 
 # Hot-path microbenchmarks with allocation counts.
 bench:

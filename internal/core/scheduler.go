@@ -520,12 +520,18 @@ func (s *Scheduler) ensureTicking() {
 // loop that places per event runs the cluster's CPU to saturation, and its
 // throughput then follows every disturbance of the machine (see DESIGN.md
 // §8).
+//
+// Event passes are for short jobs (Job.short), whose completion time the wait
+// for a tick could double. A pool that holds only longer jobs' tasks is left
+// to the tick, as the paper places every task: such a job computes for
+// several intervals, and started per event it too is bounded by nothing but
+// the CPU. A pass that a short job triggers places whatever is in the pool.
 // Loop-owned: call on the control loop.
 func (s *Scheduler) PlaceIfChanged() {
 	if !s.placeChanged {
 		return
 	}
-	if len(s.pending) == 0 {
+	if !s.shortPending() {
 		s.placeChanged = false
 		return
 	}
@@ -539,6 +545,16 @@ func (s *Scheduler) PlaceIfChanged() {
 	s.eventPasses++
 	s.lastEventPass = now
 	s.tick()
+}
+
+// shortPending reports whether a short job has a task in the pool.
+func (s *Scheduler) shortPending() bool {
+	for _, ps := range s.pending {
+		if ps.Job.short {
+			return true
+		}
+	}
+	return false
 }
 
 // tick is one placement pass: refresh priorities, run placement over the

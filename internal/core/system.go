@@ -80,9 +80,7 @@ func (s *System) Submit(spec JobSpec, at eventloop.Time) (*Job, error) {
 // plan construction and submission, which makes the SRJF remaining-work
 // hint see real input sizes.
 func (s *System) SubmitPlan(spec JobSpec, plan *dag.Plan, at eventloop.Time) *Job {
-	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
-	j.remaining = planWorkHint(plan)
-	s.jobs = append(s.jobs, j)
+	j := s.newJob(spec, plan)
 	s.Loop.At(at, func() { s.Sched.submit(j) })
 	return j
 }
@@ -93,10 +91,22 @@ func (s *System) SubmitPlan(spec JobSpec, plan *dag.Plan, at eventloop.Time) *Jo
 // many jobs, then runs one admission pass over all of them, so per-job cost
 // is queue append + stamp instead of a full reservation/rank/sort pass.
 func (s *System) SubmitPlanNow(spec JobSpec, plan *dag.Plan) *Job {
-	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
-	j.remaining = planWorkHint(plan)
-	s.jobs = append(s.jobs, j)
+	j := s.newJob(spec, plan)
 	s.Sched.enqueue(j)
+	return j
+}
+
+// newJob enters a built plan in the job table. A job is short when one core
+// at the nominal rate works through its whole input in less than a
+// scheduling interval: waiting for the tick could double such a job's
+// completion time, so its ready tasks are placed by event pass
+// (Scheduler.PlaceIfChanged).
+func (s *System) newJob(spec JobSpec, plan *dag.Plan) *Job {
+	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
+	input := jobInputBytes(plan)
+	j.remaining = planWorkHint(plan, input)
+	j.short = input < float64(s.Cluster.Cfg.CoreRate)*s.Cfg.SchedInterval.Seconds()
+	s.jobs = append(s.jobs, j)
 	return j
 }
 
@@ -249,9 +259,8 @@ func (s *System) AddWorkerProfile(p cluster.MachineProfile) *Worker {
 // from the plan structure: total job input attributed to each resource kind
 // by the monotask counts of each logical op. This plays the role of the
 // "historical information" the paper assumes for recurring workloads.
-func planWorkHint(p *dag.Plan) resource.Vector {
+func planWorkHint(p *dag.Plan, input float64) resource.Vector {
 	var v resource.Vector
-	input := jobInputBytes(p)
 	var counts [3]float64
 	real := p.RealMonotasks()
 	for _, mt := range real {

@@ -233,6 +233,54 @@ func TestEventPassesKeepTheirGap(t *testing.T) {
 	}
 }
 
+// TestEventPassesAreForShortJobs: a job of at least one interval of one
+// core's work never triggers an event pass, the tick places it, and a pass
+// that a short job triggers takes a longer job's waiting tasks with it.
+func TestEventPassesAreForShortJobs(t *testing.T) {
+	loop := eventloop.New()
+	clus := cluster.New(loop, cluster.Config{
+		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
+		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
+	})
+	// One core works through 1e6 bytes in one 10 ms interval.
+	sys := NewSystem(loop, clus, Config{SchedInterval: 10 * eventloop.Millisecond})
+	sys.SetExecutor(&heldExecutor{})
+	const ms = eventloop.Time(eventloop.Millisecond)
+	submitAt := func(spec JobSpec, at eventloop.Time) *Job {
+		j := sys.MustSubmit(spec, at)
+		loop.RunUntil(at)
+		sys.Sched.PlaceIfChanged()
+		return j
+	}
+	placedAt := func(j *Job) eventloop.Time {
+		for _, at := range j.jm.TaskPlacedAt {
+			return at
+		}
+		return -1
+	}
+
+	long := submitAt(cpuJob(1, 1e6), 0)
+	if got := placedAt(long); got >= 0 {
+		t.Fatalf("job of one interval's work placed at %v by an event pass", got)
+	}
+	loop.RunUntil(10 * ms)
+	if got := placedAt(long); got != 10*ms {
+		t.Fatalf("job of one interval's work placed at %v, want the tick at 10ms", got)
+	}
+	if ev, tm := sys.Sched.PlacementPasses(); ev != 0 || tm != 1 {
+		t.Fatalf("%d event / %d timer passes, want 0 / 1", ev, tm)
+	}
+
+	long2 := submitAt(cpuJob(1, 1e6), 21*ms)
+	short := submitAt(cpuJob(1, 1e6-1), 22*ms)
+	if pl, ps := placedAt(long2), placedAt(short); pl != 22*ms || ps != 22*ms {
+		t.Fatalf("longer and short job placed at %v and %v, want both at 22ms by the short job's pass", pl, ps)
+	}
+	if ev, _ := sys.Sched.PlacementPasses(); ev != 1 {
+		t.Fatalf("%d event passes, want 1", ev)
+	}
+}
+
 // TestNoPlacementPassWithoutChange: control-loop traffic that changes nothing
 // placeable — heartbeats, status queries, probes — runs zero passes, and so
 // does an idle loop.
@@ -283,8 +331,14 @@ func TestFallbackTickPlacesWhatEventPassCouldNot(t *testing.T) {
 	}
 
 	// Job A: four 2.5e5-byte tasks, two per worker — one runs, one queues.
+	// It is ten intervals of one core's work, so the first tick places it.
+	const tick = eventloop.Time(eventloop.Millisecond)
 	a := sys.MustSubmit(cpuJob(4, 2.5e5), 0)
 	batchEnd(0)
+	if len(a.jm.TaskPlacedAt) != 0 {
+		t.Fatal("job A placed by an event pass: it is longer than an interval")
+	}
+	batchEnd(tick)
 	first := exec.take()
 	if len(a.jm.TaskPlacedAt) != 4 || len(first) != 2 {
 		t.Fatalf("job A: %d tasks placed, %d running; want 4 and 2", len(a.jm.TaskPlacedAt), len(first))
@@ -296,7 +350,7 @@ func TestFallbackTickPlacesWhatEventPassCouldNot(t *testing.T) {
 	for _, m := range first {
 		m.complete(1.0)
 	}
-	batchEnd(0)
+	batchEnd(tick)
 	at := eventloop.Time(window)
 	batchEnd(at)
 	for _, w := range sys.Workers {

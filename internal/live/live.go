@@ -48,10 +48,10 @@ type Config struct {
 	// unbounded for local datasets.
 	MemPerWorker float64
 	// Core configures the scheduler. Zero fields default like the
-	// simulation, except SchedInterval (10ms of wall clock — here only the
-	// fallback period: a ready task is placed at the end of the control-loop
-	// batch that made it ready or half an interval after the previous such pass,
-	// and the tick covers what time alone makes placeable), RateWindow (1s)
+	// simulation, except SchedInterval (10ms of wall clock: a short job's
+	// ready task is placed at the end of the control-loop batch that made it
+	// ready or half an interval after the previous such pass, and the tick
+	// places longer jobs and what time alone makes placeable), RateWindow (1s)
 	// and SmallMonotaskBytes (1, so every monotask goes through the worker
 	// queues and the full §4.2.3 path is exercised).
 	Core core.Config
@@ -305,10 +305,10 @@ func (s *System) Fail(err error) {
 // is exactly the simulation's: admission under the memory reservation, the
 // same batched placement pass, per-resource worker queues — only the clock,
 // the execution back-end and what triggers the pass differ: here it runs at
-// the end of a control-loop batch that changed what is placeable, passes
-// keeping half a SchedInterval apart (NewSystem wires
+// the end of a control-loop batch that changed what is placeable for a short
+// job, passes keeping half a SchedInterval apart (NewSystem wires
 // Scheduler.PlaceIfChanged to the driver's end-of-batch hook), with the
-// SchedInterval tick as the time-driven fallback.
+// SchedInterval tick for longer jobs and as the time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
 	s.mu.Lock()
 	if s.started {

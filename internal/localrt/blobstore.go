@@ -249,37 +249,131 @@ func encodeWith(codec BlobCodec, rows []Row) ([]byte, byte, int, error) {
 
 // rowsOfLocked returns c's decoded rows, decoding the blob on first
 // consumption. Spilled contributions decode from disk without re-caching.
+// The decode runs under r.mu: this is the result-read path (Rows,
+// Partitions), which runs once, after execution; gather decodes outside the
+// lock (partRows).
 func (r *Runtime) rowsOfLocked(c *contrib) ([]Row, error) {
 	if c.rows != nil {
 		return c.rows, nil
 	}
-	if c.spilled {
-		blob, err := r.readSpilledLocked(c)
-		if err != nil {
-			return nil, err
-		}
-		return r.decodeLocked(blob, c.flags, c.rawLen)
+	blob, err := r.pendingBlobLocked(c)
+	if blob == nil || err != nil {
+		return nil, err
 	}
-	if c.blob == nil {
-		return nil, nil
-	}
-	rows, err := r.decodeLocked(c.blob, c.flags, c.rawLen)
+	rows, err := decodeWith(r.codec, blob, c.flags, c.rawLen)
 	if err != nil {
 		return nil, err
 	}
-	c.rows = rows
+	if !c.spilled {
+		c.rows = rows
+	}
 	return rows, nil
 }
 
-func (r *Runtime) decodeLocked(blob []byte, flags byte, rawLen int) ([]Row, error) {
-	if r.codec == nil {
+// pendingBlobLocked returns the bytes c's rows must be decoded from: the
+// cached blob, or the spilled one read back from disk. nil means c holds no
+// rows at all.
+func (r *Runtime) pendingBlobLocked(c *contrib) ([]byte, error) {
+	if c.spilled {
+		return r.readSpilledLocked(c)
+	}
+	return c.blob, nil
+}
+
+func decodeWith(codec BlobCodec, blob []byte, flags byte, rawLen int) ([]Row, error) {
+	if codec == nil {
 		return nil, errors.New("localrt: no codec installed")
 	}
-	rows, err := r.codec.DecodeBlob(blob, flags, rawLen)
+	rows, err := codec.DecodeBlob(blob, flags, rawLen)
 	if err != nil {
 		return nil, fmt.Errorf("localrt: decode contribution: %w", err)
 	}
 	return rows, nil
+}
+
+// partContrib is one contribution of a partition as gather consumes it.
+type partContrib struct {
+	part, mtID int
+	rows       []Row
+	// What rows is decoded from, while it is nil.
+	blob   []byte
+	flags  byte
+	rawLen int
+}
+
+// partRows resolves partitions [lo, hi) of d to decoded contributions in
+// canonical order. r.mu is held only to resolve each contribution to its
+// rows or its blob and, afterwards, to publish what this call decoded; the
+// decoding itself runs unlocked, so an agent's cores decode different
+// contributions at once and commits and shuffle serves of the job do not
+// queue behind a decode. Two gathers that race to decode one contribution
+// both decode it; the first to publish wins and the other adopts its rows.
+func (r *Runtime) partRows(d *dag.Dataset, lo, hi int) ([]partContrib, error) {
+	r.mu.Lock()
+	codec := r.codec
+	parts := r.store[d]
+	if hi > len(parts) {
+		hi = len(parts)
+	}
+	n := 0
+	for pi := lo; pi < hi; pi++ {
+		n += len(parts[pi])
+	}
+	crs := make([]partContrib, 0, n)
+	for pi := lo; pi < hi; pi++ {
+		p := parts[pi]
+		for i := range p {
+			c := &p[i]
+			pc := partContrib{part: pi, mtID: c.mtID, rows: c.rows, flags: c.flags, rawLen: c.rawLen}
+			if pc.rows == nil {
+				blob, err := r.pendingBlobLocked(c)
+				if err != nil {
+					r.mu.Unlock()
+					return nil, err
+				}
+				pc.blob = blob
+			}
+			crs = append(crs, pc)
+		}
+	}
+	r.mu.Unlock()
+
+	decoded := false
+	for i := range crs {
+		pc := &crs[i]
+		if pc.blob == nil {
+			continue
+		}
+		rows, err := decodeWith(codec, pc.blob, pc.flags, pc.rawLen)
+		if err != nil {
+			return nil, err
+		}
+		pc.rows = rows
+		decoded = true
+	}
+	if !decoded {
+		return crs, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range crs {
+		pc := &crs[i]
+		if pc.blob == nil {
+			continue
+		}
+		// Re-resolve by identity: inserts since the first pass may have
+		// moved the contribution. A spilled one stays uncached, so the
+		// memory budget stays honest under re-reads.
+		c := r.findContribLocked(d, pc.part, pc.mtID)
+		switch {
+		case c == nil || c.spilled:
+		case c.rows == nil:
+			c.rows = pc.rows
+		default:
+			pc.rows = c.rows
+		}
+	}
+	return crs, nil
 }
 
 func (r *Runtime) readSpilledLocked(c *contrib) ([]byte, error) {

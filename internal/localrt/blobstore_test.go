@@ -8,14 +8,16 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ursa/internal/dag"
 	"ursa/internal/resource"
 )
 
 // fakeCodec encodes string rows as a length-prefixed join — enough structure
-// to detect corruption, no gob dependency. flags==1 marks an xor-"compressed"
+// to detect corruption, no real codec. flags==1 marks an xor-"compressed"
 // blob so flag plumbing is exercised without a real compressor.
 type fakeCodec struct {
 	compress  bool
@@ -304,4 +306,73 @@ func mustPlanWith(g *dag.Graph, d *dag.Dataset) *dag.Plan {
 	op := g.CreateOp(resource.CPU, "sink").Read(d).Create(out)
 	op.SetUDF(UDF(func(ins [][]Row) []Row { return ins[0] }))
 	return g.MustBuild()
+}
+
+// barrierCodec holds every DecodeBlob until `need` of them are inside at
+// once, so a decode that ran under the store lock (where a second cannot
+// start) times out instead of passing.
+type barrierCodec struct {
+	fakeCodec
+	need    int32
+	inside  atomic.Int32
+	decodes atomic.Int32
+	open    chan struct{}
+}
+
+func (b *barrierCodec) DecodeBlob(blob []byte, flags byte, rawLen int) ([]Row, error) {
+	b.decodes.Add(1)
+	if b.inside.Add(1) == b.need {
+		close(b.open)
+	}
+	select {
+	case <-b.open:
+	case <-time.After(5 * time.Second):
+		return nil, errors.New("barrierCodec: no second decode joined this one")
+	}
+	return b.fakeCodec.DecodeBlob(blob, flags, rawLen)
+}
+
+// TestGatherDecodesOutsideTheLock: two monotasks gathering different fetched
+// contributions of one runtime decode them at the same time, and what they
+// decoded is published to the store, so the result read decodes nothing.
+func TestGatherDecodesOutsideTheLock(t *testing.T) {
+	g, in, out := passthrough(2)
+	plan := g.MustBuild()
+	rt := New(plan)
+	codec := &barrierCodec{need: 2, open: make(chan struct{})}
+	rt.SetCodec(codec)
+	want := [][]Row{{"a", "b"}, {"c"}}
+	in.SetInput([]float64{2, 1})
+	for part, rows := range want {
+		blob, flags, rawLen, err := codec.EncodeBlob(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.InsertEncoded(in, part, InputMTID, blob, flags, rawLen)
+	}
+	var mts []*dag.Monotask
+	for _, task := range plan.InitialReady() {
+		mts = append(mts, task.ReadyMonotasks()...)
+	}
+	if len(mts) != 2 {
+		t.Fatalf("%d ready monotasks, want 2", len(mts))
+	}
+	errs := make(chan error, len(mts))
+	for _, mt := range mts {
+		plan.Prepare(mt)
+		go func(mt *dag.Monotask) { errs <- rt.Exec(mt) }(mt)
+	}
+	for range mts {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range []*dag.Dataset{in, out} {
+		if got := rt.Partitions(d); !reflect.DeepEqual(got, want) {
+			t.Fatalf("dataset %d = %v, want %v", d.ID, got, want)
+		}
+	}
+	if n := codec.decodes.Load(); n != 2 {
+		t.Fatalf("%d decodes, want 2: gathered rows were not published", n)
+	}
 }

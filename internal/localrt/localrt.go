@@ -12,6 +12,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 
 	"ursa/internal/dag"
@@ -466,53 +467,36 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 // held only as blobs (fetched from peers, or spilled) are decoded here — the
 // single decode site of the data plane.
 func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	d := ref.Dataset
-	parts := r.store[d]
 	paral := parallelismOf(mt)
-	// partRows resolves one partition's contributions to decoded row slices
-	// in canonical order.
-	partRows := func(p partition) ([][]Row, error) {
-		out := make([][]Row, len(p))
-		for i := range p {
-			rows, err := r.rowsOfLocked(&p[i])
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rows
-		}
-		return out, nil
-	}
 	switch ref.Mapping {
 	case dag.MapBroadcast:
+		crs, err := r.partRows(d, 0, d.Partitions)
+		if err != nil {
+			return nil, err
+		}
 		var all []Row
-		for _, p := range parts {
-			crs, err := partRows(p)
-			if err != nil {
-				return nil, err
-			}
-			for _, rows := range crs {
-				all = append(all, rows...)
-			}
+		for _, c := range crs {
+			all = append(all, c.rows...)
 		}
 		return all, nil
 	case dag.MapShard:
 		// Pull-based shuffle: take this index's bucket of every partition.
+		crs, err := r.partRows(d, 0, d.Partitions)
+		if err != nil {
+			return nil, err
+		}
 		var out []Row
-		for pi, p := range parts {
-			crs, err := partRows(p)
-			if err != nil {
-				return nil, err
+		part, k := -1, 0
+		for _, c := range crs {
+			if c.part != part {
+				part, k = c.part, 0
 			}
-			k := 0
-			for _, rows := range crs {
-				for _, row := range rows {
-					if bucketOf(row, pi, k, paral) == mt.Index {
-						out = append(out, row)
-					}
-					k++
+			for _, row := range c.rows {
+				if bucketOf(row, part, k, paral) == mt.Index {
+					out = append(out, row)
 				}
+				k++
 			}
 		}
 		return out, nil
@@ -525,17 +509,14 @@ func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
 			next := ((i+1)*paral + d.Partitions - 1) / d.Partitions
 			consumers := next - first
 			pos := mt.Index - first
-			var out []Row
-			if i >= len(parts) {
-				return nil, nil
-			}
-			crs, err := partRows(parts[i])
+			crs, err := r.partRows(d, i, i+1)
 			if err != nil {
 				return nil, err
 			}
+			var out []Row
 			k := 0
-			for _, rows := range crs {
-				for _, row := range rows {
+			for _, c := range crs {
+				for _, row := range c.rows {
 					if k%consumers == pos {
 						out = append(out, row)
 					}
@@ -545,15 +526,13 @@ func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
 			return out, nil
 		}
 		lo, hi := dag.PartRange(d, paral, mt.Index)
+		crs, err := r.partRows(d, lo, hi)
+		if err != nil {
+			return nil, err
+		}
 		var out []Row
-		for i := lo; i < hi && i < len(parts); i++ {
-			crs, err := partRows(parts[i])
-			if err != nil {
-				return nil, err
-			}
-			for _, rows := range crs {
-				out = append(out, rows...)
-			}
+		for _, c := range crs {
+			out = append(out, c.rows...)
 		}
 		return out, nil
 	}
@@ -666,9 +645,35 @@ func bucketOf(row Row, part, ordinal, buckets int) int {
 		return 0
 	}
 	if k, ok := row.(Keyed); ok {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%v", k.ShuffleKey())
-		return int(h.Sum64() % uint64(buckets))
+		return int(hashKey(k.ShuffleKey()) % uint64(buckets))
 	}
 	return (part + ordinal) % buckets
+}
+
+// hashKey is FNV-1a over the key's %v formatting. This runs once per row per
+// reducer, so the key kinds shuffles actually use are formatted without fmt
+// and hashed inline; the result is the same either way.
+func hashKey(key any) uint64 {
+	var buf [32]byte
+	switch k := key.(type) {
+	case string:
+		return fnv1a(k)
+	case int:
+		return fnv1a(strconv.AppendInt(buf[:0], int64(k), 10))
+	case int64:
+		return fnv1a(strconv.AppendInt(buf[:0], k, 10))
+	case float64:
+		return fnv1a(strconv.AppendFloat(buf[:0], k, 'g', -1, 64))
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v", key)
+	return h.Sum64()
+}
+
+func fnv1a[B string | []byte](b B) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * 1099511628211
+	}
+	return h
 }

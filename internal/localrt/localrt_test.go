@@ -3,6 +3,8 @@ package localrt
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -254,6 +256,39 @@ func TestPropertyShuffleRouting(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHashKeyFastPathMatchesFmt pins the inlined hashing of the common key
+// kinds to what bucketOf always computed, FNV-1a over the key's %v text:
+// a different bucket would silently regroup every shuffle.
+func TestHashKeyFastPathMatchesFmt(t *testing.T) {
+	viaFmt := func(key any) uint64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%v", key)
+		return h.Sum64()
+	}
+	keys := []any{
+		"", "a", "emea", "héllo\x00wörld", strings.Repeat("k", 300),
+		0, 1, -1, 42, math.MaxInt64, math.MinInt64,
+		int64(0), int64(-7), int64(math.MaxInt64), int64(math.MinInt64),
+		0.0, math.Copysign(0, -1), 1.0, 13.0, -2.5, 0.1, 1e6, 1e20, 1e21, 1e-5, 123456789.125,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		true, false,
+		// No fast path: these keep the fmt path and must still agree.
+		int32(5), uint(5), float32(2.5), [2]int{1, 2}, struct{ A, B string }{"x", "y"},
+	}
+	for _, key := range keys {
+		if got, want := hashKey(key), viaFmt(key); got != want {
+			t.Errorf("hashKey(%T %v) = %#x, fmt path %#x", key, key, got, want)
+		}
+		if got, want := bucketOf(anyKeyed{key}, 0, 0, 7), int(viaFmt(key)%7); got != want {
+			t.Errorf("bucketOf(%T %v) = %d, want %d", key, key, got, want)
+		}
+	}
+}
+
+type anyKeyed struct{ key any }
+
+func (k anyKeyed) ShuffleKey() any { return k.key }
 
 // TestRunContextCancel: a cancelled run returns the context error and drains
 // every launched goroutine before returning (no leaks on abort).

@@ -48,7 +48,7 @@ type WireReport struct {
 	// before copying bytes to the socket. Steady state must not allocate.
 	EncodeOnceServe Benchmark `json:"encode_once_serve"`
 	// LegacyServe is the same partition served the pre-encode-once way:
-	// every fetch re-marshals every contribution's rows (gob), here by
+	// every fetch re-marshals every contribution's rows, here by
 	// calling the codec directly. The EncodeOnceServe speedup ratio over
 	// this is the tentpole acceptance number (≥3×).
 	LegacyServe Benchmark `json:"legacy_serve"`

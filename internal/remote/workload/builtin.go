@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,15 +10,16 @@ import (
 	"ursa/internal/core"
 	"ursa/internal/dataset"
 	"ursa/internal/localrt"
+	"ursa/internal/rowcodec"
 	"ursa/internal/sqlmini"
 )
 
 // Builtin workloads. Both binaries (ursa-master, ursa-worker) and the
-// loopback tests link this package, so the builders — and the gob
+// loopback tests link this package, so the builders — and the rowcodec
 // registrations their row types need — exist on every side of a socket.
 
 func init() {
-	gob.Register(dataset.Pair[string, int]{})
+	rowcodec.Register(dataset.PairCodec(rowcodec.String, rowcodec.Int))
 	sqlmini.RegisterWireTypes()
 	Register("wordcount", buildWordCount)
 	Register("sql_analytics", buildSQLAnalytics)

@@ -9,6 +9,7 @@ import (
 
 	"ursa/internal/dataset"
 	"ursa/internal/localrt"
+	"ursa/internal/sqlmini"
 	"ursa/internal/wire"
 )
 
@@ -77,15 +78,14 @@ func TestCodecCompressedRoundTrip(t *testing.T) {
 
 func TestCodecBelowThresholdStaysRaw(t *testing.T) {
 	// A payload under compressMin skips compression outright — DEFLATE
-	// header overhead would exceed any saving. One builtin-typed row encodes
-	// well under the threshold.
+	// header overhead would exceed any saving.
 	rows := []localrt.Row{1}
 	blob, flags, rawLen, err := Codec{Compress: true}.EncodeBlob(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rawLen >= compressMin {
-		t.Skipf("single-int gob grew to %d bytes; threshold test not applicable", rawLen)
+		t.Fatalf("one int row encodes to %d bytes", rawLen)
 	}
 	if flags != wire.BlobRaw {
 		t.Fatalf("sub-threshold payload compressed (flags=%d)", flags)
@@ -147,5 +147,49 @@ func TestCodecErrorMentionsWorkload(t *testing.T) {
 	_, _, _, err := Codec{}.EncodeBlob([]localrt.Row{unregistered{1}})
 	if err == nil || !strings.Contains(err.Error(), "workload") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// sqlRows is one shuffle contribution of the sql_analytics join: sales rows
+// keyed as execJoin keys them.
+func sqlRows(n int) []localrt.Row {
+	rows := make([]localrt.Row, n)
+	for i, r := range salesTable(n).Rows {
+		rows[i] = dataset.Pair[string, []sqlmini.Value]{Key: fmt.Sprintf("%v", r[1]), Val: r}
+	}
+	return rows
+}
+
+var benchSink any
+
+// BenchmarkCodec times the row codec alone on the two row shapes the builtin
+// workloads shuffle most of: go test -run '^$' -bench Codec -benchmem
+// ./internal/remote/workload.
+func BenchmarkCodec(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		rows []localrt.Row
+	}{
+		{"sql", sqlRows(5000)},
+		{"pair", pairRows(5000)},
+	} {
+		blob, flags, rawLen, err := Codec{}.EncodeBlob(shape.rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(shape.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(rawLen))
+			for i := 0; i < b.N; i++ {
+				benchSink, _, _, _ = Codec{}.EncodeBlob(shape.rows)
+			}
+		})
+		b.Run(shape.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(rawLen))
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = Codec{}.DecodeBlob(blob, flags, rawLen)
+			}
+		})
 	}
 }

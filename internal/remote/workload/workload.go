@@ -4,14 +4,14 @@
 // worker agents both run the same registered builder, which must construct
 // the identical graph deterministically — dataset and monotask IDs are
 // assigned densely in construction order, so both sides agree on every ID
-// the wire protocol carries by construction. This package also owns the row
-// codec (gob) that moves partition contributions between processes.
+// the wire protocol carries by construction. This package also owns the blob
+// codec that moves partition contributions between processes: rowcodec for
+// the rows, optionally DEFLATE around it.
 package workload
 
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sort"
@@ -20,6 +20,7 @@ import (
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/localrt"
+	"ursa/internal/rowcodec"
 	"ursa/internal/wire"
 )
 
@@ -89,27 +90,21 @@ func Names() []string {
 	return out
 }
 
-// EncodeRows serializes a row slice for the wire. Row types must be
-// gob-registered (builtins do this in init; custom workloads call
-// gob.Register for theirs).
+// EncodeRows serializes a row slice for the wire. Every row's dynamic type
+// must be registered with rowcodec (builtins do this in init; custom
+// workloads call rowcodec.Register for theirs).
 func EncodeRows(rows []localrt.Row) ([]byte, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
+	b, err := rowcodec.Encode(rows)
+	if err != nil {
 		return nil, fmt.Errorf("workload: encoding rows: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // DecodeRows reverses EncodeRows.
 func DecodeRows(b []byte) ([]localrt.Row, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var rows []localrt.Row
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rows); err != nil {
+	rows, err := rowcodec.Decode(b)
+	if err != nil {
 		return nil, fmt.Errorf("workload: decoding rows: %w", err)
 	}
 	return rows, nil
@@ -119,8 +114,8 @@ func DecodeRows(b []byte) ([]localrt.Row, error) {
 // DEFLATE header overhead exceeds any plausible saving.
 const compressMin = 64
 
-// Codec is the data plane's blob codec (localrt.BlobCodec): gob for the row
-// encoding, optionally DEFLATE per contribution. Compression is advisory —
+// Codec is the data plane's blob codec (localrt.BlobCodec): rowcodec for the
+// row encoding, optionally DEFLATE per contribution. Compression is advisory —
 // a compressed blob is kept only when strictly smaller than the raw
 // encoding, and the flags byte travels with the blob, so either setting
 // decodes blobs from anywhere.

@@ -3,9 +3,9 @@ package workload
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
+	"ursa/internal/dag"
 	"ursa/internal/localrt"
 )
 
@@ -49,46 +49,131 @@ func TestBuildersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRowCodecRoundTrip runs each builtin workload locally and round-trips
-// every materialized output row through the gob codec.
-func TestRowCodecRoundTrip(t *testing.T) {
-	for _, name := range Names() {
-		bj, err := Build(name, nil)
+type closureCase struct {
+	label, name string
+	params      []byte
+}
+
+// closureCases is every builtin, in every shape that materializes a
+// different set of row types.
+func closureCases() []closureCase {
+	var cases []closureCase
+	add := func(label string) func(name string, params []byte) {
+		return func(name string, params []byte) { cases = append(cases, closureCase{label, name, params}) }
+	}
+	add("micro")(Micro(MicroParams{Rows: 200, InParts: 3, OutParts: 2}))
+	add("wordcount")(WordCount(WordCountParams{Lines: 300, InParts: 3, OutParts: 2}))
+	for qi := range SQLQueries {
+		add(fmt.Sprintf("sql_analytics/%d", qi))(SQLAnalytics(SQLParams{QueryIndex: qi, SalesRows: 500}))
+	}
+	add("sql/join-project")(SQLCSV(SQLCSVParams{
+		Query: "SELECT region, label, amount * 2 AS twice FROM sales JOIN regions ON region = code WHERE amount > 5 ORDER BY twice",
+		Tables: []CSVTable{
+			{Name: "sales", CSV: "region,amount\neast,10\nwest,5\neast,7\nnorth,9\n"},
+			{Name: "regions", CSV: "code,label\neast,East\nwest,West\nsouth,South\n"},
+		},
+	}))
+	add("sql/default")("sql", nil)
+	return cases
+}
+
+// TestRowTypeClosure runs every builtin the way the cluster does, one
+// monotask at a time with nothing but blobs between them: each monotask runs
+// in a runtime of its own whose inputs arrive encoded from a canonical store
+// (as shuffle fetches do) and whose outputs go back encoded (as a Complete's
+// writes do). Every contribution of every dataset, job inputs included, is
+// therefore encoded and decoded by Codec{}, so a row type a builtin ships
+// but nobody registered fails here, not in a cluster job; and the result
+// must equal the codec-less run's down to the dynamic type of every cell.
+func TestRowTypeClosure(t *testing.T) {
+	for _, c := range closureCases() {
+		want := runDirect(t, c.name, c.params)
+		got, err := runThroughBlobs(c.name, c.params)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Errorf("%s: %v", c.label, err)
+			continue
 		}
-		rows, err := localrt.LocalRunner{}.RunPlan(bj.Plan, bj.Inputs)
-		if err != nil {
-			t.Fatalf("%s: run: %v", name, err)
+		if len(want) == 0 {
+			t.Errorf("%s: no output rows", c.label)
 		}
-		out := rows(bj.Output)
-		if len(out) == 0 {
-			t.Fatalf("%s: no output rows", name)
-		}
-		enc, err := EncodeRows(out)
-		if err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		dec, err := DecodeRows(enc)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if got, want := stringify(dec), stringify(out); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: codec round trip changed rows", name)
-		}
-		if bj.Finish != nil {
-			if _, err := bj.Finish(dec); err != nil {
-				t.Fatalf("%s: finish: %v", name, err)
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows differ from the codec-less run:\n got %#v\nwant %#v", c.label, got, want)
 		}
 	}
 }
 
-func stringify(rows []localrt.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprintf("%#v", r)
+func runDirect(t *testing.T, name string, params []byte) []localrt.Row {
+	t.Helper()
+	bj, err := Build(name, params)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	sort.Strings(out)
+	rows, err := localrt.LocalRunner{}.RunPlan(bj.Plan, bj.Inputs)
+	if err != nil {
+		t.Fatalf("%s: run: %v", name, err)
+	}
+	out := rows(bj.Output)
+	if bj.Finish != nil {
+		if out, err = bj.Finish(out); err != nil {
+			t.Fatalf("%s: finish: %v", name, err)
+		}
+	}
 	return out
+}
+
+func runThroughBlobs(name string, params []byte) ([]localrt.Row, error) {
+	bj, err := Build(name, params)
+	if err != nil {
+		return nil, err
+	}
+	plan := bj.Plan
+	canon := localrt.New(plan)
+	canon.SetCodec(Codec{})
+	for _, in := range bj.Inputs {
+		canon.SetInput(in.Dataset, in.Rows)
+	}
+	var ready []*dag.Monotask
+	for _, task := range plan.InitialReady() {
+		ready = append(ready, task.ReadyMonotasks()...)
+	}
+	for len(ready) > 0 {
+		mt := ready[0]
+		ready = ready[1:]
+		plan.Prepare(mt)
+		w := localrt.New(plan)
+		w.SetCodec(Codec{})
+		for _, in := range localrt.InputParts(plan, mt) {
+			refs, err := canon.PartBlobsAppend(nil, in.Dataset, in.Part)
+			if err != nil {
+				return nil, fmt.Errorf("%v: serving dataset %d part %d: %w", mt, in.Dataset.ID, in.Part, err)
+			}
+			for _, ref := range refs {
+				w.InsertEncoded(in.Dataset, in.Part, ref.MTID, ref.Data, ref.Flags, ref.RawLen)
+			}
+		}
+		writes, err := w.ExecRecord(mt)
+		if err != nil {
+			return nil, err
+		}
+		for _, wr := range writes {
+			blob, flags, rawLen, err := w.ContribBlob(wr.Dataset, wr.Part, mt.ID)
+			if err != nil {
+				return nil, err
+			}
+			canon.InsertEncoded(wr.Dataset, wr.Part, mt.ID, blob, flags, rawLen)
+		}
+		res := plan.Complete(mt)
+		ready = append(ready, res.NewReadyMonotasks...)
+		for _, task := range res.NewReadyTasks {
+			ready = append(ready, task.ReadyMonotasks()...)
+		}
+	}
+	if !plan.AllDone() {
+		return nil, fmt.Errorf("plan stalled")
+	}
+	rows, err := canon.RowsErr(bj.Output)
+	if err != nil || bj.Finish == nil {
+		return rows, err
+	}
+	return bj.Finish(rows)
 }
