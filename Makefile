@@ -1,12 +1,14 @@
 # Developer entry points. `make ci` is the gate every change must pass; the
-# other targets are its pieces plus the performance tooling and `make loc`
-# (non-test Go lines per package; informational, not a gate).
+# other targets are its pieces plus `make bench` (microbenchmarks, printed
+# and never checked in) and `make loc` (non-test Go lines per package and
+# binary; informational, not a gate). End-to-end performance is measured by
+# bench/ under the BENCHMARK.json contract, not here.
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench bench-json bench-guard bench-wire bench-wire-guard bench-ingest bench-ingest-guard bench-e2e loc clean
+.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench bench-e2e loc clean
 
-ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench-wire-guard bench-ingest-guard bench-e2e
+ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench-e2e
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt-check:
@@ -98,39 +100,6 @@ fuzz-rows:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/core ./internal/eventloop ./internal/experiments
 
-# Regenerate the checked-in core performance snapshot.
-bench-json:
-	$(GO) run ./cmd/ursa-bench -perf BENCH_core.json
-
-# Fail if the placement hot path regressed >20% against the checked-in
-# snapshot (or started allocating). Re-baseline with `make bench-json`.
-bench-guard:
-	$(GO) run ./cmd/ursa-bench -guard BENCH_core.json
-
-# Regenerate the checked-in shuffle data-plane snapshot (BENCH_wire.json).
-bench-wire:
-	$(GO) run ./cmd/ursa-bench -wire BENCH_wire.json
-
-# Fail if the encode-once serve path regressed >20%, started allocating, or
-# lost its >=3x margin over encoding every contribution on every fetch (what
-# serving cost before the store; internal/perf reproduces it with the codec
-# alone). The margin is measured fresh on both sides, so it holds on any
-# hardware; re-baseline the ns/op numbers with `make bench-wire`.
-bench-wire-guard:
-	$(GO) run ./cmd/ursa-bench -guard-wire BENCH_wire.json
-
-# Regenerate the checked-in submission front-door snapshot: 2000 concurrent
-# tenants' clients over loopback TCP against a 20000-job standing backlog.
-bench-ingest:
-	$(GO) run ./cmd/ursa-bench -ingest BENCH_ingest.json
-
-# Fail if, at guard scale, the mean admission batch fell below 32 submissions
-# (a front door that stopped batching reads 1, on any hardware), p99 ack
-# latency exceeded its 250ms bound, or throughput collapsed >35% vs the
-# checked-in snapshot; re-baseline with `make bench-ingest`.
-bench-ingest-guard:
-	$(GO) run ./cmd/ursa-bench -guard-ingest BENCH_ingest.json
-
 # The end-to-end harness (bench/, the BENCHMARK.json contract) is a module of
 # its own, so none of the targets above builds it: vet it and run its tests
 # (unit tests plus a ~15 s smoke run of every workload) so a change to an API
@@ -138,13 +107,14 @@ bench-ingest-guard:
 bench-e2e:
 	$(GO) -C bench vet . && $(GO) -C bench test .
 
-# Non-test Go lines per package under internal/ (subpackages included), the
-# count simplicity changes cite: cat | wc -l over every *.go that is not a
-# *_test.go.
+# Non-test Go lines per package under internal/ (subpackages included) and
+# per binary under cmd/, then their total: the count simplicity changes cite
+# (cat | wc -l over every *.go that is not a *_test.go).
 loc:
-	@for pkg in internal/*/; do pkg=$${pkg%/}; \
+	@for pkg in internal/*/ cmd/*/; do pkg=$${pkg%/}; \
 		printf '%-24s %6d\n' $$pkg $$(find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
-	done
+	done; \
+	printf '%-24s %6d\n' total $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

@@ -199,7 +199,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer m.Close()
+	defer closeMaster(m)
 	fmt.Printf("ursa-master: control %s shuffle %s — waiting for %d workers\n",
 		m.Addr(), m.ShuffleAddr(), *workers)
 
@@ -305,7 +305,7 @@ func runStandby(cfg remote.Config, serve bool, showRows int, timeout time.Durati
 	if err != nil {
 		fatal(err)
 	}
-	defer m.Close()
+	defer closeMaster(m)
 	fmt.Printf("ursa-master: took over as generation %d — waiting for workers to re-attach\n", m.Generation())
 	if serve {
 		runServe(m)
@@ -374,6 +374,14 @@ func parseTenantWeights(s string) (map[string]float64, error) {
 		out[name] = w
 	}
 	return out, nil
+}
+
+// closeMaster ends every run: a journal that failed at any point up to its
+// last sync inside Close makes the exit status non-zero, results printed.
+func closeMaster(m *remote.Master) {
+	if err := m.Close(); err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {

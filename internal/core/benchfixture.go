@@ -16,8 +16,8 @@ import (
 // tick would. A Tick does not consume the pool (the scheduler removes placed
 // tasks separately), so repeated Ticks measure a uniform workload.
 //
-// It is exported so both the core microbenchmarks and the internal/perf
-// harness (which emits BENCH_core.json) share one scenario definition.
+// It is exported so the core microbenchmarks and the end-to-end harness's
+// isolated measurements (bench/iso.go) share one scenario definition.
 type PlacementBench struct {
 	Sys     *System
 	Pending []*PendingStage

@@ -4,10 +4,23 @@ import "testing"
 
 // BenchmarkPlacementTick measures one scheduler placement pass over a
 // saturated pool: 64 workers × 32 stages × 16 tasks. This is the hot path
-// that bounds how small the scheduling interval can be (§4.2.2), and the
-// allocs/op number is the headline figure tracked in BENCH_core.json.
-func BenchmarkPlacementTick(b *testing.B) {
-	pb := NewPlacementBench(64, 32, 16)
+// that bounds how small the scheduling interval can be (§4.2.2); bench/iso.go
+// reports the same scenario as core.placement_tick_us and _allocs.
+func BenchmarkPlacementTick(b *testing.B) { benchTick(b, NewPlacementBench(64, 32, 16)) }
+
+// BenchmarkPlacementTickHetero is the same pool on a mixed-capacity fleet (a
+// quarter of the workers smaller and contended) with the interference
+// penalty on: what the flag costs on the hot path.
+func BenchmarkPlacementTickHetero(b *testing.B) { benchTick(b, heteroPenaltyBench()) }
+
+func heteroPenaltyBench() *PlacementBench {
+	pb := NewPlacementBenchHetero(64, 32, 16)
+	pb.Configure(func(c *Config) { c.InterferencePenalty = true })
+	return pb
+}
+
+func benchTick(b *testing.B, pb *PlacementBench) {
+	b.Helper()
 	if pb.Tick() == 0 {
 		b.Fatal("placement pass placed nothing; fixture is not exercising the hot path")
 	}
@@ -18,16 +31,28 @@ func BenchmarkPlacementTick(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacementTickSmall is the same pass at the paper's testbed scale
-// (20 workers), closer to what one 100 ms interval really costs.
-func BenchmarkPlacementTickSmall(b *testing.B) {
-	pb := NewPlacementBench(20, 8, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.Tick()
+// TestPlacementTickDoesNotAllocate holds the steady-state placement pass to
+// zero heap allocations: every scratch buffer of the pass is carried on the
+// PlaceContext, and the first Tick sizes them. The tick runs every
+// SchedInterval and after every batch of events on the live path, so one
+// allocation per stage or per worker here is garbage at that rate.
+func TestPlacementTickDoesNotAllocate(t *testing.T) {
+	for name, pb := range map[string]*PlacementBench{
+		"uniform":        NewPlacementBench(64, 32, 16),
+		"hetero+penalty": heteroPenaltyBench(),
+	} {
+		if pb.Tick() == 0 {
+			t.Fatalf("%s: placement pass placed nothing", name)
+		}
+		if a := testing.AllocsPerRun(10, func() { pb.Tick() }); a != 0 {
+			t.Errorf("%s: %v allocs per tick, want 0", name, a)
+		}
 	}
 }
+
+// BenchmarkPlacementTickSmall is the same pass at the paper's testbed scale
+// (20 workers), closer to what one 100 ms interval really costs.
+func BenchmarkPlacementTickSmall(b *testing.B) { benchTick(b, NewPlacementBench(20, 8, 16)) }
 
 // benchTickAt runs the placement tick benchmark at a given cluster scale
 // with CandidateWorkers = k (0: the exact scan). The exact/top-K pair at
@@ -36,14 +61,7 @@ func benchTickAt(b *testing.B, workers, stages, tasks, k int) {
 	b.Helper()
 	pb := NewPlacementBench(workers, stages, tasks)
 	pb.Configure(func(c *Config) { c.CandidateWorkers = k })
-	if pb.Tick() == 0 {
-		b.Fatal("placement pass placed nothing; fixture is not exercising the hot path")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pb.Tick()
-	}
+	benchTick(b, pb)
 }
 
 // BenchmarkPlacementTickMediumExact / ...Medium measure a 256-worker pool.

@@ -196,6 +196,47 @@ func TestInsertEncodedDecodesLazilyAndIdempotently(t *testing.T) {
 	}
 }
 
+// TestServeFromStoreDoesNotAllocate holds the shuffle server's per-fetch
+// work to a lookup: a partition whose contributions arrived encoded is
+// served as handles onto the stored bytes, into the caller's retained slice,
+// with no heap allocation. A serve that marshals, copies a blob or builds a
+// fresh handle slice allocates per contribution and fails here.
+func TestServeFromStoreDoesNotAllocate(t *testing.T) {
+	const contribs = 16
+	g := dag.NewGraph()
+	d := g.CreateData(1)
+	rt := New(mustPlanWith(g, d))
+	defer rt.Close()
+	rt.SetCodec(fakeCodec{})
+	inserted := 0
+	for c := 0; c < contribs; c++ {
+		blob, flags, rawLen, err := fakeCodec{}.EncodeBlob(inputRows(64 + c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inserted += len(blob)
+		rt.InsertEncoded(d, 0, c, blob, flags, rawLen)
+	}
+	refs, err := rt.PartBlobsAppend(nil, d, 0) // sizes the retained slice
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		refs, err = rt.PartBlobsAppend(refs[:0], d, 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := 0
+	for i := range refs {
+		served += refs[i].Len
+	}
+	if allocs != 0 || len(refs) != contribs || served != inserted {
+		t.Fatalf("serve: %v allocs, %d refs, %d bytes; want 0 allocs, %d refs, %d bytes",
+			allocs, len(refs), served, contribs, inserted)
+	}
+}
+
 func TestSpillEvictsServesAndDecodes(t *testing.T) {
 	g, in, out := passthrough(4)
 	rt := New(g.MustBuild())

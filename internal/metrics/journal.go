@@ -24,6 +24,7 @@ type Journal struct {
 	precommits    int   // monotasks short-circuited from replayed commits
 	reattaches    int   // workers re-attached under a new generation
 	notFoundReads int   // JobQuery answered with StateNotFound
+	failed        int   // 1 once the on-disk journal reported an error (sticky)
 }
 
 // NewJournal returns an empty journal monitor.
@@ -51,6 +52,14 @@ func (g *Journal) ObserveEvent(journaled bool) {
 	if journaled {
 		g.appended++
 	}
+	g.mu.Unlock()
+}
+
+// ObserveError records that the on-disk journal failed: events are still
+// applied, none is appended any more.
+func (g *Journal) ObserveError() {
+	g.mu.Lock()
+	g.failed = 1
 	g.mu.Unlock()
 }
 
@@ -135,12 +144,13 @@ func (g *Journal) NotFoundReads() int {
 }
 
 // StatsLine renders a one-line journaling summary for periodic master logs.
+// Fields are only ever added at the end: bench/ parses the prefix.
 func (g *Journal) StatsLine() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return fmt.Sprintf(
-		"journal: gen=%d events=%d appended=%d replayed=%d (%d B) snaps=%d depth=%dB dup_commits=%d precommits=%d reattach=%d not_found=%d",
+		"journal: gen=%d events=%d appended=%d replayed=%d (%d B) snaps=%d depth=%dB dup_commits=%d precommits=%d reattach=%d not_found=%d err=%d",
 		g.gen, g.events, g.appended, g.replayEvents, g.replayBytes,
 		g.snapshots, g.pendingDepth, g.dupCommits, g.precommits,
-		g.reattaches, g.notFoundReads)
+		g.reattaches, g.notFoundReads, g.failed)
 }

@@ -3,12 +3,14 @@ package remote
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"ursa/internal/core"
+	"ursa/internal/dataset"
 	"ursa/internal/elastic"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -381,17 +383,45 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 // TestElasticJoinPreparesFrontDoorJobs pins the catch-up Prepare contract
 // for mid-run joins: a worker that joins while a front-door job is already
 // admitted and dispatching must be prepared for it before any of its
-// monotasks land there. Front-door jobs never enter Master.jobs (only the
-// batch path does), so the join must enumerate the executor's registry — a
-// joiner missing the Prepare rejects the first dispatch as unprepared and
-// gets failed by the master.
+// monotasks land there. The Prepare broadcast at admission reached only the
+// workers of that moment, so the join must enumerate the job table for the
+// jobs still running — a joiner missing the Prepare rejects the first
+// dispatch as unprepared and gets failed by the master.
+//
+// The job is held open on state, not on how long it takes: its map UDF blocks
+// until the test closes a gate. Worker 0 has one core, and 12 map tasks of
+// 20 000 rows each meet a placement horizon of CoreRate × EPT = 30 000 rows,
+// so worker 0 is full after two of them and stays full while the one it runs
+// is blocked. At least ten tasks are unplaced whenever the joiner arrives,
+// and it is the only place they can go.
 func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
-	lc, runErr := startServeCluster(t, 1, Config{Elastic: true})
+	gate := make(chan struct{})
+	name := fmt.Sprintf("held-map-%p", gate) // the registry is process-wide; -count reruns this
+	workload.Register(name, func([]byte) (*workload.BuiltJob, error) {
+		vals := make([]int, 12*20000)
+		for i := range vals {
+			vals[i] = i
+		}
+		sess := dataset.NewSession()
+		pairs := dataset.FlatMap(dataset.Parallelize(sess, vals, 12), "hold", func(v int) []dataset.Pair[string, int] {
+			<-gate
+			if v%20000 != 0 {
+				return nil
+			}
+			return []dataset.Pair[string, int]{{Key: "k", Val: 1}}
+		})
+		sums := dataset.ReduceByKey(pairs, "sum", 2, func(a, b int) int { return a + b })
+		plan, err := sess.Graph().Build()
+		return &workload.BuiltJob{
+			Spec: core.JobSpec{Name: name, Graph: sess.Graph(), MemEstimate: 1},
+			Plan: plan, Inputs: sess.InputBindings(), Output: sums.Dag(),
+		}, err
+	})
+
+	lc, runErr := startServeCluster(t, 1, Config{Elastic: true, CoresPerWorker: 1})
 	log := newStatusLog()
 	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "join", OnStatus: log.add})
-
-	name, params := workload.WordCount(workload.WordCountParams{Lines: 20000, InParts: 12, OutParts: 6})
-	jobID, err := c.Submit(name, params)
+	jobID, err := c.Submit(name, nil)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -404,15 +434,16 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 	}
 	t.Cleanup(a.Kill)
 	waitFor(t, "elastic join", func() bool { return lc.Master.Elastic.Joined() == 1 })
+	// The joiner must take work from the pre-join job for this test to mean
+	// anything, and with the gate still shut that job cannot have finished.
+	waitFor(t, "the joiner to be given the job's unplaced tasks", func() bool {
+		return lc.Master.Transport.Worker(1).Dispatches > 0
+	})
+	close(gate)
 
 	log.waitState(t, jobID, wire.StateFinished)
 	if got := lc.Master.Transport.Failures(); got != 0 {
 		t.Fatalf("worker failures = %d, want 0 (joiner rejected a dispatch?)", got)
-	}
-	// The joiner must actually have taken work from the pre-join job for
-	// this test to mean anything.
-	if got := lc.Master.Transport.Worker(1).Dispatches; got == 0 {
-		t.Fatal("joiner received no dispatches; the scenario did not exercise the catch-up Prepare")
 	}
 	lc.Master.Drain()
 	waitRun(t, runErr)

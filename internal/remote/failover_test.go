@@ -3,8 +3,11 @@ package remote
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -213,6 +216,81 @@ func TestReplayMatchesLiveState(t *testing.T) {
 		if js.Phase != cpstate.PhaseFinished {
 			t.Fatalf("job %d phase = %d, want finished", id, js.Phase)
 		}
+	}
+}
+
+// TestJournalFailureIsVisible breaks a journaled serve master's disk under it
+// (the journal directory is moved away, so the next snapshot cannot be written
+// and the journal's error turns sticky) and checks that the master says so:
+// one log line, err=1 on the journal stats line, an appended count that no
+// longer grows while events still do, and the error from Run and Close. The
+// master keeps serving; stepping down is not what this checks.
+func TestJournalFailureIsVisible(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
+	jdir := t.TempDir()
+	lc, runErr := startServeCluster(t, 1, Config{
+		JournalDir: jdir, JournalSyncInterval: time.Millisecond, SnapshotEvery: 8,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	slog := newStatusLog()
+	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: slog.add})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	runJob := func() {
+		t.Helper()
+		id, err := c.Submit("micro", params)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		slog.waitState(t, id, wire.StateFinished)
+	}
+	counts := func() (events, appended int, line string) {
+		line = lc.Master.Journal.StatsLine()
+		fmt.Sscanf(line, "journal: gen=1 events=%d appended=%d", &events, &appended)
+		return events, appended, line
+	}
+
+	runJob()
+	if ev, app, line := counts(); app == 0 || app != ev || !strings.HasSuffix(line, " err=0") {
+		t.Fatalf("healthy journal reads %q, want every event appended and err=0", line)
+	}
+	if err := os.Rename(jdir, jdir+".gone"); err != nil {
+		t.Fatal(err)
+	}
+	// Each job records more than SnapshotEvery events, so the first one cuts
+	// a snapshot the flusher cannot write; a later record meets the error.
+	waitFor(t, "the journal error to reach the recorder", func() bool {
+		runJob()
+		return lc.Master.rec.Err() != nil
+	})
+	ev0, app0, _ := counts()
+	runJob()
+	if ev1, app1, line := counts(); ev1 <= ev0 || app1 != app0 || !strings.HasSuffix(line, " err=1") {
+		t.Errorf("after the failure: events %d -> %d, appended %d -> %d, line %q; want events up, appended flat, err=1",
+			ev0, ev1, app0, app1, line)
+	}
+	lc.Master.Drain()
+	select {
+	case err := <-runErr:
+		if err == nil || err != lc.Master.rec.Err() {
+			t.Errorf("Run returned %v, want the journal's error %v", err, lc.Master.rec.Err())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve master did not drain in time")
+	}
+	if err := lc.Master.Close(); err == nil {
+		t.Error("Close returned nil after the journal failed")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if n := strings.Count(strings.Join(logs, "\n"), "journal failed"); n != 1 {
+		t.Errorf("journal failure logged %d times, want once; log:\n%s", n, strings.Join(logs, "\n"))
 	}
 }
 

@@ -205,6 +205,39 @@ func TestFrontDoorLeadingEdgeFlush(t *testing.T) {
 	waitRun(t, runErr)
 }
 
+// TestFrontDoorAdmitsParkedBurstInOnePass: submissions that accumulate while
+// no admission pass can run are admitted together. The master is not yet Run,
+// so the pump is parked and 32 clients of 4 tenants park one submission each
+// across the intake shards; Run then acks every one of them out of exactly
+// one batch: one driver crossing and one reservation/rank/sort pass for the
+// burst, where a front door that stopped batching pays one per submission.
+func TestFrontDoorAdmitsParkedBurstInOnePass(t *testing.T) {
+	const burst = 32
+	lc := startCluster(t, 1, Config{Serve: true})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	errs := make(chan error, burst)
+	for i := 0; i < burst; i++ {
+		c := dialFrontDoor(t, lc, ClientConfig{Tenant: string(rune('a' + i%4))})
+		go func() {
+			_, err := c.Submit("micro", params)
+			errs <- err
+		}()
+	}
+	waitFor(t, "the whole burst parked on the intake", func() bool { return lc.Master.fd.queued.Load() == burst })
+	runErr := make(chan error, 1)
+	go func() { runErr <- lc.Master.Run(context.Background()) }()
+	for i := 0; i < burst; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("parked submission: %v", err)
+		}
+	}
+	if batches, jobs := lc.Master.Ingest().BatchStats(); batches != 1 || jobs != burst {
+		t.Errorf("%d admission batches carrying %d jobs, want 1 and %d", batches, jobs, burst)
+	}
+	lc.Master.Drain()
+	waitRun(t, runErr)
+}
+
 // TestFrontDoorBadWorkloadRejected: a submission for an unknown workload is
 // acked with the build error; the connection and the cluster stay healthy.
 func TestFrontDoorBadWorkloadRejected(t *testing.T) {

@@ -392,7 +392,7 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	}
 	m.gen = st.Gen + 1
 	m.jobs = newJobTable(st.MaxJobID())
-	m.rec = newRecorder(st, m.jnl, m.Journal, cfg.SnapshotEvery)
+	m.rec = newRecorder(st, m.jnl, m.Journal, cfg.SnapshotEvery, m.logf)
 	m.rec.record(cpstate.Generation{Gen: m.gen})
 	m.Journal.SetGeneration(m.gen)
 
@@ -1218,12 +1218,18 @@ func (m *Master) Run(ctx context.Context) error {
 	err := m.Sys.Run(ctx)
 	now := time.Now()
 	m.Transport.Sample(now.Sub(m.start).Seconds(), now)
+	if err == nil && m.cfg.Serve {
+		// A serve run has no result to hand back but what it journaled.
+		err = m.rec.Err()
+	}
 	return err
 }
 
 // Close releases the master's listeners and connections. Idempotent; called
-// after Run (the RemoteExecutor's Close already broadcast Shutdown).
-func (m *Master) Close() {
+// after Run (the RemoteExecutor's Close already broadcast Shutdown). It
+// returns the journal's first error, the final sync's included: non-nil
+// means a standby would not replay everything this master decided.
+func (m *Master) Close() error {
 	m.closeOnce.Do(func() {
 		// Fence the recorder before cutting anything: the dying links and
 		// failed dispatches this teardown causes must not be journaled as
@@ -1253,7 +1259,10 @@ func (m *Master) Close() {
 			m.leaseWG.Wait()
 		}
 		if m.jnl != nil {
-			m.jnl.Close()
+			if err := m.jnl.Close(); err != nil {
+				m.rec.fail(err)
+			}
 		}
 	})
+	return m.rec.Err()
 }

@@ -24,6 +24,7 @@ import (
 // nothing persists — journaling only adds durability.
 type recorder struct {
 	metrics *metrics.Journal
+	logf    func(string, ...any)
 
 	mu        sync.Mutex
 	state     *cpstate.State
@@ -34,15 +35,15 @@ type recorder struct {
 	fenced    bool  // Close happened: no event reaches state or journal
 }
 
-func newRecorder(st *cpstate.State, jnl *journal.Journal, jm *metrics.Journal, snapEvery int) *recorder {
-	return &recorder{state: st, jnl: jnl, metrics: jm, snapEvery: snapEvery}
+func newRecorder(st *cpstate.State, jnl *journal.Journal, jm *metrics.Journal, snapEvery int, logf func(string, ...any)) *recorder {
+	return &recorder{state: st, jnl: jnl, metrics: jm, snapEvery: snapEvery, logf: logf}
 }
 
 // record applies one event and journals it, and reports whether it did:
 // false once the recorder is fenced. Since the master reads its registry
 // back from the state, a dropped event is a decision that did not happen —
 // the executor sends no Dispatch whose Placed was dropped. Journal write
-// errors are sticky and surfaced via Err — the in-memory state machine stays
+// errors are sticky and reported by fail — the in-memory state machine stays
 // authoritative, matching the no-journal mode's behavior.
 func (r *recorder) record(ev cpstate.Event) bool {
 	r.mu.Lock()
@@ -51,26 +52,43 @@ func (r *recorder) record(ev cpstate.Event) bool {
 		return false
 	}
 	cpstate.Apply(r.state, ev)
+	var err error
+	journaled := false
 	if r.jnl != nil {
-		if _, err := r.jnl.Append(cpstate.AppendEvent(nil, ev)); err != nil && r.err == nil {
-			r.err = err
-		}
+		_, err = r.jnl.Append(cpstate.AppendEvent(nil, ev))
+		journaled = err == nil
 		r.sinceSnap++
 		if r.sinceSnap >= r.snapEvery {
 			r.sinceSnap = 0
-			if err := r.jnl.Snapshot(r.state.AppendEncoded); err != nil {
-				if r.err == nil {
-					r.err = err
-				}
-			} else {
+			if serr := r.jnl.Snapshot(r.state.AppendEncoded); serr == nil {
 				r.metrics.ObserveSnapshot()
+			} else if err == nil {
+				err = serr
 			}
 		}
 	}
-	journaled := r.jnl != nil
 	r.mu.Unlock()
+	if err != nil {
+		r.fail(err)
+	}
 	r.metrics.ObserveEvent(journaled)
 	return true
+}
+
+// fail keeps the journal's first error and makes it visible: one log line,
+// err=1 on the journal stats line, and Err for Run and Close to return.
+// Whether a primary that can no longer journal steps down is not decided here.
+func (r *recorder) fail(err error) {
+	r.mu.Lock()
+	first := r.err == nil
+	if first {
+		r.err = err
+	}
+	r.mu.Unlock()
+	if first {
+		r.metrics.ObserveError()
+		r.logf("master: journal failed, nothing recorded from here on is durable: %v", err)
+	}
 }
 
 // fence ends this master's authority over the state machine: every later

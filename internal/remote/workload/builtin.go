@@ -28,7 +28,7 @@ func init() {
 }
 
 // MicroParams shapes the "micro" workload: a tiny two-stage map/reduce used
-// by the ingest benchmark and multi-tenant tests, where thousands of jobs
+// by the end-to-end benchmark and multi-tenant tests, where thousands of jobs
 // must be built cheaply. MemEstimate is the admission reservation M(j) the
 // job claims — the knob that makes a backlog queue behind the memory gate.
 type MicroParams struct {
@@ -39,7 +39,7 @@ type MicroParams struct {
 	// MemEstimate is the job's claimed memory (scheduler units).
 	MemEstimate float64
 	// HoldMs makes the map stage take at least this long (the partition
-	// holding row 0 sleeps) — the ingest bench's stand-in for real job
+	// holding row 0 sleeps) — the benchmark's (slot-hold) stand-in for real job
 	// runtime, so admitted jobs occupy their reservations for a realistic
 	// duration instead of finishing in microseconds.
 	HoldMs int
