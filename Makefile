@@ -32,11 +32,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Placement equivalence: the scheduler's carried worker snapshots must place
-# exactly what core.FullRebuildPlacer, which re-reads every worker on every
-# pass, places, tick by tick on the bench fixtures and JCT by JCT on full
-# simulated runs. (Also covered by `race`; kept as an explicit gate so the
-# comparison with the reference cannot silently drop out of CI.)
+# Placement equivalence: the scheduler's carried worker snapshots and its
+# witness pruning must place exactly what core.FullRebuildPlacer, which
+# re-reads every worker and rescans every task against every worker on every
+# pass, places, tick by tick on the bench fixtures and hand-built pools and
+# JCT by JCT on full simulated runs. (Also covered by `race`; kept as an
+# explicit gate so the comparison with the reference cannot silently drop out
+# of CI.)
 equiv:
 	$(GO) test -race -count=1 -run 'Equivalence|TestTick|TestSystem' ./internal/core ./internal/experiments
 

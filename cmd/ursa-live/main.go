@@ -93,6 +93,11 @@ func main() {
 		timeout   = flag.Duration("timeout", 2*time.Minute, "abort if the run exceeds this")
 	)
 	flag.Parse()
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ursa-live: %v\n", err)
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM cancel the run context: the driver stops, the executor
 	// seam aborts in-flight work on Close, and we exit 0 after printing the
@@ -107,9 +112,7 @@ func main() {
 		SampleInterval: eventloop.Duration(*sample / time.Microsecond),
 	}
 	cfg.Core.RateWindow = eventloop.Duration(*rateWin / time.Microsecond)
-	if *policy == "srjf" {
-		cfg.Core.Policy = core.SRJF
-	}
+	cfg.Core.Policy = pol
 	sys := live.NewSystem(cfg)
 
 	fmt.Printf("submitting %d word-count jobs (%d lines × %d partitions each) to %d workers\n",

@@ -135,6 +135,11 @@ func main() {
 		return
 	}
 
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ursa-master: %v\n", err)
+		os.Exit(2)
+	}
 	weights, err := parseTenantWeights(*tenantWeights)
 	if err != nil {
 		fatal(err)
@@ -183,9 +188,7 @@ func main() {
 			Logf:   cfg.Logf,
 		}
 	}
-	if *policy == "srjf" {
-		cfg.Core.Policy = core.SRJF
-	}
+	cfg.Core.Policy = pol
 	cfg.Core.InterferencePenalty = *interfPen
 	cfg.Core.TenantWeights = weights
 	if *standby {

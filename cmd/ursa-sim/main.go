@@ -45,6 +45,11 @@ func main() {
 		sparkline = flag.Bool("sparkline", true, "print utilization sparklines")
 	)
 	flag.Parse()
+	pol, err := core.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ursa-sim: %v\n", err)
+		os.Exit(2)
+	}
 
 	clusCfg := cluster.Default20x32()
 	clusCfg.Machines = *machines
@@ -84,13 +89,11 @@ func main() {
 	switch *system {
 	case "ursa":
 		cfg := core.Config{
+			Policy:              pol,
 			DisableStageAware:   *noStage,
 			IgnoreNetworkDemand: *noNetDem,
 			NetConcurrency:      *netCC,
 			InterferencePenalty: *interfPen,
-		}
-		if *policy == "srjf" {
-			cfg.Policy = core.SRJF
 		}
 		switch *placer {
 		case "alg1":
@@ -130,6 +133,9 @@ func main() {
 	fmt.Printf("SE mem     %10.1f %%\n", res.Eff.SEMem)
 	fmt.Printf("imbalance  %10.1f %% (per-machine mean CPU deviation)\n",
 		metrics.Imbalance(res.PerMachineCPU))
+	if pc := res.Placement; pc.Passes > 0 {
+		fmt.Printf("placement  %10d passes, %d task scans, %d skipped\n", pc.Passes, pc.Scanned, pc.Skipped)
+	}
 	if *sparkline && res.Series != nil {
 		fmt.Printf("CPU  %s\n", res.Series.Sparkline(metrics.SeriesCPU, 72))
 		fmt.Printf("NET  %s\n", res.Series.Sparkline(metrics.SeriesNet, 72))

@@ -10,11 +10,15 @@ import (
 	"ursa/internal/resource"
 )
 
-// PlacementBench is a synthetic saturated-pool fixture for benchmarking the
-// placement hot path in isolation: a pool of pending stages over a cluster
-// of idle workers, scored and planned by a Placer exactly as one scheduler
-// tick would. A Tick does not consume the pool (the scheduler removes placed
-// tasks separately), so repeated Ticks measure a uniform workload.
+// PlacementBench is a synthetic fixture for benchmarking the placement hot
+// path in isolation: a pool of pending stages over a cluster of workers,
+// scored and planned by a Placer exactly as one scheduler tick would. The
+// workers of NewPlacementBench and NewPlacementBenchHetero are idle, so every
+// task of the pool finds a worker until the pass has used the headroom up;
+// NewPlacementBenchSaturated is the opposite regime, the one a loaded
+// simulation spends its time in, where most tasks find none. A Tick does not
+// consume the pool (the scheduler removes placed tasks separately), so
+// repeated Ticks measure a uniform workload.
 //
 // It is exported so the core microbenchmarks and the end-to-end harness's
 // isolated measurements (bench/iso.go) share one scenario definition.
@@ -74,6 +78,30 @@ func NewPlacementBenchHetero(nWorkers, nStages, tasksPerStage int) *PlacementBen
 	}
 	loop.RunUntil(eventloop.Time(pb.Sys.Cfg.RateWindow))
 	pb.ctx.Now = loop.Now()
+	return pb
+}
+
+// NewPlacementBenchSaturated is the deep pool over a busy cluster: all but
+// one worker in ten (at least one) have every core taken and more CPU work
+// queued than one EPT drains, so D_cpu = 0 there and a task that demands CPU,
+// as every task of the pool does, is rejected by them. The few idle workers
+// host what they can and fill up within the pass; everything after that is
+// scored against every worker and placed nowhere, unless a failed stage-mate
+// already rules it out (PlaceContext.unplaceableLike). Task memory varies
+// within a stage, so some tasks need less than their stage's witness and are
+// scored regardless.
+func NewPlacementBenchSaturated(nWorkers, nStages, tasksPerStage int) *PlacementBench {
+	pb := NewPlacementBench(nWorkers, nStages, tasksPerStage)
+	idle := nWorkers / 10
+	if idle < 1 {
+		idle = 1
+	}
+	ept := pb.Sys.Cfg.EPT.Seconds()
+	for _, w := range pb.Sys.Workers[:nWorkers-idle] {
+		w.Machine.Cores.MustAlloc(w.Machine.Cores.Free())
+		w.load[resource.CPU] = 2 * ept * w.Rate(resource.CPU)
+		w.markDirty()
+	}
 	return pb
 }
 
@@ -160,18 +188,23 @@ func (pb *PlacementBench) TickPlacements() []Placement {
 	return placer.Place(pb.ctx)
 }
 
-// FullRebuildPlacer is Algorithm 1 with nothing carried between passes: it
-// discards the context's cached worker snapshots and candidate index, so
-// every pass re-reads every worker. It is the reference the equivalence
-// suites compare the default placer against (installed through
-// Config.Placer) and has no other use: it does strictly more work for, as
-// those suites prove, bit-identical placements.
+// FullRebuildPlacer is Algorithm 1 with nothing carried between passes and
+// nothing inferred within one: it discards the context's cached worker
+// snapshots and candidate index, so every pass re-reads every worker, and it
+// turns witness pruning off, so every pass scores every task against every
+// worker. It is the reference the equivalence suites compare the default
+// placer against (installed through Config.Placer) and has no other use: it
+// does strictly more work for, as those suites prove, bit-identical
+// placements.
 type FullRebuildPlacer struct{}
 
 func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
 	ctx.snapValid = false
 	ctx.idxValid = false
-	return Algorithm1{}.Place(ctx)
+	ctx.exhaustive = true
+	out := Algorithm1{}.Place(ctx)
+	ctx.exhaustive = false
+	return out
 }
 
 // CheckingPlacer places with Algorithm 1 as the scheduler runs it and, over
@@ -179,10 +212,11 @@ func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
 // counts the passes on which the two disagree. Tests install it through
 // Config.Placer on the paths no simulated twin run can cover (live drivers,
 // the TCP cluster), where wall-clock time makes two runs incomparable but
-// two placers on one pass are not. The counters are written on the control
-// loop; read them after it has stopped. Stage-aware placement only: the
-// DisableStageAware ablation marks tasks as it plans them, so it cannot be
-// run twice over one pool.
+// two placers on one pass are not. The reference runs on the checker's own
+// context, so it shares neither the scheduler's snapshots nor its witness
+// pruning. The counters are written on the control loop; read them after it
+// has stopped. Stage-aware placement only: the DisableStageAware ablation
+// marks tasks as it plans them, so it cannot be run twice over one pool.
 type CheckingPlacer struct {
 	Passes    int    // passes compared
 	Diffs     int    // passes on which the placers disagreed

@@ -6,6 +6,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"ursa/internal/eventloop"
 	"ursa/internal/resource"
 )
@@ -27,6 +30,19 @@ func (p Policy) String() string {
 		return "SRJF"
 	}
 	return "EJF"
+}
+
+// ParsePolicy is the inverse of Policy.String for command-line flags: "ejf"
+// or "srjf" in either case. Anything else is an error naming the accepted
+// spellings, so a typo cannot silently run the default policy.
+func ParsePolicy(s string) (Policy, error) {
+	switch strings.ToLower(s) {
+	case "ejf":
+		return EJF, nil
+	case "srjf":
+		return SRJF, nil
+	}
+	return EJF, fmt.Errorf("unknown policy %q (want ejf or srjf)", s)
 }
 
 // Config holds Ursa's tunables. Zero values are replaced by defaults in

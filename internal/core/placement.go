@@ -20,7 +20,11 @@ type Placement struct {
 // per worker and carried from one interval to the next, refreshed only for
 // workers whose state changed (see prepare): placement is O(stages × tasks
 // × workers) in the worst case (O(stages × tasks × K) with
-// Config.CandidateWorkers), so per-candidate indirection matters.
+// Config.CandidateWorkers), so per-candidate indirection matters. On a
+// saturated pool, where most tasks find no worker, the exact scan pays the
+// worker factor only for the tasks an earlier failure of the same stage scan
+// does not already rule out (see unplaceableLike): O(stages × tasks) plus
+// O(workers) per task that has to be scored.
 //
 // The context owns all scratch state the placement pass needs (headroom
 // vectors, the trial-placement undo journal, candidate ranking and output
@@ -88,6 +92,16 @@ type PlaceContext struct {
 	idxValid bool
 	useIdx   bool
 	candK    int
+
+	// exhaustive turns witness pruning off (see stageScoreOn): every task is
+	// scored against every worker. Only FullRebuildPlacer sets it, so the
+	// reference the equivalence suites compare against checks the pruning
+	// instead of sharing it.
+	exhaustive bool
+	// scanned counts the tasks stageScoreOn has visited over the context's
+	// lifetime, skipped those among them it settled from the scan's witness
+	// without scoring a worker (Scheduler.PlacementScans).
+	scanned, skipped uint64
 
 	orderBoost func(*Job, eventloop.Time) float64
 }
@@ -409,17 +423,26 @@ func (ctx *PlaceContext) domKind(t *dag.Task) int {
 	return dom
 }
 
-// stageViable cheaply rejects stages no worker can currently host: every
-// task of a stage has the same resource-kind profile, so one representative
-// task suffices. This keeps saturated scheduling intervals cheap. With the
-// candidate index only the top-K memory-viable workers on the stage's
-// dominant kind are examined, mirroring the scoring restriction.
+// stageViable cheaply rejects stages no worker can currently host, judging
+// the whole stage by one representative, ps.Tasks[0]. This keeps saturated
+// scheduling intervals cheap. With the candidate index only the top-K
+// memory-viable workers on the stage's dominant kind are examined, mirroring
+// the scoring restriction.
+//
+// The representative stands for its stage-mates' resource kinds (in every
+// shipped workload the tasks of a stage demand the same kinds) but not for
+// their memory: estimates differ from task to task (about 46 % of the TPC-H
+// mix's task scans see an EstUsage unlike the previous task's), pool order is
+// arbitrary (PendingStage.remove swaps), and Tasks[0] is not the smallest. A
+// stage whose first task happens to be one no worker has memory for is
+// skipped whole while smaller stage-mates would fit. Known and left as is:
+// testing the stage's least memory instead changes schedules and every paper
+// table (ROADMAP item 8).
 func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 	if len(ps.Tasks) == 0 {
 		return false
 	}
 	t := ps.Tasks[0]
-	var minMem float64
 	needs := [4]bool{}
 	for _, k := range resource.MonotaskKinds {
 		if k == resource.Net && ctx.Cfg.IgnoreNetworkDemand {
@@ -427,9 +450,9 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 		}
 		needs[k] = t.EstUsage[k] > 0
 	}
-	minMem = t.EstUsage[resource.Mem]
+	mem := t.EstUsage[resource.Mem]
 	hosts := func(wi int) bool {
-		ok := ctx.memFree[wi] >= minMem
+		ok := ctx.memFree[wi] >= mem
 		for k := 0; ok && k < 3; k++ {
 			if needs[k] && d[wi][k] <= 0 {
 				ok = false
@@ -450,7 +473,7 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 	for bi := idxBuckets - 1; bi >= 0; bi-- {
 		for _, wj := range buckets[bi] {
 			wi := int(wj)
-			if ctx.memFree[wi] < minMem {
+			if ctx.memFree[wi] < mem {
 				continue // memory gate: not a candidate
 			}
 			if hosts(wi) {
@@ -602,6 +625,35 @@ func applyInc(d dVec, inc dVec) dVec {
 	return d
 }
 
+// unplaceableLike reports whether t is certain to find no worker because
+// witness, a task scored earlier in the same stageScoreOn scan, found none:
+// t needs at least the witness's memory and demands every resource kind the
+// witness demands. Within one scan the headroom vectors only shrink
+// (applyInc subtracts a non-negative increase; the keep=false rollback runs
+// after the loop) while memFree, invRateEPT, memCap and pen do not change,
+// so every reason scoreTask gave for rejecting the witness on worker w
+// holds for t on w: the memory gate (memFree < witness mem ≤ t mem), a
+// demanded dimension with D ≤ 0 (t demands it too, memory included), or no
+// demand at all on a worker with no headroom (whatever t demands there has
+// D ≤ 0, and if it demands nothing it fails the same test). The argument
+// needs estimates that are finite and non-negative, which the plan
+// guarantees (dag.Plan.Estimate); every comparison is written so that a NaN
+// entry answers "scan it".
+func (ctx *PlaceContext) unplaceableLike(t, witness *dag.Task) bool {
+	if !(t.EstUsage[resource.Mem] >= witness.EstUsage[resource.Mem]) {
+		return false
+	}
+	for _, k := range resource.MonotaskKinds {
+		if k == resource.Net && ctx.Cfg.IgnoreNetworkDemand {
+			continue // incVec scores no network increase for anyone
+		}
+		if !(witness.EstUsage[k] <= 0) && !(t.EstUsage[k] > 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // stageScoreOn implements the StageScore function of Algorithm 1. It plans
 // the stage's tasks greedily against d, mutating d in place and journalling
 // each mutation in undo. When keep is false (the ranking pass) every
@@ -611,15 +663,34 @@ func applyInc(d dVec, inc dVec) dVec {
 // to ctx.out, mutated workers are marked for snapshot refresh, and the O(1)
 // headroom count is maintained. It returns the normalized score (plus the
 // stage bonus when every task was placed) and the number of tasks placed.
+//
+// Witness pruning: the first task of the scan that no worker can host is
+// kept as a witness, and a later task it rules out (unplaceableLike) is not
+// scored at all. Such a task would have failed, a failed task adds nothing
+// to the score and only clears the bonus, which the witness already did, so
+// the plan and the score are bit-identical to the exhaustive scan's. On a
+// saturated cluster this is most of the pool. The witness lives for one
+// call. It is not used with the top-K index, where a task that needs more
+// memory skips different candidates, so a smaller task's failure proves
+// nothing about it, nor by the exhaustive reference.
 func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEntry, keep bool) (float64, int) {
 	mark := len(*undo)
 	score := 0.0
 	placed := 0
 	bonus := stageBonus
+	var witness *dag.Task
+	skipped := 0
 	for _, t := range ps.Tasks {
+		if witness != nil && ctx.unplaceableLike(t, witness) {
+			skipped++
+			continue
+		}
 		bestW, bestF, bestInc := ctx.bestWorkerFor(t, d)
 		if bestW < 0 {
 			bonus = 0
+			if witness == nil && !ctx.useIdx && !ctx.exhaustive {
+				witness = t
+			}
 			continue
 		}
 		*undo = append(*undo, undoEntry{wi: bestW, old: d[bestW]})
@@ -637,6 +708,8 @@ func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEn
 		score += bestF
 		placed++
 	}
+	ctx.scanned += uint64(len(ps.Tasks))
+	ctx.skipped += uint64(skipped)
 	if !keep {
 		for i := len(*undo) - 1; i >= mark; i-- {
 			e := (*undo)[i]

@@ -19,6 +19,21 @@ func heteroPenaltyBench() *PlacementBench {
 	return pb
 }
 
+// BenchmarkPlacementTickSaturated is a pass in the regime a loaded simulation
+// runs in: the paper's 20 workers, 18 of them with no CPU headroom, and a
+// deep pool (32 stages × 64 tasks) of which only a handful fit anywhere.
+// ...Exhaustive is the same pass under the reference placer, which scores
+// every task against every worker: what the pass cost before witness pruning.
+func BenchmarkPlacementTickSaturated(b *testing.B) { benchTick(b, saturatedBench()) }
+
+func saturatedBench() *PlacementBench { return NewPlacementBenchSaturated(20, 32, 64) }
+
+func BenchmarkPlacementTickSaturatedExhaustive(b *testing.B) {
+	pb := saturatedBench()
+	pb.Configure(fullRebuild)
+	benchTick(b, pb)
+}
+
 func benchTick(b *testing.B, pb *PlacementBench) {
 	b.Helper()
 	if pb.Tick() == 0 {
@@ -40,6 +55,7 @@ func TestPlacementTickDoesNotAllocate(t *testing.T) {
 	for name, pb := range map[string]*PlacementBench{
 		"uniform":        NewPlacementBench(64, 32, 16),
 		"hetero+penalty": heteroPenaltyBench(),
+		"saturated":      saturatedBench(),
 	} {
 		if pb.Tick() == 0 {
 			t.Fatalf("%s: placement pass placed nothing", name)

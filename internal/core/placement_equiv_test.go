@@ -1,11 +1,13 @@
 package core
 
-// Equivalence suite for placement's carried state: Algorithm 1 as the
-// scheduler runs it (snapshots refreshed for dirty workers only) must
-// produce placements bit-identical to FullRebuildPlacer, which re-reads
-// every worker on every pass, at tick granularity on the saturated bench
-// fixtures and at system granularity on full simulated runs (including a
-// worker failure). The top-K approximation is pinned separately: where it
+// Equivalence suite for what placement carries and infers: Algorithm 1 as
+// the scheduler runs it (snapshots refreshed for dirty workers only, tasks a
+// failed stage-mate rules out not scored) must produce placements
+// bit-identical to FullRebuildPlacer, which re-reads every worker and scores
+// every task against every worker on every pass, at tick granularity on the
+// bench fixtures and at system granularity on full simulated runs (including
+// a worker failure). witness_test.go holds the pools built to break a wrong
+// pruning rule. The top-K approximation is pinned separately: where it
 // is an exact scan, that it is deterministic, and that it starves nothing.
 
 import (
@@ -58,6 +60,9 @@ func TestTickEquivalence(t *testing.T) {
 	exact := NewPlacementBench(48, 24, 8)
 	exact.Configure(fullRebuild)
 	assertSameTicks(t, "default", exact, NewPlacementBench(48, 24, 8), 6)
+	exact = saturatedBench()
+	exact.Configure(fullRebuild)
+	assertSameTicks(t, "saturated", exact, saturatedBench(), 3)
 }
 
 // TestTickTopKIndexGate pins where CandidateWorkers is an approximation and where

@@ -460,6 +460,17 @@ func (s *Scheduler) PlacementPasses() (event, timer uint64) {
 	return s.eventPasses, s.passes - s.eventPasses
 }
 
+// PlacementScans returns how many tasks Algorithm 1's stage scans have
+// visited (ranking and commit passes alike) and how many of those it settled
+// without scoring a single worker, because a stage-mate that failed earlier
+// in the same scan proved no worker could host them (witness pruning, see
+// PlaceContext.stageScoreOn). Both are counts of decisions, not of time: a
+// seeded simulation repeats them exactly. Zero under any other placer.
+// Loop-owned state: call on the control loop.
+func (s *Scheduler) PlacementScans() (scanned, skipped uint64) {
+	return s.pctx.scanned, s.pctx.skipped
+}
+
 // ShareError measures how far reservation holdings sit from the weighted
 // fair point: the maximum over demanding tenants of |share_i − fairShare_i|,
 // where share_i is the tenant's fraction of all reserved memory and

@@ -716,31 +716,7 @@ func AblationFault(opt Options) *Report {
 	for _, kills := range killCounts {
 		kills := kills
 		runs = append(runs, namedRun{fmt.Sprintf("kills=%d", kills), func() Result {
-			loop := eventloop.New()
-			clus := cluster.New(loop, paperCluster())
-			sys := core.NewSystem(loop, clus, core.Config{})
-			w := workload.TPCH2(n, o.Seed)
-			for _, s := range w.Jobs {
-				sys.MustSubmit(s.Spec, s.At)
-			}
-			for k := 0; k < kills; k++ {
-				id := k
-				loop.At(eventloop.Time(eventloop.Duration(20+10*k)*eventloop.Second),
-					func() { sys.FailWorker(id) })
-			}
-			loop.Run()
-			if !sys.AllDone() {
-				panic("ablation-fault: workload stalled")
-			}
-			var jobs []metrics.JobTimes
-			for _, j := range sys.Jobs() {
-				jobs = append(jobs, metrics.JobTimes{Submitted: j.Submitted, Finished: j.Finished})
-			}
-			return Result{
-				System:   fmt.Sprintf("ursa-kills%d", kills),
-				Makespan: metrics.Makespan(jobs),
-				AvgJCT:   metrics.AvgJCT(jobs),
-			}
+			return runUrsa(workload.TPCH2(n, o.Seed), core.Config{}, paperCluster(), 0, failWorkers(kills))
 		}})
 	}
 	results := runAll(o, runs)
@@ -754,6 +730,18 @@ func AblationFault(opt Options) *Report {
 		})
 	}
 	return rep
+}
+
+// failWorkers is the fault scenario: workers 0..kills-1 fail ten seconds
+// apart, the first twenty seconds into the run.
+func failWorkers(kills int) func(*core.System) {
+	return func(sys *core.System) {
+		for k := 0; k < kills; k++ {
+			id := k
+			sys.Loop.At(eventloop.Time(eventloop.Duration(20+10*k)*eventloop.Second),
+				func() { sys.FailWorker(id) })
+		}
+	}
 }
 
 // AblationEPT sweeps the expected-processing-time horizon.

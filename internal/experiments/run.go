@@ -68,10 +68,27 @@ type Result struct {
 	// StragglerRatio is the mean per-job ratio of total stage straggler
 	// time to JCT (§5.1.2), in percent.
 	StragglerRatio float64
+	// Placement is the scheduler's own count of its placement work (Ursa
+	// runs only): decisions, not time, so a seeded run repeats it exactly.
+	Placement PlacementCounts
+}
+
+// PlacementCounts is how much placement work one run did: passes, the tasks
+// Algorithm 1's stage scans visited, and those among them it settled without
+// scoring a worker (core.Scheduler.PlacementScans).
+type PlacementCounts struct {
+	Passes, Scanned, Skipped uint64
 }
 
 // RunUrsa executes a workload on Ursa with the given scheduler config.
 func RunUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, sample eventloop.Duration) Result {
+	return runUrsa(w, cfg, clusCfg, sample, nil)
+}
+
+// runUrsa is RunUrsa with a hook that runs once the jobs are submitted and
+// before the loop starts: where a scenario schedules what the workload does
+// not describe (worker failures).
+func runUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, sample eventloop.Duration, scenario func(*core.System)) Result {
 	loop := eventloop.New()
 	clus := cluster.New(loop, clusCfg)
 	sys := core.NewSystem(loop, clus, cfg)
@@ -92,6 +109,9 @@ func RunUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, samp
 	for _, s := range w.Jobs {
 		sys.MustSubmit(s.Spec, s.At)
 	}
+	if scenario != nil {
+		scenario(sys)
+	}
 	loop.Run()
 	if !sys.AllDone() {
 		panic(fmt.Sprintf("experiments: workload %s stalled on ursa", w.Name))
@@ -110,6 +130,9 @@ func RunUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, samp
 		res.PerMachineCPU = sampler.MeanPerMachineCPU()
 	}
 	res.StragglerRatio = ursaStragglerRatio(sys)
+	event, timer := sys.Sched.PlacementPasses()
+	res.Placement.Passes = event + timer
+	res.Placement.Scanned, res.Placement.Skipped = sys.Sched.PlacementScans()
 	return res
 }
 
