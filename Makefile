@@ -1,8 +1,9 @@
 # Developer entry points. `make ci` is the gate every change must pass; the
 # other targets are its pieces plus `make bench` (microbenchmarks, printed
 # and never checked in) and `make loc` (non-test Go lines per package and
-# binary; informational, not a gate). End-to-end performance is measured by
-# bench/ under the BENCHMARK.json contract, not here.
+# binary, flags per binary; informational, not a gate). End-to-end
+# performance is measured by bench/ under the BENCHMARK.json contract, not
+# here.
 
 GO ?= go
 
@@ -111,12 +112,18 @@ bench-e2e:
 
 # Non-test Go lines per package under internal/ (subpackages included) and
 # per binary under cmd/, then their total: the count simplicity changes cite
-# (cat | wc -l over every *.go that is not a *_test.go).
+# (cat | wc -l over every *.go that is not a *_test.go). Then the knobs: flags
+# declared per binary (calls of the flag package's declaring functions) and
+# their total (the last pass of the loop counts all of cmd/).
 loc:
 	@for pkg in internal/*/ cmd/*/; do pkg=$${pkg%/}; \
 		printf '%-24s %6d\n' $$pkg $$(find $$pkg -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
 	done; \
-	printf '%-24s %6d\n' total $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)
+	printf '%-24s %6d\n' total $$(find internal cmd -name '*.go' -not -name '*_test.go' | xargs cat | wc -l); \
+	decl='flag\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|Var|Func|BoolFunc|TextVar)\('; \
+	for bin in cmd/*/ cmd; do bin=$${bin%/}; name=$$bin; [ $$bin = cmd ] && name=total; \
+		printf '%-24s %6d\n' "$$name flags" $$(find $$bin -name '*.go' -not -name '*_test.go' | xargs cat | grep -cE "$$decl"); \
+	done
 
 clean:
 	$(GO) clean ./...

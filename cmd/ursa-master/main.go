@@ -65,16 +65,6 @@ func main() {
 		showRows = flag.Int("show-rows", 10, "result rows to print per job")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "abort if the run exceeds this")
 
-		// Transport hardening knobs (see DESIGN.md §10).
-		handshakeTO = flag.Duration("handshake-timeout", remote.DefaultHandshakeTimeout,
-			"max wait for a connecting worker's Register frame")
-		writeDL = flag.Duration("write-deadline", remote.DefaultWriteDeadline,
-			"per-write deadline on worker control links (negative disables)")
-		drainDL = flag.Duration("drain-deadline", 0,
-			"graceful-close flush window for queued control frames (0 = default)")
-		shuffleIdle = flag.Duration("shuffle-read-idle", 0,
-			"canonical-store shuffle server idle-client cutoff (0 = default)")
-
 		// Data-plane knobs (see DESIGN.md §11).
 		compress = flag.Bool("shuffle-compress", false,
 			"compress shuffle contributions (in effect per worker only when the worker also enables it)")
@@ -88,12 +78,6 @@ func main() {
 			"run the multi-tenant submission front door instead of a preset workload")
 		tenantWeights = flag.String("tenant-weights", "",
 			"weighted fair-share map as name=weight pairs, e.g. ops=3,batch=1 (unlisted tenants weigh 1)")
-		admissionInterval = flag.Duration("admission-interval", 0,
-			"minimum spacing between batched admission flushes (0 = default)")
-		intakeCap = flag.Int("intake-cap", 0,
-			"max submissions parked in intake before rejection (0 = default)")
-		clientSendQueue = flag.Int("client-send-queue", 0,
-			"outbound frame queue per client connection; status updates drop when full (0 = default)")
 		tenantIntakeCap = flag.Int("tenant-intake-cap", 0,
 			"max queued submissions per tenant before rejection (0 = global cap only)")
 
@@ -124,10 +108,14 @@ func main() {
 			"primary lease TTL; a standby takes over after the lease expires unrenewed (0 = default 2s)")
 		snapshotEvery = flag.Int("snapshot-every", 0,
 			"journal snapshot/compaction cadence in events (0 = default)")
-		journalSync = flag.Duration("journal-sync", 0,
-			"journal fsync batching interval (0 = default)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() != f.DefValue })
+	if err := checkFlags(set); err != nil {
+		fmt.Fprintf(os.Stderr, "ursa-master: %v\n", err)
+		os.Exit(2)
+	}
 	if *list {
 		for _, name := range workload.Names() {
 			fmt.Println(name)
@@ -145,35 +133,27 @@ func main() {
 		fatal(err)
 	}
 	cfg := remote.Config{
-		Addr:                *listen,
-		Serve:               *serve,
-		AdmissionInterval:   *admissionInterval,
-		IntakeCap:           *intakeCap,
-		ClientSendQueue:     *clientSendQueue,
-		TenantIntakeCap:     *tenantIntakeCap,
-		JournalDir:          *journalDir,
-		LeaseTTL:            *lease,
-		SnapshotEvery:       *snapshotEvery,
-		JournalSyncInterval: *journalSync,
-		ShuffleAddr:         *shuffle,
-		Workers:             *workers,
-		CoresPerWorker:      *cores,
-		HeartbeatInterval:   *hb,
-		StatsInterval:       *stats,
-		HandshakeTimeout:    *handshakeTO,
-		WriteDeadline:       *writeDL,
-		DrainDeadline:       *drainDL,
-		ShuffleReadIdle:     *shuffleIdle,
-		Compress:            *compress,
-		ShuffleMemBudget:    *memBudget,
-		ShuffleSpillDir:     *spillDir,
-		Elastic:             *elasticMode,
-		Autoscale:           *autoscale,
-		MinWorkers:          *minWorkers,
-		MaxWorkers:          *maxWorkers,
-		AutoscaleInterval:   *autoscaleInterval,
-		ReserveCorrect:      *reserveCorrect,
-		SampleInterval:      eventloop.Duration(50 * time.Millisecond / time.Microsecond),
+		Addr:              *listen,
+		Serve:             *serve,
+		TenantIntakeCap:   *tenantIntakeCap,
+		JournalDir:        *journalDir,
+		LeaseTTL:          *lease,
+		SnapshotEvery:     *snapshotEvery,
+		ShuffleAddr:       *shuffle,
+		Workers:           *workers,
+		CoresPerWorker:    *cores,
+		HeartbeatInterval: *hb,
+		StatsInterval:     *stats,
+		Compress:          *compress,
+		ShuffleMemBudget:  *memBudget,
+		ShuffleSpillDir:   *spillDir,
+		Elastic:           *elasticMode,
+		Autoscale:         *autoscale,
+		MinWorkers:        *minWorkers,
+		MaxWorkers:        *maxWorkers,
+		AutoscaleInterval: *autoscaleInterval,
+		ReserveCorrect:    *reserveCorrect,
+		SampleInterval:    eventloop.Duration(50 * time.Millisecond / time.Microsecond),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -192,9 +172,6 @@ func main() {
 	cfg.Core.InterferencePenalty = *interfPen
 	cfg.Core.TenantWeights = weights
 	if *standby {
-		if *journalDir == "" {
-			fatal(errors.New("-standby requires -journal-dir"))
-		}
 		runStandby(cfg, *serve, *showRows, *timeout)
 		return
 	}
@@ -323,6 +300,36 @@ func runStandby(cfg remote.Config, serve bool, showRows int, timeout time.Durati
 	fmt.Printf("\nursa-master: inherited backlog finished in %.1fs\n", time.Since(wallStart).Seconds())
 	printResults(m, showRows)
 	fmt.Printf("\nfinal %s\n", m.Transport.StatsLine(time.Now()))
+}
+
+// flagNeeds lists the flags that act only through another one: given the
+// first without the second, the master would parse it and run as if it had
+// not been passed (-min-workers 1 -max-workers 4 without -autoscale never
+// scales), so it refuses instead.
+var flagNeeds = []struct{ flag, needs string }{
+	{"min-workers", "autoscale"},
+	{"max-workers", "autoscale"},
+	{"autoscale-interval", "autoscale"},
+	{"worker-bin", "autoscale"},
+	{"lease", "journal-dir"},
+	{"snapshot-every", "journal-dir"},
+	{"standby", "journal-dir"},
+	{"tenant-intake-cap", "serve"},
+}
+
+// checkFlags reports the first flag in set (the flags the command line gave
+// a non-default value) whose prerequisite is missing, and the one conflict:
+// a standby inherits its cluster and returns before -drain is read.
+func checkFlags(set map[string]bool) error {
+	for _, d := range flagNeeds {
+		if set[d.flag] && !set[d.needs] {
+			return fmt.Errorf("-%s needs -%s: without it the flag is not read", d.flag, d.needs)
+		}
+	}
+	if set["drain"] && set["standby"] {
+		return errors.New("-drain is not read under -standby (a standby inherits its cluster)")
+	}
+	return nil
 }
 
 func jobSpec(wl string, lines, parts, query, sales int) (string, []byte) {

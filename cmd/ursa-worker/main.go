@@ -43,30 +43,6 @@ func main() {
 		drainOnSignal = flag.Bool("drain-on-signal", false,
 			"on SIGINT/SIGTERM, request a graceful master-side drain (dispatch stops, fetch routing migrates, master answers DrainDone) instead of detaching immediately; a second signal forces the immediate path")
 
-		// Transport hardening knobs (see DESIGN.md §10).
-		regAttempts = flag.Int("register-attempts", agent.DefaultRegisterAttempts,
-			"registration attempts before giving up (1 = one-shot)")
-		regBackoff = flag.Duration("register-backoff", agent.DefaultRegisterBackoff,
-			"registration retry backoff base")
-		regBackoffMax = flag.Duration("register-backoff-max", agent.DefaultRegisterBackoffMax,
-			"registration retry backoff cap")
-		handshakeTO = flag.Duration("handshake-timeout", agent.DefaultHandshakeTimeout,
-			"max wait for the master's Welcome per registration attempt")
-		writeDL = flag.Duration("write-deadline", agent.DefaultWriteDeadline,
-			"per-write deadline on the master control link (negative disables)")
-		drainDL = flag.Duration("drain-deadline", 0,
-			"graceful-close flush window for queued control frames (0 = default)")
-		fetchTO = flag.Duration("fetch-timeout", 0,
-			"per-fetch shuffle response deadline (0 = default)")
-		fetchRetries = flag.Int("fetch-retries", 0,
-			"transient shuffle fetch retries before degrading to the master store (0 = default, negative disables)")
-		fetchBackoff = flag.Duration("fetch-backoff", 0,
-			"shuffle fetch retry backoff base (0 = default)")
-		fetchBackoffMax = flag.Duration("fetch-backoff-max", 0,
-			"shuffle fetch retry backoff cap (0 = default)")
-		shuffleIdle = flag.Duration("shuffle-read-idle", 0,
-			"shuffle server idle-client cutoff (0 = default)")
-
 		// Data-plane knobs (see DESIGN.md §11).
 		compress = flag.Bool("shuffle-compress", false,
 			"offer contribution compression (in effect only when the master also enables it)")
@@ -88,20 +64,9 @@ func main() {
 		MasterAddrs: addrs, ShuffleAddr: *shuffle, Cores: *cores,
 		MemBytes: *memAdv, CoreRate: *coreRateAdv,
 		NetBandwidth: *netAdv, DiskBandwidth: *diskAdv,
-		RegisterAttempts:   *regAttempts,
-		RegisterBackoff:    *regBackoff,
-		RegisterBackoffMax: *regBackoffMax,
-		HandshakeTimeout:   *handshakeTO,
-		WriteDeadline:      *writeDL,
-		DrainDeadline:      *drainDL,
-		FetchTimeout:       *fetchTO,
-		FetchRetries:       *fetchRetries,
-		FetchBackoff:       *fetchBackoff,
-		FetchBackoffMax:    *fetchBackoffMax,
-		ShuffleReadIdle:    *shuffleIdle,
-		Compress:           *compress,
-		ShuffleMemBudget:   *memBudget,
-		ShuffleSpillDir:    *spillDir,
+		Compress:         *compress,
+		ShuffleMemBudget: *memBudget,
+		ShuffleSpillDir:  *spillDir,
 	}
 	if !*quiet {
 		cfg.Logf = func(format string, args ...any) {

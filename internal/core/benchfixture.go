@@ -56,8 +56,7 @@ func NewPlacementBench(nWorkers, nStages, tasksPerStage int) *PlacementBench {
 // declared rate to hidden contention. Every worker's monitors are fed one
 // window of observations at its *effective* rates, so the snapshot the tick
 // scores against carries realistic heterogeneous, interference-displaced
-// measurements — the worst case for both the bucketed index and the
-// penalty path.
+// measurements — the worst case for the penalty path.
 func NewPlacementBenchHetero(nWorkers, nStages, tasksPerStage int) *PlacementBench {
 	slow := nWorkers / 4
 	if slow < 1 {
@@ -190,9 +189,8 @@ func (pb *PlacementBench) TickPlacements() []Placement {
 
 // FullRebuildPlacer is Algorithm 1 with nothing carried between passes and
 // nothing inferred within one: it discards the context's cached worker
-// snapshots and candidate index, so every pass re-reads every worker, and it
-// turns witness pruning off, so every pass scores every task against every
-// worker. It is the reference the equivalence suites compare the default
+// snapshots, so every pass re-reads every worker, and it turns witness
+// pruning off, so every pass scores every task against every worker. It is the reference the equivalence suites compare the default
 // placer against (installed through Config.Placer) and has no other use: it
 // does strictly more work for, as those suites prove, bit-identical
 // placements.
@@ -200,7 +198,6 @@ type FullRebuildPlacer struct{}
 
 func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
 	ctx.snapValid = false
-	ctx.idxValid = false
 	ctx.exhaustive = true
 	out := Algorithm1{}.Place(ctx)
 	ctx.exhaustive = false

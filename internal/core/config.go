@@ -78,14 +78,6 @@ type Config struct {
 	// RateWindow is the processing-rate observation period at workers.
 	RateWindow eventloop.Duration
 
-	// CandidateWorkers is the one approximation knob of placement: it
-	// bounds how many candidate workers each task is scored against to the
-	// top K by headroom on the task's dominant resource kind, drawn from a
-	// bucketed per-kind index that also applies the memory gate, trading a
-	// bounded score loss for O(K) instead of O(W) scoring per task. 0
-	// (default) or any value ≥ the worker count selects the exact full
-	// scan, which is what every binary and experiment runs.
-	CandidateWorkers int
 	// InterferencePenalty scales each resource term of the placement score
 	// F(t,w) by the worker's observed-vs-nominal rate deviation, normalized
 	// against the best-deviating live worker (see PlaceContext.prepare):

@@ -245,23 +245,23 @@ func TestScoreTaskViabilityGate(t *testing.T) {
 	cpuTask.EstUsage[resource.CPU] = 1e6
 
 	for wi, label := range map[int]string{0: "failed", 1: "draining"} {
-		if _, _, ok := scoreTask(ctx, zeroTask, wi, d[wi]); ok {
+		if _, ok := scoreTask(ctx, zeroTask, wi, &d[wi]); ok {
 			t.Errorf("zero-estimate task scored ok on %s worker", label)
 		}
-		if _, _, ok := scoreTask(ctx, &cpuTask, wi, d[wi]); ok {
+		if _, ok := scoreTask(ctx, &cpuTask, wi, &d[wi]); ok {
 			t.Errorf("cpu task scored ok on %s worker", label)
 		}
 	}
 	// Healthy worker with headroom hosts both.
-	if _, _, ok := scoreTask(ctx, zeroTask, 2, d[2]); !ok {
+	if _, ok := scoreTask(ctx, zeroTask, 2, &d[2]); !ok {
 		t.Error("zero-estimate task rejected on healthy worker with headroom")
 	}
-	if _, _, ok := scoreTask(ctx, &cpuTask, 2, d[2]); !ok {
+	if _, ok := scoreTask(ctx, &cpuTask, 2, &d[2]); !ok {
 		t.Error("cpu task rejected on healthy worker with headroom")
 	}
 	// A healthy but fully saturated worker (headroom zeroed on every
 	// dimension) must not absorb zero-estimate tasks.
-	if _, _, ok := scoreTask(ctx, zeroTask, 2, dVec{}); ok {
+	if _, ok := scoreTask(ctx, zeroTask, 2, &dVec{}); ok {
 		t.Error("zero-estimate task scored ok on zero-headroom worker")
 	}
 }
@@ -316,8 +316,8 @@ func TestInterferencePenaltySteersScore(t *testing.T) {
 	var task dag.Task
 	task.Worker = -1
 	task.EstUsage[resource.CPU] = 1e6
-	fPen0, _, ok0 := scoreTask(ctx, &task, 0, d[0])
-	fPen1, _, ok1 := scoreTask(ctx, &task, 1, d[1])
+	fPen0, ok0 := scoreTask(ctx, &task, 0, &d[0])
+	fPen1, ok1 := scoreTask(ctx, &task, 1, &d[1])
 	if !ok0 || !ok1 {
 		t.Fatal("both workers should be viable")
 	}
@@ -332,8 +332,8 @@ func TestInterferencePenaltySteersScore(t *testing.T) {
 	ctxOff := &PlaceContext{Now: loop.Now(), Cfg: &off, Workers: sys.Workers}
 	ctxOff.prepare()
 	dOff := ctxOff.computeD()
-	fOff0, _, _ := scoreTask(ctxOff, &task, 0, dOff[0])
-	fOff1, _, _ := scoreTask(ctxOff, &task, 1, dOff[1])
+	fOff0, _ := scoreTask(ctxOff, &task, 0, &dOff[0])
+	fOff1, _ := scoreTask(ctxOff, &task, 1, &dOff[1])
 	if fOff1 <= fOff0 {
 		t.Errorf("penalty off: expected contended F=%v > healthy F=%v (blind preference)", fOff1, fOff0)
 	}

@@ -19,20 +19,18 @@ type Placement struct {
 // each scheduling interval. Worker rates and memory levels are snapshotted
 // per worker and carried from one interval to the next, refreshed only for
 // workers whose state changed (see prepare): placement is O(stages × tasks
-// × workers) in the worst case (O(stages × tasks × K) with
-// Config.CandidateWorkers), so per-candidate indirection matters. On a
-// saturated pool, where most tasks find no worker, the exact scan pays the
-// worker factor only for the tasks an earlier failure of the same stage scan
-// does not already rule out (see unplaceableLike): O(stages × tasks) plus
+// × workers) in the worst case, so per-candidate indirection matters. On a
+// saturated pool, where most tasks find no worker, the scan pays the worker
+// factor only for the tasks an earlier failure of the same stage scan does
+// not already rule out (see unplaceableLike): O(stages × tasks) plus
 // O(workers) per task that has to be scored.
 //
 // The context owns all scratch state the placement pass needs (headroom
 // vectors, the trial-placement undo journal, candidate ranking and output
-// buffers, the top-K worker index) and reuses it across scheduling
-// intervals, so a steady-state tick runs without heap allocation. The
-// scheduler keeps one PlaceContext alive for the lifetime of the run;
-// slices returned by Place are valid only until the next Place call on the
-// same context.
+// buffers) and reuses it across scheduling intervals, so a steady-state tick
+// runs without heap allocation. The scheduler keeps one PlaceContext alive
+// for the lifetime of the run; slices returned by Place are valid only until
+// the next Place call on the same context.
 type PlaceContext struct {
 	Now     eventloop.Time
 	Cfg     *Config
@@ -62,8 +60,8 @@ type PlaceContext struct {
 
 	// d holds the per-worker headroom vectors for the current interval.
 	d []dVec
-	// undo journals trial mutations of d during StageScore evaluation so a
-	// rejected plan rolls back without copying the whole headroom array.
+	// undo journals the ranking pass's trial mutations of d, one stage at a
+	// time, so a plan rolls back without copying the whole headroom array.
 	undo []undoEntry
 	// cands ranks viable stages within one interval.
 	cands []stageCand
@@ -85,13 +83,6 @@ type PlaceContext struct {
 	// headroom counts workers with any positive d entry, maintained by the
 	// commit path so anyHeadroom is O(1) instead of O(W) per query.
 	headroom int
-
-	// idx ranks workers by per-kind interval-initial headroom for top-K
-	// candidate selection; valid only while useIdx.
-	idx      headroomIndex
-	idxValid bool
-	useIdx   bool
-	candK    int
 
 	// exhaustive turns witness pruning off (see stageScoreOn): every task is
 	// scored against every worker. Only FullRebuildPlacer sets it, so the
@@ -310,18 +301,19 @@ const smallSortThreshold = 32
 
 func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 	ctx.prepare()
-	d := ctx.computeD()
-	ctx.prepareIndex(d)
+	ctx.computeD()
 	ctx.out = ctx.out[:0]
 	if ctx.Cfg.DisableStageAware {
 		// Ablation (§5.2): repeatedly pick the single best-scoring task
 		// across all stages instead of whole stages.
 		for ctx.headroom > 0 {
-			pl, ok := bestSingleTask(ctx, d)
+			pl, ok := bestSingleTask(ctx)
 			if !ok {
 				break
 			}
-			commit(ctx, d, pl.Task, pl.Worker)
+			ctx.commit(pl.Task, pl.Worker.ID)
+			// Mark as planned so bestSingleTask skips it within this interval.
+			pl.Task.Worker = pl.Worker.ID
 			ctx.out = append(ctx.out, pl)
 		}
 		return ctx.out
@@ -331,10 +323,10 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 	// initial headroom, then commit plans in rank order, recomputing each
 	// stage's plan against the updated D just before committing. This
 	// preserves the greedy stage-at-a-time semantics while keeping each
-	// interval O(2 · stages · tasks · workers) — O(K) per task with
-	// CandidateWorkers. Trial plans mutate D in place and roll back
-	// through the undo journal, so no candidate copies the headroom array.
-	ctx.rankPass(d)
+	// interval O(2 · stages · tasks · workers). Trial plans mutate D in
+	// place and roll back through the undo journal, so no candidate copies
+	// the headroom array.
+	ctx.rankPass()
 	cands := ctx.cands
 	if len(cands) > smallSortThreshold {
 		// slices.SortStableFunc keeps the concrete []stageCand type through
@@ -360,24 +352,24 @@ func (Algorithm1) Place(ctx *PlaceContext) []Placement {
 		if ctx.headroom == 0 {
 			break
 		}
-		if !stageViable(ctx, c.ps, d) {
+		if !stageViable(ctx, c.ps) {
 			continue
 		}
-		ctx.stageScoreOn(c.ps, d, &ctx.undo, true)
+		ctx.stageScoreOn(c.ps, true)
 	}
 	return ctx.out
 }
 
 // rankPass runs the keep=false ranking pass of the two-pass placement,
 // filling ctx.cands with the viable stages and their scores against the
-// interval's initial headroom (stageScoreOn restores d after every stage).
-func (ctx *PlaceContext) rankPass(d []dVec) {
+// interval's initial headroom (stageScoreOn restores it after every stage).
+func (ctx *PlaceContext) rankPass() {
 	ctx.cands = ctx.cands[:0]
 	for _, ps := range ctx.Pending {
-		if !stageViable(ctx, ps, d) {
+		if !stageViable(ctx, ps) {
 			continue
 		}
-		score, placed := ctx.stageScoreOn(ps, d, &ctx.undo, false)
+		score, placed := ctx.stageScoreOn(ps, false)
 		if placed == 0 {
 			continue
 		}
@@ -385,49 +377,9 @@ func (ctx *PlaceContext) rankPass(d []dVec) {
 	}
 }
 
-// prepareIndex decides whether top-K candidate selection applies this tick
-// (0 < K < W; anything else is the exact scan and builds no index) and
-// brings the headroom index in sync with d: only workers whose snapshot was
-// refreshed are re-bucketed, and the index is rebuilt when it was not in
-// use on the previous tick or the worker count changed.
-func (ctx *PlaceContext) prepareIndex(d []dVec) {
-	k := ctx.Cfg.CandidateWorkers
-	ctx.useIdx = k > 0 && k < len(ctx.Workers)
-	ctx.candK = k
-	if !ctx.useIdx {
-		ctx.idxValid = false
-		return
-	}
-	if !ctx.idxValid || ctx.idx.n != len(d) {
-		ctx.idx.rebuild(d)
-		ctx.idxValid = true
-		return
-	}
-	for i := range d {
-		if ctx.refreshed[i] {
-			ctx.idx.update(i, &d[i])
-		}
-	}
-}
-
-// domKind returns the task's dominant monotask resource kind, the dimension
-// whose headroom index orders its candidate workers.
-func (ctx *PlaceContext) domKind(t *dag.Task) int {
-	dom, dv := int(resource.CPU), t.EstUsage[resource.CPU]
-	if !ctx.Cfg.IgnoreNetworkDemand && t.EstUsage[resource.Net] > dv {
-		dom, dv = int(resource.Net), t.EstUsage[resource.Net]
-	}
-	if t.EstUsage[resource.Disk] > dv {
-		dom = int(resource.Disk)
-	}
-	return dom
-}
-
 // stageViable cheaply rejects stages no worker can currently host, judging
 // the whole stage by one representative, ps.Tasks[0]. This keeps saturated
-// scheduling intervals cheap. With the candidate index only the top-K
-// memory-viable workers on the stage's dominant kind are examined, mirroring
-// the scoring restriction.
+// scheduling intervals cheap.
 //
 // The representative stands for its stage-mates' resource kinds (in every
 // shipped workload the tasks of a stage demand the same kinds) but not for
@@ -438,12 +390,12 @@ func (ctx *PlaceContext) domKind(t *dag.Task) int {
 // skipped whole while smaller stage-mates would fit. Known and left as is:
 // testing the stage's least memory instead changes schedules and every paper
 // table (ROADMAP item 8).
-func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
+func stageViable(ctx *PlaceContext, ps *PendingStage) bool {
 	if len(ps.Tasks) == 0 {
 		return false
 	}
 	t := ps.Tasks[0]
-	needs := [4]bool{}
+	needs := [3]bool{}
 	for _, k := range resource.MonotaskKinds {
 		if k == resource.Net && ctx.Cfg.IgnoreNetworkDemand {
 			continue
@@ -451,38 +403,14 @@ func stageViable(ctx *PlaceContext, ps *PendingStage, d []dVec) bool {
 		needs[k] = t.EstUsage[k] > 0
 	}
 	mem := t.EstUsage[resource.Mem]
-	hosts := func(wi int) bool {
-		ok := ctx.memFree[wi] >= mem
-		for k := 0; ok && k < 3; k++ {
-			if needs[k] && d[wi][k] <= 0 {
-				ok = false
-			}
+	for wi := range ctx.d {
+		d := &ctx.d[wi]
+		hosts := ctx.memFree[wi] >= mem
+		for k := 0; hosts && k < 3; k++ {
+			hosts = !(needs[k] && d[k] <= 0)
 		}
-		return ok
-	}
-	if !ctx.useIdx {
-		for wi := range ctx.Workers {
-			if hosts(wi) {
-				return true
-			}
-		}
-		return false
-	}
-	buckets := ctx.idx.buckets[ctx.domKind(t)]
-	examined := 0
-	for bi := idxBuckets - 1; bi >= 0; bi-- {
-		for _, wj := range buckets[bi] {
-			wi := int(wj)
-			if ctx.memFree[wi] < mem {
-				continue // memory gate: not a candidate
-			}
-			if hosts(wi) {
-				return true
-			}
-			examined++
-			if examined >= ctx.candK {
-				return false
-			}
+		if hosts {
+			return true
 		}
 	}
 	return false
@@ -533,31 +461,35 @@ func incVec(ctx *PlaceContext, t *dag.Task, wi int) dVec {
 	return inc
 }
 
-// scoreTask computes F(t,w), returning ok=false when w is not viable: it is
-// failed or draining (memFree carries the -1 sentinel), it lacks memory,
-// some resource is exhausted (D_r = 0) while the task needs it (Inc_r > 0)
-// — placing there would block the task (§4.2.2) — or the task demands
-// nothing at all while the worker retains no headroom on any dimension (a
-// zero-estimate task must not land on a saturated worker). With
-// Config.InterferencePenalty the score is scaled by the worker's
+// scoreTask computes F(t,w) against w's headroom d, returning ok=false when
+// w is not viable: it is failed or draining (memFree carries the -1
+// sentinel), it lacks memory, some resource is exhausted (D_r = 0) while the
+// task needs it (Inc_r > 0) — placing there would block the task (§4.2.2) —
+// or the task demands nothing at all while the worker retains no headroom on
+// any dimension (a zero-estimate task must not land on a saturated worker).
+// With Config.InterferencePenalty the score is scaled by the worker's
 // observed-vs-nominal penalty factor (see computePenalty); scaling by
 // exactly 1.0 when the flag is off would leave F bit-identical, and the
 // branch keeps even that multiply off the default path.
-func scoreTask(ctx *PlaceContext, t *dag.Task, wi int, d dVec) (f float64, inc dVec, ok bool) {
+//
+// It runs once per (task, worker) candidate, so nothing array-sized crosses
+// the call: d comes by pointer, and the increase is not returned, because
+// only the winning worker's is ever applied and incVec recomputes that one
+// exactly (it reads nothing a pass changes).
+func scoreTask(ctx *PlaceContext, t *dag.Task, wi int, d *dVec) (f float64, ok bool) {
 	if ctx.memFree[wi] < 0 || ctx.memFree[wi] < t.EstUsage[resource.Mem] {
-		return 0, inc, false
+		return 0, false
 	}
-	inc = incVec(ctx, t, wi)
+	inc := incVec(ctx, t, wi)
 	demanding := false
-	for k := range d {
+	for k, dk := range d {
 		ik := inc[k]
 		if ik <= 0 {
 			continue
 		}
 		demanding = true
-		dk := d[k]
 		if dk <= 0 {
-			return 0, inc, false
+			return 0, false
 		}
 		if ik > dk {
 			// Availability is bounded by D_r: cap the contribution.
@@ -565,64 +497,38 @@ func scoreTask(ctx *PlaceContext, t *dag.Task, wi int, d dVec) (f float64, inc d
 		}
 		f += dk * ik
 	}
-	if !demanding && !anyVec(&d) {
-		return 0, inc, false
+	if !demanding && !anyVec(d) {
+		return 0, false
 	}
 	if ctx.usePen {
 		f *= ctx.pen[wi]
 	}
-	return f, inc, true
+	return f, true
 }
 
-// bestWorkerFor finds the highest-F viable worker for t against d. The
-// exact path scans every worker; with the candidate index only the top
-// Config.CandidateWorkers memory-viable workers on the task's dominant
-// resource kind are scored. Ties keep the earliest candidate, matching the
-// exact scan's lowest-worker-ID tie-break when the full scan is in effect.
-func (ctx *PlaceContext) bestWorkerFor(t *dag.Task, d []dVec) (bestW int, bestF float64, bestInc dVec) {
+// bestWorkerFor scores t against every worker's current headroom and returns
+// the highest-F viable one, or -1. Ties keep the lowest worker ID.
+func (ctx *PlaceContext) bestWorkerFor(t *dag.Task) (bestW int, bestF float64) {
 	bestW = -1
-	if !ctx.useIdx {
-		for wi := range ctx.Workers {
-			f, inc, ok := scoreTask(ctx, t, wi, d[wi])
-			if !ok {
-				continue
-			}
-			if bestW < 0 || f > bestF {
-				bestW, bestF, bestInc = wi, f, inc
-			}
-		}
-		return
-	}
-	buckets := ctx.idx.buckets[ctx.domKind(t)]
-	examined := 0
-	for bi := idxBuckets - 1; bi >= 0; bi-- {
-		for _, wj := range buckets[bi] {
-			wi := int(wj)
-			if ctx.memFree[wi] < t.EstUsage[resource.Mem] {
-				continue // memory gate: not a candidate
-			}
-			f, inc, ok := scoreTask(ctx, t, wi, d[wi])
-			if ok && (bestW < 0 || f > bestF) {
-				bestW, bestF, bestInc = wi, f, inc
-			}
-			examined++
-			if examined >= ctx.candK {
-				return
-			}
+	d := ctx.d
+	for wi := range d {
+		f, ok := scoreTask(ctx, t, wi, &d[wi])
+		if ok && (bestW < 0 || f > bestF) {
+			bestW, bestF = wi, f
 		}
 	}
-	return
+	return bestW, bestF
 }
 
-// applyInc commits a placement's load increase to the D copy.
-func applyInc(d dVec, inc dVec) dVec {
+// applyInc subtracts t's load increase on worker wi from its headroom.
+func applyInc(ctx *PlaceContext, t *dag.Task, wi int, d *dVec) {
+	inc := incVec(ctx, t, wi)
 	for k := range d {
 		d[k] -= inc[k]
 		if d[k] < 0 {
 			d[k] = 0
 		}
 	}
-	return d
 }
 
 // unplaceableLike reports whether t is certain to find no worker because
@@ -655,14 +561,15 @@ func (ctx *PlaceContext) unplaceableLike(t, witness *dag.Task) bool {
 }
 
 // stageScoreOn implements the StageScore function of Algorithm 1. It plans
-// the stage's tasks greedily against d, mutating d in place and journalling
-// each mutation in undo. When keep is false (the ranking pass) every
-// mutation is rolled back before returning, so d is restored to its
-// pre-call state and no context-level state is touched. When keep is true
-// (the commit pass) the mutations stand, the plan's placements are appended
-// to ctx.out, mutated workers are marked for snapshot refresh, and the O(1)
-// headroom count is maintained. It returns the normalized score (plus the
-// stage bonus when every task was placed) and the number of tasks placed.
+// the stage's tasks greedily against the interval's headroom ctx.d, mutating
+// it in place. When keep is false (the ranking pass) every mutation is
+// journalled in ctx.undo and rolled back before returning, so the headroom is
+// restored to its pre-call state and no context-level state is touched. When
+// keep is true (the commit pass) the mutations stand, the plan's placements
+// are appended to ctx.out, mutated workers are marked for snapshot refresh,
+// and the O(1) headroom count is maintained. It returns the normalized score
+// (plus the stage bonus when every task was placed) and the number of tasks
+// placed.
 //
 // Witness pruning: the first task of the scan that no worker can host is
 // kept as a witness, and a later task it rules out (unplaceableLike) is not
@@ -670,11 +577,9 @@ func (ctx *PlaceContext) unplaceableLike(t, witness *dag.Task) bool {
 // to the score and only clears the bonus, which the witness already did, so
 // the plan and the score are bit-identical to the exhaustive scan's. On a
 // saturated cluster this is most of the pool. The witness lives for one
-// call. It is not used with the top-K index, where a task that needs more
-// memory skips different candidates, so a smaller task's failure proves
-// nothing about it, nor by the exhaustive reference.
-func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEntry, keep bool) (float64, int) {
-	mark := len(*undo)
+// call, and the exhaustive reference forms none.
+func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, keep bool) (float64, int) {
+	d := ctx.d
 	score := 0.0
 	placed := 0
 	bonus := stageBonus
@@ -685,38 +590,31 @@ func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEn
 			skipped++
 			continue
 		}
-		bestW, bestF, bestInc := ctx.bestWorkerFor(t, d)
-		if bestW < 0 {
+		w, f := ctx.bestWorkerFor(t)
+		if w < 0 {
 			bonus = 0
-			if witness == nil && !ctx.useIdx && !ctx.exhaustive {
+			if witness == nil && !ctx.exhaustive {
 				witness = t
 			}
 			continue
 		}
-		*undo = append(*undo, undoEntry{wi: bestW, old: d[bestW]})
 		if keep {
-			had := anyVec(&d[bestW])
-			d[bestW] = applyInc(d[bestW], bestInc)
-			if had && !anyVec(&d[bestW]) {
-				ctx.headroom--
-			}
-			ctx.touched[bestW] = true
-			ctx.out = append(ctx.out, Placement{Stage: ps, Task: t, Worker: ctx.Workers[bestW]})
+			ctx.commit(t, w)
+			ctx.out = append(ctx.out, Placement{Stage: ps, Task: t, Worker: ctx.Workers[w]})
 		} else {
-			d[bestW] = applyInc(d[bestW], bestInc)
+			ctx.undo = append(ctx.undo, undoEntry{wi: w, old: d[w]})
+			applyInc(ctx, t, w, &d[w])
 		}
-		score += bestF
+		score += f
 		placed++
 	}
 	ctx.scanned += uint64(len(ps.Tasks))
 	ctx.skipped += uint64(skipped)
-	if !keep {
-		for i := len(*undo) - 1; i >= mark; i-- {
-			e := (*undo)[i]
-			d[e.wi] = e.old
-		}
+	for i := len(ctx.undo) - 1; i >= 0; i-- {
+		e := &ctx.undo[i]
+		d[e.wi] = e.old
 	}
-	*undo = (*undo)[:mark]
+	ctx.undo = ctx.undo[:0]
 	if placed == 0 {
 		return 0, 0
 	}
@@ -726,12 +624,12 @@ func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, d []dVec, undo *[]undoEn
 // bestSingleTask is the non-stage-aware ablation: the highest-F (task,
 // worker) pair across the whole pool, with the job-ordering boost applied
 // per task.
-func bestSingleTask(ctx *PlaceContext, d []dVec) (Placement, bool) {
+func bestSingleTask(ctx *PlaceContext) (Placement, bool) {
 	best := Placement{}
 	bestScore := 0.0
 	found := false
 	for _, ps := range ctx.Pending {
-		if !stageViable(ctx, ps, d) {
+		if !stageViable(ctx, ps) {
 			continue
 		}
 		boost := ctx.OrderBoost(ps.Job)
@@ -739,7 +637,7 @@ func bestSingleTask(ctx *PlaceContext, d []dVec) (Placement, bool) {
 			if t.Worker >= 0 {
 				continue
 			}
-			w, f, _ := ctx.bestWorkerFor(t, d)
+			w, f := ctx.bestWorkerFor(t)
 			if w < 0 {
 				continue
 			}
@@ -752,16 +650,14 @@ func bestSingleTask(ctx *PlaceContext, d []dVec) (Placement, bool) {
 	return best, found
 }
 
-// commit applies a single placement to D (non-stage-aware path), keeping
-// the headroom count and snapshot-refresh marks consistent.
-func commit(ctx *PlaceContext, d []dVec, t *dag.Task, w *Worker) {
-	_, inc, _ := scoreTask(ctx, t, w.ID, d[w.ID])
-	had := anyVec(&d[w.ID])
-	d[w.ID] = applyInc(d[w.ID], inc)
-	if had && !anyVec(&d[w.ID]) {
+// commit applies a placement of t on worker wi to D for good, keeping the
+// headroom count and snapshot-refresh marks consistent.
+func (ctx *PlaceContext) commit(t *dag.Task, wi int) {
+	d := &ctx.d[wi]
+	had := anyVec(d)
+	applyInc(ctx, t, wi, d)
+	if had && !anyVec(d) {
 		ctx.headroom--
 	}
-	ctx.touched[w.ID] = true
-	// Mark as planned so bestSingleTask skips it within this interval.
-	t.Worker = w.ID
+	ctx.touched[wi] = true
 }

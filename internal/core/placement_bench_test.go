@@ -70,24 +70,8 @@ func TestPlacementTickDoesNotAllocate(t *testing.T) {
 // (20 workers), closer to what one 100 ms interval really costs.
 func BenchmarkPlacementTickSmall(b *testing.B) { benchTick(b, NewPlacementBench(20, 8, 16)) }
 
-// benchTickAt runs the placement tick benchmark at a given cluster scale
-// with CandidateWorkers = k (0: the exact scan). The exact/top-K pair at
-// 1024 workers feeds the EXPERIMENTS.md cluster-scale table.
-func benchTickAt(b *testing.B, workers, stages, tasks, k int) {
-	b.Helper()
-	pb := NewPlacementBench(workers, stages, tasks)
-	pb.Configure(func(c *Config) { c.CandidateWorkers = k })
-	benchTick(b, pb)
-}
-
-// BenchmarkPlacementTickMediumExact / ...Medium measure a 256-worker pool.
-func BenchmarkPlacementTickMediumExact(b *testing.B) { benchTickAt(b, 256, 64, 16, 0) }
-func BenchmarkPlacementTickMedium(b *testing.B)      { benchTickAt(b, 256, 64, 16, 16) }
-
-// BenchmarkPlacementTickLargeExact is the exact scan at cluster scale: 1024
-// workers × 256 stages × 16 tasks.
-func BenchmarkPlacementTickLargeExact(b *testing.B) { benchTickAt(b, 1024, 256, 16, 0) }
-
-// BenchmarkPlacementTickLarge is the same pool scored against the top 16
-// candidate workers per task.
-func BenchmarkPlacementTickLarge(b *testing.B) { benchTickAt(b, 1024, 256, 16, 16) }
+// BenchmarkPlacementTickMedium and ...Large are the idle-worker pass at 256
+// and at 1024 workers (64 and 256 stages of 16 tasks): the record of how the
+// scan grows with the worker count (EXPERIMENTS.md, cluster-scale table).
+func BenchmarkPlacementTickMedium(b *testing.B) { benchTick(b, NewPlacementBench(256, 64, 16)) }
+func BenchmarkPlacementTickLarge(b *testing.B)  { benchTick(b, NewPlacementBench(1024, 256, 16)) }

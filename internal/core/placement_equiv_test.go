@@ -7,10 +7,13 @@ package core
 // every task against every worker on every pass, at tick granularity on the
 // bench fixtures and at system granularity on full simulated runs (including
 // a worker failure). witness_test.go holds the pools built to break a wrong
-// pruning rule. The top-K approximation is pinned separately: where it
-// is an exact scan, that it is deterministic, and that it starves nothing.
+// pruning rule, and TestTickGolden pins the placements themselves, which no
+// comparison between two placers that share the scan can.
 
 import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"ursa/internal/eventloop"
@@ -62,53 +65,50 @@ func TestTickEquivalence(t *testing.T) {
 	assertSameTicks(t, "default", exact, NewPlacementBench(48, 24, 8), 6)
 	exact = saturatedBench()
 	exact.Configure(fullRebuild)
-	assertSameTicks(t, "saturated", exact, saturatedBench(), 3)
-}
-
-// TestTickTopKIndexGate pins where CandidateWorkers is an approximation and where
-// it is not: the candidate index is built only for 0 < K < W, so K ≥ W is the
-// exact scan (same placements, no index), and K < W goes through the index.
-func TestTickTopKIndexGate(t *testing.T) {
-	for _, k := range []int{0, 48, 1 << 20} {
-		exact := NewPlacementBench(48, 24, 8)
-		exact.Configure(fullRebuild)
-		topk := NewPlacementBench(48, 24, 8)
-		topk.Configure(func(c *Config) { c.CandidateWorkers = k })
-		assertSameTicks(t, "K>=W", exact, topk, 4)
-		if topk.ctx.useIdx || topk.ctx.idxValid {
-			t.Fatalf("CandidateWorkers=%d on 48 workers built a candidate index", k)
-		}
-	}
-	topk := NewPlacementBench(48, 24, 8)
-	topk.Configure(func(c *Config) { c.CandidateWorkers = 47 })
-	topk.Tick()
-	if !topk.ctx.useIdx || !topk.ctx.idxValid {
-		t.Fatal("CandidateWorkers=47 on 48 workers did not build a candidate index")
+	pruned := saturatedBench()
+	assertSameTicks(t, "saturated", exact, pruned, 3)
+	// The comparison above means little if no witness ever forms: on this
+	// fixture the default pass must settle most task scans without scoring.
+	if 2*pruned.ctx.skipped < pruned.ctx.scanned {
+		t.Errorf("saturated: default pass skipped %d of %d task scans; the fixture should skip most", pruned.ctx.skipped, pruned.ctx.scanned)
 	}
 }
 
-// TestTickTopKSmallDeterministic pins down that the approximate K < W path
-// is itself deterministic (two identical fixtures agree tick for tick) and
-// still saturates the pool.
-func TestTickTopKSmallDeterministic(t *testing.T) {
-	mk := func() *PlacementBench {
-		pb := NewPlacementBench(48, 24, 8)
-		pb.Configure(func(c *Config) { c.CandidateWorkers = 8 })
-		return pb
+// TestTickGolden pins six ticks of the three fixtures the allocation test
+// runs to recorded placements (their count and an FNV-64a hash of every
+// (stage, task, worker) in order). Every other test in this file compares the
+// default placer with FullRebuildPlacer, and both call the same scoreTask,
+// bestWorkerFor and incVec: an edit there moves the two alike and only a
+// recorded value notices. Recorded on amd64 at 3ca3686, before the scan was
+// rewritten, and checked on amd64 only: an architecture whose compiler fuses
+// multiply-add rounds F(t,w) differently and may break ties differently. A
+// change that means to move placements re-records from the failure message.
+func TestTickGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("placement goldens are recorded on amd64 (no fused multiply-add in F)")
 	}
-	a, b := mk(), mk()
-	for tick := 0; tick < 6; tick++ {
-		ka, kb := tickKeys(a), tickKeys(b)
-		if len(ka) == 0 {
-			t.Fatal("top-K path placed nothing")
-		}
-		if len(ka) != len(kb) {
-			t.Fatalf("tick %d: run A placed %d, run B %d", tick, len(ka), len(kb))
-		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				t.Fatalf("tick %d placement %d differs: %+v vs %+v", tick, i, ka[i], kb[i])
+	for _, c := range []struct {
+		name   string
+		pb     *PlacementBench
+		placed int
+		hash   uint64
+	}{
+		{"uniform", NewPlacementBench(64, 32, 16), 1746, 0xfb977cb317f82f9f},
+		{"hetero+penalty", heteroPenaltyBench(), 1320, 0xf8910423f960b165},
+		{"saturated", saturatedBench(), 48, 0x785b53c17cc7491d},
+	} {
+		h := fnv.New64a()
+		placed := 0
+		for tick := 0; tick < 6; tick++ {
+			keys := tickKeys(c.pb)
+			placed += len(keys)
+			for _, k := range keys {
+				fmt.Fprintf(h, "%d/%d/%d;", k.stage, k.task, k.worker)
 			}
+			fmt.Fprint(h, "|")
+		}
+		if placed != c.placed || h.Sum64() != c.hash {
+			t.Errorf("%s: placements moved: %d, %#x; recorded %d, %#x", c.name, placed, h.Sum64(), c.placed, c.hash)
 		}
 	}
 }
@@ -204,19 +204,6 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("penalty=%v: job %d finished at %v, full rebuild %v", penalty, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestSystemTopKSmallCompletes checks that the approximate K < W candidate
-// path still drives full workloads to completion (no task starves because
-// its viable worker sits outside the candidate set forever).
-func TestSystemTopKSmallCompletes(t *testing.T) {
-	cfg := Config{CandidateWorkers: 2} // 4 workers: genuinely restrictive
-	times := runSystem(t, cfg, 6, 0)
-	for i, at := range times {
-		if at <= 0 {
-			t.Errorf("job %d never finished (at=%v)", i, at)
 		}
 	}
 }

@@ -131,22 +131,6 @@ func TestTickWitnessRespectsKinds(t *testing.T) {
 	}
 }
 
-// TestTickWitnessNotUsedWithIndex: with the top-K index a task that needs
-// more memory examines different candidates, so a witness proves nothing and
-// none may form, on the very pool where the exact scan skips most tasks.
-func TestTickWitnessNotUsedWithIndex(t *testing.T) {
-	exact, topk := saturatedBench(), saturatedBench()
-	topk.Configure(func(c *Config) { c.CandidateWorkers = 8 })
-	exact.Tick()
-	topk.Tick()
-	if !topk.ctx.useIdx || topk.ctx.skipped != 0 {
-		t.Errorf("top-K pass: index in use %v, skipped %d task scans, want 0", topk.ctx.useIdx, topk.ctx.skipped)
-	}
-	if 2*exact.ctx.skipped < exact.ctx.scanned {
-		t.Errorf("exact pass skipped %d of %d task scans; the saturated fixture should skip most", exact.ctx.skipped, exact.ctx.scanned)
-	}
-}
-
 // TestTickEquivalenceRandomPools compares the default placer with the
 // exhaustive reference on small random pools over partly exhausted workers:
 // tasks of one stage differ in which kinds they demand and in memory, workers

@@ -156,17 +156,17 @@ func TestScoreTaskViabilityGates(t *testing.T) {
 		Set(resource.Mem, 1e9)
 
 	full := dVec{1, 1, 1, 1}
-	if _, _, ok := scoreTask(ctx, task, 0, full); !ok {
+	if _, ok := scoreTask(ctx, task, 0, &full); !ok {
 		t.Error("task rejected on a fully free worker")
 	}
 	// CPU exhausted: the task needs CPU, so the worker is not viable.
 	noCPU := dVec{0, 1, 1, 1}
-	if _, _, ok := scoreTask(ctx, task, 0, noCPU); ok {
+	if _, ok := scoreTask(ctx, task, 0, &noCPU); ok {
 		t.Error("task accepted on a worker with D_cpu = 0")
 	}
 	// Memory too small.
 	task.EstUsage = task.EstUsage.Set(resource.Mem, 1e18)
-	if _, _, ok := scoreTask(ctx, task, 0, full); ok {
+	if _, ok := scoreTask(ctx, task, 0, &full); ok {
 		t.Error("task accepted without memory")
 	}
 }
@@ -183,7 +183,7 @@ func TestScoreTaskCapsContribution(t *testing.T) {
 		Set(resource.CPU, 1e15).
 		Set(resource.Net, 1e15)
 	d := dVec{0.5, 0.25, 1, 1}
-	f, _, ok := scoreTask(ctx, task, 0, d)
+	f, ok := scoreTask(ctx, task, 0, &d)
 	if !ok {
 		t.Fatal("viable task rejected")
 	}
@@ -206,7 +206,7 @@ func TestPropertyPlacementNeverExceedsMemory(t *testing.T) {
 		task.EstUsage = resource.Vector{}.
 			Set(resource.CPU, 1e8).
 			Set(resource.Mem, est)
-		_, _, ok := scoreTask(ctx, task, 0, dVec{1, 1, 1, 1})
+		_, ok := scoreTask(ctx, task, 0, &dVec{1, 1, 1, 1})
 		return ok == (est <= sys.Workers[0].MemFree())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

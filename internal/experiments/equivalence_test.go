@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
 	"testing"
 
 	"ursa/internal/cluster"
@@ -44,21 +48,52 @@ func assertSameResult(t *testing.T, name string, want, got Result) {
 	}
 }
 
-func runEquivalence(t *testing.T, gen func() *workload.Workload, base core.Config) {
-	t.Helper()
-	runEquivalenceOn(t, gen, base, paperCluster())
+// scheduleGolden pins one seeded run's schedule to literals: the placement
+// counts and an FNV-64a hash over the bits of the JCT vector. The default
+// placer and the reference share scoreTask, bestWorkerFor and incVec, so an
+// edit to the scan itself moves both sides of every comparison in this file
+// alike; only a recorded value sees it. The literals were recorded on amd64
+// at 3ca3686, the commit before the scan was rewritten, and are checked on
+// amd64 only: where the compiler fuses multiply-add (arm64, ppc64le, s390x)
+// F(t,w) rounds differently, and with it ties, schedules, counts and JCTs.
+// A change that means to move schedules re-records them from the failure
+// message, which prints the run's values as a literal.
+type scheduleGolden struct {
+	passes, scanned, skipped, jcts uint64
 }
 
-func runEquivalenceOn(t *testing.T, gen func() *workload.Workload, base core.Config, clusCfg cluster.Config) {
+func (g scheduleGolden) check(t *testing.T, got Result) {
 	t.Helper()
-	runEquivalenceScenario(t, gen, base, clusCfg, nil)
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, jct := range got.JCTs {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(jct))
+		h.Write(b[:])
+	}
+	pc := got.Placement
+	if have := (scheduleGolden{pc.Passes, pc.Scanned, pc.Skipped, h.Sum64()}); have != g {
+		t.Errorf("schedule moved: {%d, %d, %d, %#x}, recorded {%d, %d, %d, %#x}",
+			have.passes, have.scanned, have.skipped, have.jcts, g.passes, g.scanned, g.skipped, g.jcts)
+	}
+}
+
+func runEquivalence(t *testing.T, gen func() *workload.Workload, base core.Config) Result {
+	t.Helper()
+	return runEquivalenceOn(t, gen, base, paperCluster())
+}
+
+func runEquivalenceOn(t *testing.T, gen func() *workload.Workload, base core.Config, clusCfg cluster.Config) Result {
+	t.Helper()
+	return runEquivalenceScenario(t, gen, base, clusCfg, nil)
 }
 
 // runEquivalenceScenario runs the pair and returns the default side's
-// placement counts. The reference must have scored every task it visited:
-// one skipped scan there and the comparison checks the pruning against
-// itself.
-func runEquivalenceScenario(t *testing.T, gen func() *workload.Workload, base core.Config, clusCfg cluster.Config, scenario func(*core.System)) PlacementCounts {
+// result. The reference must have scored every task it visited: one skipped
+// scan there and the comparison checks the pruning against itself.
+func runEquivalenceScenario(t *testing.T, gen func() *workload.Workload, base core.Config, clusCfg cluster.Config, scenario func(*core.System)) Result {
 	t.Helper()
 	ref := base
 	ref.Placer = core.FullRebuildPlacer{}
@@ -68,21 +103,21 @@ func runEquivalenceScenario(t *testing.T, gen func() *workload.Workload, base co
 	if want.Placement.Skipped != 0 {
 		t.Errorf("full rebuild skipped %d task scans; the reference must be exhaustive", want.Placement.Skipped)
 	}
-	return got.Placement
+	return got
 }
 
 // TestEquivalenceTPCH runs a small seeded TPC-H mix under both placers and
 // demands bit-identical results.
 func TestEquivalenceTPCH(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(6, 5*eventloop.Second, 7) }
-	runEquivalence(t, gen, core.Config{})
+	scheduleGolden{795, 121176, 78205, 0x7708a35a6308d1e7}.check(t, runEquivalence(t, gen, core.Config{}))
 }
 
 // TestEquivalenceTPCHSRJF repeats the TPC-H equivalence under SRJF ordering,
 // whose priorities move with every completion.
 func TestEquivalenceTPCHSRJF(t *testing.T) {
 	gen := func() *workload.Workload { return workload.TPCH(5, 4*eventloop.Second, 11) }
-	runEquivalence(t, gen, core.Config{Policy: core.SRJF})
+	scheduleGolden{357, 44784, 35179, 0xa3df62393104be0}.check(t, runEquivalence(t, gen, core.Config{Policy: core.SRJF}))
 }
 
 // TestEquivalenceSynthetic covers the §5.3 synthetic setting, where many
@@ -125,15 +160,18 @@ func TestEquivalenceTPCHSaturated(t *testing.T) {
 		cfg      core.Config
 		clus     cluster.Config
 		scenario func(*core.System)
+		golden   scheduleGolden
 	}{
-		{"ejf", core.Config{}, paperCluster(), nil},
-		{"srjf", core.Config{Policy: core.SRJF}, paperCluster(), nil},
-		{"hetero+penalty", core.Config{InterferencePenalty: true}, heteroPaperCluster(5, 0.1), nil},
-		{"worker-failures", core.Config{}, paperCluster(), failWorkers(2)},
-		{"memory-bound", core.Config{}, smallMem, nil},
+		{"ejf", core.Config{}, paperCluster(), nil, scheduleGolden{1100, 984203, 835913, 0x5d17a2e87423f5a5}},
+		{"srjf", core.Config{Policy: core.SRJF}, paperCluster(), nil, scheduleGolden{978, 695226, 590525, 0xb0f3e1cc71fcc6ed}},
+		{"hetero+penalty", core.Config{InterferencePenalty: true}, heteroPaperCluster(5, 0.1), nil, scheduleGolden{1243, 853486, 707075, 0xd08055de8c240360}},
+		{"worker-failures", core.Config{}, paperCluster(), failWorkers(2), scheduleGolden{1224, 1093652, 931389, 0x563e9ebefba72e77}},
+		{"memory-bound", core.Config{}, smallMem, nil, scheduleGolden{887, 103828, 62828, 0x61f43daecb324e77}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
-			pc := runEquivalenceScenario(t, gen, v.cfg, v.clus, v.scenario)
+			res := runEquivalenceScenario(t, gen, v.cfg, v.clus, v.scenario)
+			v.golden.check(t, res)
+			pc := res.Placement
 			if 2*pc.Skipped < pc.Scanned {
 				t.Errorf("skipped %d of %d task scans; want most of them, or the pool is not saturated", pc.Skipped, pc.Scanned)
 			}

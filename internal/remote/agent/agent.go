@@ -24,15 +24,12 @@ import (
 
 // Config shapes one worker agent.
 type Config struct {
-	// MasterAddr is the master's control-plane address to dial.
-	MasterAddr string
-	// MasterAddrs optionally lists every control-plane address a master for
-	// this cluster may answer on (primary first, then standbys). With more
-	// than one entry, a lost master connection triggers re-registration
-	// round-robin across the list instead of exiting — the failover path: the
-	// agent re-attaches to whichever master holds the lease, keeping its
-	// worker ID under the new generation. Empty defaults to {MasterAddr},
-	// which preserves the single-master exit-on-disconnect behavior.
+	// MasterAddrs lists every control-plane address a master for this
+	// cluster may answer on (primary first, then standbys); registration
+	// attempts walk it round-robin. With one entry a lost master connection
+	// ends the agent. With more than one it triggers re-registration instead
+	// — the failover path: the agent re-attaches to whichever master holds
+	// the lease, keeping its worker ID under the new generation.
 	MasterAddrs []string
 	// ShuffleAddr is the address the agent's shuffle server listens on;
 	// empty picks an ephemeral 127.0.0.1 port (loopback clusters) — real
@@ -84,23 +81,12 @@ type Config struct {
 	// RegisterAttempts bounds registration (dial + handshake) attempts: a
 	// worker started moments before its master — or across a transient
 	// refusal — retries with capped, jittered exponential backoff instead of
-	// exiting. 0 selects DefaultRegisterAttempts; 1 is one-shot.
+	// exiting. Default 10; 1 is one-shot.
 	RegisterAttempts int
 	// RegisterBackoff is the backoff base between registration attempts and
 	// RegisterBackoffMax its cap. Defaults: 50ms, 1s.
 	RegisterBackoff    time.Duration
 	RegisterBackoffMax time.Duration
-	// HandshakeTimeout bounds the wait for the master's Welcome on each
-	// registration attempt. Default 5s.
-	HandshakeTimeout time.Duration
-
-	// WriteDeadline bounds each control-plane write (heartbeats, completions)
-	// so a dead-but-unclosed master fails the pump fast instead of wedging it
-	// until the kernel TCP timeout. Default 10s; negative disables.
-	WriteDeadline time.Duration
-	// DrainDeadline bounds the graceful-close flush of queued control frames.
-	// Default wire.DefaultDrainDeadline.
-	DrainDeadline time.Duration
 
 	// FetchTimeout bounds each shuffle fetch's response wait; FetchRetries,
 	// FetchBackoff and FetchBackoffMax shape the retry/backoff of transient
@@ -110,26 +96,29 @@ type Config struct {
 	FetchRetries    int
 	FetchBackoff    time.Duration
 	FetchBackoffMax time.Duration
-	// ShuffleReadIdle bounds the agent shuffle server's wait for the next
-	// request on an open connection (default shuffle.DefaultServerReadIdle).
-	ShuffleReadIdle time.Duration
 }
 
 // Registration retry defaults.
 const (
-	DefaultRegisterAttempts   = 10
-	DefaultRegisterBackoff    = 50 * time.Millisecond
-	DefaultRegisterBackoffMax = time.Second
-	DefaultHandshakeTimeout   = 5 * time.Second
-	DefaultWriteDeadline      = 10 * time.Second
+	defaultRegisterAttempts   = 10
+	defaultRegisterBackoff    = 50 * time.Millisecond
+	defaultRegisterBackoffMax = time.Second
+)
+
+// Control-link bounds: one value serves every deployment and test, so they
+// are not Config fields (the graceful-close flush window and the shuffle
+// server's idle cutoff are wire's and shuffle's own defaults).
+const (
+	// handshakeTimeout bounds the wait for the master's Welcome on each
+	// registration attempt.
+	handshakeTimeout = 5 * time.Second
+	// writeDeadline bounds each control-plane write (heartbeats, completions)
+	// so a dead-but-unclosed master fails the pump fast instead of wedging it
+	// until the kernel TCP timeout.
+	writeDeadline = 10 * time.Second
 )
 
 func (c Config) withDefaults() Config {
-	if len(c.MasterAddrs) == 0 {
-		c.MasterAddrs = []string{c.MasterAddr}
-	} else if c.MasterAddr == "" {
-		c.MasterAddr = c.MasterAddrs[0]
-	}
 	if c.Cores <= 0 {
 		c.Cores = runtime.GOMAXPROCS(0)
 	}
@@ -146,21 +135,13 @@ func (c Config) withDefaults() Config {
 		c.ShuffleListen = wire.NetListen
 	}
 	if c.RegisterAttempts <= 0 {
-		c.RegisterAttempts = DefaultRegisterAttempts
+		c.RegisterAttempts = defaultRegisterAttempts
 	}
 	if c.RegisterBackoff <= 0 {
-		c.RegisterBackoff = DefaultRegisterBackoff
+		c.RegisterBackoff = defaultRegisterBackoff
 	}
 	if c.RegisterBackoffMax <= 0 {
-		c.RegisterBackoffMax = DefaultRegisterBackoffMax
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = DefaultHandshakeTimeout
-	}
-	if c.WriteDeadline == 0 {
-		c.WriteDeadline = DefaultWriteDeadline
-	} else if c.WriteDeadline < 0 {
-		c.WriteDeadline = 0
+		c.RegisterBackoffMax = defaultRegisterBackoffMax
 	}
 	return c
 }
@@ -234,6 +215,9 @@ type Agent struct {
 // and shuffle server. It returns once the handshake completes; Wait blocks
 // until the agent exits.
 func Dial(cfg Config) (*Agent, error) {
+	if len(cfg.MasterAddrs) == 0 {
+		return nil, fmt.Errorf("agent: no master address configured")
+	}
 	cfg = cfg.withDefaults()
 	a := &Agent{
 		cfg:      cfg,
@@ -250,7 +234,7 @@ func Dial(cfg Config) (*Agent, error) {
 		shufAddr = "127.0.0.1:0"
 	}
 	srv, err := shuffle.Listen(shufAddr, shuffle.ServerConfig{
-		MaxFrame: cfg.MaxFrame, ReadIdle: cfg.ShuffleReadIdle, Listen: cfg.ShuffleListen,
+		MaxFrame: cfg.MaxFrame, Listen: cfg.ShuffleListen,
 	}, a.resolveJob, nil)
 	if err != nil {
 		return nil, err
@@ -267,7 +251,7 @@ func Dial(cfg Config) (*Agent, error) {
 	a.hb = time.Duration(w.HeartbeatMicros) * time.Microsecond
 	a.applyWelcome(w)
 	a.logf("agent %d: joined master %s gen %d (hb=%v shuffle=%s)",
-		a.id, cfg.MasterAddr, w.Gen, a.hb, srv.Addr())
+		a.id, a.conn.Load().RemoteAddr(), w.Gen, a.hb, srv.Addr())
 
 	a.wg.Add(2)
 	go a.heartbeats()
@@ -318,8 +302,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	}
 	conn := wire.NewConnConfig(nc, wire.Config{
 		MaxFrame:      cfg.MaxFrame,
-		WriteDeadline: cfg.WriteDeadline,
-		DrainDeadline: cfg.DrainDeadline,
+		WriteDeadline: writeDeadline,
 		// Control-plane blobs (Prepare params) are consumed synchronously
 		// inside the read-loop handler, so pooled frames are safe here.
 		PooledReads: true,
@@ -342,7 +325,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	}
 	// Bounded handshake read: a master that accepted but never answers
 	// (wedged, mid-crash) must not hang the worker forever.
-	m, err := conn.ReadMsgTimeout(cfg.HandshakeTimeout)
+	m, err := conn.ReadMsgTimeout(handshakeTimeout)
 	if err != nil {
 		conn.Close()
 		return wire.Welcome{}, fmt.Errorf("agent: reading welcome: %w", err)
@@ -582,15 +565,16 @@ func (a *Agent) resolveJob(jobID int64) *localrt.Runtime {
 	return nil
 }
 
+// handlePrepare answers a Prepare only when it failed: the master acts on a
+// JobReady only when it carries an error, and the connection's FIFO already
+// orders every Dispatch behind the plan it needs.
 func (a *Agent) handlePrepare(p wire.Prepare) {
-	errStr := ""
 	if err := a.prepare(p); err != nil {
-		errStr = err.Error()
 		a.logf("agent %d: prepare job %d (%s): %v", a.id, p.JobID, p.Workload, err)
-	} else {
-		a.logf("agent %d: prepared job %d (%s)", a.id, p.JobID, p.Workload)
+		a.conn.Load().Send(wire.JobReady{JobID: p.JobID, Err: err.Error()})
+		return
 	}
-	a.conn.Load().Send(wire.JobReady{JobID: p.JobID, Err: errStr})
+	a.logf("agent %d: prepared job %d (%s)", a.id, p.JobID, p.Workload)
 }
 
 // prepare rebuilds the job's plan from the workload registry and seeds its

@@ -165,7 +165,7 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
 			if lc.Master.Transport.Worker(0).Dispatches > 0 {
-				a, err := agent.Dial(agent.Config{MasterAddr: lc.Master.Addr()})
+				a, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
 				if err != nil {
 					trigger <- err
 					return
@@ -258,7 +258,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		addrMu.Lock()
 		addr := masterAddr
 		addrMu.Unlock()
-		a, err := agent.Dial(agent.Config{MasterAddr: addr})
+		a, err := agent.Dial(agent.Config{MasterAddrs: []string{addr}})
 		if err != nil {
 			return err
 		}
@@ -354,7 +354,7 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 
 	// Capacity returns: a fresh worker joins the running cluster and the
 	// stalled backlog resumes on it.
-	a, err := agent.Dial(agent.Config{MasterAddr: lc.Master.Addr()})
+	a, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
 	if err != nil {
 		t.Fatalf("joining replacement agent: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 	// Join only once the job is mid-dispatch on worker 0, so its Prepare
 	// broadcast at admission strictly predates the join.
 	waitFor(t, "work in flight", func() bool { return lc.Master.Transport.Worker(0).Dispatches > 0 })
-	a, err := agent.Dial(agent.Config{MasterAddr: lc.Master.Addr()})
+	a, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
 	if err != nil {
 		t.Fatalf("joining agent: %v", err)
 	}

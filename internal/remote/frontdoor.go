@@ -71,7 +71,7 @@ type intakeSub struct {
 }
 
 // clientLink is one client connection. The wire.Conn's send queue is bounded
-// by Config.ClientSendQueue; acks use Send (a client that stops draining its
+// by clientSendQueue; acks use Send (a client that stops draining its
 // own acks is a dead peer), status updates use TrySend (drop, don't kill).
 type clientLink struct {
 	conn *wire.Conn
@@ -188,7 +188,7 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 		fd.reject(link, msg.SubmitID, "draining")
 		return
 	}
-	if int(fd.queued.Load()) >= fd.m.cfg.IntakeCap {
+	if int(fd.queued.Load()) >= intakeCap {
 		fd.reject(link, msg.SubmitID, "intake full")
 		return
 	}

@@ -17,7 +17,7 @@ type LocalCluster struct {
 
 // StartLocalCluster launches a master and n agents on loopback. The
 // returned cluster is registered and ready: Submit jobs on the Master, then
-// Run. agentCfg's MasterAddr is overridden; zero values take defaults.
+// Run. agentCfg's MasterAddrs is overridden; zero values take defaults.
 func StartLocalCluster(n int, cfg Config, agentCfg agent.Config) (*LocalCluster, error) {
 	return StartLocalClusterFunc(n, cfg, func(int) agent.Config { return agentCfg })
 }
@@ -37,7 +37,7 @@ func StartLocalClusterFunc(n int, cfg Config, agentCfg func(i int) agent.Config)
 	lc := &LocalCluster{Master: m}
 	for i := 0; i < n; i++ {
 		ac := agentCfg(i)
-		ac.MasterAddr = m.Addr()
+		ac.MasterAddrs = []string{m.Addr()}
 		a, err := agent.Dial(ac)
 		if err != nil {
 			lc.Close()

@@ -76,22 +76,6 @@ type Config struct {
 	// Listen opens the control-plane and shuffle listeners; nil selects
 	// wire.NetListen. Tests compose fault injectors here.
 	Listen wire.ListenFunc
-	// HandshakeTimeout bounds the wait for a connecting agent's Register
-	// frame — a client that connects and goes silent cannot pin the
-	// handshake goroutine. Default 5s.
-	HandshakeTimeout time.Duration
-	// WriteDeadline bounds each control-plane write to a worker (dispatches,
-	// prepares) so a dead-but-unclosed agent fails its link fast instead of
-	// wedging the single writer until the kernel TCP timeout. Default 10s;
-	// negative disables.
-	WriteDeadline time.Duration
-	// DrainDeadline bounds the graceful-close flush of queued control frames
-	// (the final Shutdown broadcast). Default wire.DefaultDrainDeadline.
-	DrainDeadline time.Duration
-	// ShuffleReadIdle bounds the canonical-store shuffle server's wait for
-	// the next request on an open connection (default
-	// shuffle.DefaultServerReadIdle).
-	ShuffleReadIdle time.Duration
 	// Serve opens the job front door: the master accepts client connections
 	// (SubmitJob/CancelJob frames) alongside worker registrations and keeps
 	// running after pre-submitted jobs finish, until Drain. Off by default —
@@ -106,12 +90,8 @@ type Config struct {
 	// job. Default 2ms — the most a submission waits for batching. Serve
 	// mode only.
 	AdmissionInterval time.Duration
-	// IntakeCap bounds submissions queued at the intake ahead of admission;
-	// beyond it new SubmitJobs are rejected ("intake full") instead of
-	// growing an unbounded buffer. Default 65536.
-	IntakeCap int
 	// TenantIntakeCap bounds one tenant's queued submissions at the intake,
-	// so a single bursty tenant cannot consume the whole global IntakeCap
+	// so a single bursty tenant cannot consume the whole global intakeCap
 	// and starve the others' admission slots. 0 disables (global cap only).
 	TenantIntakeCap int
 	// JournalDir, when set, persists the control-plane event log there:
@@ -131,11 +111,6 @@ type Config struct {
 	SnapshotEvery int
 	// JournalSyncInterval batches journal fsyncs (group commit). Default 2ms.
 	JournalSyncInterval time.Duration
-	// ClientSendQueue bounds each client connection's outbound frame queue
-	// (acks and JobStatus updates). A slow status subscriber has this many
-	// frames of buffer; further JobStatus frames are dropped and counted
-	// (Ingest.StatusDrops) rather than buffered or fatal. Default 256.
-	ClientSendQueue int
 	// Elastic enables cluster elasticity: graceful drains (DrainWorker) and
 	// mid-run worker joins — a fresh agent registering against a full,
 	// running master grows the registry instead of being rejected. An
@@ -169,10 +144,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Master-side transport defaults.
+// Transport and front-door bounds: one value serves every deployment, test
+// and benchmark, so they are not Config fields. The graceful-close flush
+// window and the shuffle server's idle cutoff are wire's and shuffle's own
+// defaults (wire.DefaultDrainDeadline, shuffle.DefaultServerReadIdle).
 const (
-	DefaultHandshakeTimeout = 5 * time.Second
-	DefaultWriteDeadline    = 10 * time.Second
+	// handshakeTimeout bounds the wait for a connecting peer's first frame: a
+	// client that connects and goes silent cannot pin the handshake goroutine.
+	handshakeTimeout = 5 * time.Second
+	// writeDeadline bounds each control-plane write (dispatches, prepares,
+	// acks) so a dead-but-unclosed peer fails its link fast instead of wedging
+	// the single writer until the kernel TCP timeout.
+	writeDeadline = 10 * time.Second
+	// intakeCap bounds submissions queued at the intake ahead of admission;
+	// beyond it new SubmitJobs are rejected ("intake full") instead of growing
+	// an unbounded buffer.
+	intakeCap = 1 << 16
+	// clientSendQueue bounds each client connection's outbound frame queue
+	// (acks and JobStatus updates). A slow status subscriber has this many
+	// frames of buffer; further JobStatus frames are dropped and counted
+	// (Ingest.StatusDrops) rather than buffered or fatal.
+	clientSendQueue = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -197,22 +189,8 @@ func (c Config) withDefaults() Config {
 	if c.Listen == nil {
 		c.Listen = wire.NetListen
 	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = DefaultHandshakeTimeout
-	}
 	if c.AdmissionInterval <= 0 {
 		c.AdmissionInterval = 2 * time.Millisecond
-	}
-	if c.IntakeCap <= 0 {
-		c.IntakeCap = 1 << 16
-	}
-	if c.ClientSendQueue <= 0 {
-		c.ClientSendQueue = 256
-	}
-	if c.WriteDeadline == 0 {
-		c.WriteDeadline = DefaultWriteDeadline
-	} else if c.WriteDeadline < 0 {
-		c.WriteDeadline = 0
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * time.Second
@@ -419,7 +397,7 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		}
 	}
 	m.shuffleSrv, err = shuffle.Listen(cfg.ShuffleAddr, shuffle.ServerConfig{
-		MaxFrame: cfg.MaxFrame, ReadIdle: cfg.ShuffleReadIdle, Listen: cfg.Listen,
+		MaxFrame: cfg.MaxFrame, Listen: cfg.Listen,
 	}, m.resolveJob, m.Transport.ObserveServedBytes)
 	if err != nil {
 		m.ln.Close()
@@ -662,7 +640,7 @@ func (m *Master) handshake(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	// Bounded first read: a connection that never identifies itself is cut
 	// loose instead of pinning this goroutine forever.
-	nc.SetReadDeadline(time.Now().Add(m.cfg.HandshakeTimeout))
+	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	typ, payload, err := wire.ReadFrame(br, m.cfg.MaxFrame)
 	if err != nil {
 		nc.Close()
@@ -685,9 +663,8 @@ func (m *Master) handshake(nc net.Conn) {
 		}
 		c := wire.NewConnFrom(nc, br, wire.Config{
 			MaxFrame:      m.cfg.MaxFrame,
-			WriteDeadline: m.cfg.WriteDeadline,
-			DrainDeadline: m.cfg.DrainDeadline,
-			SendQueue:     m.cfg.ClientSendQueue,
+			WriteDeadline: writeDeadline,
+			SendQueue:     clientSendQueue,
 		})
 		m.fd.serveClient(c, first)
 	default:
@@ -698,8 +675,7 @@ func (m *Master) handshake(nc net.Conn) {
 func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register) {
 	c := wire.NewConnFrom(nc, br, wire.Config{
 		MaxFrame:      m.cfg.MaxFrame,
-		WriteDeadline: m.cfg.WriteDeadline,
-		DrainDeadline: m.cfg.DrainDeadline,
+		WriteDeadline: writeDeadline,
 		// Pooled frames: the readLoop's only blob-carrying message is
 		// Complete, whose writes are deep-copied before leaving the handler.
 		PooledReads: true,
@@ -867,7 +843,7 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 	select {
 	case link := <-joined:
 		go m.readLoop(link)
-	case <-time.After(m.cfg.HandshakeTimeout):
+	case <-time.After(handshakeTimeout):
 		// The control loop never picked the join up (master shutting down):
 		// cut the agent loose rather than pinning this goroutine. If the
 		// closure still runs later, the agent sees the close and retries.

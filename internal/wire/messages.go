@@ -9,7 +9,7 @@ const (
 	TWelcome   byte = 2  // master → worker: assigned identity + protocol params
 	THeartbeat byte = 3  // worker → master: liveness beacon
 	TPrepare   byte = 4  // master → worker: build a job's plan from the registry
-	TJobReady  byte = 5  // worker → master: prepare ack (or error)
+	TJobReady  byte = 5  // worker → master: a Prepare failed
 	TDispatch  byte = 6  // master → worker: execute one monotask
 	TComplete  byte = 7  // worker → master: measured completion + output contributions
 	TAbort     byte = 8  // master → worker: discard an in-flight dispatch
@@ -227,7 +227,8 @@ func decodePrepare(d *Decoder) Msg {
 	return Prepare{JobID: d.I64(), Workload: d.Str(), Params: d.Blob()}
 }
 
-// JobReady acks a Prepare; a non-empty Err is fatal for the run.
+// JobReady reports a Prepare that failed (agents send none for one that
+// succeeded); a non-empty Err is fatal for the run.
 type JobReady struct {
 	JobID int64
 	Err   string
