@@ -101,7 +101,7 @@ fuzz-rows:
 
 # Hot-path microbenchmarks with allocation counts.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/core ./internal/eventloop ./internal/experiments
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/core ./internal/dag ./internal/eventloop ./internal/experiments
 
 # The end-to-end harness (bench/, the BENCHMARK.json contract) is a module of
 # its own, so none of the targets above builds it: vet it and run its tests

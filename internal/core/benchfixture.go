@@ -86,8 +86,8 @@ func NewPlacementBenchHetero(nWorkers, nStages, tasksPerStage int) *PlacementBen
 // as every task of the pool does, is rejected by them. The few idle workers
 // host what they can and fill up within the pass; everything after that is
 // scored against every worker and placed nowhere, unless a failed stage-mate
-// already rules it out (PlaceContext.unplaceableLike). Task memory varies
-// within a stage, so some tasks need less than their stage's witness and are
+// already rules it out (failTable). Task memory varies within a stage, so
+// some tasks need less than every stage-mate that failed before them and are
 // scored regardless.
 func NewPlacementBenchSaturated(nWorkers, nStages, tasksPerStage int) *PlacementBench {
 	pb := NewPlacementBench(nWorkers, nStages, tasksPerStage)
@@ -189,8 +189,9 @@ func (pb *PlacementBench) TickPlacements() []Placement {
 
 // FullRebuildPlacer is Algorithm 1 with nothing carried between passes and
 // nothing inferred within one: it discards the context's cached worker
-// snapshots, so every pass re-reads every worker, and it turns witness
-// pruning off, so every pass scores every task against every worker. It is the reference the equivalence suites compare the default
+// snapshots, so every pass re-reads every worker, and it records no failure
+// in a scan's failTable, so every pass scores every task against every
+// worker. It is the reference the equivalence suites compare the default
 // placer against (installed through Config.Placer) and has no other use: it
 // does strictly more work for, as those suites prove, bit-identical
 // placements.

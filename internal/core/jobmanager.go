@@ -47,6 +47,8 @@ func (jm *JobManager) reportReady(tasks []*dag.Task) {
 		jm.job.Plan.Estimate(t, m2i)
 		batchInput += t.InputBytes
 	}
+	// A task can never use more memory than one machine holds.
+	memCap := jm.sys.maxWorkerMem() * 0.9
 	for _, t := range tasks {
 		est := t.EstUsage[resource.Mem] // m2i(t)·I(t) from the plan
 		if jm.job.Spec.MemEstimate > 0 && batchInput > 0 {
@@ -55,9 +57,8 @@ func (jm *JobManager) reportReady(tasks []*dag.Task) {
 				est = rm
 			}
 		}
-		// A task can never use more memory than one machine holds.
-		if cap := jm.sys.maxWorkerMem(); est > cap*0.9 {
-			est = cap * 0.9
+		if est > memCap {
+			est = memCap
 		}
 		t.EstUsage[resource.Mem] = est
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"ursa/internal/dag"
@@ -21,9 +22,9 @@ type Placement struct {
 // workers whose state changed (see prepare): placement is O(stages × tasks
 // × workers) in the worst case, so per-candidate indirection matters. On a
 // saturated pool, where most tasks find no worker, the scan pays the worker
-// factor only for the tasks an earlier failure of the same stage scan does
-// not already rule out (see unplaceableLike): O(stages × tasks) plus
-// O(workers) per task that has to be scored.
+// factor only for the tasks the earlier failures of the same stage scan do
+// not already rule out (see failTable): O(stages × tasks) plus O(workers) per
+// task that has to be scored.
 //
 // The context owns all scratch state the placement pass needs (headroom
 // vectors, the trial-placement undo journal, candidate ranking and output
@@ -84,14 +85,14 @@ type PlaceContext struct {
 	// commit path so anyHeadroom is O(1) instead of O(W) per query.
 	headroom int
 
-	// exhaustive turns witness pruning off (see stageScoreOn): every task is
+	// exhaustive keeps stageScoreOn's failure table empty: every task is
 	// scored against every worker. Only FullRebuildPlacer sets it, so the
 	// reference the equivalence suites compare against checks the pruning
 	// instead of sharing it.
 	exhaustive bool
 	// scanned counts the tasks stageScoreOn has visited over the context's
-	// lifetime, skipped those among them it settled from the scan's witness
-	// without scoring a worker (Scheduler.PlacementScans).
+	// lifetime, skipped those among them an earlier failure of the same scan
+	// settled without scoring a worker (Scheduler.PlacementScans).
 	scanned, skipped uint64
 
 	orderBoost func(*Job, eventloop.Time) float64
@@ -531,33 +532,54 @@ func applyInc(ctx *PlaceContext, t *dag.Task, wi int, d *dVec) {
 	}
 }
 
-// unplaceableLike reports whether t is certain to find no worker because
-// witness, a task scored earlier in the same stageScoreOn scan, found none:
-// t needs at least the witness's memory and demands every resource kind the
-// witness demands. Within one scan the headroom vectors only shrink
-// (applyInc subtracts a non-negative increase; the keep=false rollback runs
-// after the loop) while memFree, invRateEPT, memCap and pen do not change,
-// so every reason scoreTask gave for rejecting the witness on worker w
-// holds for t on w: the memory gate (memFree < witness mem ≤ t mem), a
-// demanded dimension with D ≤ 0 (t demands it too, memory included), or no
-// demand at all on a worker with no headroom (whatever t demands there has
-// D ≤ 0, and if it demands nothing it fails the same test). The argument
-// needs estimates that are finite and non-negative, which the plan
-// guarantees (dag.Plan.Estimate); every comparison is written so that a NaN
-// entry answers "scan it".
-func (ctx *PlaceContext) unplaceableLike(t, witness *dag.Task) bool {
-	if !(t.EstUsage[resource.Mem] >= witness.EstUsage[resource.Mem]) {
-		return false
-	}
+// failTable records the failures of one stageScoreOn scan: per demand mask
+// (demandMask), the least memory estimate of a task of the scan for which
+// bestWorkerFor found no worker, +Inf (set by the scan) while there is none.
+type failTable [8]float64
+
+// demandMask returns the resource kinds t demands as a bit set (1<<kind),
+// without the network bit under IgnoreNetworkDemand (incVec scores no network
+// increase for anyone), or -1 when an estimate is NaN.
+func (ctx *PlaceContext) demandMask(t *dag.Task) int {
+	mask := 0
 	for _, k := range resource.MonotaskKinds {
-		if k == resource.Net && ctx.Cfg.IgnoreNetworkDemand {
-			continue // incVec scores no network increase for anyone
-		}
-		if !(witness.EstUsage[k] <= 0) && !(t.EstUsage[k] > 0) {
-			return false
+		if u := t.EstUsage[k]; u != u {
+			return -1
+		} else if u > 0 && !(k == resource.Net && ctx.Cfg.IgnoreNetworkDemand) {
+			mask |= 1 << k
 		}
 	}
-	return true
+	return mask
+}
+
+// record notes that a task demanding mask and needing mem found no worker.
+func (f *failTable) record(mask int, mem float64) {
+	if mask >= 0 && mem < f[mask] {
+		f[mask] = mem
+	}
+}
+
+// rulesOut reports whether a task demanding mask and needing mem is certain
+// to find no worker because a recorded task, one that demanded a subset of
+// mask and needed at most mem, found none. Within one scan the headroom
+// vectors only shrink (applyInc subtracts a non-negative increase; the
+// keep=false rollback runs after the loop) while memFree, invRateEPT, memCap
+// and pen do not change, so every reason scoreTask gave for rejecting the
+// recorded task on worker w holds for this one on w: the memory gate (memFree
+// < recorded mem ≤ mem), a demanded dimension with D ≤ 0 (demanded here too,
+// memory included), or no demand at all on a worker with no headroom
+// (whatever this task demands there has D ≤ 0, and if it demands nothing it
+// fails the same test). The argument holds per recorded failure, so the table
+// keeps them all. It needs finite, non-negative estimates (dag.Plan.Estimate
+// guarantees them); a task with a NaN estimate (mask -1, or a mem no
+// comparison accepts) is neither recorded nor ruled out.
+func (f *failTable) rulesOut(mask int, mem float64) bool {
+	for m := 0; m <= mask; m++ {
+		if m&^mask == 0 && mem >= f[m] {
+			return true
+		}
+	}
+	return false
 }
 
 // stageScoreOn implements the StageScore function of Algorithm 1. It plans
@@ -571,30 +593,33 @@ func (ctx *PlaceContext) unplaceableLike(t, witness *dag.Task) bool {
 // (plus the stage bonus when every task was placed) and the number of tasks
 // placed.
 //
-// Witness pruning: the first task of the scan that no worker can host is
-// kept as a witness, and a later task it rules out (unplaceableLike) is not
-// scored at all. Such a task would have failed, a failed task adds nothing
-// to the score and only clears the bonus, which the witness already did, so
-// the plan and the score are bit-identical to the exhaustive scan's. On a
-// saturated cluster this is most of the pool. The witness lives for one
-// call, and the exhaustive reference forms none.
+// Every task of the scan that no worker can host is recorded in a failTable,
+// and a later task a recorded failure rules out is not scored: it would have
+// failed, and a failed task adds nothing to the score and only clears the
+// bonus, which the recorded failure already did, so plan and score are
+// bit-identical to the exhaustive scan's. The table lives for one call, and
+// the exhaustive reference records nothing in it.
 func (ctx *PlaceContext) stageScoreOn(ps *PendingStage, keep bool) (float64, int) {
 	d := ctx.d
 	score := 0.0
 	placed := 0
 	bonus := stageBonus
-	var witness *dag.Task
+	var fails failTable
+	for m := range fails {
+		fails[m] = math.Inf(1)
+	}
 	skipped := 0
 	for _, t := range ps.Tasks {
-		if witness != nil && ctx.unplaceableLike(t, witness) {
+		mask, mem := ctx.demandMask(t), t.EstUsage[resource.Mem]
+		if fails.rulesOut(mask, mem) {
 			skipped++
 			continue
 		}
 		w, f := ctx.bestWorkerFor(t)
 		if w < 0 {
 			bonus = 0
-			if witness == nil && !ctx.exhaustive {
-				witness = t
+			if !ctx.exhaustive {
+				fails.record(mask, mem)
 			}
 			continue
 		}

@@ -462,9 +462,9 @@ func (s *Scheduler) PlacementPasses() (event, timer uint64) {
 
 // PlacementScans returns how many tasks Algorithm 1's stage scans have
 // visited (ranking and commit passes alike) and how many of those it settled
-// without scoring a single worker, because a stage-mate that failed earlier
-// in the same scan proved no worker could host them (witness pruning, see
-// PlaceContext.stageScoreOn). Both are counts of decisions, not of time: a
+// without scoring a single worker, because some stage-mate that failed
+// earlier in the same scan proved no worker could host them (every failure of
+// a scan is kept, see failTable). Both are counts of decisions, not of time: a
 // seeded simulation repeats them exactly. Zero under any other placer.
 // Loop-owned state: call on the control loop.
 func (s *Scheduler) PlacementScans() (scanned, skipped uint64) {

@@ -357,6 +357,54 @@ func TestPropertyShuffleConservation(t *testing.T) {
 	}
 }
 
+// TestAllDoneMatchesWalk holds the count AllDone compares to a walk over the
+// tasks after every completion, with every reduce task reset for retry once,
+// half-way through (its shuffle monotask done, its deser monotask prepared).
+func TestAllDoneMatchesWalk(t *testing.T) {
+	g, _ := buildShuffleJob(4, 2, 100)
+	p := g.MustBuild()
+	walk := func() bool {
+		for _, task := range p.Tasks {
+			if !task.Done() {
+				return false
+			}
+		}
+		return true
+	}
+	var runnable []*Monotask
+	for _, task := range p.InitialReady() {
+		runnable = append(runnable, task.ReadyMonotasks()...)
+	}
+	retried := map[*Task]bool{}
+	completed := 0
+	for len(runnable) > 0 {
+		mt := runnable[0]
+		runnable = runnable[1:]
+		p.Prepare(mt)
+		if mt.Task.doneCount > 0 && !retried[mt.Task] {
+			retried[mt.Task] = true
+			if n := p.ResetForRetry(mt.Task); n != 1 {
+				t.Fatalf("ResetForRetry re-executes %d monotasks, want 1", n)
+			}
+			runnable = append(runnable, mt.Task.ReadyMonotasks()...)
+			continue
+		}
+		res := p.Complete(mt)
+		completed++
+		if p.AllDone() != walk() {
+			t.Fatalf("after %d completions AllDone = %v, a walk over the tasks says %v", completed, p.AllDone(), walk())
+		}
+		runnable = append(runnable, res.NewReadyMonotasks...)
+		for _, nt := range res.NewReadyTasks {
+			runnable = append(runnable, nt.ReadyMonotasks()...)
+		}
+	}
+	if !p.AllDone() || len(retried) != 2 || completed != len(p.RealMonotasks()) {
+		t.Fatalf("AllDone = %v after %d of %d monotasks, %d tasks retried (want 2)",
+			p.AllDone(), completed, len(p.RealMonotasks()), len(retried))
+	}
+}
+
 // run drives a plan to completion, failing the test if it stalls.
 func run(t *testing.T, p *Plan) {
 	t.Helper()
@@ -366,11 +414,18 @@ func run(t *testing.T, p *Plan) {
 }
 
 func runQuiet(p *Plan) bool {
+	runSteps(p, len(p.Monotasks))
+	return p.AllDone()
+}
+
+// runSteps completes up to limit monotasks of a fresh plan in topological
+// order (fewer if the plan stalls or finishes first).
+func runSteps(p *Plan, limit int) {
 	var runnable []*Monotask
 	for _, task := range p.InitialReady() {
 		runnable = append(runnable, task.ReadyMonotasks()...)
 	}
-	for len(runnable) > 0 {
+	for ; limit > 0 && len(runnable) > 0; limit-- {
 		mt := runnable[0]
 		runnable = runnable[1:]
 		p.Prepare(mt)
@@ -380,5 +435,4 @@ func runQuiet(p *Plan) bool {
 			runnable = append(runnable, nt.ReadyMonotasks()...)
 		}
 	}
-	return p.AllDone()
 }

@@ -137,6 +137,9 @@ type Task struct {
 	// ready when it reaches zero.
 	pendingParents int
 	doneCount      int
+	// order is Monotasks with producers before consumers, fixed at build
+	// (Plan.Estimate walks it).
+	order []*Monotask
 
 	// Worker is the machine the task was placed on; -1 until assigned.
 	Worker int
@@ -187,6 +190,11 @@ type Plan struct {
 	Tasks     []*Task
 	Stages    []*Stage
 	lops      []*lop
+
+	// tasksDone counts the tasks whose monotasks have all completed. It only
+	// grows: ResetForRetry refuses a completed task.
+	tasksDone int
+	est       estScratch
 }
 
 // Build validates the graph, collapses async-connected CPU subgraphs,
@@ -469,6 +477,40 @@ func (p *Plan) buildTasks() {
 		mt.Task = t
 		t.Monotasks = append(t.Monotasks, mt)
 	}
+	// Order every task's monotasks topologically (Kahn, seeded and extended in
+	// Monotasks order), all tasks sharing one backing array: the output doubles
+	// as the FIFO queue, and indeg, indexed by monotask ID, takes over the
+	// union-find array, which is dead by now.
+	indeg := parent
+	clear(indeg)
+	all := make([]*Monotask, 0, len(p.Monotasks))
+	for _, t := range p.Tasks {
+		start := len(all)
+		for _, mt := range t.Monotasks {
+			for _, in := range mt.Ins {
+				if in.Task == t {
+					indeg[mt.ID]++
+				}
+			}
+		}
+		for _, mt := range t.Monotasks {
+			if indeg[mt.ID] == 0 {
+				all = append(all, mt)
+			}
+		}
+		for i := start; i < len(all); i++ {
+			for _, next := range all[i].Outs {
+				if next.Task != t {
+					continue
+				}
+				indeg[next.ID]--
+				if indeg[next.ID] == 0 {
+					all = append(all, next)
+				}
+			}
+		}
+		t.order = all[start:len(all):len(all)]
+	}
 }
 
 // buildStages groups tasks by the set of lops they contain.
@@ -504,6 +546,11 @@ func (p *Plan) buildStages() {
 }
 
 func (p *Plan) initRuntime() {
+	for _, t := range p.Tasks {
+		if t.Done() { // no monotasks: done from the start
+			p.tasksDone++
+		}
+	}
 	for _, mt := range p.Monotasks {
 		mt.pendingIns = len(mt.Ins)
 		if mt.virtual {

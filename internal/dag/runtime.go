@@ -204,6 +204,7 @@ func (p *Plan) Complete(mt *Monotask) CompletionResult {
 	p.propagate(mt, &res)
 	if mt.Task.Done() {
 		res.TaskDone = true
+		p.tasksDone++
 	}
 	return res
 }
@@ -280,14 +281,67 @@ func (t *Task) ReadyMonotasks() []*Monotask {
 	return out
 }
 
-// AllDone reports whether every task of the plan completed.
-func (p *Plan) AllDone() bool {
-	for _, t := range p.Tasks {
-		if !t.Done() {
-			return false
+// AllDone reports whether every task of the plan completed. The JM asks after
+// every finished task, so it compares a count Complete keeps instead of
+// walking the tasks. The count never has to go down: ResetForRetry panics on a
+// completed task.
+func (p *Plan) AllDone() bool { return p.tasksDone == len(p.Tasks) }
+
+// estScratch holds the partition sizes one Estimate call predicts for the
+// datasets its task's monotasks create: the handful of partitions that task
+// writes, not a row per dataset. Predictions for consecutive partitions of a
+// dataset form one run whose values are consecutive in vals, so a monotask
+// that writes or reads a range of partitions (dataset partitions > op
+// parallelism) costs one run, and a lookup walks runs, not partitions. The
+// Plan owns one and reuses it: a plan belongs to one job on one control loop.
+type estScratch struct {
+	runs []estRun
+	vals []float64
+}
+
+// estRun predicts partitions [lo, lo+n) of d in vals[off : off+n].
+type estRun struct {
+	d          *Dataset
+	lo, n, off int
+}
+
+// at returns the slot predicting partition idx of d, or nil.
+func (s *estScratch) at(d *Dataset, idx int) *float64 {
+	for i := range s.runs {
+		if r := &s.runs[i]; r.d == d && idx >= r.lo && idx < r.lo+r.n {
+			return &s.vals[r.off+idx-r.lo]
 		}
 	}
-	return true
+	return nil
+}
+
+// add accumulates size into the prediction for partition idx of d. A new
+// partition extends the last run when it continues it (the last run's values
+// are the tail of vals) and starts a run otherwise.
+func (s *estScratch) add(d *Dataset, idx int, size float64) {
+	if v := s.at(d, idx); v != nil {
+		*v += size
+		return
+	}
+	if n := len(s.runs); n > 0 && s.runs[n-1].d == d && s.runs[n-1].lo+s.runs[n-1].n == idx {
+		s.runs[n-1].n++
+	} else {
+		s.runs = append(s.runs, estRun{d: d, lo: idx, n: 1, off: len(s.vals)})
+	}
+	s.vals = append(s.vals, size)
+}
+
+// size is Estimate's sizeFn: the recorded size of a produced partition, else
+// this task's prediction for it, else 0 (unknown and not predicted:
+// contributes nothing).
+func (s *estScratch) size(d *Dataset, idx int) float64 {
+	if actual := d.PartSizes[idx]; actual >= 0 {
+		return actual
+	}
+	if v := s.at(d, idx); v != nil {
+		return *v
+	}
+	return 0
 }
 
 // Estimate fills t.EstUsage, t.InputBytes and t.M2I with the JM's usage
@@ -296,22 +350,14 @@ func (p *Plan) AllDone() bool {
 // predicted by propagating output ratios; I(t) is the input entering the
 // task from outside.
 func (p *Plan) Estimate(t *Task, defaultM2I float64) {
-	est := make(map[*Dataset][]float64)
-	size := func(d *Dataset, idx int) float64 {
-		if s := d.PartSizes[idx]; s >= 0 {
-			return s
-		}
-		if row, ok := est[d]; ok && row[idx] >= 0 {
-			return row[idx]
-		}
-		return 0 // unknown and not predicted: contributes nothing
-	}
-	// Process the task's monotasks in dependency order (Ins before Outs).
-	order := topoMonotasks(t.Monotasks)
+	est := &p.est
+	est.runs, est.vals = est.runs[:0], est.vals[:0]
+	size := est.size
 	var usage resource.Vector
 	var taskInput float64
 	m2i := defaultM2I
-	for _, mt := range order {
+	// t.order lists the task's monotasks in dependency order (Ins before Outs).
+	for _, mt := range t.order {
 		if mt.State == MTDone {
 			// Retried task (§4.3): completed monotasks keep their
 			// checkpointed outputs and will not run again, so they add no
@@ -326,21 +372,9 @@ func (p *Plan) Estimate(t *Task, defaultM2I float64) {
 			taskInput += in
 		}
 		for _, o := range outs {
-			if o.d.PartSizes[o.idx] >= 0 {
-				continue
+			if o.d.PartSizes[o.idx] < 0 {
+				est.add(o.d, o.idx, o.size)
 			}
-			row, ok := est[o.d]
-			if !ok {
-				row = make([]float64, o.d.Partitions)
-				for i := range row {
-					row[i] = -1
-				}
-				est[o.d] = row
-			}
-			if row[o.idx] < 0 {
-				row[o.idx] = 0
-			}
-			row[o.idx] += o.size
 		}
 		if mt.lop.m2i > m2i {
 			m2i = mt.lop.m2i
@@ -362,41 +396,4 @@ func isTaskSource(mt *Monotask) bool {
 		}
 	}
 	return true
-}
-
-// topoMonotasks orders a task's monotasks so producers precede consumers.
-func topoMonotasks(mts []*Monotask) []*Monotask {
-	inTask := make(map[*Monotask]bool, len(mts))
-	for _, mt := range mts {
-		inTask[mt] = true
-	}
-	indeg := make(map[*Monotask]int, len(mts))
-	for _, mt := range mts {
-		for _, in := range mt.Ins {
-			if inTask[in] {
-				indeg[mt]++
-			}
-		}
-	}
-	var queue, out []*Monotask
-	for _, mt := range mts {
-		if indeg[mt] == 0 {
-			queue = append(queue, mt)
-		}
-	}
-	for len(queue) > 0 {
-		mt := queue[0]
-		queue = queue[1:]
-		out = append(out, mt)
-		for _, next := range mt.Outs {
-			if !inTask[next] {
-				continue
-			}
-			indeg[next]--
-			if indeg[next] == 0 {
-				queue = append(queue, next)
-			}
-		}
-	}
-	return out
 }
