@@ -38,7 +38,6 @@ import (
 
 	"ursa/internal/core"
 	"ursa/internal/elastic"
-	"ursa/internal/eventloop"
 	"ursa/internal/remote"
 	"ursa/internal/remote/workload"
 	"ursa/internal/resource"
@@ -61,7 +60,7 @@ func main() {
 		interfPen = flag.Bool("interference-penalty", false,
 			"steer placement away from workers whose measured rates run below their advertised profile (see DESIGN.md §15)")
 		hb       = flag.Duration("heartbeat", 100*time.Millisecond, "worker heartbeat interval")
-		stats    = flag.Duration("stats", time.Second, "transport stats line period (0 disables)")
+		stats    = flag.Duration("stats", time.Second, "period of the four stats lines: transport, ingest (-serve), journal, elastic (0 disables)")
 		showRows = flag.Int("show-rows", 10, "result rows to print per job")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "abort if the run exceeds this")
 
@@ -153,7 +152,6 @@ func main() {
 		MaxWorkers:        *maxWorkers,
 		AutoscaleInterval: *autoscaleInterval,
 		ReserveCorrect:    *reserveCorrect,
-		SampleInterval:    eventloop.Duration(50 * time.Millisecond / time.Microsecond),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
@@ -50,8 +51,9 @@ type Scheduler struct {
 	// paused is set when an admission pass found queued jobs but no live
 	// capacity (every worker failed or draining): jobs stay queued until
 	// capacity returns (AddWorker re-runs admission) instead of admitting
-	// against a zero total and failing placement forever.
-	paused bool
+	// against a zero total and failing placement forever. Atomic so a host
+	// can report it off the control loop.
+	paused atomic.Bool
 
 	ticking  bool
 	stopTick func()
@@ -271,9 +273,8 @@ func (s *Scheduler) liveTotalMem() float64 {
 }
 
 // AdmissionPaused reports whether the last admission pass left jobs queued
-// because no live worker capacity exists. Loop-owned state: call on the
-// control loop.
-func (s *Scheduler) AdmissionPaused() bool { return s.paused }
+// because no live worker capacity exists. Safe from any goroutine.
+func (s *Scheduler) AdmissionPaused() bool { return s.paused.Load() }
 
 // ReservedMem returns the cluster-wide memory currently reserved by
 // admitted jobs. Loop-owned state: call on the control loop.
@@ -312,7 +313,7 @@ func (s *Scheduler) pickTenant() *tenantQueue {
 // ordering, as in existing schedulers).
 func (s *Scheduler) tryAdmit() {
 	if s.nqueued == 0 {
-		s.paused = false
+		s.paused.Store(false)
 		return
 	}
 	total := s.liveTotalMem()
@@ -321,10 +322,10 @@ func (s *Scheduler) tryAdmit() {
 		// would clamp estimates to 0 and dispatch into a cluster that can
 		// place nothing. Pause instead — jobs stay queued, and AddWorker
 		// re-runs this pass when capacity returns.
-		s.paused = true
+		s.paused.Store(true)
 		return
 	}
-	s.paused = false
+	s.paused.Store(false)
 	if s.sys.Cfg.Policy == SRJF {
 		s.refreshPriorities()
 		for _, tq := range s.tenantSeq {

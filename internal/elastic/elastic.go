@@ -7,6 +7,8 @@
 // remote layers; this package owns the decisions.
 package elastic
 
+import "sync/atomic"
+
 // Signals is the autoscaler's sampled view of the scheduler, assembled on
 // the control loop each policy tick.
 type Signals struct {
@@ -140,13 +142,18 @@ type Controller struct {
 	Drain func() bool
 	// Logf receives decision logs; nil disables logging.
 	Logf func(format string, args ...any)
-	// OnScale, if set, observes each decision (true = up); the master binds
-	// it to metrics.Elastic.ObserveScale.
-	OnScale func(up bool)
 
 	// launched counts provisioner starts issued, matched against
 	// Signals.Joined to avoid double-provisioning while joins are pending.
 	launched int
+	// ups and downs count scale-up and scale-down decisions (Decisions).
+	ups, downs atomic.Int64
+}
+
+// Decisions returns how many scale-up and scale-down decisions the
+// controller has taken. Safe from any goroutine.
+func (c *Controller) Decisions() (up, down int) {
+	return int(c.ups.Load()), int(c.downs.Load())
 }
 
 // Tick samples one policy decision and acts on it. Loop-owned.
@@ -165,9 +172,7 @@ func (c *Controller) Tick(s Signals) {
 		c.launched += n
 		c.logf("elastic: scale up %d → %d (+%d, queued=%d reserved=%.0f%% paused=%v)",
 			s.Live, target, n, s.Queued, 100*s.ReservedFrac, s.Paused)
-		if c.OnScale != nil {
-			c.OnScale(true)
-		}
+		c.ups.Add(1)
 		for i := 0; i < n; i++ {
 			go func() {
 				if err := c.Prov.StartWorker(); err != nil {
@@ -182,9 +187,7 @@ func (c *Controller) Tick(s Signals) {
 		if c.Drain != nil && c.Drain() {
 			c.logf("elastic: scale down %d → %d (reserved=%.0f%% util=%.0f%%)",
 				s.Live, s.Live-1, 100*s.ReservedFrac, 100*s.Utilization)
-			if c.OnScale != nil {
-				c.OnScale(false)
-			}
+			c.downs.Add(1)
 		}
 	}
 }

@@ -84,6 +84,9 @@ func TestControllerProvisionsAndTracksPendingJoins(t *testing.T) {
 	if started != 2 {
 		t.Fatalf("provisioned %d workers after join, want 2", started)
 	}
+	if up, down := c.Decisions(); up != 2 || down != 0 {
+		t.Fatalf("Decisions() = %d up, %d down; want 2, 0", up, down)
+	}
 }
 
 func TestControllerDrainsOnePerTick(t *testing.T) {
@@ -99,6 +102,9 @@ func TestControllerDrainsOnePerTick(t *testing.T) {
 	c.Tick(idle)
 	if drains != 1 {
 		t.Fatalf("drains = %d after one idle tick, want 1", drains)
+	}
+	if up, down := c.Decisions(); up != 0 || down != 1 {
+		t.Fatalf("Decisions() = %d up, %d down after one drain; want 0, 1", up, down)
 	}
 	// Drain still in progress: no second drain even under idle pressure.
 	c.Tick(Signals{Live: 3, Draining: 1})
@@ -126,7 +132,7 @@ func TestReserveCorrectorConverges(t *testing.T) {
 	if got := rc.Factor("hog"); got != rc.MaxFactor {
 		t.Errorf("under-reserver factor = %v, want clamp %v", got, rc.MaxFactor)
 	}
-	min, max := rc.Range()
+	_, min, max := rc.Summary()
 	if min >= 1 || max != rc.MaxFactor {
 		t.Errorf("Range() = (%v, %v)", min, max)
 	}
@@ -135,5 +141,8 @@ func TestReserveCorrectorConverges(t *testing.T) {
 	rc.Observe("zero", 5, 0)
 	if got := rc.Factor("zero"); got != 1 {
 		t.Errorf("degenerate observations moved factor to %v", got)
+	}
+	if got, _, _ := rc.Summary(); got != 150 {
+		t.Errorf("corrections = %d, want 150 (the degenerate pair is not a correction)", got)
 	}
 }

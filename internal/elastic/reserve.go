@@ -23,8 +23,9 @@ type ReserveCorrector struct {
 	// MinFactor and MaxFactor clamp the learned correction.
 	MinFactor, MaxFactor float64
 
-	mu      sync.Mutex
-	factors map[string]float64
+	mu          sync.Mutex
+	factors     map[string]float64
+	corrections int // observations folded into a factor (Observe's guard passed)
 }
 
 // NewReserveCorrector returns a corrector with the default blend (0.3) and
@@ -57,6 +58,7 @@ func (rc *ReserveCorrector) Observe(workload string, reserved, peak float64) {
 		f = rc.MaxFactor
 	}
 	rc.factors[workload] = f
+	rc.corrections++
 	rc.mu.Unlock()
 }
 
@@ -70,9 +72,11 @@ func (rc *ReserveCorrector) Factor(workload string) float64 {
 	return 1
 }
 
-// Range returns the smallest and largest learned factor across workloads
-// (1, 1 when nothing has been observed) — the corrector's stats summary.
-func (rc *ReserveCorrector) Range() (min, max float64) {
+// Summary returns the corrector's stats: how many observations it folded
+// in (those Observe ignores as teaching nothing are not counted), and the
+// smallest and largest learned factor across workloads (1, 1 when nothing
+// has been observed).
+func (rc *ReserveCorrector) Summary() (corrections int, min, max float64) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	min, max = 1, 1
@@ -90,5 +94,5 @@ func (rc *ReserveCorrector) Range() (min, max float64) {
 			max = f
 		}
 	}
-	return min, max
+	return rc.corrections, min, max
 }

@@ -2,53 +2,32 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
-
-	"ursa/internal/trace"
 )
 
-// Transport series names for the trace feed.
-const (
-	SeriesHBAge   = "[NET]HeartbeatAgeMax_s"
-	SeriesRTT     = "[NET]DispatchRTT_ms"
-	SeriesWireMB  = "[NET]ShuffleWire_MB"
-	SeriesRawMB   = "[NET]ShuffleRaw_MB"
-	SeriesInFlite = "[NET]InFlight"
-)
-
-// Transport aggregates data-plane observability for the distributed mode:
-// per-worker heartbeat age, dispatch→completion RTT, shuffle bytes moved
-// over the wire, and connection failure counters. It is safe for concurrent
-// use — the master's fetch server records served bytes off the control
-// loop while everything else arrives on it.
+// Transport aggregates data-plane counters for the distributed mode: per
+// worker, dispatches and completions, the dispatch→completion RTT, shuffle
+// bytes fetched over the wire and fetch degradation; cluster-wide, the RTT
+// over all completions and the bytes the master's own fetch server handed
+// out. Membership and heartbeats are the master's: its stats line reads them
+// through the liveness func given to NewTransport. Safe for concurrent use —
+// the master's fetch server records served bytes off the control loop while
+// everything else arrives on it.
 type Transport struct {
-	mu      sync.Mutex
-	workers map[int]*WorkerTransport
+	liveness func(now time.Time) Liveness
 
-	registers      int
-	failures       int
-	dispatches     int
-	completions    int
-	fetchRetries   int
-	fetchFallbacks int
-	wireBytes      float64
-	rawBytes       float64
+	mu             sync.Mutex
+	workers        map[int]*WorkerTransport
+	rttEWMA        float64
 	servedBytes    float64
 	servedRawBytes float64
-	rttEWMA        float64
-
-	series *trace.TimeSeries
 }
 
 // WorkerTransport is one worker's transport counters.
 type WorkerTransport struct {
-	LastHeartbeat time.Time
-	Heartbeats    int
-	Dispatches    int
-	Completions   int
+	Dispatches  int
+	Completions int
 	// RTTEWMA is the exponentially weighted dispatch→completion round trip
 	// in seconds (α = 0.2).
 	RTTEWMA float64
@@ -64,16 +43,20 @@ type WorkerTransport struct {
 	// canonical store after peer retries were exhausted.
 	FetchRetries   int
 	FetchFallbacks int
-	// Failed marks the worker as declared dead.
-	Failed bool
 }
 
-// NewTransport returns an empty transport monitor.
-func NewTransport() *Transport {
-	return &Transport{
-		workers: make(map[int]*WorkerTransport),
-		series:  trace.New(SeriesHBAge, SeriesRTT, SeriesWireMB, SeriesRawMB, SeriesInFlite),
-	}
+// Liveness is the master's view the transport line opens with: how many of
+// its registry slots hold a connection, each slot's heartbeat age (or why it
+// has none) rendered as "w0=0.1s w1=dead", and how many workers failed.
+type Liveness struct {
+	Alive, Slots, Failed int
+	HBAge                string
+}
+
+// NewTransport returns an empty transport monitor whose line reads
+// membership through liveness.
+func NewTransport(liveness func(now time.Time) Liveness) *Transport {
+	return &Transport{liveness: liveness, workers: make(map[int]*WorkerTransport)}
 }
 
 func (t *Transport) worker(id int) *WorkerTransport {
@@ -85,29 +68,25 @@ func (t *Transport) worker(id int) *WorkerTransport {
 	return w
 }
 
-// ObserveRegister records a worker joining (or rejoining) the cluster.
-func (t *Transport) ObserveRegister(id int, now time.Time) {
+// totals sums the per-worker counters (RTTEWMA excepted).
+func (t *Transport) totals() (sum WorkerTransport) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.registers++
-	w := t.worker(id)
-	w.LastHeartbeat = now
-}
-
-// ObserveHeartbeat records a liveness beacon from a worker.
-func (t *Transport) ObserveHeartbeat(id int, now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := t.worker(id)
-	w.Heartbeats++
-	w.LastHeartbeat = now
+	for _, w := range t.workers {
+		sum.Dispatches += w.Dispatches
+		sum.Completions += w.Completions
+		sum.WireBytes += w.WireBytes
+		sum.RawBytes += w.RawBytes
+		sum.FetchRetries += w.FetchRetries
+		sum.FetchFallbacks += w.FetchFallbacks
+	}
+	return sum
 }
 
 // ObserveDispatch records a monotask dispatch to a worker.
 func (t *Transport) ObserveDispatch(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dispatches++
 	t.worker(id).Dispatches++
 }
 
@@ -115,69 +94,38 @@ func (t *Transport) ObserveDispatch(id int) {
 // round trip in seconds, wireBytes the shuffle payload bytes the worker
 // pulled over the wire to feed the monotask, rawBytes their uncompressed
 // encoded size. Wire is what the network carried (and what rate feedback
-// should see); raw is what the job logically moved.
-func (t *Transport) ObserveCompletion(id int, rtt, wireBytes, rawBytes float64) {
+// should see); raw is what the job logically moved. retries and fallbacks
+// are the fetch degradation the worker reported for the monotask's inputs:
+// transient faults the retry/backoff budget absorbed, and partitions that
+// degraded to the master's canonical store after peer retries ran out.
+func (t *Transport) ObserveCompletion(id int, rtt, wireBytes, rawBytes float64, retries, fallbacks int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.completions++
-	t.wireBytes += wireBytes
-	t.rawBytes += rawBytes
 	w := t.worker(id)
 	w.Completions++
 	w.WireBytes += wireBytes
 	w.RawBytes += rawBytes
-	const alpha = 0.2
-	if w.RTTEWMA == 0 {
-		w.RTTEWMA = rtt
-	} else {
-		w.RTTEWMA = alpha*rtt + (1-alpha)*w.RTTEWMA
-	}
-	if t.rttEWMA == 0 {
-		t.rttEWMA = rtt
-	} else {
-		t.rttEWMA = alpha*rtt + (1-alpha)*t.rttEWMA
-	}
-}
-
-// ObserveFetchDegradation folds a completion's reported fetch degradation
-// into the counters: retries are transient faults the retry/backoff budget
-// absorbed; fallbacks are partitions that degraded to the master's canonical
-// store after peer retries were exhausted.
-func (t *Transport) ObserveFetchDegradation(id, retries, fallbacks int) {
-	if retries == 0 && fallbacks == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.fetchRetries += retries
-	t.fetchFallbacks += fallbacks
-	w := t.worker(id)
 	w.FetchRetries += retries
 	w.FetchFallbacks += fallbacks
+	w.RTTEWMA = ewma(w.RTTEWMA, rtt)
+	t.rttEWMA = ewma(t.rttEWMA, rtt)
+}
+
+// ewma folds sample into an α = 0.2 moving average that starts at its first
+// sample.
+func ewma(avg, sample float64) float64 {
+	if avg == 0 {
+		return sample
+	}
+	const alpha = 0.2
+	return alpha*sample + (1-alpha)*avg
 }
 
 // FetchRetries returns the total reported shuffle fetch retries.
-func (t *Transport) FetchRetries() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fetchRetries
-}
+func (t *Transport) FetchRetries() int { return t.totals().FetchRetries }
 
 // FetchFallbacks returns the total reported master-store fetch fallbacks.
-func (t *Transport) FetchFallbacks() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fetchFallbacks
-}
-
-// ObserveFailure records a worker declared dead (heartbeat timeout or
-// connection error).
-func (t *Transport) ObserveFailure(id int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.failures++
-	t.worker(id).Failed = true
-}
+func (t *Transport) FetchFallbacks() int { return t.totals().FetchFallbacks }
 
 // ObserveServedBytes records shuffle payload bytes the master's own fetch
 // server handed to workers: wire is what crossed the network, raw the
@@ -187,28 +135,6 @@ func (t *Transport) ObserveServedBytes(wire, raw float64) {
 	defer t.mu.Unlock()
 	t.servedBytes += wire
 	t.servedRawBytes += raw
-}
-
-// HeartbeatAges returns the age of each live worker's last heartbeat. A
-// worker whose counters exist but whose LastHeartbeat was never stamped (a
-// dispatch/completion observation racing registration) reports age 0: an age
-// measured from the zero time would be ~the Unix epoch, instantly exceeding
-// any miss budget and failing a healthy, just-registered worker.
-func (t *Transport) HeartbeatAges(now time.Time) map[int]time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]time.Duration, len(t.workers))
-	for id, w := range t.workers {
-		if w.Failed {
-			continue
-		}
-		if w.LastHeartbeat.IsZero() {
-			out[id] = 0
-			continue
-		}
-		out[id] = now.Sub(w.LastHeartbeat)
-	}
-	return out
 }
 
 // Worker returns a copy of one worker's counters (zero value if unknown).
@@ -223,19 +149,11 @@ func (t *Transport) Worker(id int) WorkerTransport {
 
 // WireBytes returns the total shuffle payload bytes workers reported
 // fetching over the wire.
-func (t *Transport) WireBytes() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wireBytes
-}
+func (t *Transport) WireBytes() float64 { return t.totals().WireBytes }
 
 // RawBytes returns the uncompressed encoded size of the payloads behind
 // WireBytes — equal to it unless compression is negotiated.
-func (t *Transport) RawBytes() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rawBytes
-}
+func (t *Transport) RawBytes() float64 { return t.totals().RawBytes }
 
 // ServedBytes returns the master fetch server's (wire, raw) served totals.
 func (t *Transport) ServedBytes() (wire, raw float64) {
@@ -244,70 +162,14 @@ func (t *Transport) ServedBytes() (wire, raw float64) {
 	return t.servedBytes, t.servedRawBytes
 }
 
-// Failures returns the worker-failure count.
-func (t *Transport) Failures() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.failures
-}
-
-// Sample appends the current aggregates to the transport trace at time ts
-// (seconds).
-func (t *Transport) Sample(ts float64, now time.Time) {
-	t.mu.Lock()
-	var maxAge float64
-	for _, w := range t.workers {
-		if w.Failed || w.LastHeartbeat.IsZero() {
-			continue
-		}
-		if age := now.Sub(w.LastHeartbeat).Seconds(); age > maxAge {
-			maxAge = age
-		}
-	}
-	t.series.Add(ts, map[string]float64{
-		SeriesHBAge:   maxAge,
-		SeriesRTT:     t.rttEWMA * 1e3,
-		SeriesWireMB:  t.wireBytes / 1e6,
-		SeriesRawMB:   t.rawBytes / 1e6,
-		SeriesInFlite: float64(t.dispatches - t.completions),
-	})
-	t.mu.Unlock()
-}
-
-// Trace returns the transport time series fed by Sample.
-func (t *Transport) Trace() *trace.TimeSeries { return t.series }
-
 // StatsLine renders a one-line transport summary for periodic master logs.
 func (t *Transport) StatsLine(now time.Time) string {
+	l, sum := t.liveness(now), t.totals()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := make([]int, 0, len(t.workers))
-	alive := 0
-	for id, w := range t.workers {
-		ids = append(ids, id)
-		if !w.Failed {
-			alive++
-		}
-	}
-	sort.Ints(ids)
-	var hb strings.Builder
-	for i, id := range ids {
-		w := t.workers[id]
-		if i > 0 {
-			hb.WriteByte(' ')
-		}
-		switch {
-		case w.Failed:
-			fmt.Fprintf(&hb, "w%d=dead", id)
-		case w.LastHeartbeat.IsZero():
-			fmt.Fprintf(&hb, "w%d=new", id)
-		default:
-			fmt.Fprintf(&hb, "w%d=%.1fs", id, now.Sub(w.LastHeartbeat).Seconds())
-		}
-	}
 	return fmt.Sprintf(
 		"transport: workers=%d/%d hb_age[%s] rtt=%.1fms wire=%.2fMB raw=%.2fMB served=%.2fMB disp=%d comp=%d fail=%d retry=%d fallback=%d",
-		alive, len(t.workers), hb.String(), t.rttEWMA*1e3,
-		t.wireBytes/1e6, t.rawBytes/1e6, t.servedBytes/1e6, t.dispatches, t.completions, t.failures,
-		t.fetchRetries, t.fetchFallbacks)
+		l.Alive, l.Slots, l.HBAge, t.rttEWMA*1e3,
+		sum.WireBytes/1e6, sum.RawBytes/1e6, t.servedBytes/1e6, sum.Dispatches, sum.Completions, l.Failed,
+		sum.FetchRetries, sum.FetchFallbacks)
 }

@@ -6,62 +6,16 @@ import (
 	"time"
 )
 
-// TestHeartbeatAgeJustRegisteredWindow is the regression test for the
-// liveness sweep bug: a worker whose counters exist but whose LastHeartbeat
-// was never stamped (an ObserveDispatch racing registration, or a worker
-// that handshook but hasn't reached its first heartbeat tick) must report
-// age 0 — an age measured from the zero time is ~the Unix epoch and would
-// instantly exceed any HeartbeatMisses × interval budget, failing a
-// perfectly healthy worker the moment it joins.
-func TestHeartbeatAgeJustRegisteredWindow(t *testing.T) {
-	tr := NewTransport()
-	now := time.Now()
-
-	// Worker 0: dispatch observed before any heartbeat — LastHeartbeat is the
-	// zero time.
-	tr.ObserveDispatch(0)
-	// Worker 1: registered normally, then a heartbeat 3 s ago.
-	tr.ObserveRegister(1, now.Add(-5*time.Second))
-	tr.ObserveHeartbeat(1, now.Add(-3*time.Second))
-
-	ages := tr.HeartbeatAges(now)
-	if got, ok := ages[0]; !ok {
-		t.Fatal("just-dispatched worker missing from heartbeat ages")
-	} else if got != 0 {
-		t.Fatalf("just-dispatched worker age = %v, want 0 (zero timestamp must not be failable)", got)
-	}
-	if got := ages[1]; got < 2900*time.Millisecond || got > 3100*time.Millisecond {
-		t.Fatalf("heartbeated worker age = %v, want ~3s", got)
-	}
-
-	// The sweep's failure rule is age > misses*interval; with any sane budget
-	// the clamped age can never trip it.
-	if budget := 3 * 50 * time.Millisecond; ages[0] > budget {
-		t.Fatalf("zero-timestamp age %v exceeds miss budget %v", ages[0], budget)
-	}
-
-	// StatsLine must render the never-heartbeated worker as new, not as an
-	// epoch-sized age.
-	line := tr.StatsLine(now)
-	if !strings.Contains(line, "w0=new") {
-		t.Fatalf("StatsLine should mark worker 0 as new: %q", line)
-	}
-
-	// Failed workers leave the age map entirely.
-	tr.ObserveFailure(1)
-	if _, ok := tr.HeartbeatAges(now)[1]; ok {
-		t.Fatal("failed worker should not appear in heartbeat ages")
-	}
-}
-
 // TestTransportFetchDegradation pins the degradation counters the chaos
 // tests read: per-worker and aggregate retry/fallback totals, surfaced in
-// StatsLine.
+// StatsLine beside the membership the master supplies.
 func TestTransportFetchDegradation(t *testing.T) {
-	tr := NewTransport()
-	tr.ObserveFetchDegradation(2, 3, 1)
-	tr.ObserveFetchDegradation(2, 2, 0)
-	tr.ObserveFetchDegradation(5, 0, 0) // no-op: must not create a worker entry
+	tr := NewTransport(func(time.Time) Liveness {
+		return Liveness{Alive: 1, Slots: 2, Failed: 1, HBAge: "w0=dead w2=0.1s"}
+	})
+	tr.ObserveCompletion(2, 0.01, 0, 0, 3, 1)
+	tr.ObserveCompletion(2, 0.01, 0, 0, 2, 0)
+	tr.ObserveCompletion(5, 0.01, 0, 0, 0, 0) // an undegraded completion counts none
 	if got := tr.FetchRetries(); got != 5 {
 		t.Fatalf("FetchRetries = %d, want 5", got)
 	}
@@ -72,11 +26,13 @@ func TestTransportFetchDegradation(t *testing.T) {
 	if w.FetchRetries != 5 || w.FetchFallbacks != 1 {
 		t.Fatalf("worker counters = %d/%d, want 5/1", w.FetchRetries, w.FetchFallbacks)
 	}
-	if w5 := tr.Worker(5); w5.FetchRetries != 0 {
-		t.Fatalf("no-op observation created counters: %+v", w5)
+	if w5 := tr.Worker(5); w5.FetchRetries != 0 || w5.FetchFallbacks != 0 {
+		t.Fatalf("undegraded completion counted degradation: %+v", w5)
 	}
 	line := tr.StatsLine(time.Now())
-	if !strings.Contains(line, "retry=5") || !strings.Contains(line, "fallback=1") {
-		t.Fatalf("StatsLine should surface degradation: %q", line)
+	for _, want := range []string{"workers=1/2 hb_age[w0=dead w2=0.1s]", "fail=1", "retry=5", "fallback=1"} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("StatsLine should contain %q: %q", want, line)
+		}
 	}
 }

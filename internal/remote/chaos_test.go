@@ -143,8 +143,8 @@ func TestChaosMatrix(t *testing.T) {
 			}
 
 			tr := lc.Master.Transport
-			if tr.Failures() != 0 {
-				t.Fatalf("%s: data-plane faults escalated to %d worker failures", tc.name, tr.Failures())
+			if n := lc.Master.members().failed; n != 0 {
+				t.Fatalf("%s: data-plane faults escalated to %d worker failures", tc.name, n)
 			}
 			if tc.cfg.Class != faultinject.None && inj.FaultsInjected() == 0 {
 				t.Fatalf("%s: the fault schedule never fired — the test exercised nothing", tc.name)
@@ -198,8 +198,8 @@ func TestPeerPartitionFallsBackExactlyOnce(t *testing.T) {
 	}
 
 	tr := lc.Master.Transport
-	if tr.Failures() != 0 {
-		t.Fatalf("partitioned data plane escalated to %d worker failures", tr.Failures())
+	if n := lc.Master.members().failed; n != 0 {
+		t.Fatalf("partitioned data plane escalated to %d worker failures", n)
 	}
 	fallbacks := tr.FetchFallbacks()
 	if fallbacks == 0 {

@@ -51,13 +51,13 @@ func TestDrainMidJobNoFallbacks(t *testing.T) {
 
 	runCluster(t, lc)
 
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.members().drained; got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
-	if got := lc.Master.Elastic.MigratedParts(); got < 1 {
+	if got := lc.Master.migrated; got < 1 {
 		t.Fatalf("migrated partitions = %d, want >= 1 (the worker committed in-flight work)", got)
 	}
-	if got := lc.Master.Transport.Failures(); got != 0 {
+	if got := lc.Master.members().failed; got != 0 {
 		t.Fatalf("a graceful drain must not count as a worker failure, got %d", got)
 	}
 	if got := lc.Master.Transport.FetchFallbacks(); got != 0 {
@@ -115,10 +115,10 @@ func TestElasticDrainAndKillChaos(t *testing.T) {
 
 	runCluster(t, lc)
 
-	if got := lc.Master.Transport.Failures(); got != 1 {
+	if got := lc.Master.members().failed; got != 1 {
 		t.Fatalf("worker failures = %d, want exactly 1 (the kill, not the drain)", got)
 	}
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.members().drained; got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
 	got, err := wcJob.ResultRows()
@@ -194,10 +194,10 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 		t.Fatalf("mid-run join: %v", err)
 	}
 
-	if got := lc.Master.Elastic.Joined(); got != 1 {
+	if got := lc.Master.joined(); got != 1 {
 		t.Fatalf("joined workers = %d, want 1", got)
 	}
-	if got := lc.Master.Elastic.Drained(); got != 1 {
+	if got := lc.Master.members().drained; got != 1 {
 		t.Fatalf("drained workers = %d, want 1", got)
 	}
 	if got := lc.Master.Transport.FetchFallbacks(); got != 0 {
@@ -309,21 +309,24 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 	}
 
 	// Scale-up: pressure must provision up to MaxWorkers — 3 mid-run joins.
-	waitFor(t, "3 elastic joins", func() bool { return lc.Master.Elastic.Joined() >= 3 })
+	waitFor(t, "3 elastic joins", func() bool { return lc.Master.joined() >= 3 })
 	for _, id := range ids {
 		log.waitState(t, id, wire.StateFinished)
 	}
 	// Scale-down: with the queue empty and reservations released, the
 	// hysteresis elapses and the autoscaler drains back to MinWorkers.
-	waitFor(t, "3 graceful scale-down drains", func() bool { return lc.Master.Elastic.Drained() >= 3 })
+	waitFor(t, "3 graceful scale-down drains", func() bool { return lc.Master.members().drained >= 3 })
 
-	if got := lc.Master.Elastic.ScaleUps(); got < 1 {
-		t.Fatalf("scale-up decisions = %d, want >= 1", got)
+	if up, _ := lc.Master.scaler.Decisions(); up < 1 {
+		t.Fatalf("scale-up decisions = %d, want >= 1", up)
 	}
 	// A drain's completion is observed before the controller logs the
 	// decision that caused it, so the counter can trail Drained by one tick.
-	waitFor(t, "3 scale-down decisions", func() bool { return lc.Master.Elastic.ScaleDowns() >= 3 })
-	if got := lc.Master.Transport.Failures(); got != 0 {
+	waitFor(t, "3 scale-down decisions", func() bool {
+		_, down := lc.Master.scaler.Decisions()
+		return down >= 3
+	})
+	if got := lc.Master.members().failed; got != 0 {
 		t.Fatalf("autoscaling caused %d worker failures, want 0", got)
 	}
 	lc.Master.Drain()
@@ -349,8 +352,8 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 
 	waitFor(t, "work in flight", func() bool { return lc.Master.Transport.Worker(0).Dispatches > 0 })
 	lc.Agents[0].Kill()
-	waitFor(t, "worker failure detected", func() bool { return lc.Master.Transport.Failures() == 1 })
-	waitFor(t, "admission paused", func() bool { return lc.Master.Elastic.Paused() })
+	waitFor(t, "worker failure detected", func() bool { return lc.Master.members().failed == 1 })
+	waitFor(t, "admission paused", func() bool { return lc.Master.paused() })
 
 	// Capacity returns: a fresh worker joins the running cluster and the
 	// stalled backlog resumes on it.
@@ -368,8 +371,13 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("run did not complete after the replacement worker joined")
 	}
-	if got := lc.Master.Elastic.Joined(); got != 1 {
+	if got := lc.Master.joined(); got != 1 {
 		t.Fatalf("joined workers = %d, want 1", got)
+	}
+	// The join ended the pause: no tick ran to re-read it, so only a pause
+	// defined from its owners (the scheduler, the connection table) says so.
+	if lc.Master.paused() {
+		t.Fatal("admission still reads paused after the replacement worker joined and the job finished")
 	}
 	got, err := job.ResultRows()
 	if err != nil {
@@ -433,7 +441,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 		t.Fatalf("joining agent: %v", err)
 	}
 	t.Cleanup(a.Kill)
-	waitFor(t, "elastic join", func() bool { return lc.Master.Elastic.Joined() == 1 })
+	waitFor(t, "elastic join", func() bool { return lc.Master.joined() == 1 })
 	// The joiner must take work from the pre-join job for this test to mean
 	// anything, and with the gate still shut that job cannot have finished.
 	waitFor(t, "the joiner to be given the job's unplaced tasks", func() bool {
@@ -442,7 +450,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 	close(gate)
 
 	log.waitState(t, jobID, wire.StateFinished)
-	if got := lc.Master.Transport.Failures(); got != 0 {
+	if got := lc.Master.members().failed; got != 0 {
 		t.Fatalf("worker failures = %d, want 0 (joiner rejected a dispatch?)", got)
 	}
 	lc.Master.Drain()
@@ -478,13 +486,14 @@ func TestReserveCorrectionLearns(t *testing.T) {
 		log.waitState(t, id, wire.StateFinished)
 	}
 
-	if got := lc.Master.Elastic.Corrections(); got < 3 {
-		t.Fatalf("correction observations = %d, want >= 3", got)
+	// Every job reserved and reported a peak, so each one is a correction.
+	if got, _, _ := lc.Master.corrector.Summary(); got != 3 {
+		t.Fatalf("corrections = %d, want 3 (one per finished job)", got)
 	}
 	if f := lc.Master.corrector.Factor("micro"); f >= 1 {
 		t.Fatalf("learned factor for micro = %.3f, want < 1 (workload over-reserves)", f)
 	}
-	if min, _ := lc.Master.corrector.Range(); min >= 1 {
+	if _, min, _ := lc.Master.corrector.Summary(); min >= 1 {
 		t.Fatalf("corrector range min = %.3f, want < 1", min)
 	}
 	lc.Master.Drain()

@@ -92,8 +92,8 @@ func TestDataPlaneEquivalence(t *testing.T) {
 				t.Fatalf("%s: compression off but raw bytes (%v) != wire bytes (%v)",
 					tc.name, rawB, wireB)
 			}
-			if tr.Failures() != 0 {
-				t.Fatalf("%s: unexpected worker failures: %d", tc.name, tr.Failures())
+			if n := lc.Master.members().failed; n != 0 {
+				t.Fatalf("%s: unexpected worker failures: %d", tc.name, n)
 			}
 		})
 	}
@@ -142,7 +142,7 @@ func TestDataPlaneEquivalenceUnderFailure(t *testing.T) {
 
 	runCluster(t, lc)
 
-	if got := lc.Master.Transport.Failures(); got != 1 {
+	if got := lc.Master.members().failed; got != 1 {
 		t.Fatalf("expected exactly 1 worker failure, got %d", got)
 	}
 	got, err := wcJob.ResultRows()

@@ -249,7 +249,6 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		// so fallback fetches serve byte-identical contributions, and the
 		// rows materialize lazily only if the master itself reads them.
 		rj.rt().InsertEncoded(ds, int(w.Part), int(c.MTID), w.Rows, w.Flags, int(w.RawLen))
-		rj.contribBytes[contribSrc{w.DatasetID, w.Part, workerID}] += float64(len(w.Rows))
 		writes[i] = cpstate.CommitWrite{DS: w.DatasetID, Part: w.Part}
 	}
 	rj.memPeak += c.MemPeak
@@ -259,8 +258,8 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		JobID: c.JobID, MTID: c.MTID, Worker: int32(workerID), Seq: c.Seq,
 		Seconds: c.Seconds, Writes: writes,
 	})
-	e.m.Transport.ObserveCompletion(workerID, time.Since(st.sentAt).Seconds(), c.FetchedWireBytes, c.FetchedRawBytes)
-	e.m.Transport.ObserveFetchDegradation(workerID, int(c.FetchRetries), int(c.FetchFallbacks))
+	e.m.Transport.ObserveCompletion(workerID, time.Since(st.sentAt).Seconds(),
+		c.FetchedWireBytes, c.FetchedRawBytes, int(c.FetchRetries), int(c.FetchFallbacks))
 	st.done(st.mt.InputBytes, c.Seconds)
 }
 
@@ -277,22 +276,18 @@ func (e *remoteExecutor) releaseFetchRefs(st *dispatchState) {
 	st.fetchOrigins = nil
 }
 
-// migrateOrigins accounts a drained worker's committed contributions: every
+// migrateOrigins counts a drained worker's committed contributions: every
 // partition listing it as an origin will now route to the canonical store
 // (buildFetches sees WorkerDrained — origin lists are never rewritten,
-// mirroring the failure path). Returns the partition count and encoded
-// bytes whose serving moved. Loop-owned.
-func (e *remoteExecutor) migrateOrigins(workerID int) (parts int, bytes float64) {
+// mirroring the failure path). Returns the partition count whose serving
+// moved. Loop-owned.
+func (e *remoteExecutor) migrateOrigins(workerID int) (parts int) {
 	e.m.rec.read(func(st *cpstate.State) {
-		for key, origins := range st.Origins {
-			if !slices.Contains(origins, int32(workerID)) {
-				continue
-			}
-			parts++
-			if rj := e.m.jobs.get(key.Job); rj != nil {
-				bytes += rj.contribBytes[contribSrc{key.DS, key.Part, workerID}]
+		for _, origins := range st.Origins {
+			if slices.Contains(origins, int32(workerID)) {
+				parts++
 			}
 		}
 	})
-	return parts, bytes
+	return parts
 }

@@ -294,6 +294,45 @@ func TestJournalFailureIsVisible(t *testing.T) {
 	}
 }
 
+// TestJournalStatsLineFormat pins the journal line bench/ parses, so a format
+// change fails here rather than in the benchmark run: after one job on a
+// journaled serve master the line matches the benchmark's Sscanf, every
+// event was appended, and the snapshot the job's events cut shows once the
+// flusher has completed it on disk.
+func TestJournalStatsLineFormat(t *testing.T) {
+	lc, runErr := startServeCluster(t, 1, Config{
+		JournalDir: t.TempDir(), JournalSyncInterval: time.Millisecond, SnapshotEvery: 8,
+	})
+	slog := newStatusLog()
+	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: slog.add})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	id, err := c.Submit("micro", params)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	slog.waitState(t, id, wire.StateFinished)
+
+	parse := func() (events, appended, snaps int) {
+		t.Helper()
+		line := lc.Master.Journal.StatsLine()
+		n, err := fmt.Sscanf(line, "journal: gen=1 events=%d appended=%d replayed=0 (0 B) snaps=%d",
+			&events, &appended, &snaps)
+		if n != 3 {
+			t.Fatalf("journal line %q does not match the benchmark's format: %v", line, err)
+		}
+		return events, appended, snaps
+	}
+	if events, appended, _ := parse(); events != appended || events <= 8 {
+		t.Fatalf("events=%d appended=%d, want equal and above SnapshotEvery (8)", events, appended)
+	}
+	waitFor(t, "a snapshot completed on disk", func() bool {
+		_, _, snaps := parse()
+		return snaps >= 1
+	})
+	lc.Master.Drain()
+	waitRun(t, runErr)
+}
+
 // TestTenantIntakeCap checks the per-tenant intake bound: with a cap of 1
 // and admission parked (the master is never Run, so the pump never starts), a
 // tenant's second submission is rejected while another tenant's passes.

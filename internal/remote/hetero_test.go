@@ -86,7 +86,7 @@ func TestHeteroLoopback(t *testing.T) {
 		t.Fatalf("sql rows diverge from direct execution:\ngot:  %v\nwant: %v",
 			stringify(sqlGot), stringify(want))
 	}
-	if lc.Master.Transport.Failures() != 0 {
-		t.Fatalf("unexpected worker failures: %d", lc.Master.Transport.Failures())
+	if n := lc.Master.members().failed; n != 0 {
+		t.Fatalf("unexpected worker failures: %d", n)
 	}
 }

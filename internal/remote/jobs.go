@@ -36,21 +36,10 @@ type RemoteJob struct {
 	client   *clientLink
 	submitID int64
 
-	// Loop-owned from here. reserved is the admission reservation stashed at
-	// JobAdmitted (the core zeroes its copy before the finished hook);
 	// memPeak accumulates the workers' per-monotask memory high-water marks —
 	// an aggregate-materialized-working-set proxy for the job's true peak.
-	reserved float64
-	memPeak  float64
-	// contribBytes sizes each worker's committed contribution per partition
-	// (encoded blob bytes), so a drain can report how much fetch traffic its
-	// migration rerouted to the canonical store. Metrics only.
-	contribBytes map[contribSrc]float64
-}
-
-type contribSrc struct {
-	ds, part int32
-	worker   int
+	// Loop-owned.
+	memPeak float64
 }
 
 // ResultRows returns the job's output rows (with the workload's Finish
@@ -99,7 +88,6 @@ func (t *jobTable) add(j *RemoteJob) {
 		t.lastID++
 		j.id = t.lastID
 	}
-	j.contribBytes = make(map[contribSrc]float64)
 	t.byID[j.id] = j
 	t.byCore[j.Live.Core] = j
 }

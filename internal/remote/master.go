@@ -19,6 +19,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ursa/internal/cluster"
@@ -55,11 +56,9 @@ type Config struct {
 	// HeartbeatMisses intervals is declared dead. Defaults: 100ms, 3.
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
-	// StatsInterval emits the transport stats line (and samples the
-	// transport trace) at this period; 0 disables.
+	// StatsInterval logs the master's four stats lines — transport, ingest
+	// (serve mode), journal, elastic — at this period; 0 disables.
 	StatsInterval time.Duration
-	// SampleInterval enables cluster-utilization sampling; 0 disables.
-	SampleInterval eventloop.Duration
 	// MaxFrame bounds control and shuffle frames. Default wire.DefaultMaxFrame.
 	MaxFrame int
 	// Compress enables per-contribution compression for the master's own
@@ -221,10 +220,33 @@ func (c Config) withDefaults() Config {
 type workerLink struct {
 	id   int
 	conn *wire.Conn
+	// lastBeat is the wall time (Unix nanoseconds) of the worker's last
+	// heartbeat, stamped by its read loop and, before the first one arrives,
+	// the row's creation: worker liveness is the row's own.
+	lastBeat atomic.Int64
 	// drainPending: the core reported the draining worker idle, but in-flight
 	// dispatches elsewhere still hold fetch references on it — the drain
 	// completes when the last reference drops (maybeFinishDrain).
 	drainPending bool
+}
+
+// newLink opens slot id's connection row, its heartbeat clock started at now.
+func newLink(id int, conn *wire.Conn, now time.Time) *workerLink {
+	l := &workerLink{id: id, conn: conn}
+	l.lastBeat.Store(now.UnixNano())
+	return l
+}
+
+// silence is how long the row has gone without a heartbeat at now.
+func (l *workerLink) silence(now time.Time) time.Duration {
+	return now.Sub(time.Unix(0, l.lastBeat.Load()))
+}
+
+// overdue is the liveness sweep's predicate: row l has been silent for more
+// than misses heartbeat intervals, counted from its creation until the first
+// heartbeat arrives. A dropped row (nil) is never swept.
+func overdue(l *workerLink, now time.Time, interval time.Duration, misses int) bool {
+	return l != nil && l.silence(now) > time.Duration(misses)*interval
 }
 
 // What the master may send a worker is answered from the connection table
@@ -245,16 +267,14 @@ func attached(l *workerLink, w cpstate.WorkerState) bool { return l != nil && w.
 // Master runs the scheduling core over a cluster of worker agents.
 type Master struct {
 	Sys *live.System
-	// Transport aggregates the data-plane counters (satellite: per-worker
-	// heartbeat age, RTT, wire bytes, failures).
+	// Transport counts the data plane per worker: dispatches, completions,
+	// RTT, shuffle bytes, fetch degradation. Its line reads membership and
+	// heartbeat ages from the connection table and the state (liveness).
 	Transport *metrics.Transport
-	// Journal aggregates the control-plane state-machine counters:
-	// generation, events applied/journaled/replayed, snapshots, duplicate
-	// commits rejected, precommits short-circuited, worker re-attaches.
+	// Journal counts what only journaling observes — replays, duplicate
+	// commits, precommits, re-attaches, not-found reads; its line reads
+	// generation, events, appends, snapshots and errors from the recorder.
 	Journal *metrics.Journal
-	// Elastic aggregates the elasticity counters: membership movement,
-	// drain migrations, autoscaler decisions, reservation corrections.
-	Elastic *metrics.Elastic
 
 	cfg        Config
 	ln         net.Listener
@@ -276,6 +296,12 @@ type Master struct {
 	// Config.ReserveCorrect): observations land on the control loop at job
 	// finish, factors are read at submit time from front-door goroutines.
 	corrector *elastic.ReserveCorrector
+	// scaler is the autoscaler (nil unless Config.Autoscale), ticked on the
+	// control loop by Run.
+	scaler *elastic.Controller
+	// migrated counts the partitions whose fetch routing drains moved to
+	// the canonical store. Loop-owned.
+	migrated int
 
 	needed int           // registrations that close ready
 	ready  chan struct{} // closed when `needed` agents have registered
@@ -292,7 +318,6 @@ type Master struct {
 	workers []*workerLink
 	nreg    int
 	started bool
-	start   time.Time
 
 	closeOnce sync.Once
 }
@@ -333,16 +358,27 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		cfg.MaxWorkers = cfg.MinWorkers
 	}
 	m := &Master{
-		cfg:       cfg,
-		Transport: metrics.NewTransport(),
-		Journal:   metrics.NewJournal(),
-		Elastic:   metrics.NewElastic(),
-		ready:     make(chan struct{}),
-		workers:   make([]*workerLink, cfg.Workers),
-		takeover:  tk,
+		cfg:      cfg,
+		ready:    make(chan struct{}),
+		workers:  make([]*workerLink, cfg.Workers),
+		takeover: tk,
 	}
+	m.Transport = metrics.NewTransport(m.liveness)
 	if cfg.ReserveCorrect {
 		m.corrector = elastic.NewReserveCorrector()
+	}
+	if cfg.Autoscale {
+		m.scaler = &elastic.Controller{
+			Policy: elastic.NewUtilizationPolicy(cfg.MinWorkers, cfg.MaxWorkers),
+			Prov:   cfg.Provisioner,
+			Drain:  m.drainOneIdle,
+			Logf:   cfg.Logf,
+		}
+		if m.scaler.Prov == nil {
+			m.scaler.Prov = elastic.ProvisionerFunc(func() error {
+				return errors.New("remote: autoscale without a Provisioner")
+			})
+		}
 	}
 
 	// Generation and state machine. A fresh master is generation 1 on an
@@ -370,9 +406,9 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	}
 	m.gen = st.Gen + 1
 	m.jobs = newJobTable(st.MaxJobID())
-	m.rec = newRecorder(st, m.jnl, m.Journal, cfg.SnapshotEvery, m.logf)
+	m.rec = newRecorder(st, m.jnl, cfg.SnapshotEvery, m.logf)
+	m.Journal = metrics.NewJournal(m.rec.owned)
 	m.rec.record(cpstate.Generation{Gen: m.gen})
-	m.Journal.SetGeneration(m.gen)
 
 	m.needed = cfg.Workers
 	if tk != nil {
@@ -408,7 +444,6 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		CoresPerWorker: cfg.CoresPerWorker,
 		MemPerWorker:   cfg.MemPerWorker,
 		Core:           cfg.Core,
-		SampleInterval: cfg.SampleInterval,
 		Serve:          cfg.Serve,
 		NewBackend: func(*live.System) live.Backend {
 			m.exec = newRemoteExecutor(m)
@@ -473,9 +508,6 @@ func (m *Master) onJobState(j *core.Job) {
 	switch j.State {
 	case core.JobAdmitted:
 		m.rec.record(cpstate.JobAdmitted{JobID: rj.id, Reserved: j.ReservedMem()})
-		// Stash the reservation now: the core zeroes it before the
-		// finished-state hook fires, and the corrector needs the pair.
-		rj.reserved = j.ReservedMem()
 		// The hook fires before the scheduler dispatches any of the job's
 		// monotasks, and each worker connection is FIFO, so agents build the
 		// plan before any of its monotasks arrive. On a takeover master the
@@ -485,13 +517,14 @@ func (m *Master) onJobState(j *core.Job) {
 		}
 		m.fd.sendStatus(rj, wire.StateAdmitted, "")
 	case core.JobFinished:
-		m.rec.record(cpstate.JobFinished{JobID: rj.id})
+		// The corrector pairs the job's peak with the reservation the state
+		// holds for it until the finish event releases it.
 		if m.corrector != nil {
 			if js, ok := m.rec.job(rj.id); ok {
-				m.corrector.Observe(js.Workload, rj.reserved, rj.memPeak)
-				m.Elastic.ObserveCorrection(m.corrector.Range())
+				m.corrector.Observe(js.Workload, js.Reserved, rj.memPeak)
 			}
 		}
+		m.rec.record(cpstate.JobFinished{JobID: rj.id})
 		m.fd.sendStatus(rj, wire.StateFinished,
 			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
 		m.broadcast(wire.JobDone{JobID: rj.id}, attached)
@@ -723,7 +756,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		id = m.nreg
 	}
 	m.nreg++
-	link := &workerLink{id: id, conn: c}
+	link := newLink(id, c, time.Now())
 	m.workers[id] = link
 	full := m.nreg == m.needed
 	m.mu.Unlock()
@@ -734,7 +767,6 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	if reattach {
 		m.Journal.ObserveReattach()
 	}
-	m.Transport.ObserveRegister(id, time.Now())
 	c.Send(m.welcome(id, reg))
 	m.logf("master: worker %d registered from %v (cores=%d shuffle=%s gen=%d reattach=%v)",
 		id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr, m.gen, reattach)
@@ -809,7 +841,7 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 	m.Sys.Drv.Send(func() {
 		m.mu.Lock()
 		id := len(m.workers)
-		link := &workerLink{id: id, conn: c}
+		link := newLink(id, c, time.Now())
 		m.workers = append(m.workers, link)
 		m.nreg++
 		m.needed++ // keep nreg >= needed: the next fresh agent is elastic too
@@ -824,8 +856,6 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 		m.rec.record(cpstate.WorkerJoined{
 			Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
 		})
-		m.Elastic.ObserveJoin()
-		m.Transport.ObserveRegister(id, time.Now())
 		c.Send(m.welcome(id, reg))
 		// A dispatch for any admitted job could land on this worker as soon
 		// as the core sees its capacity; jobs still queued are prepared here
@@ -835,7 +865,6 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 				c.Send(p)
 			}
 		}
-		m.updateMembership()
 		m.logf("master: worker %d joined elastically from %v (cores=%d shuffle=%s)",
 			id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr)
 		joined <- link
@@ -904,10 +933,8 @@ func (m *Master) beginDrain(id int, reason string) {
 		return
 	}
 	m.rec.record(cpstate.WorkerDraining{Worker: int32(id)})
-	m.Elastic.ObserveDrainStart()
 	m.logf("master: draining worker %d (%s)", id, reason)
 	link.conn.Send(wire.DrainWorker{WorkerID: int32(id), Reason: reason})
-	m.updateMembership()
 	// Last: the core excludes the worker from placement and admission
 	// capacity, and fires OnWorkerDrained (finishDrain) once its in-flight
 	// monotasks have all committed — synchronously right here if it is
@@ -949,24 +976,15 @@ func (m *Master) maybeFinishDrain(id int) {
 // once WorkerDrained is recorded, buildFetches serves its partitions from
 // the master — no data moves. Loop-owned, or a takeover's recovery.
 func (m *Master) recordDrained(id int) {
-	parts, bytes := m.exec.migrateOrigins(id)
+	parts := m.exec.migrateOrigins(id)
 	m.rec.record(cpstate.WorkerDrained{Worker: int32(id)})
-	m.Elastic.ObserveDrainDone(parts, bytes)
-	m.logf("master: worker %d drained (%d partitions, %.0f B rerouted to the canonical store)",
-		id, parts, bytes)
-	m.updateMembership()
-}
-
-// updateMembership refreshes the elastic monitor's membership snapshot.
-// Loop-owned.
-func (m *Master) updateMembership() {
-	s := m.signals()
-	m.Elastic.SetMembership(s.Live, s.Draining)
+	m.migrated += parts
+	m.logf("master: worker %d drained (%d partitions rerouted to the canonical store)", id, parts)
 }
 
 // signals samples the autoscaler's view of the cluster. Loop-owned.
 func (m *Master) signals() elastic.Signals {
-	s := elastic.Signals{Joined: m.Elastic.Joined()}
+	s := elastic.Signals{Joined: m.joined(), Paused: m.paused()}
 	var capCores, freeCores float64
 	for id := range m.workers {
 		switch l, w := m.worker(id); {
@@ -982,7 +1000,6 @@ func (m *Master) signals() elastic.Signals {
 	sched := m.Sys.Core.Sched
 	s.Queued = sched.QueuedCount()
 	s.Admitted = sched.AdmittedCount()
-	s.Paused = sched.AdmissionPaused()
 	if cap := sched.LiveCapacity(); cap > 0 {
 		s.ReservedFrac = sched.ReservedMem() / cap
 	}
@@ -1014,14 +1031,14 @@ func (m *Master) reserveFactor(workload string) float64 {
 	return m.corrector.Factor(workload)
 }
 
-// readLoop is one worker's inbound control path. Heartbeats update the
-// (thread-safe) transport monitor directly; everything that touches
-// scheduler state is relayed onto the control loop through the driver inbox.
+// readLoop is one worker's inbound control path. Heartbeats stamp the
+// connection row's atomic clock directly; everything that touches scheduler
+// state is relayed onto the control loop through the driver inbox.
 func (m *Master) readLoop(link *workerLink) {
 	err := link.conn.ReadLoop(func(msg wire.Msg) error {
 		switch msg := msg.(type) {
 		case wire.Heartbeat:
-			m.Transport.ObserveHeartbeat(link.id, time.Now())
+			link.lastBeat.Store(time.Now().UnixNano())
 		case wire.Complete:
 			// Pooled reads recycle the frame buffer on the connection's next
 			// read, while handleComplete runs later on the control loop: the
@@ -1072,22 +1089,16 @@ func (m *Master) failWorker(id int, cause error) {
 	}
 	m.dropLink(id)
 	m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
-	m.Transport.ObserveFailure(id)
-	m.Elastic.ObserveFail()
 	m.logf("master: worker %d failed: %v", id, cause)
 	link.conn.Close()
 	m.Sys.Core.FailWorker(id)
-	m.updateMembership()
-	for _, l := range m.workers {
-		if l != nil {
-			return
-		}
+	if m.connected() {
+		return
 	}
 	if m.cfg.Elastic {
 		// An elastic cluster with no live workers pauses admission (jobs
-		// stay queued, visibly) and waits for a join — from the autoscaler
-		// or an operator — instead of failing the run.
-		m.Elastic.SetPaused(true)
+		// stay queued, visibly: paused) and waits for a join — from the
+		// autoscaler or an operator — instead of failing the run.
 		m.logf("master: no live workers remain; admission paused until a worker joins")
 		return
 	}
@@ -1113,63 +1124,37 @@ func (m *Master) Run(ctx context.Context) error {
 	}
 	m.mu.Lock()
 	m.started = true
-	m.start = time.Now()
 	m.mu.Unlock()
 
 	loop := m.Sys.Drv.Loop()
-	hb := m.cfg.HeartbeatInterval
+	hb, misses := m.cfg.HeartbeatInterval, m.cfg.HeartbeatMisses
 	stopLiveness := loop.Every(eventloop.Duration(hb/time.Microsecond), func() {
-		deadline := time.Duration(m.cfg.HeartbeatMisses) * hb
-		for id, age := range m.Transport.HeartbeatAges(time.Now()) {
-			// Only a worker with a connection row is failable. HeartbeatAges
-			// clamps the just-registered window (zero LastHeartbeat → age 0),
-			// so a worker that handshook but hasn't heartbeated yet becomes
-			// failable HeartbeatMisses×interval after registration.
-			if m.link(id) != nil && age > deadline {
-				m.failWorker(id, fmt.Errorf("remote: no heartbeat for %v (limit %v)", age, deadline))
+		now := time.Now()
+		for id, l := range m.workers {
+			if overdue(l, now, hb, misses) {
+				m.failWorker(id, fmt.Errorf("remote: no heartbeat for %v (limit %v)",
+					l.silence(now), time.Duration(misses)*hb))
 			}
 		}
 	})
 	defer stopLiveness()
 	if m.cfg.StatsInterval > 0 {
 		stopStats := loop.Every(eventloop.Duration(m.cfg.StatsInterval/time.Microsecond), func() {
-			now := time.Now()
-			m.Transport.Sample(now.Sub(m.start).Seconds(), now)
-			m.logf("master: %s", m.Transport.StatsLine(now))
+			m.logf("master: %s", m.Transport.StatsLine(time.Now()))
 			if m.fd != nil {
 				// Sample tenant fairness on the loop, where the scheduler's
 				// share accounting is consistent.
 				m.fd.Ingest.ObserveShareError(core.ShareError(m.Sys.Core.Sched.TenantShares()))
 				m.logf("master: %s", m.fd.Ingest.StatsLine())
 			}
-			if m.jnl != nil {
-				_, _, _, unsynced := m.jnl.Stats()
-				m.Journal.ObservePendingDepth(unsynced)
-			}
 			m.logf("master: %s", m.Journal.StatsLine())
-			m.Elastic.SetPaused(m.Sys.Core.Sched.AdmissionPaused())
-			m.logf("master: %s", m.Elastic.StatsLine())
+			m.logf("master: %s", m.elasticLine())
 		})
 		defer stopStats()
 	}
-	m.Sys.Drv.Send(func() { m.updateMembership() })
-	if m.cfg.Autoscale {
-		ctrl := &elastic.Controller{
-			Policy:  elastic.NewUtilizationPolicy(m.cfg.MinWorkers, m.cfg.MaxWorkers),
-			Prov:    m.cfg.Provisioner,
-			Drain:   m.drainOneIdle,
-			Logf:    m.cfg.Logf,
-			OnScale: m.Elastic.ObserveScale,
-		}
-		if ctrl.Prov == nil {
-			ctrl.Prov = elastic.ProvisionerFunc(func() error {
-				return errors.New("remote: autoscale without a Provisioner")
-			})
-		}
+	if m.scaler != nil {
 		stopScale := loop.Every(eventloop.Duration(m.cfg.AutoscaleInterval/time.Microsecond), func() {
-			s := m.signals()
-			m.Elastic.SetPaused(s.Paused)
-			ctrl.Tick(s)
+			m.scaler.Tick(m.signals())
 		})
 		defer stopScale()
 	}
@@ -1192,8 +1177,6 @@ func (m *Master) Run(ctx context.Context) error {
 		m.Sys.Drv.Send(m.fd.markStarted)
 	}
 	err := m.Sys.Run(ctx)
-	now := time.Now()
-	m.Transport.Sample(now.Sub(m.start).Seconds(), now)
 	if err == nil && m.cfg.Serve {
 		// A serve run has no result to hand back but what it journaled.
 		err = m.rec.Err()

@@ -23,20 +23,19 @@ import (
 // and phase; DESIGN §13), read back through read/worker/job, even when
 // nothing persists — journaling only adds durability.
 type recorder struct {
-	metrics *metrics.Journal
-	logf    func(string, ...any)
+	logf func(string, ...any)
 
 	mu        sync.Mutex
 	state     *cpstate.State
+	applied0  uint64           // state.Applied when this master took the state over
 	jnl       *journal.Journal // nil: in-memory only
-	snapEvery int
-	sinceSnap int
-	err       error // first journal error; the state machine keeps going
-	fenced    bool  // Close happened: no event reaches state or journal
+	snapEvery uint64           // snapshot after every snapEvery events this master records
+	err       error            // first journal error; the state machine keeps going
+	fenced    bool             // Close happened: no event reaches state or journal
 }
 
-func newRecorder(st *cpstate.State, jnl *journal.Journal, jm *metrics.Journal, snapEvery int, logf func(string, ...any)) *recorder {
-	return &recorder{state: st, jnl: jnl, metrics: jm, snapEvery: snapEvery, logf: logf}
+func newRecorder(st *cpstate.State, jnl *journal.Journal, snapEvery int, logf func(string, ...any)) *recorder {
+	return &recorder{state: st, applied0: st.Applied, jnl: jnl, snapEvery: uint64(snapEvery), logf: logf}
 }
 
 // record applies one event and journals it, and reports whether it did:
@@ -53,16 +52,10 @@ func (r *recorder) record(ev cpstate.Event) bool {
 	}
 	cpstate.Apply(r.state, ev)
 	var err error
-	journaled := false
 	if r.jnl != nil {
 		_, err = r.jnl.Append(cpstate.AppendEvent(nil, ev))
-		journaled = err == nil
-		r.sinceSnap++
-		if r.sinceSnap >= r.snapEvery {
-			r.sinceSnap = 0
-			if serr := r.jnl.Snapshot(r.state.AppendEncoded); serr == nil {
-				r.metrics.ObserveSnapshot()
-			} else if err == nil {
+		if (r.state.Applied-r.applied0)%r.snapEvery == 0 {
+			if serr := r.jnl.Snapshot(r.state.AppendEncoded); err == nil {
 				err = serr
 			}
 		}
@@ -71,12 +64,12 @@ func (r *recorder) record(ev cpstate.Event) bool {
 	if err != nil {
 		r.fail(err)
 	}
-	r.metrics.ObserveEvent(journaled)
 	return true
 }
 
 // fail keeps the journal's first error and makes it visible: one log line,
-// err=1 on the journal stats line, and Err for Run and Close to return.
+// and Err — which the journal stats line prints as err=1 — for Run and Close
+// to return.
 // Whether a primary that can no longer journal steps down is not decided here.
 func (r *recorder) fail(err error) {
 	r.mu.Lock()
@@ -86,7 +79,6 @@ func (r *recorder) fail(err error) {
 	}
 	r.mu.Unlock()
 	if first {
-		r.metrics.ObserveError()
 		r.logf("master: journal failed, nothing recorded from here on is durable: %v", err)
 	}
 }
@@ -108,6 +100,23 @@ func (r *recorder) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.err
+}
+
+// owned reads the journal stats line's fields from their owners: generation
+// and events applied since this master took the state over from the state,
+// records appended, snapshots completed and bytes unflushed from the journal,
+// and the failure from err. Under the lock, so events and appended agree.
+func (r *recorder) owned() metrics.JournalOwned {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	o := metrics.JournalOwned{
+		Gen: r.state.Gen, Events: int(r.state.Applied - r.applied0), Failed: r.err != nil,
+	}
+	if r.jnl != nil {
+		appends, _, snaps, depth := r.jnl.Stats()
+		o.Appended, o.Snaps, o.Depth = int(appends), int(snaps), depth
+	}
+	return o
 }
 
 // read runs fn on the state under the recorder's lock — the master's read

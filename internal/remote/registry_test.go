@@ -128,6 +128,41 @@ func TestWorkerLifecyclePredicates(t *testing.T) {
 	}
 }
 
+// TestLinkLivenessFromCreation pins the liveness sweep's predicate on the
+// connection row: the heartbeat clock starts when the row is created, so a
+// worker that never heartbeats — it handshook, or a dispatch raced its first
+// beat — is failable exactly HeartbeatMisses intervals after it registered,
+// not sooner (no epoch-sized age) and not never; a heartbeat restarts the
+// budget; and a dropped row is never swept.
+func TestLinkLivenessFromCreation(t *testing.T) {
+	const interval, misses = 50 * time.Millisecond, 3
+	budget := time.Duration(misses) * interval
+	created := time.Date(2026, 10, 15, 12, 0, 0, 0, time.UTC)
+	l := newLink(0, nil, created)
+	for _, tc := range []struct {
+		after time.Duration
+		want  bool
+	}{
+		{0, false},
+		{interval, false},
+		{budget, false},
+		{budget + time.Nanosecond, true},
+		{time.Hour, true},
+	} {
+		if got := overdue(l, created.Add(tc.after), interval, misses); got != tc.want {
+			t.Errorf("never-beating row %v after creation: overdue = %v, want %v", tc.after, got, tc.want)
+		}
+	}
+	beat := created.Add(budget)
+	l.lastBeat.Store(beat.UnixNano())
+	if overdue(l, beat.Add(budget), interval, misses) || !overdue(l, beat.Add(budget+1), interval, misses) {
+		t.Error("a heartbeat must restart the budget from the beat")
+	}
+	if overdue(nil, created.Add(time.Hour), interval, misses) {
+		t.Error("a dropped row must never be swept")
+	}
+}
+
 // TestWireIDsMintAboveState: a master mints job IDs above every ID the
 // control-plane state has seen — terminal jobs a takeover does not resubmit
 // included — and an inherited ID is kept as it is.

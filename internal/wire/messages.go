@@ -343,7 +343,8 @@ type Complete struct {
 	// monotask's input pulls needed (transient peer faults absorbed by
 	// retry/backoff), and FetchFallbacks counts partitions that degraded to
 	// the master's canonical store after peer retries were exhausted — the
-	// degradation signals the master folds into metrics.Transport.
+	// degradation signals the master adds to this worker's counters in
+	// metrics.Transport (whose retry=/fallback= totals sum them).
 	FetchRetries   int32
 	FetchFallbacks int32
 	// MemPeak is the observed memory high-water mark of this monotask's
