@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench bench-e2e loc clean
+.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows bench bench-e2e loc clean
 
-ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero chaos fuzz-wire fuzz-events fuzz-rows bench-e2e
+ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows bench-e2e
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt-check:
@@ -76,6 +76,20 @@ smoke-elastic:
 # race detector.
 smoke-hetero:
 	$(GO) test -race -count=1 -run 'TestHeteroLoopback' ./internal/remote
+
+# Examples smoke: quickstart and sql_analytics must print the same bytes on
+# the direct local pool and through the live scheduler (-live, live.Runner),
+# once the -live run's first two lines (its "mode:" banner and a blank line)
+# are dropped. The binaries and outputs live in a temporary directory.
+smoke-examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	for ex in quickstart sql_analytics; do \
+		$(GO) build -o "$$dir/$$ex" ./examples/$$ex && \
+		"$$dir/$$ex" > "$$dir/direct" && \
+		"$$dir/$$ex" -live > "$$dir/live" && \
+		tail -n +3 "$$dir/live" | cmp - "$$dir/direct" || \
+		{ echo "examples/$$ex: -live output differs from the direct run"; exit 1; }; \
+	done; echo "smoke-examples: quickstart and sql_analytics identical with and without -live"
 
 # Hostile-network matrix: the loopback cluster under every injected fault
 # class (drop, delay, partition, slow-reader, truncation, wedge) must finish

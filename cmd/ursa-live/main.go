@@ -3,7 +3,8 @@
 // Algorithm-1 placement, per-resource worker queues — driven by the wall
 // clock, with monotasks executing actual work (UDF invocation, hash-bucketed
 // shuffle movement) and reporting *measured* durations back into the
-// workers' processing-rate monitors (§4.2.2).
+// workers' processing-rate monitors (§4.2.2). The jobs are the workload
+// registry's wordcount, the one the distributed master runs.
 //
 // Usage:
 //
@@ -18,66 +19,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"ursa/internal/core"
-	"ursa/internal/dag"
 	"ursa/internal/eventloop"
 	"ursa/internal/live"
-	"ursa/internal/localrt"
 	"ursa/internal/metrics"
+	"ursa/internal/remote/workload"
 	"ursa/internal/resource"
 )
-
-type kv struct {
-	K string
-	V int
-}
-
-func (p kv) ShuffleKey() any { return p.K }
-
-// wordCountGraph is the canonical map + shuffle + reduce DAG over text lines.
-func wordCountGraph(inParts, outParts int) (*dag.Graph, *dag.Dataset, *dag.Dataset) {
-	g := dag.NewGraph()
-	lines := g.CreateData(inParts)
-	pairs := g.CreateData(inParts)
-	shuffled := g.CreateData(outParts)
-	counts := g.CreateData(outParts)
-
-	tokenize := g.CreateOp(resource.CPU, "tokenize").Read(lines).Create(pairs)
-	tokenize.SetUDF(localrt.UDF(func(in [][]localrt.Row) []localrt.Row {
-		agg := map[string]int{}
-		for _, row := range in[0] {
-			for _, w := range strings.Fields(row.(string)) {
-				agg[w]++
-			}
-		}
-		out := make([]localrt.Row, 0, len(agg))
-		for w, c := range agg {
-			out = append(out, kv{w, c})
-		}
-		return out
-	}))
-	shuffle := g.CreateOp(resource.Net, "shuffle").Read(pairs).Create(shuffled)
-	reduce := g.CreateOp(resource.CPU, "reduce").Read(shuffled).Create(counts)
-	reduce.SetUDF(localrt.UDF(func(in [][]localrt.Row) []localrt.Row {
-		agg := map[string]int{}
-		for _, row := range in[0] {
-			p := row.(kv)
-			agg[p.K] += p.V
-		}
-		out := make([]localrt.Row, 0, len(agg))
-		for w, c := range agg {
-			out = append(out, kv{w, c})
-		}
-		return out
-	}))
-	tokenize.To(shuffle, dag.Sync)
-	shuffle.To(reduce, dag.Async)
-	return g, lines, counts
-}
 
 func main() {
 	var (
@@ -106,31 +57,31 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stopSignals()
 
-	cfg := live.Config{
-		Workers:        *workers,
-		Parallelism:    *parallel,
-		SampleInterval: eventloop.Duration(*sample / time.Microsecond),
-	}
+	cfg := live.Config{Workers: *workers, Parallelism: *parallel}
 	cfg.Core.RateWindow = eventloop.Duration(*rateWin / time.Microsecond)
 	cfg.Core.Policy = pol
 	sys := live.NewSystem(cfg)
+	var sampler *metrics.Sampler
+	if *sample > 0 {
+		sampler = metrics.NewSampler(sys.Drv.Loop(), metrics.ClusterSource(sys.Cluster),
+			eventloop.Duration(*sample/time.Microsecond))
+	}
 
 	fmt.Printf("submitting %d word-count jobs (%d lines × %d partitions each) to %d workers\n",
 		*jobs, *lines, *parts, *workers)
+	var handles []*live.Job
 	for i := 0; i < *jobs && ctx.Err() == nil; i++ {
-		g, in, _ := wordCountGraph(*parts, *parts)
-		input := make([]localrt.Row, *lines)
-		for l := 0; l < *lines; l++ {
-			input[l] = fmt.Sprintf("job%d w%d w%d common words here", i, l%97, l%31)
-		}
-		_, err := sys.Submit(
-			core.JobSpec{Name: fmt.Sprintf("wordcount-%d", i), Graph: g},
-			[]localrt.PlanInput{{Dataset: in, Rows: input}},
-		)
+		bj, err := workload.Build(workload.WordCount(workload.WordCountParams{
+			Lines: *lines, InParts: *parts, OutParts: *parts,
+		}))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ursa-live: %v\n", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
+		bj.Spec.Name = fmt.Sprintf("wordcount-%d", i)
+		handles = append(handles, sys.Submit([]live.Submission{{
+			Spec: bj.Spec, Plan: bj.Plan, Inputs: bj.Inputs,
+		}}, nil)...)
 	}
 
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
@@ -148,7 +99,7 @@ func main() {
 		fmt.Printf("\nursa-live: interrupted, drained after %.1fs\n", wall.Seconds())
 	} else {
 		fmt.Printf("\n%-14s %10s\n", "job", "JCT")
-		for _, j := range sys.Jobs() {
+		for _, j := range handles {
 			fmt.Printf("%-14s %9.1fms\n", j.Core.Spec.Name, j.Core.JCT().Seconds()*1e3)
 		}
 	}
@@ -160,10 +111,10 @@ func main() {
 			i, w.Rate(resource.CPU), w.Rate(resource.Net), w.Rate(resource.Disk))
 	}
 
-	if *sparkline && sys.Sampler != nil {
+	if *sparkline && sampler != nil {
 		fmt.Println()
-		fmt.Printf("CPU  %s\n", sys.Sampler.Cluster.Sparkline(metrics.SeriesCPU, 72))
-		fmt.Printf("NET  %s\n", sys.Sampler.Cluster.Sparkline(metrics.SeriesNet, 72))
-		fmt.Printf("MEM  %s\n", sys.Sampler.Cluster.Sparkline(metrics.SeriesMem, 72))
+		fmt.Printf("CPU  %s\n", sampler.Cluster.Sparkline(metrics.SeriesCPU, 72))
+		fmt.Printf("NET  %s\n", sampler.Cluster.Sparkline(metrics.SeriesNet, 72))
+		fmt.Printf("MEM  %s\n", sampler.Cluster.Sparkline(metrics.SeriesMem, 72))
 	}
 }

@@ -76,6 +76,10 @@ func (p *Pool) Used() float64 { return p.used.Value() }
 // Free returns the unallocated capacity.
 func (p *Pool) Free() float64 { return p.capacity - p.alloc.Value() }
 
+// Empty reports whether nothing is allocated, up to the float dust that
+// repeated alloc/free cycles leave behind.
+func (p *Pool) Empty() bool { return p.alloc.Value() <= p.eps }
+
 // TryAlloc reserves n units if available, reporting success.
 func (p *Pool) TryAlloc(n float64) bool {
 	if n < 0 {

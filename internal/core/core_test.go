@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ursa/internal/cluster"
@@ -324,5 +325,41 @@ func TestUtilizationConservation(t *testing.T) {
 	}
 	if math.Abs(snap.NetBytesReceived-wantNet) > wantNet*0.01+1000 {
 		t.Errorf("NetBytesReceived = %v, want %v", snap.NetBytesReceived, wantNet)
+	}
+}
+
+// TestCheckQuiesced: a system that ran its jobs to the end is quiesced, and
+// each violation, built directly on a fresh system, is the one named.
+func TestCheckQuiesced(t *testing.T) {
+	loop, clus := testCluster(2)
+	sys := NewSystem(loop, clus, Config{})
+	sys.MustSubmit(JobSpec{Name: "a", Graph: shuffleJob(4, 2, 200e6), MemEstimate: 6e9}, 0)
+	sys.MustSubmit(JobSpec{Name: "b", Graph: shuffleJob(4, 2, 200e6), Tenant: "t"}, 0)
+	loop.Run()
+	if err := sys.CheckQuiesced(); err != nil {
+		t.Fatalf("after a finished run: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		breakIt    func(*System)
+	}{
+		{"scheduler reservation", "scheduler still reserves", func(s *System) { s.Sched.reservedMem = 1 }},
+		{"tenant reservation", `tenant "t" still reserves`, func(s *System) { s.Sched.tenantFor("t").reserved = 1 }},
+		{"monotask in flight", "worker 1 not empty (idle=false", func(s *System) { s.Workers[1].active[&dag.Monotask{}] = func() {} }},
+		{"memory held", "worker 0 not empty", func(s *System) { s.Workers[0].Machine.Mem.MustAlloc(1e6) }},
+		{"cores held", "worker 1 not empty", func(s *System) { s.Workers[1].Machine.Cores.MustAlloc(1) }},
+		{"job not done", "1 of 1 jobs not done", func(s *System) { s.MustSubmit(JobSpec{Name: "c", Graph: shuffleJob(2, 1, 1e6)}, 0) }},
+		{"job queued", "1 jobs still queued", func(s *System) { s.Sched.nqueued = 1 }},
+	} {
+		loop, clus := testCluster(2)
+		s := NewSystem(loop, clus, Config{})
+		if err := s.CheckQuiesced(); err != nil {
+			t.Fatalf("%s: fresh system: %v", tc.name, err)
+		}
+		tc.breakIt(s)
+		if err := s.CheckQuiesced(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckQuiesced = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -420,6 +420,12 @@ func (s *Scheduler) jobFinished(j *Job) {
 			break
 		}
 	}
+	if len(s.admitted) == 0 { // so what the subtractions left is float dust
+		s.reservedMem = 0
+		for _, tq := range s.tenantSeq {
+			tq.reserved = 0
+		}
+	}
 	s.sys.noteJobState(j)
 	s.tryAdmit()
 	s.sys.jobDone(j)

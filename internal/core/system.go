@@ -72,23 +72,15 @@ func (s *System) Submit(spec JobSpec, at eventloop.Time) (*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: job %q: %w", spec.Name, err)
 	}
-	return s.SubmitPlan(spec, plan, at), nil
-}
-
-// SubmitPlan schedules a job whose plan was already built — the live path
-// uses it so input datasets can be materialized (sizes recorded) between
-// plan construction and submission, which makes the SRJF remaining-work
-// hint see real input sizes.
-func (s *System) SubmitPlan(spec JobSpec, plan *dag.Plan, at eventloop.Time) *Job {
 	j := s.newJob(spec, plan)
 	s.Loop.At(at, func() { s.Sched.submit(j) })
-	return j
+	return j, nil
 }
 
-// SubmitPlanNow registers a job and enqueues it on its tenant's admission
-// queue immediately, without running an admission pass. Loop-owned: call
-// from a loop callback. Pair with FlushAdmission — the batch path enqueues
-// many jobs, then runs one admission pass over all of them, so per-job cost
+// SubmitPlanNow registers a job whose plan was already built and enqueues it
+// on its tenant's admission queue at once, without an admission pass.
+// Loop-owned. Pair with FlushAdmission: the live path enqueues every job of a
+// submission, then runs one admission pass over all of them, so per-job cost
 // is queue append + stamp instead of a full reservation/rank/sort pass.
 func (s *System) SubmitPlanNow(spec JobSpec, plan *dag.Plan) *Job {
 	j := s.newJob(spec, plan)
@@ -137,6 +129,34 @@ func (s *System) Jobs() []*Job { return s.jobs }
 
 // AllDone reports whether every submitted job has finished.
 func (s *System) AllDone() bool { return s.done == len(s.jobs) }
+
+// CheckQuiesced names the first invariant a quiesced system breaks: every
+// admission reservation returned, scheduler-wide and per tenant; every
+// worker idle, holding no memory or cores beyond float dust; every job done;
+// nothing queued. Call it once the loop has stopped.
+func (s *System) CheckQuiesced() error {
+	if r := s.Sched.reservedMem; r != 0 {
+		return fmt.Errorf("core: scheduler still reserves %g", r)
+	}
+	for _, tq := range s.Sched.tenantSeq {
+		if tq.reserved != 0 {
+			return fmt.Errorf("core: tenant %q still reserves %g", tq.name, tq.reserved)
+		}
+	}
+	for _, w := range s.Workers {
+		if m := w.Machine; !w.Idle() || !m.Mem.Empty() || !m.Cores.Empty() {
+			return fmt.Errorf("core: worker %d not empty (idle=%v, mem=%g, cores=%g)",
+				w.ID, w.Idle(), m.Mem.Allocated(), m.Cores.Allocated())
+		}
+	}
+	if !s.AllDone() {
+		return fmt.Errorf("core: %d of %d jobs not done", len(s.jobs)-s.done, len(s.jobs))
+	}
+	if n := s.Sched.QueuedCount(); n != 0 {
+		return fmt.Errorf("core: %d jobs still queued", n)
+	}
+	return nil
+}
 
 func (s *System) jobDone(j *Job) {
 	s.done++

@@ -46,7 +46,7 @@ func (s *Session) Graph() *dag.Graph { return s.g }
 
 // InputBindings returns the session's parallelized inputs as plan inputs —
 // what a caller needs to run the session's graph through a scheduler
-// directly (live.System.SubmitPlan, the remote workload builders) instead
+// directly (live.System.Submit, the remote workload builders) instead
 // of via Collect.
 func (s *Session) InputBindings() []localrt.PlanInput {
 	out := make([]localrt.PlanInput, len(s.inputs))

@@ -116,6 +116,9 @@ func runUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, samp
 	if !sys.AllDone() {
 		panic(fmt.Sprintf("experiments: workload %s stalled on ursa", w.Name))
 	}
+	if err := sys.CheckQuiesced(); err != nil {
+		panic(fmt.Sprintf("experiments: workload %s on ursa: %v", w.Name, err))
+	}
 	res := Result{System: "ursa-" + cfg.Policy.String()}
 	var jobs []metrics.JobTimes
 	for _, j := range sys.Jobs() {

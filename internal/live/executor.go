@@ -28,7 +28,7 @@ type executor struct {
 	sem chan struct{}
 
 	mu  sync.Mutex
-	rts map[*core.Job]*localrt.Runtime
+	rts map[*dag.Plan]*localrt.Runtime
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -40,23 +40,24 @@ func newExecutor(sys *System, parallelism int) *executor {
 	return &executor{
 		sys:    sys,
 		sem:    make(chan struct{}, parallelism),
-		rts:    make(map[*core.Job]*localrt.Runtime),
+		rts:    make(map[*dag.Plan]*localrt.Runtime),
 		ctx:    ctx,
 		cancel: cancel,
 	}
 }
 
-// RegisterJob binds a job to the runtime holding its materialized datasets.
-func (e *executor) RegisterJob(j *core.Job, rt *localrt.Runtime) {
+// RegisterJob binds a job's plan to the runtime holding its materialized
+// datasets: every submission builds its own plan, so the plan names the job.
+func (e *executor) RegisterJob(rt *localrt.Runtime) {
 	e.mu.Lock()
-	e.rts[j] = rt
+	e.rts[rt.Plan()] = rt
 	e.mu.Unlock()
 }
 
 func (e *executor) runtime(j *core.Job) *localrt.Runtime {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.rts[j]
+	return e.rts[j.Plan]
 }
 
 // Close aborts pending executions and waits for in-flight goroutines — the

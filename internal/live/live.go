@@ -16,16 +16,14 @@ package live
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"ursa/internal/cluster"
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
 	"ursa/internal/localrt"
-	"ursa/internal/metrics"
 	"ursa/internal/resource"
 )
 
@@ -55,9 +53,6 @@ type Config struct {
 	// and SmallMonotaskBytes (1, so every monotask goes through the worker
 	// queues and the full §4.2.3 path is exercised).
 	Core core.Config
-	// SampleInterval enables cluster-utilization sampling at this period
-	// for metrics/trace emission; 0 disables.
-	SampleInterval eventloop.Duration
 	// NewBackend, when set, replaces the in-process execution back-end.
 	// This is the remote-mode seam: internal/remote installs a backend that
 	// dispatches monotasks to worker agent processes over TCP while the
@@ -77,9 +72,10 @@ type Config struct {
 // distributed RemoteExecutor (internal/remote) both implement it.
 type Backend interface {
 	core.MonotaskExecutor
-	// RegisterJob binds a submitted job to the runtime holding its
-	// materialized datasets. Called on the control loop (or before Run).
-	RegisterJob(j *core.Job, rt *localrt.Runtime)
+	// RegisterJob takes the runtime that will hold a submitted job's
+	// materialized datasets (its plan is rt.Plan()). Called on the submitting
+	// goroutine as Submit builds the runtime, before the job reaches the loop.
+	RegisterJob(rt *localrt.Runtime)
 	// Close stops the backend after the driver exits, draining any
 	// in-flight work.
 	Close()
@@ -129,7 +125,8 @@ func (c Config) clusterConfig() cluster.Config {
 }
 
 // Job is one live job: the scheduler-side handle plus the runtime holding
-// its materialized datasets.
+// its materialized datasets. Core is set on the control loop as the job is
+// queued, before its Submission's OnQueued runs.
 type Job struct {
 	Core *core.Job
 	rt   *localrt.Runtime
@@ -154,19 +151,14 @@ type System struct {
 	Drv     *eventloop.LiveDriver
 	Core    *core.System
 	Cluster *cluster.Cluster
-	Sampler *metrics.Sampler
-
-	// OnJobFinished, if set, runs on the control loop as each job
-	// completes.
-	OnJobFinished func(*core.Job)
 
 	cfg  Config
 	exec Backend
 
-	mu      sync.Mutex
-	started bool
-	jobs    []*Job
-	runErr  error
+	// crossing counts submitted jobs whose driver crossing has not run yet:
+	// they are not in Core's job table, so AllDone cannot see them.
+	crossing atomic.Int64
+	runErr   error
 }
 
 // NewSystem assembles a live system. Submit jobs, then Run.
@@ -186,109 +178,56 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// Submit builds the spec's graph and registers the job with its inputs.
-func (s *System) Submit(spec core.JobSpec, inputs []localrt.PlanInput) (*Job, error) {
-	plan, err := spec.Graph.Build()
-	if err != nil {
-		return nil, fmt.Errorf("live: job %q: %w", spec.Name, err)
-	}
-	return s.SubmitPlan(spec, plan, inputs)
-}
-
-// SubmitPlan registers a pre-built plan. Inputs are materialized first so
-// the scheduler's admission and SRJF hints see real input sizes. Safe to
-// call before Run from the submitting goroutine, and after Run has started
-// from any goroutine (the submission is relayed through the driver inbox).
-func (s *System) SubmitPlan(spec core.JobSpec, plan *dag.Plan, inputs []localrt.PlanInput) (*Job, error) {
-	rt := localrt.New(plan)
-	for _, in := range inputs {
-		rt.SetInput(in.Dataset, in.Rows)
-	}
-	j := &Job{rt: rt}
-	submit := func() {
-		j.Core = s.Core.SubmitPlan(spec, plan, s.Drv.Loop().Now())
-		s.exec.RegisterJob(j.Core, rt)
-	}
-	s.mu.Lock()
-	if !s.started {
-		submit()
-		s.jobs = append(s.jobs, j)
-		s.mu.Unlock()
-		return j, nil
-	}
-	s.jobs = append(s.jobs, j)
-	s.mu.Unlock()
-	done := make(chan struct{})
-	s.Drv.Send(func() {
-		submit()
-		close(done)
-	})
-	<-done
-	return j, nil
-}
-
-// Submission is one entry of a SubmitBatch: a pre-built plan plus its
-// inputs, with an optional callback fired on the control loop once the job
-// is queued (before the batch's single admission pass runs).
+// Submission is one job for Submit: a pre-built plan plus its inputs, with
+// an optional callback fired on the control loop once the job is queued.
 type Submission struct {
 	Spec   core.JobSpec
 	Plan   *dag.Plan
 	Inputs []localrt.PlanInput
-	// OnQueued runs on the control loop right after this job is enqueued
-	// and registered with the back-end, before any job in the batch can be
-	// admitted — the window where a caller can bind job-tracking state
-	// without racing the admission hooks.
+	// OnQueued runs on the control loop right after this job is enqueued,
+	// before any job of its Submit call can be admitted — the window where a
+	// caller can bind job-tracking state without racing the admission hooks.
 	OnQueued func(*Job)
 }
 
-// SubmitBatch submits many jobs in one driver crossing: the whole batch is
-// enqueued on the tenant admission queues and then a single admission pass
-// runs, so per-job cost is an append instead of a full reservation/rank/sort
-// pass and a lock round-trip each. It does not block on the loop; after (if
-// set) runs on the loop once the admission pass completes. Before Run it
-// executes synchronously. The jobs reach the caller through OnQueued only —
-// not Jobs() — so a long-lived service can let a finished job's runtime go.
-func (s *System) SubmitBatch(subs []Submission, after func()) {
-	run := func() {
-		for i := range subs {
-			sub := &subs[i]
-			rt := localrt.New(sub.Plan)
-			for _, in := range sub.Inputs {
-				rt.SetInput(in.Dataset, in.Rows)
-			}
-			j := &Job{rt: rt}
-			j.Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
-			s.exec.RegisterJob(j.Core, rt)
+// Submit is the one way a job enters the system. It returns the jobs'
+// handles at once: each job's runtime is built and its inputs materialized
+// on the calling goroutine, so admission and the SRJF hint see real input
+// sizes. The jobs then cross the driver inbox together: on the loop, each is
+// enqueued on its tenant's admission queue and its OnQueued runs, then one
+// admission pass covers them all and after (if set) runs. Called before Run,
+// the crossing waits in the inbox and runs when the loop starts. Safe from
+// any goroutine; submissions after Run has returned are discarded.
+func (s *System) Submit(subs []Submission, after func()) []*Job {
+	jobs := make([]*Job, len(subs))
+	for i, sub := range subs {
+		rt := localrt.New(sub.Plan)
+		for _, in := range sub.Inputs {
+			rt.SetInput(in.Dataset, in.Rows)
+		}
+		s.exec.RegisterJob(rt)
+		jobs[i] = &Job{rt: rt}
+	}
+	s.crossing.Add(int64(len(subs)))
+	s.Drv.Send(func() {
+		for i, sub := range subs {
+			jobs[i].Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
 			if sub.OnQueued != nil {
-				sub.OnQueued(j)
+				sub.OnQueued(jobs[i])
 			}
 		}
+		s.crossing.Add(-int64(len(subs)))
 		s.Core.FlushAdmission()
 		if after != nil {
 			after()
 		}
-	}
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
-	if started {
-		s.Drv.Send(run)
-	} else {
-		run()
-	}
+	})
+	return jobs
 }
 
 // Shutdown stops the driver loop from any goroutine; Run returns after the
 // loop drains. Serve-mode callers use it once the front door has drained.
 func (s *System) Shutdown() { s.Drv.Stop() }
-
-// Jobs returns the jobs submitted through Submit and SubmitPlan, in
-// submission order.
-func (s *System) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.jobs...)
-}
 
 // Fail records the first fatal back-end error and shuts the driver down.
 // It must run on the control loop (relay through Drv.Send from elsewhere);
@@ -300,35 +239,26 @@ func (s *System) Fail(err error) {
 	s.Drv.Stop()
 }
 
+// finished reports whether every submitted job has finished, those still
+// crossing the inbox included. Loop-owned.
+func (s *System) finished() bool { return s.crossing.Load() == 0 && s.Core.AllDone() }
+
 // Run drives the control loop against the wall clock until every submitted
-// job finishes, an executor fails, or ctx is cancelled. The scheduler path
-// is exactly the simulation's: admission under the memory reservation, the
-// same batched placement pass, per-resource worker queues — only the clock,
-// the execution back-end and what triggers the pass differ: here it runs at
-// the end of a control-loop batch that changed what is placeable for a short
-// job, passes keeping half a SchedInterval apart (NewSystem wires
-// Scheduler.PlaceIfChanged to the driver's end-of-batch hook), with the
-// SchedInterval tick for longer jobs and as the time-driven fallback.
+// job finishes (in serve mode: until Shutdown), an executor fails, or ctx is
+// cancelled. Call it once. The scheduler path is exactly the simulation's:
+// admission under the memory reservation, the same batched placement pass,
+// per-resource worker queues — only the clock, the execution back-end and
+// what triggers the pass differ: here it runs at the end of a control-loop
+// batch that changed what is placeable for a short job, passes keeping half
+// a SchedInterval apart (NewSystem wires Scheduler.PlaceIfChanged to the
+// driver's end-of-batch hook), with the SchedInterval tick for longer jobs
+// and as the time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return errors.New("live: Run called twice")
-	}
-	s.started = true
-	s.mu.Unlock()
-	if s.cfg.SampleInterval > 0 {
-		s.Sampler = metrics.NewSampler(s.Drv.Loop(), metrics.ClusterSource(s.Cluster), s.cfg.SampleInterval)
-	}
-	s.Core.OnJobFinished = func(j *core.Job) {
-		if cb := s.OnJobFinished; cb != nil {
-			cb(j)
-		}
-		if s.Core.AllDone() && !s.cfg.Serve {
-			if s.Sampler != nil {
-				s.Sampler.Stop()
+	if !s.cfg.Serve {
+		s.Core.OnJobFinished = func(*core.Job) {
+			if s.finished() {
+				s.Drv.Stop()
 			}
-			s.Drv.Stop()
 		}
 	}
 	err := s.Drv.Run(ctx)
@@ -339,7 +269,7 @@ func (s *System) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if !s.Core.AllDone() && !s.cfg.Serve {
+	if !s.cfg.Serve && !s.finished() {
 		return errors.New("live: driver stopped before all jobs finished")
 	}
 	return nil

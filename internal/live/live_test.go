@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,6 +72,22 @@ func inputLines(n int) []localrt.Row {
 	return rows
 }
 
+// submit hands one job over input rows of dataset in to sys.
+func submit(sys *System, name string, g *dag.Graph, in *dag.Dataset, rows []localrt.Row) *Job {
+	return sys.Submit([]Submission{{
+		Spec: core.JobSpec{Name: name, Graph: g}, Plan: g.MustBuild(),
+		Inputs: []localrt.PlanInput{{Dataset: in, Rows: rows}},
+	}}, nil)[0]
+}
+
+// checkQuiesced fails t unless sys, whose Run has returned, is quiesced.
+func checkQuiesced(t *testing.T, sys *System) {
+	t.Helper()
+	if err := sys.Core.CheckQuiesced(); err != nil {
+		t.Error(err)
+	}
+}
+
 func sortedKVs(rows []localrt.Row) []kv {
 	out := make([]kv, len(rows))
 	for i, r := range rows {
@@ -105,16 +122,13 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 	// (b) The identical graph through the live scheduler.
 	g2, in2, out2 := wordCount(6, 4)
 	sys := NewSystem(Config{Workers: 2})
-	j, err := sys.Submit(core.JobSpec{Name: "wc", Graph: g2},
-		[]localrt.PlanInput{{Dataset: in2, Rows: input}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sys, "wc", g2, in2, input)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkQuiesced(t, sys)
 	live := sortedKVs(j.Rows(out2))
 
 	if len(direct) != len(live) {
@@ -154,15 +168,10 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 	handles := make([]*Job, jobs)
 	for i := 0; i < jobs; i++ {
 		g, in, out := wordCount(4, 3)
-		j, err := sys.Submit(core.JobSpec{Name: fmt.Sprintf("wc-%d", i), Graph: g},
-			[]localrt.PlanInput{{Dataset: in, Rows: inputLines(3000)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs[i], handles[i] = out, j
+		outs[i], handles[i] = out, submit(sys, fmt.Sprintf("wc-%d", i), g, in, inputLines(3000))
 	}
 	finished := 0
-	sys.OnJobFinished = func(*core.Job) {
+	sys.Core.OnJobFinished = func(*core.Job) {
 		if finished++; finished == jobs {
 			sys.Drv.Loop().After(cfg.Core.RateWindow, sys.Shutdown)
 		}
@@ -172,6 +181,7 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 	if err := sys.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkQuiesced(t, sys)
 	for i, j := range handles {
 		total := 0
 		for _, r := range j.Rows(outs[i]) {
@@ -192,6 +202,53 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 	}
 }
 
+// TestSubmitFromManyGoroutines: Submit is one path before and after Run,
+// safe from any goroutine. Jobs submitted concurrently, half before the loop
+// starts and half while it runs, all finish with their rows.
+func TestSubmitFromManyGoroutines(t *testing.T) {
+	const jobs = 8
+	sys := NewSystem(Config{Workers: 2, Serve: true})
+	finished := 0
+	sys.Core.OnJobFinished = func(*core.Job) {
+		if finished++; finished == jobs {
+			sys.Shutdown()
+		}
+	}
+	outs := make([]*dag.Dataset, jobs)
+	handles := make([]*Job, jobs)
+	var wg sync.WaitGroup
+	submitAll := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g, in, out := wordCount(3, 2)
+				outs[i], handles[i] = out, submit(sys, fmt.Sprintf("wc-%d", i), g, in, inputLines(100))
+			}()
+		}
+		wg.Wait()
+	}
+	submitAll(0, jobs/2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- sys.Run(ctx) }()
+	submitAll(jobs/2, jobs)
+	if err := <-runErr; err != nil {
+		t.Fatal(err)
+	}
+	checkQuiesced(t, sys)
+	for i, j := range handles {
+		total := 0
+		for _, r := range j.Rows(outs[i]) {
+			total += r.(kv).V
+		}
+		if total != 100*4 {
+			t.Errorf("job %d: total count = %d, want %d", i, total, 100*4)
+		}
+	}
+}
+
 // TestLivePlacesInTheBatchThatMadeReady: on the live path a task is placed
 // by an event pass — at the end of the control-loop batch that made it ready
 // (admission for the first stage, the last upstream completion for the
@@ -205,16 +262,13 @@ func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 	gap := eventloop.Time(cfg.Core.SchedInterval / 2)
 	sys := NewSystem(cfg)
 	g, in, _ := wordCount(6, 4)
-	j, err := sys.Submit(core.JobSpec{Name: "wc", Graph: g},
-		[]localrt.PlanInput{{Dataset: in, Rows: inputLines(400)}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sys, "wc", g, in, inputLines(400))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
+	checkQuiesced(t, sys)
 	stages := j.Core.Plan.Stages
 	if len(stages) != 2 {
 		t.Fatalf("wordcount has %d stages, want 2", len(stages))
@@ -305,10 +359,7 @@ func TestLiveUDFErrorSurfaces(t *testing.T) {
 	op := g.CreateOp(resource.CPU, "boom").Read(in).Create(out)
 	op.SetUDF(localrt.UDF(func([][]localrt.Row) []localrt.Row { panic("kaboom") }))
 	sys := NewSystem(Config{})
-	if _, err := sys.Submit(core.JobSpec{Name: "boom", Graph: g},
-		[]localrt.PlanInput{{Dataset: in, Rows: []localrt.Row{1, 2}}}); err != nil {
-		t.Fatal(err)
-	}
+	submit(sys, "boom", g, in, []localrt.Row{1, 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := sys.Run(ctx)
@@ -329,10 +380,7 @@ func TestLiveContextCancel(t *testing.T) {
 		return ins[0]
 	}))
 	sys := NewSystem(Config{})
-	if _, err := sys.Submit(core.JobSpec{Name: "slow", Graph: g},
-		[]localrt.PlanInput{{Dataset: in, Rows: []localrt.Row{1, 2, 3, 4}}}); err != nil {
-		t.Fatal(err)
-	}
+	submit(sys, "slow", g, in, []localrt.Row{1, 2, 3, 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := sys.Run(ctx); err != context.DeadlineExceeded {

@@ -19,13 +19,8 @@ import (
 type Runner struct {
 	// Config shapes each per-plan System. Zero value = defaults.
 	Config Config
-	// Context, when non-nil, bounds each run.
-	Context context.Context
 	// Name labels submitted jobs for traces/metrics. Default "live".
 	Name string
-	// OnSystem, if set, observes each freshly built System before Run —
-	// hook for tests and metrics taps.
-	OnSystem func(*System)
 }
 
 var _ localrt.Runner = (*Runner)(nil)
@@ -37,18 +32,10 @@ func (r *Runner) RunPlan(plan *dag.Plan, inputs []localrt.PlanInput) (localrt.Ro
 	if name == "" {
 		name = "live"
 	}
-	j, err := sys.SubmitPlan(core.JobSpec{Name: name, Graph: plan.Graph}, plan, inputs)
-	if err != nil {
-		return nil, err
-	}
-	if r.OnSystem != nil {
-		r.OnSystem(sys)
-	}
-	ctx := r.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := sys.Run(ctx); err != nil {
+	j := sys.Submit([]Submission{{
+		Spec: core.JobSpec{Name: name, Graph: plan.Graph}, Plan: plan, Inputs: inputs,
+	}}, nil)[0]
+	if err := sys.Run(context.Background()); err != nil {
 		return nil, err
 	}
 	return j.rt.Rows, nil

@@ -467,26 +467,16 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 // held only as blobs (fetched from peers, or spilled) are decoded here — the
 // single decode site of the data plane.
 func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
-	d := ref.Dataset
-	paral := parallelismOf(mt)
-	switch ref.Mapping {
-	case dag.MapBroadcast:
-		crs, err := r.partRows(d, 0, d.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		var all []Row
-		for _, c := range crs {
-			all = append(all, c.rows...)
-		}
-		return all, nil
-	case dag.MapShard:
+	d, paral := ref.Dataset, mt.Parallelism()
+	lo, hi := readRange(ref, mt)
+	crs, err := r.partRows(d, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	var out []Row
+	switch {
+	case ref.Mapping == dag.MapShard:
 		// Pull-based shuffle: take this index's bucket of every partition.
-		crs, err := r.partRows(d, 0, d.Partitions)
-		if err != nil {
-			return nil, err
-		}
-		var out []Row
 		part, k := -1, 0
 		for _, c := range crs {
 			if c.part != part {
@@ -499,50 +489,46 @@ func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
 				k++
 			}
 		}
-		return out, nil
-	default:
-		if d.Partitions < paral {
-			// Several monotasks split one partition: deal its rows
-			// round-robin among them so no row is duplicated.
-			i := mt.Index * d.Partitions / paral
-			first := (i*paral + d.Partitions - 1) / d.Partitions
-			next := ((i+1)*paral + d.Partitions - 1) / d.Partitions
-			consumers := next - first
-			pos := mt.Index - first
-			crs, err := r.partRows(d, i, i+1)
-			if err != nil {
-				return nil, err
-			}
-			var out []Row
-			k := 0
-			for _, c := range crs {
-				for _, row := range c.rows {
-					if k%consumers == pos {
-						out = append(out, row)
-					}
-					k++
+	case ref.Mapping == dag.MapPartition && d.Partitions < paral:
+		// Several monotasks split one partition: deal its rows round-robin
+		// among them so no row is duplicated.
+		first := (lo*paral + d.Partitions - 1) / d.Partitions
+		next := ((lo+1)*paral + d.Partitions - 1) / d.Partitions
+		consumers, pos := next-first, mt.Index-first
+		k := 0
+		for _, c := range crs {
+			for _, row := range c.rows {
+				if k%consumers == pos {
+					out = append(out, row)
 				}
+				k++
 			}
-			return out, nil
 		}
-		lo, hi := dag.PartRange(d, paral, mt.Index)
-		crs, err := r.partRows(d, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		var out []Row
+	default:
 		for _, c := range crs {
 			out = append(out, c.rows...)
 		}
-		return out, nil
 	}
+	return out, nil
+}
+
+// readRange is the one rule for which partitions of a dataset a monotask's
+// read touches, shared by gather (what it reads) and InputParts (what a
+// remote dispatch must fetch): broadcast and shuffle reads span every
+// partition, a partition-aligned read its index range — or, when several
+// monotasks split one partition, that partition.
+func readRange(ref dag.ReadRef, mt *dag.Monotask) (lo, hi int) {
+	if ref.Mapping == dag.MapPartition {
+		return dag.PartRange(ref.Dataset, mt.Parallelism(), mt.Index)
+	}
+	return 0, ref.Dataset.Partitions
 }
 
 // splitWrite splits a monotask's produced rows into per-partition
 // contributions of the created dataset. Empty contributions are dropped —
 // they carry no rows and would only widen completions on the wire.
 func splitWrite(d *dag.Dataset, mt *dag.Monotask, rows []Row) []RecordedWrite {
-	paral := parallelismOf(mt)
+	paral := mt.Parallelism()
 	switch {
 	case d.Partitions == paral:
 		if len(rows) == 0 {
@@ -579,14 +565,11 @@ type DatasetPart struct {
 	Part    int
 }
 
-// InputParts lists the dataset partitions a monotask reads, mirroring
-// gather's mapping semantics exactly: broadcast and shuffle reads touch
-// every partition, partition-aligned reads their index range (or the single
-// shared partition when several monotasks split one). The master uses this
-// to build fetch specs for remote dispatches; internal step reads resolve
+// InputParts lists the dataset partitions a monotask reads — readRange of
+// each dataset read, which is what gather reads. The master uses this to
+// build fetch specs for remote dispatches; internal step reads resolve
 // in-memory and are excluded.
 func InputParts(plan *dag.Plan, mt *dag.Monotask) []DatasetPart {
-	paral := parallelismOf(mt)
 	var out []DatasetPart
 	seen := make(map[DatasetPart]bool)
 	add := func(d *dag.Dataset, part int) {
@@ -598,38 +581,16 @@ func InputParts(plan *dag.Plan, mt *dag.Monotask) []DatasetPart {
 	}
 	for _, step := range plan.ExecSteps(mt) {
 		for _, ref := range step.Reads {
-			d := ref.Dataset
-			if d == nil {
+			if ref.Dataset == nil {
 				continue
 			}
-			switch ref.Mapping {
-			case dag.MapBroadcast, dag.MapShard:
-				for p := 0; p < d.Partitions; p++ {
-					add(d, p)
-				}
-			default:
-				if d.Partitions < paral {
-					add(d, mt.Index*d.Partitions/paral)
-					continue
-				}
-				lo, hi := dag.PartRange(d, paral, mt.Index)
-				for p := lo; p < hi && p < d.Partitions; p++ {
-					add(d, p)
-				}
+			lo, hi := readRange(ref, mt)
+			for p := lo; p < hi; p++ {
+				add(ref.Dataset, p)
 			}
 		}
 	}
 	return out
-}
-
-// parallelismOf infers the monotask's op parallelism from its task's stage
-// structure; monotask indexes are dense in [0, parallelism).
-func parallelismOf(mt *dag.Monotask) int {
-	// Indexes are assigned densely per op; the op's parallelism is the
-	// count of sibling monotasks, which equals Index max + 1. Scanning
-	// siblings on every call would be O(n²); the lop parallelism is
-	// available through the stage's structure instead.
-	return mt.Parallelism()
 }
 
 // bucketOf routes a row to a shuffle bucket. Keyed rows hash on their key —

@@ -393,16 +393,24 @@ func TestExecAtMostOnce(t *testing.T) {
 	}
 }
 
+// wordCountShapes are the (input, output) partition counts the word-count
+// tests run.
+var wordCountShapes = [][2]int{{1, 1}, {2, 5}, {8, 3}, {5, 8}}
+
+func wordCountInput() []Row {
+	var input []Row
+	for i := 0; i < 40; i++ {
+		input = append(input, fmt.Sprintf("w%d w%d common", i%7, i%3))
+	}
+	return input
+}
+
 func TestWordCountManyShapes(t *testing.T) {
-	for _, shape := range [][2]int{{1, 1}, {2, 5}, {8, 3}, {5, 8}} {
+	for _, shape := range wordCountShapes {
 		g, lines, counts := buildWordCount(shape[0], shape[1])
 		plan := g.MustBuild()
 		rt := New(plan)
-		var input []Row
-		for i := 0; i < 40; i++ {
-			input = append(input, fmt.Sprintf("w%d w%d common", i%7, i%3))
-		}
-		rt.SetInput(lines, input)
+		rt.SetInput(lines, wordCountInput())
 		if err := rt.Run(); err != nil {
 			t.Fatalf("shape %v: %v", shape, err)
 		}
@@ -414,4 +422,95 @@ func TestWordCountManyShapes(t *testing.T) {
 			t.Errorf("shape %v: total word count = %d, want 120", shape, total)
 		}
 	}
+}
+
+// TestInputPartsCoverWhatGatherReads runs each monotask the way a remote
+// agent does: on a fresh runtime holding only the partitions InputParts
+// names, copied contribution by contribution from a store that collects
+// every monotask's writes. The rows must equal direct execution's, over the
+// word-count shapes and over copies whose parallelism splits or spans
+// partitions.
+func TestInputPartsCoverWhatGatherReads(t *testing.T) {
+	type job struct {
+		name  string
+		build func() (*dag.Graph, *dag.Dataset, *dag.Dataset)
+		input []Row
+	}
+	var jobs []job
+	for _, shape := range wordCountShapes {
+		jobs = append(jobs, job{fmt.Sprintf("wordcount %v", shape), func() (*dag.Graph, *dag.Dataset, *dag.Dataset) {
+			return buildWordCount(shape[0], shape[1])
+		}, wordCountInput()})
+	}
+	var ints []Row
+	for i := 0; i < 30; i++ {
+		ints = append(ints, i)
+	}
+	for _, parts := range [][2]int{{6, 2}, {2, 6}, {5, 3}, {3, 5}} {
+		jobs = append(jobs, job{fmt.Sprintf("copy %v", parts), func() (*dag.Graph, *dag.Dataset, *dag.Dataset) {
+			g := dag.NewGraph()
+			in, out := g.CreateData(parts[0]), g.CreateData(parts[1])
+			g.CreateOp(resource.CPU, "copy").Read(in).Create(out).Parallelism = parts[1]
+			return g, in, out
+		}, ints})
+	}
+	for _, j := range jobs {
+		g, in, out := j.build()
+		direct := New(g.MustBuild())
+		direct.SetInput(in, j.input)
+		if err := direct.Run(); err != nil {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+
+		g, in, out2 := j.build()
+		plan := g.MustBuild()
+		canon := New(plan)
+		canon.SetInput(in, j.input)
+		var ready []*dag.Monotask
+		for _, task := range plan.InitialReady() {
+			ready = append(ready, task.ReadyMonotasks()...)
+		}
+		for len(ready) > 0 {
+			mt := ready[0]
+			ready = ready[1:]
+			plan.Prepare(mt)
+			w := New(plan)
+			for _, dp := range InputParts(plan, mt) {
+				if parts := canon.store[dp.Dataset]; parts != nil {
+					for _, c := range parts[dp.Part] {
+						w.InsertContribution(dp.Dataset, dp.Part, c.mtID, c.rows)
+					}
+				}
+			}
+			writes, err := w.ExecRecord(mt)
+			if err != nil {
+				t.Fatalf("%s: %v", j.name, err)
+			}
+			for _, wr := range writes {
+				canon.InsertContribution(wr.Dataset, wr.Part, mt.ID, wr.Rows)
+			}
+			res := plan.Complete(mt)
+			ready = append(ready, res.NewReadyMonotasks...)
+			for _, task := range res.NewReadyTasks {
+				ready = append(ready, task.ReadyMonotasks()...)
+			}
+		}
+		if !plan.AllDone() {
+			t.Fatalf("%s: plan stalled", j.name)
+		}
+		want, got := sortedRows(direct.Rows(out)), sortedRows(canon.Rows(out2))
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s: rows from InputParts' partitions diverge from direct execution:\ngot  %v\nwant %v",
+				j.name, got, want)
+		}
+	}
+}
+
+func sortedRows(rows []Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprint(r)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -145,11 +145,10 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 	jdir := t.TempDir()
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 20000, InParts: 12, OutParts: 6})
 	lc := startCluster(t, 3, Config{
-		Elastic:             true,
-		JournalDir:          jdir,
-		JournalSyncInterval: time.Millisecond,
-		SnapshotEvery:       1 << 20, // keep the full event history
-		HeartbeatMisses:     40,      // a -race stall must not journal a WorkerFailed
+		Elastic:         true,
+		JournalDir:      jdir,
+		SnapshotEvery:   1 << 20, // keep the full event history
+		HeartbeatMisses: 40,      // a -race stall must not journal a WorkerFailed
 	})
 	job, err := lc.Master.Submit(name, params)
 	if err != nil {

@@ -75,7 +75,7 @@ func newRemoteExecutor(m *Master) *remoteExecutor {
 // its checkpoint store — encode-once codec (checkpointed blobs are served to
 // fallback fetches as stored) plus the optional spill budget. The job's row
 // is created by whoever submitted it and knows its identity.
-func (e *remoteExecutor) RegisterJob(_ *core.Job, rt *localrt.Runtime) {
+func (e *remoteExecutor) RegisterJob(rt *localrt.Runtime) {
 	rt.SetCodec(workload.Codec{Compress: e.m.cfg.Compress})
 	if e.m.cfg.ShuffleMemBudget > 0 {
 		rt.SetSpill(e.m.cfg.ShuffleMemBudget, e.m.cfg.ShuffleSpillDir)

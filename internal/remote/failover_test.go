@@ -56,13 +56,12 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	want := sortedStrings(directRows(t, name, params))
 
 	base := Config{
-		Workers:             3,
-		JournalDir:          jdir,
-		LeaseTTL:            400 * time.Millisecond,
-		JournalSyncInterval: time.Millisecond,
-		SnapshotEvery:       1 << 20, // keep the full event history for the assertions below
-		HeartbeatInterval:   50 * time.Millisecond,
-		HeartbeatMisses:     40, // generous: a -race scheduling stall must not journal a WorkerFailed
+		Workers:           3,
+		JournalDir:        jdir,
+		LeaseTTL:          400 * time.Millisecond,
+		SnapshotEvery:     1 << 20, // keep the full event history for the assertions below
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatMisses:   40, // generous: a -race scheduling stall must not journal a WorkerFailed
 	}
 	primary, err := NewMaster(base)
 	if err != nil {
@@ -195,7 +194,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 func TestReplayMatchesLiveState(t *testing.T) {
 	jdir := t.TempDir()
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 2000, InParts: 4, OutParts: 3})
-	lc := startCluster(t, 2, Config{JournalDir: jdir, JournalSyncInterval: time.Millisecond})
+	lc := startCluster(t, 2, Config{JournalDir: jdir})
 	for i := 0; i < 2; i++ {
 		if _, err := lc.Master.Submit(name, params); err != nil {
 			t.Fatalf("submit: %v", err)
@@ -232,7 +231,7 @@ func TestJournalFailureIsVisible(t *testing.T) {
 	)
 	jdir := t.TempDir()
 	lc, runErr := startServeCluster(t, 1, Config{
-		JournalDir: jdir, JournalSyncInterval: time.Millisecond, SnapshotEvery: 8,
+		JournalDir: jdir, SnapshotEvery: 8,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -301,7 +300,7 @@ func TestJournalFailureIsVisible(t *testing.T) {
 // flusher has completed it on disk.
 func TestJournalStatsLineFormat(t *testing.T) {
 	lc, runErr := startServeCluster(t, 1, Config{
-		JournalDir: t.TempDir(), JournalSyncInterval: time.Millisecond, SnapshotEvery: 8,
+		JournalDir: t.TempDir(), SnapshotEvery: 8,
 	})
 	slog := newStatusLog()
 	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: slog.add})

@@ -8,7 +8,6 @@ import (
 
 	"ursa/internal/core"
 	"ursa/internal/cpstate"
-	"ursa/internal/live"
 	"ursa/internal/metrics"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
@@ -16,7 +15,7 @@ import (
 
 // frontDoor is the master's multi-tenant job submission path (serve mode):
 // client connections feed SubmitJob frames into sharded intake queues, and a
-// single pump goroutine drains them in batches through live.SubmitBatch —
+// single pump goroutine drains them in batches through live.System.Submit —
 // one driver crossing and one admission pass per batch, so the scheduler's
 // per-submission cost (reservation check, SRJF rank refresh, queue insert)
 // is amortized to O(batch) instead of O(backlog) per job. Acks flow back on
@@ -27,10 +26,9 @@ type frontDoor struct {
 	m      *Master
 	Ingest *metrics.Ingest
 
-	shards  []intakeShard
-	queued  atomic.Int64 // intake entries accepted but not yet flushed
-	notify  chan struct{}
-	started chan struct{} // closed on the loop once the driver is running
+	shards []intakeShard
+	queued atomic.Int64 // intake entries accepted but not yet flushed
+	notify chan struct{}
 
 	draining atomic.Bool
 	quit     chan struct{}
@@ -83,7 +81,6 @@ func newFrontDoor(m *Master) *frontDoor {
 		Ingest:  metrics.NewIngest(),
 		shards:  make([]intakeShard, nIntakeShards),
 		notify:  make(chan struct{}, 1),
-		started: make(chan struct{}),
 		quit:    make(chan struct{}),
 		clients: make(map[*clientLink]struct{}),
 	}
@@ -91,16 +88,6 @@ func newFrontDoor(m *Master) *frontDoor {
 	// control-plane event first, then delegates here for status streaming).
 	go fd.pump()
 	return fd
-}
-
-// markStarted runs on the control loop as the driver's first inbox event
-// (Master.Run sends it right before Sys.Run), releasing the pump.
-func (fd *frontDoor) markStarted() {
-	select {
-	case <-fd.started:
-	default:
-		close(fd.started)
-	}
 }
 
 func (fd *frontDoor) close() {
@@ -228,9 +215,13 @@ func shardFor(tenant string) int {
 // flushed at once, and one that arrives sooner waits out only the remainder,
 // during which a burst accumulates into one batch.
 func (fd *frontDoor) pump() {
-	select {
-	case <-fd.started:
-	case <-fd.quit:
+	// Like every flush, the first waits until the loop has run the pump's
+	// previous crossing — here an empty one, which the loop runs only once
+	// Run starts it — so what arrives before Run parks on the intake and is
+	// admitted as one batch.
+	done := make(chan struct{})
+	fd.m.Sys.Drv.Send(func() { close(done) })
+	if !fd.await(done) {
 		return
 	}
 	var lastFlush time.Time
@@ -271,13 +262,20 @@ func (fd *frontDoor) flush() {
 		done := make(chan struct{})
 		n := fd.submitBatch(batch, func() { close(done) })
 		fd.submitMu.Unlock()
-		if n > 0 {
-			select {
-			case <-done:
-			case <-fd.quit:
-				return
-			}
+		if n > 0 && !fd.await(done) {
+			return
 		}
+	}
+}
+
+// await waits for the loop to run a crossing whose after closes done, and
+// reports false if the front door closed first.
+func (fd *frontDoor) await(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	case <-fd.quit:
+		return false
 	}
 }
 
@@ -320,31 +318,25 @@ func (fd *frontDoor) collect(max int) []intakeSub {
 // shipped (build failures are acked with the error and skipped). Caller
 // holds submitMu.
 func (fd *frontDoor) submitBatch(batch []intakeSub, after func()) int {
-	subs := make([]live.Submission, 0, len(batch))
-	for i := range batch {
-		in := batch[i]
+	rows := make([]*RemoteJob, 0, len(batch))
+	ins := make([]intakeSub, 0, len(batch))
+	for _, in := range batch {
 		bj, err := workload.Build(in.workload, in.params)
 		if err != nil {
 			fd.reject(in.link, in.submitID, err.Error())
 			continue
 		}
-		spec := bj.Spec
-		spec.Tenant = in.tenant
-		spec.MemEstimate *= fd.m.reserveFactor(in.workload)
-		subs = append(subs, live.Submission{
-			Spec: spec, Plan: bj.Plan, Inputs: bj.Inputs,
-			OnQueued: func(j *live.Job) { fd.bindJob(in, bj, j) },
-		})
+		bj.Spec.Tenant = in.tenant
+		bj.Spec.MemEstimate *= fd.m.reserveFactor(in.workload)
+		rows = append(rows, &RemoteJob{Built: bj, client: in.link, submitID: in.submitID})
+		ins = append(ins, in)
 	}
-	if len(subs) == 0 {
-		if after != nil {
-			after()
-		}
+	if len(rows) == 0 {
 		return 0
 	}
-	fd.Ingest.ObserveBatch(len(subs))
-	fd.m.Sys.SubmitBatch(subs, after)
-	return len(subs)
+	fd.Ingest.ObserveBatch(len(rows))
+	fd.m.submit(rows, func(i int) { fd.bindJob(rows[i], ins[i]) }, after)
+	return len(rows)
 }
 
 // rejectIntake acks everything still parked on the intake with a terminal
@@ -361,13 +353,11 @@ func (fd *frontDoor) rejectIntake(reason string) {
 	}
 }
 
-// bindJob runs on the control loop via Submission.OnQueued: the job is in
-// the scheduler's tenant queue and no admission hook can fire before this
-// returns. It creates the job's row — minting the stable wire ID — records
-// the submission in the control-plane state, and acks it.
-func (fd *frontDoor) bindJob(in intakeSub, bj *workload.BuiltJob, j *live.Job) {
-	rj := &RemoteJob{Built: bj, Live: j, client: in.link, submitID: in.submitID}
-	fd.m.jobs.add(rj)
+// bindJob runs on the control loop once the job's row is in the table — its
+// stable wire ID minted — and the job in its tenant queue; no admission hook
+// can fire before it returns. It records the submission in the
+// control-plane state and acks it.
+func (fd *frontDoor) bindJob(rj *RemoteJob, in intakeSub) {
 	fd.m.rec.record(cpstate.JobSubmitted{
 		JobID: rj.id, Tenant: in.tenant, Workload: in.workload, Params: in.params,
 	})
@@ -429,12 +419,12 @@ func (fd *frontDoor) drain() {
 }
 
 // maybeFinishDrain stops the driver once a drain has emptied the scheduler.
-// Runs on the control loop (Master's OnJobFinished wrapper and the drain
-// closure). Pre-submitted batch jobs still queued keep the loop alive until
-// they run to completion — drain refuses new work, it does not abandon
-// accepted work.
+// Runs on the control loop (the master's job-finished hook and the drain
+// closure); a nil front door (serve mode off) has nothing to drain.
+// Pre-submitted batch jobs still queued keep the loop alive until they run to
+// completion — drain refuses new work, it does not abandon accepted work.
 func (fd *frontDoor) maybeFinishDrain() {
-	if !fd.draining.Load() {
+	if fd == nil || !fd.draining.Load() {
 		return
 	}
 	sched := fd.m.Sys.Core.Sched

@@ -18,7 +18,8 @@ type RemoteJob struct {
 	// Built is the master's build of the workload.
 	Built *workload.BuiltJob
 	// Live is the scheduler-side job handle; its runtime doubles as the
-	// canonical checkpoint store the completions populate.
+	// canonical checkpoint store the completions populate. Set on the
+	// control loop as the job is queued, when the row enters the table.
 	Live *live.Job
 
 	// id is the job's stable wire-level identity — what Prepare/Dispatch
@@ -27,12 +28,11 @@ type RemoteJob struct {
 	// resubmitting the backlog keeps every ID the workers and the journal
 	// already hold. Real IDs start at 1; jobTable.add mints one for 0.
 	id int64
-	// held: the caller holds this handle (Master.Submit, a takeover's
-	// inherited backlog), so the row and its store outlive the job, until
-	// Master.Close, and ResultRows can be read after Run.
-	held bool
 	// client and submitID name the front-door submission that status frames
-	// answer; client is nil for held jobs.
+	// answer. client is nil for a held job — one whose caller holds this
+	// handle (Master.Submit, a takeover's inherited backlog) — so its row and
+	// store outlive the job, until Master.Close, and ResultRows can be read
+	// after Run.
 	client   *clientLink
 	submitID int64
 
@@ -80,14 +80,21 @@ func newJobTable(lastID int64) *jobTable {
 	}
 }
 
-// add indexes j, minting its wire ID unless it carries an inherited one.
-func (t *jobTable) add(j *RemoteJob) {
+// mint returns a fresh wire ID.
+func (t *jobTable) mint() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.lastID++
+	return t.lastID
+}
+
+// add indexes j, minting its wire ID unless it already carries one.
+func (t *jobTable) add(j *RemoteJob) {
 	if j.id == 0 {
-		t.lastID++
-		j.id = t.lastID
+		j.id = t.mint()
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.byID[j.id] = j
 	t.byCore[j.Live.Core] = j
 }

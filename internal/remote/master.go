@@ -108,8 +108,6 @@ type Config struct {
 	// SnapshotEvery is the journal's snapshot (and compaction) cadence in
 	// events. Default 1024.
 	SnapshotEvery int
-	// JournalSyncInterval batches journal fsyncs (group commit). Default 2ms.
-	JournalSyncInterval time.Duration
 	// Elastic enables cluster elasticity: graceful drains (DrainWorker) and
 	// mid-run worker joins — a fresh agent registering against a full,
 	// running master grows the registry instead of being rejected. An
@@ -151,6 +149,9 @@ const (
 	// handshakeTimeout bounds the wait for a connecting peer's first frame: a
 	// client that connects and goes silent cannot pin the handshake goroutine.
 	handshakeTimeout = 5 * time.Second
+	// journalSyncInterval batches journal fsyncs (group commit): an appended
+	// event is durable within this long.
+	journalSyncInterval = 2 * time.Millisecond
 	// writeDeadline bounds each control-plane write (dispatches, prepares,
 	// acks) so a dead-but-unclosed peer fails its link fast instead of wedging
 	// the single writer until the kernel TCP timeout.
@@ -196,9 +197,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
-	}
-	if c.JournalSyncInterval <= 0 {
-		c.JournalSyncInterval = 2 * time.Millisecond
 	}
 	if c.Autoscale {
 		c.Elastic = true
@@ -318,6 +316,10 @@ type Master struct {
 	workers []*workerLink
 	nreg    int
 	started bool
+	// held lists, in submission order, the jobs whose handles a caller holds:
+	// Master.Submit's and a takeover's inherited backlog. Their rows enter the
+	// table only once the loop runs.
+	held []*RemoteJob
 
 	closeOnce sync.Once
 }
@@ -390,9 +392,7 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	if tk != nil {
 		st, m.jnl = tk.st, tk.jnl
 	} else if cfg.JournalDir != "" {
-		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{
-			SyncInterval: cfg.JournalSyncInterval,
-		})
+		jnl, rep, err := journal.Open(cfg.JournalDir, journal.Options{SyncInterval: journalSyncInterval})
 		if err != nil {
 			return nil, err
 		}
@@ -529,6 +529,7 @@ func (m *Master) onJobState(j *core.Job) {
 			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
 		m.broadcast(wire.JobDone{JobID: rj.id}, attached)
 		m.release(rj)
+		m.fd.maybeFinishDrain()
 	case core.JobCancelled:
 		// Never admitted, so never prepared on the agents: no JobDone.
 		m.rec.record(cpstate.JobCancelled{JobID: rj.id})
@@ -540,9 +541,10 @@ func (m *Master) onJobState(j *core.Job) {
 // release lets a terminal job go. Nobody holds a front-door job's handle:
 // with the agents told to forget it, the row goes and its canonical store
 // with it (resolveJob then answers not-found); the control-plane state keeps
-// the job's identity and phase for JobQuery. A held job stays until Close.
+// the job's identity and phase for JobQuery. A held job (no client) stays
+// until Close.
 func (m *Master) release(rj *RemoteJob) {
-	if !rj.held {
+	if rj.client != nil {
 		m.jobs.remove(rj)
 		rj.rt().Close()
 	}
@@ -594,7 +596,9 @@ func (m *Master) ShuffleAddr() string { return m.shuffleSrv.Addr() }
 // Jobs returns the jobs submitted through Submit (on a promoted standby:
 // the inherited backlog) in submission order.
 func (m *Master) Jobs() []*RemoteJob {
-	return slices.DeleteFunc(m.jobs.all(), func(rj *RemoteJob) bool { return !rj.held })
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Clone(m.held)
 }
 
 func (m *Master) logf(format string, args ...any) {
@@ -611,10 +615,10 @@ func (m *Master) resolveJob(jobID int64) *localrt.Runtime {
 	return nil
 }
 
-// Submit builds the named workload locally, registers the job with the
-// scheduler, and records it for the Prepare broadcast. Both sides run the
-// same deterministic builder, so every dataset and monotask ID the wire
-// protocol carries agrees by construction. Submit must precede Run.
+// Submit builds the named workload locally, records the submission, and
+// hands the job to the scheduler. Both sides run the same deterministic
+// builder, so every dataset and monotask ID the wire protocol carries agrees
+// by construction. Submit must precede Run.
 func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 	m.mu.Lock()
 	if m.started {
@@ -627,27 +631,43 @@ func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 		return nil, err
 	}
 	bj.Spec.MemEstimate *= m.reserveFactor(name)
-	rj, err := m.submitHeld(0, bj.Spec, bj)
-	if err != nil {
-		return nil, err
-	}
+	rj := &RemoteJob{Built: bj, id: m.jobs.mint()}
 	m.rec.record(cpstate.JobSubmitted{
 		JobID: rj.id, Tenant: bj.Spec.Tenant, Workload: name, Params: params,
 	})
+	m.hold(rj)
 	return rj, nil
 }
 
-// submitHeld hands a built job to the scheduler before Run and creates its
-// row under wire ID id (0 mints a fresh one). The loop is not running yet,
-// so nothing can look the job up between SubmitPlan returning and the add.
-func (m *Master) submitHeld(id int64, spec core.JobSpec, bj *workload.BuiltJob) (*RemoteJob, error) {
-	lj, err := m.Sys.SubmitPlan(spec, bj.Plan, bj.Inputs)
-	if err != nil {
-		return nil, err
+// hold submits a job whose handle the caller keeps, alone — one admission
+// pass per job, in submission order — and lists it for Jobs.
+func (m *Master) hold(rj *RemoteJob) *live.Job {
+	m.mu.Lock()
+	m.held = append(m.held, rj)
+	m.mu.Unlock()
+	return m.submit([]*RemoteJob{rj}, nil, nil)[0]
+}
+
+// submit is every source's way to the scheduler: it hands the rows' built
+// jobs to live.System.Submit in one crossing and returns their handles. On
+// the loop each row gets its scheduler job and enters the job table as the
+// job is queued, before any admission hook can look it up; bind, if set, then
+// does the source's own bookkeeping for row i. after is Submit's.
+func (m *Master) submit(rows []*RemoteJob, bind func(i int), after func()) []*live.Job {
+	subs := make([]live.Submission, len(rows))
+	for i, rj := range rows {
+		subs[i] = live.Submission{
+			Spec: rj.Built.Spec, Plan: rj.Built.Plan, Inputs: rj.Built.Inputs,
+			OnQueued: func(j *live.Job) {
+				rj.Live = j
+				m.jobs.add(rj)
+				if bind != nil {
+					bind(i)
+				}
+			},
+		}
 	}
-	rj := &RemoteJob{Built: bj, Live: lj, id: id, held: true}
-	m.jobs.add(rj)
-	return rj, nil
+	return m.Sys.Submit(subs, after)
 }
 
 // accept registers agents until the listener closes. Registration is the
@@ -1157,24 +1177,6 @@ func (m *Master) Run(ctx context.Context) error {
 			m.scaler.Tick(m.signals())
 		})
 		defer stopScale()
-	}
-	userCB := m.Sys.OnJobFinished
-	m.Sys.OnJobFinished = func(j *core.Job) {
-		if userCB != nil {
-			userCB(j)
-		}
-		if m.fd != nil {
-			m.fd.maybeFinishDrain()
-		}
-	}
-
-	if m.fd != nil {
-		// Unblock the front door's admission pump from inside the driver's
-		// inbox: the first drained event runs strictly after Sys.Run marked
-		// the system started, so every batch the pump submits takes the
-		// thread-safe Send path rather than SubmitBatch's synchronous
-		// pre-start fallback.
-		m.Sys.Drv.Send(m.fd.markStarted)
 	}
 	err := m.Sys.Run(ctx)
 	if err == nil && m.cfg.Serve {

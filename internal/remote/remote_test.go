@@ -94,12 +94,22 @@ func waitHeartbeats(t *testing.T, lc *LocalCluster, n int) {
 	})
 }
 
+// runCluster runs a batch-mode cluster to completion and checks it
+// quiesced: the scheduling core and the executor's dispatch state are empty.
 func runCluster(t *testing.T, lc *LocalCluster) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := lc.Master.Run(ctx); err != nil {
+	m := lc.Master
+	if err := m.Run(ctx); err != nil {
 		t.Fatalf("cluster run: %v", err)
+	}
+	if err := m.Sys.Core.CheckQuiesced(); err != nil {
+		t.Error(err)
+	}
+	if len(m.exec.dispatches) != 0 || len(m.exec.fetchRefs) != 0 {
+		t.Errorf("quiesced master holds %d dispatches and fetch references on %d workers",
+			len(m.exec.dispatches), len(m.exec.fetchRefs))
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"ursa/internal/cpstate"
 	"ursa/internal/journal"
+	"ursa/internal/localrt"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
@@ -96,9 +97,7 @@ func (s *Standby) Takeover(ctx context.Context) (*Master, error) {
 	if err := s.awaitLeaseExpiry(ctx); err != nil {
 		return nil, err
 	}
-	jnl, rep, err := journal.Open(s.cfg.JournalDir, journal.Options{
-		SyncInterval: s.cfg.JournalSyncInterval,
-	})
+	jnl, rep, err := journal.Open(s.cfg.JournalDir, journal.Options{SyncInterval: journalSyncInterval})
 	if err != nil {
 		return nil, fmt.Errorf("remote: takeover: %w", err)
 	}
@@ -180,7 +179,8 @@ type contribKey struct {
 // committed outputs from the surviving workers' shuffle servers back into
 // the canonical store, and mark the commits that came back whole so they
 // short-circuit re-execution. Origins and the worker registry are read where
-// they are.
+// they are. The resubmitted rows enter the job table only once the loop
+// runs, so the transfer writes to the runtimes the resubmission returned.
 func (m *Master) recoverFromState(st *cpstate.State) error {
 	for i, w := range st.Workers {
 		switch {
@@ -201,6 +201,7 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		}
 	}
 
+	rts := make(map[int64]*localrt.Runtime)
 	for _, id := range st.Order {
 		js := st.Jobs[id]
 		if js.Phase.Terminal() {
@@ -213,13 +214,10 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		if err != nil {
 			return fmt.Errorf("remote: takeover rebuild job %d (%s): %w", id, js.Workload, err)
 		}
-		spec := bj.Spec
-		spec.Tenant = js.Tenant
+		bj.Spec.Tenant = js.Tenant
 		// The submission is already in the replayed state, so no JobSubmitted
 		// event is recorded here.
-		if _, err := m.submitHeld(id, spec, bj); err != nil {
-			return fmt.Errorf("remote: takeover resubmit job %d: %w", id, err)
-		}
+		rts[id] = m.hold(&RemoteJob{Built: bj, id: id}).Runtime()
 	}
 
 	// State transfer: the dead master's canonical store died with it, so
@@ -243,11 +241,11 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		return c
 	}
 	for pk, origins := range st.Origins {
-		rj := m.jobs.get(pk.Job)
-		if rj == nil {
+		rt := rts[pk.Job]
+		if rt == nil {
 			continue // terminal job: its commits were compacted, nothing needs it
 		}
-		ds := rj.rt().DatasetByID(int(pk.DS))
+		ds := rt.DatasetByID(int(pk.DS))
 		if ds == nil {
 			return fmt.Errorf("remote: takeover job %d has no dataset %d", pk.Job, pk.DS)
 		}
@@ -263,7 +261,7 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 					pc := &resp.Contribs[i]
 					// InsertEncoded is idempotent per (part, producer), so
 					// overlapping fetches from multiple holders dedup here.
-					rj.rt().InsertEncoded(ds, int(pk.Part), int(pc.MTID),
+					rt.InsertEncoded(ds, int(pk.Part), int(pc.MTID),
 						append([]byte(nil), pc.Rows...), pc.Flags, int(pc.RawLen))
 					have[contribKey{pk.Job, pk.DS, pk.Part, pc.MTID}] = true
 				}
