@@ -47,11 +47,13 @@ equiv:
 # in one process — wordcount/SQL row equivalence against direct execution,
 # measured-rate feedback, and the kill-an-agent chaos recovery test — plus
 # the liveness predicate on the connection row (a silent worker is failable
-# exactly HeartbeatMisses intervals after its row was created), under the
-# race detector. (Also covered by `race`; kept as an explicit gate so the
-# data plane and worker liveness cannot silently drop out of CI.)
+# exactly HeartbeatMisses intervals after its row was created) and the
+# submission front door every live benchmark workload enters through, under
+# the race detector. (Also covered by `race`; kept as an explicit gate so the
+# data plane, worker liveness and the front door cannot silently drop out of
+# CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,

@@ -79,9 +79,9 @@ func main() {
 			os.Exit(2)
 		}
 		bj.Spec.Name = fmt.Sprintf("wordcount-%d", i)
-		handles = append(handles, sys.Submit([]live.Submission{{
+		handles = append(handles, sys.Submit(live.Submission{
 			Spec: bj.Spec, Plan: bj.Plan, Inputs: bj.Inputs,
-		}}, nil)...)
+		}))
 	}
 
 	ctx, cancel := context.WithTimeout(ctx, *timeout)

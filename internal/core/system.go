@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
@@ -79,9 +78,10 @@ func (s *System) Submit(spec JobSpec, at eventloop.Time) (*Job, error) {
 
 // SubmitPlanNow registers a job whose plan was already built and enqueues it
 // on its tenant's admission queue at once, without an admission pass.
-// Loop-owned. Pair with FlushAdmission: the live path enqueues every job of a
-// submission, then runs one admission pass over all of them, so per-job cost
-// is queue append + stamp instead of a full reservation/rank/sort pass.
+// Loop-owned. Pair with FlushAdmission: the live path enqueues every job a
+// control-loop batch carries, then runs one admission pass over all of them,
+// so per-job cost is queue append + stamp instead of a full
+// reservation/rank/sort pass.
 func (s *System) SubmitPlanNow(spec JobSpec, plan *dag.Plan) *Job {
 	j := s.newJob(spec, plan)
 	s.Sched.enqueue(j)
@@ -210,29 +210,17 @@ func (s *System) FailWorker(id int) {
 	if w.failed {
 		return
 	}
+	// Re-report in fail's (job ID, task ID) order, one batch per job: the
+	// order tasks re-enter the pending pool decides later placements.
 	victims := w.fail()
-	// Re-report in (job ID, task ID) order, one batch per job: the order
-	// tasks re-enter the pending pool decides later placements, and map
-	// order would make two runs of one seed differ.
-	tasks := make([]*dag.Task, 0, len(victims))
-	for t := range victims {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(a, b int) bool {
-		ja, jb := victims[tasks[a]], victims[tasks[b]]
-		if ja != jb {
-			return ja.ID < jb.ID
+	for lo := 0; lo < len(victims); {
+		j := victims[lo].job
+		var tasks []*dag.Task
+		for ; lo < len(victims) && victims[lo].job == j; lo++ {
+			j.Plan.ResetForRetry(victims[lo].task)
+			tasks = append(tasks, victims[lo].task)
 		}
-		return tasks[a].ID < tasks[b].ID
-	})
-	for lo := 0; lo < len(tasks); {
-		j, hi := victims[tasks[lo]], lo
-		for hi < len(tasks) && victims[tasks[hi]] == j {
-			j.Plan.ResetForRetry(tasks[hi])
-			hi++
-		}
-		j.jm.reportReady(tasks[lo:hi])
-		lo = hi
+		j.jm.reportReady(tasks)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
@@ -342,27 +343,53 @@ func (w *Worker) start(item *queuedMT, counted bool) {
 	w.active[mt] = w.sys.exec.Start(w, item.job, mt, done)
 }
 
+// victim is an incomplete task a failed worker held, with its owning job.
+type victim struct {
+	job  *Job
+	task *dag.Task
+}
+
 // fail implements worker failure (§4.3): abort everything in flight,
 // release held resources, clear the queues, and return the incomplete
 // tasks (with their owning jobs) for the scheduler to retry elsewhere.
-func (w *Worker) fail() map[*dag.Task]*Job {
+// Everything runs in (job ID, task ID, monotask) order, never map order:
+// the order memory returns to the pool decides its float dust, and two runs
+// of one seed must read the same pools.
+func (w *Worker) fail() []victim {
 	w.failed = true
 	w.markDirty()
-	for _, abort := range w.active {
-		abort()
+	victims := make([]victim, 0, len(w.taskMem))
+	for t, tm := range w.taskMem {
+		victims = append(victims, victim{tm.job, t})
 	}
-	w.active = make(map[*dag.Monotask]func())
+	sort.Slice(victims, func(a, b int) bool {
+		va, vb := victims[a], victims[b]
+		if va.job != vb.job {
+			return va.job.ID < vb.job.ID
+		}
+		return va.task.ID < vb.task.ID
+	})
+	// Every in-flight monotask belongs to a resident task: placement
+	// reserves the task before enqueueing any of its monotasks, and the
+	// task is released only once all of them are done.
+	for _, v := range victims {
+		for _, mt := range v.task.Monotasks {
+			if abort, ok := w.active[mt]; ok {
+				abort()
+				delete(w.active, mt)
+			}
+		}
+	}
+	if len(w.active) != 0 {
+		panic(fmt.Sprintf("core: worker %d runs %d monotasks of no resident task", w.ID, len(w.active)))
+	}
 	for k := range w.queues {
 		w.queues[k].items = nil
 		w.running[k] = 0
 		w.load[k] = 0
 	}
-	victims := make(map[*dag.Task]*Job, len(w.taskMem))
-	for t, tm := range w.taskMem {
-		victims[t] = tm.job
-	}
-	for t := range victims {
-		w.releaseTask(t)
+	for _, v := range victims {
+		w.releaseTask(v.task)
 	}
 	return victims
 }

@@ -164,7 +164,11 @@ func Apply(st *State, ev Event) {
 		}
 		js.Phase = PhaseAdmitted
 		js.Reserved = ev.Reserved
-		st.TenantReserved[js.Tenant] += ev.Reserved
+		// A zero reservation holds nothing: like releaseReservation, leave
+		// the tenant's entry alone, or it would outlive every job.
+		if ev.Reserved != 0 {
+			st.TenantReserved[js.Tenant] += ev.Reserved
+		}
 	case JobFinished:
 		st.finishJob(ev.JobID, PhaseFinished)
 	case JobCancelled:

@@ -137,6 +137,14 @@ func (d *LiveDriver) Send(fn func()) {
 	}
 }
 
+// Pending returns how many sent callbacks wait in the inbox for the next
+// batch. Safe from any goroutine.
+func (d *LiveDriver) Pending() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.queue)
+}
+
 // Stop makes Run return once the batch of due callbacks currently executing
 // (if any) finishes. Safe from loop callbacks and from other goroutines; it
 // deliberately does not touch the loop's own stop flag, which is not

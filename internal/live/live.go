@@ -158,7 +158,13 @@ type System struct {
 	// crossing counts submitted jobs whose driver crossing has not run yet:
 	// they are not in Core's job table, so AllDone cannot see them.
 	crossing atomic.Int64
-	runErr   error
+	// unadmitted counts the jobs the current batch queued; the end-of-batch
+	// hook runs one admission pass over them. Loop-owned.
+	unadmitted int
+	// passes and passJobs count those admission passes and the jobs they
+	// covered, for readers off the loop.
+	passes, passJobs atomic.Int64
+	runErr           error
 }
 
 // NewSystem assembles a live system. Submit jobs, then Run.
@@ -167,8 +173,8 @@ func NewSystem(cfg Config) *System {
 	drv := eventloop.NewLiveDriver()
 	clus := cluster.New(drv.Loop(), cfg.clusterConfig())
 	sys := core.NewSystem(drv.Loop(), clus, cfg.Core)
-	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
 	s := &System{Drv: drv, Core: sys, Cluster: clus, cfg: cfg}
+	drv.SetBatchEnd(s.batchEnd)
 	if cfg.NewBackend != nil {
 		s.exec = cfg.NewBackend(s)
 	} else {
@@ -178,6 +184,24 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
+// batchEnd is the driver's end-of-batch hook: one admission pass over the
+// jobs the batch queued, if it queued any, then the event placement pass.
+func (s *System) batchEnd() {
+	if n := s.unadmitted; n > 0 {
+		s.unadmitted = 0
+		s.Core.FlushAdmission()
+		s.passes.Add(1)
+		s.passJobs.Add(int64(n))
+	}
+	s.Core.Sched.PlaceIfChanged()
+}
+
+// AdmissionPasses returns how many end-of-batch admission passes have run
+// and how many submitted jobs they covered. Safe from any goroutine.
+func (s *System) AdmissionPasses() (passes, jobs int) {
+	return int(s.passes.Load()), int(s.passJobs.Load())
+}
+
 // Submission is one job for Submit: a pre-built plan plus its inputs, with
 // an optional callback fired on the control loop once the job is queued.
 type Submission struct {
@@ -185,44 +209,36 @@ type Submission struct {
 	Plan   *dag.Plan
 	Inputs []localrt.PlanInput
 	// OnQueued runs on the control loop right after this job is enqueued,
-	// before any job of its Submit call can be admitted — the window where a
-	// caller can bind job-tracking state without racing the admission hooks.
+	// before the admission pass that can admit it — the window where a caller
+	// can bind job-tracking state without racing the admission hooks.
 	OnQueued func(*Job)
 }
 
-// Submit is the one way a job enters the system. It returns the jobs'
-// handles at once: each job's runtime is built and its inputs materialized
-// on the calling goroutine, so admission and the SRJF hint see real input
-// sizes. The jobs then cross the driver inbox together: on the loop, each is
-// enqueued on its tenant's admission queue and its OnQueued runs, then one
-// admission pass covers them all and after (if set) runs. Called before Run,
-// the crossing waits in the inbox and runs when the loop starts. Safe from
-// any goroutine; submissions after Run has returned are discarded.
-func (s *System) Submit(subs []Submission, after func()) []*Job {
-	jobs := make([]*Job, len(subs))
-	for i, sub := range subs {
-		rt := localrt.New(sub.Plan)
-		for _, in := range sub.Inputs {
-			rt.SetInput(in.Dataset, in.Rows)
-		}
-		s.exec.RegisterJob(rt)
-		jobs[i] = &Job{rt: rt}
+// Submit is the one way a job enters the system. It returns the job's
+// handle at once: the runtime is built and its inputs materialized on the
+// calling goroutine, so admission and the SRJF hint see real input sizes.
+// The job then crosses the driver inbox: on the loop it is enqueued on its
+// tenant's admission queue and its OnQueued runs, and at the end of that
+// batch one admission pass covers every job the batch queued. Called before
+// Run, the crossing waits in the inbox and runs when the loop starts. Safe
+// from any goroutine; submissions after Run has returned are discarded.
+func (s *System) Submit(sub Submission) *Job {
+	rt := localrt.New(sub.Plan)
+	for _, in := range sub.Inputs {
+		rt.SetInput(in.Dataset, in.Rows)
 	}
-	s.crossing.Add(int64(len(subs)))
+	s.exec.RegisterJob(rt)
+	j := &Job{rt: rt}
+	s.crossing.Add(1)
 	s.Drv.Send(func() {
-		for i, sub := range subs {
-			jobs[i].Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
-			if sub.OnQueued != nil {
-				sub.OnQueued(jobs[i])
-			}
+		j.Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
+		s.unadmitted++
+		if sub.OnQueued != nil {
+			sub.OnQueued(j)
 		}
-		s.crossing.Add(-int64(len(subs)))
-		s.Core.FlushAdmission()
-		if after != nil {
-			after()
-		}
+		s.crossing.Add(-1)
 	})
-	return jobs
+	return j
 }
 
 // Shutdown stops the driver loop from any goroutine; Run returns after the
@@ -248,11 +264,12 @@ func (s *System) finished() bool { return s.crossing.Load() == 0 && s.Core.AllDo
 // cancelled. Call it once. The scheduler path is exactly the simulation's:
 // admission under the memory reservation, the same batched placement pass,
 // per-resource worker queues — only the clock, the execution back-end and
-// what triggers the pass differ: here it runs at the end of a control-loop
-// batch that changed what is placeable for a short job, passes keeping half
-// a SchedInterval apart (NewSystem wires Scheduler.PlaceIfChanged to the
-// driver's end-of-batch hook), with the SchedInterval tick for longer jobs
-// and as the time-driven fallback.
+// what triggers the passes differ: here a control-loop batch that queued
+// jobs ends in one admission pass over them, and one that changed what is
+// placeable for a short job ends in a placement pass, passes keeping half a
+// SchedInterval apart (NewSystem wires both to the driver's end-of-batch
+// hook), with the SchedInterval tick for longer jobs and as the time-driven
+// fallback.
 func (s *System) Run(ctx context.Context) error {
 	if !s.cfg.Serve {
 		s.Core.OnJobFinished = func(*core.Job) {

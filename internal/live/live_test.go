@@ -74,10 +74,10 @@ func inputLines(n int) []localrt.Row {
 
 // submit hands one job over input rows of dataset in to sys.
 func submit(sys *System, name string, g *dag.Graph, in *dag.Dataset, rows []localrt.Row) *Job {
-	return sys.Submit([]Submission{{
+	return sys.Submit(Submission{
 		Spec: core.JobSpec{Name: name, Graph: g}, Plan: g.MustBuild(),
 		Inputs: []localrt.PlanInput{{Dataset: in, Rows: rows}},
-	}}, nil)[0]
+	})
 }
 
 // checkQuiesced fails t unless sys, whose Run has returned, is quiesced.

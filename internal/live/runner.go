@@ -32,9 +32,9 @@ func (r *Runner) RunPlan(plan *dag.Plan, inputs []localrt.PlanInput) (localrt.Ro
 	if name == "" {
 		name = "live"
 	}
-	j := sys.Submit([]Submission{{
+	j := sys.Submit(Submission{
 		Spec: core.JobSpec{Name: name, Graph: plan.Graph}, Plan: plan, Inputs: inputs,
-	}}, nil)[0]
+	})
 	if err := sys.Run(context.Background()); err != nil {
 		return nil, err
 	}

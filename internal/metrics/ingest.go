@@ -8,17 +8,17 @@ import (
 // Ingest aggregates front-door observability for the master's submission
 // path: intake and admission counters, status-stream drops, and the
 // tenant-fairness gauge. Safe for concurrent use — client read goroutines
-// record submissions and drops off the control loop while the admission
-// pump records batches on it.
+// record rejections and drops off the control loop while it records
+// submissions. Admission passes are counted where they run, in the live
+// system, and read through passes.
 type Ingest struct {
-	mu sync.Mutex
+	mu     sync.Mutex
+	passes func() (passes, jobs int)
 
 	clients     int // client connections ever accepted
 	submissions int // SubmitJob frames accepted (acked with a job ID)
 	rejected    int // SubmitJob frames rejected (intake full, draining, bad workload)
 	cancels     int // CancelJob frames that cancelled a queued job
-	batches     int // admission batches flushed through the scheduler
-	batchedJobs int // jobs carried by those batches
 	statusDrops int // JobStatus frames dropped on full client send queues
 
 	// shareErr is the latest sampled per-tenant share error (see
@@ -27,8 +27,9 @@ type Ingest struct {
 	shareErrMax float64
 }
 
-// NewIngest returns an empty ingest monitor.
-func NewIngest() *Ingest { return &Ingest{} }
+// NewIngest returns an empty ingest monitor whose admission-pass figures
+// are read from passes.
+func NewIngest(passes func() (passes, jobs int)) *Ingest { return &Ingest{passes: passes} }
 
 // ObserveClient records an accepted client connection.
 func (g *Ingest) ObserveClient() {
@@ -55,15 +56,6 @@ func (g *Ingest) ObserveRejection() {
 func (g *Ingest) ObserveCancel() {
 	g.mu.Lock()
 	g.cancels++
-	g.mu.Unlock()
-}
-
-// ObserveBatch records one admission batch of n jobs flushed through the
-// scheduler loop.
-func (g *Ingest) ObserveBatch(n int) {
-	g.mu.Lock()
-	g.batches++
-	g.batchedJobs += n
 	g.mu.Unlock()
 }
 
@@ -106,24 +98,22 @@ func (g *Ingest) ShareError() (last, max float64) {
 	return g.shareErr, g.shareErrMax
 }
 
-// BatchStats returns (batches flushed, jobs carried). The mean batch size —
-// jobs/batches — is the amortization factor of the batched admission pipe.
-func (g *Ingest) BatchStats() (batches, jobs int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.batches, g.batchedJobs
-}
+// BatchStats returns (admission passes run, jobs they covered). The mean
+// batch size — jobs/batches — is how many submissions one admission pass
+// amortizes over.
+func (g *Ingest) BatchStats() (batches, jobs int) { return g.passes() }
 
 // StatsLine renders a one-line front-door summary for periodic master logs.
 func (g *Ingest) StatsLine() string {
+	batches, jobs := g.passes()
+	meanBatch := 0.0
+	if batches > 0 {
+		meanBatch = float64(jobs) / float64(batches)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	meanBatch := 0.0
-	if g.batches > 0 {
-		meanBatch = float64(g.batchedJobs) / float64(g.batches)
-	}
 	return fmt.Sprintf(
 		"ingest: clients=%d subs=%d rej=%d cancel=%d batches=%d (mean %.1f jobs) status_drops=%d share_err=%.3f (max %.3f)",
-		g.clients, g.submissions, g.rejected, g.cancels, g.batches, meanBatch,
+		g.clients, g.submissions, g.rejected, g.cancels, batches, meanBatch,
 		g.statusDrops, g.shareErr, g.shareErrMax)
 }

@@ -53,8 +53,6 @@ type Config struct {
 	// below its advertised profile. This is the contention injection knob
 	// for heterogeneous-cluster tests and smoke runs; zero for production.
 	ExecDelay time.Duration
-	// MaxFrame bounds control and shuffle frames. Default wire.DefaultMaxFrame.
-	MaxFrame int
 	// Compress offers per-contribution compression at registration; it is in
 	// effect only when the master also enables it (Welcome echoes the
 	// negotiated outcome). Off by default.
@@ -121,9 +119,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
 		c.Cores = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
 	}
 	if c.Dial == nil {
 		c.Dial = wire.NetDial
@@ -233,9 +228,8 @@ func Dial(cfg Config) (*Agent, error) {
 	if shufAddr == "" {
 		shufAddr = "127.0.0.1:0"
 	}
-	srv, err := shuffle.Listen(shufAddr, shuffle.ServerConfig{
-		MaxFrame: cfg.MaxFrame, Listen: cfg.ShuffleListen,
-	}, a.resolveJob, nil)
+	srv, err := shuffle.Listen(shufAddr, shuffle.ServerConfig{Listen: cfg.ShuffleListen},
+		a.resolveJob, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +295,6 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 		return wire.Welcome{}, fmt.Errorf("agent: dial master %s: %w", addr, err)
 	}
 	conn := wire.NewConnConfig(nc, wire.Config{
-		MaxFrame:      cfg.MaxFrame,
 		WriteDeadline: writeDeadline,
 		// Control-plane blobs (Prepare params) are consumed synchronously
 		// inside the read-loop handler, so pooled frames are safe here.
@@ -804,7 +797,6 @@ func (a *Agent) client(addr string) *shuffle.Client {
 	c := a.clients[addr]
 	if c == nil {
 		c = shuffle.NewClient(addr, shuffle.ClientConfig{
-			MaxFrame:    a.cfg.MaxFrame,
 			Dial:        a.cfg.ShuffleDial,
 			ReadTimeout: a.cfg.FetchTimeout,
 			Retries:     a.cfg.FetchRetries,

@@ -15,8 +15,6 @@ type ClientConfig struct {
 	// Tenant names the submitting tenant for weighted fair admission; empty
 	// selects the default tenant.
 	Tenant string
-	// MaxFrame bounds frames in both directions. Default wire.DefaultMaxFrame.
-	MaxFrame int
 	// Dial opens the connection; nil selects wire.NetDial.
 	Dial wire.DialFunc
 	// OnStatus, if set, receives JobStatus lifecycle updates on the client's
@@ -60,7 +58,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("remote: dial front door %s: %w", cfg.Addr, err)
 	}
 	c := &Client{
-		conn:     wire.NewConnConfig(nc, wire.Config{MaxFrame: cfg.MaxFrame}),
+		conn:     wire.NewConnConfig(nc, wire.Config{}),
 		tenant:   cfg.Tenant,
 		onStatus: cfg.OnStatus,
 		waiters:  make(map[int64]chan wire.SubmitAck),

@@ -276,7 +276,6 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 
 	lc := startCluster(t, 2, Config{
 		Serve:             true,
-		AdmissionInterval: 2 * time.Millisecond,
 		Autoscale:         true,
 		MinWorkers:        2,
 		MaxWorkers:        5,
@@ -329,7 +328,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		t.Fatalf("autoscaling caused %d worker failures, want 0", got)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestElasticRecoversAfterAllWorkersLost pins the elastic all-workers-dead
@@ -453,7 +452,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 		t.Fatalf("worker failures = %d, want 0 (joiner rejected a dispatch?)", got)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestReserveCorrectionLearns checks the DRESS-style feedback loop: a
@@ -464,10 +463,9 @@ func TestReserveCorrectionLearns(t *testing.T) {
 	// Observed peaks are measured in bytes, so the estimate and capacity are
 	// byte-denominated too — the corrector only makes sense in like units.
 	lc := startCluster(t, 1, Config{
-		Serve:             true,
-		AdmissionInterval: 2 * time.Millisecond,
-		ReserveCorrect:    true,
-		MemPerWorker:      1 << 30,
+		Serve:          true,
+		ReserveCorrect: true,
+		MemPerWorker:   1 << 30,
 	})
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
@@ -496,5 +494,5 @@ func TestReserveCorrectionLearns(t *testing.T) {
 		t.Fatalf("corrector range min = %.3f, want < 1", min)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }

@@ -329,12 +329,13 @@ func TestJournalStatsLineFormat(t *testing.T) {
 		return snaps >= 1
 	})
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestTenantIntakeCap checks the per-tenant intake bound: with a cap of 1
-// and admission parked (the master is never Run, so the pump never starts), a
-// tenant's second submission is rejected while another tenant's passes.
+// and the control loop parked (the master is never Run, so no submission
+// reaches it), a tenant's second submission is rejected while another
+// tenant's passes.
 func TestTenantIntakeCap(t *testing.T) {
 	lc := startCluster(t, 1, Config{
 		Serve:           true,
@@ -349,10 +350,10 @@ func TestTenantIntakeCap(t *testing.T) {
 	t.Cleanup(c1.Close)
 	sub1 := make(chan error, 1)
 	go func() {
-		_, err := c1.Submit(name, params) // parks on the intake; never acked in this test
+		_, err := c1.Submit(name, params) // parks in the driver inbox; never acked in this test
 		sub1 <- err
 	}()
-	waitFor(t, "first submission queued", func() bool { return lc.Master.fd.queued.Load() == 1 })
+	waitFor(t, "first submission queued", func() bool { return lc.Master.fd.intakeDepth() == 1 })
 
 	if _, err := c1.Submit(name, params); err == nil || !strings.Contains(err.Error(), "tenant intake full") {
 		t.Fatalf("second same-tenant submission: got %v, want tenant intake full", err)
@@ -369,7 +370,7 @@ func TestTenantIntakeCap(t *testing.T) {
 		sub2 <- err
 	}()
 	// The other tenant is under its own cap: accepted onto the intake.
-	waitFor(t, "other tenant queued", func() bool { return lc.Master.fd.queued.Load() == 2 })
+	waitFor(t, "other tenant queued", func() bool { return lc.Master.fd.intakeDepth() == 2 })
 	select {
 	case err := <-sub2:
 		t.Fatalf("other tenant's submission resolved early: %v", err)

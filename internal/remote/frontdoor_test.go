@@ -3,8 +3,10 @@ package remote
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +21,6 @@ import (
 func startServeCluster(t *testing.T, n int, cfg Config) (*LocalCluster, <-chan error) {
 	t.Helper()
 	cfg.Serve = true
-	if cfg.AdmissionInterval == 0 {
-		cfg.AdmissionInterval = time.Millisecond
-	}
 	lc := startCluster(t, n, cfg)
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
@@ -39,7 +38,9 @@ func dialFrontDoor(t *testing.T, lc *LocalCluster, cfg ClientConfig) *Client {
 	return c
 }
 
-func waitRun(t *testing.T, runErr <-chan error) {
+// waitRun waits for a drained serve-mode master's Run to return and checks
+// it quiesced.
+func waitRun(t *testing.T, lc *LocalCluster, runErr <-chan error) {
 	t.Helper()
 	select {
 	case err := <-runErr:
@@ -49,6 +50,15 @@ func waitRun(t *testing.T, runErr <-chan error) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("serve master did not drain in time")
 	}
+	checkQuiesced(t, lc.Master)
+}
+
+// intakeDepth reads how many submissions the front door has accepted that
+// have not yet been queued on the control loop.
+func (fd *frontDoor) intakeDepth() int {
+	fd.mu.Lock()
+	defer fd.mu.Unlock()
+	return fd.intake
 }
 
 // statusLog records JobStatus frames per job for assertions.
@@ -65,14 +75,15 @@ func (l *statusLog) add(st wire.JobStatus) {
 	l.mu.Unlock()
 }
 
-// waitState polls until the job reaches the given state or the deadline.
-func (l *statusLog) waitState(t *testing.T, jobID int64, state byte) wire.JobStatus {
+// waitState polls until the job reaches one of the given states or the
+// deadline.
+func (l *statusLog) waitState(t *testing.T, jobID int64, states ...byte) wire.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		l.mu.Lock()
 		for _, st := range l.by[jobID] {
-			if st.State == state {
+			if slices.Contains(states, st.State) {
 				l.mu.Unlock()
 				return st
 			}
@@ -80,7 +91,9 @@ func (l *statusLog) waitState(t *testing.T, jobID int64, state byte) wire.JobSta
 		l.mu.Unlock()
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %d never reached state %d (have %+v)", jobID, state, l.by[jobID])
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	t.Fatalf("job %d never reached states %v (have %+v)", jobID, states, l.by[jobID])
 	return wire.JobStatus{}
 }
 
@@ -106,7 +119,7 @@ func TestFrontDoorSubmitLifecycle(t *testing.T) {
 		t.Errorf("ingest submissions = %d, want 1", got)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestFrontDoorCancelQueued cancels a job stuck behind the memory gate and
@@ -134,7 +147,7 @@ func TestFrontDoorCancelQueued(t *testing.T) {
 	log.waitState(t, queuedID, wire.StateCancelled)
 	log.waitState(t, runningID, wire.StateFinished)
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestFrontDoorDrainRejects verifies that after Drain new submissions are
@@ -160,57 +173,65 @@ func TestFrontDoorDrainRejects(t *testing.T) {
 	if _, err := c.Submit("micro", small); err == nil || !strings.Contains(err.Error(), "draining") {
 		t.Errorf("submit during drain: err = %v, want draining rejection", err)
 	}
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
-// TestFrontDoorLeadingEdgeFlush: AdmissionInterval is the minimum spacing
-// between admission passes, not a delay every submission pays. With an hour's
-// interval, a submission that finds the intake idle is still acked — only an
-// immediate flush can do that — and a burst arriving after that flush is held
-// for the rest of the interval as one pending batch.
-func TestFrontDoorLeadingEdgeFlush(t *testing.T) {
-	lc, runErr := startServeCluster(t, 1, Config{AdmissionInterval: time.Hour})
-	log := newStatusLog()
-	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: log.add})
+// TestFrontDoorDrainRacesSubmissions: a drain that begins while four tenants
+// still have submissions in flight answers every submission it accepted.
+// Each Submit returns an ack or a draining rejection, every acked job reaches
+// a terminal status — finished, or cancelled if it was still queued or
+// reached the loop only after the drain's cancel pass — and the master stops
+// with nothing left in flight.
+func TestFrontDoorDrainRacesSubmissions(t *testing.T) {
+	// Two admission slots, so part of the backlog is queued when the drain
+	// lands.
+	lc, runErr := startServeCluster(t, 1, Config{MemPerWorker: 2})
+	const tenants, jobsPer, drainAfter = 4, 40, 10
 	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
-	first, err := c.Submit("micro", params)
-	if err != nil {
-		t.Fatalf("submit on an idle intake: %v", err)
+	type ack struct {
+		log *statusLog
+		id  int64
 	}
-	// A flush sweeps up whatever arrives while its admission pass runs, so
-	// the burst waits until the first job has run: the flush that admitted
-	// it ended when its admission pass did, before any of its monotasks.
-	log.waitState(t, first, wire.StateFinished)
-
-	const burst = 4
-	errs := make(chan error, burst)
-	for i := 0; i < burst; i++ {
-		go func() {
-			_, err := c.Submit("micro", params)
-			errs <- err
-		}()
-	}
-	waitFor(t, "the whole burst held on the intake", func() bool { return lc.Master.fd.queued.Load() == burst })
-	if batches, jobs := lc.Master.Ingest().BatchStats(); batches != 1 || jobs != 1 {
-		t.Errorf("%d admission batches carrying %d jobs, want 1 and 1", batches, jobs)
-	}
-
-	// Drain answers the held burst, so nothing outlives the test.
-	lc.Master.Drain()
-	for i := 0; i < burst; i++ {
-		if err := <-errs; err == nil || !strings.Contains(err.Error(), "draining") {
-			t.Errorf("held submission: err = %v, want draining rejection", err)
+	var (
+		mu       sync.Mutex
+		acks     []ack
+		returned atomic.Int32
+		wg       sync.WaitGroup
+	)
+	for i := 0; i < tenants; i++ {
+		log := newStatusLog()
+		c := dialFrontDoor(t, lc, ClientConfig{Tenant: string(rune('a' + i)), OnStatus: log.add})
+		for k := 0; k < jobsPer; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				id, err := c.Submit("micro", params)
+				if err == nil {
+					mu.Lock()
+					acks = append(acks, ack{log, id})
+					mu.Unlock()
+				} else if !strings.Contains(err.Error(), "draining") {
+					t.Errorf("submission: %v, want an ack or a draining rejection", err)
+				}
+				if returned.Add(1) == drainAfter {
+					lc.Master.Drain()
+				}
+			}()
 		}
 	}
-	waitRun(t, runErr)
+	wg.Wait()
+	waitRun(t, lc, runErr)
+	for _, a := range acks {
+		a.log.waitState(t, a.id, wire.StateFinished, wire.StateCancelled)
+	}
 }
 
 // TestFrontDoorAdmitsParkedBurstInOnePass: submissions that accumulate while
 // no admission pass can run are admitted together. The master is not yet Run,
-// so the pump is parked and 32 clients of 4 tenants park one submission each
-// across the intake shards; Run then acks every one of them out of exactly
-// one batch: one driver crossing and one reservation/rank/sort pass for the
-// burst, where a front door that stopped batching pays one per submission.
+// so 32 clients of 4 tenants park one submission each in the driver inbox;
+// Run then acks every one of them out of exactly one batch: one
+// reservation/rank/sort pass at its end for the burst, where a loop that
+// admitted per submission would pay one per job.
 func TestFrontDoorAdmitsParkedBurstInOnePass(t *testing.T) {
 	const burst = 32
 	lc := startCluster(t, 1, Config{Serve: true})
@@ -223,7 +244,9 @@ func TestFrontDoorAdmitsParkedBurstInOnePass(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, "the whole burst parked on the intake", func() bool { return lc.Master.fd.queued.Load() == burst })
+	// Before Run nothing else crosses the inbox: the agents advertise no
+	// profile, so registration sends nothing to the loop.
+	waitFor(t, "the whole burst parked in the driver inbox", func() bool { return lc.Master.Sys.Drv.Pending() == burst })
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
 	for i := 0; i < burst; i++ {
@@ -231,11 +254,16 @@ func TestFrontDoorAdmitsParkedBurstInOnePass(t *testing.T) {
 			t.Errorf("parked submission: %v", err)
 		}
 	}
+	// A job is acked as it is queued, before the pass at the end of its batch.
+	waitFor(t, "the burst's admission pass", func() bool {
+		_, jobs := lc.Master.Ingest().BatchStats()
+		return jobs == burst
+	})
 	if batches, jobs := lc.Master.Ingest().BatchStats(); batches != 1 || jobs != burst {
 		t.Errorf("%d admission batches carrying %d jobs, want 1 and %d", batches, jobs, burst)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestFrontDoorBadWorkloadRejected: a submission for an unknown workload is
@@ -252,7 +280,7 @@ func TestFrontDoorBadWorkloadRejected(t *testing.T) {
 		t.Fatalf("submit after rejection: %v", err)
 	}
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 }
 
 // TestFrontDoorChurn hammers the front door from concurrent clients that
@@ -287,7 +315,7 @@ func TestFrontDoorChurn(t *testing.T) {
 	}
 	wg.Wait()
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 	if got := lc.Master.Ingest().Submissions(); got != clients*jobsPer {
 		t.Errorf("ingest submissions = %d, want %d", got, clients*jobsPer)
 	}
@@ -303,7 +331,7 @@ func TestFrontDoorStatusDropCounter(t *testing.T) {
 	// queue, later ones must drop.
 	conn := wire.NewConnConfig(a, wire.Config{SendQueue: 1})
 	defer conn.Close()
-	fd := &frontDoor{Ingest: metrics.NewIngest()}
+	fd := &frontDoor{Ingest: metrics.NewIngest(nil)}
 	rj := &RemoteJob{client: &clientLink{conn: conn}, submitID: 1, id: 7}
 	for i := 0; i < 16; i++ {
 		fd.sendStatus(rj, wire.StateAdmitted, "")

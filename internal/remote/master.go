@@ -59,8 +59,6 @@ type Config struct {
 	// StatsInterval logs the master's four stats lines — transport, ingest
 	// (serve mode), journal, elastic — at this period; 0 disables.
 	StatsInterval time.Duration
-	// MaxFrame bounds control and shuffle frames. Default wire.DefaultMaxFrame.
-	MaxFrame int
 	// Compress enables per-contribution compression for the master's own
 	// canonical store and — per worker — for workers that also offered it in
 	// Register (the Welcome echoes the negotiated outcome). Off by default.
@@ -80,18 +78,10 @@ type Config struct {
 	// running after pre-submitted jobs finish, until Drain. Off by default —
 	// the classic submit-then-run batch mode.
 	Serve bool
-	// AdmissionInterval is the minimum spacing between the front door's
-	// batched admission flushes: a submission that finds the intake idle is
-	// flushed at once, and submissions arriving within one interval of the
-	// previous flush are queued on the intake shards and admitted together
-	// in a single scheduler pass, so the reservation check, SRJF rank
-	// refresh and queue insert are paid once per batch instead of once per
-	// job. Default 2ms — the most a submission waits for batching. Serve
-	// mode only.
-	AdmissionInterval time.Duration
-	// TenantIntakeCap bounds one tenant's queued submissions at the intake,
-	// so a single bursty tenant cannot consume the whole global intakeCap
-	// and starve the others' admission slots. 0 disables (global cap only).
+	// TenantIntakeCap bounds one tenant's submissions at the intake —
+	// accepted, not yet queued on the control loop — so a single bursty
+	// tenant cannot consume the whole global intakeCap and starve the
+	// others' admission slots. 0 disables (global cap only).
 	TenantIntakeCap int
 	// JournalDir, when set, persists the control-plane event log there:
 	// every state-machine event is appended (CRC-checked, fsync-batched),
@@ -142,9 +132,10 @@ type Config struct {
 }
 
 // Transport and front-door bounds: one value serves every deployment, test
-// and benchmark, so they are not Config fields. The graceful-close flush
-// window and the shuffle server's idle cutoff are wire's and shuffle's own
-// defaults (wire.DefaultDrainDeadline, shuffle.DefaultServerReadIdle).
+// and benchmark, so they are not Config fields. The frame bound, the
+// graceful-close flush window and the shuffle server's idle cutoff are
+// wire's and shuffle's own defaults (wire.DefaultMaxFrame,
+// wire.DefaultDrainDeadline, shuffle.DefaultServerReadIdle).
 const (
 	// handshakeTimeout bounds the wait for a connecting peer's first frame: a
 	// client that connects and goes silent cannot pin the handshake goroutine.
@@ -156,9 +147,9 @@ const (
 	// acks) so a dead-but-unclosed peer fails its link fast instead of wedging
 	// the single writer until the kernel TCP timeout.
 	writeDeadline = 10 * time.Second
-	// intakeCap bounds submissions queued at the intake ahead of admission;
-	// beyond it new SubmitJobs are rejected ("intake full") instead of growing
-	// an unbounded buffer.
+	// intakeCap bounds the submissions accepted but not yet queued on the
+	// control loop; beyond it new SubmitJobs are rejected ("intake full")
+	// instead of growing the driver inbox without bound.
 	intakeCap = 1 << 16
 	// clientSendQueue bounds each client connection's outbound frame queue
 	// (acks and JobStatus updates). A slow status subscriber has this many
@@ -183,14 +174,8 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatMisses <= 0 {
 		c.HeartbeatMisses = 3
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = wire.DefaultMaxFrame
-	}
 	if c.Listen == nil {
 		c.Listen = wire.NetListen
-	}
-	if c.AdmissionInterval <= 0 {
-		c.AdmissionInterval = 2 * time.Millisecond
 	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * time.Second
@@ -432,9 +417,8 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 			return nil, fmt.Errorf("remote: listen %s: %w", cfg.Addr, err)
 		}
 	}
-	m.shuffleSrv, err = shuffle.Listen(cfg.ShuffleAddr, shuffle.ServerConfig{
-		MaxFrame: cfg.MaxFrame, Listen: cfg.Listen,
-	}, m.resolveJob, m.Transport.ObserveServedBytes)
+	m.shuffleSrv, err = shuffle.Listen(cfg.ShuffleAddr, shuffle.ServerConfig{Listen: cfg.Listen},
+		m.resolveJob, m.Transport.ObserveServedBytes)
 	if err != nil {
 		m.ln.Close()
 		return nil, err
@@ -639,35 +623,30 @@ func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 	return rj, nil
 }
 
-// hold submits a job whose handle the caller keeps, alone — one admission
-// pass per job, in submission order — and lists it for Jobs.
+// hold submits a job whose handle the caller keeps and lists it for Jobs.
 func (m *Master) hold(rj *RemoteJob) *live.Job {
 	m.mu.Lock()
 	m.held = append(m.held, rj)
 	m.mu.Unlock()
-	return m.submit([]*RemoteJob{rj}, nil, nil)[0]
+	return m.submit(rj, nil)
 }
 
-// submit is every source's way to the scheduler: it hands the rows' built
-// jobs to live.System.Submit in one crossing and returns their handles. On
-// the loop each row gets its scheduler job and enters the job table as the
-// job is queued, before any admission hook can look it up; bind, if set, then
-// does the source's own bookkeeping for row i. after is Submit's.
-func (m *Master) submit(rows []*RemoteJob, bind func(i int), after func()) []*live.Job {
-	subs := make([]live.Submission, len(rows))
-	for i, rj := range rows {
-		subs[i] = live.Submission{
-			Spec: rj.Built.Spec, Plan: rj.Built.Plan, Inputs: rj.Built.Inputs,
-			OnQueued: func(j *live.Job) {
-				rj.Live = j
-				m.jobs.add(rj)
-				if bind != nil {
-					bind(i)
-				}
-			},
-		}
-	}
-	return m.Sys.Submit(subs, after)
+// submit is every source's way to the scheduler: it hands the row's built
+// job to live.System.Submit and returns its handle. On the loop the row gets
+// its scheduler job and enters the job table as the job is queued, before
+// any admission hook can look it up; bind, if set, then does the source's
+// own bookkeeping.
+func (m *Master) submit(rj *RemoteJob, bind func()) *live.Job {
+	return m.Sys.Submit(live.Submission{
+		Spec: rj.Built.Spec, Plan: rj.Built.Plan, Inputs: rj.Built.Inputs,
+		OnQueued: func(j *live.Job) {
+			rj.Live = j
+			m.jobs.add(rj)
+			if bind != nil {
+				bind()
+			}
+		},
+	})
 }
 
 // accept registers agents until the listener closes. Registration is the
@@ -694,7 +673,7 @@ func (m *Master) handshake(nc net.Conn) {
 	// Bounded first read: a connection that never identifies itself is cut
 	// loose instead of pinning this goroutine forever.
 	nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := wire.ReadFrame(br, m.cfg.MaxFrame)
+	typ, payload, err := wire.ReadFrame(br, wire.DefaultMaxFrame)
 	if err != nil {
 		nc.Close()
 		return
@@ -715,7 +694,6 @@ func (m *Master) handshake(nc net.Conn) {
 			return
 		}
 		c := wire.NewConnFrom(nc, br, wire.Config{
-			MaxFrame:      m.cfg.MaxFrame,
 			WriteDeadline: writeDeadline,
 			SendQueue:     clientSendQueue,
 		})
@@ -727,7 +705,6 @@ func (m *Master) handshake(nc net.Conn) {
 
 func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register) {
 	c := wire.NewConnFrom(nc, br, wire.Config{
-		MaxFrame:      m.cfg.MaxFrame,
 		WriteDeadline: writeDeadline,
 		// Pooled frames: the readLoop's only blob-carrying message is
 		// Complete, whose writes are deep-copied before leaving the handler.
@@ -802,7 +779,7 @@ func (m *Master) welcome(id int, reg wire.Register) wire.Welcome {
 	return wire.Welcome{
 		WorkerID:          int32(id),
 		HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
-		MaxFrame:          int64(m.cfg.MaxFrame),
+		MaxFrame:          wire.DefaultMaxFrame,
 		MasterShuffleAddr: m.shuffleSrv.Addr(),
 		// Compression is in effect only when both sides want it; the flags
 		// byte on every blob keeps mixed outcomes interoperable regardless.

@@ -269,7 +269,7 @@ func TestFrontDoorJobsReleasedAtQuiesce(t *testing.T) {
 	})
 
 	lc.Master.Drain()
-	waitRun(t, runErr)
+	waitRun(t, lc, runErr)
 	got, err := held.ResultRows()
 	if err != nil {
 		t.Fatalf("held job rows: %v", err)

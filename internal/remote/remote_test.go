@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ursa/internal/core"
+	"ursa/internal/cpstate"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -95,15 +96,23 @@ func waitHeartbeats(t *testing.T, lc *LocalCluster, n int) {
 }
 
 // runCluster runs a batch-mode cluster to completion and checks it
-// quiesced: the scheduling core and the executor's dispatch state are empty.
+// quiesced.
 func runCluster(t *testing.T, lc *LocalCluster) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	m := lc.Master
-	if err := m.Run(ctx); err != nil {
+	if err := lc.Master.Run(ctx); err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
+	checkQuiesced(t, lc.Master)
+}
+
+// checkQuiesced fails t unless m, whose Run has returned and which is not
+// yet closed, holds nothing in flight: the scheduling core is quiesced, the
+// executor holds no dispatch or fetch reference, and the control-plane state
+// no in-flight placement or tenant reservation.
+func checkQuiesced(t *testing.T, m *Master) {
+	t.Helper()
 	if err := m.Sys.Core.CheckQuiesced(); err != nil {
 		t.Error(err)
 	}
@@ -111,6 +120,12 @@ func runCluster(t *testing.T, lc *LocalCluster) {
 		t.Errorf("quiesced master holds %d dispatches and fetch references on %d workers",
 			len(m.exec.dispatches), len(m.exec.fetchRefs))
 	}
+	m.rec.read(func(st *cpstate.State) {
+		if len(st.InFlight) != 0 || len(st.TenantReserved) != 0 {
+			t.Errorf("quiesced state holds %d in-flight placements and tenant reservations %v",
+				len(st.InFlight), st.TenantReserved)
+		}
+	})
 }
 
 // TestLoopbackWordCount runs wordcount on a 2-agent loopback cluster and

@@ -235,7 +235,7 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 	client := func(addr string) *shuffle.Client {
 		c := clients[addr]
 		if c == nil {
-			c = shuffle.NewClient(addr, shuffle.ClientConfig{MaxFrame: m.cfg.MaxFrame})
+			c = shuffle.NewClient(addr, shuffle.ClientConfig{})
 			clients[addr] = c
 		}
 		return c
