@@ -65,11 +65,6 @@ type Scheduler struct {
 	placeChanged bool
 	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
 	passes, eventPasses uint64
-	// lastEventPass is when the latest event pass ran; placeWake is the timer
-	// that runs the one PlaceIfChanged put off to keep them half a
-	// SchedInterval apart.
-	lastEventPass eventloop.Time
-	placeWake     eventloop.Timer
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -122,12 +117,15 @@ func (tq *tenantQueue) pop() *Job {
 	return j
 }
 
-// sortByPriority compacts out cancelled entries and stable-sorts the live
-// region by priority, descending — the SRJF intra-queue order.
-func (tq *tenantQueue) sortByPriority() {
+// sortBySRJF compacts out cancelled entries, scores each live job against L,
+// the admitted jobs' remaining work, and stable-sorts the live region by
+// that priority, descending — the SRJF intra-queue order. Only this sort reads
+// a queued job's priority, so only it computes one.
+func (tq *tenantQueue) sortBySRJF(load resource.Vector) {
 	live := tq.jobs[:0]
 	for _, j := range tq.jobs[tq.head:] {
 		if j.State != JobCancelled {
+			j.priority = srjfScore(load, j.remaining)
 			live = append(live, j)
 		}
 	}
@@ -328,8 +326,9 @@ func (s *Scheduler) tryAdmit() {
 	s.paused.Store(false)
 	if s.sys.Cfg.Policy == SRJF {
 		s.refreshPriorities()
+		load := s.admittedLoad()
 		for _, tq := range s.tenantSeq {
-			tq.sortByPriority()
+			tq.sortBySRJF(load)
 		}
 	}
 	for s.nqueued > 0 {
@@ -527,17 +526,9 @@ func (s *Scheduler) ensureTicking() {
 // The live path installs it as the driver's end-of-batch hook, so a task is
 // placed in the batch that made it ready instead of waiting out the
 // interval; one batch runs at most one pass, however many completions or
-// submissions it carried. Tasks the pass cannot place stay in the pool for
-// the periodic tick.
-//
-// Event passes keep half a SchedInterval apart: a change that finds the last
-// one at least that old is placed at once, and one that comes sooner is
-// placed when the gap has passed, together with everything that changed
-// meanwhile. Under sustained load placement therefore runs on a clock, at
-// twice the tick's rate, not as fast as the processor drains the inbox: a
-// loop that places per event runs the cluster's CPU to saturation, and its
-// throughput then follows every disturbance of the machine (see DESIGN.md
-// §8).
+// submissions it carried, and whatever arrives during a pass waits in the
+// inbox for the next batch, so passes run no faster than one per pass time.
+// Tasks the pass cannot place stay in the pool for the periodic tick.
 //
 // Event passes are for short jobs (Job.short), whose completion time the wait
 // for a tick could double. A pool that holds only longer jobs' tasks is left
@@ -553,15 +544,7 @@ func (s *Scheduler) PlaceIfChanged() {
 		s.placeChanged = false
 		return
 	}
-	now := s.sys.Loop.Now()
-	if due := s.lastEventPass + eventloop.Time(s.sys.Cfg.SchedInterval/2); s.eventPasses > 0 && now < due {
-		if !s.placeWake.Active() {
-			s.placeWake = s.sys.Loop.At(due, s.PlaceIfChanged)
-		}
-		return
-	}
 	s.eventPasses++
-	s.lastEventPass = now
 	s.tick()
 }
 
@@ -575,11 +558,12 @@ func (s *Scheduler) shortPending() bool {
 	return false
 }
 
-// tick is one placement pass: refresh priorities, run placement over the
-// pending pool, dispatch the resulting assignments. The SchedInterval timer
-// runs it whatever has or has not changed, because time alone makes tasks
-// placeable (APT decays below EPT, the W·T aging term grows, rate windows
-// roll); PlaceIfChanged runs the same pass when an event did.
+// tick is one placement pass: refresh the admitted jobs' priorities, run
+// placement over the pending pool, dispatch the resulting assignments. The
+// SchedInterval timer runs it whatever has or has not changed, because time
+// alone makes tasks placeable (APT decays below EPT, the W·T aging term
+// grows, rate windows roll); PlaceIfChanged runs the same pass when an event
+// did.
 func (s *Scheduler) tick() {
 	if len(s.pending) == 0 {
 		// Nothing placeable: stop ticking until new ready tasks arrive.
@@ -622,56 +606,52 @@ func (s *Scheduler) tick() {
 	s.pending = live
 }
 
-// refreshPriorities recomputes each job's ordering score (§4.2.2). EJF uses
-// the submission time; SRJF ranks jobs by the inverse of (2L−R)·R
-// normalized by L, so when a resource is heavily demanded, more weight goes
-// to picking the job with the smallest remaining work on it.
+// refreshPriorities recomputes each admitted job's ordering score (§4.2.2)
+// and the ranks placement reads. EJF uses the submission time; SRJF ranks
+// jobs by the inverse of (2L−R)·R normalized by L, so when a resource is
+// heavily demanded, more weight goes to picking the job with the smallest
+// remaining work on it. Queued jobs are left alone: placement never reads
+// them, and SRJF admission scores them itself (tenantQueue.sortBySRJF), so a
+// pass costs what is admitted, not what is queued.
 func (s *Scheduler) refreshPriorities() {
 	switch s.sys.Cfg.Policy {
 	case EJF:
 		for _, j := range s.admitted {
 			j.priority = -j.Submitted.Seconds()
 		}
-		s.eachQueued(func(j *Job) {
-			j.priority = -j.Submitted.Seconds()
-		})
 	case SRJF:
-		var load resource.Vector // L: total remaining work of admitted jobs
+		load := s.admittedLoad()
 		for _, j := range s.admitted {
-			load = load.Add(j.remaining)
+			j.priority = srjfScore(load, j.remaining)
 		}
-		score := func(j *Job) float64 {
-			var p float64
-			for _, k := range resource.Kinds {
-				l, r := load[k], j.remaining[k]
-				if l <= 0 {
-					continue
-				}
-				p += (2*l - r) * r / l
-			}
-			if p <= 0 {
-				return 1e18 // effectively done: run it first to finish it
-			}
-			return 1 / p
-		}
-		for _, j := range s.admitted {
-			j.priority = score(j)
-		}
-		// Queued jobs rank by their remaining hint against the same L.
-		s.eachQueued(func(j *Job) { j.priority = score(j) })
 	}
 	s.computeRanks()
 }
 
-// eachQueued visits every live queued job across all tenant queues.
-func (s *Scheduler) eachQueued(fn func(*Job)) {
-	for _, tq := range s.tenantSeq {
-		for _, j := range tq.jobs[tq.head:] {
-			if j != nil && j.State != JobCancelled {
-				fn(j)
-			}
-		}
+// admittedLoad returns SRJF's L: the total remaining work of admitted jobs.
+func (s *Scheduler) admittedLoad() resource.Vector {
+	var load resource.Vector
+	for _, j := range s.admitted {
+		load = load.Add(j.remaining)
 	}
+	return load
+}
+
+// srjfScore is SRJF's priority of a job with the given remaining work against
+// the load L: the inverse of Σ_r (2L_r−R_r)·R_r/L_r.
+func srjfScore(load, remaining resource.Vector) float64 {
+	var p float64
+	for _, k := range resource.Kinds {
+		l, r := load[k], remaining[k]
+		if l <= 0 {
+			continue
+		}
+		p += (2*l - r) * r / l
+	}
+	if p <= 0 {
+		return 1e18 // effectively done: run it first to finish it
+	}
+	return 1 / p
 }
 
 // computeRanks caches every admitted job's ordering rank — the number of

@@ -124,13 +124,12 @@ func (h *liveHarness) passes() (event, timer uint64) {
 
 // TestOnePlacementPassPerBatch: N ready-task reports, and then N monotask
 // completions, delivered in one control-loop batch cause exactly one
-// placement pass each, and an event pass at that: the first in the batch
-// itself, the second — closer to the first than the gap between passes — when
-// the gap has passed, before the tick.
+// placement pass each, and an event pass at that, at the end of the batch
+// itself.
 func TestOnePlacementPassPerBatch(t *testing.T) {
-	// The tick started by the first submission is due after 100 ms and the
-	// put-off event pass after 50: the loop runs timers in order, so the tick
-	// finds the pool empty whatever the wall clock does in between.
+	// The tick started by the first submission is due after 100 ms; by then
+	// the event passes have emptied the pool, so it places nothing whatever
+	// the wall clock does in between.
 	h := newLiveHarness(t, 100*eventloop.Millisecond)
 
 	// Three submissions due in one batch: three addReadyTasks, one pass.
@@ -177,13 +176,14 @@ func TestOnePlacementPassPerBatch(t *testing.T) {
 	}
 }
 
-// TestEventPassesKeepTheirGap: an event pass runs at once when the last one
-// is at least half a SchedInterval old, and otherwise exactly when it is, as
-// one pass for everything that changed meanwhile.
+// TestEventPassPlacesAtOnce: every batch that makes a short job's task ready
+// ends in a pass that places it, however recent the previous pass: jobs
+// submitted 1 ms apart are each placed at their own instant, and the tick
+// places nothing.
 //
 // Like the fallback test below it plays the driver on a virtual clock: it
 // advances the loop and calls PlaceIfChanged where a batch would end.
-func TestEventPassesKeepTheirGap(t *testing.T) {
+func TestEventPassPlacesAtOnce(t *testing.T) {
 	loop := eventloop.New()
 	clus := cluster.New(loop, cluster.Config{
 		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
@@ -205,28 +205,13 @@ func TestEventPassesKeepTheirGap(t *testing.T) {
 		return -1
 	}
 
-	a := submitAt(0)
-	if got := placedAt(a); got != 0 {
-		t.Fatalf("first job placed at %v, want at once", got)
+	for i := eventloop.Time(0); i < 3; i++ {
+		at := i * ms
+		if got := placedAt(submitAt(at)); got != at {
+			t.Fatalf("job submitted at %v placed at %v, want at once", at, got)
+		}
 	}
-	// 1 ms and 2 ms after that pass: both wait for its 5 ms gap to end.
-	b, c := submitAt(1*ms), submitAt(2*ms)
-	if placedAt(b) >= 0 || placedAt(c) >= 0 {
-		t.Fatal("a job was placed inside the gap after the first pass")
-	}
-	loop.RunUntil(5 * ms)
-	if pb, pc := placedAt(b), placedAt(c); pb != 5*ms || pc != 5*ms {
-		t.Fatalf("jobs submitted inside the gap placed at %v and %v, want both at 5ms", pb, pc)
-	}
-	if ev, tm := sys.Sched.PlacementPasses(); ev != 2 || tm != 0 {
-		t.Fatalf("%d event / %d timer passes, want 2 / 0: one put-off pass for both jobs", ev, tm)
-	}
-	// The scheduler has been quiet for longer than the gap: at once again.
-	d := submitAt(20 * ms)
-	if got := placedAt(d); got != 20*ms {
-		t.Fatalf("job submitted after a quiet gap placed at %v, want 20ms", got)
-	}
-	// Every tick since found the pool empty and stopped itself.
+	// The tick due at 10 ms found the pool empty and stopped itself.
 	loop.RunUntil(40 * ms)
 	if ev, tm := sys.Sched.PlacementPasses(); ev != 3 || tm != 0 {
 		t.Fatalf("%d event / %d timer passes, want 3 / 0", ev, tm)
@@ -278,6 +263,90 @@ func TestEventPassesAreForShortJobs(t *testing.T) {
 	}
 	if ev, _ := sys.Sched.PlacementPasses(); ev != 1 {
 		t.Fatalf("%d event passes, want 1", ev)
+	}
+}
+
+// TestPlacementPassSkipsBacklog: a placement pass costs what is admitted, not
+// what is queued. Ten thousand jobs wait behind a full reservation beside an
+// admitted short job with a pending task; the event pass places that task and
+// leaves every queued job's priority as it was. The admission pass that the
+// short job's end runs still admits by fresh scores: the head under EJF, the
+// least remaining work under SRJF, whatever the stale values said.
+func TestPlacementPassSkipsBacklog(t *testing.T) {
+	for _, policy := range []Policy{EJF, SRJF} {
+		t.Run(policy.String(), func(t *testing.T) {
+			loop, clus := testCluster(2) // 16 GB: two 8 GB reservations fill it
+			sys := NewSystem(loop, clus, Config{Policy: policy, SchedInterval: 10 * eventloop.Millisecond})
+			exec := &heldExecutor{}
+			sys.SetExecutor(exec)
+			spec := func(bytes float64) JobSpec {
+				s := cpuJob(1, bytes)
+				s.MemEstimate = float64(8 * resource.GB)
+				return s
+			}
+			// The short job, and a longer one whose remaining work is SRJF's L.
+			short := sys.MustSubmit(spec(1e3), 0)
+			sys.MustSubmit(spec(1e6), 0)
+			loop.RunUntil(0)
+
+			const n, smallest = 10000, 5000
+			queued := make([]*Job, n)
+			sentinel := func(i int) float64 { return 1e6 + float64(i) }
+			for i := range queued {
+				bytes := 1e3 + float64(i)
+				if i == smallest {
+					bytes = 10
+				}
+				s := spec(bytes)
+				plan, err := s.Graph.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				queued[i] = sys.SubmitPlanNow(s, plan)
+				queued[i].priority = sentinel(i)
+			}
+			if got := sys.Sched.AdmittedCount(); got != 2 {
+				t.Fatalf("%d jobs admitted, want 2", got)
+			}
+
+			sys.Sched.PlaceIfChanged()
+			if got := len(short.jm.TaskPlacedAt); got != 1 {
+				t.Fatalf("short job: %d tasks placed by the event pass, want 1", got)
+			}
+			for i, j := range queued {
+				if j.priority != sentinel(i) {
+					t.Fatalf("queued job %d: priority %v after a placement pass, want it untouched at %v",
+						i, j.priority, sentinel(i))
+				}
+			}
+
+			task := short.Plan.Stages[0].Tasks[0]
+			for short.State != JobFinished {
+				ran := false
+				for _, m := range exec.take() {
+					if m.mt.Task == task {
+						m.complete(1e-5)
+						ran = true
+					} else {
+						exec.held = append(exec.held, m)
+					}
+				}
+				if !ran {
+					t.Fatal("the short job has no monotask running")
+				}
+				loop.RunUntil(loop.Now())
+			}
+			want := 0 // EJF: the head of the queue
+			if policy == SRJF {
+				want = smallest
+			}
+			for i, j := range queued {
+				if admitted := j.State == JobAdmitted; admitted != (i == want) {
+					t.Errorf("queued job %d admitted=%v, want %v (the %v pick is job %d)",
+						i, admitted, i == want, policy, want)
+				}
+			}
+		})
 	}
 }
 
@@ -463,7 +532,7 @@ func TestLivePlacementMatchesFullRebuild(t *testing.T) {
 			if completed > 0 {
 				n++
 			} else {
-				time.Sleep(100 * time.Microsecond) // a put-off pass or the tick is due
+				time.Sleep(100 * time.Microsecond) // the tick is due
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("run stuck after %d steps", n)

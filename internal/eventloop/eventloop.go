@@ -88,21 +88,6 @@ func (h Timer) Cancel() bool {
 	return true
 }
 
-// Active reports whether the timer is still scheduled to fire.
-func (h Timer) Active() bool {
-	t := h.t
-	return t != nil && t.gen == h.gen && !t.cancelled && t.index >= 0
-}
-
-// When returns the virtual time the timer is scheduled to fire at, or zero
-// for inert/stale handles.
-func (h Timer) When() Time {
-	if !h.Active() {
-		return 0
-	}
-	return h.t.at
-}
-
 // defaultHeapCap pre-sizes the timer heap: typical simulated runs keep
 // hundreds to a few thousand timers in flight, and growing the backing array
 // during a run causes avoidable copies on the hot path.

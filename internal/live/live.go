@@ -48,10 +48,10 @@ type Config struct {
 	// Core configures the scheduler. Zero fields default like the
 	// simulation, except SchedInterval (10ms of wall clock: a short job's
 	// ready task is placed at the end of the control-loop batch that made it
-	// ready or half an interval after the previous such pass, and the tick
-	// places longer jobs and what time alone makes placeable), RateWindow (1s)
-	// and SmallMonotaskBytes (1, so every monotask goes through the worker
-	// queues and the full §4.2.3 path is exercised).
+	// ready, and the tick places longer jobs and what time alone makes
+	// placeable), RateWindow (1s) and SmallMonotaskBytes (1, so every
+	// monotask goes through the worker queues and the full §4.2.3 path is
+	// exercised).
 	Core core.Config
 	// NewBackend, when set, replaces the in-process execution back-end.
 	// This is the remote-mode seam: internal/remote installs a backend that
@@ -266,10 +266,9 @@ func (s *System) finished() bool { return s.crossing.Load() == 0 && s.Core.AllDo
 // per-resource worker queues — only the clock, the execution back-end and
 // what triggers the passes differ: here a control-loop batch that queued
 // jobs ends in one admission pass over them, and one that changed what is
-// placeable for a short job ends in a placement pass, passes keeping half a
-// SchedInterval apart (NewSystem wires both to the driver's end-of-batch
-// hook), with the SchedInterval tick for longer jobs and as the time-driven
-// fallback.
+// placeable for a short job ends in a placement pass (NewSystem wires both to
+// the driver's end-of-batch hook), with the SchedInterval tick for longer
+// jobs and as the time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
 	if !s.cfg.Serve {
 		s.Core.OnJobFinished = func(*core.Job) {

@@ -250,16 +250,13 @@ func TestSubmitFromManyGoroutines(t *testing.T) {
 }
 
 // TestLivePlacesInTheBatchThatMadeReady: on the live path a task is placed
-// by an event pass — at the end of the control-loop batch that made it ready
+// by an event pass at the end of the control-loop batch that made it ready
 // (admission for the first stage, the last upstream completion for the
-// second), or, when that is closer to the previous pass than half a
-// SchedInterval, exactly that long after it — never by the SchedInterval
-// tick. Every stamp is a loop-clock reading, and the put-off pass is a loop
-// timer due before the tick, so the wall clock decides none of it.
+// second), never by the SchedInterval tick, which is not due before the job
+// ends. Every stamp is a loop-clock reading.
 func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.Core.SchedInterval = 200 * eventloop.Millisecond
-	gap := eventloop.Time(cfg.Core.SchedInterval / 2)
 	sys := NewSystem(cfg)
 	g, in, _ := wordCount(6, 4)
 	j := submit(sys, "wc", g, in, inputLines(400))
@@ -275,12 +272,7 @@ func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 	}
 	jm := j.Core.JM()
 	ready := j.Core.Admitted
-	lastPass := eventloop.Time(-1)
 	for _, st := range stages {
-		want := ready
-		if lastPass >= 0 && ready < lastPass+gap {
-			want = lastPass + gap
-		}
 		var lastDone eventloop.Time
 		for _, task := range st.Tasks {
 			placed, ok := jm.TaskPlacedAt[task]
@@ -289,11 +281,9 @@ func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 			}
 			// ready is the stamp of the event; the pass at the end of its
 			// batch reads the clock again.
-			if placed < want || placed >= want+eventloop.Time(eventloop.Millisecond) {
-				t.Errorf("stage %d: ready at %v, last pass at %v: placed at %v, want within 1ms of %v",
-					st.ID, ready, lastPass, placed, want)
+			if placed < ready || placed >= ready+eventloop.Time(eventloop.Millisecond) {
+				t.Errorf("stage %d: ready at %v, placed at %v, want within 1ms", st.ID, ready, placed)
 			}
-			lastPass = placed
 			if d := jm.TaskDoneAt[task]; d > lastDone {
 				lastDone = d
 			}
