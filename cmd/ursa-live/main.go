@@ -83,6 +83,16 @@ func main() {
 			Spec: bj.Spec, Plan: bj.Plan, Inputs: bj.Inputs,
 		}))
 	}
+	// The run is ours to end: after the last job, at once with none.
+	finished := 0
+	sys.Core.OnJobFinished = func(*core.Job) {
+		if finished++; finished == len(handles) {
+			sys.Shutdown()
+		}
+	}
+	if len(handles) == 0 {
+		sys.Shutdown()
+	}
 
 	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()

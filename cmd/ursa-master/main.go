@@ -19,9 +19,9 @@
 // rejected, queued jobs are cancelled with a terminal status, admitted jobs
 // finish — and the process exits 0; a second forces a hard stop.
 //
-// Without -serve, SIGINT/SIGTERM drain the preset run: in-flight work
-// aborts through the executor seam, a final transport line is printed, and
-// the process exits 0.
+// Every run ends with a drain. Without -serve it begins at once: the master
+// exits 0 when the -jobs (or a standby's inherited backlog) have finished, at
+// once with none; SIGINT/SIGTERM stops it early, also with exit 0.
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 		interfPen = flag.Bool("interference-penalty", false,
 			"steer placement away from workers whose measured rates run below their advertised profile (see DESIGN.md §15)")
 		hb       = flag.Duration("heartbeat", 100*time.Millisecond, "worker heartbeat interval")
-		stats    = flag.Duration("stats", time.Second, "period of the four stats lines: transport, ingest (-serve), journal, elastic (0 disables)")
+		stats    = flag.Duration("stats", time.Second, "period of the four stats lines: transport, ingest, journal, elastic (0 disables)")
 		showRows = flag.Int("show-rows", 10, "result rows to print per job")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "abort if the run exceeds this")
 
@@ -169,17 +169,27 @@ func main() {
 	cfg.Core.Policy = pol
 	cfg.Core.InterferencePenalty = *interfPen
 	cfg.Core.TenantWeights = weights
+
+	// Watched before the -jobs are built, so an early interrupt stops the run.
+	sigC := make(chan os.Signal, 2)
+	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
+	var m *remote.Master
 	if *standby {
-		runStandby(cfg, *serve, *showRows, *timeout)
-		return
-	}
-	m, err := remote.NewMaster(cfg)
-	if err != nil {
-		fatal(err)
+		m = takeOver(cfg)
+	} else {
+		if m, err = remote.NewMaster(cfg); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("ursa-master: control %s shuffle %s — waiting for %d workers\n",
+			m.Addr(), m.ShuffleAddr(), *workers)
+		for i := 0; i < *jobs && !*serve; i++ {
+			name, params := jobSpec(*wl, *lines, *parts, *query, *sales)
+			if _, err := m.Submit(name, params); err != nil {
+				fatal(err)
+			}
+		}
 	}
 	defer closeMaster(m)
-	fmt.Printf("ursa-master: control %s shuffle %s — waiting for %d workers\n",
-		m.Addr(), m.ShuffleAddr(), *workers)
 
 	if *drainID >= 0 {
 		id := *drainID
@@ -189,88 +199,62 @@ func main() {
 			}
 		}()
 	}
+	run(m, sigC, *serve, *showRows, *timeout)
+}
 
-	if *serve {
-		runServe(m)
-		return
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+// run drives m until its drain completes and prints the held jobs' JCTs and
+// results, the measured rates, the ingest and final transport lines. A batch
+// run is bounded by timeout and stops at the first SIGINT/SIGTERM; a serving
+// run drains at the first and stops at the second.
+func run(m *remote.Master, sigC <-chan os.Signal, serve bool, showRows int, timeout time.Duration) {
+	ctx, stop := context.WithCancel(context.Background())
 	defer stop()
-	ctx, cancel := context.WithTimeout(ctx, *timeout)
-	defer cancel()
-
-	for i := 0; i < *jobs && ctx.Err() == nil; i++ {
-		name, params := jobSpec(*wl, *lines, *parts, *query, *sales)
-		if _, err := m.Submit(name, params); err != nil {
-			fatal(err)
+	if !serve {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	go func() {
+		<-sigC
+		if serve {
+			fmt.Fprintln(os.Stderr, "ursa-master: draining — new submissions rejected (^C again to force quit)")
+			m.Drain()
+			<-sigC
 		}
+		stop()
+	}()
+	if serve {
+		fmt.Println("ursa-master: front door open — submit with ursa-sql -master or a wire client")
 	}
 
 	wallStart := time.Now()
 	runErr := m.Run(ctx)
-	wall := time.Since(wallStart)
-	interrupted := runErr != nil && errors.Is(runErr, context.Canceled)
-	if runErr != nil && !interrupted {
+	wall := time.Since(wallStart).Round(time.Millisecond)
+	interrupted := errors.Is(runErr, context.Canceled)
+	switch {
+	case interrupted:
+		fmt.Printf("\nursa-master: interrupted after %v\n", wall)
+	case runErr != nil && !heldFinished(m):
 		fatal(runErr)
-	}
-
-	if interrupted {
-		fmt.Printf("\nursa-master: interrupted, drained after %.1fs\n", wall.Seconds())
-	} else {
-		fmt.Printf("\n%-28s %10s\n", "job", "JCT")
-		for _, j := range m.Jobs() {
-			fmt.Printf("%-28s %9.1fms\n", j.Built.Spec.Name, j.Live.Core.JCT().Seconds()*1e3)
-		}
-		fmt.Printf("\nwall makespan  %9.1fms\n", wall.Seconds()*1e3)
-		printResults(m, *showRows)
+	default:
+		fmt.Printf("\nursa-master: drained after %v\n", wall)
+		printJobs(m, showRows)
 		fmt.Println("\nmeasured processing rates (rows/s, fed back into APT_r(w)):")
 		for i, w := range m.Sys.Core.Workers {
 			fmt.Printf("  worker %d:  cpu %11.0f   net %11.0f   disk %11.0f\n",
 				i, w.Rate(resource.CPU), w.Rate(resource.Net), w.Rate(resource.Disk))
 		}
 	}
-	// Final transport line: the run's data-plane summary, printed on both
-	// the clean and the interrupted path.
-	fmt.Printf("\nfinal %s\n", m.Transport.StatsLine(time.Now()))
+	fmt.Printf("\n%s\nfinal %s\n", m.Ingest().StatsLine(), m.Transport.StatsLine(time.Now()))
+	if runErr != nil && !interrupted {
+		fatal(runErr) // the journal failed after every held job finished
+	}
 }
 
-// runServe runs the submission front door until a drain completes. The first
-// SIGINT/SIGTERM starts a graceful drain (reject new submissions, cancel
-// queued jobs with a terminal status, let admitted jobs finish); a second
-// signal hard-cancels the run.
-func runServe(m *remote.Master) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	sigC := make(chan os.Signal, 2)
-	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
-	defer signal.Stop(sigC)
-	go func() {
-		<-sigC
-		fmt.Fprintln(os.Stderr, "ursa-master: draining — new submissions rejected (^C again to force quit)")
-		m.Drain()
-		<-sigC
-		cancel()
-	}()
-
-	fmt.Println("ursa-master: front door open — submit with ursa-sql -master or a wire client")
-	wallStart := time.Now()
-	runErr := m.Run(ctx)
-	wall := time.Since(wallStart)
-	if runErr != nil && !errors.Is(runErr, context.Canceled) {
-		fatal(runErr)
-	}
-	if ing := m.Ingest(); ing != nil {
-		fmt.Printf("\nursa-master: drained after %.1fs — %s\n", wall.Seconds(), ing.StatsLine())
-	}
-	fmt.Printf("final %s\n", m.Transport.StatsLine(time.Now()))
-}
-
-// runStandby waits for the primary's lease to expire, takes over as the
-// next master generation, and drives the inherited backlog (or reopens the
-// front door in serve mode). Workers started with both addresses in -master
-// re-attach on their own once the takeover accepts registrations.
-func runStandby(cfg remote.Config, serve bool, showRows int, timeout time.Duration) {
+// takeOver waits for the primary's lease to expire and returns the next
+// master generation, whose held jobs are the inherited backlog. Workers
+// started with both addresses in -master re-attach on their own.
+func takeOver(cfg remote.Config) *remote.Master {
 	s, err := remote.NewStandby(cfg)
 	if err != nil {
 		fatal(err)
@@ -283,21 +267,8 @@ func runStandby(cfg remote.Config, serve bool, showRows int, timeout time.Durati
 	if err != nil {
 		fatal(err)
 	}
-	defer closeMaster(m)
 	fmt.Printf("ursa-master: took over as generation %d — waiting for workers to re-attach\n", m.Generation())
-	if serve {
-		runServe(m)
-		return
-	}
-	runCtx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	wallStart := time.Now()
-	if err := m.Run(runCtx); err != nil && !errors.Is(err, context.Canceled) {
-		fatal(err)
-	}
-	fmt.Printf("\nursa-master: inherited backlog finished in %.1fs\n", time.Since(wallStart).Seconds())
-	printResults(m, showRows)
-	fmt.Printf("\nfinal %s\n", m.Transport.StatsLine(time.Now()))
+	return m
 }
 
 // flagNeeds lists the flags that act only through another one: given the
@@ -341,14 +312,28 @@ func jobSpec(wl string, lines, parts, query, sales int) (string, []byte) {
 	}
 }
 
-func printResults(m *remote.Master, limit int) {
+// heldFinished reports whether m held jobs and all finished: a run that fails
+// after that lost only its journal, and its results stand.
+func heldFinished(m *remote.Master) bool {
+	jobs := m.Jobs()
+	for _, j := range jobs {
+		if j.Live == nil || j.Live.Core.State != core.JobFinished {
+			return false
+		}
+	}
+	return len(jobs) > 0
+}
+
+// printJobs prints each held job's JCT and its first limit result rows.
+func printJobs(m *remote.Master, limit int) {
 	for _, j := range m.Jobs() {
 		rows, err := j.ResultRows()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ursa-master: %s results: %v\n", j.Built.Spec.Name, err)
 			continue
 		}
-		fmt.Printf("\n%s: %d result rows", j.Built.Spec.Name, len(rows))
+		fmt.Printf("\n%s: jct %.1fms, %d result rows",
+			j.Built.Spec.Name, j.Live.Core.JCT().Seconds()*1e3, len(rows))
 		if cols := j.Built.Cols; cols != nil {
 			fmt.Printf(" %v", cols)
 		}

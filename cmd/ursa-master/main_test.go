@@ -13,6 +13,7 @@ func TestCheckFlags(t *testing.T) {
 		// Every recipe of README.md and the verify skill.
 		{"listen workers workload jobs", ""},
 		{"listen workers workload lines stats show-rows", ""},
+		{"listen workers jobs stats", ""},
 		{"listen workers serve policy tenant-weights", ""},
 		{"listen workers journal-dir workload jobs", ""},
 		{"listen workers journal-dir lease heartbeat workload jobs lines stats", ""},

@@ -15,7 +15,6 @@ package live
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"sync/atomic"
 
@@ -27,7 +26,8 @@ import (
 	"ursa/internal/resource"
 )
 
-// Config shapes a live deployment on the local machine.
+// Config shapes a live deployment on the local machine; how long it runs is
+// its owner's call (System.Shutdown).
 type Config struct {
 	// Workers is the number of logical scheduler workers ("machines") the
 	// control plane places tasks onto. Data lives in one shared in-memory
@@ -58,12 +58,6 @@ type Config struct {
 	// dispatches monotasks to worker agent processes over TCP while the
 	// control plane above stays byte-for-byte identical.
 	NewBackend func(*System) Backend
-	// Serve keeps the driver running after all currently submitted jobs
-	// finish: the system is a long-lived service accepting submissions (the
-	// master's front door) rather than a run-to-completion batch. Stop it
-	// with Shutdown (or ctx cancellation); Run does not treat an empty job
-	// table as an error in this mode.
-	Serve bool
 }
 
 // Backend is a live System's execution back-end: the MonotaskExecutor the
@@ -152,12 +146,8 @@ type System struct {
 	Core    *core.System
 	Cluster *cluster.Cluster
 
-	cfg  Config
 	exec Backend
 
-	// crossing counts submitted jobs whose driver crossing has not run yet:
-	// they are not in Core's job table, so AllDone cannot see them.
-	crossing atomic.Int64
 	// unadmitted counts the jobs the current batch queued; the end-of-batch
 	// hook runs one admission pass over them. Loop-owned.
 	unadmitted int
@@ -173,7 +163,7 @@ func NewSystem(cfg Config) *System {
 	drv := eventloop.NewLiveDriver()
 	clus := cluster.New(drv.Loop(), cfg.clusterConfig())
 	sys := core.NewSystem(drv.Loop(), clus, cfg.Core)
-	s := &System{Drv: drv, Core: sys, Cluster: clus, cfg: cfg}
+	s := &System{Drv: drv, Core: sys, Cluster: clus}
 	drv.SetBatchEnd(s.batchEnd)
 	if cfg.NewBackend != nil {
 		s.exec = cfg.NewBackend(s)
@@ -229,20 +219,19 @@ func (s *System) Submit(sub Submission) *Job {
 	}
 	s.exec.RegisterJob(rt)
 	j := &Job{rt: rt}
-	s.crossing.Add(1)
 	s.Drv.Send(func() {
 		j.Core = s.Core.SubmitPlanNow(sub.Spec, sub.Plan)
 		s.unadmitted++
 		if sub.OnQueued != nil {
 			sub.OnQueued(j)
 		}
-		s.crossing.Add(-1)
 	})
 	return j
 }
 
-// Shutdown stops the driver loop from any goroutine; Run returns after the
-// loop drains. Serve-mode callers use it once the front door has drained.
+// Shutdown ends the run from any goroutine: Run returns nil after the batch
+// in progress (at once if called before Run). The owner of the work calls it
+// once that work is done.
 func (s *System) Shutdown() { s.Drv.Stop() }
 
 // Fail records the first fatal back-end error and shuts the driver down.
@@ -255,38 +244,22 @@ func (s *System) Fail(err error) {
 	s.Drv.Stop()
 }
 
-// finished reports whether every submitted job has finished, those still
-// crossing the inbox included. Loop-owned.
-func (s *System) finished() bool { return s.crossing.Load() == 0 && s.Core.AllDone() }
-
-// Run drives the control loop against the wall clock until every submitted
-// job finishes (in serve mode: until Shutdown), an executor fails, or ctx is
-// cancelled. Call it once. The scheduler path is exactly the simulation's:
-// admission under the memory reservation, the same batched placement pass,
-// per-resource worker queues — only the clock, the execution back-end and
-// what triggers the passes differ: here a control-loop batch that queued
-// jobs ends in one admission pass over them, and one that changed what is
-// placeable for a short job ends in a placement pass (NewSystem wires both to
-// the driver's end-of-batch hook), with the SchedInterval tick for longer
-// jobs and as the time-driven fallback.
+// Run drives the control loop against the wall clock until Shutdown (nil),
+// Fail (the first failure) or the end of ctx (ctx's error). Call it once. It
+// does not stop when the jobs run out, and Core.OnJobFinished is the owner's
+// to set. The scheduler path is exactly the simulation's: admission under the
+// memory reservation, the same batched placement pass, per-resource worker
+// queues — only the clock, the execution back-end and what triggers the
+// passes differ: here a control-loop batch that queued jobs ends in one
+// admission pass over them, and one that changed what is placeable for a
+// short job ends in a placement pass (NewSystem wires both to the driver's
+// end-of-batch hook), with the SchedInterval tick for longer jobs and as the
+// time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
-	if !s.cfg.Serve {
-		s.Core.OnJobFinished = func(*core.Job) {
-			if s.finished() {
-				s.Drv.Stop()
-			}
-		}
-	}
 	err := s.Drv.Run(ctx)
 	s.exec.Close()
 	if s.runErr != nil {
 		return s.runErr
 	}
-	if err != nil {
-		return err
-	}
-	if !s.cfg.Serve && !s.finished() {
-		return errors.New("live: driver stopped before all jobs finished")
-	}
-	return nil
+	return err
 }

@@ -80,6 +80,17 @@ func submit(sys *System, name string, g *dag.Graph, in *dag.Dataset, rows []loca
 	})
 }
 
+// stopAfter shuts sys down once n of its jobs have finished: a run ends when
+// its owner says so.
+func stopAfter(sys *System, n int) {
+	finished := 0
+	sys.Core.OnJobFinished = func(*core.Job) {
+		if finished++; finished == n {
+			sys.Shutdown()
+		}
+	}
+}
+
 // checkQuiesced fails t unless sys, whose Run has returned, is quiesced.
 func checkQuiesced(t *testing.T, sys *System) {
 	t.Helper()
@@ -123,6 +134,7 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 	g2, in2, out2 := wordCount(6, 4)
 	sys := NewSystem(Config{Workers: 2})
 	j := submit(sys, "wc", g2, in2, input)
+	stopAfter(sys, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.Run(ctx); err != nil {
@@ -157,9 +169,10 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 // however quickly the jobs ran, the window holding the last sample has ended
 // when the rates are read. The assertion is on Deviation, the observed-rate
 // average that (unlike Rate) does not decay back to nominal over idle windows,
-// so a late shutdown timer cannot undo it either.
+// so a late shutdown timer cannot undo it either. The test's own
+// Core.OnJobFinished sees every job: Run installs no hook of its own.
 func TestLiveMultiJobMeasuredRates(t *testing.T) {
-	cfg := Config{Workers: 2, Serve: true}
+	cfg := Config{Workers: 2}
 	cfg.Core.RateWindow = 5 * eventloop.Millisecond
 	sys := NewSystem(cfg)
 
@@ -207,13 +220,8 @@ func TestLiveMultiJobMeasuredRates(t *testing.T) {
 // starts and half while it runs, all finish with their rows.
 func TestSubmitFromManyGoroutines(t *testing.T) {
 	const jobs = 8
-	sys := NewSystem(Config{Workers: 2, Serve: true})
-	finished := 0
-	sys.Core.OnJobFinished = func(*core.Job) {
-		if finished++; finished == jobs {
-			sys.Shutdown()
-		}
-	}
+	sys := NewSystem(Config{Workers: 2})
+	stopAfter(sys, jobs)
 	outs := make([]*dag.Dataset, jobs)
 	handles := make([]*Job, jobs)
 	var wg sync.WaitGroup
@@ -260,6 +268,7 @@ func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 	sys := NewSystem(cfg)
 	g, in, _ := wordCount(6, 4)
 	j := submit(sys, "wc", g, in, inputLines(400))
+	stopAfter(sys, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := sys.Run(ctx); err != nil {

@@ -13,9 +13,9 @@ import (
 // call boots a fresh live System, pushes the plan through the full Ursa
 // scheduler — admission under the memory reservation, Algorithm-1 placement,
 // per-resource worker queues with measured-rate feedback — and blocks until
-// the job finishes. Swapping a Session from localrt.LocalRunner to this type
-// is the one-line difference between "run my query on a goroutine pool" and
-// "run my query through the scheduler".
+// the job finishes, when it shuts its System down. Swapping a Session from
+// localrt.LocalRunner to this type is the one-line difference between "run my
+// query on a goroutine pool" and "run my query through the scheduler".
 type Runner struct {
 	// Config shapes each per-plan System. Zero value = defaults.
 	Config Config
@@ -35,6 +35,7 @@ func (r *Runner) RunPlan(plan *dag.Plan, inputs []localrt.PlanInput) (localrt.Ro
 	j := sys.Submit(Submission{
 		Spec: core.JobSpec{Name: name, Graph: plan.Graph}, Plan: plan, Inputs: inputs,
 	})
+	sys.Core.OnJobFinished = func(*core.Job) { sys.Shutdown() }
 	if err := sys.Run(context.Background()); err != nil {
 		return nil, err
 	}

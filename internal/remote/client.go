@@ -24,10 +24,9 @@ type ClientConfig struct {
 	OnStatus func(wire.JobStatus)
 }
 
-// Client submits jobs to a serve-mode master over its wire front door. One
-// connection carries any number of submissions; Submit is safe for
-// concurrent use (each call gets its own SubmitID and waits for its own
-// ack).
+// Client submits jobs to a master over its wire front door. One connection
+// carries any number of submissions; Submit is safe for concurrent use (each
+// call gets its own SubmitID and waits for its own ack).
 type Client struct {
 	conn   *wire.Conn
 	tenant string
@@ -47,7 +46,8 @@ type Client struct {
 	done chan struct{}
 }
 
-// DialClient connects to a serve-mode master's front door.
+// DialClient connects to a master's front door. A draining master (a batch
+// one is from the start of Run) rejects submissions but answers Status.
 func DialClient(cfg ClientConfig) (*Client, error) {
 	dial := cfg.Dial
 	if dial == nil {

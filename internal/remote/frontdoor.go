@@ -10,12 +10,12 @@ import (
 	"ursa/internal/wire"
 )
 
-// frontDoor is the master's multi-tenant job submission path (serve mode).
-// A SubmitJob frame is checked against the intake bounds, built and handed to
-// live.System.Submit on its client's read goroutine, one job per driver
-// crossing. The control loop's end-of-batch admission pass covers every job
-// its batch queued, so a burst that arrives together is admitted in one
-// reservation/rank/sort pass with no timer and no goroutine of the front
+// frontDoor is the master's multi-tenant job submission path; its drain ends
+// every run. A SubmitJob frame is checked against the intake bounds, built
+// and handed to live.System.Submit on its client's read goroutine, one job
+// per driver crossing. The control loop's end-of-batch admission pass covers
+// every job its batch queued, so a burst that arrives together is admitted in
+// one reservation/rank/sort pass with no timer and no goroutine of the front
 // door's own. Acks flow back on the submitting connection; job lifecycle
 // transitions stream as JobStatus frames through the bounded client send
 // queue, dropped (and counted) when a slow subscriber's queue is full.
@@ -200,8 +200,8 @@ func (fd *frontDoor) bindJob(rj *RemoteJob, msg wire.SubmitJob) {
 }
 
 // sendStatus streams one lifecycle update to the client that submitted rj,
-// if one did (fd is nil outside serve mode, where no job has a client). A
-// full client queue drops the frame (counted): no buffering, no failed link.
+// if one did (a held job has none). A full client queue drops the frame
+// (counted): no buffering, no failed link.
 func (fd *frontDoor) sendStatus(rj *RemoteJob, state byte, detail string) {
 	if rj.client == nil {
 		return
@@ -251,14 +251,9 @@ func (fd *frontDoor) drain() {
 
 // maybeFinishDrain stops the driver once a drain has emptied the intake and
 // the scheduler. Runs on the control loop (the master's job-finished hook,
-// the drain closure, bindJob); a nil front door (serve mode off) has nothing
-// to drain. Pre-submitted batch jobs still queued keep the loop alive until
-// they run to completion — drain refuses new work, it does not abandon
-// accepted work.
+// the drain closure, bindJob). Held jobs keep the loop alive until they run
+// to completion — drain refuses new work, it does not abandon accepted work.
 func (fd *frontDoor) maybeFinishDrain() {
-	if fd == nil {
-		return
-	}
 	fd.mu.Lock()
 	idle := fd.draining && fd.intake == 0
 	fd.mu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/cpstate"
 	"ursa/internal/metrics"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
@@ -38,17 +39,17 @@ func dialFrontDoor(t *testing.T, lc *LocalCluster, cfg ClientConfig) *Client {
 	return c
 }
 
-// waitRun waits for a drained serve-mode master's Run to return and checks
-// it quiesced.
+// waitRun waits for a master's Run to return once its drain completes and
+// checks it quiesced.
 func waitRun(t *testing.T, lc *LocalCluster, runErr <-chan error) {
 	t.Helper()
 	select {
 	case err := <-runErr:
 		if err != nil {
-			t.Fatalf("serve run: %v", err)
+			t.Fatalf("run: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("serve master did not drain in time")
+		t.Fatal("master did not drain in time")
 	}
 	checkQuiesced(t, lc.Master)
 }
@@ -318,6 +319,95 @@ func TestFrontDoorChurn(t *testing.T) {
 	waitRun(t, lc, runErr)
 	if got := lc.Master.Ingest().Submissions(); got != clients*jobsPer {
 		t.Errorf("ingest submissions = %d, want %d", got, clients*jobsPer)
+	}
+}
+
+// TestStatusAsFirstFrame: a client whose first frame is a JobQuery — a
+// poller reconnecting to ask about its job — gets an answer, not a closed
+// connection: StateFinished for a job that finished, StateNotFound for one
+// the master never had.
+func TestStatusAsFirstFrame(t *testing.T) {
+	lc, runErr := startServeCluster(t, 1, Config{})
+	log := newStatusLog()
+	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: log.add})
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	id, err := c.Submit("micro", params)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	log.waitState(t, id, wire.StateFinished)
+
+	for _, tc := range []struct {
+		id   int64
+		want byte
+	}{{id, wire.StateFinished}, {id + 1000, wire.StateNotFound}} {
+		poller := dialFrontDoor(t, lc, ClientConfig{})
+		st, err := poller.Status(tc.id)
+		if err != nil {
+			t.Fatalf("status of job %d as the first frame: %v", tc.id, err)
+		}
+		if st.JobID != tc.id || st.State != tc.want {
+			t.Errorf("status of job %d = job %d state %d, want state %d", tc.id, st.JobID, st.State, tc.want)
+		}
+	}
+	lc.Master.Drain()
+	waitRun(t, lc, runErr)
+}
+
+// TestBatchRunWithoutJobsEnds: a batch run is a drain from the start, so a
+// master given no job has nothing to wait for and Run returns nil as soon as
+// its workers have registered.
+func TestBatchRunWithoutJobsEnds(t *testing.T) {
+	lc := startCluster(t, 1, Config{})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := lc.Master.WaitWorkers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := lc.Master.Run(ctx); err != nil {
+		t.Fatalf("batch run without jobs: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Run returned %v after the workers registered, want within 1s", d)
+	}
+	checkQuiesced(t, lc.Master)
+}
+
+// TestBatchMasterAnswersClients: a batch master has the front door every
+// master has, draining from the moment Run starts. A client's submission is
+// rejected as draining, and its Status of a held job reports the job's phase,
+// during the run and after it.
+func TestBatchMasterAnswersClients(t *testing.T) {
+	lc := startCluster(t, 1, Config{})
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 2000, InParts: 4, OutParts: 2})
+	held, err := lc.Master.Submit(name, params)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- lc.Master.Run(context.Background()) }()
+	// Run begins the drain before the loop runs the held job's crossing, so
+	// a held job past queued means the front door is draining.
+	waitFor(t, "the held job admitted", func() bool {
+		js, _ := lc.Master.rec.job(held.id)
+		return js.Phase != cpstate.PhaseQueued
+	})
+
+	c := dialFrontDoor(t, lc, ClientConfig{})
+	if _, err := c.Submit(name, params); err == nil || !strings.Contains(err.Error(), "draining") {
+		t.Errorf("submit to a batch master: err = %v, want a draining rejection", err)
+	}
+	st, err := c.Status(held.id)
+	if err != nil {
+		t.Fatalf("status of the held job: %v", err)
+	}
+	if st.State != wire.StateAdmitted && st.State != wire.StateFinished {
+		t.Errorf("held job state = %d during the run, want admitted or finished", st.State)
+	}
+	waitRun(t, lc, runErr)
+	if st, err := c.Status(held.id); err != nil || st.State != wire.StateFinished {
+		t.Errorf("held job status after the run = %+v, %v; want finished", st, err)
 	}
 }
 

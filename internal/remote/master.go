@@ -56,8 +56,8 @@ type Config struct {
 	// HeartbeatMisses intervals is declared dead. Defaults: 100ms, 3.
 	HeartbeatInterval time.Duration
 	HeartbeatMisses   int
-	// StatsInterval logs the master's four stats lines — transport, ingest
-	// (serve mode), journal, elastic — at this period; 0 disables.
+	// StatsInterval logs the master's four stats lines — transport, ingest,
+	// journal, elastic — at this period; 0 disables.
 	StatsInterval time.Duration
 	// Compress enables per-contribution compression for the master's own
 	// canonical store and — per worker — for workers that also offered it in
@@ -73,10 +73,11 @@ type Config struct {
 	// Listen opens the control-plane and shuffle listeners; nil selects
 	// wire.NetListen. Tests compose fault injectors here.
 	Listen wire.ListenFunc
-	// Serve opens the job front door: the master accepts client connections
-	// (SubmitJob/CancelJob frames) alongside worker registrations and keeps
-	// running after pre-submitted jobs finish, until Drain. Off by default —
-	// the classic submit-then-run batch mode.
+	// Serve decides only when the drain that ends every run begins; every
+	// master answers clients on its control port. A serving master takes
+	// submissions until Drain. Off (the default), Run begins with the drain:
+	// the held jobs (Submit's, a takeover's) run to completion, clients can
+	// query but not submit, and Run returns after the last held job.
 	Serve bool
 	// TenantIntakeCap bounds one tenant's submissions at the intake —
 	// accepted, not yet queued on the control loop — so a single bursty
@@ -263,7 +264,7 @@ type Master struct {
 	ln         net.Listener
 	shuffleSrv *shuffle.Server
 	exec       *remoteExecutor
-	fd         *frontDoor // non-nil iff cfg.Serve
+	fd         *frontDoor
 
 	// gen is this master's generation: 1 for a fresh master, previous+1 at
 	// a standby takeover. Immutable after construction.
@@ -428,15 +429,12 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		CoresPerWorker: cfg.CoresPerWorker,
 		MemPerWorker:   cfg.MemPerWorker,
 		Core:           cfg.Core,
-		Serve:          cfg.Serve,
 		NewBackend: func(*live.System) live.Backend {
 			m.exec = newRemoteExecutor(m)
 			return m.exec
 		},
 	})
-	if cfg.Serve {
-		m.fd = newFrontDoor(m)
-	}
+	m.fd = newFrontDoor(m)
 	m.Sys.Core.OnJobStateChange = m.onJobState
 	// The core fires this once per drain, on the control loop, the moment
 	// the draining worker's last in-flight monotask commits (possibly
@@ -552,24 +550,14 @@ func (m *Master) CommitCount() (n int) {
 	return n
 }
 
-// Ingest exposes the front-door counters (nil unless Config.Serve).
-func (m *Master) Ingest() *metrics.Ingest {
-	if m.fd == nil {
-		return nil
-	}
-	return m.fd.Ingest
-}
+// Ingest exposes the front-door counters.
+func (m *Master) Ingest() *metrics.Ingest { return m.fd.Ingest }
 
-// Drain starts a graceful front-door shutdown: new submissions are rejected,
-// queued-but-unadmitted jobs are cancelled with a terminal JobStatus, and
-// once every admitted job has finished the control loop stops and Run
-// returns nil. No-op outside serve mode. Safe to call from any goroutine
-// (signal handlers); idempotent.
-func (m *Master) Drain() {
-	if m.fd != nil {
-		m.fd.drain()
-	}
-}
+// Drain begins the end of the run, the one way every run ends: new
+// submissions are rejected, queued front-door jobs are cancelled with a
+// terminal JobStatus, and once the admitted and held jobs have finished the
+// control loop stops and Run returns. Safe from any goroutine; idempotent.
+func (m *Master) Drain() { m.fd.drain() }
 
 // Addr is the control-plane address agents dial.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
@@ -663,7 +651,7 @@ func (m *Master) accept() {
 }
 
 // handshake classifies one inbound connection by its first frame — Register
-// opens a worker link, SubmitJob/CancelJob a client link — and only then
+// opens a worker link, any client frame a client link — and only then
 // wraps it in a wire.Conn, because the two kinds want different configs
 // (pooled reads and a deep send queue for workers; a shallow, droppable
 // status queue for clients). The sniff reads through the same bufio.Reader
@@ -687,12 +675,7 @@ func (m *Master) handshake(nc net.Conn) {
 	switch msg := first.(type) {
 	case wire.Register:
 		m.registerWorker(nc, br, msg)
-	case wire.SubmitJob, wire.CancelJob:
-		if m.fd == nil {
-			m.logf("master: rejecting client from %v (serve mode off)", nc.RemoteAddr())
-			nc.Close()
-			return
-		}
+	case wire.SubmitJob, wire.CancelJob, wire.JobQuery:
 		c := wire.NewConnFrom(nc, br, wire.Config{
 			WriteDeadline: writeDeadline,
 			SendQueue:     clientSendQueue,
@@ -1113,8 +1096,10 @@ func (m *Master) WaitWorkers(ctx context.Context) error {
 }
 
 // Run waits for the cluster to assemble, arms the liveness and stats
-// tickers, and drives the scheduling core until every job finishes or the
-// back-end fails. It must follow all Submits.
+// tickers, and drives the scheduling core until a drain completes (then it
+// returns the journal's first error), the back-end fails or ctx ends. It must
+// follow all Submits. Without Config.Serve, read only here, Run begins with
+// the drain, whose closure queues behind the held jobs' crossings.
 func (m *Master) Run(ctx context.Context) error {
 	if err := m.WaitWorkers(ctx); err != nil {
 		return err
@@ -1138,12 +1123,10 @@ func (m *Master) Run(ctx context.Context) error {
 	if m.cfg.StatsInterval > 0 {
 		stopStats := loop.Every(eventloop.Duration(m.cfg.StatsInterval/time.Microsecond), func() {
 			m.logf("master: %s", m.Transport.StatsLine(time.Now()))
-			if m.fd != nil {
-				// Sample tenant fairness on the loop, where the scheduler's
-				// share accounting is consistent.
-				m.fd.Ingest.ObserveShareError(core.ShareError(m.Sys.Core.Sched.TenantShares()))
-				m.logf("master: %s", m.fd.Ingest.StatsLine())
-			}
+			// Sample tenant fairness on the loop, where the scheduler's share
+			// accounting is consistent.
+			m.fd.Ingest.ObserveShareError(core.ShareError(m.Sys.Core.Sched.TenantShares()))
+			m.logf("master: %s", m.fd.Ingest.StatsLine())
 			m.logf("master: %s", m.Journal.StatsLine())
 			m.logf("master: %s", m.elasticLine())
 		})
@@ -1155,12 +1138,13 @@ func (m *Master) Run(ctx context.Context) error {
 		})
 		defer stopScale()
 	}
-	err := m.Sys.Run(ctx)
-	if err == nil && m.cfg.Serve {
-		// A serve run has no result to hand back but what it journaled.
-		err = m.rec.Err()
+	if !m.cfg.Serve {
+		m.Drain()
 	}
-	return err
+	if err := m.Sys.Run(ctx); err != nil {
+		return err
+	}
+	return m.rec.Err()
 }
 
 // Close releases the master's listeners and connections. Idempotent; called
@@ -1175,9 +1159,7 @@ func (m *Master) Close() error {
 		// reject every re-attach.
 		m.rec.fence()
 		m.ln.Close()
-		if m.fd != nil {
-			m.fd.close()
-		}
+		m.fd.close()
 		m.mu.Lock()
 		links := append([]*workerLink(nil), m.workers...)
 		m.mu.Unlock()
