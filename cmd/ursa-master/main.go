@@ -156,15 +156,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
+	// Scaled-up workers are spawned as processes pointed back at this
+	// master's bound address (set once it exists); -drain-on-signal gives
+	// them the graceful exit path, and the drain protocol (DrainDone) retires
+	// them on scale-down.
+	var prov *elastic.ProcessProvisioner
 	if *autoscale {
-		// Scaled-up workers are spawned as processes pointed back at this
-		// master; -drain-on-signal gives them the graceful exit path, and the
-		// drain protocol (DrainDone) retires them on scale-down.
-		cfg.Provisioner = &elastic.ProcessProvisioner{
-			Binary: *workerBin,
-			Args:   []string{"-master", *listen, "-drain-on-signal", "-quiet"},
-			Logf:   cfg.Logf,
-		}
+		prov = &elastic.ProcessProvisioner{Binary: *workerBin, Logf: cfg.Logf}
+		cfg.Provisioner = prov
 	}
 	cfg.Core.Policy = pol
 	cfg.Core.InterferencePenalty = *interfPen
@@ -190,6 +189,9 @@ func main() {
 		}
 	}
 	defer closeMaster(m)
+	if prov != nil { // the scaler ticks only inside Run; -listen :0 is bound now
+		prov.Args = []string{"-master", m.Addr(), "-drain-on-signal", "-quiet"}
+	}
 
 	if *drainID >= 0 {
 		id := *drainID

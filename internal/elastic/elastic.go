@@ -143,9 +143,10 @@ type Controller struct {
 	// Logf receives decision logs; nil disables logging.
 	Logf func(format string, args ...any)
 
-	// launched counts provisioner starts issued, matched against
-	// Signals.Joined to avoid double-provisioning while joins are pending.
+	// launched counts provisioner starts issued and failed those that errored;
+	// launched−failed−Signals.Joined are joins pending, not provisioned again.
 	launched int
+	failed   atomic.Int64
 	// ups and downs count scale-up and scale-down decisions (Decisions).
 	ups, downs atomic.Int64
 }
@@ -162,7 +163,7 @@ func (c *Controller) Tick(s Signals) {
 		return
 	}
 	target := c.Policy.Target(s)
-	pending := c.launched - s.Joined
+	pending := c.launched - int(c.failed.Load()) - s.Joined
 	if pending < 0 {
 		pending = 0
 	}
@@ -176,6 +177,7 @@ func (c *Controller) Tick(s Signals) {
 		for i := 0; i < n; i++ {
 			go func() {
 				if err := c.Prov.StartWorker(); err != nil {
+					c.failed.Add(1)
 					c.logf("elastic: provision failed: %v", err)
 				}
 			}()

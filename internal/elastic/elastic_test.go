@@ -1,8 +1,11 @@
 package elastic
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -86,6 +89,40 @@ func TestControllerProvisionsAndTracksPendingJoins(t *testing.T) {
 	}
 	if up, down := c.Decisions(); up != 2 || down != 0 {
 		t.Fatalf("Decisions() = %d up, %d down; want 2, 0", up, down)
+	}
+}
+
+// TestControllerRetriesFailedProvision: a provision that failed is not a join
+// in flight, so the next tick under the same pressure provisions again.
+func TestControllerRetriesFailedProvision(t *testing.T) {
+	var calls atomic.Int32
+	failed := make(chan struct{}, 1)
+	started := make(chan struct{}, 1)
+	c := &Controller{
+		Policy: NewUtilizationPolicy(1, 3),
+		Prov: ProvisionerFunc(func() error {
+			if calls.Add(1) == 1 {
+				return errors.New("spawn failed")
+			}
+			started <- struct{}{}
+			return nil
+		}),
+		Logf: func(format string, _ ...any) {
+			if strings.HasPrefix(format, "elastic: provision failed") {
+				failed <- struct{}{}
+			}
+		},
+	}
+	s := Signals{Live: 1, Queued: 5}
+	c.Tick(s)
+	<-failed
+	c.Tick(s)
+	if up, _ := c.Decisions(); up != 2 {
+		t.Fatalf("%d scale-up decisions, want 2: the failed provision still counts as a pending join", up)
+	}
+	<-started
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("provisioner called %d times, want 2", n)
 	}
 }
 

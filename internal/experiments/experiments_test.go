@@ -43,6 +43,12 @@ func TestAllRegistered(t *testing.T) {
 		if e.Run == nil || e.Paper == "" || e.Desc == "" {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
+		if got, ok := Lookup(e.ID); !ok || got.Paper != e.Paper || got.Desc != e.Desc {
+			t.Errorf("Lookup(%q) = %q, %v; want the registered %q", e.ID, got.Paper, ok, e.Paper)
+		}
+	}
+	if _, ok := Lookup("tabel4"); ok {
+		t.Error(`Lookup("tabel4") found an experiment`)
 	}
 	for _, want := range []string{"fig1", "table1", "table2", "fig4", "table3",
 		"fig5", "table4", "table5", "sec52net", "fig6", "fig7", "table6",

@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +21,8 @@ import (
 // The worker's rate monitor therefore blends *measured* processing rates
 // into APT_r(w) — the paper's feedback loop (§4.2.2) over real numbers.
 //
-// A global semaphore bounds how many CPU monotasks execute concurrently
-// (Config.Parallelism); the logical per-worker concurrency limits of §4.2.3
+// A process-wide semaphore of GOMAXPROCS slots bounds how many CPU monotasks
+// execute concurrently; the logical per-worker concurrency limits of §4.2.3
 // are enforced upstream by the worker queues, exactly as in simulation.
 type executor struct {
 	sys *System
@@ -35,11 +36,11 @@ type executor struct {
 	wg     sync.WaitGroup
 }
 
-func newExecutor(sys *System, parallelism int) *executor {
+func newExecutor(sys *System) *executor {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &executor{
 		sys:    sys,
-		sem:    make(chan struct{}, parallelism),
+		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		rts:    make(map[*dag.Plan]*localrt.Runtime),
 		ctx:    ctx,
 		cancel: cancel,

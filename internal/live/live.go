@@ -35,11 +35,8 @@ type Config struct {
 	// per-resource queues, rate monitors and memory accounting. Default 1.
 	Workers int
 	// CoresPerWorker is each logical worker's CPU concurrency limit in the
-	// scheduler's accounting. Default: Parallelism/Workers, at least 1.
+	// scheduler's accounting. Default: GOMAXPROCS/Workers, at least 1.
 	CoresPerWorker int
-	// Parallelism bounds how many CPU monotasks actually execute
-	// concurrently across the whole process. Default: GOMAXPROCS.
-	Parallelism int
 	// MemPerWorker is each worker's memory capacity in the scheduler's
 	// units (dataset sizes, i.e. rows for the local runtime). It only
 	// gates admission and reservation; the default is effectively
@@ -79,11 +76,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	if c.CoresPerWorker <= 0 {
-		c.CoresPerWorker = c.Parallelism / c.Workers
+		c.CoresPerWorker = runtime.GOMAXPROCS(0) / c.Workers
 		if c.CoresPerWorker < 1 {
 			c.CoresPerWorker = 1
 		}
@@ -168,7 +162,7 @@ func NewSystem(cfg Config) *System {
 	if cfg.NewBackend != nil {
 		s.exec = cfg.NewBackend(s)
 	} else {
-		s.exec = newExecutor(s, cfg.Parallelism)
+		s.exec = newExecutor(s)
 	}
 	sys.SetExecutor(s.exec)
 	return s

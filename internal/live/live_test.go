@@ -170,10 +170,18 @@ func TestSimVsLiveEquivalence(t *testing.T) {
 // when the rates are read. The assertion is on Deviation, the observed-rate
 // average that (unlike Rate) does not decay back to nominal over idle windows,
 // so a late shutdown timer cannot undo it either. The test's own
-// Core.OnJobFinished sees every job: Run installs no hook of its own.
+// Core.OnJobFinished sees every job: Run installs no hook of its own. It runs
+// under both job orderings, EJF and SRJF.
 func TestLiveMultiJobMeasuredRates(t *testing.T) {
+	for _, pol := range []core.Policy{core.EJF, core.SRJF} {
+		t.Run(strings.ToLower(pol.String()), func(t *testing.T) { testMultiJobMeasuredRates(t, pol) })
+	}
+}
+
+func testMultiJobMeasuredRates(t *testing.T, pol core.Policy) {
 	cfg := Config{Workers: 2}
 	cfg.Core.RateWindow = 5 * eventloop.Millisecond
+	cfg.Core.Policy = pol
 	sys := NewSystem(cfg)
 
 	const jobs = 3
