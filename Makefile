@@ -116,9 +116,10 @@ fuzz-events:
 	$(GO) test -run '^FuzzDecodeEvent$$' ./internal/cpstate
 
 # One-shot fuzz pass over the row blob codec's seed corpus: one encoding of
-# every registered row type, every truncation of a multi-run blob, a DEFLATE
-# blob. It lives in internal/sqlmini, the one package whose tests can name
-# every registered type. Add -fuzz '^FuzzDecodeBlob$' to hunt for crashers.
+# every registered row type, every truncation of a multi-run blob, that blob
+# under the retired DEFLATE tag and with an overstated raw length. It lives
+# in internal/sqlmini, the one package whose tests can name every registered
+# type. Add -fuzz '^FuzzDecodeBlob$' to hunt for crashers.
 fuzz-rows:
 	$(GO) test -run '^FuzzDecodeBlob$$' ./internal/sqlmini
 

@@ -21,7 +21,10 @@
 //
 // Every run ends with a drain. Without -serve it begins at once: the master
 // exits 0 when the -jobs (or a standby's inherited backlog) have finished, at
-// once with none; SIGINT/SIGTERM stops it early, also with exit 0.
+// once with none; SIGINT/SIGTERM stops it early, also with exit 0. A fresh
+// ursa-worker started against a running master joins it; a master that loses
+// every worker pauses admission until one joins, a batch run for at most
+// -timeout.
 package main
 
 import (
@@ -65,8 +68,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Minute, "abort if the run exceeds this")
 
 		// Data-plane knobs (see DESIGN.md §11).
-		compress = flag.Bool("shuffle-compress", false,
-			"compress shuffle contributions (in effect per worker only when the worker also enables it)")
 		memBudget = flag.Int64("shuffle-mem-budget", 0,
 			"max in-memory bytes per job's canonical contribution store before spilling to disk (0 = never spill)")
 		spillDir = flag.String("shuffle-spill-dir", "",
@@ -77,14 +78,10 @@ func main() {
 			"run the multi-tenant submission front door instead of a preset workload")
 		tenantWeights = flag.String("tenant-weights", "",
 			"weighted fair-share map as name=weight pairs, e.g. ops=3,batch=1 (unlisted tenants weigh 1)")
-		tenantIntakeCap = flag.Int("tenant-intake-cap", 0,
-			"max queued submissions per tenant before rejection (0 = global cap only)")
 
 		// Elastic-cluster knobs (see DESIGN.md §14).
-		elasticMode = flag.Bool("elastic", false,
-			"accept mid-run worker joins and graceful drains; losing every worker pauses admission instead of failing the run")
 		autoscale = flag.Bool("autoscale", false,
-			"run the utilization-driven autoscaler (implies -elastic): spawn -worker-bin on admission pressure, drain idle workers in troughs")
+			"run the utilization-driven autoscaler: spawn -worker-bin on admission pressure, drain idle workers in troughs")
 		minWorkers = flag.Int("min-workers", 0,
 			"autoscaler lower bound on cluster size (0 = -workers)")
 		maxWorkers = flag.Int("max-workers", 0,
@@ -95,8 +92,6 @@ func main() {
 			"worker binary the autoscaler spawns on scale-up")
 		reserveCorrect = flag.Bool("reserve-correct", false,
 			"learn per-workload reservation corrections from observed memory peaks (DRESS-style dynamic reservation)")
-		drainID = flag.Int("drain", -1,
-			"gracefully drain this worker id once the cluster assembles (ops/demo; -1 disables)")
 
 		// Journal / failover knobs (see DESIGN.md §13).
 		journalDir = flag.String("journal-dir", "",
@@ -134,7 +129,6 @@ func main() {
 	cfg := remote.Config{
 		Addr:              *listen,
 		Serve:             *serve,
-		TenantIntakeCap:   *tenantIntakeCap,
 		JournalDir:        *journalDir,
 		LeaseTTL:          *lease,
 		SnapshotEvery:     *snapshotEvery,
@@ -143,10 +137,8 @@ func main() {
 		CoresPerWorker:    *cores,
 		HeartbeatInterval: *hb,
 		StatsInterval:     *stats,
-		Compress:          *compress,
 		ShuffleMemBudget:  *memBudget,
 		ShuffleSpillDir:   *spillDir,
-		Elastic:           *elasticMode,
 		Autoscale:         *autoscale,
 		MinWorkers:        *minWorkers,
 		MaxWorkers:        *maxWorkers,
@@ -157,9 +149,8 @@ func main() {
 		},
 	}
 	// Scaled-up workers are spawned as processes pointed back at this
-	// master's bound address (set once it exists); -drain-on-signal gives
-	// them the graceful exit path, and the drain protocol (DrainDone) retires
-	// them on scale-down.
+	// master's bound address (set once it exists); the drain protocol
+	// (DrainDone) retires them on scale-down.
 	var prov *elastic.ProcessProvisioner
 	if *autoscale {
 		prov = &elastic.ProcessProvisioner{Binary: *workerBin, Logf: cfg.Logf}
@@ -190,16 +181,7 @@ func main() {
 	}
 	defer closeMaster(m)
 	if prov != nil { // the scaler ticks only inside Run; -listen :0 is bound now
-		prov.Args = []string{"-master", m.Addr(), "-drain-on-signal", "-quiet"}
-	}
-
-	if *drainID >= 0 {
-		id := *drainID
-		go func() {
-			if err := m.WaitWorkers(context.Background()); err == nil {
-				m.DrainWorker(id, "operator (-drain)")
-			}
-		}()
+		prov.Args = []string{"-master", m.Addr(), "-quiet"}
 	}
 	run(m, sigC, *serve, *showRows, *timeout)
 }
@@ -285,20 +267,15 @@ var flagNeeds = []struct{ flag, needs string }{
 	{"lease", "journal-dir"},
 	{"snapshot-every", "journal-dir"},
 	{"standby", "journal-dir"},
-	{"tenant-intake-cap", "serve"},
 }
 
 // checkFlags reports the first flag in set (the flags the command line gave
-// a non-default value) whose prerequisite is missing, and the one conflict:
-// a standby inherits its cluster and returns before -drain is read.
+// a non-default value) whose prerequisite is missing.
 func checkFlags(set map[string]bool) error {
 	for _, d := range flagNeeds {
 		if set[d.flag] && !set[d.needs] {
 			return fmt.Errorf("-%s needs -%s: without it the flag is not read", d.flag, d.needs)
 		}
-	}
-	if set["drain"] && set["standby"] {
-		return errors.New("-drain is not read under -standby (a standby inherits its cluster)")
 	}
 	return nil
 }

@@ -20,20 +20,17 @@ func TestCheckFlags(t *testing.T) {
 		{"listen standby journal-dir", ""},
 		{"listen standby heartbeat journal-dir lease", ""},
 		{"listen workers serve autoscale min-workers max-workers worker-bin", ""},
-		{"listen workers serve elastic autoscale min-workers max-workers autoscale-interval heartbeat worker-bin", ""},
+		{"listen workers serve autoscale min-workers max-workers autoscale-interval heartbeat worker-bin", ""},
 		{"shuffle-mem-budget shuffle-spill-dir", ""},
 		{"journal-dir snapshot-every", ""},
-		{"serve elastic drain tenant-intake-cap", ""},
 
 		{"min-workers max-workers", "-min-workers -autoscale"},
-		{"elastic max-workers", "-max-workers -autoscale"},
+		{"serve max-workers", "-max-workers -autoscale"},
 		{"serve autoscale-interval", "-autoscale-interval -autoscale"},
-		{"elastic worker-bin", "-worker-bin -autoscale"},
+		{"reserve-correct worker-bin", "-worker-bin -autoscale"},
 		{"lease", "-lease -journal-dir"},
 		{"snapshot-every", "-snapshot-every -journal-dir"},
 		{"standby", "-standby -journal-dir"},
-		{"tenant-intake-cap", "-tenant-intake-cap -serve"},
-		{"standby journal-dir drain", "-drain -standby"},
 	} {
 		set := map[string]bool{}
 		for _, name := range strings.Fields(c.set) {

@@ -9,8 +9,11 @@
 //	ursa-worker -master 127.0.0.1:7400
 //	ursa-worker -master 10.0.0.1:7400 -shuffle-listen 10.0.0.2:0 -cores 4
 //
-// SIGINT/SIGTERM drain in-flight executions and exit 0; the master fails
-// this worker over (§4.3) and re-places its unfinished work.
+// The first SIGINT/SIGTERM asks the master for a graceful drain: dispatch
+// here stops, in-flight work commits, fetch routing moves to the master's
+// canonical store, and the worker exits 0 on the master's DrainDone. With the
+// control link down, or at a second signal, the worker stops at once instead
+// and the master fails it over (§4.3).
 package main
 
 import (
@@ -36,16 +39,12 @@ func main() {
 		// master's scheduling core, so a mixed fleet is modeled per-machine.
 		// Units are scheduler accounting units (rows, rows/sec for the live
 		// runtime), matching the master's cluster config.
-		memAdv        = flag.Float64("mem", 0, "advertise memory capacity to the master (0 = master's uniform default)")
-		coreRateAdv   = flag.Float64("core-rate", 0, "advertise per-core execution rate (0 = master's uniform default)")
-		netAdv        = flag.Float64("net-bandwidth", 0, "advertise network bandwidth (0 = master's uniform default)")
-		diskAdv       = flag.Float64("disk-bandwidth", 0, "advertise disk bandwidth (0 = master's uniform default)")
-		drainOnSignal = flag.Bool("drain-on-signal", false,
-			"on SIGINT/SIGTERM, request a graceful master-side drain (dispatch stops, fetch routing migrates, master answers DrainDone) instead of detaching immediately; a second signal forces the immediate path")
+		memAdv      = flag.Float64("mem", 0, "advertise memory capacity to the master (0 = master's uniform default)")
+		coreRateAdv = flag.Float64("core-rate", 0, "advertise per-core execution rate (0 = master's uniform default)")
+		netAdv      = flag.Float64("net-bandwidth", 0, "advertise network bandwidth (0 = master's uniform default)")
+		diskAdv     = flag.Float64("disk-bandwidth", 0, "advertise disk bandwidth (0 = master's uniform default)")
 
 		// Data-plane knobs (see DESIGN.md §11).
-		compress = flag.Bool("shuffle-compress", false,
-			"offer contribution compression (in effect only when the master also enables it)")
 		memBudget = flag.Int64("shuffle-mem-budget", 0,
 			"max in-memory bytes per job's contribution store before spilling to disk (0 = never spill)")
 		spillDir = flag.String("shuffle-spill-dir", "",
@@ -64,7 +63,6 @@ func main() {
 		MasterAddrs: addrs, ShuffleAddr: *shuffle, Cores: *cores,
 		MemBytes: *memAdv, CoreRate: *coreRateAdv,
 		NetBandwidth: *netAdv, DiskBandwidth: *diskAdv,
-		Compress:         *compress,
 		ShuffleMemBudget: *memBudget,
 		ShuffleSpillDir:  *spillDir,
 	}
@@ -86,7 +84,7 @@ func main() {
 	go func() { done <- a.Wait() }()
 	select {
 	case <-sig:
-		if *drainOnSignal && a.RequestDrain("signal") {
+		if a.RequestDrain("signal") {
 			// Graceful master-side drain: the master stops dispatching here,
 			// waits for in-flight monotasks to commit, migrates fetch routing
 			// to its canonical store, and answers DrainDone — the agent then
@@ -107,7 +105,7 @@ func main() {
 			}
 			return
 		}
-		fmt.Fprintln(os.Stderr, "ursa-worker: signal received, draining")
+		fmt.Fprintln(os.Stderr, "ursa-worker: signal received, master unreachable, stopping")
 		a.Stop()
 		<-done
 		fmt.Printf("ursa-worker: worker %d drained, exiting\n", a.ID())

@@ -4,10 +4,12 @@ package ursa_test
 
 import (
 	"bufio"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,17 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`NaiveAdmission`, "admission has one path"},
 	{`SubmitBatch`, "live.System.Submit takes every job"},
 	{`\bSubmitPlan\b`, "live.System.Submit takes every job"},
+	{`shuffle-compress`, "every blob is rowcodec bytes tagged BlobRaw"},
+	{`BlobDeflate`, "every blob is rowcodec bytes tagged BlobRaw"},
+	{`compress/flate`, "every blob is rowcodec bytes tagged BlobRaw"},
+	{`\bCompress:|\.Compress\b`, "every blob is rowcodec bytes tagged BlobRaw"},
+	{`TenantIntakeCap`, "the global intake bound is the only one"},
+	{`tenant-intake-cap`, "the global intake bound is the only one"},
+	{`drain-on-signal`, "a worker's first SIGINT/SIGTERM always requests the drain"},
+	{`(^|[^\w-])-elastic([^\w-]|$)`, "every master takes joins"},
+	{`\bElastic:|\.Elastic\b`, "every master takes joins"},
+	{`(^|[^\w-])-drain([^\w-]|$)`, "drain a worker with SIGINT or Master.DrainWorker"},
+	{`flag\.\w+\("(elastic|drain)"`, "every master takes joins; drain a worker with SIGINT or Master.DrainWorker"},
 }
 
 // TestDeletedNamesStayDeleted scans the docs that describe the repository as
@@ -82,5 +95,49 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 			t.Errorf("%s: %v", path, err)
 		}
 		f.Close()
+	}
+}
+
+// flagBudget is the most flags the binaries under cmd/ may declare together:
+// the count must not go up, so a new flag retires an old one.
+const flagBudget = 66
+
+// flagDecl is `make loc`'s pattern for a flag declaration: a call of one of
+// the flag package's declaring functions.
+var flagDecl = regexp.MustCompile(`flag\.((Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?|Var|Func|BoolFunc|TextVar)\(`)
+
+// TestFlagBudget counts flag declarations as `make loc` does — lines of the
+// non-test Go files under cmd/ that match flagDecl — and fails when the total
+// exceeds flagBudget, naming each binary's count.
+func TestFlagBudget(t *testing.T) {
+	perBin := map[string]int{}
+	total := 0
+	err := filepath.WalkDir("cmd", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		bin := strings.Split(filepath.ToSlash(path), "/")[1]
+		for _, line := range strings.Split(string(src), "\n") {
+			if flagDecl.MatchString(line) {
+				perBin[bin]++
+				total++
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []string
+	for bin, n := range perBin {
+		counts = append(counts, fmt.Sprintf("%s=%d", bin, n))
+	}
+	sort.Strings(counts)
+	if total > flagBudget {
+		t.Errorf("cmd/ declares %d flags, budget %d (%s)", total, flagBudget, strings.Join(counts, " "))
 	}
 }

@@ -228,15 +228,6 @@ func (c *Cluster) TotalMem() float64 {
 	return total
 }
 
-// FreeMem returns the unreserved memory across all machines.
-func (c *Cluster) FreeMem() float64 {
-	var free float64
-	for _, m := range c.Machines {
-		free += m.Mem.Free()
-	}
-	return free
-}
-
 // Snapshot captures cumulative usage integrals, so a caller can compute SE
 // and UE over a window as the difference of two snapshots.
 type Snapshot struct {

@@ -180,9 +180,6 @@ func TestClusterConstruction(t *testing.T) {
 	if got := c.TotalCores(); got != 640 {
 		t.Errorf("TotalCores = %v, want 640", got)
 	}
-	if got := c.FreeMem(); got != c.TotalMem() {
-		t.Errorf("FreeMem = %v, want TotalMem %v", got, c.TotalMem())
-	}
 	s := c.Snap()
 	if s.CoreUsedSeconds != 0 || s.NetBytesReceived != 0 {
 		t.Errorf("fresh cluster has nonzero usage: %+v", s)

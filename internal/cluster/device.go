@@ -70,9 +70,6 @@ func NewDevice(loop *eventloop.Loop, capacity float64, perFlowFraction float64) 
 // Capacity returns the device capacity in bytes/s.
 func (d *Device) Capacity() float64 { return d.capacity }
 
-// Active returns the number of in-flight flows.
-func (d *Device) Active() int { return len(d.flows) }
-
 // BytesMoved returns the total bytes transferred through the device so far,
 // settled to the current instant.
 func (d *Device) BytesMoved() float64 {

@@ -14,8 +14,7 @@ type ProcessProvisioner struct {
 	// Binary is the worker executable to spawn (e.g. "ursa-worker" on
 	// PATH, or an absolute path).
 	Binary string
-	// Args are the full worker arguments, typically including -master and
-	// -drain-on-signal.
+	// Args are the full worker arguments, typically -master and -quiet.
 	Args []string
 	// Logf receives spawn logs; nil disables logging.
 	Logf func(format string, args ...any)

@@ -15,9 +15,8 @@ import (
 // everywhere: into the Complete message, into the master's canonical store,
 // out of every shuffle-fetch serve, and into the fetching peer's store.
 // Decoding happens exactly once too, at the single consumption site (gather
-// or result read). Compression, when negotiated, rides inside the blob: the
-// flags byte and raw length travel with the bytes, so a blob is valid on any
-// node regardless of either end's own compression setting.
+// or result read). The flags byte and raw length travel with the bytes, and
+// the codec checks both when it decodes.
 //
 // The store also enforces a memory budget: when cached blob bytes exceed it,
 // the oldest blobs are spilled to an append-only temp file and their
@@ -31,10 +30,11 @@ import (
 // (internal/remote/workload.Codec) — defined here so the store can stay
 // ignorant of row encodings and the workload package ignorant of storage.
 type BlobCodec interface {
-	// EncodeBlob serializes rows. rawLen is the uncompressed encoded length
-	// (== len(blob) unless the codec compressed).
+	// EncodeBlob serializes rows. rawLen is the encoded length the blob
+	// declares.
 	EncodeBlob(rows []Row) (blob []byte, flags byte, rawLen int, err error)
-	// DecodeBlob reverses EncodeBlob. rawLen bounds decompression.
+	// DecodeBlob reverses EncodeBlob, rejecting flags or a rawLen it did
+	// not produce.
 	DecodeBlob(blob []byte, flags byte, rawLen int) ([]Row, error)
 }
 

@@ -33,8 +33,8 @@ type WorkerTransport struct {
 	RTTEWMA float64
 	// WireBytes counts shuffle payload bytes this worker reported fetching
 	// over the wire — what actually crossed the network. RawBytes is the
-	// uncompressed encoded size of the same payloads; the two differ only
-	// when compression is negotiated, and the gap is the saving.
+	// encoded size the same payloads declare (their RawLen); blobs travel as
+	// encoded, so the two are equal.
 	WireBytes float64
 	RawBytes  float64
 	// FetchRetries counts shuffle fetch attempts beyond the first this
@@ -92,9 +92,9 @@ func (t *Transport) ObserveDispatch(id int) {
 
 // ObserveCompletion records a completion: rtt is the dispatch→completion
 // round trip in seconds, wireBytes the shuffle payload bytes the worker
-// pulled over the wire to feed the monotask, rawBytes their uncompressed
-// encoded size. Wire is what the network carried (and what rate feedback
-// should see); raw is what the job logically moved. retries and fallbacks
+// pulled over the wire to feed the monotask, rawBytes their declared encoded
+// size. Wire is what the network carried; raw is what the job logically
+// moved. retries and fallbacks
 // are the fetch degradation the worker reported for the monotask's inputs:
 // transient faults the retry/backoff budget absorbed, and partitions that
 // degraded to the master's canonical store after peer retries ran out.
@@ -129,7 +129,7 @@ func (t *Transport) FetchFallbacks() int { return t.totals().FetchFallbacks }
 
 // ObserveServedBytes records shuffle payload bytes the master's own fetch
 // server handed to workers: wire is what crossed the network, raw the
-// uncompressed encoded size of the same blobs.
+// declared encoded size of the same blobs.
 func (t *Transport) ObserveServedBytes(wire, raw float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -151,8 +151,8 @@ func (t *Transport) Worker(id int) WorkerTransport {
 // fetching over the wire.
 func (t *Transport) WireBytes() float64 { return t.totals().WireBytes }
 
-// RawBytes returns the uncompressed encoded size of the payloads behind
-// WireBytes — equal to it unless compression is negotiated.
+// RawBytes returns the declared encoded size of the payloads behind
+// WireBytes — equal to it, since blobs travel as encoded.
 func (t *Transport) RawBytes() float64 { return t.totals().RawBytes }
 
 // ServedBytes returns the master fetch server's (wire, raw) served totals.

@@ -53,10 +53,6 @@ type Config struct {
 	// below its advertised profile. This is the contention injection knob
 	// for heterogeneous-cluster tests and smoke runs; zero for production.
 	ExecDelay time.Duration
-	// Compress offers per-contribution compression at registration; it is in
-	// effect only when the master also enables it (Welcome echoes the
-	// negotiated outcome). Off by default.
-	Compress bool
 	// ShuffleMemBudget bounds the bytes of pre-encoded contributions each
 	// job's store keeps in memory; beyond it, contributions spill to disk and
 	// are served by streaming reads. <= 0 disables spilling.
@@ -178,11 +174,6 @@ type Agent struct {
 	gen     atomic.Int64 // master generation from the latest Welcome
 	hb      time.Duration
 	shuffle *shuffle.Server
-	// compress is the negotiated compression outcome (offered by this agent
-	// AND enabled on the master); it configures every job runtime's codec.
-	// Written only on the Dial and readLoop goroutines, which also run every
-	// prepare — the one reader.
-	compress bool
 	// registered flips after the first Welcome: from then on the agent
 	// re-registers as its assigned worker ID instead of a fresh -1.
 	registered bool
@@ -309,7 +300,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	}
 	if !conn.Send(wire.Register{
 		WorkerID: workerID, Gen: a.gen.Load(),
-		ShuffleAddr: shuffleAddr, Cores: int32(cfg.Cores), Compress: cfg.Compress,
+		ShuffleAddr: shuffleAddr, Cores: int32(cfg.Cores),
 		MemBytes: cfg.MemBytes, CoreRate: cfg.CoreRate,
 		NetBandwidth: cfg.NetBandwidth, DiskBandwidth: cfg.DiskBandwidth,
 	}) {
@@ -338,11 +329,10 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	return w, nil
 }
 
-// applyWelcome installs the negotiated per-master settings from a Welcome —
+// applyWelcome installs the per-master settings from a Welcome —
 // at first join and again at every re-attach.
 func (a *Agent) applyWelcome(w wire.Welcome) {
 	a.gen.Store(w.Gen)
-	a.compress = w.Compress
 	a.mu.Lock()
 	a.masterShuffleAddr = w.MasterShuffleAddr
 	a.mu.Unlock()
@@ -374,10 +364,11 @@ func (a *Agent) Wait() error { return <-a.done }
 // master observes exactly what a crashed worker process looks like.
 func (a *Agent) Kill() { a.shutdown(fmt.Errorf("agent: killed")) }
 
-// Stop drains in-flight executions and leaves the cluster cleanly — the
-// worker binary's SIGINT/SIGTERM path. The master sees the connection drop
-// and fails this worker through the §4.3 recovery path; committed outputs
-// stay durable at its checkpoint.
+// Stop drains in-flight executions and leaves the cluster without the
+// master's consent — the worker binary's path when RequestDrain cannot reach
+// the master, or on a second signal. The master sees the connection drop and
+// fails this worker through the §4.3 recovery path; committed outputs stay
+// durable at its checkpoint.
 func (a *Agent) Stop() {
 	a.drain()
 	a.shutdown(nil)
@@ -510,8 +501,8 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 	return nil
 }
 
-// RequestDrain asks the master to drain this worker gracefully — the
-// -drain-on-signal path. The master stops dispatching here, lets in-flight
+// RequestDrain asks the master to drain this worker gracefully — the worker
+// binary's first SIGINT/SIGTERM. The master stops dispatching here, lets in-flight
 // monotasks commit, migrates fetch routing off this worker, and answers
 // DrainDone, which shuts the agent down cleanly (Wait returns nil). Returns
 // false when the control connection is already down; callers fall back to
@@ -589,7 +580,7 @@ func (a *Agent) prepare(p wire.Prepare) error {
 	rt := localrt.New(bj.Plan)
 	// Encode-once: every committed contribution is serialized at commit time
 	// and served as cached bytes from then on.
-	rt.SetCodec(workload.Codec{Compress: a.compress})
+	rt.SetCodec(workload.Codec{})
 	if a.cfg.ShuffleMemBudget > 0 {
 		rt.SetSpill(a.cfg.ShuffleMemBudget, a.cfg.ShuffleSpillDir)
 	}
@@ -755,10 +746,9 @@ func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes
 		}
 		// The sink copies each fetched blob out of the client's pooled frame
 		// and hands ownership to the contribution store as-is — still
-		// encoded, still compressed if it came that way. Decoding happens
-		// lazily at the store's single consumption site (gather), so a
-		// partition fetched for one monotask but consumed by none is never
-		// deserialized at all.
+		// encoded. Decoding happens lazily at the store's single consumption
+		// site (gather), so a partition fetched for one monotask but consumed
+		// by none is never deserialized at all.
 		sink := func(resp *wire.FetchResp) error {
 			for i := range resp.Contribs {
 				pc := &resp.Contribs[i]

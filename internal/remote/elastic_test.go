@@ -87,7 +87,7 @@ func TestDrainMidJobNoFallbacks(t *testing.T) {
 func TestElasticDrainAndKillChaos(t *testing.T) {
 	wcName, wcParams := workload.WordCount(workload.WordCountParams{Lines: 20000, InParts: 12, OutParts: 6})
 	sqlName, sqlParams := workload.SQLAnalytics(workload.SQLParams{QueryIndex: 1, SalesRows: 4000})
-	lc := startCluster(t, 4, Config{Elastic: true})
+	lc := startCluster(t, 4, Config{})
 	wcJob, err := lc.Master.Submit(wcName, wcParams)
 	if err != nil {
 		t.Fatalf("submit wordcount: %v", err)
@@ -145,7 +145,6 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 	jdir := t.TempDir()
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 20000, InParts: 12, OutParts: 6})
 	lc := startCluster(t, 3, Config{
-		Elastic:         true,
 		JournalDir:      jdir,
 		SnapshotEvery:   1 << 20, // keep the full event history
 		HeartbeatMisses: 40,      // a -race stall must not journal a WorkerFailed
@@ -337,7 +336,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 // joining mid-run — and the job still finishes with correct rows.
 func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 3000, InParts: 6, OutParts: 4})
-	lc := startCluster(t, 1, Config{Elastic: true})
+	lc := startCluster(t, 1, Config{})
 	job, err := lc.Master.Submit(name, params)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -424,7 +423,7 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 		}, err
 	})
 
-	lc, runErr := startServeCluster(t, 1, Config{Elastic: true, CoresPerWorker: 1})
+	lc, runErr := startServeCluster(t, 1, Config{CoresPerWorker: 1})
 	log := newStatusLog()
 	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "join", OnStatus: log.add})
 	jobID, err := c.Submit(name, nil)

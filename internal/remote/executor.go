@@ -76,7 +76,7 @@ func newRemoteExecutor(m *Master) *remoteExecutor {
 // fallback fetches as stored) plus the optional spill budget. The job's row
 // is created by whoever submitted it and knows its identity.
 func (e *remoteExecutor) RegisterJob(rt *localrt.Runtime) {
-	rt.SetCodec(workload.Codec{Compress: e.m.cfg.Compress})
+	rt.SetCodec(workload.Codec{})
 	if e.m.cfg.ShuffleMemBudget > 0 {
 		rt.SetSpill(e.m.cfg.ShuffleMemBudget, e.m.cfg.ShuffleSpillDir)
 	}

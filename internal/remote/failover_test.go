@@ -332,52 +332,6 @@ func TestJournalStatsLineFormat(t *testing.T) {
 	waitRun(t, lc, runErr)
 }
 
-// TestTenantIntakeCap checks the per-tenant intake bound: with a cap of 1
-// and the control loop parked (the master is never Run, so no submission
-// reaches it), a tenant's second submission is rejected while another
-// tenant's passes.
-func TestTenantIntakeCap(t *testing.T) {
-	lc := startCluster(t, 1, Config{
-		Serve:           true,
-		TenantIntakeCap: 1,
-	})
-	name, params := workload.WordCount(workload.WordCountParams{Lines: 100, InParts: 2, OutParts: 2})
-
-	c1, err := DialClient(ClientConfig{Addr: lc.Master.Addr(), Tenant: "bursty"})
-	if err != nil {
-		t.Fatalf("dialing client: %v", err)
-	}
-	t.Cleanup(c1.Close)
-	sub1 := make(chan error, 1)
-	go func() {
-		_, err := c1.Submit(name, params) // parks in the driver inbox; never acked in this test
-		sub1 <- err
-	}()
-	waitFor(t, "first submission queued", func() bool { return lc.Master.fd.intakeDepth() == 1 })
-
-	if _, err := c1.Submit(name, params); err == nil || !strings.Contains(err.Error(), "tenant intake full") {
-		t.Fatalf("second same-tenant submission: got %v, want tenant intake full", err)
-	}
-
-	c2, err := DialClient(ClientConfig{Addr: lc.Master.Addr(), Tenant: "quiet"})
-	if err != nil {
-		t.Fatalf("dialing second client: %v", err)
-	}
-	t.Cleanup(c2.Close)
-	sub2 := make(chan error, 1)
-	go func() {
-		_, err := c2.Submit(name, params)
-		sub2 <- err
-	}()
-	// The other tenant is under its own cap: accepted onto the intake.
-	waitFor(t, "other tenant queued", func() bool { return lc.Master.fd.intakeDepth() == 2 })
-	select {
-	case err := <-sub2:
-		t.Fatalf("other tenant's submission resolved early: %v", err)
-	default:
-	}
-}
-
 func waitFor(t *testing.T, what string, ok func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -24,15 +24,13 @@ type frontDoor struct {
 	Ingest *metrics.Ingest
 
 	// mu guards the client set, the drain flag and the intake: submissions
-	// accepted but not yet queued on the control loop, in all and per tenant.
-	// One lock for the flag and the count is what lets a drain answer every
+	// accepted but not yet queued on the control loop. One lock for the flag and the count is what lets a drain answer every
 	// submission it accepted: none is counted once the flag is set, and the
 	// loop stops only when the count is zero.
-	mu        sync.Mutex
-	clients   map[*clientLink]struct{}
-	draining  bool
-	intake    int
-	perTenant map[string]int
+	mu       sync.Mutex
+	clients  map[*clientLink]struct{}
+	draining bool
+	intake   int
 }
 
 // clientLink is one client connection. The wire.Conn's send queue is bounded
@@ -46,10 +44,9 @@ func newFrontDoor(m *Master) *frontDoor {
 	// The job-state hook is installed by the master (it records the
 	// control-plane event first, then delegates here for status streaming).
 	return &frontDoor{
-		m:         m,
-		Ingest:    metrics.NewIngest(m.Sys.AdmissionPasses),
-		clients:   make(map[*clientLink]struct{}),
-		perTenant: make(map[string]int),
+		m:       m,
+		Ingest:  metrics.NewIngest(m.Sys.AdmissionPasses),
+		clients: make(map[*clientLink]struct{}),
 	}
 }
 
@@ -129,17 +126,17 @@ func (fd *frontDoor) reject(link *clientLink, submitID int64, reason string) {
 	link.conn.Send(wire.SubmitAck{SubmitID: submitID, Err: reason})
 }
 
-// submit runs on the client's read goroutine: intake control (drain, caps),
+// submit runs on the client's read goroutine: intake control (drain, cap),
 // then the workload build, then the crossing onto the control loop, where
 // bindJob acks the job as it is queued.
 func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
-	if reason := fd.accept(msg.Tenant); reason != "" {
+	if reason := fd.accept(); reason != "" {
 		fd.reject(link, msg.SubmitID, reason)
 		return
 	}
 	bj, err := workload.Build(msg.Workload, msg.Params)
 	if err != nil {
-		if fd.settle(msg.Tenant) {
+		if fd.settle() {
 			fd.m.Sys.Drv.Send(fd.maybeFinishDrain)
 		}
 		fd.reject(link, msg.SubmitID, err.Error())
@@ -152,7 +149,7 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 }
 
 // accept counts a submission onto the intake, or returns why it is refused.
-func (fd *frontDoor) accept(tenant string) string {
+func (fd *frontDoor) accept() string {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	switch {
@@ -160,25 +157,17 @@ func (fd *frontDoor) accept(tenant string) string {
 		return "draining"
 	case fd.intake >= intakeCap:
 		return "intake full"
-	case fd.m.cfg.TenantIntakeCap > 0 && fd.perTenant[tenant] >= fd.m.cfg.TenantIntakeCap:
-		return "tenant intake full"
 	}
 	fd.intake++
-	fd.perTenant[tenant]++
 	return ""
 }
 
 // settle takes a submission off the intake — it is queued on the loop, or
 // its build failed — and reports whether a drain has begun.
-func (fd *frontDoor) settle(tenant string) (draining bool) {
+func (fd *frontDoor) settle() (draining bool) {
 	fd.mu.Lock()
 	defer fd.mu.Unlock()
 	fd.intake--
-	if n := fd.perTenant[tenant] - 1; n > 0 {
-		fd.perTenant[tenant] = n
-	} else {
-		delete(fd.perTenant, tenant)
-	}
 	return fd.draining
 }
 
@@ -193,7 +182,7 @@ func (fd *frontDoor) bindJob(rj *RemoteJob, msg wire.SubmitJob) {
 	})
 	fd.Ingest.ObserveSubmission()
 	rj.client.conn.Send(wire.SubmitAck{SubmitID: msg.SubmitID, JobID: rj.id})
-	if fd.settle(msg.Tenant) {
+	if fd.settle() {
 		fd.cancel(rj)
 		fd.maybeFinishDrain()
 	}

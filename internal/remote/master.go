@@ -59,10 +59,6 @@ type Config struct {
 	// StatsInterval logs the master's four stats lines — transport, ingest,
 	// journal, elastic — at this period; 0 disables.
 	StatsInterval time.Duration
-	// Compress enables per-contribution compression for the master's own
-	// canonical store and — per worker — for workers that also offered it in
-	// Register (the Welcome echoes the negotiated outcome). Off by default.
-	Compress bool
 	// ShuffleMemBudget bounds the in-memory bytes of each job's canonical
 	// contribution store; beyond it, contributions spill to disk and are
 	// served by streaming reads. <= 0 disables spilling.
@@ -79,11 +75,6 @@ type Config struct {
 	// the held jobs (Submit's, a takeover's) run to completion, clients can
 	// query but not submit, and Run returns after the last held job.
 	Serve bool
-	// TenantIntakeCap bounds one tenant's submissions at the intake —
-	// accepted, not yet queued on the control loop — so a single bursty
-	// tenant cannot consume the whole global intakeCap and starve the
-	// others' admission slots. 0 disables (global cap only).
-	TenantIntakeCap int
 	// JournalDir, when set, persists the control-plane event log there:
 	// every state-machine event is appended (CRC-checked, fsync-batched),
 	// snapshots are taken every SnapshotEvery events, and the lease file
@@ -99,12 +90,6 @@ type Config struct {
 	// SnapshotEvery is the journal's snapshot (and compaction) cadence in
 	// events. Default 1024.
 	SnapshotEvery int
-	// Elastic enables cluster elasticity: graceful drains (DrainWorker) and
-	// mid-run worker joins — a fresh agent registering against a full,
-	// running master grows the registry instead of being rejected. An
-	// elastic cluster that loses every worker pauses admission and waits for
-	// capacity rather than failing the run. Autoscale implies Elastic.
-	Elastic bool
 	// Autoscale runs the utilization-driven autoscaler: every
 	// AutoscaleInterval a policy tick samples admission pressure (queued
 	// jobs, paused admission, reservation fraction) and either starts a
@@ -183,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
-	}
-	if c.Autoscale {
-		c.Elastic = true
 	}
 	if c.AutoscaleInterval <= 0 {
 		c.AutoscaleInterval = 250 * time.Millisecond
@@ -697,7 +679,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	if m.nreg >= m.needed {
 		started := m.started
 		m.mu.Unlock()
-		if m.cfg.Elastic && reg.WorkerID < 0 && m.takeover == nil && started {
+		if reg.WorkerID < 0 && m.takeover == nil && started {
 			// Elastic join: a fresh agent arriving at a full, running master
 			// grows the registry instead of being turned away — the
 			// autoscaler's scale-up path, but equally open to operators
@@ -747,7 +729,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	if reattach {
 		m.Journal.ObserveReattach()
 	}
-	c.Send(m.welcome(id, reg))
+	c.Send(m.welcome(id))
 	m.logf("master: worker %d registered from %v (cores=%d shuffle=%s gen=%d reattach=%v)",
 		id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr, m.gen, reattach)
 	m.applyProfile(id, reg)
@@ -758,16 +740,13 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 }
 
 // welcome is the master's answer to a registration it accepted as worker id.
-func (m *Master) welcome(id int, reg wire.Register) wire.Welcome {
+func (m *Master) welcome(id int) wire.Welcome {
 	return wire.Welcome{
 		WorkerID:          int32(id),
 		HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
 		MaxFrame:          wire.DefaultMaxFrame,
 		MasterShuffleAddr: m.shuffleSrv.Addr(),
-		// Compression is in effect only when both sides want it; the flags
-		// byte on every blob keeps mixed outcomes interoperable regardless.
-		Compress: m.cfg.Compress && reg.Compress,
-		Gen:      m.gen,
+		Gen:               m.gen,
 	}
 }
 
@@ -810,7 +789,7 @@ func (m *Master) applyProfile(id int, reg wire.Register) {
 	})
 }
 
-// elasticJoin admits a fresh agent into a running elastic cluster. The
+// elasticJoin admits a fresh agent into a running cluster. The
 // registry grows by one slot on the control loop — the scheduling core
 // gains a worker, so placement and admission see the new capacity in the
 // same loop turn — and the agent receives Welcome plus a Prepare for every
@@ -836,7 +815,7 @@ func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
 		m.rec.record(cpstate.WorkerJoined{
 			Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
 		})
-		c.Send(m.welcome(id, reg))
+		c.Send(m.welcome(id))
 		// A dispatch for any admitted job could land on this worker as soon
 		// as the core sees its capacity; jobs still queued are prepared here
 		// with everyone else when they are admitted.
@@ -1036,8 +1015,9 @@ func (m *Master) readLoop(link *workerLink) {
 				m.Sys.Drv.Send(func() { m.Sys.Fail(err) })
 			}
 		case wire.DrainWorker:
-			// Worker-requested drain (-drain-on-signal): same master-side
-			// state machine as an operator-initiated DrainWorker.
+			// Worker-requested drain (the worker binary's SIGINT/SIGTERM):
+			// same master-side state machine as an operator-initiated
+			// DrainWorker.
 			reason := msg.Reason
 			if reason == "" {
 				reason = "worker requested"
@@ -1068,21 +1048,22 @@ func (m *Master) failWorker(id int, cause error) {
 		return
 	}
 	m.dropLink(id)
-	m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
+	recorded := m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
 	m.logf("master: worker %d failed: %v", id, cause)
 	link.conn.Close()
 	m.Sys.Core.FailWorker(id)
-	if m.connected() {
-		return
-	}
-	if m.cfg.Elastic {
-		// An elastic cluster with no live workers pauses admission (jobs
-		// stay queued, visibly: paused) and waits for a join — from the
-		// autoscaler or an operator — instead of failing the run.
+	switch {
+	case m.connected():
+	case recorded:
+		// No live workers: admission pauses (jobs stay queued, visibly:
+		// paused) until a join — from the autoscaler or an operator — brings
+		// capacity back. The run's context bounds the wait.
 		m.logf("master: no live workers remain; admission paused until a worker joins")
-		return
+	default:
+		// Close fenced the recorder and is cutting every link: no join can
+		// follow, so the run ends.
+		m.Sys.Fail(fmt.Errorf("remote: all workers dead (last: %w)", cause))
 	}
-	m.Sys.Fail(fmt.Errorf("remote: all workers dead (last: %w)", cause))
 }
 
 // WaitWorkers blocks until all Workers agents have registered (or ctx ends).

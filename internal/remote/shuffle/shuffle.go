@@ -89,7 +89,7 @@ type Server struct {
 	cfg     ServerConfig
 	resolve Resolver
 	// onServed, if set, observes every served partition's wire bytes (what
-	// crossed the network) and raw bytes (the uncompressed encoded size) —
+	// crossed the network) and raw bytes (the declared encoded size) —
 	// the master feeds its transport counters with this.
 	onServed func(wireBytes, rawBytes float64)
 
@@ -486,7 +486,7 @@ func (c *Client) backoff(k int) time.Duration {
 // retained read buffer: they are valid only for the duration of the sink
 // call, and a sink that keeps bytes must copy them (or hand ownership of a
 // copy to a store, as the agent does). wireBytes is the payload bytes that
-// crossed the network, rawBytes their uncompressed encoded size — the
+// crossed the network, rawBytes their declared encoded size — the
 // numbers the agent reports in Complete. retries is how many attempts
 // beyond the first were needed; err is non-nil only once the retry budget
 // is exhausted (transient transport faults — dial failures, response

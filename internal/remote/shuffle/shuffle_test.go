@@ -232,13 +232,14 @@ func storeRuntime(parts int) (*localrt.Runtime, *dag.Dataset) {
 
 // TestServerServesStoredBlobs pins the zero-copy serve path end to end: the
 // server answers from the encode-once store — bytes, flags and raw lengths
-// travel verbatim — and reports wire vs raw served bytes separately.
+// travel verbatim, unchecked (the receiving codec checks them) — and reports
+// wire vs raw served bytes separately.
 func TestServerServesStoredBlobs(t *testing.T) {
 	rt, d := storeRuntime(1)
 	defer rt.Close()
 	big := bytes.Repeat([]byte("shuffle-bytes-"), 1<<10)
 	rt.InsertEncoded(d, 0, 1, append([]byte(nil), big...), wire.BlobRaw, len(big))
-	rt.InsertEncoded(d, 0, 2, []byte("tiny-compressed"), wire.BlobDeflate, 64)
+	rt.InsertEncoded(d, 0, 2, []byte("tiny-declared-64"), wire.BlobRaw, 64)
 	var wireServed, rawServed float64
 	srv := Serve(mustListen(t), ServerConfig{},
 		func(jobID int64) *localrt.Runtime {
@@ -261,10 +262,10 @@ func TestServerServesStoredBlobs(t *testing.T) {
 	if contribs[0].MTID != 1 || !bytes.Equal(contribs[0].Rows, big) || contribs[0].Flags != wire.BlobRaw || int(contribs[0].RawLen) != len(big) {
 		t.Fatal("first contribution did not travel verbatim")
 	}
-	if contribs[1].MTID != 2 || string(contribs[1].Rows) != "tiny-compressed" || contribs[1].Flags != wire.BlobDeflate || contribs[1].RawLen != 64 {
+	if contribs[1].MTID != 2 || string(contribs[1].Rows) != "tiny-declared-64" || contribs[1].Flags != wire.BlobRaw || contribs[1].RawLen != 64 {
 		t.Fatalf("second contribution mangled: %+v", contribs[1])
 	}
-	wantWire := float64(len(big) + len("tiny-compressed"))
+	wantWire := float64(len(big) + len("tiny-declared-64"))
 	wantRaw := float64(len(big) + 64)
 	if wireBytes != wantWire || rawBytes != wantRaw {
 		t.Fatalf("client observed wire=%v raw=%v, want %v/%v", wireBytes, rawBytes, wantWire, wantRaw)

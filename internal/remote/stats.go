@@ -51,11 +51,10 @@ func (m *Master) connected() bool {
 
 // paused reports admission paused for lack of live capacity, the one
 // definition the elastic line and the autoscaler read: the scheduler's own
-// pause (jobs queued, no live worker memory) or, on an elastic cluster —
-// which waits for a join instead of failing — no connection row left. Safe
-// from any goroutine.
+// pause (jobs queued, no live worker memory) or no connection row left — a
+// master that lost every worker waits for a join. Safe from any goroutine.
 func (m *Master) paused() bool {
-	return m.Sys.Core.Sched.AdmissionPaused() || m.cfg.Elastic && !m.connected()
+	return m.Sys.Core.Sched.AdmissionPaused() || !m.connected()
 }
 
 // elasticLine renders the elastic stats line. Loop-owned.

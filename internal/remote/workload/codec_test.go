@@ -19,7 +19,7 @@ func pairRows(n int) []localrt.Row {
 	rows := make([]localrt.Row, n)
 	for i := range rows {
 		rows[i] = dataset.Pair[string, int]{
-			Key: fmt.Sprintf("key-%04d", i%7), // repetitive: compressible
+			Key: fmt.Sprintf("key-%04d", i%7),
 			Val: i,
 		}
 	}
@@ -53,91 +53,43 @@ func TestCodecRawRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCodecCompressedRoundTrip(t *testing.T) {
-	rows := pairRows(200)
-	blob, flags, rawLen, err := Codec{Compress: true}.EncodeBlob(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flags != wire.BlobDeflate {
-		t.Fatalf("flags = %d, want BlobDeflate for repetitive payload", flags)
-	}
-	if len(blob) >= rawLen {
-		t.Fatalf("compressed %d >= raw %d", len(blob), rawLen)
-	}
-	// A codec with compression off still decodes a compressed blob — the
-	// flags travel with the bytes (mixed-cluster interop).
-	got, err := Codec{}.DecodeBlob(blob, flags, rawLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatal("compressed round trip mismatch")
-	}
-}
-
-func TestCodecBelowThresholdStaysRaw(t *testing.T) {
-	// A payload under compressMin skips compression outright — DEFLATE
-	// header overhead would exceed any saving.
-	rows := []localrt.Row{1}
-	blob, flags, rawLen, err := Codec{Compress: true}.EncodeBlob(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rawLen >= compressMin {
-		t.Fatalf("one int row encodes to %d bytes", rawLen)
-	}
-	if flags != wire.BlobRaw {
-		t.Fatalf("sub-threshold payload compressed (flags=%d)", flags)
-	}
-	got, err := (Codec{}).DecodeBlob(blob, flags, rawLen)
-	if err != nil || !reflect.DeepEqual(got, rows) {
-		t.Fatalf("round trip: %v %v", got, err)
-	}
-}
-
 func TestCodecDecodeRejectsBadDeclarations(t *testing.T) {
-	rows := pairRows(100)
-	blob, flags, rawLen, err := Codec{Compress: true}.EncodeBlob(rows)
-	if err != nil || flags != wire.BlobDeflate {
-		t.Fatalf("setup: flags=%d err=%v", flags, err)
+	raw, _, n, err := Codec{}.EncodeBlob(pairRows(100))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Understated rawLen: the inflate bound trips (bomb guard).
-	if _, err := (Codec{}).DecodeBlob(blob, flags, rawLen/2); err == nil {
-		t.Fatal("want error for understated rawLen")
-	}
-	// Overstated rawLen on a raw blob.
-	raw, _, n, _ := Codec{}.EncodeBlob(rows)
-	if _, err := (Codec{}).DecodeBlob(raw, wire.BlobRaw, n+1); err == nil {
-		t.Fatal("want error for mismatched raw length")
-	}
-	// Unknown flags byte.
-	if _, err := (Codec{}).DecodeBlob(raw, 99, n); err == nil {
-		t.Fatal("want error for unknown flags")
-	}
-	// Corrupt deflate stream.
-	bad := append([]byte(nil), blob...)
-	for i := range bad {
-		bad[i] ^= 0xFF
-	}
-	if _, err := (Codec{}).DecodeBlob(bad, wire.BlobDeflate, rawLen); err == nil {
-		t.Fatal("want error for corrupt stream")
+	// One stored DEFLATE block around the same bytes: a blob in the retired
+	// compressed encoding (tag 1) that inflates back to raw exactly. It is
+	// corrupt input now, like any other tag.
+	deflated := append([]byte{1, byte(n), byte(n >> 8), ^byte(n), ^byte(n >> 8)}, raw...)
+	for _, tc := range []struct {
+		name   string
+		blob   []byte
+		flags  byte
+		rawLen int
+	}{
+		{"overstated raw length", raw, wire.BlobRaw, n + 1},
+		{"understated raw length", raw, wire.BlobRaw, n - 1},
+		{"unknown flags", raw, 99, n},
+		{"DEFLATE tag", deflated, 1, n},
+	} {
+		if _, err := (Codec{}).DecodeBlob(tc.blob, tc.flags, tc.rawLen); err == nil {
+			t.Errorf("%s: decoded, want an error", tc.name)
+		}
 	}
 }
 
 func TestCodecEmptyRows(t *testing.T) {
-	for _, c := range []Codec{{}, {Compress: true}} {
-		blob, flags, rawLen, err := c.EncodeBlob(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blob) != 0 || flags != wire.BlobRaw || rawLen != 0 {
-			t.Fatalf("empty encode: blob=%d flags=%d rawLen=%d", len(blob), flags, rawLen)
-		}
-		got, err := c.DecodeBlob(blob, flags, rawLen)
-		if err != nil || got != nil {
-			t.Fatalf("empty decode: %v %v", got, err)
-		}
+	blob, flags, rawLen, err := Codec{}.EncodeBlob(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) != 0 || flags != wire.BlobRaw || rawLen != 0 {
+		t.Fatalf("empty encode: blob=%d flags=%d rawLen=%d", len(blob), flags, rawLen)
+	}
+	got, err := Codec{}.DecodeBlob(blob, flags, rawLen)
+	if err != nil || got != nil {
+		t.Fatalf("empty decode: %v %v", got, err)
 	}
 }
 

@@ -6,14 +6,11 @@
 // assigned densely in construction order, so both sides agree on every ID
 // the wire protocol carries by construction. This package also owns the blob
 // codec that moves partition contributions between processes: rowcodec for
-// the rows, optionally DEFLATE around it.
+// the rows.
 package workload
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -110,71 +107,28 @@ func DecodeRows(b []byte) ([]localrt.Row, error) {
 	return rows, nil
 }
 
-// compressMin is the smallest raw encoding worth compressing: below it the
-// DEFLATE header overhead exceeds any plausible saving.
-const compressMin = 64
-
-// Codec is the data plane's blob codec (localrt.BlobCodec): rowcodec for the
-// row encoding, optionally DEFLATE per contribution. Compression is advisory —
-// a compressed blob is kept only when strictly smaller than the raw
-// encoding, and the flags byte travels with the blob, so either setting
-// decodes blobs from anywhere.
-type Codec struct {
-	// Compress enables per-contribution DEFLATE (the negotiated outcome of
-	// Register/Welcome, or the master's own flag for its canonical store).
-	Compress bool
-}
+// Codec is the data plane's blob codec (localrt.BlobCodec): every blob is the
+// rowcodec encoding of its rows, tagged wire.BlobRaw. The tag and the declared
+// raw length travel with each blob and are checked on every decode, so a blob
+// in any other encoding, or cut short, is an error rather than a misread.
+type Codec struct{}
 
 // EncodeBlob implements localrt.BlobCodec.
-func (c Codec) EncodeBlob(rows []localrt.Row) ([]byte, byte, int, error) {
+func (Codec) EncodeBlob(rows []localrt.Row) ([]byte, byte, int, error) {
 	raw, err := EncodeRows(rows)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if !c.Compress || len(raw) < compressMin {
-		return raw, wire.BlobRaw, len(raw), nil
-	}
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("workload: flate init: %w", err)
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return nil, 0, 0, fmt.Errorf("workload: compressing rows: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, 0, 0, fmt.Errorf("workload: compressing rows: %w", err)
-	}
-	if buf.Len() >= len(raw) {
-		// Incompressible payload: ship raw, honestly flagged.
-		return raw, wire.BlobRaw, len(raw), nil
-	}
-	return buf.Bytes(), wire.BlobDeflate, len(raw), nil
+	return raw, wire.BlobRaw, len(raw), nil
 }
 
-// DecodeBlob implements localrt.BlobCodec. rawLen bounds decompression: a
-// blob claiming rawLen but inflating past it (a decompression bomb, or
-// corruption) is rejected rather than ballooning memory.
-func (c Codec) DecodeBlob(blob []byte, flags byte, rawLen int) ([]localrt.Row, error) {
-	switch flags {
-	case wire.BlobRaw:
-		if rawLen != len(blob) {
-			return nil, fmt.Errorf("workload: raw blob length %d != declared %d", len(blob), rawLen)
-		}
-		return DecodeRows(blob)
-	case wire.BlobDeflate:
-		zr := flate.NewReader(bytes.NewReader(blob))
-		defer zr.Close()
-		var buf bytes.Buffer
-		n, err := io.Copy(&buf, io.LimitReader(zr, int64(rawLen)+1))
-		if err != nil {
-			return nil, fmt.Errorf("workload: decompressing rows: %w", err)
-		}
-		if n != int64(rawLen) {
-			return nil, fmt.Errorf("workload: blob inflates to %d bytes, declared %d", n, rawLen)
-		}
-		return DecodeRows(buf.Bytes())
-	default:
+// DecodeBlob implements localrt.BlobCodec.
+func (Codec) DecodeBlob(blob []byte, flags byte, rawLen int) ([]localrt.Row, error) {
+	if flags != wire.BlobRaw {
 		return nil, fmt.Errorf("workload: unknown blob flags %d", flags)
 	}
+	if rawLen != len(blob) {
+		return nil, fmt.Errorf("workload: raw blob length %d != declared %d", len(blob), rawLen)
+	}
+	return DecodeRows(blob)
 }

@@ -109,15 +109,6 @@ func (v Vector) Scale(f float64) Vector {
 	return v
 }
 
-// Dot returns the dot product of v and o.
-func (v Vector) Dot(o Vector) float64 {
-	var s float64
-	for i := range v {
-		s += v[i] * o[i]
-	}
-	return s
-}
-
 // Max returns the elementwise maximum of v and o.
 func (v Vector) Max(o Vector) Vector {
 	for i := range v {

@@ -48,9 +48,6 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Scale(2); got != (Vector{2, 4, 6, 8}) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := v.Dot(o); got != 10+40+90+160 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := v.Max(Vector{0, 5, 0, 5}); got != (Vector{1, 5, 3, 5}) {
 		t.Errorf("Max = %v", got)
 	}
@@ -87,15 +84,6 @@ func TestVectorAlgebraProperties(t *testing.T) {
 	}
 	if err := quick.Check(addSubRoundTrip, nil); err != nil {
 		t.Errorf("Add/Sub round trip: %v", err)
-	}
-	// Products of ~1e307 magnitudes overflow to ±Inf whose sum is NaN, and
-	// NaN never compares equal; both orders produce the same NaN there.
-	dotSymmetric := func(a, b Vector) bool {
-		da, db := a.Dot(b), b.Dot(a)
-		return da == db || (math.IsNaN(da) && math.IsNaN(db))
-	}
-	if err := quick.Check(dotSymmetric, nil); err != nil {
-		t.Errorf("Dot not symmetric: %v", err)
 	}
 }
 

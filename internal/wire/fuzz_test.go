@@ -18,11 +18,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	// Seed with one valid frame per message type plus structural edge
 	// cases; the checked-in corpus in testdata/ mirrors these.
 	seeds := []Msg{
-		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, Compress: true, WorkerID: -1},
+		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, WorkerID: -1},
 		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, WorkerID: 2, Gen: 1}, // failover re-attach
 		Register{ShuffleAddr: "127.0.0.1:0", Cores: 2, WorkerID: -1,
 			MemBytes: 8e9, CoreRate: 2.5e7, NetBandwidth: 1e9, DiskBandwidth: 1e8}, // profiled
-		Welcome{WorkerID: 1, HeartbeatMicros: 250000, MaxFrame: 1 << 16, Compress: true, Gen: 2},
+		Welcome{WorkerID: 1, HeartbeatMicros: 250000, MaxFrame: 1 << 16, Gen: 2},
 		Heartbeat{WorkerID: 1, SentUnixMicros: 42},
 		Prepare{JobID: 1, Workload: "wc", Params: []byte{9}},
 		JobReady{JobID: 1, Err: "e"},
@@ -31,10 +31,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		Abort{JobID: 1, MTID: 2, Seq: 3},
 		Fetch{JobID: 1, DatasetID: 2, Part: 3, Origin: 4},
 		FetchResp{Contribs: []PartContrib{{MTID: 1, Flags: BlobRaw, RawLen: 1, Rows: []byte("x")}}},
-		// Compressed contributions: DEFLATE flag with RawLen exceeding the
-		// stored blob, as real compressed frames have.
-		FetchResp{Contribs: []PartContrib{{MTID: 2, Flags: BlobDeflate, RawLen: 4096, Rows: []byte{0x78, 0x9c, 0x01}}}},
-		Complete{JobID: 2, MTID: 3, Seq: 4, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobDeflate, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}},
+		// RawLen disagreeing with the blob: the wire layer carries it as is,
+		// the codec rejects it.
+		FetchResp{Contribs: []PartContrib{{MTID: 2, Flags: BlobRaw, RawLen: 4096, Rows: []byte{0x78, 0x9c, 0x01}}}},
+		Complete{JobID: 2, MTID: 3, Seq: 4, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobRaw, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}},
 		JobDone{JobID: 1},
 		Shutdown{},
 		// Front-door submission frames.

@@ -28,15 +28,11 @@ const (
 	TDrainDone   byte = 19 // master → worker: drain complete, exit cleanly
 )
 
-// Blob encoding flags carried per contribution. The flags byte is opaque to
-// the wire layer (any value round-trips verbatim); the remote layer's codec
-// interprets it. Carrying it per contribution — rather than per connection —
-// lets mixed clusters interoperate: a compressing worker's blobs stay valid
-// when relayed through a non-compressing master.
-const (
-	BlobRaw     byte = 0 // blob is the encoded rows as-is
-	BlobDeflate byte = 1 // blob is DEFLATE-compressed encoded rows
-)
+// BlobRaw is the blob encoding flag every contribution carries: the blob is
+// the encoded rows as-is. The flags byte is opaque to the wire layer (any
+// value round-trips verbatim); the remote layer's codec checks it, and
+// rejects any other value as corrupt input.
+const BlobRaw byte = 0
 
 // Msg is one protocol message.
 type Msg interface {
@@ -107,10 +103,6 @@ type Register struct {
 	ShuffleAddr string
 	// Cores advertises the agent's local execution parallelism.
 	Cores int32
-	// Compress advertises that this worker can produce and consume
-	// compressed contributions; the master's Welcome decides whether the
-	// cluster actually uses them.
-	Compress bool
 	// WorkerID is -1 for a fresh registration. A worker re-attaching after a
 	// master failover sends the ID its previous master assigned, so the
 	// takeover master can rebind the journaled registry slot — the worker's
@@ -142,7 +134,6 @@ func (Register) Type() byte { return TRegister }
 func (m Register) encode(e *Encoder) {
 	e.Str(m.ShuffleAddr)
 	e.I32(m.Cores)
-	e.Bool(m.Compress)
 	e.I32(m.WorkerID)
 	e.I64(m.Gen)
 	e.F64(m.MemBytes)
@@ -152,7 +143,7 @@ func (m Register) encode(e *Encoder) {
 }
 func decodeRegister(d *Decoder) Msg {
 	return Register{
-		ShuffleAddr: d.Str(), Cores: d.I32(), Compress: d.Bool(),
+		ShuffleAddr: d.Str(), Cores: d.I32(),
 		WorkerID: d.I32(), Gen: d.I64(),
 		MemBytes: d.F64(), CoreRate: d.F64(),
 		NetBandwidth: d.F64(), DiskBandwidth: d.F64(),
@@ -167,9 +158,6 @@ type Welcome struct {
 	HeartbeatMicros   int64
 	MaxFrame          int64
 	MasterShuffleAddr string
-	// Compress is the negotiated outcome: true only when both the worker
-	// advertised support and the master enables compression.
-	Compress bool
 	// Gen is the master's generation number. It rises by one at every
 	// standby takeover; dispatch sequence numbers are namespaced by it, so
 	// the at-most-once (jobID, mtID, seq) commit discipline extends across
@@ -183,13 +171,12 @@ func (m Welcome) encode(e *Encoder) {
 	e.I64(m.HeartbeatMicros)
 	e.I64(m.MaxFrame)
 	e.Str(m.MasterShuffleAddr)
-	e.Bool(m.Compress)
 	e.I64(m.Gen)
 }
 func decodeWelcome(d *Decoder) Msg {
 	return Welcome{
 		WorkerID: d.I32(), HeartbeatMicros: d.I64(), MaxFrame: d.I64(),
-		MasterShuffleAddr: d.Str(), Compress: d.Bool(), Gen: d.I64(),
+		MasterShuffleAddr: d.Str(), Gen: d.I64(),
 	}
 }
 
@@ -296,9 +283,8 @@ func decodeDispatch(d *Decoder) Msg {
 
 // PartWrite is one partition contribution produced by a completed monotask.
 // Rows is an opaque row payload (the remote layer's row codec); Flags says
-// how it is encoded (BlobRaw/BlobDeflate) and RawLen is the uncompressed
-// encoded length — equal to len(Rows) when Flags is BlobRaw — so receivers
-// can bound decompression and account raw vs. wire bytes honestly.
+// how it is encoded (BlobRaw) and RawLen is its encoded length, which the
+// receiver checks against len(Rows) before decoding.
 type PartWrite struct {
 	DatasetID int32
 	Part      int32
@@ -333,10 +319,10 @@ type Complete struct {
 	MTID    int32
 	Seq     uint64
 	Seconds float64
-	// FetchedWireBytes is what actually crossed the network; FetchedRawBytes
-	// is the uncompressed encoded size of the same payloads. They differ only
-	// when compression is negotiated — the rate monitors consume the wire
-	// number because that is the network cost §4.2.2 models.
+	// FetchedWireBytes is what crossed the network for the monotask's inputs
+	// and FetchedRawBytes their encoded size; blobs travel as encoded, so the
+	// two are equal. Both feed only the master's transport counters: the rate
+	// monitors take the monotask's planned input bytes over Seconds.
 	FetchedWireBytes float64
 	FetchedRawBytes  float64
 	// FetchRetries counts shuffle fetch attempts beyond the first that this
@@ -640,8 +626,8 @@ func decodeJobQuery(d *Decoder) Msg {
 
 // DrainWorker begins a graceful drain. Master → worker it announces the
 // drain (the worker keeps executing inflight dispatches but expects no new
-// ones); worker → master it is a self-requested drain (e.g. SIGTERM with
-// -drain-on-signal) asking the master to run the drain state machine for
+// ones); worker → master it is a self-requested drain (the worker binary's
+// SIGINT/SIGTERM) asking the master to run the drain state machine for
 // this worker. Reason is a human-readable annotation for logs.
 type DrainWorker struct {
 	WorkerID int32

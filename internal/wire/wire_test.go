@@ -41,11 +41,11 @@ func roundTrip(t *testing.T, m Msg) Msg {
 
 func TestRoundTripAllMessages(t *testing.T) {
 	msgs := []Msg{
-		Register{ShuffleAddr: "127.0.0.1:9999", Cores: 8, Compress: true},
+		Register{ShuffleAddr: "127.0.0.1:9999", Cores: 8},
 		Register{}, // empty strings must survive
 		Register{ShuffleAddr: "127.0.0.1:9999", Cores: 4, MemBytes: 16e9,
 			CoreRate: 5e7, NetBandwidth: 1.25e9, DiskBandwidth: 2e8},
-		Welcome{WorkerID: 3, HeartbeatMicros: 250_000, MaxFrame: DefaultMaxFrame, Compress: true},
+		Welcome{WorkerID: 3, HeartbeatMicros: 250_000, MaxFrame: DefaultMaxFrame, Gen: 2},
 		Heartbeat{WorkerID: 3, SentUnixMicros: 1_722_000_000_123_456},
 		Prepare{JobID: 7, Workload: "wordcount", Params: []byte{1, 2, 3}},
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
@@ -64,7 +64,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 			JobID: 7, MTID: 42, Seq: 10, Seconds: 1e-6, Err: "exec failed",
 			Writes: []PartWrite{
 				{DatasetID: 2, Part: 3, Flags: BlobRaw, RawLen: 7, Rows: []byte("rowdata")},
-				{DatasetID: 2, Part: 4, Flags: BlobDeflate, RawLen: 99, Rows: nil},
+				{DatasetID: 2, Part: 4, Flags: BlobRaw, RawLen: 99, Rows: nil},
 			},
 		},
 		Abort{JobID: 7, MTID: 42, Seq: 10},
@@ -72,7 +72,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		FetchResp{Err: "no such partition"},
 		FetchResp{
 			Contribs: []PartContrib{
-				{MTID: 5, Flags: BlobDeflate, RawLen: 1 << 20, Rows: []byte("abc")},
+				{MTID: 5, Flags: BlobRaw, RawLen: 1 << 20, Rows: []byte("abc")},
 				{MTID: 9, Rows: []byte{}},
 			},
 		},
@@ -466,7 +466,7 @@ func TestFetchHelpersRoundTrip(t *testing.T) {
 func TestDecodeFetchRespIntoReusesContribs(t *testing.T) {
 	src := FetchResp{Contribs: []PartContrib{
 		{MTID: 1, Flags: BlobRaw, RawLen: 3, Rows: []byte("abc")},
-		{MTID: 2, Flags: BlobDeflate, RawLen: 10, Rows: []byte("zz")},
+		{MTID: 2, Flags: BlobRaw, RawLen: 10, Rows: []byte("zz")},
 	}}
 	var e Encoder
 	src.encode(&e)

@@ -32,19 +32,6 @@ func Single(spec core.JobSpec) *Workload {
 	return &Workload{Name: spec.Name, Jobs: []Submission{{Spec: spec}}}
 }
 
-// TotalInputBytes sums the declared inputs of all jobs.
-func (w *Workload) TotalInputBytes() float64 {
-	var total float64
-	for _, s := range w.Jobs {
-		for _, d := range s.Spec.Graph.Datasets() {
-			if d.Creator == nil {
-				total += d.Total()
-			}
-		}
-	}
-	return total
-}
-
 // partitionBytes is the target partition size; parallelism of a stage is its
 // input divided by this, clamped to the cluster's sane range.
 const partitionBytes = 128e6
