@@ -33,10 +33,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Placement equivalence: the scheduler's carried worker snapshots and its
-# witness pruning must place exactly what core.FullRebuildPlacer, which
-# re-reads every worker and rescans every task against every worker on every
-# pass, places, tick by tick on the bench fixtures and hand-built pools and
+# Placement equivalence: the scheduler's placer with its witness pruning must
+# place exactly what core.FullRebuildPlacer, which scores every task against
+# every worker on every pass, places, tick by tick on the bench fixtures and hand-built pools and
 # JCT by JCT on full simulated runs. The live path runs a pass at the end of
 # every control-loop batch that changed what is placeable, so its checks ride
 # along: CheckingPlacer against the full rebuild on every pass of a live run,

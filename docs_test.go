@@ -41,6 +41,35 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`\bElastic:|\.Elastic\b`, "every master takes joins"},
 	{`(^|[^\w-])-drain([^\w-]|$)`, "drain a worker with SIGINT or Master.DrainWorker"},
 	{`flag\.\w+\("(elastic|drain)"`, "every master takes joins; drain a worker with SIGINT or Master.DrainWorker"},
+	{`markDirty`, "placement reads every worker on every pass"},
+	{`snapshotStaleAt`, "placement reads every worker on every pass"},
+	{`OnActivity`, "placement reads every worker on every pass"},
+	{`staleNever`, "placement reads every worker on every pass"},
+	{`snapValid`, "placement reads every worker on every pass"},
+}
+
+// docBudget is the most bytes README.md and DESIGN.md may hold together: the
+// docs that describe the repository as it is must not grow, so new text
+// retires old. EXPERIMENTS.md, CHANGES.md and ROADMAP.md are logs and are not
+// budgeted.
+const docBudget = 126995
+
+// TestDocBudget fails when README.md and DESIGN.md together exceed
+// docBudget, naming each file's size.
+func TestDocBudget(t *testing.T) {
+	total := int64(0)
+	var sizes []string
+	for _, path := range []string{"README.md", "DESIGN.md"} {
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.Size()
+		sizes = append(sizes, fmt.Sprintf("%s=%d", path, info.Size()))
+	}
+	if total > docBudget {
+		t.Errorf("README.md and DESIGN.md hold %d bytes, budget %d (%s)", total, docBudget, strings.Join(sizes, " "))
+	}
 }
 
 // TestDeletedNamesStayDeleted scans the docs that describe the repository as

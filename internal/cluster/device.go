@@ -38,19 +38,6 @@ type Device struct {
 	// bytesMoved integrates completed transfer volume for utilization
 	// sampling.
 	bytesMoved float64
-
-	// OnActivity, if set, is invoked whenever the device's flow set changes
-	// (a flow starts, aborts, or completes). The Ursa worker uses it to
-	// mark its scheduler snapshot dirty: device activity is what moves the
-	// measured processing rates that feed APT_r(w).
-	OnActivity func()
-}
-
-// notify fires the activity hook, if any.
-func (d *Device) notify() {
-	if d.OnActivity != nil {
-		d.OnActivity()
-	}
 }
 
 // NewDevice returns a device with the given capacity in bytes/s. If
@@ -99,7 +86,6 @@ func (d *Device) StartCapped(bytes, maxRate float64, onDone func()) *Flow {
 	}
 	d.flows = append(d.flows, f)
 	d.reschedule()
-	d.notify()
 	return f
 }
 
@@ -115,7 +101,6 @@ func (d *Device) Abort(f *Flow) bool {
 			d.flows = append(d.flows[:i], d.flows[i+1:]...)
 			f.done = true
 			d.reschedule()
-			d.notify()
 			return true
 		}
 	}
@@ -192,9 +177,6 @@ func (d *Device) complete() {
 	}
 	d.flows = live
 	d.reschedule()
-	if len(finished) > 0 {
-		d.notify()
-	}
 	for _, f := range finished {
 		if f.onDone != nil {
 			f.onDone()

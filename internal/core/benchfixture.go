@@ -99,7 +99,6 @@ func NewPlacementBenchSaturated(nWorkers, nStages, tasksPerStage int) *Placement
 	for _, w := range pb.Sys.Workers[:nWorkers-idle] {
 		w.Machine.Cores.MustAlloc(w.Machine.Cores.Free())
 		w.load[resource.CPU] = 2 * ept * w.Rate(resource.CPU)
-		w.markDirty()
 	}
 	return pb
 }
@@ -187,18 +186,15 @@ func (pb *PlacementBench) TickPlacements() []Placement {
 	return placer.Place(pb.ctx)
 }
 
-// FullRebuildPlacer is Algorithm 1 with nothing carried between passes and
-// nothing inferred within one: it discards the context's cached worker
-// snapshots, so every pass re-reads every worker, and it records no failure
-// in a scan's failTable, so every pass scores every task against every
-// worker. It is the reference the equivalence suites compare the default
-// placer against (installed through Config.Placer) and has no other use: it
-// does strictly more work for, as those suites prove, bit-identical
-// placements.
+// FullRebuildPlacer is Algorithm 1 with nothing inferred within a pass: it
+// records no failure in a scan's failTable, so every pass scores every task
+// against every worker. It is the reference the equivalence suites compare
+// the default placer against (installed through Config.Placer) and has no
+// other use: it does strictly more work for, as those suites prove,
+// bit-identical placements.
 type FullRebuildPlacer struct{}
 
 func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
-	ctx.snapValid = false
 	ctx.exhaustive = true
 	out := Algorithm1{}.Place(ctx)
 	ctx.exhaustive = false
@@ -211,8 +207,8 @@ func (FullRebuildPlacer) Place(ctx *PlaceContext) []Placement {
 // Config.Placer on the paths no simulated twin run can cover (live drivers,
 // the TCP cluster), where wall-clock time makes two runs incomparable but
 // two placers on one pass are not. The reference runs on the checker's own
-// context, so it shares neither the scheduler's snapshots nor its witness
-// pruning. The counters are written on the control loop; read them after it
+// context, so it shares neither the scheduler's scratch state nor its
+// witness pruning. The counters are written on the control loop; read them after it
 // has stopped. Stage-aware placement only: the DisableStageAware ablation
 // marks tasks as it plans them, so it cannot be run twice over one pool.
 type CheckingPlacer struct {

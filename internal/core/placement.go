@@ -17,10 +17,10 @@ type Placement struct {
 }
 
 // PlaceContext is the scheduler state handed to a placement algorithm at
-// each scheduling interval. Worker rates and memory levels are snapshotted
-// per worker and carried from one interval to the next, refreshed only for
-// workers whose state changed (see prepare): placement is O(stages × tasks
-// × workers) in the worst case, so per-candidate indirection matters. On a
+// each scheduling interval. Worker rates and memory levels are read from
+// every worker once per interval into flat per-worker arrays (see prepare):
+// placement is O(stages × tasks × workers) in the worst case, so
+// per-candidate indirection matters, while the read is O(workers). On a
 // saturated pool, where most tasks find no worker, the scan pays the worker
 // factor only for the tasks the earlier failures of the same stage scan do
 // not already rule out (see failTable): O(stages × tasks) plus O(workers) per
@@ -38,15 +38,15 @@ type PlaceContext struct {
 	Workers []*Worker
 	Pending []*PendingStage
 
-	// Per-worker snapshots, indexed like Workers; resized lazily and reused
-	// across ticks.
+	// Per-worker snapshots of this interval, indexed like Workers; resized
+	// lazily and reused across ticks.
 	invRateEPT [][3]float64 // 1/(rate_k · EPT)
 	memFree    []float64
 	memCap     []float64
 
 	// Interference penalty state (Config.InterferencePenalty). dev holds
 	// each worker's observed-vs-nominal CPU rate deviation (the no-decay
-	// Worker.Deviation signal), refreshed with the rest of the worker's
+	// Worker.Deviation signal), read with the rest of the worker's
 	// snapshot; pen holds the derived per-worker score
 	// factor in [penFloor, 1]. The signal is CPU-only: network and disk
 	// observed rates drop below nominal whenever the scheduler's own
@@ -68,18 +68,6 @@ type PlaceContext struct {
 	cands []stageCand
 	// out accumulates the interval's placements.
 	out []Placement
-
-	// Snapshot bookkeeping. A worker's snapshot is refreshed only when its
-	// epoch moved since the last refresh (markDirty), its time-driven
-	// staleness deadline passed (a rate-window boundary with pending
-	// samples), or the previous commit pass mutated its headroom vector
-	// (touched). snapValid is false until the first pass has filled every
-	// entry.
-	snapEpoch []uint64
-	staleAt   []eventloop.Time
-	refreshed []bool // workers whose snapshot was refreshed this tick
-	touched   []bool // d mutated by the last commit pass → force refresh
-	snapValid bool
 
 	// headroom counts workers with any positive d entry, maintained by the
 	// commit path so anyHeadroom is O(1) instead of O(W) per query.
@@ -119,38 +107,23 @@ func (ctx *PlaceContext) OrderBoost(j *Job) float64 {
 	return ctx.orderBoost(j, ctx.Now)
 }
 
-// prepare brings the per-worker snapshots up to date for this interval. It
-// re-reads only workers that are dirty (epoch moved), time-stale (a
-// rate-window boundary with pending samples passed) or were mutated by the
-// previous commit pass. Skipping the others is exact, not approximate: every
-// mutation of a worker's queues, load, cores, memory or liveness calls
-// markDirty, and rate blending is anchored to the monitor's window grid (see
-// rateMonitor.roll), so a clean worker's rates, deviation, memory and APT
-// are provably what they were at its last refresh. The first pass on a
-// context, and any pass after the worker count changed, reads every worker.
+// prepare reads every worker's rates, deviation and memory into the
+// context's per-worker arrays for this interval. Reading the rates rolls each
+// worker's monitors to Now; their windows are grid-aligned (see
+// rateMonitor.roll), so how often passes read them changes nothing.
 func (ctx *PlaceContext) prepare() {
 	ept := ctx.Cfg.EPT.Seconds()
 	n := len(ctx.Workers)
-	full := !ctx.snapValid || len(ctx.d) != n
 	if cap(ctx.invRateEPT) < n {
 		ctx.invRateEPT = make([][3]float64, n)
 		ctx.memFree = make([]float64, n)
 		ctx.memCap = make([]float64, n)
 		ctx.d = make([]dVec, n)
-		ctx.snapEpoch = make([]uint64, n)
-		ctx.staleAt = make([]eventloop.Time, n)
-		ctx.refreshed = make([]bool, n)
-		ctx.touched = make([]bool, n)
-		full = true
 	} else {
 		ctx.invRateEPT = ctx.invRateEPT[:n]
 		ctx.memFree = ctx.memFree[:n]
 		ctx.memCap = ctx.memCap[:n]
 		ctx.d = ctx.d[:n]
-		ctx.snapEpoch = ctx.snapEpoch[:n]
-		ctx.staleAt = ctx.staleAt[:n]
-		ctx.refreshed = ctx.refreshed[:n]
-		ctx.touched = ctx.touched[:n]
 	}
 	ctx.usePen = ctx.Cfg.InterferencePenalty
 	if ctx.usePen && cap(ctx.dev) < n {
@@ -161,18 +134,10 @@ func (ctx *PlaceContext) prepare() {
 		ctx.pen = ctx.pen[:n]
 	}
 	for i, w := range ctx.Workers {
-		refresh := full || ctx.touched[i] || w.epoch != ctx.snapEpoch[i] || ctx.Now >= ctx.staleAt[i]
-		ctx.refreshed[i] = refresh
-		ctx.touched[i] = false
-		if !refresh {
-			continue
-		}
-		ctx.snapEpoch[i] = w.epoch
 		ctx.invRateEPT[i] = [3]float64{}
 		if w.failed || w.draining {
 			ctx.memFree[i] = -1 // every placement gate rejects the worker
 			ctx.memCap[i] = w.MemCapacity()
-			ctx.staleAt[i] = staleNever
 			if ctx.usePen {
 				ctx.dev[i] = 0 // excluded from the deviation max
 			}
@@ -189,11 +154,7 @@ func (ctx *PlaceContext) prepare() {
 		}
 		ctx.memFree[i] = w.MemFree()
 		ctx.memCap[i] = w.MemCapacity()
-		// Reading the rates above rolled the monitors to Now, so the
-		// staleness deadline is the next window boundary still pending.
-		ctx.staleAt[i] = w.snapshotStaleAt()
 	}
-	ctx.snapValid = true
 	if ctx.usePen {
 		ctx.computePenalty()
 	}
@@ -230,11 +191,6 @@ const penFloor = 0.01
 // contended CPU — and a per-term discount would let a shuffle task's
 // untouched network term steer it onto a machine the CPU evidence says to
 // avoid.
-//
-// The factors are recomputed from dev every tick in O(W); dev itself is
-// refreshed with the worker's snapshot, so with clean workers the inputs —
-// and therefore the factors — are bitwise stable and prepare's exactness
-// argument carries over.
 func (ctx *PlaceContext) computePenalty() {
 	maxDev := 0.0
 	for i, d := range ctx.dev {
@@ -417,17 +373,14 @@ func stageViable(ctx *PlaceContext, ps *PendingStage) bool {
 	return false
 }
 
-// computeD evaluates the headroom vectors of the workers prepare refreshed
-// from live worker state into the context's reusable buffer (a clean
-// worker's APT inputs are unchanged by construction) and recounts the
-// workers that retain any headroom.
+// computeD evaluates every worker's headroom vector from live worker state
+// into the context's reusable buffer and counts the workers that retain any
+// headroom.
 func (ctx *PlaceContext) computeD() []dVec {
 	ept := ctx.Cfg.EPT.Seconds()
 	d := ctx.d
+	ctx.headroom = 0
 	for i, w := range ctx.Workers {
-		if !ctx.refreshed[i] {
-			continue
-		}
 		for _, k := range resource.MonotaskKinds {
 			v := (ept - w.APT(k)) / ept
 			if v < 0 {
@@ -436,9 +389,6 @@ func (ctx *PlaceContext) computeD() []dVec {
 			d[i][k] = v
 		}
 		d[i][resource.Mem] = ctx.memFree[i] / ctx.memCap[i]
-	}
-	ctx.headroom = 0
-	for i := range d {
 		if anyVec(&d[i]) {
 			ctx.headroom++
 		}
@@ -588,10 +538,9 @@ func (f *failTable) rulesOut(mask int, mem float64) bool {
 // journalled in ctx.undo and rolled back before returning, so the headroom is
 // restored to its pre-call state and no context-level state is touched. When
 // keep is true (the commit pass) the mutations stand, the plan's placements
-// are appended to ctx.out, mutated workers are marked for snapshot refresh,
-// and the O(1) headroom count is maintained. It returns the normalized score
-// (plus the stage bonus when every task was placed) and the number of tasks
-// placed.
+// are appended to ctx.out and the O(1) headroom count is maintained. It
+// returns the normalized score (plus the stage bonus when every task was
+// placed) and the number of tasks placed.
 //
 // Every task of the scan that no worker can host is recorded in a failTable,
 // and a later task a recorded failure rules out is not scored: it would have
@@ -676,7 +625,7 @@ func bestSingleTask(ctx *PlaceContext) (Placement, bool) {
 }
 
 // commit applies a placement of t on worker wi to D for good, keeping the
-// headroom count and snapshot-refresh marks consistent.
+// headroom count consistent.
 func (ctx *PlaceContext) commit(t *dag.Task, wi int) {
 	d := &ctx.d[wi]
 	had := anyVec(d)
@@ -684,5 +633,4 @@ func (ctx *PlaceContext) commit(t *dag.Task, wi int) {
 	if had && !anyVec(d) {
 		ctx.headroom--
 	}
-	ctx.touched[wi] = true
 }

@@ -1,10 +1,10 @@
 package core
 
-// Equivalence suite for what placement carries and infers: Algorithm 1 as
-// the scheduler runs it (snapshots refreshed for dirty workers only, tasks a
-// failed stage-mate rules out not scored) must produce placements
-// bit-identical to FullRebuildPlacer, which re-reads every worker and scores
-// every task against every worker on every pass, at tick granularity on the
+// Equivalence suite for what placement infers: Algorithm 1 as the scheduler
+// runs it (on a context reused across passes, tasks a failed stage-mate rules
+// out not scored) must produce placements bit-identical to FullRebuildPlacer,
+// which scores every task against every worker on every pass, at tick
+// granularity on the
 // bench fixtures and at system granularity on full simulated runs (including
 // a worker failure). witness_test.go holds the pools built to break a wrong
 // pruning rule, and TestTickGolden pins the placements themselves, which no
@@ -155,7 +155,7 @@ func runSystem(t *testing.T, cfg Config, n int, failAt eventloop.Duration) []eve
 // TestSystemEquivalence runs full simulations and demands bit-identical
 // job finish times between the default scheduler and the full rebuild,
 // under both ordering policies and across a worker failure (which exercises
-// the dirty marking in fail/abort paths).
+// the fail/abort paths).
 func TestSystemEquivalence(t *testing.T) {
 	scenarios := []struct {
 		name   string

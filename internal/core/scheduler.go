@@ -40,8 +40,8 @@ type Scheduler struct {
 	// tasks.
 	pending []*PendingStage
 
-	// pctx is the placement context reused across ticks: its worker
-	// snapshots and scoring scratch buffers persist, so a steady-state tick
+	// pctx is the placement context reused across ticks: its per-worker
+	// arrays and scoring scratch buffers persist, so a steady-state tick
 	// does not allocate.
 	pctx PlaceContext
 

@@ -70,9 +70,6 @@ func handPool(ests []resource.Vector, shape func(ws []*Worker)) *PlacementBench 
 		t.EstUsage = ests[i]
 	}
 	shape(pb.Sys.Workers)
-	for _, w := range pb.Sys.Workers {
-		w.markDirty()
-	}
 	return pb
 }
 
@@ -211,7 +208,6 @@ func TestTickEquivalenceRandomPools(t *testing.T) {
 					}
 				}
 				w.Machine.Mem.MustAlloc(w.MemFree() - gb*float64(rng.Intn(4)))
-				w.markDirty()
 			}
 			pb.Configure(func(c *Config) { c.IgnoreNetworkDemand = seed%5 == 0 })
 			return pb

@@ -50,36 +50,6 @@ type Worker struct {
 	drainedNotified bool
 
 	enqSeq uint64
-
-	// epoch counts state changes that can alter the scheduler's per-worker
-	// snapshot (queue contents, load, rates, idle cores, memory
-	// reservations, failure). PlaceContext compares it against the epoch
-	// captured at the last snapshot refresh to skip clean workers; see
-	// PlaceContext.prepare.
-	epoch uint64
-}
-
-// markDirty records that the worker's schedulable state changed, so the
-// next placement tick must refresh its snapshot.
-func (w *Worker) markDirty() { w.epoch++ }
-
-// staleNever is the "no time-driven refresh needed" sentinel for snapshot
-// staleness deadlines.
-const staleNever = eventloop.Time(1<<63 - 1)
-
-// snapshotStaleAt returns the earliest virtual time at which this worker's
-// scheduler snapshot could change without any intervening markDirty event:
-// the next rate-window boundary of a monitor holding unrolled samples
-// (rates only blend at window-grid boundaries; see rateMonitor.roll).
-// Callers must have read the rates at the current time first.
-func (w *Worker) snapshotStaleAt() eventloop.Time {
-	at := staleNever
-	for _, r := range w.rates {
-		if t := r.nextChange(); t < at {
-			at = t
-		}
-	}
-	return at
 }
 
 type taskMem struct {
@@ -134,10 +104,6 @@ func newWorker(sys *System, m *cluster.Machine) *Worker {
 	for k := range w.queues {
 		w.queues[k].cfg = &sys.Cfg
 	}
-	// Device activity moves the measured rates feeding APT_r(w); surface it
-	// as snapshot dirtiness for incremental placement ticks.
-	m.Net.OnActivity = w.markDirty
-	m.Disk.OnActivity = w.markDirty
 	return w
 }
 
@@ -241,7 +207,6 @@ func (w *Worker) reserveTask(j *Job, t *dag.Task) {
 	for _, k := range resource.MonotaskKinds {
 		w.load[k] += taskKindEst(t, k)
 	}
-	w.markDirty()
 }
 
 // releaseTask frees the task's memory reservation when it completes.
@@ -253,7 +218,6 @@ func (w *Worker) releaseTask(t *dag.Task) {
 	delete(w.taskMem, t)
 	w.Machine.Mem.Unuse(tm.used)
 	w.Machine.Mem.FreeAlloc(tm.reserved)
-	w.markDirty()
 	w.maybeDrained()
 }
 
@@ -270,7 +234,6 @@ func (w *Worker) Enqueue(j *Job, mt *dag.Monotask) {
 	if !mt.Kind.Valid() || mt.Kind == resource.Mem {
 		panic(fmt.Sprintf("core: enqueue of non-monotask kind %v", mt.Kind))
 	}
-	w.markDirty()
 	w.enqSeq++
 	item := &queuedMT{
 		job:  j,
@@ -321,12 +284,10 @@ func (w *Worker) pump(k resource.Kind) {
 func (w *Worker) start(item *queuedMT, counted bool) {
 	mt := item.mt
 	mt.State = dag.MTRunning
-	w.markDirty() // core allocation / running counts change below
 	if counted {
 		w.running[mt.Kind]++
 	}
 	done := func(bytes, seconds float64) {
-		w.markDirty()                   // load, rates and concurrency slots change below
 		w.sys.Sched.placeChanged = true // freed capacity can make a pending task placeable
 		delete(w.active, mt)
 		w.rates[mt.Kind].sample(bytes, seconds)
@@ -357,7 +318,6 @@ type victim struct {
 // of one seed must read the same pools.
 func (w *Worker) fail() []victim {
 	w.failed = true
-	w.markDirty()
 	victims := make([]victim, 0, len(w.taskMem))
 	for t, tm := range w.taskMem {
 		victims = append(victims, victim{tm.job, t})
@@ -493,8 +453,7 @@ func (r *rateMonitor) deviation() float64 {
 
 // rateDecayEps is the relative distance from the nominal rate at which a
 // decaying estimate snaps back to exactly nominal, bounding the decay loop
-// (≈30 halvings from any starting point) and restoring the staleNever
-// fast path for idle workers.
+// (≈30 halvings from any starting point).
 const rateDecayEps = 1e-9
 
 // roll commits elapsed windows, blending pending samples with the previous
@@ -511,9 +470,9 @@ const rateDecayEps = 1e-9
 // per-window steps whether the windows are observed one roll at a time or
 // all at once — so *what* the rate is at any virtual time is a function of
 // time and the sample history alone, never of how often the scheduler
-// happens to read it. PlaceContext.prepare relies on this: a clean worker's
-// rate() is provably unchanged until the boundary reported by nextChange,
-// so skipping the read is exact.
+// happens to read it. Placement passes, the interference penalty and
+// ursa-master's final report each read rates on their own schedule, and no
+// result may depend on how often.
 func (r *rateMonitor) roll() {
 	now := r.loop.Now()
 	elapsed := now - r.windowStart
@@ -535,16 +494,4 @@ func (r *rateMonitor) roll() {
 		}
 	}
 	r.windowStart += elapsed / eventloop.Time(r.window) * eventloop.Time(r.window)
-}
-
-// nextChange returns the earliest virtual time at which the monitor's rate
-// can change without a further sample being recorded: the end of the
-// current window when unrolled samples are pending *or* the estimate is
-// displaced from nominal (the next boundary decays it), or never. Callers
-// must have read rate() (i.e. rolled) at the current time first.
-func (r *rateMonitor) nextChange() eventloop.Time {
-	if r.seconds <= 1e-9 && r.current == r.initial {
-		return staleNever
-	}
-	return r.windowStart + eventloop.Time(r.window)
 }

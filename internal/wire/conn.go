@@ -29,7 +29,7 @@ type Conn struct {
 	// by the single reader goroutine.
 	rbuf      []byte
 	lastFrame int
-	rdShrink  bufShrinker
+	rdShrink  Shrinker
 
 	mu      sync.Mutex
 	sendErr error
@@ -127,7 +127,7 @@ func (c *Conn) pump() {
 	w := bufio.NewWriter(c.nc)
 	var buf []byte
 	var lastWrite int
-	var wrShrink bufShrinker
+	var wrShrink Shrinker
 	for {
 		select {
 		case <-c.quit:
@@ -151,7 +151,7 @@ func (c *Conn) pump() {
 		case m := <-c.out:
 			// Shrink before reuse: one giant frame must not pin its
 			// high-water-mark buffer for the connection's lifetime.
-			buf = wrShrink.next(buf, lastWrite)
+			buf = wrShrink.Next(buf, lastWrite)
 			buf = AppendFrame(buf[:0], m)
 			lastWrite = len(buf)
 			if len(buf) > c.cfg.MaxFrame+headerLen {
@@ -278,7 +278,7 @@ func (c *Conn) ReadMsg() (Msg, error) {
 	}
 	// The previous message is dead by contract, so this is the first moment
 	// the retained buffer can be safely shrunk or replaced.
-	c.rbuf = c.rdShrink.next(c.rbuf, c.lastFrame)
+	c.rbuf = c.rdShrink.Next(c.rbuf, c.lastFrame)
 	typ, payload, buf, err := ReadFrameInto(c.r, c.rbuf, c.cfg.MaxFrame)
 	c.rbuf = buf
 	if err != nil {

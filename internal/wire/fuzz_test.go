@@ -19,10 +19,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	// cases; the checked-in corpus in testdata/ mirrors these.
 	seeds := []Msg{
 		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, WorkerID: -1},
-		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, WorkerID: 2, Gen: 1}, // failover re-attach
+		Register{ShuffleAddr: "127.0.0.1:0", Cores: 4, WorkerID: 2}, // failover re-attach
 		Register{ShuffleAddr: "127.0.0.1:0", Cores: 2, WorkerID: -1,
 			MemBytes: 8e9, CoreRate: 2.5e7, NetBandwidth: 1e9, DiskBandwidth: 1e8}, // profiled
-		Welcome{WorkerID: 1, HeartbeatMicros: 250000, MaxFrame: 1 << 16, Gen: 2},
+		Welcome{WorkerID: 1, HeartbeatMicros: 250000, Gen: 2},
 		Heartbeat{WorkerID: 1, SentUnixMicros: 42},
 		Prepare{JobID: 1, Workload: "wc", Params: []byte{9}},
 		JobReady{JobID: 1, Err: "e"},

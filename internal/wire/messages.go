@@ -108,9 +108,6 @@ type Register struct {
 	// takeover master can rebind the journaled registry slot — the worker's
 	// committed contributions and prepared jobs stay keyed by it.
 	WorkerID int32
-	// Gen echoes the master generation the worker last served under (0 on a
-	// fresh registration); a takeover master uses it for sanity logging only.
-	Gen int64
 	// MemBytes, CoreRate, NetBandwidth and DiskBandwidth advertise the
 	// agent's machine profile (bytes, bytes/sec). Zero means "unprofiled":
 	// the master keeps its uniform cluster defaults for this worker, which
@@ -135,7 +132,6 @@ func (m Register) encode(e *Encoder) {
 	e.Str(m.ShuffleAddr)
 	e.I32(m.Cores)
 	e.I32(m.WorkerID)
-	e.I64(m.Gen)
 	e.F64(m.MemBytes)
 	e.F64(m.CoreRate)
 	e.F64(m.NetBandwidth)
@@ -144,7 +140,7 @@ func (m Register) encode(e *Encoder) {
 func decodeRegister(d *Decoder) Msg {
 	return Register{
 		ShuffleAddr: d.Str(), Cores: d.I32(),
-		WorkerID: d.I32(), Gen: d.I64(),
+		WorkerID: d.I32(),
 		MemBytes: d.F64(), CoreRate: d.F64(),
 		NetBandwidth: d.F64(), DiskBandwidth: d.F64(),
 	}
@@ -156,7 +152,6 @@ func decodeRegister(d *Decoder) Msg {
 type Welcome struct {
 	WorkerID          int32
 	HeartbeatMicros   int64
-	MaxFrame          int64
 	MasterShuffleAddr string
 	// Gen is the master's generation number. It rises by one at every
 	// standby takeover; dispatch sequence numbers are namespaced by it, so
@@ -169,13 +164,12 @@ func (Welcome) Type() byte { return TWelcome }
 func (m Welcome) encode(e *Encoder) {
 	e.I32(m.WorkerID)
 	e.I64(m.HeartbeatMicros)
-	e.I64(m.MaxFrame)
 	e.Str(m.MasterShuffleAddr)
 	e.I64(m.Gen)
 }
 func decodeWelcome(d *Decoder) Msg {
 	return Welcome{
-		WorkerID: d.I32(), HeartbeatMicros: d.I64(), MaxFrame: d.I64(),
+		WorkerID: d.I32(), HeartbeatMicros: d.I64(),
 		MasterShuffleAddr: d.Str(), Gen: d.I64(),
 	}
 }

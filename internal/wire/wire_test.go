@@ -45,7 +45,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Register{}, // empty strings must survive
 		Register{ShuffleAddr: "127.0.0.1:9999", Cores: 4, MemBytes: 16e9,
 			CoreRate: 5e7, NetBandwidth: 1.25e9, DiskBandwidth: 2e8},
-		Welcome{WorkerID: 3, HeartbeatMicros: 250_000, MaxFrame: DefaultMaxFrame, Gen: 2},
+		Welcome{WorkerID: 3, HeartbeatMicros: 250_000, Gen: 2},
 		Heartbeat{WorkerID: 3, SentUnixMicros: 1_722_000_000_123_456},
 		Prepare{JobID: 7, Workload: "wordcount", Params: []byte{1, 2, 3}},
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
@@ -410,18 +410,18 @@ func TestReadFrameIntoZeroAllocSteadyState(t *testing.T) {
 }
 
 func TestBufShrinkerReleasesStaleCapacity(t *testing.T) {
-	var s bufShrinker
+	var s Shrinker
 	big := GetBuf(1 << 20)[:0]
 	// Large uses keep the buffer indefinitely.
 	for i := 0; i < shrinkRuns*2; i++ {
-		if got := s.next(big, 1<<19); got == nil {
+		if got := s.Next(big, 1<<19); got == nil {
 			t.Fatal("shrinker released a buffer under heavy use")
 		}
 	}
 	// A sustained run of small uses releases it.
 	released := false
 	for i := 0; i < shrinkRuns; i++ {
-		if s.next(big, 100) == nil {
+		if s.Next(big, 100) == nil {
 			released = true
 			break
 		}
@@ -432,7 +432,7 @@ func TestBufShrinkerReleasesStaleCapacity(t *testing.T) {
 	// Small caps are never shrunk.
 	small := GetBuf(4 << 10)[:0]
 	for i := 0; i < shrinkRuns*2; i++ {
-		if s.next(small, 1) == nil {
+		if s.Next(small, 1) == nil {
 			t.Fatal("shrinker released a <=64KiB buffer")
 		}
 	}
