@@ -39,11 +39,12 @@ race:
 # JCT by JCT on full simulated runs. The live path runs a pass at the end of
 # every control-loop batch that changed what is placeable, so its checks ride
 # along: CheckingPlacer against the full rebuild on every pass of a live run,
-# one pass per batch, and each task placed in the batch that made it ready.
-# (Also covered by `race`; kept as an explicit gate so the comparison with the
-# reference cannot silently drop out of CI.)
+# one pass per batch, each task placed in the batch that made it ready, and
+# the SchedInterval tick placing what only time made placeable. (Also covered
+# by `race`; kept as an explicit gate so the comparison with the reference
+# cannot silently drop out of CI.)
 equiv:
-	$(GO) test -race -count=1 -run 'Equivalence|TestTick|TestSystem|TestLivePlacementMatchesFullRebuild|TestOnePlacementPassPerBatch|TestEventPass|TestLivePlaces' ./internal/core ./internal/experiments ./internal/live
+	$(GO) test -race -count=1 -run 'Equivalence|TestTick|TestSystem|TestLivePlacementMatchesFullRebuild|TestOnePlacementPassPerBatch|TestEventPass|TestFallbackTick|TestLivePlaces' ./internal/core ./internal/experiments ./internal/live
 
 # Distributed loopback smoke: master + worker agents over real TCP sockets
 # in one process — wordcount/SQL row equivalence against direct execution,

@@ -53,10 +53,10 @@ type Config struct {
 	Policy Policy
 	// SchedInterval is the period of the placement tick. In simulation it is
 	// the paper's task-placement batching interval (§4.2.2): every ready
-	// task waits for the next tick. On a live driver a short job's tasks are
-	// placed at the end of the control-loop batch that made them placeable
-	// (Scheduler.PlaceIfChanged), and the tick places longer jobs and is the
-	// fallback for what time alone changes.
+	// task waits for the next tick. On a live driver every ready task is
+	// placed at the end of the control-loop batch that made it placeable
+	// (Scheduler.PlaceIfChanged), and the tick is only the fallback for what
+	// time alone changes.
 	SchedInterval eventloop.Duration
 	// EPT is the expected processing time horizon, "slightly larger than
 	// the scheduling interval" to cover communication delay.

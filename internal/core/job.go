@@ -66,10 +66,6 @@ type Job struct {
 	// from the plan's estimated usage and decremented as monotasks finish
 	// (§4.2.2 SRJF).
 	remaining resource.Vector
-	// short marks a job of less input than one core works through in a
-	// scheduling interval (System.newJob): only such jobs' ready tasks
-	// trigger event passes.
-	short bool
 	// priority is the current ordering score: larger runs first. Worker
 	// queues and placement read it.
 	priority float64

@@ -63,8 +63,9 @@ type Scheduler struct {
 	// only events (besides the passage of time, which the periodic tick
 	// covers) that can make a pending task placeable.
 	placeChanged bool
-	// passes counts placement passes, eventPasses those PlaceIfChanged ran.
-	passes, eventPasses uint64
+	// eventPasses and timerPasses count the placement passes PlaceIfChanged
+	// and the periodic tick ran.
+	eventPasses, timerPasses uint64
 }
 
 // tenantQueue is one tenant's admission queue plus its fair-share
@@ -363,10 +364,10 @@ func (s *Scheduler) admit(j *Job) {
 }
 
 // addReadyTasks registers estimated, ready tasks for the next placement
-// pass: the next scheduling interval in simulation, the event pass
-// PlaceIfChanged runs on a live driver. The job's stage index makes the common
-// case — all tasks landing in existing pool entries — O(tasks) instead of
-// O(pool).
+// pass: the next scheduling interval in simulation, the pass PlaceIfChanged
+// runs at the end of this control-loop batch on a live driver, whatever the
+// job's size. The job's stage index makes the common case — all tasks
+// landing in existing pool entries — O(tasks) instead of O(pool).
 func (s *Scheduler) addReadyTasks(j *Job, tasks []*dag.Task) {
 	if j.pendingIdx == nil {
 		j.pendingIdx = make(map[*dag.Stage]*PendingStage)
@@ -463,7 +464,7 @@ func (s *Scheduler) AdmittedCount() int { return len(s.admitted) }
 // trigger: event counts passes run by PlaceIfChanged, timer those run by the
 // periodic SchedInterval tick. Loop-owned state: call on the control loop.
 func (s *Scheduler) PlacementPasses() (event, timer uint64) {
-	return s.eventPasses, s.passes - s.eventPasses
+	return s.eventPasses, s.timerPasses
 }
 
 // PlacementScans returns how many tasks Algorithm 1's stage scans have
@@ -518,64 +519,47 @@ func (s *Scheduler) ensureTicking() {
 		return
 	}
 	s.ticking = true
-	s.stopTick = s.sys.Loop.Every(s.sys.Cfg.SchedInterval, s.tick)
+	s.stopTick = s.sys.Loop.Every(s.sys.Cfg.SchedInterval, func() { s.tick(false) })
 }
 
 // PlaceIfChanged runs one placement pass if ready tasks were added or worker
-// capacity was freed since the last pass and there is something to place.
-// The live path installs it as the driver's end-of-batch hook, so a task is
-// placed in the batch that made it ready instead of waiting out the
-// interval; one batch runs at most one pass, however many completions or
-// submissions it carried, and whatever arrives during a pass waits in the
-// inbox for the next batch, so passes run no faster than one per pass time.
-// Tasks the pass cannot place stay in the pool for the periodic tick.
-//
-// Event passes are for short jobs (Job.short), whose completion time the wait
-// for a tick could double. A pool that holds only longer jobs' tasks is left
-// to the tick, as the paper places every task: such a job computes for
-// several intervals, and started per event it too is bounded by nothing but
-// the CPU. A pass that a short job triggers places whatever is in the pool.
-// Loop-owned: call on the control loop.
+// capacity was freed since the last pass. The live path installs it as the
+// driver's end-of-batch hook, so a task is placed in the batch that made it
+// ready instead of waiting out the interval; one batch runs at most one pass,
+// however many completions or submissions it carried, and whatever arrives
+// during a pass waits in the inbox for the next batch, so passes run no
+// faster than one per pass time. Tasks the pass cannot place stay in the pool
+// for the periodic tick. Loop-owned: call on the control loop.
 func (s *Scheduler) PlaceIfChanged() {
-	if !s.placeChanged {
-		return
+	if s.placeChanged {
+		s.tick(true)
 	}
-	if !s.shortPending() {
-		s.placeChanged = false
-		return
-	}
-	s.eventPasses++
-	s.tick()
-}
-
-// shortPending reports whether a short job has a task in the pool.
-func (s *Scheduler) shortPending() bool {
-	for _, ps := range s.pending {
-		if ps.Job.short {
-			return true
-		}
-	}
-	return false
 }
 
 // tick is one placement pass: refresh the admitted jobs' priorities, run
 // placement over the pending pool, dispatch the resulting assignments. The
-// SchedInterval timer runs it whatever has or has not changed, because time
-// alone makes tasks placeable (APT decays below EPT, the W·T aging term
-// grows, rate windows roll); PlaceIfChanged runs the same pass when an event
-// did.
-func (s *Scheduler) tick() {
+// SchedInterval timer runs it (event false) whatever has or has not changed,
+// because time alone makes tasks placeable (APT decays below EPT, the W·T
+// aging term grows, rate windows roll); PlaceIfChanged runs it (event true)
+// when an event did. A pass that finds the pool empty counts as neither.
+func (s *Scheduler) tick(event bool) {
+	s.placeChanged = false
 	if len(s.pending) == 0 {
-		// Nothing placeable: stop ticking until new ready tasks arrive.
-		// Queued jobs need no tick — admission is retried when a running
-		// job finishes, and every path that produces ready tasks calls
-		// ensureTicking.
-		s.ticking = false
-		s.stopTick()
+		// Nothing placeable: the tick stops itself until new ready tasks
+		// arrive. Queued jobs need no tick — admission is retried when a
+		// running job finishes, and every path that produces ready tasks
+		// calls ensureTicking.
+		if !event {
+			s.ticking = false
+			s.stopTick()
+		}
 		return
 	}
-	s.passes++
-	s.placeChanged = false
+	if event {
+		s.eventPasses++
+	} else {
+		s.timerPasses++
+	}
 	s.refreshPriorities()
 	placer := s.sys.Cfg.Placer
 	if placer == nil {

@@ -88,16 +88,9 @@ func (s *System) SubmitPlanNow(spec JobSpec, plan *dag.Plan) *Job {
 	return j
 }
 
-// newJob enters a built plan in the job table. A job is short when one core
-// at the nominal rate works through its whole input in less than a
-// scheduling interval: waiting for the tick could double such a job's
-// completion time, so its ready tasks are placed by event pass
-// (Scheduler.PlaceIfChanged).
+// newJob enters a built plan in the job table.
 func (s *System) newJob(spec JobSpec, plan *dag.Plan) *Job {
-	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan}
-	input := jobInputBytes(plan)
-	j.remaining = planWorkHint(plan, input)
-	j.short = input < float64(s.Cluster.Cfg.CoreRate)*s.Cfg.SchedInterval.Seconds()
+	j := &Job{ID: len(s.jobs), Spec: spec, Plan: plan, remaining: planWorkHint(plan)}
 	s.jobs = append(s.jobs, j)
 	return j
 }
@@ -260,10 +253,17 @@ func (s *System) AddWorkerProfile(p cluster.MachineProfile) *Worker {
 }
 
 // planWorkHint initializes R, the remaining per-resource work used by SRJF,
-// from the plan structure: total job input attributed to each resource kind
-// by the monotask counts of each logical op. This plays the role of the
-// "historical information" the paper assumes for recurring workloads.
-func planWorkHint(p *dag.Plan, input float64) resource.Vector {
+// from the plan structure: total job input (the plan's pre-set datasets)
+// attributed to each resource kind by the monotask counts of each logical op.
+// This plays the role of the "historical information" the paper assumes for
+// recurring workloads.
+func planWorkHint(p *dag.Plan) resource.Vector {
+	var input float64
+	for _, d := range p.Graph.Datasets() {
+		if d.Creator == nil {
+			input += d.Total()
+		}
+	}
 	var v resource.Vector
 	var counts [3]float64
 	real := p.RealMonotasks()
@@ -279,15 +279,4 @@ func planWorkHint(p *dag.Plan, input float64) resource.Vector {
 		v[k] = input * counts[k] / totalMT * 2
 	}
 	return v
-}
-
-// jobInputBytes sums the sizes of the plan's pre-set input datasets.
-func jobInputBytes(p *dag.Plan) float64 {
-	var total float64
-	for _, d := range p.Graph.Datasets() {
-		if d.Creator == nil {
-			total += d.Total()
-		}
-	}
-	return total
 }

@@ -176,8 +176,8 @@ func TestOnePlacementPassPerBatch(t *testing.T) {
 	}
 }
 
-// TestEventPassPlacesAtOnce: every batch that makes a short job's task ready
-// ends in a pass that places it, however recent the previous pass: jobs
+// TestEventPassPlacesAtOnce: every batch that makes a task ready ends in a
+// pass that places it, however recent the previous pass: jobs
 // submitted 1 ms apart are each placed at their own instant, and the tick
 // places nothing.
 //
@@ -218,10 +218,11 @@ func TestEventPassPlacesAtOnce(t *testing.T) {
 	}
 }
 
-// TestEventPassesAreForShortJobs: a job of at least one interval of one
-// core's work never triggers an event pass, the tick places it, and a pass
-// that a short job triggers takes a longer job's waiting tasks with it.
-func TestEventPassesAreForShortJobs(t *testing.T) {
+// TestEventPassesPlaceEveryJob: a job's size does not decide its trigger. A
+// job of exactly one interval of one core's work and a job of ten intervals'
+// work are each placed at their submission instant by the pass at the end of
+// that batch, and the tick places nothing.
+func TestEventPassesPlaceEveryJob(t *testing.T) {
 	loop := eventloop.New()
 	clus := cluster.New(loop, cluster.Config{
 		Machines: 2, CoresPerMachine: 4, MemPerMachine: 8 * resource.GB,
@@ -244,25 +245,14 @@ func TestEventPassesAreForShortJobs(t *testing.T) {
 		return -1
 	}
 
-	long := submitAt(cpuJob(1, 1e6), 0)
-	if got := placedAt(long); got >= 0 {
-		t.Fatalf("job of one interval's work placed at %v by an event pass", got)
+	one := submitAt(cpuJob(1, 1e6), 0)
+	ten := submitAt(cpuJob(1, 1e7), 21*ms)
+	if p1, p10 := placedAt(one), placedAt(ten); p1 != 0 || p10 != 21*ms {
+		t.Fatalf("jobs of one and ten intervals' work placed at %v and %v, want 0 and 21ms", p1, p10)
 	}
-	loop.RunUntil(10 * ms)
-	if got := placedAt(long); got != 10*ms {
-		t.Fatalf("job of one interval's work placed at %v, want the tick at 10ms", got)
-	}
-	if ev, tm := sys.Sched.PlacementPasses(); ev != 0 || tm != 1 {
-		t.Fatalf("%d event / %d timer passes, want 0 / 1", ev, tm)
-	}
-
-	long2 := submitAt(cpuJob(1, 1e6), 21*ms)
-	short := submitAt(cpuJob(1, 1e6-1), 22*ms)
-	if pl, ps := placedAt(long2), placedAt(short); pl != 22*ms || ps != 22*ms {
-		t.Fatalf("longer and short job placed at %v and %v, want both at 22ms by the short job's pass", pl, ps)
-	}
-	if ev, _ := sys.Sched.PlacementPasses(); ev != 1 {
-		t.Fatalf("%d event passes, want 1", ev)
+	loop.RunUntil(60 * ms)
+	if ev, tm := sys.Sched.PlacementPasses(); ev != 2 || tm != 0 {
+		t.Fatalf("%d event / %d timer passes, want 2 / 0", ev, tm)
 	}
 }
 
@@ -400,17 +390,18 @@ func TestFallbackTickPlacesWhatEventPassCouldNot(t *testing.T) {
 	}
 
 	// Job A: four 2.5e5-byte tasks, two per worker — one runs, one queues.
-	// It is ten intervals of one core's work, so the first tick places it.
+	// The event pass of its submission's batch places it, at 0.
 	const tick = eventloop.Time(eventloop.Millisecond)
 	a := sys.MustSubmit(cpuJob(4, 2.5e5), 0)
 	batchEnd(0)
-	if len(a.jm.TaskPlacedAt) != 0 {
-		t.Fatal("job A placed by an event pass: it is longer than an interval")
-	}
-	batchEnd(tick)
 	first := exec.take()
 	if len(a.jm.TaskPlacedAt) != 4 || len(first) != 2 {
 		t.Fatalf("job A: %d tasks placed, %d running; want 4 and 2", len(a.jm.TaskPlacedAt), len(first))
+	}
+	for _, placed := range a.jm.TaskPlacedAt {
+		if placed != 0 {
+			t.Fatalf("job A placed at %v, want 0 by the event pass", placed)
+		}
 	}
 	// The running monotask on each worker reports a very slow execution and
 	// the queued one takes its core. One window later the slow sample is

@@ -43,12 +43,11 @@ type Config struct {
 	// unbounded for local datasets.
 	MemPerWorker float64
 	// Core configures the scheduler. Zero fields default like the
-	// simulation, except SchedInterval (10ms of wall clock: a short job's
-	// ready task is placed at the end of the control-loop batch that made it
-	// ready, and the tick places longer jobs and what time alone makes
-	// placeable), RateWindow (1s) and SmallMonotaskBytes (1, so every
-	// monotask goes through the worker queues and the full §4.2.3 path is
-	// exercised).
+	// simulation, except SchedInterval (10ms of wall clock: a ready task is
+	// placed at the end of the control-loop batch that made it ready, and the
+	// tick places only what time alone makes placeable), RateWindow (1s) and
+	// SmallMonotaskBytes (1, so every monotask goes through the worker queues
+	// and the full §4.2.3 path is exercised).
 	Core core.Config
 	// NewBackend, when set, replaces the in-process execution back-end.
 	// This is the remote-mode seam: internal/remote installs a backend that
@@ -245,10 +244,9 @@ func (s *System) Fail(err error) {
 // memory reservation, the same batched placement pass, per-resource worker
 // queues — only the clock, the execution back-end and what triggers the
 // passes differ: here a control-loop batch that queued jobs ends in one
-// admission pass over them, and one that changed what is placeable for a
-// short job ends in a placement pass (NewSystem wires both to the driver's
-// end-of-batch hook), with the SchedInterval tick for longer jobs and as the
-// time-driven fallback.
+// admission pass over them, and one that changed what is placeable ends in a
+// placement pass (NewSystem wires both to the driver's end-of-batch hook),
+// with the SchedInterval tick as the time-driven fallback.
 func (s *System) Run(ctx context.Context) error {
 	err := s.Drv.Run(ctx)
 	s.exec.Close()

@@ -268,47 +268,54 @@ func TestSubmitFromManyGoroutines(t *testing.T) {
 // TestLivePlacesInTheBatchThatMadeReady: on the live path a task is placed
 // by an event pass at the end of the control-loop batch that made it ready
 // (admission for the first stage, the last upstream completion for the
-// second), never by the SchedInterval tick, which is not due before the job
-// ends. Every stamp is a loop-clock reading.
+// second), never by the SchedInterval tick, which finds the pool empty
+// whenever it comes due. The job's size does not matter: its input is once
+// far below and once above one core's nominal work in one interval. Every
+// stamp is a loop-clock reading.
 func TestLivePlacesInTheBatchThatMadeReady(t *testing.T) {
 	cfg := Config{Workers: 2}
 	cfg.Core.SchedInterval = 200 * eventloop.Millisecond
-	sys := NewSystem(cfg)
-	g, in, _ := wordCount(6, 4)
-	j := submit(sys, "wc", g, in, inputLines(400))
-	stopAfter(sys, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := sys.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	checkQuiesced(t, sys)
-	stages := j.Core.Plan.Stages
-	if len(stages) != 2 {
-		t.Fatalf("wordcount has %d stages, want 2", len(stages))
-	}
-	jm := j.Core.JM()
-	ready := j.Core.Admitted
-	for _, st := range stages {
-		var lastDone eventloop.Time
-		for _, task := range st.Tasks {
-			placed, ok := jm.TaskPlacedAt[task]
-			if !ok {
-				t.Fatalf("stage %d: task never placed", st.ID)
+	oneInterval := int(float64(cfg.clusterConfig().CoreRate) * cfg.Core.SchedInterval.Seconds())
+	for _, lines := range []int{400, oneInterval + 1} {
+		t.Run(fmt.Sprintf("lines=%d", lines), func(t *testing.T) {
+			sys := NewSystem(cfg)
+			g, in, _ := wordCount(6, 4)
+			j := submit(sys, "wc", g, in, inputLines(lines))
+			stopAfter(sys, 1)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := sys.Run(ctx); err != nil {
+				t.Fatal(err)
 			}
-			// ready is the stamp of the event; the pass at the end of its
-			// batch reads the clock again.
-			if placed < ready || placed >= ready+eventloop.Time(eventloop.Millisecond) {
-				t.Errorf("stage %d: ready at %v, placed at %v, want within 1ms", st.ID, ready, placed)
+			checkQuiesced(t, sys)
+			stages := j.Core.Plan.Stages
+			if len(stages) != 2 {
+				t.Fatalf("wordcount has %d stages, want 2", len(stages))
 			}
-			if d := jm.TaskDoneAt[task]; d > lastDone {
-				lastDone = d
+			jm := j.Core.JM()
+			ready := j.Core.Admitted
+			for _, st := range stages {
+				var lastDone eventloop.Time
+				for _, task := range st.Tasks {
+					placed, ok := jm.TaskPlacedAt[task]
+					if !ok {
+						t.Fatalf("stage %d: task never placed", st.ID)
+					}
+					// ready is the stamp of the event; the pass at the end of
+					// its batch reads the clock again.
+					if placed < ready || placed >= ready+eventloop.Time(eventloop.Millisecond) {
+						t.Errorf("stage %d: ready at %v, placed at %v, want within 1ms", st.ID, ready, placed)
+					}
+					if d := jm.TaskDoneAt[task]; d > lastDone {
+						lastDone = d
+					}
+				}
+				ready = lastDone // the Sync edge: stage 2 is ready when all of stage 1 is done
 			}
-		}
-		ready = lastDone // the Sync edge: stage 2 is ready when all of stage 1 is done
-	}
-	if ev, tm := sys.Core.Sched.PlacementPasses(); ev != 2 || tm != 0 {
-		t.Errorf("%d event / %d timer passes, want 2 / 0", ev, tm)
+			if ev, tm := sys.Core.Sched.PlacementPasses(); ev != 2 || tm != 0 {
+				t.Errorf("%d event / %d timer passes, want 2 / 0", ev, tm)
+			}
+		})
 	}
 }
 
