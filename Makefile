@@ -68,13 +68,17 @@ smoke-dist:
 smoke-failover:
 	$(GO) test -race -count=1 -run 'TestFailover|TestReplayMatchesLiveState' ./internal/remote
 
-# Elastic smoke: a serve-mode loopback cluster scales 2→5 under admission
-# pressure and drains back to 2 when the backlog empties, plus the mid-job
-# graceful-drain test (zero drain-attributable fetch fallbacks) and the
-# drain+kill chaos test — rows byte-identical to direct execution, under
-# the race detector.
+# Elastic smoke, both hosts of the one controller under the race detector:
+# a serve-mode loopback cluster scales 2→5 under admission pressure and
+# drains back to 2 when the backlog empties, plus the mid-job graceful-drain
+# test (zero drain-attributable fetch fallbacks) and the drain+kill chaos
+# test — rows byte-identical to direct execution; the controller and
+# corrector unit tests; and the simulated diurnal run, which ticks the same
+# controller on the virtual clock.
 smoke-elastic:
 	$(GO) test -race -count=1 -run 'TestElasticAutoscaleLoopback|TestDrainMidJobNoFallbacks|TestElasticDrainAndKillChaos' ./internal/remote
+	$(GO) test -race -count=1 ./internal/elastic
+	$(GO) test -race -count=1 -run TestDiurnal ./internal/experiments
 
 # Heterogeneous-fleet smoke: a loopback cluster where one agent advertises a
 # smaller machine profile and is artificially slowed, with the interference

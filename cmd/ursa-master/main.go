@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -40,7 +41,6 @@ import (
 	"time"
 
 	"ursa/internal/core"
-	"ursa/internal/elastic"
 	"ursa/internal/remote"
 	"ursa/internal/remote/workload"
 	"ursa/internal/resource"
@@ -139,7 +139,6 @@ func main() {
 		StatsInterval:     *stats,
 		ShuffleMemBudget:  *memBudget,
 		ShuffleSpillDir:   *spillDir,
-		Autoscale:         *autoscale,
 		MinWorkers:        *minWorkers,
 		MaxWorkers:        *maxWorkers,
 		AutoscaleInterval: *autoscaleInterval,
@@ -148,13 +147,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	}
-	// Scaled-up workers are spawned as processes pointed back at this
-	// master's bound address (set once it exists); the drain protocol
-	// (DrainDone) retires them on scale-down.
-	var prov *elastic.ProcessProvisioner
+	var m *remote.Master
 	if *autoscale {
-		prov = &elastic.ProcessProvisioner{Binary: *workerBin, Logf: cfg.Logf}
-		cfg.Provisioner = prov
+		// The scaler ticks only inside Run, so m exists and -listen :0 is
+		// bound by the time a worker is spawned.
+		logf := cfg.Logf
+		cfg.Provisioner = func() error { return spawnWorker(*workerBin, m.Addr(), logf) }
 	}
 	cfg.Core.Policy = pol
 	cfg.Core.InterferencePenalty = *interfPen
@@ -163,7 +161,6 @@ func main() {
 	// Watched before the -jobs are built, so an early interrupt stops the run.
 	sigC := make(chan os.Signal, 2)
 	signal.Notify(sigC, syscall.SIGINT, syscall.SIGTERM)
-	var m *remote.Master
 	if *standby {
 		m = takeOver(cfg)
 	} else {
@@ -180,9 +177,6 @@ func main() {
 		}
 	}
 	defer closeMaster(m)
-	if prov != nil { // the scaler ticks only inside Run; -listen :0 is bound now
-		prov.Args = []string{"-master", m.Addr(), "-quiet"}
-	}
 	run(m, sigC, *serve, *showRows, *timeout)
 }
 
@@ -233,6 +227,19 @@ func run(m *remote.Master, sigC <-chan os.Signal, serve bool, showRows int, time
 	if runErr != nil && !interrupted {
 		fatal(runErr) // the journal failed after every held job finished
 	}
+}
+
+// spawnWorker starts one ursa-worker process pointed at the master: the
+// autoscaler's scale-up. The child is reaped on exit but otherwise
+// unmanaged; the drain protocol (DrainDone) is what makes a worker exit.
+func spawnWorker(bin, master string, logf func(string, ...any)) error {
+	cmd := exec.Command(bin, "-master", master, "-quiet")
+	if err := cmd.Start(); err != nil {
+		return fmt.Errorf("spawn %s: %w", bin, err)
+	}
+	logf("elastic: spawned worker pid %d", cmd.Process.Pid)
+	go cmd.Wait()
+	return nil
 }
 
 // takeOver waits for the primary's lease to expire and returns the next

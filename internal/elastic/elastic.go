@@ -1,16 +1,21 @@
 // Package elastic is the cluster-elasticity subsystem: policy-driven
 // autoscaling (add workers when admission backs up, drain idle ones when
-// reservations slack off), the provisioning seam that actually starts
-// workers, and the DRESS-style reservation corrector that feeds observed
-// per-job memory usage back into admission's estimate. The mechanisms —
-// graceful drain, mid-run join, estimate correction — live in the core and
-// remote layers; this package owns the decisions.
+// reservations slack off) through one controller that the simulator and the
+// remote master both run, and the DRESS-style reservation corrector that
+// feeds observed per-job memory usage back into admission's estimate. The
+// mechanisms — graceful drain, mid-run join, estimate correction — live in
+// the core and remote layers; this package owns the decisions.
 package elastic
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Signals is the autoscaler's sampled view of the scheduler, assembled on
-// the control loop each policy tick.
+	"ursa/internal/core"
+)
+
+// Signals is the autoscaler's sampled view of the cluster, assembled on the
+// control loop each policy tick: Sample's half from the scheduler, the
+// membership from the host.
 type Signals struct {
 	// Live counts workers able to take new work; Draining counts drains in
 	// progress. Joined is the cumulative mid-run join count — the
@@ -27,7 +32,7 @@ type Signals struct {
 	Paused   bool
 	// ReservedFrac is admitted reservation over live capacity (0..1): the
 	// pending-reservation pressure signal. Utilization is busy cores over
-	// live cores, when the host can sample it (0 otherwise).
+	// live cores (0 with none).
 	ReservedFrac float64
 	Utilization  float64
 }
@@ -110,38 +115,63 @@ func (p *UtilizationPolicy) Target(s Signals) int {
 	return target
 }
 
-// Provisioner starts one new worker that will register with the master.
-// StartWorker may block on process spawn or dialing and is therefore never
-// called on the control loop.
-type Provisioner interface {
-	StartWorker() error
+// Sample reads the scheduler's half of the signals: the queued and admitted
+// job counts, admission's own pause, the reserved fraction of live memory,
+// and core utilization over the workers placement can use. Membership (Live,
+// Draining, Joined) is the host's to fill in. Loop-owned.
+func Sample(sys *core.System) Signals {
+	sched := sys.Sched
+	s := Signals{
+		Queued:   sched.QueuedCount(),
+		Admitted: sched.AdmittedCount(),
+		Paused:   sched.AdmissionPaused(),
+	}
+	if cap := sched.LiveCapacity(); cap > 0 {
+		s.ReservedFrac = sched.ReservedMem() / cap
+	}
+	var capCores, freeCores float64
+	for _, w := range sys.Workers {
+		if w.Failed() || w.Draining() {
+			continue
+		}
+		capCores += w.Machine.Cores.Capacity()
+		freeCores += w.Machine.Cores.Free()
+	}
+	if capCores > 0 {
+		s.Utilization = 1 - freeCores/capCores
+	}
+	return s
 }
 
-// ProvisionerFunc adapts a function to the Provisioner interface.
-type ProvisionerFunc func() error
-
-// StartWorker implements Provisioner.
-func (f ProvisionerFunc) StartWorker() error { return f() }
-
-// Controller turns policy targets into actions through host callbacks. The
-// host (the remote master) calls Tick on its control loop at the autoscale
-// interval; scale-ups run the provisioner on fresh goroutines, scale-downs
-// invoke the host's Drain callback, which picks an idle worker and starts a
-// graceful drain (returning false when no worker can drain this tick).
+// Controller turns policy targets into actions through host callbacks; the
+// simulator and the remote master both run it. The host calls Tick on its
+// control loop at the autoscale interval. A scale-up calls Start once per
+// worker to add, a scale-down calls Drain, which picks an idle worker and
+// starts a graceful drain (false when no worker can drain this tick).
 type Controller struct {
 	Policy *UtilizationPolicy
-	Prov   Provisioner
+	// Start begins adding one worker that will join the cluster. It runs on
+	// the control loop and must not block: a host whose provisioning is
+	// slow runs it elsewhere and reports a failure through Failed.
+	Start func()
 	// Drain begins a graceful drain of one scale-down candidate.
 	Drain func() bool
 	// Logf receives decision logs; nil disables logging.
 	Logf func(format string, args ...any)
 
-	// launched counts provisioner starts issued and failed those that errored;
-	// launched−failed−Signals.Joined are joins pending, not provisioned again.
+	// launched counts Starts issued and failed those Failed reported;
+	// launched−failed−Signals.Joined are joins pending, not started again.
 	launched int
 	failed   atomic.Int64
 	// ups and downs count scale-up and scale-down decisions (Decisions).
 	ups, downs atomic.Int64
+}
+
+// Failed reports that a Start did not produce a worker, so the next tick
+// under the same pressure starts another. Safe from any goroutine.
+func (c *Controller) Failed(err error) {
+	c.failed.Add(1)
+	c.logf("elastic: provision failed: %v", err)
 }
 
 // Decisions returns how many scale-up and scale-down decisions the
@@ -165,12 +195,7 @@ func (c *Controller) Tick(s Signals) {
 			s.Live, target, n, s.Queued, 100*s.ReservedFrac, s.Paused)
 		c.ups.Add(1)
 		for i := 0; i < n; i++ {
-			go func() {
-				if err := c.Prov.StartWorker(); err != nil {
-					c.failed.Add(1)
-					c.logf("elastic: provision failed: %v", err)
-				}
-			}()
+			c.Start()
 		}
 	case target < s.Live && s.Draining == 0:
 		// One drain at a time: the next tick sees the shrunken Live count

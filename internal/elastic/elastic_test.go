@@ -3,9 +3,8 @@ package elastic
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -55,74 +54,56 @@ func TestUtilizationPolicyScaleDownNeedsHysteresis(t *testing.T) {
 }
 
 func TestControllerProvisionsAndTracksPendingJoins(t *testing.T) {
-	var mu sync.Mutex
 	started := 0
-	wait := make(chan struct{})
 	c := &Controller{
 		Policy: NewUtilizationPolicy(1, 4),
-		Prov: ProvisionerFunc(func() error {
-			mu.Lock()
-			started++
-			mu.Unlock()
-			wait <- struct{}{}
-			return nil
-		}),
+		Start:  func() { started++ },
 	}
 	s := Signals{Live: 1, Queued: 5}
 	c.Tick(s)
-	<-wait
-	// Same pressure, join not yet arrived: no second provision.
+	// Same pressure, join not yet arrived: no second start.
 	c.Tick(s)
-	mu.Lock()
 	if started != 1 {
-		mu.Unlock()
-		t.Fatalf("provisioned %d workers while join pending, want 1", started)
+		t.Fatalf("started %d workers while a join is pending, want 1", started)
 	}
-	mu.Unlock()
-	// The join landed: pressure provisions again.
+	// The join landed: pressure starts another.
 	c.Tick(Signals{Live: 2, Joined: 1, Queued: 5})
-	<-wait
-	mu.Lock()
-	defer mu.Unlock()
 	if started != 2 {
-		t.Fatalf("provisioned %d workers after join, want 2", started)
+		t.Fatalf("started %d workers after the join, want 2", started)
 	}
 	if up, down := c.Decisions(); up != 2 || down != 0 {
 		t.Fatalf("Decisions() = %d up, %d down; want 2, 0", up, down)
 	}
 }
 
-// TestControllerRetriesFailedProvision: a provision that failed is not a join
-// in flight, so the next tick under the same pressure provisions again.
+// TestControllerRetriesFailedProvision: a start reported Failed is not a join
+// in flight, so the next tick under the same pressure starts again. The
+// failure lands from another goroutine, as a host's asynchronous spawn
+// reports it.
 func TestControllerRetriesFailedProvision(t *testing.T) {
-	var calls atomic.Int32
-	failed := make(chan struct{}, 1)
-	started := make(chan struct{}, 1)
-	c := &Controller{
-		Policy: NewUtilizationPolicy(1, 3),
-		Prov: ProvisionerFunc(func() error {
-			if calls.Add(1) == 1 {
-				return errors.New("spawn failed")
-			}
-			started <- struct{}{}
-			return nil
-		}),
-		Logf: func(format string, _ ...any) {
-			if strings.HasPrefix(format, "elastic: provision failed") {
-				failed <- struct{}{}
-			}
-		},
+	started := 0
+	var logged []string
+	c := &Controller{Policy: NewUtilizationPolicy(1, 3)}
+	c.Logf = func(format string, _ ...any) { logged = append(logged, format) }
+	c.Start = func() {
+		started++
+		if started == 1 {
+			done := make(chan struct{})
+			go func() { c.Failed(errors.New("spawn failed")); close(done) }()
+			<-done
+		}
 	}
 	s := Signals{Live: 1, Queued: 5}
 	c.Tick(s)
-	<-failed
 	c.Tick(s)
-	if up, _ := c.Decisions(); up != 2 {
-		t.Fatalf("%d scale-up decisions, want 2: the failed provision still counts as a pending join", up)
+	if started != 2 {
+		t.Fatalf("started %d workers, want 2: the failed start still counts as a pending join", started)
 	}
-	<-started
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("provisioner called %d times, want 2", n)
+	if up, _ := c.Decisions(); up != 2 {
+		t.Fatalf("%d scale-up decisions, want 2", up)
+	}
+	if !slices.ContainsFunc(logged, func(f string) bool { return strings.HasPrefix(f, "elastic: provision failed") }) {
+		t.Fatalf("no provision-failed log in %q", logged)
 	}
 }
 
@@ -132,7 +113,7 @@ func TestControllerDrainsOnePerTick(t *testing.T) {
 	p.HysteresisTicks = 1
 	c := &Controller{
 		Policy: p,
-		Prov:   ProvisionerFunc(func() error { return nil }),
+		Start:  func() { t.Fatal("started a worker on an idle tick") },
 		Drain:  func() bool { drains++; return true },
 	}
 	idle := Signals{Live: 4}
@@ -155,31 +136,52 @@ func TestReserveCorrectorConverges(t *testing.T) {
 	if got := rc.Factor("wc"); got != 1 {
 		t.Fatalf("unseen factor = %v, want 1", got)
 	}
-	// A workload consistently using half its reservation converges to 0.5.
+	// A workload consistently using half its estimate converges to 0.5.
 	for i := 0; i < 50; i++ {
-		rc.Observe("wc", 2e9, 1e9)
+		rc.Observe("wc", 2e9, 1, 1e9)
 	}
 	if got := rc.Factor("wc"); math.Abs(got-0.5) > 0.01 {
 		t.Errorf("over-reserver factor = %v, want ≈0.5", got)
 	}
-	// An under-reserver converges above 1, clamped at MaxFactor.
+	// An under-reserver converges above 1, clamped at maxReserveFactor.
 	for i := 0; i < 100; i++ {
-		rc.Observe("hog", 1e9, 10e9)
+		rc.Observe("hog", 1e9, 1, 10e9)
 	}
-	if got := rc.Factor("hog"); got != rc.MaxFactor {
-		t.Errorf("under-reserver factor = %v, want clamp %v", got, rc.MaxFactor)
+	if got := rc.Factor("hog"); got != maxReserveFactor {
+		t.Errorf("under-reserver factor = %v, want clamp %v", got, maxReserveFactor)
 	}
 	_, min, max := rc.Summary()
-	if min >= 1 || max != rc.MaxFactor {
+	if min >= 1 || max != maxReserveFactor {
 		t.Errorf("Range() = (%v, %v)", min, max)
 	}
 	// Degenerate observations teach nothing.
-	rc.Observe("zero", 0, 5)
-	rc.Observe("zero", 5, 0)
+	rc.Observe("zero", 0, 1, 5)
+	rc.Observe("zero", 5, 1, 0)
+	rc.Observe("zero", 5, 0, 5)
 	if got := rc.Factor("zero"); got != 1 {
 		t.Errorf("degenerate observations moved factor to %v", got)
 	}
 	if got, _, _ := rc.Summary(); got != 150 {
-		t.Errorf("corrections = %d, want 150 (the degenerate pair is not a correction)", got)
+		t.Errorf("corrections = %d, want 150 (the degenerate ones are not corrections)", got)
+	}
+}
+
+// TestReserveCorrectorClosedLoop runs the corrector the way the master does:
+// each job is submitted with its declared estimate times the factor learned
+// so far, and peaks at a fixed multiple of the declared estimate. The
+// reservation must converge to the peak, so the factor to peak/declared: 0.5
+// for a 2× over-reserver and 3 for a 3× under-reserver, not the square roots
+// (0.707, 1.732) that folding the peak against the corrected estimate reaches.
+func TestReserveCorrectorClosedLoop(t *testing.T) {
+	const declared = 1e9
+	for _, usage := range []float64{0.5, 3} {
+		rc := NewReserveCorrector()
+		for i := 0; i < 60; i++ {
+			f := rc.Factor("w")
+			rc.Observe("w", declared*f, f, usage*declared)
+		}
+		if got := rc.Factor("w"); math.Abs(got-usage) > 1e-6 {
+			t.Errorf("peak = %v × declared: factor %.4f, want %v", usage, got, usage)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"ursa/internal/core"
 	"ursa/internal/elastic"
 	"ursa/internal/eventloop"
-	"ursa/internal/metrics"
 	"ursa/internal/workload"
 )
 
@@ -76,143 +75,67 @@ type elasticResult struct {
 	Joins, Drains int
 }
 
-// runElasticUrsa executes a workload on Ursa with the elastic controller in
-// the loop: the cluster starts at minW machines and the utilization policy
-// grows it (worker joins after a provisioning delay) or shrinks it
-// (graceful BeginDrain of an idle worker) within [minW, maxW]. The
-// simulation is deterministic: scaling decisions run as event-loop ticks,
-// never goroutines.
-func runElasticUrsa(w *workload.Workload, cfg core.Config, hw cluster.Config, minW, maxW int) elasticResult {
+// runElasticUrsa runs a workload on Ursa, starting at minW machines, with
+// the elastic.Controller the remote master ships ticking on the event loop:
+// a scale-up starts a worker that joins after a provisioning delay, a
+// scale-down gracefully drains the highest-ID idle worker, within [minW,
+// maxW]. Scaling runs as event-loop ticks, never goroutines, so the run is
+// deterministic.
+func runElasticUrsa(w *workload.Workload, hw cluster.Config, minW, maxW int) elasticResult {
 	const (
 		tick      = 250 * eventloop.Millisecond
 		joinDelay = eventloop.Second
 	)
-	loop := eventloop.New()
-	hw.Machines = minW
-	clus := cluster.New(loop, hw)
-	sys := core.NewSystem(loop, clus, cfg)
-
-	// Scale-up rides core saturation (UtilHigh): TPC-H jobs are CPU-bound —
-	// their memory estimates sit far below even a two-machine cluster's
-	// capacity and admission keeps the queue empty, so neither ReservedFrac
-	// nor Queued ever fires while the trough footprint grinds at 100% core
-	// utilization.
-	pol := &elastic.UtilizationPolicy{
-		Min: minW, Max: maxW,
-		HighWater: 0.85, LowWater: 0.40, UtilHigh: 0.75,
-		StepUp: 4, HysteresisTicks: 2,
-	}
-	drained := make(map[int]bool)
-	sys.OnWorkerDrained = func(id int) { drained[id] = true }
-
-	launched, joined := 0, 0
-	poweredOn := func() int {
-		n := 0
-		for i, wk := range sys.Workers {
-			if !wk.Failed() && !drained[i] {
-				n++
-			}
-		}
-		return n
-	}
-	// A completed drain leaves the core worker in the draining state (the
-	// remote layer owns deregistration); classify those as gone, not
-	// draining, or one finished drain would gate scale-down forever.
-	counts := func() (live, draining int) {
-		for i, wk := range sys.Workers {
-			switch {
-			case wk.Failed() || drained[i]:
-			case wk.Draining():
-				draining++
-			default:
-				live++
-			}
-		}
-		return live, draining
-	}
-	coreUtil := func() float64 {
-		var capn, free float64
-		for _, wk := range sys.Workers {
-			if wk.Failed() || wk.Draining() {
-				continue
-			}
-			capn += wk.Machine.Cores.Capacity()
-			free += wk.Machine.Cores.Free()
-		}
-		if capn <= 0 {
-			return 0
-		}
-		return 1 - free/capn
-	}
-
-	var machineSeconds float64
 	tickSeconds := float64(tick) / float64(eventloop.Second)
-	finished := 0
-	var stopTick func()
-	stopTick = loop.Every(tick, func() {
-		machineSeconds += float64(poweredOn()) * tickSeconds
-		live, draining := counts()
-		s := elastic.Signals{
-			Live: live, Draining: draining, Joined: joined,
-			Queued:   sys.Sched.QueuedCount(),
-			Admitted: sys.Sched.AdmittedCount(),
-			Paused:   sys.Sched.AdmissionPaused(),
-		}
-		if cap := sys.Sched.LiveCapacity(); cap > 0 {
-			s.ReservedFrac = sys.Sched.ReservedMem() / cap
-		}
-		s.Utilization = coreUtil()
-		target := pol.Target(s)
-		pending := launched - joined
-		if pending < 0 {
-			pending = 0
-		}
-		switch {
-		case target > live+pending:
-			n := target - live - pending
-			launched += n
-			for i := 0; i < n; i++ {
-				loop.After(joinDelay, func() {
+	hw.Machines = minW
+	var res elasticResult
+	res.Result = runUrsa(w, core.Config{}, hw, 0, func(sys *core.System) {
+		c := &elastic.Controller{
+			// Scale-up rides core saturation (UtilHigh): TPC-H jobs are
+			// CPU-bound — their memory estimates sit far below even a
+			// two-machine cluster's capacity and admission keeps the queue
+			// empty, so neither ReservedFrac nor Queued ever fires while the
+			// trough footprint grinds at 100% core utilization.
+			Policy: &elastic.UtilizationPolicy{
+				Min: minW, Max: maxW,
+				HighWater: 0.85, LowWater: 0.40, UtilHigh: 0.75,
+				StepUp: 4, HysteresisTicks: 2,
+			},
+			Start: func() {
+				sys.Loop.After(joinDelay, func() {
 					sys.AddWorker()
-					joined++
+					res.Joins++
 				})
-			}
-		case target < live && draining == 0:
-			// Drain the highest-ID idle live worker, mirroring the remote
-			// master's scale-down choice.
-			for id := len(sys.Workers) - 1; id >= 0; id-- {
-				wk := sys.Workers[id]
-				if !wk.Failed() && !wk.Draining() && wk.Idle() {
-					sys.BeginDrain(id)
-					break
+			},
+			Drain: func() bool {
+				for id := len(sys.Workers) - 1; id >= 0; id-- {
+					if wk := sys.Workers[id]; !wk.Draining() && wk.Idle() {
+						return sys.BeginDrain(id)
+					}
 				}
+				return false
+			},
+		}
+		sys.OnWorkerDrained = func(int) { res.Drains++ }
+		stop := sys.Loop.Every(tick, func() {
+			// No worker fails here, so every drain begun is a scale-down
+			// and every other worker is live. A worker whose drain has
+			// completed stays draining in the core, and is powered off.
+			_, down := c.Decisions()
+			s := elastic.Sample(sys)
+			s.Live, s.Draining, s.Joined = len(sys.Workers)-down, down-res.Drains, res.Joins
+			res.MachineSeconds += float64(s.Live+s.Draining) * tickSeconds
+			c.Tick(s)
+		})
+		finished := sys.OnJobFinished
+		sys.OnJobFinished = func(j *core.Job) {
+			finished(j)
+			if sys.AllDone() {
+				stop()
 			}
 		}
 	})
-	sys.OnJobFinished = func(*core.Job) {
-		finished++
-		if finished == len(w.Jobs) {
-			stopTick()
-		}
-	}
-
-	for _, s := range w.Jobs {
-		sys.MustSubmit(s.Spec, s.At)
-	}
-	loop.Run()
-	if !sys.AllDone() {
-		panic(fmt.Sprintf("experiments: workload %s stalled on elastic ursa", w.Name))
-	}
-
-	res := elasticResult{MachineSeconds: machineSeconds, Joins: joined, Drains: len(drained)}
 	res.System = "ursa-elastic"
-	var jobs []metrics.JobTimes
-	for _, j := range sys.Jobs() {
-		jobs = append(jobs, metrics.JobTimes{Submitted: j.Submitted, Finished: j.Finished})
-		res.JCTs = append(res.JCTs, j.JCT().Seconds())
-	}
-	res.Makespan = metrics.Makespan(jobs)
-	res.AvgJCT = metrics.AvgJCT(jobs)
 	return res
 }
 
@@ -235,7 +158,7 @@ func diurnalCompare(opt Options) (fixed Result, fixedMachineSeconds float64, el 
 	fixed = RunUrsa(diurnalTrace(n, o.Seed), core.Config{}, fixedHW, 0)
 	fixedMachineSeconds = float64(diurnalMaxW) * fixed.Makespan
 
-	el = runElasticUrsa(diurnalTrace(n, o.Seed), core.Config{}, hw, diurnalMinW, diurnalMaxW)
+	el = runElasticUrsa(diurnalTrace(n, o.Seed), hw, diurnalMinW, diurnalMaxW)
 	return fixed, fixedMachineSeconds, el
 }
 

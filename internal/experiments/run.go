@@ -87,7 +87,7 @@ func RunUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, samp
 
 // runUrsa is RunUrsa with a hook that runs once the jobs are submitted and
 // before the loop starts: where a scenario schedules what the workload does
-// not describe (worker failures).
+// not describe (worker failures, an autoscaler).
 func runUrsa(w *workload.Workload, cfg core.Config, clusCfg cluster.Config, sample eventloop.Duration, scenario func(*core.System)) Result {
 	loop := eventloop.New()
 	clus := cluster.New(loop, clusCfg)

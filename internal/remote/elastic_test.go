@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -251,7 +252,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		spawnMu    sync.Mutex
 		spawned    []*agent.Agent
 	)
-	prov := elastic.ProvisionerFunc(func() error {
+	prov := func() error {
 		addrMu.Lock()
 		addr := masterAddr
 		addrMu.Unlock()
@@ -263,7 +264,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		spawned = append(spawned, a)
 		spawnMu.Unlock()
 		return nil
-	})
+	}
 	t.Cleanup(func() {
 		spawnMu.Lock()
 		defer spawnMu.Unlock()
@@ -274,7 +275,6 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 
 	lc := startCluster(t, 2, Config{
 		Serve:             true,
-		Autoscale:         true,
 		MinWorkers:        2,
 		MaxWorkers:        5,
 		AutoscaleInterval: 20 * time.Millisecond,
@@ -456,7 +456,10 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 // TestReserveCorrectionLearns checks the DRESS-style feedback loop: a
 // workload that chronically over-reserves (estimate far above its observed
 // memory peak) must pull its learned correction factor below 1, so later
-// submissions of the same workload reserve less.
+// submissions of the same workload reserve less. Later jobs run under the
+// factor earlier ones taught, and the factor must still be the EWMA of each
+// job's peak over its declared estimate: folding the peak against the
+// corrected estimate instead would settle at the square root of that ratio.
 func TestReserveCorrectionLearns(t *testing.T) {
 	// Observed peaks are measured in bytes, so the estimate and capacity are
 	// byte-denominated too — the corrector only makes sense in like units.
@@ -465,14 +468,28 @@ func TestReserveCorrectionLearns(t *testing.T) {
 		ReserveCorrect: true,
 		MemPerWorker:   1 << 30,
 	})
+	var (
+		peaksMu sync.Mutex
+		peaks   []float64
+	)
+	onState := lc.Master.Sys.Core.OnJobStateChange
+	lc.Master.Sys.Core.OnJobStateChange = func(j *core.Job) {
+		if rj := lc.Master.jobs.of(j); rj != nil && j.State == core.JobFinished {
+			peaksMu.Lock()
+			peaks = append(peaks, rj.memPeak)
+			peaksMu.Unlock()
+		}
+		onState(j)
+	}
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
 	log := newStatusLog()
 	c := dialFrontDoor(t, lc, ClientConfig{Tenant: "dress", OnStatus: log.add})
 
-	// Micro's real working set is a few KB of rows; a 512 MiB estimate is a
-	// gross over-reservation the corrector must learn away.
-	_, params := workload.Micro(workload.MicroParams{Rows: 512, MemEstimate: 512 << 20})
+	// Micro's real working set is a few KB of rows; a 64 KiB estimate is an
+	// over-reservation the corrector must learn away.
+	const declared = 64 << 10
+	_, params := workload.Micro(workload.MicroParams{Rows: 512, MemEstimate: declared})
 	for i := 0; i < 3; i++ {
 		id, err := c.Submit("micro", params)
 		if err != nil {
@@ -485,11 +502,21 @@ func TestReserveCorrectionLearns(t *testing.T) {
 	if got, _, _ := lc.Master.corrector.Summary(); got != 3 {
 		t.Fatalf("corrections = %d, want 3 (one per finished job)", got)
 	}
-	if f := lc.Master.corrector.Factor("micro"); f >= 1 {
+	f := lc.Master.corrector.Factor("micro")
+	if f >= 1 {
 		t.Fatalf("learned factor for micro = %.3f, want < 1 (workload over-reserves)", f)
 	}
 	if _, min, _ := lc.Master.corrector.Summary(); min >= 1 {
 		t.Fatalf("corrector range min = %.3f, want < 1", min)
+	}
+	want := elastic.NewReserveCorrector()
+	peaksMu.Lock()
+	for _, p := range peaks {
+		want.Observe("micro", declared, 1, p)
+	}
+	peaksMu.Unlock()
+	if w := want.Factor("micro"); math.Abs(f-w) > 1e-9*w {
+		t.Fatalf("learned factor = %.6f, want %.6f: the EWMA of peak/declared over peaks %v", f, w, peaks)
 	}
 	lc.Master.Drain()
 	waitRun(t, lc, runErr)

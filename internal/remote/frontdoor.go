@@ -143,8 +143,8 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 		return
 	}
 	bj.Spec.Tenant = msg.Tenant
-	bj.Spec.MemEstimate *= fd.m.reserveFactor(msg.Workload)
-	rj := &RemoteJob{Built: bj, client: link, submitID: msg.SubmitID}
+	rj := fd.m.newRow(msg.Workload, bj)
+	rj.client, rj.submitID = link, msg.SubmitID
 	fd.m.submit(rj, func() { fd.bindJob(rj, msg) })
 }
 

@@ -40,6 +40,10 @@ type RemoteJob struct {
 	// an aggregate-materialized-working-set proxy for the job's true peak.
 	// Loop-owned.
 	memPeak float64
+	// memFactor is the reservation correction Built.Spec.MemEstimate carries
+	// (newRow): what the corrector divides out to fold memPeak against the
+	// workload's declared estimate.
+	memFactor float64
 }
 
 // ResultRows returns the job's output rows (with the workload's Finish

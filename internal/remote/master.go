@@ -90,22 +90,21 @@ type Config struct {
 	// SnapshotEvery is the journal's snapshot (and compaction) cadence in
 	// events. Default 1024.
 	SnapshotEvery int
-	// Autoscale runs the utilization-driven autoscaler: every
-	// AutoscaleInterval a policy tick samples admission pressure (queued
-	// jobs, paused admission, reservation fraction) and either starts a
-	// worker through Provisioner or drains an idle one, within
-	// [MinWorkers, MaxWorkers].
-	Autoscale bool
 	// MinWorkers and MaxWorkers bound the autoscaler's target cluster size.
 	// Defaults: Workers and Workers (i.e. no movement until raised).
 	MinWorkers int
 	MaxWorkers int
 	// AutoscaleInterval paces autoscaler policy ticks. Default 250ms.
 	AutoscaleInterval time.Duration
-	// Provisioner starts new workers on scale-up decisions (the loopback
-	// seam in tests, process spawning under -serve). Nil leaves scale-up
-	// decisions unsatisfied (logged, harmless).
-	Provisioner elastic.Provisioner
+	// Provisioner, when set, runs the utilization-driven autoscaler: every
+	// AutoscaleInterval a policy tick samples admission pressure (queued
+	// jobs, paused admission, reservation fraction, core utilization) and
+	// either starts a worker through Provisioner or drains an idle one,
+	// within [MinWorkers, MaxWorkers]. Provisioner starts one worker that
+	// will register with the master (the loopback seam in tests, process
+	// spawning under -autoscale); it may block, so it runs on a goroutine of
+	// its own, and an error counts the start as failed.
+	Provisioner func() error
 	// ReserveCorrect enables DRESS-style dynamic reservation: per-workload
 	// EWMA correction factors, learned from worker-reported memory
 	// high-water marks of finished jobs, multiply the admission MemEstimate
@@ -262,7 +261,7 @@ type Master struct {
 	// Config.ReserveCorrect): observations land on the control loop at job
 	// finish, factors are read at submit time from front-door goroutines.
 	corrector *elastic.ReserveCorrector
-	// scaler is the autoscaler (nil unless Config.Autoscale), ticked on the
+	// scaler is the autoscaler (nil unless Config.Provisioner), ticked on the
 	// control loop by Run.
 	scaler *elastic.Controller
 	// migrated counts the partitions whose fetch routing drains moved to
@@ -337,17 +336,18 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 	if cfg.ReserveCorrect {
 		m.corrector = elastic.NewReserveCorrector()
 	}
-	if cfg.Autoscale {
+	if prov := cfg.Provisioner; prov != nil {
 		m.scaler = &elastic.Controller{
 			Policy: elastic.NewUtilizationPolicy(cfg.MinWorkers, cfg.MaxWorkers),
-			Prov:   cfg.Provisioner,
 			Drain:  m.drainOneIdle,
 			Logf:   cfg.Logf,
 		}
-		if m.scaler.Prov == nil {
-			m.scaler.Prov = elastic.ProvisionerFunc(func() error {
-				return errors.New("remote: autoscale without a Provisioner")
-			})
+		m.scaler.Start = func() {
+			go func() {
+				if err := prov(); err != nil {
+					m.scaler.Failed(err)
+				}
+			}()
 		}
 	}
 
@@ -481,11 +481,9 @@ func (m *Master) onJobState(j *core.Job) {
 		}
 		m.fd.sendStatus(rj, wire.StateAdmitted, "")
 	case core.JobFinished:
-		// The corrector pairs the job's peak with the reservation the state
-		// holds for it until the finish event releases it.
 		if m.corrector != nil {
 			if js, ok := m.rec.job(rj.id); ok {
-				m.corrector.Observe(js.Workload, js.Reserved, rj.memPeak)
+				m.corrector.Observe(js.Workload, rj.Built.Spec.MemEstimate, rj.memFactor, rj.memPeak)
 			}
 		}
 		m.rec.record(cpstate.JobFinished{JobID: rj.id})
@@ -584,8 +582,8 @@ func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	bj.Spec.MemEstimate *= m.reserveFactor(name)
-	rj := &RemoteJob{Built: bj, id: m.jobs.mint()}
+	rj := m.newRow(name, bj)
+	rj.id = m.jobs.mint()
 	m.rec.record(cpstate.JobSubmitted{
 		JobID: rj.id, Tenant: bj.Spec.Tenant, Workload: name, Params: params,
 	})
@@ -940,29 +938,19 @@ func (m *Master) recordDrained(id int) {
 	m.logf("master: worker %d drained (%d partitions rerouted to the canonical store)", id, parts)
 }
 
-// signals samples the autoscaler's view of the cluster. Loop-owned.
+// signals samples the autoscaler's view of the cluster: the scheduler's half
+// from elastic.Sample, the membership from the connection table. Loop-owned.
 func (m *Master) signals() elastic.Signals {
-	s := elastic.Signals{Joined: m.joined(), Paused: m.paused()}
-	var capCores, freeCores float64
+	s := elastic.Sample(m.Sys.Core)
+	s.Joined = m.joined()
+	s.Paused = m.paused()
 	for id := range m.workers {
 		switch l, w := m.worker(id); {
 		case dispatchable(l, w):
 			s.Live++
-			cores := m.Sys.Core.Workers[id].Machine.Cores
-			capCores += cores.Capacity()
-			freeCores += cores.Free()
 		case attached(l, w):
 			s.Draining++
 		}
-	}
-	sched := m.Sys.Core.Sched
-	s.Queued = sched.QueuedCount()
-	s.Admitted = sched.AdmittedCount()
-	if cap := sched.LiveCapacity(); cap > 0 {
-		s.ReservedFrac = sched.ReservedMem() / cap
-	}
-	if capCores > 0 {
-		s.Utilization = 1 - freeCores/capCores
 	}
 	return s
 }
@@ -980,13 +968,16 @@ func (m *Master) drainOneIdle() bool {
 	return false
 }
 
-// reserveFactor returns the DRESS correction multiplier for a workload's
-// admission estimate (1 when correction is off or nothing is learned yet).
-func (m *Master) reserveFactor(workload string) float64 {
-	if m.corrector == nil {
-		return 1
+// newRow wraps a job built for the named workload in a row, its admission
+// estimate scaled by the workload's DRESS correction factor (1 when
+// correction is off or nothing is learned yet).
+func (m *Master) newRow(name string, bj *workload.BuiltJob) *RemoteJob {
+	rj := &RemoteJob{Built: bj, memFactor: 1}
+	if m.corrector != nil {
+		rj.memFactor = m.corrector.Factor(name)
 	}
-	return m.corrector.Factor(workload)
+	bj.Spec.MemEstimate *= rj.memFactor
+	return rj
 }
 
 // readLoop is one worker's inbound control path. Heartbeats stamp the

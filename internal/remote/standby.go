@@ -217,7 +217,9 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		bj.Spec.Tenant = js.Tenant
 		// The submission is already in the replayed state, so no JobSubmitted
 		// event is recorded here.
-		rts[id] = m.hold(&RemoteJob{Built: bj, id: id}).Runtime()
+		rj := m.newRow(js.Workload, bj)
+		rj.id = id
+		rts[id] = m.hold(rj).Runtime()
 	}
 
 	// State transfer: the dead master's canonical store died with it, so
