@@ -114,10 +114,11 @@ chaos:
 fuzz-wire:
 	$(GO) test -run '^FuzzDecodeFrame$$' ./internal/wire
 
-# One-shot fuzz pass over the control-plane event codec's seed corpus. Add
-# -fuzz '^FuzzDecodeEvent$' to hunt for new crashers.
+# One-shot fuzz pass over the control-plane event codec's and snapshot
+# decoder's seed corpora. Add -fuzz '^FuzzDecodeEvent$' (or
+# '^FuzzDecodeState$') to hunt for new crashers.
 fuzz-events:
-	$(GO) test -run '^FuzzDecodeEvent$$' ./internal/cpstate
+	$(GO) test -run '^(FuzzDecodeEvent|FuzzDecodeState)$$' ./internal/cpstate
 
 # One-shot fuzz pass over the row blob codec's seed corpus: one encoding of
 # every registered row type, every truncation of a multi-run blob, that blob

@@ -51,6 +51,9 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`ProvisionerFunc`, "remote.Config.Provisioner is a func() error"},
 	{`ProcessProvisioner`, "ursa-master's spawnWorker is the -autoscale provisioner"},
 	{`\bAutoscale:|\.Autoscale\b`, "a non-nil remote.Config.Provisioner runs the autoscaler"},
+	{`TenantReserved`, "the scheduler owns reservations; core.CheckQuiesced checks them"},
+	{`LastSeq`, "dispatch sequence numbers are the executor's"},
+	{`State\.InFlight|\.InFlight\b`, "in-flight work is remoteExecutor.dispatches alone"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

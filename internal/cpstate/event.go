@@ -1,10 +1,11 @@
 // Package cpstate is the master's control-plane state machine, carved out
 // of remote.Master so it can be journaled and replayed: every mutation the
-// control plane performs — a job submitted, admitted, finished or
-// cancelled; a monotask placed or committed; a worker registered or failed;
-// a generation bump at takeover — is a typed Event, and the only way state
-// changes is the pure Apply(state, event) function. The networking layer
-// reduces to translating frames into events.
+// control plane performs that a takeover reads back — a job submitted,
+// admitted, finished or cancelled; a monotask committed; a worker
+// registered, joined, draining, drained or failed; a generation bump at
+// takeover — is a typed Event, and the only way state changes is the pure
+// Apply(state, event) function. The networking layer reduces to translating
+// frames into events.
 //
 // Determinism is the whole contract: applying the same event sequence to a
 // fresh State always produces byte-identical Encode output, so a standby
@@ -45,10 +46,9 @@ type Event interface {
 }
 
 // Generation marks a master taking authority: gen 1 on a fresh journal,
-// +1 at every standby takeover. Applying it resets the volatile portion of
-// the state — in-flight placements are void (their dispatches died with the
-// old master's sockets) and non-terminal jobs return to queued for
-// re-admission — while commits, origins and the worker registry survive.
+// +1 at every standby takeover. Applying it returns non-terminal jobs to
+// queued for re-admission, while commits, origins and the worker registry
+// survive.
 type Generation struct {
 	Gen int64
 }
@@ -65,15 +65,16 @@ type JobSubmitted struct {
 	Params   []byte
 }
 
-// JobAdmitted records admission under the memory reservation; Reserved is
-// the cluster-wide reservation snapshot the scheduler granted (§4.2.2).
+// JobAdmitted records admission under the memory reservation. Reserved, the
+// reservation the scheduler granted (§4.2.2), is encoded but not folded: the
+// scheduler owns reservations, and a takeover re-admits.
 type JobAdmitted struct {
 	JobID    int64
 	Reserved float64
 }
 
-// JobFinished marks a job terminal; its reservation releases and its
-// per-monotask state compacts out of the live state.
+// JobFinished marks a job terminal; its per-monotask state compacts out of
+// the live state.
 type JobFinished struct {
 	JobID int64
 }
@@ -83,9 +84,10 @@ type JobCancelled struct {
 	JobID int64
 }
 
-// Placed records one monotask dispatched to a worker under a fresh
-// sequence number — the at-most-once commit token of PR 4, namespaced by
-// generation (a takeover master starts its counter at gen<<32).
+// Placed is a monotask dispatched to a worker under a fresh sequence number.
+// No master records it any more: in-flight work is the executor's alone and
+// void at takeover. It stays decodable, and Apply ignores it, so a journal
+// tail that holds one still replays.
 type Placed struct {
 	JobID  int64
 	MTID   int32
@@ -102,7 +104,8 @@ type CommitWrite struct {
 // Commit records an accepted completion: the (job, mt) pair is done, its
 // writes are checkpointed in the master's canonical store, and Seconds is
 // the worker-measured execution time (the §4.2.2 rate sample, re-fed on
-// replay so precommitted work still trains the rate monitors).
+// replay so precommitted work still trains the rate monitors). Seq, the
+// dispatch's at-most-once token, is encoded but not folded.
 type Commit struct {
 	JobID   int64
 	MTID    int32
@@ -113,7 +116,8 @@ type Commit struct {
 }
 
 // WorkerRegistered records a worker joining (or re-attaching after a
-// failover) with its peer-fetchable shuffle address and advertised cores.
+// failover) with its peer-fetchable shuffle address. Cores is encoded but
+// not folded: the agent re-advertises it at every registration.
 type WorkerRegistered struct {
 	Worker      int32
 	ShuffleAddr string

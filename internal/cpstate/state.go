@@ -1,6 +1,7 @@
 package cpstate
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -40,9 +41,6 @@ type JobState struct {
 	Workload string
 	Params   []byte
 	Phase    JobPhase
-	// Reserved is the admission reservation currently held (0 unless
-	// Phase == PhaseAdmitted).
-	Reserved float64
 }
 
 // WorkerState is one registry slot. Failed, Draining and Drained are
@@ -52,7 +50,6 @@ type JobState struct {
 // the canonical store — unlike Failed, nothing was lost on the way out).
 type WorkerState struct {
 	ShuffleAddr string
-	Cores       int32
 	Failed      bool
 	Draining    bool
 	Drained     bool
@@ -67,24 +64,18 @@ func (w WorkerState) Live() bool { return !w.Failed && !w.Draining && !w.Drained
 // master's canonical store instead.
 func (w WorkerState) ServesPeers() bool { return !w.Failed && !w.Drained }
 
-// Placement is an in-flight dispatch.
-type Placement struct {
-	Worker int32
-	Seq    uint64
-}
-
-// CommitState is an accepted completion.
+// CommitState is an accepted completion: what a takeover needs to complete
+// the monotask from the checkpoint (its writes) and re-feed its rate sample.
 type CommitState struct {
-	Worker  int32
-	Seq     uint64
 	Seconds float64
 	Writes  []CommitWrite
 }
 
 // State is the deterministic control-plane state: everything a standby
-// needs to take over — jobs and their phases, the worker registry,
-// in-flight placements, accepted commits and the partition origin map —
-// derived purely from the event sequence. Maps are keyed by value types;
+// needs to take over — jobs and their phases, the worker registry, accepted
+// commits and the partition origin map — derived purely from the event
+// sequence. In-flight work is not here: it is the executor's, and it dies
+// with the master that dispatched it. Maps are keyed by value types;
 // Encode serializes them in sorted key order, so two States built from the
 // same events are byte-identical.
 type State struct {
@@ -92,34 +83,26 @@ type State struct {
 	Gen int64
 	// Applied counts events applied since New.
 	Applied uint64
-	// LastSeq is the highest dispatch sequence number observed.
-	LastSeq uint64
 	// Jobs indexes jobs by wire-level job ID; Order preserves submission
 	// order (the order a takeover master resubmits in).
 	Jobs  map[int64]*JobState
 	Order []int64
 	// Workers is the registry, indexed by worker ID.
 	Workers []WorkerState
-	// InFlight holds dispatched-but-uncommitted monotasks.
-	InFlight map[MTKey]Placement
 	// Commits holds accepted completions for non-terminal jobs (terminal
 	// jobs compact out — their outputs are consumed, nothing replays them).
 	Commits map[MTKey]CommitState
 	// Origins records which workers hold committed contributions for each
 	// produced partition (sorted, unique) — the §4.3 checkpoint metadata.
 	Origins map[PartKey][]int32
-	// TenantReserved aggregates held reservations per tenant.
-	TenantReserved map[string]float64
 }
 
 // New returns an empty state.
 func New() *State {
 	return &State{
-		Jobs:           make(map[int64]*JobState),
-		InFlight:       make(map[MTKey]Placement),
-		Commits:        make(map[MTKey]CommitState),
-		Origins:        make(map[PartKey][]int32),
-		TenantReserved: make(map[string]float64),
+		Jobs:    make(map[int64]*JobState),
+		Commits: make(map[MTKey]CommitState),
+		Origins: make(map[PartKey][]int32),
 	}
 }
 
@@ -142,8 +125,9 @@ func (st *State) MaxJobID() int64 {
 }
 
 // Apply folds one event into the state. It is the only mutation path and is
-// deterministic: same state, same event, same result — including float
-// arithmetic order (tenant releases iterate jobs in submission order).
+// deterministic: same state, same event, same result. Fields a takeover
+// never reads back — Placed, a JobAdmitted's reservation, a Commit's
+// sequence number, a registration's cores — are not folded.
 func Apply(st *State, ev Event) {
 	st.Applied++
 	switch ev := ev.(type) {
@@ -158,44 +142,22 @@ func Apply(st *State, ev Event) {
 			Params: append([]byte(nil), ev.Params...), Phase: PhaseQueued,
 		}
 	case JobAdmitted:
-		js := st.Jobs[ev.JobID]
-		if js == nil || js.Phase.Terminal() {
-			return
-		}
-		js.Phase = PhaseAdmitted
-		js.Reserved = ev.Reserved
-		// A zero reservation holds nothing: like releaseReservation, leave
-		// the tenant's entry alone, or it would outlive every job.
-		if ev.Reserved != 0 {
-			st.TenantReserved[js.Tenant] += ev.Reserved
+		if js := st.Jobs[ev.JobID]; js != nil && !js.Phase.Terminal() {
+			js.Phase = PhaseAdmitted
 		}
 	case JobFinished:
 		st.finishJob(ev.JobID, PhaseFinished)
 	case JobCancelled:
 		st.finishJob(ev.JobID, PhaseCancelled)
-	case Placed:
-		st.InFlight[MTKey{ev.JobID, ev.MTID}] = Placement{Worker: ev.Worker, Seq: ev.Seq}
-		if ev.Seq > st.LastSeq {
-			st.LastSeq = ev.Seq
-		}
 	case Commit:
-		key := MTKey{ev.JobID, ev.MTID}
-		delete(st.InFlight, key)
-		st.Commits[key] = CommitState{
-			Worker: ev.Worker, Seq: ev.Seq, Seconds: ev.Seconds,
-			Writes: append([]CommitWrite(nil), ev.Writes...),
+		st.Commits[MTKey{ev.JobID, ev.MTID}] = CommitState{
+			Seconds: ev.Seconds, Writes: append([]CommitWrite(nil), ev.Writes...),
 		}
 		for _, w := range ev.Writes {
 			st.addOrigin(PartKey{ev.JobID, w.DS, w.Part}, ev.Worker)
 		}
-		if ev.Seq > st.LastSeq {
-			st.LastSeq = ev.Seq
-		}
 	case WorkerRegistered:
-		for int(ev.Worker) >= len(st.Workers) {
-			st.Workers = append(st.Workers, WorkerState{})
-		}
-		st.Workers[ev.Worker] = WorkerState{ShuffleAddr: ev.ShuffleAddr, Cores: ev.Cores}
+		st.register(ev.Worker, ev.ShuffleAddr)
 	case WorkerFailed:
 		if int(ev.Worker) < len(st.Workers) {
 			st.Workers[ev.Worker].Failed = true
@@ -210,30 +172,28 @@ func Apply(st *State, ev Event) {
 			st.Workers[ev.Worker].Draining = false
 		}
 	case WorkerJoined:
-		for int(ev.Worker) >= len(st.Workers) {
-			st.Workers = append(st.Workers, WorkerState{})
-		}
-		st.Workers[ev.Worker] = WorkerState{ShuffleAddr: ev.ShuffleAddr, Cores: ev.Cores}
+		st.register(ev.Worker, ev.ShuffleAddr)
 	}
 }
 
-// applyGeneration is the takeover reset: authority changes hands, every
-// in-flight dispatch is void (its socket died with the old master), and
+// register (re)opens registry slot id, growing the registry to reach it.
+func (st *State) register(id int32, shuffleAddr string) {
+	for int(id) >= len(st.Workers) {
+		st.Workers = append(st.Workers, WorkerState{})
+	}
+	st.Workers[id] = WorkerState{ShuffleAddr: shuffleAddr}
+}
+
+// applyGeneration is the takeover reset: authority changes hands and
 // non-terminal jobs fall back to queued for re-admission by the new
 // master's scheduler. Commits, origins and the registry persist — they are
 // the checkpoint the new generation resumes from.
 func applyGeneration(st *State, ev Generation) {
 	st.Gen = ev.Gen
-	for k := range st.InFlight {
-		delete(st.InFlight, k)
-	}
-	for _, id := range st.Order {
-		js := st.Jobs[id]
-		if js.Phase.Terminal() {
-			continue
+	for _, js := range st.Jobs {
+		if !js.Phase.Terminal() {
+			js.Phase = PhaseQueued
 		}
-		st.releaseReservation(js)
-		js.Phase = PhaseQueued
 	}
 }
 
@@ -242,16 +202,10 @@ func (st *State) finishJob(id int64, phase JobPhase) {
 	if js == nil || js.Phase.Terminal() {
 		return
 	}
-	st.releaseReservation(js)
 	js.Phase = phase
 	// Compact: a terminal job's per-monotask state can never be replayed
 	// into work again, so it leaves the live state (and with it, the next
 	// snapshot).
-	for k := range st.InFlight {
-		if k.Job == id {
-			delete(st.InFlight, k)
-		}
-	}
 	for k := range st.Commits {
 		if k.Job == id {
 			delete(st.Commits, k)
@@ -262,19 +216,6 @@ func (st *State) finishJob(id int64, phase JobPhase) {
 			delete(st.Origins, k)
 		}
 	}
-}
-
-func (st *State) releaseReservation(js *JobState) {
-	if js.Reserved == 0 {
-		return
-	}
-	rem := st.TenantReserved[js.Tenant] - js.Reserved
-	if rem == 0 {
-		delete(st.TenantReserved, js.Tenant)
-	} else {
-		st.TenantReserved[js.Tenant] = rem
-	}
-	js.Reserved = 0
 }
 
 func (st *State) addOrigin(key PartKey, worker int32) {
@@ -293,8 +234,9 @@ func (st *State) addOrigin(key PartKey, worker int32) {
 // key order. Snapshot payloads embed this byte-for-byte.
 const stateMagic = "UCPS"
 
-// stateVersion 2 added the Draining/Drained flags to the worker section.
-const stateVersion byte = 2
+// stateVersion is bumped whenever the layout changes; DecodeState refuses
+// every other version.
+const stateVersion byte = 3
 
 // AppendEncoded appends the state's canonical encoding to dst. Two states
 // built from the same event sequence encode byte-identically — the replay
@@ -304,7 +246,6 @@ func (st *State) AppendEncoded(dst []byte) []byte {
 	e.U8(stateVersion)
 	e.I64(st.Gen)
 	e.U64(st.Applied)
-	e.U64(st.LastSeq)
 
 	e.U32(uint32(len(st.Order)))
 	for _, id := range st.Order {
@@ -314,44 +255,32 @@ func (st *State) AppendEncoded(dst []byte) []byte {
 		e.Str(js.Workload)
 		e.Blob(js.Params)
 		e.U8(byte(js.Phase))
-		e.F64(js.Reserved)
 	}
 
 	e.U32(uint32(len(st.Workers)))
 	for _, w := range st.Workers {
 		e.Str(w.ShuffleAddr)
-		e.I32(w.Cores)
 		e.Bool(w.Failed)
 		e.Bool(w.Draining)
 		e.Bool(w.Drained)
 	}
 
-	mtKeys := make([]MTKey, 0, len(st.InFlight))
-	for k := range st.InFlight {
-		mtKeys = append(mtKeys, k)
-	}
-	sortMTKeys(mtKeys)
-	e.U32(uint32(len(mtKeys)))
-	for _, k := range mtKeys {
-		p := st.InFlight[k]
-		e.I64(k.Job)
-		e.I32(k.MT)
-		e.I32(p.Worker)
-		e.U64(p.Seq)
-	}
-
-	mtKeys = mtKeys[:0]
+	mtKeys := make([]MTKey, 0, len(st.Commits))
 	for k := range st.Commits {
 		mtKeys = append(mtKeys, k)
 	}
-	sortMTKeys(mtKeys)
+	sort.Slice(mtKeys, func(i, j int) bool {
+		a, b := mtKeys[i], mtKeys[j]
+		if a.Job != b.Job {
+			return a.Job < b.Job
+		}
+		return a.MT < b.MT
+	})
 	e.U32(uint32(len(mtKeys)))
 	for _, k := range mtKeys {
 		c := st.Commits[k]
 		e.I64(k.Job)
 		e.I32(k.MT)
-		e.I32(c.Worker)
-		e.U64(c.Seq)
 		e.F64(c.Seconds)
 		e.U32(uint32(len(c.Writes)))
 		for _, w := range c.Writes {
@@ -385,27 +314,7 @@ func (st *State) AppendEncoded(dst []byte) []byte {
 			e.I32(o)
 		}
 	}
-
-	tenants := make([]string, 0, len(st.TenantReserved))
-	for t := range st.TenantReserved {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	e.U32(uint32(len(tenants)))
-	for _, t := range tenants {
-		e.Str(t)
-		e.F64(st.TenantReserved[t])
-	}
 	return e.Bytes()
-}
-
-func sortMTKeys(keys []MTKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Job != keys[j].Job {
-			return keys[i].Job < keys[j].Job
-		}
-		return keys[i].MT < keys[j].MT
-	})
 }
 
 // DecodeState decodes an AppendEncoded payload (a journal snapshot).
@@ -422,38 +331,30 @@ func DecodeState(p []byte) (*State, error) {
 	st := New()
 	st.Gen = d.I64()
 	st.Applied = d.U64()
-	st.LastSeq = d.U64()
 
-	njobs := d.Count(8 + 4 + 4 + 4 + 1 + 8)
+	njobs := d.Count(8 + 4 + 4 + 4 + 1)
 	for i := 0; i < njobs && d.Err() == nil; i++ {
 		id := d.I64()
 		js := &JobState{
 			Tenant: d.Str(), Workload: d.Str(),
 			Params: append([]byte(nil), d.Blob()...),
-			Phase:  JobPhase(d.U8()), Reserved: d.F64(),
+			Phase:  JobPhase(d.U8()),
 		}
 		st.Jobs[id] = js
 		st.Order = append(st.Order, id)
 	}
 
-	nworkers := d.Count(4 + 4 + 1 + 1 + 1)
+	nworkers := d.Count(4 + 1 + 1 + 1)
 	for i := 0; i < nworkers && d.Err() == nil; i++ {
 		st.Workers = append(st.Workers, WorkerState{
-			ShuffleAddr: d.Str(), Cores: d.I32(), Failed: d.Bool(),
-			Draining: d.Bool(), Drained: d.Bool(),
+			ShuffleAddr: d.Str(), Failed: d.Bool(), Draining: d.Bool(), Drained: d.Bool(),
 		})
 	}
 
-	nflight := d.Count(8 + 4 + 4 + 8)
-	for i := 0; i < nflight && d.Err() == nil; i++ {
-		k := MTKey{d.I64(), d.I32()}
-		st.InFlight[k] = Placement{Worker: d.I32(), Seq: d.U64()}
-	}
-
-	ncommits := d.Count(8 + 4 + 4 + 8 + 8 + 4)
+	ncommits := d.Count(8 + 4 + 8 + 4)
 	for i := 0; i < ncommits && d.Err() == nil; i++ {
 		k := MTKey{d.I64(), d.I32()}
-		c := CommitState{Worker: d.I32(), Seq: d.U64(), Seconds: d.F64()}
+		c := CommitState{Seconds: d.F64()}
 		nw := d.Count(commitWriteMin)
 		for j := 0; j < nw && d.Err() == nil; j++ {
 			c.Writes = append(c.Writes, CommitWrite{DS: d.I32(), Part: d.I32()})
@@ -472,17 +373,16 @@ func DecodeState(p []byte) (*State, error) {
 		st.Origins[k] = list
 	}
 
-	ntenants := d.Count(4 + 8)
-	for i := 0; i < ntenants && d.Err() == nil; i++ {
-		t := d.Str()
-		st.TenantReserved[t] = d.F64()
-	}
-
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("cpstate: snapshot: %w", err)
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("cpstate: snapshot: %d trailing bytes", d.Remaining())
+	}
+	// Duplicate or unsorted keys decode but would not re-encode to p: no
+	// encoder wrote them.
+	if !bytes.Equal(st.AppendEncoded(nil), p) {
+		return nil, fmt.Errorf("cpstate: snapshot: not canonical")
 	}
 	return st, nil
 }

@@ -54,9 +54,6 @@ func TestApplySemantics(t *testing.T) {
 	if st.Applied != uint64(len(sampleEvents())) {
 		t.Fatalf("Applied = %d, want %d", st.Applied, len(sampleEvents()))
 	}
-	if st.LastSeq != 3 {
-		t.Fatalf("LastSeq = %d, want 3", st.LastSeq)
-	}
 
 	// Job 1 finished: terminal, compacted.
 	if ph := st.Jobs[1].Phase; ph != PhaseFinished {
@@ -73,22 +70,16 @@ func TestApplySemantics(t *testing.T) {
 		}
 	}
 
-	// Job 2 was admitted, then the generation bump reset it to queued and
-	// released its reservation; its commit and origin survive the takeover.
+	// Job 2 was admitted, then the generation bump reset it to queued; its
+	// commit and origin survive the takeover.
 	if ph := st.Jobs[2].Phase; ph != PhaseQueued {
 		t.Fatalf("job 2 phase = %d, want queued after generation reset", ph)
-	}
-	if len(st.TenantReserved) != 0 {
-		t.Fatalf("TenantReserved = %v, want empty after reset", st.TenantReserved)
 	}
 	if _, ok := st.Commits[MTKey{2, 20}]; !ok {
 		t.Fatal("job 2 commit lost across generation bump")
 	}
 	if got := st.Origins[PartKey{2, 200, 3}]; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("job 2 origins = %v, want [0]", got)
-	}
-	if len(st.InFlight) != 0 {
-		t.Fatalf("InFlight = %v, want empty after generation reset", st.InFlight)
 	}
 
 	// Worker registry survives; the failure mark survives.
@@ -99,6 +90,36 @@ func TestApplySemantics(t *testing.T) {
 	// Job 3 cancelled terminally.
 	if ph := st.Jobs[3].Phase; ph != PhaseCancelled {
 		t.Fatalf("job 3 phase = %d, want cancelled", ph)
+	}
+}
+
+// TestUnreadFieldsNotFolded: what no takeover reads back — Placed, a
+// JobAdmitted's reservation, a Commit's sequence number, a registration's
+// cores — leaves no trace in the state: changing all of them changes no byte
+// of its encoding.
+func TestUnreadFieldsNotFolded(t *testing.T) {
+	events := sampleEvents()
+	varied := make([]Event, len(events))
+	for i, ev := range events {
+		switch e := ev.(type) {
+		case Placed:
+			e.Worker, e.Seq = e.Worker+1, e.Seq+100
+			ev = e
+		case JobAdmitted:
+			e.Reserved *= 3
+			ev = e
+		case Commit:
+			e.Seq += 100
+			ev = e
+		case WorkerRegistered:
+			e.Cores *= 2
+			ev = e
+		}
+		varied[i] = ev
+	}
+	a, b := buildState(t, events).AppendEncoded(nil), buildState(t, varied).AppendEncoded(nil)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("unread event fields reached the state:\n  %x\n  %x", a, b)
 	}
 }
 
@@ -215,6 +236,16 @@ func TestDecodeStateRejectsJunk(t *testing.T) {
 	if _, err := DecodeState(bad); err == nil {
 		t.Fatal("wrong-version snapshot decoded without error")
 	}
+	// Two jobs under one ID: well-formed field by field, but no encoder
+	// wrote it, and it would not re-encode to itself.
+	dup := New()
+	Apply(dup, JobSubmitted{JobID: 1, Workload: "a"})
+	Apply(dup, JobSubmitted{JobID: 2, Workload: "b"})
+	bad = dup.AppendEncoded(nil)
+	bad[bytes.LastIndex(bad, []byte{0, 0, 0, 0, 0, 0, 0, 2})+7] = 1 // job 2's ID
+	if _, err := DecodeState(bad); err == nil {
+		t.Fatal("snapshot with a duplicate job ID decoded without error")
+	}
 }
 
 // TestApplyOrderIndependentEncoding: two states fed the same events must
@@ -252,12 +283,10 @@ func TestApplyOrderIndependentEncoding(t *testing.T) {
 	// iteration order without changing logical content.
 	b := New()
 	for i := int64(1000); i < 1100; i++ {
-		b.InFlight[MTKey{i, 0}] = Placement{}
 		b.Commits[MTKey{i, 0}] = CommitState{}
 		b.Origins[PartKey{i, 0, 0}] = []int32{9}
 	}
 	for i := int64(1000); i < 1100; i++ {
-		delete(b.InFlight, MTKey{i, 0})
 		delete(b.Commits, MTKey{i, 0})
 		delete(b.Origins, PartKey{i, 0, 0})
 	}

@@ -29,7 +29,8 @@ type Config struct {
 	// attempts walk it round-robin. With one entry a lost master connection
 	// ends the agent. With more than one it triggers re-registration instead
 	// — the failover path: the agent re-attaches to whichever master holds
-	// the lease, keeping its worker ID under the new generation.
+	// the lease, keeping its worker ID under the new generation (or taking
+	// the one it is welcomed under, if that master already failed its slot).
 	MasterAddrs []string
 	// ShuffleAddr is the address the agent's shuffle server listens on;
 	// empty picks an ephemeral 127.0.0.1 port (loopback clusters) — real
@@ -170,7 +171,7 @@ type Agent struct {
 	// agent re-attaches to a standby master after a failover (readLoop
 	// swaps it while heartbeats and completions keep loading it).
 	conn    atomic.Pointer[wire.Conn]
-	id      int32
+	id      atomic.Int32 // worker ID from the latest Welcome
 	gen     atomic.Int64 // master generation from the latest Welcome
 	hb      time.Duration
 	shuffle *shuffle.Server
@@ -231,12 +232,11 @@ func Dial(cfg Config) (*Agent, error) {
 		srv.Close()
 		return nil, err
 	}
-	a.id = w.WorkerID
 	a.registered = true
 	a.hb = time.Duration(w.HeartbeatMicros) * time.Microsecond
 	a.applyWelcome(w)
 	a.logf("agent %d: joined master %s gen %d (hb=%v shuffle=%s)",
-		a.id, a.conn.Load().RemoteAddr(), w.Gen, a.hb, srv.Addr())
+		a.id.Load(), a.conn.Load().RemoteAddr(), w.Gen, a.hb, srv.Addr())
 
 	a.wg.Add(2)
 	go a.heartbeats()
@@ -296,7 +296,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	// matches against the replayed control-plane state to re-attach it.
 	workerID := int32(-1)
 	if a.registered {
-		workerID = a.id
+		workerID = a.id.Load()
 	}
 	if !conn.Send(wire.Register{
 		WorkerID: workerID, ShuffleAddr: shuffleAddr, Cores: int32(cfg.Cores),
@@ -331,6 +331,7 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 // applyWelcome installs the per-master settings from a Welcome —
 // at first join and again at every re-attach.
 func (a *Agent) applyWelcome(w wire.Welcome) {
+	a.id.Store(w.WorkerID)
 	a.gen.Store(w.Gen)
 	a.mu.Lock()
 	a.masterShuffleAddr = w.MasterShuffleAddr
@@ -344,8 +345,8 @@ func (a *Agent) masterAddr() string {
 	return a.masterShuffleAddr
 }
 
-// ID returns the worker ID the master assigned.
-func (a *Agent) ID() int { return int(a.id) }
+// ID returns the worker ID the master last welcomed this agent under.
+func (a *Agent) ID() int { return int(a.id.Load()) }
 
 // Gen returns the master generation from the latest Welcome — it advances
 // when the agent re-attaches to a standby that took over.
@@ -421,7 +422,7 @@ func (a *Agent) heartbeats() {
 		case <-a.quit:
 			return
 		case now := <-t.C:
-			a.conn.Load().Send(wire.Heartbeat{WorkerID: a.id, SentUnixMicros: now.UnixMicro()})
+			a.conn.Load().Send(wire.Heartbeat{WorkerID: a.id.Load(), SentUnixMicros: now.UnixMicro()})
 		}
 	}
 }
@@ -438,7 +439,7 @@ func (a *Agent) readLoop() {
 	for {
 		err := a.conn.Load().ReadLoop(a.handleMsg)
 		if err == errClean {
-			a.logf("agent %d: shutdown requested, draining", a.id)
+			a.logf("agent %d: shutdown requested, draining", a.id.Load())
 			a.drain()
 			a.shutdown(nil)
 			return
@@ -453,7 +454,7 @@ func (a *Agent) readLoop() {
 			a.shutdown(fmt.Errorf("agent: master connection lost: %w", err))
 			return
 		}
-		a.logf("agent %d: master connection lost (%v), re-registering", a.id, err)
+		a.logf("agent %d: master connection lost (%v), re-registering", a.id.Load(), err)
 		a.abortInflight()
 		w, rerr := a.register(a.shuffle.Addr())
 		if rerr != nil {
@@ -461,7 +462,7 @@ func (a *Agent) readLoop() {
 			return
 		}
 		a.applyWelcome(w)
-		a.logf("agent %d: re-attached under generation %d", a.id, w.Gen)
+		a.logf("agent %d: re-attached under generation %d", a.id.Load(), w.Gen)
 	}
 }
 
@@ -487,7 +488,7 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 		// The master is draining this worker: no further dispatches will
 		// arrive, but in-flight work keeps running and the shuffle server
 		// keeps serving peers until DrainDone says every consumer is settled.
-		a.logf("agent %d: draining (%s)", a.id, m.Reason)
+		a.logf("agent %d: draining (%s)", a.id.Load(), m.Reason)
 	case wire.DrainDone:
 		// Drain complete: fetch routing has migrated off this worker and its
 		// last completion is committed. Exit cleanly.
@@ -507,7 +508,7 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 // false when the control connection is already down; callers fall back to
 // Stop.
 func (a *Agent) RequestDrain(reason string) bool {
-	return a.conn.Load().Send(wire.DrainWorker{WorkerID: a.id, Reason: reason})
+	return a.conn.Load().Send(wire.DrainWorker{WorkerID: a.id.Load(), Reason: reason})
 }
 
 // abortInflight marks every in-flight execution aborted so its completion
@@ -553,11 +554,11 @@ func (a *Agent) resolveJob(jobID int64) *localrt.Runtime {
 // orders every Dispatch behind the plan it needs.
 func (a *Agent) handlePrepare(p wire.Prepare) {
 	if err := a.prepare(p); err != nil {
-		a.logf("agent %d: prepare job %d (%s): %v", a.id, p.JobID, p.Workload, err)
+		a.logf("agent %d: prepare job %d (%s): %v", a.id.Load(), p.JobID, p.Workload, err)
 		a.conn.Load().Send(wire.JobReady{JobID: p.JobID, Err: err.Error()})
 		return
 	}
-	a.logf("agent %d: prepared job %d (%s)", a.id, p.JobID, p.Workload)
+	a.logf("agent %d: prepared job %d (%s)", a.id.Load(), p.JobID, p.Workload)
 }
 
 // prepare rebuilds the job's plan from the workload registry and seeds its
@@ -764,7 +765,7 @@ func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes
 			// to it — correct but no longer peer-to-peer, hence counted.
 			fallbacks++
 			a.logf("agent %d: fetch ds%d/p%d from w%d failed (%v), falling back to master",
-				a.id, f.DatasetID, f.Part, f.Origin, err)
+				a.id.Load(), f.DatasetID, f.Part, f.Origin, err)
 			n, nr, r, err = a.client(masterStore).FetchFunc(d.JobID, f.DatasetID, f.Part, -1, sink)
 			retries += r
 		}

@@ -95,10 +95,11 @@ func (e *remoteExecutor) Close() {
 }
 
 // Start implements core.MonotaskExecutor. Runs on the control loop: it
-// records the dispatch under a fresh sequence number (the at-most-once
-// commit token), mirrors the in-process executor's core accounting so
-// placement sees real occupancy, and ships the Dispatch with one fetch spec
-// per input-partition holder.
+// keeps the dispatch under a fresh sequence number (the at-most-once commit
+// token), mirrors the in-process executor's core accounting so placement
+// sees real occupancy, and ships the Dispatch with one fetch spec per
+// input-partition holder. Nothing is journaled: in-flight work is this
+// executor's alone, and a takeover voids it.
 func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func()) {
 	rj := e.m.jobs.of(j)
 	if rj == nil {
@@ -134,7 +135,7 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 	}
 	var fetches []wire.FetchSpec
 	parts, storeAddr := localrt.InputParts(rj.rt().Plan(), mt), e.m.shuffleSrv.Addr()
-	e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID, storeAddr) })
+	open := e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID, storeAddr) })
 	for _, sp := range fetches {
 		o := int(sp.Origin)
 		if sp.Origin < 0 || slices.Contains(st.fetchOrigins, o) {
@@ -144,18 +145,14 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 		e.fetchRefs[o]++
 	}
 	e.dispatches[key] = st
-	placed := e.m.rec.record(cpstate.Placed{
-		JobID: key.Job, MTID: key.MT, Worker: int32(w.ID), Seq: st.seq,
-	})
 
 	d := wire.Dispatch{JobID: key.Job, MTID: key.MT, Seq: st.seq, Fetches: fetches}
 	link := e.m.link(w.ID)
 	e.m.Transport.ObserveDispatch(w.ID)
-	// A placement the fenced recorder dropped is not dispatched: commits
-	// since the fence never became origins, and an agent fed from those
-	// frozen fetch specs would keep a partial output for the next generation
-	// to reuse (DESIGN §13).
-	if link == nil || !placed || !link.conn.Send(d) {
+	// No Dispatch after the fence: commits since the fence never became
+	// origins, and an agent fed from those frozen fetch specs would keep a
+	// partial output for the next generation to reuse (DESIGN §13).
+	if link == nil || !open || !link.conn.Send(d) {
 		// The conn died under us (or Close is about to cut it); schedule the
 		// failure instead of handling it reentrantly inside the scheduler's
 		// placement pass. The abort hook below reclaims this dispatch when

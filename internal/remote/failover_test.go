@@ -3,11 +3,15 @@ package remote
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,6 +55,31 @@ func replayJournal(t *testing.T, dir string) (*cpstate.State, []cpstate.Event) {
 // under generation 2, replayed commits short-circuit re-execution, and the
 // final rows match direct in-process execution exactly.
 func TestFailoverStandbyTakeover(t *testing.T) {
+	tm := failover(t, false)
+	// The journaled gen-1 commits were recovered into the canonical store
+	// and short-circuited instead of re-executing.
+	if n := tm.Journal.Precommits(); n < 1 {
+		t.Fatalf("precommits = %d, want >= 1", n)
+	}
+}
+
+// TestFailoverWithDeadWorker kills one agent together with the primary. The
+// takeover must not wait for it: its slot is failed once the heartbeat-loss
+// window after promotion passes, its partitions are read from the canonical
+// store, and the run finishes on the two agents that re-attached.
+func TestFailoverWithDeadWorker(t *testing.T) {
+	failover(t, true)
+}
+
+// failover runs three wordcount jobs on a journaled primary with three
+// agents, crashes the primary once commits are journaled (and, if
+// killAgent, one agent with it), and runs the backlog to completion on the
+// promoted standby. It checks the rows against direct execution, the
+// re-attaches, the dead slot's failure, the offline replay against the live
+// state, and at-most-once commits across both generations. The promoted
+// master is returned closed.
+func failover(t *testing.T, killAgent bool) *Master {
+	t.Helper()
 	jdir := t.TempDir()
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 3000, InParts: 6, OutParts: 4})
 	want := sortedStrings(directRows(t, name, params))
@@ -102,16 +131,36 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	go func() { primaryDone <- primary.Run(ctx) }()
 
 	// Kill the primary once real progress is journaled: at least two commits
-	// accepted, no job finished yet.
+	// accepted, no job finished yet — and, if an agent dies too, output of
+	// its own committed, which the takeover then cannot pull back.
+	progress := func() bool { return primary.CommitCount() >= 2 }
+	if killAgent {
+		progress = func() (origin bool) {
+			primary.rec.read(func(st *cpstate.State) {
+				for _, origins := range st.Origins {
+					origin = origin || slices.Contains(origins, int32(agents[2].ID()))
+				}
+			})
+			return origin && primary.CommitCount() >= 2
+		}
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for primary.CommitCount() < 2 {
+	for !progress() {
 		if time.Now().After(deadline) {
 			t.Fatal("timed out waiting for the primary to accept commits")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	primary.Close() // crash: listener, worker conns, canonical store, lease renewal all die
-	<-primaryDone   // "all workers dead" — the crash took every link down
+	dead := -1
+	if killAgent {
+		// Killed after the fence, so the primary journals no failure for it:
+		// the standby inherits the slot as live.
+		dead = agents[2].ID()
+		agents[2].Kill()
+		agents = agents[:2]
+	}
+	<-primaryDone // "all workers dead" — the crash took every link down
 
 	tm, err := standby.Takeover(ctx)
 	if err != nil {
@@ -141,19 +190,18 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 		}
 	}
 
-	// Workers re-attached under the new generation, keeping their IDs.
-	if n := tm.Journal.Reattaches(); n != 3 {
-		t.Fatalf("reattaches = %d, want 3", n)
+	// The surviving workers re-attached under the new generation, keeping
+	// their IDs; the dead one's slot was failed.
+	if n := tm.Journal.Reattaches(); n != len(agents) {
+		t.Fatalf("reattaches = %d, want %d", n, len(agents))
 	}
 	for i, a := range agents {
 		if g := a.Gen(); g != 2 {
 			t.Fatalf("agent %d generation = %d, want 2", i, g)
 		}
 	}
-	// The journaled gen-1 commits were recovered into the canonical store
-	// and short-circuited instead of re-executing.
-	if n := tm.Journal.Precommits(); n < 1 {
-		t.Fatalf("precommits = %d, want >= 1", n)
+	if dead >= 0 && !tm.rec.worker(dead).Failed {
+		t.Fatalf("slot %d of the agent that died with the primary is not failed", dead)
 	}
 
 	liveBytes := tm.StateBytes()
@@ -163,14 +211,19 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	if !bytes.Equal(st.AppendEncoded(nil), liveBytes) {
 		t.Fatal("journal replay does not reproduce the live control-plane state")
 	}
-	// At-most-once across generations: no (job, monotask) commits twice, and
-	// both generations mark the journal.
-	commits := make(map[cpstate.MTKey]int)
+	// At-most-once across generations: no (job, monotask) commits twice —
+	// except that generation 2 re-executes what only the dead agent held —
+	// and both generations mark the journal.
+	commits := make(map[cpstate.MTKey]int32) // the committing worker
 	var gens []int64
 	for _, ev := range events {
 		switch ev := ev.(type) {
 		case cpstate.Commit:
-			commits[cpstate.MTKey{Job: ev.JobID, MT: ev.MTID}]++
+			k := cpstate.MTKey{Job: ev.JobID, MT: ev.MTID}
+			if w, ok := commits[k]; ok && (int(w) != dead || len(gens) != 2) {
+				t.Fatalf("job %d monotask %d committed twice (want at most once)", k.Job, k.MT)
+			}
+			commits[k] = ev.Worker
 		case cpstate.Generation:
 			gens = append(gens, ev.Gen)
 		}
@@ -178,13 +231,173 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	if len(commits) == 0 {
 		t.Fatal("journal holds no commits")
 	}
-	for k, n := range commits {
-		if n > 1 {
-			t.Fatalf("job %d monotask %d committed %d times (want at most once)", k.Job, k.MT, n)
-		}
-	}
 	if !reflect.DeepEqual(gens, []int64{1, 2}) {
 		t.Fatalf("generation events = %v, want [1 2]", gens)
+	}
+	return tm
+}
+
+// TestFailoverTakesFreshJoins: once a promoted master runs, an agent it has
+// no open slot for joins it elastically, into a slot past the replayed
+// registry, and the join is journaled — so a standby's autoscaler can still
+// scale up after the takeover. That holds for a fresh agent and for one
+// whose re-attach comes after Run failed its slot: that agent takes the new
+// ID instead of being turned away.
+func TestFailoverTakesFreshJoins(t *testing.T) {
+	jdir := t.TempDir()
+	base := Config{
+		Workers:           1,
+		Serve:             true,
+		JournalDir:        jdir,
+		LeaseTTL:          400 * time.Millisecond,
+		HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatMisses:   40,
+	}
+	primary, err := NewMaster(base)
+	if err != nil {
+		t.Fatalf("starting primary: %v", err)
+	}
+	defer primary.Close()
+	standby, err := NewStandby(base)
+	if err != nil {
+		t.Fatalf("starting standby: %v", err)
+	}
+	defer standby.Close()
+	dial := func(d wire.DialFunc, addrs ...string) *agent.Agent {
+		t.Helper()
+		a, err := agent.Dial(agent.Config{
+			MasterAddrs:        addrs,
+			Dial:               d,
+			ShuffleDial:        wire.NetDial,
+			RegisterAttempts:   1000,
+			RegisterBackoff:    10 * time.Millisecond,
+			RegisterBackoffMax: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("starting agent: %v", err)
+		}
+		t.Cleanup(a.Kill)
+		return a
+	}
+	// The first agent cannot reach any master while gated: it misses the
+	// takeover's re-attach window.
+	var gated atomic.Bool
+	late := dial(func(addr string) (net.Conn, error) {
+		if gated.Load() {
+			return nil, errors.New("gated")
+		}
+		return wire.NetDial(addr)
+	}, primary.Addr(), standby.Addr())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	primaryDone := make(chan error, 1)
+	go func() { primaryDone <- primary.Run(ctx) }()
+	if err := primary.WaitWorkers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	gated.Store(true)
+	primary.Close()
+	<-primaryDone
+
+	tm, err := standby.Takeover(ctx)
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	defer tm.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- tm.Run(ctx) }()
+	waitFor(t, "the absent slot to fail", func() bool { return tm.rec.worker(0).Failed })
+	gated.Store(false)
+	waitFor(t, "the late agent to join", func() bool { return late.Gen() == 2 })
+	if late.ID() != 1 {
+		t.Fatalf("late agent took slot %d, want 1 (its old slot 0 was failed)", late.ID())
+	}
+	if fresh := dial(nil, standby.Addr()); fresh.ID() != 2 {
+		t.Fatalf("fresh agent took slot %d, want 2 (past the registry)", fresh.ID())
+	}
+	tm.Drain()
+	if err := <-runErr; err != nil {
+		t.Fatalf("takeover run: %v", err)
+	}
+	tm.Close()
+
+	st, events := replayJournal(t, jdir)
+	if len(st.Workers) != 3 || !st.Workers[0].Failed || !st.Workers[1].Live() || !st.Workers[2].Live() {
+		t.Fatalf("replayed registry = %+v, want slot 0 failed and the joined slots 1 and 2 live", st.Workers)
+	}
+	for _, id := range []int32{1, 2} {
+		if !slices.ContainsFunc(events, func(ev cpstate.Event) bool {
+			j, ok := ev.(cpstate.WorkerJoined)
+			return ok && j.Worker == id
+		}) {
+			t.Fatalf("journal holds no WorkerJoined for slot %d", id)
+		}
+	}
+	if n := tm.Journal.Reattaches(); n != 0 {
+		t.Fatalf("reattaches = %d, want 0 (the late agent joined)", n)
+	}
+}
+
+// TestFailoverDefaultTimings runs a takeover at the shipped timings — lease,
+// master heartbeat and agent registration backoff all left at their
+// defaults — with one agent killed together with the primary. The agents
+// that survived retry the standby only every second or two, yet both must
+// re-attach into their own slots before the promoted master fails the dead
+// one.
+func TestFailoverDefaultTimings(t *testing.T) {
+	base := Config{Workers: 3, Serve: true, JournalDir: t.TempDir()}
+	primary, err := NewMaster(base)
+	if err != nil {
+		t.Fatalf("starting primary: %v", err)
+	}
+	defer primary.Close()
+	standby, err := NewStandby(base)
+	if err != nil {
+		t.Fatalf("starting standby: %v", err)
+	}
+	defer standby.Close()
+	agents := make([]*agent.Agent, 3)
+	for i := range agents {
+		a, err := agent.Dial(agent.Config{MasterAddrs: []string{primary.Addr(), standby.Addr()}})
+		if err != nil {
+			t.Fatalf("starting agent %d: %v", i, err)
+		}
+		agents[i] = a
+		defer a.Kill()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	primaryDone := make(chan error, 1)
+	go func() { primaryDone <- primary.Run(ctx) }()
+	if err := primary.WaitWorkers(ctx); err != nil {
+		t.Fatal(err)
+	}
+	primary.Close()
+	dead := agents[2].ID()
+	agents[2].Kill()
+	<-primaryDone
+
+	tm, err := standby.Takeover(ctx)
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	defer tm.Close()
+	runErr := make(chan error, 1)
+	go func() { runErr <- tm.Run(ctx) }()
+	waitFor(t, "the dead agent's slot to fail", func() bool { return tm.rec.worker(dead).Failed })
+	if n := tm.Journal.Reattaches(); n != 2 {
+		t.Fatalf("reattaches = %d, want 2", n)
+	}
+	for _, a := range agents[:2] {
+		if w := tm.rec.worker(a.ID()); a.Gen() != 2 || !w.Live() {
+			t.Fatalf("agent %d: generation %d, slot %+v; want it re-attached live under generation 2", a.ID(), a.Gen(), w)
+		}
+	}
+	tm.Drain()
+	if err := <-runErr; err != nil {
+		t.Fatalf("takeover run: %v", err)
 	}
 }
 

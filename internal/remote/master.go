@@ -677,11 +677,13 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	if m.nreg >= m.needed {
 		started := m.started
 		m.mu.Unlock()
-		if reg.WorkerID < 0 && m.takeover == nil && started {
-			// Elastic join: a fresh agent arriving at a full, running master
-			// grows the registry instead of being turned away — the
-			// autoscaler's scale-up path, but equally open to operators
-			// pointing extra ursa-worker processes at the cluster.
+		if started {
+			// Elastic join: an agent arriving at a full, running master —
+			// promoted or not — grows the registry past every slot it holds
+			// instead of being turned away: the autoscaler's scale-up path,
+			// but equally open to operators pointing extra ursa-worker
+			// processes at the cluster, and to an agent re-attaching after
+			// Run failed its old slot (it takes the new ID).
 			m.elasticJoin(nc, c, reg)
 			return
 		}
@@ -693,7 +695,7 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	reattach := reg.WorkerID >= 0
 	if reattach {
 		// Re-attach after a failover: the worker claims its previous slot so
-		// every ID in the replayed state (placements, origins, registry)
+		// every ID in the replayed state (commits, origins, registry)
 		// still names it. Only a takeover master accepts these, and only for
 		// slots the registry holds as live and unclaimed.
 		id = int(reg.WorkerID)
@@ -706,8 +708,9 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		}
 	} else {
 		if m.takeover != nil {
-			// Unknown worker joining mid-recovery: the replayed state has no
-			// slot for it, so it cannot carry any of the old generation's IDs.
+			// Unknown worker joining mid-recovery, before Run: the replayed
+			// state has no slot for it, so it cannot carry any of the old
+			// generation's IDs. Once Run starts it joins elastically.
 			m.mu.Unlock()
 			m.logf("master: rejecting fresh agent from %v (takeover recovers known workers only)", nc.RemoteAddr())
 			c.Close()
@@ -766,7 +769,7 @@ func regProfile(reg wire.Register) cluster.MachineProfile {
 // to the scheduling core on the control loop, so a heterogeneous fleet is
 // modeled per-machine instead of by the uniform CoresPerWorker assumption.
 // A worker that is not idle when the closure runs — a takeover reattach
-// whose replayed in-flight work already dispatched — keeps the profile it
+// to which the inherited backlog already dispatched — keeps the profile it
 // was scheduled under; re-basing capacities under live allocations is not
 // sound. The control-plane journal intentionally does not record profiles:
 // they are re-learned from the agent on every (re-)registration.
@@ -1038,9 +1041,18 @@ func (m *Master) failWorker(id int, cause error) {
 		return
 	}
 	m.dropLink(id)
+	link.conn.Close()
+	m.failSlot(id, cause)
+}
+
+// failSlot is every worker failure's common tail, for a slot with no
+// connection row: a worker failWorker just cut, or an inherited slot whose
+// agent never re-attached to a takeover (assemble). It records the failure,
+// hands the slot to the core's §4.3 recovery and, with no live worker left,
+// pauses admission or ends the run.
+func (m *Master) failSlot(id int, cause error) {
 	recorded := m.rec.record(cpstate.WorkerFailed{Worker: int32(id)})
 	m.logf("master: worker %d failed: %v", id, cause)
-	link.conn.Close()
 	m.Sys.Core.FailWorker(id)
 	switch {
 	case m.connected():
@@ -1066,18 +1078,56 @@ func (m *Master) WaitWorkers(ctx context.Context) error {
 	}
 }
 
+// assemble waits for the cluster, then opens the registry to elastic joins.
+// A fresh master waits for its Workers. A takeover waits for its inherited
+// live slots to re-attach, for at most twice LeaseTTL: an agent alternating
+// between two master addresses, its backoff capped at LeaseTTL or less (the
+// agent default is 1 s, the lease's 2 s), tries this one at least that
+// often. Each slot still empty lost its agent with the primary and is failed
+// here, before the control loop runs (so failSlot may touch the core from
+// this goroutine). A survivor that comes later joins elastically under a
+// new ID.
+func (m *Master) assemble(ctx context.Context) error {
+	var window time.Duration
+	var expired <-chan time.Time
+	if m.takeover != nil {
+		window = 2 * m.cfg.LeaseTTL
+		expired = time.After(window)
+	}
+	select {
+	case <-m.ready:
+	case <-expired:
+	case <-ctx.Done():
+		return fmt.Errorf("remote: waiting for %d workers: %w", m.needed, ctx.Err())
+	}
+	m.mu.Lock()
+	m.started = true
+	var absent []int
+	if m.nreg < m.needed {
+		for id, l := range m.workers {
+			if l == nil && m.rec.worker(id).Live() {
+				absent = append(absent, id)
+			}
+		}
+		m.needed = m.nreg
+		close(m.ready)
+	}
+	m.mu.Unlock()
+	for _, id := range absent {
+		m.failSlot(id, fmt.Errorf("no re-attach within %v of the takeover", window))
+	}
+	return nil
+}
+
 // Run waits for the cluster to assemble, arms the liveness and stats
 // tickers, and drives the scheduling core until a drain completes (then it
 // returns the journal's first error), the back-end fails or ctx ends. It must
 // follow all Submits. Without Config.Serve, read only here, Run begins with
 // the drain, whose closure queues behind the held jobs' crossings.
 func (m *Master) Run(ctx context.Context) error {
-	if err := m.WaitWorkers(ctx); err != nil {
+	if err := m.assemble(ctx); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	m.started = true
-	m.mu.Unlock()
 
 	loop := m.Sys.Drv.Loop()
 	hb, misses := m.cfg.HeartbeatInterval, m.cfg.HeartbeatMisses

@@ -9,14 +9,14 @@ import (
 )
 
 // recorder is the master's write path into the control-plane state machine:
-// every mutation — job submitted/admitted/finished, monotask placed,
+// every mutation a takeover reads back — job submitted/admitted/finished,
 // commit accepted, worker registered/failed, generation bump — is recorded
 // here as a typed cpstate.Event, applied to the canonical State, and (when
 // a journal is configured) appended to the on-disk log in the same order.
 // The mutex serializes producers from different goroutines (worker
-// registration runs on handshake goroutines, placements and commits on the
-// control loop), so the journal's append order IS the apply order and a
-// standby replaying the log reconstructs byte-identical state.
+// registration runs on handshake goroutines, commits on the control loop),
+// so the journal's append order IS the apply order and a standby replaying
+// the log reconstructs byte-identical state.
 //
 // The recorder is always active — the state it folds is the master's
 // registry (worker lifecycle and addresses, partition origins, job identity
@@ -40,10 +40,9 @@ func newRecorder(st *cpstate.State, jnl *journal.Journal, snapEvery int, logf fu
 
 // record applies one event and journals it, and reports whether it did:
 // false once the recorder is fenced. Since the master reads its registry
-// back from the state, a dropped event is a decision that did not happen —
-// the executor sends no Dispatch whose Placed was dropped. Journal write
-// errors are sticky and reported by fail — the in-memory state machine stays
-// authoritative, matching the no-journal mode's behavior.
+// back from the state, a dropped event is a decision that did not happen.
+// Journal write errors are sticky and reported by fail — the in-memory state
+// machine stays authoritative, matching the no-journal mode's behavior.
 func (r *recorder) record(ev cpstate.Event) bool {
 	r.mu.Lock()
 	if r.fenced {
@@ -120,13 +119,17 @@ func (r *recorder) owned() metrics.JournalOwned {
 }
 
 // read runs fn on the state under the recorder's lock — the master's read
-// path into its own registry. On the control loop the lock is uncontended
-// (handshake goroutines are the only other writer). fn must not keep st or
-// anything reachable from it, and must not record.
-func (r *recorder) read(fn func(st *cpstate.State)) {
+// path into its own registry — and reports whether the recorder still
+// records (false once fenced) in the same critical section: the executor
+// sends no Dispatch whose fetch specs were read after the fence. On the
+// control loop the lock is uncontended (handshake goroutines are the only
+// other writer). fn must not keep st or anything reachable from it, and must
+// not record.
+func (r *recorder) read(fn func(st *cpstate.State)) (open bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fn(r.state)
+	return !r.fenced
 }
 
 // worker returns registry slot id's lifecycle and shuffle address.

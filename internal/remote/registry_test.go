@@ -186,9 +186,9 @@ func TestWireIDsMintAboveState(t *testing.T) {
 
 // TestFencedMasterDispatchesNothing: Close fences the recorder before it
 // cuts the links, and the control loop keeps running in between. With the
-// state as the registry, a placement made in that window has no Placed event
-// and would be built from origins frozen at the fence — so it must not reach
-// an agent, whose half-fed output the next generation would reuse.
+// state as the registry, a placement made in that window would be built from
+// origins frozen at the fence — so no Dispatch may follow the fence, or an
+// agent would keep a half-fed output for the next generation to reuse.
 func TestFencedMasterDispatchesNothing(t *testing.T) {
 	lc := startCluster(t, 1, Config{})
 	name, params := workload.WordCount(workload.WordCountParams{Lines: 200, InParts: 2, OutParts: 2})
@@ -208,7 +208,7 @@ func TestFencedMasterDispatchesNothing(t *testing.T) {
 
 // TestFrontDoorJobsReleasedAtQuiesce: a serving master keeps nothing for a
 // front-door job once it is terminal — no table row, no canonical store, no
-// origins, placements or commits in the control-plane state — while a job
+// origins or commits in the control-plane state — while a job
 // submitted through Master.Submit keeps its store for the handle its caller
 // holds.
 func TestFrontDoorJobsReleasedAtQuiesce(t *testing.T) {
@@ -262,9 +262,9 @@ func TestFrontDoorJobsReleasedAtQuiesce(t *testing.T) {
 		}
 	}
 	lc.Master.rec.read(func(st *cpstate.State) {
-		if len(st.Origins) != 0 || len(st.InFlight) != 0 || len(st.Commits) != 0 {
-			t.Errorf("state at quiesce holds %d origins, %d placements, %d commits; want none",
-				len(st.Origins), len(st.InFlight), len(st.Commits))
+		if len(st.Origins) != 0 || len(st.Commits) != 0 {
+			t.Errorf("state at quiesce holds %d origins, %d commits; want none",
+				len(st.Origins), len(st.Commits))
 		}
 	})
 
