@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows bench bench-e2e loc clean
+.PHONY: ci fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows fuzz-journal bench bench-e2e loc clean
 
-ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows bench-e2e
+ci: fmt-check vet build test race equiv smoke-dist smoke-failover smoke-elastic smoke-hetero smoke-examples chaos fuzz-wire fuzz-events fuzz-rows fuzz-journal bench-e2e
 
 # gofmt -l prints offending files; fail when it prints anything.
 fmt-check:
@@ -81,10 +81,9 @@ smoke-elastic:
 	$(GO) test -race -count=1 -run TestDiurnal ./internal/experiments
 
 # Heterogeneous-fleet smoke: a loopback cluster where one agent advertises a
-# smaller machine profile and is artificially slowed, with the interference
-# penalty steering placement — the profile must reach the master's scheduling
-# core and rows must stay byte-identical to direct execution. Runs under the
-# race detector.
+# smaller machine profile and is artificially slowed — the profile must reach
+# the master's scheduling core and rows must stay byte-identical to direct
+# execution. Runs under the race detector.
 smoke-hetero:
 	$(GO) test -race -count=1 -run 'TestHeteroLoopback' ./internal/remote
 
@@ -127,6 +126,13 @@ fuzz-events:
 # type. Add -fuzz '^FuzzDecodeBlob$' to hunt for crashers.
 fuzz-rows:
 	$(GO) test -run '^FuzzDecodeBlob$$' ./internal/sqlmini
+
+# One-shot fuzz pass over the journal's torn-tail seed corpus: a segment cut,
+# or zero-filled to past its end, at an offset inside its header, a length or
+# a payload must open, replay the records before the damage and take an
+# append. Add -fuzz '^FuzzReplayTail$' to hunt for new cases.
+fuzz-journal:
+	$(GO) test -run '^FuzzReplayTail$$' ./internal/journal
 
 # Hot-path microbenchmarks with allocation counts.
 bench:

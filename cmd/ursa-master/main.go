@@ -48,20 +48,18 @@ import (
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:7400", "control-plane listen address")
-		shuffle   = flag.String("shuffle-listen", "127.0.0.1:0", "canonical-store shuffle listen address")
-		workers   = flag.Int("workers", 2, "worker agents to wait for")
-		cores     = flag.Int("cores-per-worker", 2, "scheduler CPU concurrency per worker")
-		wl        = flag.String("workload", "wordcount", "registered workload to run (see -list)")
-		list      = flag.Bool("list", false, "list registered workloads and exit")
-		jobs      = flag.Int("jobs", 1, "copies of the workload to submit")
-		lines     = flag.Int("lines", 20000, "wordcount: input lines")
-		parts     = flag.Int("parts", 8, "wordcount: input partitions")
-		query     = flag.Int("query", 0, "sql_analytics: canned query index")
-		sales     = flag.Int("sales-rows", 4000, "sql_analytics: generated sales rows")
-		policy    = flag.String("policy", "ejf", "ejf | srjf")
-		interfPen = flag.Bool("interference-penalty", false,
-			"steer placement away from workers whose measured rates run below their advertised profile (see DESIGN.md §15)")
+		listen   = flag.String("listen", "127.0.0.1:7400", "control-plane listen address")
+		shuffle  = flag.String("shuffle-listen", "127.0.0.1:0", "canonical-store shuffle listen address")
+		workers  = flag.Int("workers", 2, "worker agents to wait for")
+		cores    = flag.Int("cores-per-worker", 2, "scheduler CPU concurrency per worker")
+		wl       = flag.String("workload", "wordcount", "registered workload to run (see -list)")
+		list     = flag.Bool("list", false, "list registered workloads and exit")
+		jobs     = flag.Int("jobs", 1, "copies of the workload to submit")
+		lines    = flag.Int("lines", 20000, "wordcount: input lines")
+		parts    = flag.Int("parts", 8, "wordcount: input partitions")
+		query    = flag.Int("query", 0, "sql_analytics: canned query index")
+		sales    = flag.Int("sales-rows", 4000, "sql_analytics: generated sales rows")
+		policy   = flag.String("policy", "ejf", "ejf | srjf")
 		hb       = flag.Duration("heartbeat", 100*time.Millisecond, "worker heartbeat interval")
 		stats    = flag.Duration("stats", time.Second, "period of the four stats lines: transport, ingest, journal, elastic (0 disables)")
 		showRows = flag.Int("show-rows", 10, "result rows to print per job")
@@ -155,7 +153,6 @@ func main() {
 		cfg.Provisioner = func() error { return spawnWorker(*workerBin, m.Addr(), logf) }
 	}
 	cfg.Core.Policy = pol
-	cfg.Core.InterferencePenalty = *interfPen
 	cfg.Core.TenantWeights = weights
 
 	// Watched before the -jobs are built, so an early interrupt stops the run.

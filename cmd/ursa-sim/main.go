@@ -39,13 +39,17 @@ func main() {
 		noStage   = flag.Bool("no-stage-aware", false, "disable stage-aware placement")
 		noNetDem  = flag.Bool("no-net-demand", false, "ignore network demands in placement")
 		netCC     = flag.Int("net-concurrency", 0, "per-worker network monotask limit (0 = default)")
-		interfPen = flag.Bool("interference-penalty", false, "steer placement away from machines running below their nominal rates (ursa only)")
 		slowN     = flag.Int("slow-machines", 0, "machines suffering hidden co-located contention")
 		slowFac   = flag.Float64("slow-factor", 0.5, "fraction of nominal core rate the contended machines actually deliver")
 		sparkline = flag.Bool("sparkline", true, "print utilization sparklines")
 	)
 	flag.Parse()
 	pol, err := core.ParsePolicy(*policy)
+	if err == nil {
+		given := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+		err = checkContention(given, *slowN, *machines, *slowFac)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ursa-sim: %v\n", err)
 		os.Exit(2)
@@ -56,10 +60,6 @@ func main() {
 	clusCfg.CoresPerMachine = *cores
 	clusCfg.NetBandwidth = resource.BytesPerSec(*netGbps * 1.25e8)
 	if *slowN > 0 {
-		if *slowN > *machines {
-			fmt.Fprintf(os.Stderr, "ursa-sim: -slow-machines %d exceeds -machines %d\n", *slowN, *machines)
-			os.Exit(2)
-		}
 		clusCfg.Profiles = []cluster.MachineProfile{
 			{Count: *machines - *slowN},
 			{Count: *slowN, Contention: *slowFac},
@@ -93,7 +93,6 @@ func main() {
 			DisableStageAware:   *noStage,
 			IgnoreNetworkDemand: *noNetDem,
 			NetConcurrency:      *netCC,
-			InterferencePenalty: *interfPen,
 		}
 		switch *placer {
 		case "alg1":
@@ -141,4 +140,21 @@ func main() {
 		fmt.Printf("NET  %s\n", res.Series.Sparkline(metrics.SeriesNet, 72))
 		fmt.Printf("MEM  %s\n", res.Series.Sparkline(metrics.SeriesMem, 72))
 	}
+}
+
+// checkContention reports a contended-fleet request the simulator would not
+// carry out: a -slow-machines count outside [0, -machines], a -slow-factor
+// outside (0, 1] (the cluster would reset it to uncontended), or a
+// -slow-factor given without machines to slow. given holds the flags the
+// command line named.
+func checkContention(given map[string]bool, slowN, machines int, slowFac float64) error {
+	switch {
+	case slowN < 0 || slowN > machines:
+		return fmt.Errorf("-slow-machines %d is outside [0, -machines %d]", slowN, machines)
+	case slowFac <= 0 || slowFac > 1:
+		return fmt.Errorf("-slow-factor %v is outside (0, 1]: the fleet would run uncontended", slowFac)
+	case given["slow-factor"] && slowN == 0:
+		return fmt.Errorf("-slow-factor needs -slow-machines: without it the flag is not read")
+	}
+	return nil
 }

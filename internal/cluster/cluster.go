@@ -121,8 +121,8 @@ type Machine struct {
 func (m *Machine) CoreRate() float64 { return m.coreRate }
 
 // NominalCoreRate returns the per-core rate the machine declares to the
-// scheduler — the rate-monitor prior and the interference penalty's
-// reference point. Equal to CoreRate on uncontended machines.
+// scheduler — the rate-monitor prior. Equal to CoreRate on uncontended
+// machines.
 func (m *Machine) NominalCoreRate() float64 { return m.nominalCoreRate }
 
 // NetBandwidth returns the machine's link bandwidth in bytes/s.

@@ -56,7 +56,7 @@ func NewPlacementBench(nWorkers, nStages, tasksPerStage int) *PlacementBench {
 // declared rate to hidden contention. Every worker's monitors are fed one
 // window of observations at its *effective* rates, so the snapshot the tick
 // scores against carries realistic heterogeneous, interference-displaced
-// measurements — the worst case for the penalty path.
+// measurements.
 func NewPlacementBenchHetero(nWorkers, nStages, tasksPerStage int) *PlacementBench {
 	slow := nWorkers / 4
 	if slow < 1 {

@@ -78,16 +78,6 @@ type Config struct {
 	// RateWindow is the processing-rate observation period at workers.
 	RateWindow eventloop.Duration
 
-	// InterferencePenalty scales each resource term of the placement score
-	// F(t,w) by the worker's observed-vs-nominal rate deviation, normalized
-	// against the best-deviating live worker (see PlaceContext.prepare):
-	// a machine whose measured rates run below its declared profile —
-	// co-located interference, a failing disk, a saturated NIC — scores
-	// proportionally lower, steering work toward machines that deliver
-	// their nominal rates. Off by default: placement is bit-identical to
-	// the penalty-free score (guarded by the equivalence suites).
-	InterferencePenalty bool
-
 	// DisableStageAware switches Algorithm 1 to greedy per-task placement
 	// (the Figure 7 ablation).
 	DisableStageAware bool

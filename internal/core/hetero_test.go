@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"ursa/internal/cluster"
@@ -241,79 +240,6 @@ func TestScoreTaskViabilityGate(t *testing.T) {
 	// dimension) must not absorb zero-estimate tasks.
 	if _, ok := scoreTask(ctx, zeroTask, 2, &dVec{}); ok {
 		t.Error("zero-estimate task scored ok on zero-headroom worker")
-	}
-}
-
-// TestInterferencePenaltySteersScore pins the penalty mechanics at the
-// scoreTask level: after measured rates expose a contended worker, its
-// F(t,w) is scaled below an equally-loaded healthy worker's, while with the
-// flag off the contended worker — whose lower rate inflates Inc — would
-// actually score *higher*.
-func TestInterferencePenaltySteersScore(t *testing.T) {
-	// Two machines with the *same declared profile*, one delivering a
-	// quarter of its rate to hidden contention — the pure-interference
-	// case the penalty targets.
-	loop := eventloop.New()
-	clus := cluster.New(loop, cluster.Config{
-		CoresPerMachine:    4,
-		MemPerMachine:      8 * resource.GB,
-		NetBandwidth:       1e9,
-		DiskBandwidth:      2e8,
-		CoreRate:           1e8,
-		NetPerFlowFraction: 0.75,
-		Profiles: []cluster.MachineProfile{
-			{Count: 1},
-			{Count: 1, Contention: 0.25},
-		},
-	})
-	cfg := Config{InterferencePenalty: true}
-	sys := NewSystem(loop, clus, cfg)
-
-	// Feed both CPU monitors a window of observations: the healthy machine
-	// delivers its nominal per-core rate, the contended one a quarter.
-	sys.Workers[0].rates[resource.CPU].sample(1e8, 1)
-	sys.Workers[1].rates[resource.CPU].sample(2.5e7, 1)
-	loop.RunUntil(eventloop.Time(sys.Cfg.RateWindow))
-
-	ctx := &PlaceContext{Now: loop.Now(), Cfg: &sys.Cfg, Workers: sys.Workers}
-	ctx.prepare()
-	d := ctx.computeD()
-
-	if !ctx.usePen {
-		t.Fatal("penalty snapshot not armed")
-	}
-	// The healthy machine tracks nominal (pen ≈ 1); the contended one is
-	// scaled down in proportion to its shortfall.
-	if p := ctx.pen[0]; math.Abs(p-1) > 0.05 {
-		t.Errorf("healthy pen = %v, want ≈1", p)
-	}
-	if p := ctx.pen[1]; p > 0.8 {
-		t.Errorf("contended pen = %v, want well below 1", p)
-	}
-
-	var task dag.Task
-	task.Worker = -1
-	task.EstUsage[resource.CPU] = 1e6
-	fPen0, ok0 := scoreTask(ctx, &task, 0, &d[0])
-	fPen1, ok1 := scoreTask(ctx, &task, 1, &d[1])
-	if !ok0 || !ok1 {
-		t.Fatal("both workers should be viable")
-	}
-	if fPen0 <= fPen1 {
-		t.Errorf("penalty on: healthy F=%v should beat contended F=%v", fPen0, fPen1)
-	}
-
-	// Same state, flag off: the contended worker's inflated Inc wins —
-	// the pathology the penalty corrects.
-	off := sys.Cfg
-	off.InterferencePenalty = false
-	ctxOff := &PlaceContext{Now: loop.Now(), Cfg: &off, Workers: sys.Workers}
-	ctxOff.prepare()
-	dOff := ctxOff.computeD()
-	fOff0, _ := scoreTask(ctxOff, &task, 0, &dOff[0])
-	fOff1, _ := scoreTask(ctxOff, &task, 1, &dOff[1])
-	if fOff1 <= fOff0 {
-		t.Errorf("penalty off: expected contended F=%v > healthy F=%v (blind preference)", fOff1, fOff0)
 	}
 }
 

@@ -44,21 +44,6 @@ type PlaceContext struct {
 	memFree    []float64
 	memCap     []float64
 
-	// Interference penalty state (Config.InterferencePenalty). dev holds
-	// each worker's observed-vs-nominal CPU rate deviation (the no-decay
-	// Worker.Deviation signal), read with the rest of the worker's
-	// snapshot; pen holds the derived per-worker score
-	// factor in [penFloor, 1]. The signal is CPU-only: network and disk
-	// observed rates drop below nominal whenever the scheduler's own
-	// placements share a link (per-flow fair sharing), so a below-nominal
-	// observation there is self-inflicted load — already modelled by the
-	// D_r headroom term — not external interference. Both slices are
-	// allocated only when the flag is on, so the default path stays
-	// allocation-free and bit-identical.
-	dev    []float64
-	pen    []float64
-	usePen bool
-
 	// d holds the per-worker headroom vectors for the current interval.
 	d []dVec
 	// undo journals the ranking pass's trial mutations of d, one stage at a
@@ -107,10 +92,10 @@ func (ctx *PlaceContext) OrderBoost(j *Job) float64 {
 	return ctx.orderBoost(j, ctx.Now)
 }
 
-// prepare reads every worker's rates, deviation and memory into the
-// context's per-worker arrays for this interval. Reading the rates rolls each
-// worker's monitors to Now; their windows are grid-aligned (see
-// rateMonitor.roll), so how often passes read them changes nothing.
+// prepare reads every worker's rates and memory into the context's
+// per-worker arrays for this interval. Reading the rates rolls each worker's
+// monitors to Now; their windows are grid-aligned (see rateMonitor.roll), so
+// how often passes read them changes nothing.
 func (ctx *PlaceContext) prepare() {
 	ept := ctx.Cfg.EPT.Seconds()
 	n := len(ctx.Workers)
@@ -125,22 +110,11 @@ func (ctx *PlaceContext) prepare() {
 		ctx.memCap = ctx.memCap[:n]
 		ctx.d = ctx.d[:n]
 	}
-	ctx.usePen = ctx.Cfg.InterferencePenalty
-	if ctx.usePen && cap(ctx.dev) < n {
-		ctx.dev = make([]float64, n)
-		ctx.pen = make([]float64, n)
-	} else if ctx.usePen {
-		ctx.dev = ctx.dev[:n]
-		ctx.pen = ctx.pen[:n]
-	}
 	for i, w := range ctx.Workers {
 		ctx.invRateEPT[i] = [3]float64{}
 		if w.failed || w.draining {
 			ctx.memFree[i] = -1 // every placement gate rejects the worker
 			ctx.memCap[i] = w.MemCapacity()
-			if ctx.usePen {
-				ctx.dev[i] = 0 // excluded from the deviation max
-			}
 			continue
 		}
 		for _, k := range resource.MonotaskKinds {
@@ -149,70 +123,8 @@ func (ctx *PlaceContext) prepare() {
 				ctx.invRateEPT[i][k] = 1 / (rate * ept)
 			}
 		}
-		if ctx.usePen {
-			ctx.dev[i] = w.Deviation(resource.CPU)
-		}
 		ctx.memFree[i] = w.MemFree()
 		ctx.memCap[i] = w.MemCapacity()
-	}
-	if ctx.usePen {
-		ctx.computePenalty()
-	}
-}
-
-// penFloor keeps a contended worker's score factor strictly positive so it
-// can still absorb work when nothing better is available, and keeps the
-// tie-break order (earliest worker on equal F) meaningful.
-const penFloor = 0.01
-
-// computePenalty derives each worker's score factor from the deviation
-// snapshot: deviations are normalized against the best live worker's, so
-// on a cluster delivering its declared rates every factor is ≈1 and the
-// penalty is inert; a worker measuring below its profile — interference
-// the profile doesn't declare — is scaled down. Normalizing against the
-// observed best rather than the absolute ratio keeps the factor
-// insensitive to workload properties (compute intensity, dispatch
-// overhead) that displace *every* worker's measured rate from nominal by
-// the same factor.
-//
-// The factor is the *square* of the normalized deviation, and the
-// exponent is load-bearing: the score term Inc_cpu ∝ 1/rate is inflated
-// on a slow worker (the same task consumes a larger share of a smaller
-// rate), so a first-power penalty merely cancels that inflation, leaving
-// F indifferent to interference — the blind preference survives in the
-// rounding noise. Squaring makes the penalized CPU term strictly
-// increasing in the delivered rate, which is what actually steers work
-// toward machines that deliver.
-//
-// The factor scales the worker's *whole* score F, not just its CPU term.
-// A stage finishes when its slowest task does, so a below-profile machine
-// is a straggler risk for any task placed on it — including network- or
-// disk-dominant tasks, whose fetch/merge pipelines still compete for the
-// contended CPU — and a per-term discount would let a shuffle task's
-// untouched network term steer it onto a machine the CPU evidence says to
-// avoid.
-func (ctx *PlaceContext) computePenalty() {
-	maxDev := 0.0
-	for i, d := range ctx.dev {
-		if ctx.memFree[i] < 0 {
-			continue // failed or draining: not a reference point
-		}
-		if d > maxDev {
-			maxDev = d
-		}
-	}
-	for i := range ctx.pen {
-		p := 1.0
-		if maxDev > 0 {
-			p = ctx.dev[i] / maxDev
-			p *= p
-		}
-		if p < penFloor {
-			p = penFloor
-		} else if p > 1 {
-			p = 1
-		}
-		ctx.pen[i] = p
 	}
 }
 
@@ -418,10 +330,6 @@ func incVec(ctx *PlaceContext, t *dag.Task, wi int) dVec {
 // task needs it (Inc_r > 0) — placing there would block the task (§4.2.2) —
 // or the task demands nothing at all while the worker retains no headroom on
 // any dimension (a zero-estimate task must not land on a saturated worker).
-// With Config.InterferencePenalty the score is scaled by the worker's
-// observed-vs-nominal penalty factor (see computePenalty); scaling by
-// exactly 1.0 when the flag is off would leave F bit-identical, and the
-// branch keeps even that multiply off the default path.
 //
 // It runs once per (task, worker) candidate, so nothing array-sized crosses
 // the call: d comes by pointer, and the increase is not returned, because
@@ -450,9 +358,6 @@ func scoreTask(ctx *PlaceContext, t *dag.Task, wi int, d *dVec) (f float64, ok b
 	}
 	if !demanding && !anyVec(d) {
 		return 0, false
-	}
-	if ctx.usePen {
-		f *= ctx.pen[wi]
 	}
 	return f, true
 }

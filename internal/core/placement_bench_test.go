@@ -9,15 +9,10 @@ import "testing"
 func BenchmarkPlacementTick(b *testing.B) { benchTick(b, NewPlacementBench(64, 32, 16)) }
 
 // BenchmarkPlacementTickHetero is the same pool on a mixed-capacity fleet (a
-// quarter of the workers smaller and contended) with the interference
-// penalty on: what the flag costs on the hot path.
-func BenchmarkPlacementTickHetero(b *testing.B) { benchTick(b, heteroPenaltyBench()) }
+// quarter of the workers smaller and contended).
+func BenchmarkPlacementTickHetero(b *testing.B) { benchTick(b, heteroBench()) }
 
-func heteroPenaltyBench() *PlacementBench {
-	pb := NewPlacementBenchHetero(64, 32, 16)
-	pb.Configure(func(c *Config) { c.InterferencePenalty = true })
-	return pb
-}
+func heteroBench() *PlacementBench { return NewPlacementBenchHetero(64, 32, 16) }
 
 // BenchmarkPlacementTickSaturated is a pass in the regime a loaded simulation
 // runs in: the paper's 20 workers, 18 of them with no CPU headroom, and a
@@ -53,9 +48,9 @@ func benchTick(b *testing.B, pb *PlacementBench) {
 // allocation per stage or per worker here is garbage at that rate.
 func TestPlacementTickDoesNotAllocate(t *testing.T) {
 	for name, pb := range map[string]*PlacementBench{
-		"uniform":        NewPlacementBench(64, 32, 16),
-		"hetero+penalty": heteroPenaltyBench(),
-		"saturated":      saturatedBench(),
+		"uniform":   NewPlacementBench(64, 32, 16),
+		"hetero":    heteroBench(),
+		"saturated": saturatedBench(),
 	} {
 		if pb.Tick() == 0 {
 			t.Fatalf("%s: placement pass placed nothing", name)

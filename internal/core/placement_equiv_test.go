@@ -80,7 +80,8 @@ func TestTickEquivalence(t *testing.T) {
 // default placer with FullRebuildPlacer, and both call the same scoreTask,
 // bestWorkerFor and incVec: an edit there moves the two alike and only a
 // recorded value notices. Recorded on amd64 at 3ca3686, before the scan was
-// rewritten, and checked on amd64 only: an architecture whose compiler fuses
+// rewritten (the hetero fixture at 467eaeb, the last commit with a second
+// placement score, scored without it), and checked on amd64 only: an architecture whose compiler fuses
 // multiply-add rounds F(t,w) differently and may break ties differently. A
 // change that means to move placements re-records from the failure message.
 func TestTickGolden(t *testing.T) {
@@ -94,7 +95,7 @@ func TestTickGolden(t *testing.T) {
 		hash   uint64
 	}{
 		{"uniform", NewPlacementBench(64, 32, 16), 1746, 0xfb977cb317f82f9f},
-		{"hetero+penalty", heteroPenaltyBench(), 1320, 0xf8910423f960b165},
+		{"hetero", heteroBench(), 1608, 0xf5b3083322023d35},
 		{"saturated", saturatedBench(), 48, 0x785b53c17cc7491d},
 	} {
 		h := fnv.New64a()
@@ -114,20 +115,12 @@ func TestTickGolden(t *testing.T) {
 }
 
 // TestTickEquivalenceHetero re-proves exactness on a mixed-capacity cluster
-// with interference-displaced measured rates, the setting the penalty
-// snapshot must survive, with the interference penalty both off and on.
+// with interference-displaced measured rates.
 func TestTickEquivalenceHetero(t *testing.T) {
-	for _, penalty := range []bool{false, true} {
-		name := "penalty-off"
-		if penalty {
-			name = "penalty-on"
-		}
-		exact := NewPlacementBenchHetero(48, 24, 8)
-		exact.Configure(func(c *Config) { c.InterferencePenalty = penalty; fullRebuild(c) })
-		variant := NewPlacementBenchHetero(48, 24, 8)
-		variant.Configure(func(c *Config) { c.InterferencePenalty = penalty })
-		assertSameTicks(t, name, exact, variant, 6)
-	}
+	exact := NewPlacementBenchHetero(48, 24, 8)
+	exact.Configure(fullRebuild)
+	variant := NewPlacementBenchHetero(48, 24, 8)
+	assertSameTicks(t, "hetero", exact, variant, 6)
 }
 
 // runSystem executes n shuffle jobs (optionally killing a worker mid-run)
@@ -179,8 +172,7 @@ func TestSystemEquivalence(t *testing.T) {
 
 // TestSystemEquivalenceHetero runs full simulations on a mixed-capacity
 // cluster (one machine contended) and demands bit-identical job finish
-// times between the default scheduler and the full rebuild, with the
-// interference penalty off and on.
+// times between the default scheduler and the full rebuild.
 func TestSystemEquivalenceHetero(t *testing.T) {
 	run := func(cfg Config) []eventloop.Time {
 		t.Helper()
@@ -197,13 +189,11 @@ func TestSystemEquivalenceHetero(t *testing.T) {
 		}
 		return out
 	}
-	for _, penalty := range []bool{false, true} {
-		want := run(Config{InterferencePenalty: penalty, Placer: FullRebuildPlacer{}})
-		got := run(Config{InterferencePenalty: penalty})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("penalty=%v: job %d finished at %v, full rebuild %v", penalty, i, got[i], want[i])
-			}
+	want := run(Config{Placer: FullRebuildPlacer{}})
+	got := run(Config{})
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("job %d finished at %v, full rebuild %v", i, got[i], want[i])
 		}
 	}
 }

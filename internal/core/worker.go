@@ -29,8 +29,7 @@ type Worker struct {
 	rates [3]*rateMonitor
 	// nominal holds the declared (profile) processing rates the monitors
 	// were seeded from: per-core rate for CPU, per-flow bandwidth for
-	// network, disk bandwidth for disk. The interference penalty compares
-	// measured rates against these.
+	// network, disk bandwidth for disk.
 	nominal [3]float64
 
 	// taskMem tracks per-task memory reservations (§4.2.1: memory is
@@ -137,22 +136,13 @@ func (w *Worker) Rate(k resource.Kind) float64 {
 }
 
 // NominalRate returns the declared (profile) processing rate for kind k in
-// bytes/s — the whole-machine rate for CPU, mirroring Rate. The ratio
-// Rate/NominalRate is the interference penalty's deviation signal.
+// bytes/s — the whole-machine rate for CPU, mirroring Rate.
 func (w *Worker) NominalRate(k resource.Kind) float64 {
 	r := w.nominal[k]
 	if k == resource.CPU {
 		r *= w.Machine.Cores.Capacity()
 	}
 	return r
-}
-
-// Deviation returns the worker's observed-vs-nominal type-k rate ratio —
-// the no-decay interference signal the penalty-aware placement scores
-// against (see rateMonitor.deviation). 1 means the worker delivers its
-// declared profile.
-func (w *Worker) Deviation(k resource.Kind) float64 {
-	return w.rates[k].deviation()
 }
 
 // APT returns the approximate processing time to complete all type-k
@@ -411,7 +401,6 @@ type rateMonitor struct {
 	window      eventloop.Duration
 	current     float64
 	initial     float64 // nominal rate: the blend prior and the decay target
-	observed    float64 // EWMA of sampled windows only; never decays (interference memory)
 	bytes       float64
 	seconds     float64
 	windowStart eventloop.Time
@@ -419,7 +408,7 @@ type rateMonitor struct {
 
 func newRateMonitor(loop *eventloop.Loop, initial float64, window eventloop.Duration) *rateMonitor {
 	return &rateMonitor{loop: loop, window: window, current: initial, initial: initial,
-		observed: initial, windowStart: loop.Now()}
+		windowStart: loop.Now()}
 }
 
 func (r *rateMonitor) sample(bytes, seconds float64) {
@@ -431,24 +420,6 @@ func (r *rateMonitor) sample(bytes, seconds float64) {
 func (r *rateMonitor) rate() float64 {
 	r.roll()
 	return r.current
-}
-
-// deviation is the monitor's interference signal: the ratio of the
-// no-decay observed-rate EWMA to the nominal rate. Unlike rate(), which
-// relaxes back to nominal across idle windows (absence of measurements is
-// not evidence of health for *prediction*), the observed EWMA only moves
-// when a window actually carried samples — interference is a property of
-// the machine and must be remembered across idle gaps, or an interference-
-// aware placement oscillates: the contended machine idles, its estimate
-// snaps back to nominal, it looks healthy, absorbs a burst, and measures
-// slow again. Returns 1 when the monitor has no nominal rate to compare
-// against.
-func (r *rateMonitor) deviation() float64 {
-	r.roll()
-	if r.initial <= 0 {
-		return 1
-	}
-	return r.observed / r.initial
 }
 
 // rateDecayEps is the relative distance from the nominal rate at which a
@@ -470,9 +441,8 @@ const rateDecayEps = 1e-9
 // per-window steps whether the windows are observed one roll at a time or
 // all at once — so *what* the rate is at any virtual time is a function of
 // time and the sample history alone, never of how often the scheduler
-// happens to read it. Placement passes, the interference penalty and
-// ursa-master's final report each read rates on their own schedule, and no
-// result may depend on how often.
+// happens to read it. Placement passes and ursa-master's final report each
+// read rates on their own schedule, and no result may depend on how often.
 func (r *rateMonitor) roll() {
 	now := r.loop.Now()
 	elapsed := now - r.windowStart
@@ -483,7 +453,6 @@ func (r *rateMonitor) roll() {
 	if r.seconds > 1e-9 {
 		observed := r.bytes / r.seconds
 		r.current = 0.5*r.current + 0.5*observed
-		r.observed = 0.5*r.observed + 0.5*observed
 		r.bytes, r.seconds = 0, 0
 		n--
 	}

@@ -128,40 +128,24 @@ func TestTable1Shape(t *testing.T) {
 	}
 }
 
-// TestTable1HeteroPenaltyWins pins the headline claim of the heterogeneous
-// comparison exactly: on the contended testbed (5/20 machines delivering
-// 10% of their declared core rate), interference-penalty placement strictly
-// beats homogeneity-blind placement on average JCT. The simulation is
-// deterministic, so the assertion is exact, not statistical; it is checked
-// across several workload seeds to show the win is not an artifact of one
-// arrival pattern.
-func TestTable1HeteroPenaltyWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("integration run")
-	}
-	for _, seed := range []int64{1, 2, 3} {
-		blind, aware := HeteroPlacementComparison(Options{Seed: seed})
-		if !(aware.AvgJCT < blind.AvgJCT) {
-			t.Errorf("seed %d: penalty-aware avgJCT %.3f must strictly beat blind %.3f",
-				seed, aware.AvgJCT, blind.AvgJCT)
-		}
-		if aware.Makespan <= 0 || blind.Makespan <= 0 {
-			t.Errorf("seed %d: degenerate run (makespans %.3f / %.3f)",
-				seed, blind.Makespan, aware.Makespan)
-		}
-	}
-}
-
-// TestTable1HeteroReportShape checks the report contains the three rows
-// (blind contended, penalty contended, uncontended reference) and that the
-// uncontended reference is at least as good as either contended run.
+// TestTable1HeteroReportShape checks the report contains the two rows
+// (contended, uncontended reference) and that the uncontended reference is
+// at least as good as the contended run on makespan and average JCT.
 func TestTable1HeteroReportShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration run")
 	}
 	rep := smoke(t, "table1-hetero", 1)
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rep.Rows))
+	if len(rep.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rep.Rows))
+	}
+	for _, c := range []struct {
+		col  int
+		name string
+	}{{1, "makespan"}, {2, "avgJCT"}} {
+		if ref, contended := cell(rep, 1, c.col), cell(rep, 0, c.col); ref <= 0 || ref > contended {
+			t.Errorf("uncontended %s %v, want positive and at most contended %v", c.name, ref, contended)
+		}
 	}
 }
 

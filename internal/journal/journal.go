@@ -6,8 +6,9 @@
 // distinction between the two corruption classes a crash can leave behind:
 //
 //   - a torn tail — the process died mid-append, the final record is
-//     incomplete. Open silently truncates it away: those bytes were never
-//     acknowledged as durable.
+//     incomplete, or the file system kept the segment's new length but not
+//     its data, so the tail reads back as zeros. Open silently truncates it
+//     away: those bytes were never acknowledged as durable.
 //   - a corrupt body — a complete record whose CRC does not match. That is
 //     data loss in acknowledged history; Open refuses the journal.
 //
@@ -265,21 +266,27 @@ func readSnapshot(path string, want uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// replaySegment reads one segment's records. A record that ends past EOF is
-// a torn tail: the file is truncated back to the last complete record and
-// replay succeeds with the prefix. A complete record with a bad CRC is
-// corruption: ErrCorrupt.
+// replaySegment reads one segment's records. A torn tail starts at the first
+// record that ends past EOF, that has a zero length (Append writes no empty
+// record, so that is where a zero-filled tail begins), or whose CRC fails
+// while its bytes run into the zeros that end the file: the file is
+// truncated back to the last complete record and replay succeeds with the
+// prefix. Any other record with a bad CRC is corruption: ErrCorrupt. (A last
+// record that ends in a zero byte and is corrupted elsewhere reads as torn:
+// the two cannot be told apart.)
 func replaySegment(path string, base uint64) ([][]byte, uint64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
-	if len(b) < segHeaderLen {
-		// Torn during creation: header never completed, no records lost.
-		if err := os.Truncate(path, 0); err == nil {
-			err = writeSegHeader(path, base)
-		}
-		if err != nil {
+	zeros := len(b) // where the run of zero bytes that ends the file begins
+	for zeros > 0 && b[zeros-1] == 0 {
+		zeros--
+	}
+	if zeros < segHeaderLen {
+		// Torn during creation: header never completed (or zero-filled), no
+		// records lost.
+		if err := os.WriteFile(path, segHeader(base), 0o644); err != nil {
 			return nil, 0, fmt.Errorf("journal: %w", err)
 		}
 		return nil, 0, nil
@@ -298,18 +305,25 @@ func replaySegment(path string, base uint64) ([][]byte, uint64, error) {
 		}
 		n := binary.BigEndian.Uint32(b[off:])
 		crc := binary.BigEndian.Uint32(b[off+4:])
+		if n == 0 {
+			break // torn tail: zero-filled
+		}
 		if n > MaxRecord {
 			return nil, 0, fmt.Errorf("journal: %s: record of %d bytes exceeds limit", filepath.Base(path), n)
 		}
 		if len(b)-off-recHeaderLen < int(n) {
 			break // torn tail: payload incomplete
 		}
-		payload := b[off+recHeaderLen : off+recHeaderLen+int(n)]
+		end := off + recHeaderLen + int(n)
+		payload := b[off+recHeaderLen : end]
 		if crc32.ChecksumIEEE(payload) != crc {
+			if end > zeros {
+				break // torn tail: the record's end was zero-filled
+			}
 			return nil, 0, fmt.Errorf("%w: %s record %d", ErrCorrupt, filepath.Base(path), base+uint64(len(events)))
 		}
 		events = append(events, append([]byte(nil), payload...))
-		off += recHeaderLen + int(n)
+		off = end
 	}
 	if off < len(b) {
 		if err := os.Truncate(path, int64(off)); err != nil {
@@ -319,20 +333,13 @@ func replaySegment(path string, base uint64) ([][]byte, uint64, error) {
 	return events, uint64(len(events)), nil
 }
 
-func writeSegHeader(path string, base uint64) error {
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic)
+// segHeader is the header a segment whose first record is base starts with.
+func segHeader(base uint64) []byte {
+	hdr := make([]byte, segHeaderLen)
+	copy(hdr, segMagic)
 	hdr[4] = version
 	binary.BigEndian.PutUint64(hdr[5:], base)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return hdr
 }
 
 func (j *Journal) openSegment(base uint64) error {
@@ -341,11 +348,7 @@ func (j *Journal) openSegment(base uint64) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	var hdr [segHeaderLen]byte
-	copy(hdr[:], segMagic)
-	hdr[4] = version
-	binary.BigEndian.PutUint64(hdr[5:], base)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(segHeader(base)); err != nil {
 		f.Close()
 		return fmt.Errorf("journal: %w", err)
 	}
@@ -355,8 +358,12 @@ func (j *Journal) openSegment(base uint64) error {
 }
 
 // Append buffers one record. Durability follows at the next Sync (explicit
-// or from the background flusher). Returns the record's index.
+// or from the background flusher). Returns the record's index. An empty
+// payload is refused: replay reads a zero length as a zero-filled tail.
 func (j *Journal) Append(payload []byte) (uint64, error) {
+	if len(payload) == 0 {
+		return 0, errors.New("journal: empty record")
+	}
 	if len(payload) > MaxRecord {
 		return 0, fmt.Errorf("journal: %d-byte record exceeds limit", len(payload))
 	}

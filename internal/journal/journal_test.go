@@ -315,6 +315,41 @@ func TestOversizeRecordRejected(t *testing.T) {
 	}
 }
 
+// TestZeroFilledTailIsTorn: a crash can leave a segment whose length grew but
+// whose new bytes never reached the disk, so they read back as zeros. Three
+// records followed by 4 KiB of zeros replay as the three records, and the
+// zeros are truncated away so the next append follows them. Append refuses
+// the empty record a zero length would otherwise stand for.
+func TestZeroFilledTailIsTorn(t *testing.T) {
+	dir := t.TempDir()
+	payloads := testPayloads(3)
+	j, _ := mustOpen(t, dir, Options{})
+	if _, err := j.Append(nil); err == nil {
+		t.Fatal("empty append accepted")
+	}
+	appendAll(t, j, payloads)
+	j.Close()
+
+	path := filepath.Join(dir, segName(0))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(b, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, rep := mustOpen(t, dir, Options{})
+	checkEvents(t, rep.Events, payloads)
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(b)) {
+		t.Fatalf("segment after replay: %v bytes (%v), want %d", fi.Size(), err, len(b))
+	}
+	appendAll(t, j, [][]byte{[]byte("after")})
+	j.Close()
+	j, rep = mustOpen(t, dir, Options{})
+	defer j.Close()
+	checkEvents(t, rep.Events, append(payloads, []byte("after")))
+}
+
 // TestSnapshotCrashBeforeSuccessorSegment: the snapshot file lands before its
 // successor segment is created, so a crash between the two leaves a snapshot
 // with no segment at or after it. Open starts that segment itself.

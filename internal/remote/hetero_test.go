@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ursa/internal/core"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
 	"ursa/internal/resource"
@@ -14,17 +13,16 @@ import (
 // TestHeteroLoopback runs a mixed-capacity loopback cluster: two stock
 // agents plus one that advertises a smaller machine profile (one core at a
 // fifth of the core rate) and is artificially slowed inside its timed
-// execution section, with the interference penalty steering placement.
-// The profile must reach the master's scheduling core verbatim before any
-// dispatch, and the data plane must stay exact: result rows identical to
-// direct in-process execution regardless of which machines ran what.
+// execution section. The profile must reach the master's scheduling core
+// verbatim before any dispatch, and the data plane must stay exact: result
+// rows identical to direct in-process execution regardless of which machines
+// ran what.
 func TestHeteroLoopback(t *testing.T) {
 	const (
 		slowCores = 1
 		slowRate  = 2e5 // vs the live default of 1e6 rows/s per core
 	)
 	cfg := Config{
-		Core:              core.Config{InterferencePenalty: true},
 		HeartbeatInterval: 50 * time.Millisecond,
 		HeartbeatMisses:   8,
 	}
