@@ -51,14 +51,15 @@ equiv:
 # measured-rate feedback, and the kill-an-agent chaos recovery test — plus
 # the liveness predicate on the connection row (a silent worker is failable
 # exactly HeartbeatMisses intervals after its row was created), the
-# submission front door every live benchmark workload enters through, and the
-# one way a run ends — a batch run is a drain from the start, so it stops
-# after its last job (at once with none) and still answers clients — under
-# the race detector. (Also covered by `race`; kept as an explicit gate so the
-# data plane, worker liveness, the front door and the stop rule cannot
-# silently drop out of CI.)
+# submission front door every live benchmark workload enters through, the
+# fallback fetch that reads the canonical store at the master's one address
+# (its control port), and the one way a run ends — a batch run is a drain
+# from the start, so it stops after its last job (at once with none) and
+# still answers clients — under the race detector. (Also covered by `race`;
+# kept as an explicit gate so the data plane, the fallback path, worker
+# liveness, the front door and the stop rule cannot silently drop out of CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,

@@ -49,7 +49,6 @@ import (
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:7400", "control-plane listen address")
-		shuffle  = flag.String("shuffle-listen", "127.0.0.1:0", "canonical-store shuffle listen address")
 		workers  = flag.Int("workers", 2, "worker agents to wait for")
 		cores    = flag.Int("cores-per-worker", 2, "scheduler CPU concurrency per worker")
 		wl       = flag.String("workload", "wordcount", "registered workload to run (see -list)")
@@ -130,7 +129,6 @@ func main() {
 		JournalDir:        *journalDir,
 		LeaseTTL:          *lease,
 		SnapshotEvery:     *snapshotEvery,
-		ShuffleAddr:       *shuffle,
 		Workers:           *workers,
 		CoresPerWorker:    *cores,
 		HeartbeatInterval: *hb,
@@ -164,8 +162,7 @@ func main() {
 		if m, err = remote.NewMaster(cfg); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("ursa-master: control %s shuffle %s — waiting for %d workers\n",
-			m.Addr(), m.ShuffleAddr(), *workers)
+		fmt.Printf("ursa-master: listening on %s — waiting for %d workers\n", m.Addr(), *workers)
 		for i := 0; i < *jobs && !*serve; i++ {
 			name, params := jobSpec(*wl, *lines, *parts, *query, *sales)
 			if _, err := m.Submit(name, params); err != nil {

@@ -59,13 +59,15 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`computePenalty`, "placement has one score, Algorithm 1's F(t,w)"},
 	{`HeteroPlacementComparison`, "Table1Hetero runs the contended fleet and the uncontended reference"},
 	{`\.Deviation\(`, "Worker.Rate against Worker.NominalRate reads how far a worker runs from its profile"},
+	{`MasterShuffleAddr`, "the canonical store answers on the master's control port, the address the agent registered with"},
+	{`execMapping`, "lop.extMapping returns dag.MapKind"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the
 // docs that describe the repository as it is must not grow, so new text
 // retires old. EXPERIMENTS.md, CHANGES.md and ROADMAP.md are logs and are not
 // budgeted.
-const docBudget = 122299
+const docBudget = 122283
 
 // TestDocBudget fails when README.md and DESIGN.md together exceed
 // docBudget, naming each file's size.
@@ -142,7 +144,7 @@ func TestDeletedNamesStayDeleted(t *testing.T) {
 
 // flagBudget is the most flags the binaries under cmd/ may declare together:
 // the count must not go up, so a new flag retires an old one.
-const flagBudget = 64
+const flagBudget = 63
 
 // flagDecl is `make loc`'s pattern for a flag declaration: a call of one of
 // the flag package's declaring functions.

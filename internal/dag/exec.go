@@ -55,7 +55,7 @@ func (p *Plan) ExecSteps(mt *Monotask) []ExecStep {
 		for _, d := range m.extReads {
 			step.Reads = append(step.Reads, ReadRef{
 				Dataset: d,
-				Mapping: execMapping(l, d),
+				Mapping: l.extMapping(d),
 			})
 		}
 		for _, pi := range m.intReads {
@@ -74,15 +74,4 @@ func PartRange(d *Dataset, p, idx int) (lo, hi int) {
 	}
 	i := idx * d.Partitions / p
 	return i, i + 1
-}
-
-func execMapping(l *lop, d *Dataset) MapKind {
-	switch l.extMapping(d) {
-	case mapBroadcast:
-		return MapBroadcast
-	case mapShard:
-		return MapShard
-	default:
-		return MapPartition
-	}
 }

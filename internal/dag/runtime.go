@@ -6,16 +6,6 @@ import (
 	"ursa/internal/resource"
 )
 
-// mapKind describes how a monotask's index maps onto an input dataset's
-// partitions.
-type mapKind int
-
-const (
-	mapPartition mapKind = iota // index-aligned (async / job input)
-	mapShard                    // shuffle shard of the whole dataset (sync)
-	mapBroadcast                // full copy of the dataset
-)
-
 // sizeFn resolves the size of one partition of a dataset. The actual
 // resolver reads recorded metadata; the estimation resolver overlays
 // predicted sizes for not-yet-produced datasets.
@@ -66,12 +56,12 @@ func (l *lop) shard(idx int) float64 {
 
 // extMapping determines how a member's external read is consumed, based on
 // the logical edge from the dataset's creator (§4.1.1 semantics).
-func (l *lop) extMapping(d *Dataset) mapKind {
+func (l *lop) extMapping(d *Dataset) MapKind {
 	if l.broadcast {
-		return mapBroadcast
+		return MapBroadcast
 	}
 	if d.Creator == nil {
-		return mapPartition
+		return MapPartition
 	}
 	for _, e := range l.in {
 		if e.kind != Sync {
@@ -80,12 +70,12 @@ func (l *lop) extMapping(d *Dataset) mapKind {
 		for _, m := range e.from.members {
 			for _, cd := range m.creates {
 				if cd == d {
-					return mapShard
+					return MapShard
 				}
 			}
 		}
 	}
-	return mapPartition
+	return MapPartition
 }
 
 // output records one partition-size write performed when a monotask
@@ -105,9 +95,9 @@ func (l *lop) eval(idx int, size sizeFn) (input, work float64, outs []output) {
 		var ext, internal float64
 		for _, d := range m.extReads {
 			switch l.extMapping(d) {
-			case mapBroadcast:
+			case MapBroadcast:
 				ext += totalBytes(d, size)
-			case mapShard:
+			case MapShard:
 				ext += totalBytes(d, size) * l.shard(idx)
 			default:
 				ext += readBytes(d, p, idx, size)

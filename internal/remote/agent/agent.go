@@ -67,10 +67,12 @@ type Config struct {
 	// Dial opens the control connection to the master. nil = wire.NetDial.
 	Dial wire.DialFunc
 	// ShuffleDial opens fetch connections to peers and to the master's
-	// canonical store. nil falls back to Dial, then wire.NetDial — tests
-	// fault the data plane here without touching the control plane.
+	// canonical store (the master's control address). nil falls back to
+	// Dial, then wire.NetDial — tests fault the data plane here without
+	// touching the control plane.
 	ShuffleDial wire.DialFunc
 	// ShuffleListen opens the agent's shuffle listener. nil = wire.NetListen.
+	// No test sets it; it is the seam a simulated network plugs into.
 	ShuffleListen wire.ListenFunc
 
 	// RegisterAttempts bounds registration (dial + handshake) attempts: a
@@ -100,18 +102,11 @@ const (
 	defaultRegisterBackoffMax = time.Second
 )
 
-// Control-link bounds: one value serves every deployment and test, so they
-// are not Config fields (the graceful-close flush window and the shuffle
-// server's idle cutoff are wire's and shuffle's own defaults).
-const (
-	// handshakeTimeout bounds the wait for the master's Welcome on each
-	// registration attempt.
-	handshakeTimeout = 5 * time.Second
-	// writeDeadline bounds each control-plane write (heartbeats, completions)
-	// so a dead-but-unclosed master fails the pump fast instead of wedging it
-	// until the kernel TCP timeout.
-	writeDeadline = 10 * time.Second
-)
+// handshakeTimeout bounds the wait for the master's Welcome on each
+// registration attempt. One value serves every deployment and test, so it is
+// not a Config field (the control link's write deadline and graceful-close
+// flush window are wire's, the shuffle server's idle cutoff is shuffle's).
+const handshakeTimeout = 5 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Cores <= 0 {
@@ -184,13 +179,14 @@ type Agent struct {
 	wg   sync.WaitGroup
 
 	mu sync.Mutex
-	// masterShuffleAddr is the fallback fetch holder: the master's canonical
-	// checkpoint store (Welcome.MasterShuffleAddr). Under mu — rewritten at
-	// re-attach while execute goroutines read it.
-	masterShuffleAddr string
-	jobs              map[int64]*jobState
-	clients           map[string]*shuffle.Client
-	inflight          map[dispatchKey]*inflight
+	// master is the address of the master this agent last registered with:
+	// its control port, which also serves the canonical checkpoint store,
+	// the fallback fetch holder. Under mu — rewritten at re-attach while
+	// execute goroutines read it.
+	master   string
+	jobs     map[int64]*jobState
+	clients  map[string]*shuffle.Client
+	inflight map[dispatchKey]*inflight
 
 	closeOnce sync.Once
 	done      chan error
@@ -220,11 +216,11 @@ func Dial(cfg Config) (*Agent, error) {
 	if shufAddr == "" {
 		shufAddr = "127.0.0.1:0"
 	}
-	srv, err := shuffle.Listen(shufAddr, shuffle.ServerConfig{Listen: cfg.ShuffleListen},
-		a.resolveJob, nil)
+	ln, err := cfg.ShuffleListen(shufAddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("agent: shuffle listen %s: %w", shufAddr, err)
 	}
+	srv := shuffle.Serve(ln, shuffle.ServerConfig{}, a.resolveJob, nil)
 	a.shuffle = srv
 
 	w, err := a.register(srv.Addr())
@@ -234,7 +230,6 @@ func Dial(cfg Config) (*Agent, error) {
 	}
 	a.registered = true
 	a.hb = time.Duration(w.HeartbeatMicros) * time.Microsecond
-	a.applyWelcome(w)
 	a.logf("agent %d: joined master %s gen %d (hb=%v shuffle=%s)",
 		a.id.Load(), a.conn.Load().RemoteAddr(), w.Gen, a.hb, srv.Addr())
 
@@ -249,18 +244,15 @@ func Dial(cfg Config) (*Agent, error) {
 // to RegisterAttempts with jittered exponential backoff capped at
 // RegisterBackoffMax. Attempts round-robin across MasterAddrs, so during a
 // failover the agent probes the standby as readily as the (dead) primary.
-// On success a.conn holds the registered connection.
+// On success a.conn holds the registered connection, and the agent's worker
+// ID, generation and master address are the welcoming master's.
 func (a *Agent) register(shuffleAddr string) (wire.Welcome, error) {
 	cfg := a.cfg
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	var lastErr error
 	for attempt := 0; attempt < cfg.RegisterAttempts; attempt++ {
 		if attempt > 0 {
-			d := cfg.RegisterBackoff << uint(attempt-1)
-			if d > cfg.RegisterBackoffMax || d <= 0 {
-				d = cfg.RegisterBackoffMax
-			}
-			sleep := d/2 + time.Duration(rng.Int63n(int64(d/2)))
+			sleep := wire.Backoff(rng, cfg.RegisterBackoff, cfg.RegisterBackoffMax, attempt-1)
 			a.logf("agent: registration attempt %d failed (%v), retrying in %v",
 				attempt, lastErr, sleep)
 			select {
@@ -269,8 +261,14 @@ func (a *Agent) register(shuffleAddr string) (wire.Welcome, error) {
 			case <-time.After(sleep):
 			}
 		}
-		w, err := a.registerOnce(cfg.MasterAddrs[attempt%len(cfg.MasterAddrs)], shuffleAddr)
+		addr := cfg.MasterAddrs[attempt%len(cfg.MasterAddrs)]
+		w, err := a.registerOnce(addr, shuffleAddr)
 		if err == nil {
+			a.id.Store(w.WorkerID)
+			a.gen.Store(w.Gen)
+			a.mu.Lock()
+			a.master = addr
+			a.mu.Unlock()
 			return w, nil
 		}
 		lastErr = err
@@ -286,7 +284,6 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 		return wire.Welcome{}, fmt.Errorf("agent: dial master %s: %w", addr, err)
 	}
 	conn := wire.NewConnConfig(nc, wire.Config{
-		WriteDeadline: writeDeadline,
 		// Control-plane blobs (Prepare params) are consumed synchronously
 		// inside the read-loop handler, so pooled frames are safe here.
 		PooledReads: true,
@@ -328,21 +325,12 @@ func (a *Agent) registerOnce(addr, shuffleAddr string) (wire.Welcome, error) {
 	return w, nil
 }
 
-// applyWelcome installs the per-master settings from a Welcome —
-// at first join and again at every re-attach.
-func (a *Agent) applyWelcome(w wire.Welcome) {
-	a.id.Store(w.WorkerID)
-	a.gen.Store(w.Gen)
-	a.mu.Lock()
-	a.masterShuffleAddr = w.MasterShuffleAddr
-	a.mu.Unlock()
-}
-
-// masterAddr returns the master's canonical-store fetch address.
+// masterAddr returns the address of the master this agent registered with,
+// where the canonical store answers fetches.
 func (a *Agent) masterAddr() string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.masterShuffleAddr
+	return a.master
 }
 
 // ID returns the worker ID the master last welcomed this agent under.
@@ -461,7 +449,6 @@ func (a *Agent) readLoop() {
 			a.shutdown(fmt.Errorf("agent: master connection lost: %w (re-registration: %v)", err, rerr))
 			return
 		}
-		a.applyWelcome(w)
 		a.logf("agent %d: re-attached under generation %d", a.id.Load(), w.Gen)
 	}
 }
@@ -730,7 +717,8 @@ func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inf
 // be stale. Transient peer faults are absorbed inside Client.Fetch by
 // retry/backoff; only once that budget is exhausted does the fetch degrade
 // to the master's canonical store (§4.3), and each such degradation is
-// counted so the master's transport metrics surface it.
+// counted so the master's transport metrics surface it. A spec with Origin -1
+// names that store, which answers at the master's address.
 func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes float64, retries, fallbacks int, err error) {
 	masterStore := a.masterAddr()
 	for _, f := range d.Fetches {
@@ -757,9 +745,13 @@ func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes
 			}
 			return nil
 		}
-		n, nr, r, err := a.client(f.Addr).FetchFunc(d.JobID, f.DatasetID, f.Part, f.Origin, sink)
+		holder := f.Addr
+		if f.Origin < 0 {
+			holder = masterStore
+		}
+		n, nr, r, err := a.client(holder).FetchFunc(d.JobID, f.DatasetID, f.Part, f.Origin, sink)
 		retries += r
-		if err != nil && f.Origin >= 0 && masterStore != "" {
+		if err != nil && f.Origin >= 0 {
 			// Peer unreachable after the full retry budget: the master's
 			// checkpoint has every committed contribution (§4.3), so degrade
 			// to it — correct but no longer peer-to-peer, hence counted.

@@ -42,7 +42,7 @@ func (f *fakeMaster) dial(addr string) (net.Conn, error) {
 		return nil, errors.New("connection refused")
 	}
 	client, server := net.Pipe()
-	f.conns <- wire.NewConn(server, 0)
+	f.conns <- wire.NewConnConfig(server, wire.Config{})
 	return client, nil
 }
 

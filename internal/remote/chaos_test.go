@@ -2,8 +2,10 @@ package remote
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -204,5 +206,44 @@ func TestPeerPartitionFallsBackExactlyOnce(t *testing.T) {
 	line := tr.StatsLine(time.Now())
 	if !strings.Contains(line, fmt.Sprintf("retry=%d fallback=%d", tr.FetchRetries(), fallbacks)) {
 		t.Fatalf("degradation not visible in StatsLine: %q", line)
+	}
+}
+
+// TestFallbackFetchDialsRegisteredMaster pins where the canonical store
+// answers: at the address the agents registered with, the master's control
+// port. Every shuffle dial except to that address is refused, and retries are
+// off, so each cross-agent fetch falls back to the store on its first failure
+// and the job completes only if the fallback dials the master's one address.
+func TestFallbackFetchDialsRegisteredMaster(t *testing.T) {
+	var master atomic.Value // string: the master's address, once it listens
+	acfg := agent.Config{
+		Cores: 2,
+		ShuffleDial: func(addr string) (net.Conn, error) {
+			if m, _ := master.Load().(string); addr != m {
+				return nil, fmt.Errorf("%s is not the master's address", addr)
+			}
+			return wire.NetDial(addr)
+		},
+		FetchRetries: -1,
+	}
+	lc := startClusterWith(t, 2, Config{}, acfg)
+	master.Store(lc.Master.Addr())
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 3000, InParts: 6, OutParts: 4})
+	job, err := lc.Master.Submit(name, params)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+
+	runCluster(t, lc)
+
+	got, err := job.ResultRows()
+	if err != nil {
+		t.Fatalf("result rows: %v", err)
+	}
+	if want := directRows(t, name, params); !reflect.DeepEqual(sortedStrings(got), sortedStrings(want)) {
+		t.Fatalf("rows diverge with every peer refused: got %d want %d rows", len(got), len(want))
+	}
+	if lc.Master.Transport.FetchFallbacks() == 0 {
+		t.Fatal("expected cross-agent fetches to fall back to the master's store")
 	}
 }

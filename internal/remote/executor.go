@@ -134,8 +134,8 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 		sentAt: time.Now(),
 	}
 	var fetches []wire.FetchSpec
-	parts, storeAddr := localrt.InputParts(rj.rt().Plan(), mt), e.m.shuffleSrv.Addr()
-	open := e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID, storeAddr) })
+	parts := localrt.InputParts(rj.rt().Plan(), mt)
+	open := e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID) })
 	for _, sp := range fetches {
 		o := int(sp.Origin)
 		if sp.Origin < 0 || slices.Contains(st.fetchOrigins, o) {
@@ -182,11 +182,12 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 // (or empty): the agent seeded it locally from the deterministic builder,
 // nothing to fetch. An origin that no longer serves peers (failed, or
 // drained: its contributions now live only in the canonical store) redirects
-// the whole partition to the master's store at storeAddr, which holds every
-// committed contribution (§4.3); a draining origin still serves. Otherwise
-// each origin except the executing worker itself serves its own
-// contribution, keeping the hot path peer-to-peer.
-func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, workerID int, storeAddr string) []wire.FetchSpec {
+// the whole partition to the master's store, which holds every committed
+// contribution (§4.3); its spec has Origin -1 and no address, because the
+// agent reads the store at the master it registered with. A draining origin
+// still serves. Otherwise each origin except the executing worker itself
+// serves its own contribution, keeping the hot path peer-to-peer.
+func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, workerID int) []wire.FetchSpec {
 	var out []wire.FetchSpec
 	for _, dp := range parts {
 		ds, part := int32(dp.Dataset.ID), int32(dp.Part)
@@ -196,7 +197,7 @@ func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, w
 			allServe = allServe && st.Worker(int(o)).ServesPeers()
 		}
 		if !allServe {
-			out = append(out, wire.FetchSpec{DatasetID: ds, Part: part, Origin: -1, Addr: storeAddr})
+			out = append(out, wire.FetchSpec{DatasetID: ds, Part: part, Origin: -1})
 			continue
 		}
 		for _, o := range origins {

@@ -39,11 +39,10 @@ import (
 
 // Config shapes a master.
 type Config struct {
-	// Addr is the control-plane listen address. Default "127.0.0.1:0".
+	// Addr is the control-plane listen address, the master's one address:
+	// agents register, clients submit and fallback fetches read the
+	// canonical store there. Default "127.0.0.1:0".
 	Addr string
-	// ShuffleAddr is the master's canonical-store fetch address. Default
-	// "127.0.0.1:0"; real deployments pass a peer-reachable host.
-	ShuffleAddr string
 	// Workers is how many agents must register before the run starts.
 	Workers int
 	// CoresPerWorker is each worker's CPU concurrency in the scheduler's
@@ -66,8 +65,8 @@ type Config struct {
 	// ShuffleSpillDir is where spill files are created; empty selects the
 	// system temp dir.
 	ShuffleSpillDir string
-	// Listen opens the control-plane and shuffle listeners; nil selects
-	// wire.NetListen. Tests compose fault injectors here.
+	// Listen opens the control-plane listener; nil selects wire.NetListen.
+	// No test sets it; it is the seam a simulated network plugs into.
 	Listen wire.ListenFunc
 	// Serve decides only when the drain that ends every run begins; every
 	// master answers clients on its control port. A serving master takes
@@ -117,10 +116,10 @@ type Config struct {
 }
 
 // Transport and front-door bounds: one value serves every deployment, test
-// and benchmark, so they are not Config fields. The frame bound, the
-// graceful-close flush window and the shuffle server's idle cutoff are
-// wire's and shuffle's own defaults (wire.DefaultMaxFrame,
-// wire.DefaultDrainDeadline, shuffle.DefaultServerReadIdle).
+// and benchmark, so they are not Config fields. The frame bound, the write
+// deadline, the graceful-close flush window and the shuffle server's idle
+// cutoff are wire's and shuffle's own (wire.DefaultMaxFrame,
+// wire.WriteDeadline, wire.DrainDeadline, shuffle.DefaultServerReadIdle).
 const (
 	// handshakeTimeout bounds the wait for a connecting peer's first frame: a
 	// client that connects and goes silent cannot pin the handshake goroutine.
@@ -128,10 +127,6 @@ const (
 	// journalSyncInterval batches journal fsyncs (group commit): an appended
 	// event is durable within this long.
 	journalSyncInterval = 2 * time.Millisecond
-	// writeDeadline bounds each control-plane write (dispatches, prepares,
-	// acks) so a dead-but-unclosed peer fails its link fast instead of wedging
-	// the single writer until the kernel TCP timeout.
-	writeDeadline = 10 * time.Second
 	// intakeCap bounds the submissions accepted but not yet queued on the
 	// control loop; beyond it new SubmitJobs are rejected ("intake full")
 	// instead of growing the driver inbox without bound.
@@ -146,9 +141,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.ShuffleAddr == "" {
-		c.ShuffleAddr = "127.0.0.1:0"
 	}
 	if c.CoresPerWorker <= 0 {
 		c.CoresPerWorker = 2
@@ -241,11 +233,14 @@ type Master struct {
 	// generation, events, appends, snapshots and errors from the recorder.
 	Journal *metrics.Journal
 
-	cfg        Config
-	ln         net.Listener
-	shuffleSrv *shuffle.Server
-	exec       *remoteExecutor
-	fd         *frontDoor
+	cfg  Config
+	ln   net.Listener
+	exec *remoteExecutor
+	fd   *frontDoor
+
+	// store answers fetches from the canonical stores on the control port:
+	// handshake hands it every connection whose first frame is a Fetch.
+	store *shuffle.Server
 
 	// gen is this master's generation: 1 for a fresh master, previous+1 at
 	// a standby takeover. Immutable after construction.
@@ -391,21 +386,16 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		}
 	}
 
-	var err error
 	if tk != nil {
 		m.ln = tk.ln
 	} else {
-		m.ln, err = cfg.Listen(cfg.Addr)
+		ln, err := cfg.Listen(cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("remote: listen %s: %w", cfg.Addr, err)
 		}
+		m.ln = ln
 	}
-	m.shuffleSrv, err = shuffle.Listen(cfg.ShuffleAddr, shuffle.ServerConfig{Listen: cfg.Listen},
-		m.resolveJob, m.Transport.ObserveServedBytes)
-	if err != nil {
-		m.ln.Close()
-		return nil, err
-	}
+	m.store = shuffle.NewServer(shuffle.ServerConfig{}, m.resolveJob, m.Transport.ObserveServedBytes)
 	m.Sys = live.NewSystem(live.Config{
 		Workers:        cfg.Workers,
 		CoresPerWorker: cfg.CoresPerWorker,
@@ -539,11 +529,9 @@ func (m *Master) Ingest() *metrics.Ingest { return m.fd.Ingest }
 // control loop stops and Run returns. Safe from any goroutine; idempotent.
 func (m *Master) Drain() { m.fd.drain() }
 
-// Addr is the control-plane address agents dial.
+// Addr is the master's one address: agents, clients and fallback fetches
+// all dial it.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
-
-// ShuffleAddr is the master's canonical-store fetch address.
-func (m *Master) ShuffleAddr() string { return m.shuffleSrv.Addr() }
 
 // Jobs returns the jobs submitted through Submit (on a promoted standby:
 // the inherited backlog) in submission order.
@@ -631,11 +619,12 @@ func (m *Master) accept() {
 }
 
 // handshake classifies one inbound connection by its first frame — Register
-// opens a worker link, any client frame a client link — and only then
-// wraps it in a wire.Conn, because the two kinds want different configs
-// (pooled reads and a deep send queue for workers; a shallow, droppable
-// status queue for clients). The sniff reads through the same bufio.Reader
-// the Conn adopts, so frames the peer pipelined behind the first are kept.
+// opens a worker link, any client frame a client link, a Fetch goes to the
+// canonical store's server — and only then wraps it, because the kinds want
+// different handling (pooled reads for workers; a shallow, droppable status
+// queue for clients; streamed raw frames for fetches). The sniff reads
+// through the same bufio.Reader the link adopts, so frames the peer
+// pipelined behind the first are kept.
 func (m *Master) handshake(nc net.Conn) {
 	br := bufio.NewReader(nc)
 	// Bounded first read: a connection that never identifies itself is cut
@@ -656,11 +645,9 @@ func (m *Master) handshake(nc net.Conn) {
 	case wire.Register:
 		m.registerWorker(nc, br, msg)
 	case wire.SubmitJob, wire.CancelJob, wire.JobQuery:
-		c := wire.NewConnFrom(nc, br, wire.Config{
-			WriteDeadline: writeDeadline,
-			SendQueue:     clientSendQueue,
-		})
-		m.fd.serveClient(c, first)
+		m.fd.serveClient(wire.NewConnFrom(nc, br, wire.Config{SendQueue: clientSendQueue}), first)
+	case wire.Fetch:
+		m.store.ServeConn(nc, br, &msg)
 	default:
 		nc.Close()
 	}
@@ -668,7 +655,6 @@ func (m *Master) handshake(nc net.Conn) {
 
 func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register) {
 	c := wire.NewConnFrom(nc, br, wire.Config{
-		WriteDeadline: writeDeadline,
 		// Pooled frames: the readLoop's only blob-carrying message is
 		// Complete, whose writes are deep-copied before leaving the handler.
 		PooledReads: true,
@@ -743,10 +729,9 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 // welcome is the master's answer to a registration it accepted as worker id.
 func (m *Master) welcome(id int) wire.Welcome {
 	return wire.Welcome{
-		WorkerID:          int32(id),
-		HeartbeatMicros:   m.cfg.HeartbeatInterval.Microseconds(),
-		MasterShuffleAddr: m.shuffleSrv.Addr(),
-		Gen:               m.gen,
+		WorkerID:        int32(id),
+		HeartbeatMicros: m.cfg.HeartbeatInterval.Microseconds(),
+		Gen:             m.gen,
 	}
 }
 
@@ -1189,7 +1174,7 @@ func (m *Master) Close() error {
 				link.conn.Close()
 			}
 		}
-		m.shuffleSrv.Close()
+		m.store.Close()
 		// With the fetch server down, nothing can still be streaming from the
 		// canonical stores' spill files: release those still held.
 		for _, rj := range m.jobs.all() {

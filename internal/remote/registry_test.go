@@ -27,7 +27,7 @@ func foldEvents(evs ...cpstate.Event) *cpstate.State {
 // control-plane state alone: the executor keeps no origin map of its own, so
 // a hand-built State is the whole input.
 func TestBuildFetchesFromState(t *testing.T) {
-	const job, self, store = 9, 4, "master:7"
+	const job, self = 9, 4
 	commit := func(mt, worker int32, part int32) cpstate.Event {
 		return cpstate.Commit{JobID: job, MTID: mt, Worker: worker, Seq: uint64(mt),
 			Writes: []cpstate.CommitWrite{{DS: 1, Part: part}}}
@@ -63,14 +63,14 @@ func TestBuildFetchesFromState(t *testing.T) {
 		want []wire.FetchSpec
 	}{
 		{"live origin: its own shuffle server", 0, []wire.FetchSpec{peer(0, 0, "w0:1")}},
-		{"one failed origin: whole partition from the master store", 1, []wire.FetchSpec{peer(1, -1, store)}},
-		{"drained origin: whole partition from the master store", 2, []wire.FetchSpec{peer(2, -1, store)}},
+		{"one failed origin: whole partition from the master store", 1, []wire.FetchSpec{peer(1, -1, "")}},
+		{"drained origin: whole partition from the master store", 2, []wire.FetchSpec{peer(2, -1, "")}},
 		{"draining origin: still peer-to-peer", 3, []wire.FetchSpec{peer(3, 2, "w2:1")}},
 		{"the executing worker's own contribution: skipped", 4, nil},
 		{"no origin (job input): nothing to fetch", 5, nil},
 		{"self among live origins: only the others", 6, []wire.FetchSpec{peer(6, 0, "w0:1")}},
 	} {
-		got := buildFetches(st, job, []localrt.DatasetPart{{Dataset: ds, Part: tc.part}}, self, store)
+		got := buildFetches(st, job, []localrt.DatasetPart{{Dataset: ds, Part: tc.part}}, self)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
 		}
@@ -79,7 +79,7 @@ func TestBuildFetchesFromState(t *testing.T) {
 	// A terminal job's origins are compacted out of the state, and with them
 	// every fetch spec.
 	cpstate.Apply(st, cpstate.JobFinished{JobID: job})
-	if got := buildFetches(st, job, []localrt.DatasetPart{{Dataset: ds, Part: 0}}, self, store); got != nil {
+	if got := buildFetches(st, job, []localrt.DatasetPart{{Dataset: ds, Part: 0}}, self); got != nil {
 		t.Errorf("finished job still routes fetches: %+v", got)
 	}
 }

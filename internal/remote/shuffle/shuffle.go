@@ -3,9 +3,9 @@
 // wire.Fetch requests from the contribution store of the addressed job's
 // runtime, and executing agents use Clients to pull the input partitions a
 // dispatch names. The master's server fronts the canonical checkpoint store
-// (§4.3), so readers fall back to it when a peer origin is dead; agent
-// servers serve their locally produced contributions, which keeps the hot
-// path peer-to-peer.
+// (§4.3) on the master's control port, so readers fall back to it when a peer
+// origin is dead; agent servers listen on their own port and serve their
+// locally produced contributions, which keeps the hot path peer-to-peer.
 //
 // The data plane is zero-copy on the serve side: contributions are stored
 // pre-encoded (localrt's encode-once blob store), so serving a fetch is
@@ -54,9 +54,6 @@ type ServerConfig struct {
 	// DefaultServerReadIdle; negative values are clamped to it too — use a
 	// large value to effectively disable.
 	ReadIdle time.Duration
-	// Listen opens the listener; nil selects wire.NetListen. Tests compose
-	// fault injectors here.
-	Listen wire.ListenFunc
 }
 
 // DefaultServerReadIdle is the default per-request read deadline on server
@@ -75,17 +72,15 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.ReadIdle <= 0 {
 		c.ReadIdle = DefaultServerReadIdle
 	}
-	if c.Listen == nil {
-		c.Listen = wire.NetListen
-	}
 	return c
 }
 
-// Server answers Fetch requests over freshly accepted connections. Each
-// connection is served by one goroutine; requests on a connection are
-// processed in order.
+// Server answers Fetch requests, either on connections its own listener
+// accepts (Serve) or on connections another server classified and handed
+// over (ServeConn). Each connection is served by one goroutine; requests on a
+// connection are processed in order.
 type Server struct {
-	ln      net.Listener
+	ln      net.Listener // nil for a listener-less server (NewServer)
 	cfg     ServerConfig
 	resolve Resolver
 	// onServed, if set, observes every served partition's wire bytes (what
@@ -99,33 +94,28 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 }
 
-// Serve starts a shuffle server on ln with cfg's framing and deadlines
-// (cfg.Listen is ignored — the listener already exists).
-func Serve(ln net.Listener, cfg ServerConfig, resolve Resolver, onServed func(wireBytes, rawBytes float64)) *Server {
-	cfg = cfg.withDefaults()
-	s := &Server{
-		ln:       ln,
-		cfg:      cfg,
+// NewServer returns a server without a listener: connections reach it only
+// through ServeConn. The master's canonical store is one, answering on the
+// control port.
+func NewServer(cfg ServerConfig, resolve Resolver, onServed func(wireBytes, rawBytes float64)) *Server {
+	return &Server{
+		cfg:      cfg.withDefaults(),
 		resolve:  resolve,
 		onServed: onServed,
 		conns:    make(map[net.Conn]struct{}),
 	}
+}
+
+// Serve starts a shuffle server that accepts connections on ln.
+func Serve(ln net.Listener, cfg ServerConfig, resolve Resolver, onServed func(wireBytes, rawBytes float64)) *Server {
+	s := NewServer(cfg, resolve, onServed)
+	s.ln = ln
 	s.wg.Add(1)
 	go s.accept()
 	return s
 }
 
-// Listen opens a listener on addr via cfg.Listen and serves on it.
-func Listen(addr string, cfg ServerConfig, resolve Resolver, onServed func(wireBytes, rawBytes float64)) (*Server, error) {
-	cfg = cfg.withDefaults()
-	ln, err := cfg.Listen(addr)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: listen %s: %w", addr, err)
-	}
-	return Serve(ln, cfg, resolve, onServed), nil
-}
-
-// Addr returns the address peers dial to fetch from this server.
+// Addr returns the address peers dial to fetch from this server's listener.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting, closes open connections, and waits for the
@@ -138,7 +128,9 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.ln.Close()
+	if s.ln != nil {
+		s.ln.Close()
+	}
 	for nc := range s.conns {
 		nc.Close()
 	}
@@ -153,16 +145,13 @@ func (s *Server) accept() {
 		if err != nil {
 			return // listener closed
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			nc.Close()
-			return
-		}
-		s.conns[nc] = struct{}{}
+		// Counted before the goroutine starts (accept's own count is still
+		// held), so Close waits for it even if it has not reached ServeConn.
 		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(nc)
+		go func() {
+			defer s.wg.Done()
+			s.ServeConn(nc, bufio.NewReader(nc), nil)
+		}()
 	}
 }
 
@@ -174,13 +163,28 @@ const respMetaLen = 4 + 1 + 4 + 4
 // prefix + u32 contribution count.
 const respHeadLen = 1 + 4 + 4
 
-// serveConn is the request/response loop of one client connection. It runs
-// on raw frames rather than a wire.Conn: responses are streamed (a spilled
-// partition is copied through a bounded chunk buffer, never materialized),
-// which a whole-frame send pump cannot express. Requests on a connection are
-// strictly serialized, so one read buffer and one scratch ref slice serve
-// the connection's lifetime — the steady-state serve path allocates nothing.
-func (s *Server) serveConn(nc net.Conn) {
+// ServeConn answers fetches on nc, reading through r, until the peer closes,
+// goes silent past ReadIdle, or the server closes; it closes nc on return.
+// first, when non-nil, is a request already read off r: the master's
+// handshake reads a connection's first frame to tell a fetch from a worker or
+// a client.
+//
+// The loop runs on raw frames rather than a wire.Conn: responses are
+// streamed (a spilled partition is copied through a bounded chunk buffer,
+// never materialized), which a whole-frame send pump cannot express. Requests
+// on a connection are strictly serialized, so one read buffer and one scratch
+// ref slice serve the connection's lifetime — the steady-state serve path
+// allocates nothing.
+func (s *Server) ServeConn(nc net.Conn, r *bufio.Reader, first *wire.Fetch) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		nc.Close()
+		return
+	}
+	s.conns[nc] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -188,7 +192,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.mu.Unlock()
 		nc.Close()
 	}()
-	r := bufio.NewReader(nc)
 	w := bufio.NewWriter(nc)
 	var (
 		rbuf      []byte
@@ -198,30 +201,35 @@ func (s *Server) serveConn(nc net.Conn) {
 	)
 	defer func() { wire.PutBuf(rbuf) }()
 	for {
-		// Bound the wait for the next request: a silent client is cut loose
-		// instead of pinning this goroutine until process exit.
-		if err := nc.SetReadDeadline(time.Now().Add(s.cfg.ReadIdle)); err != nil {
-			return
-		}
-		rbuf = rdShrink.Next(rbuf, lastFrame)
-		typ, payload, nb, err := wire.ReadFrameInto(r, rbuf, s.cfg.MaxFrame)
-		rbuf = nb
-		if err != nil {
-			return
-		}
-		lastFrame = len(payload) + 1
-		if typ != wire.TFetch {
-			return // protocol violation: drop the connection
-		}
-		f, err := wire.DecodeFetch(payload)
-		if err != nil {
-			return
+		var f wire.Fetch
+		if first != nil {
+			f, first = *first, nil
+		} else {
+			// Bound the wait for the next request: a silent client is cut
+			// loose instead of pinning this goroutine until process exit.
+			if err := nc.SetReadDeadline(time.Now().Add(s.cfg.ReadIdle)); err != nil {
+				return
+			}
+			rbuf = rdShrink.Next(rbuf, lastFrame)
+			typ, payload, nb, err := wire.ReadFrameInto(r, rbuf, s.cfg.MaxFrame)
+			rbuf = nb
+			if err != nil {
+				return
+			}
+			lastFrame = len(payload) + 1
+			if typ != wire.TFetch {
+				return // protocol violation: drop the connection
+			}
+			if f, err = wire.DecodeFetch(payload); err != nil {
+				return
+			}
 		}
 		// Bound the response write symmetrically: a client that stops
 		// draining cannot wedge the server goroutine.
 		if err := nc.SetWriteDeadline(time.Now().Add(s.cfg.ReadIdle)); err != nil {
 			return
 		}
+		var err error
 		refs = refs[:0]
 		if refs, err = s.writeResp(w, f, refs); err != nil {
 			return
@@ -372,7 +380,7 @@ type ClientConfig struct {
 	// < 0 disables retries; 0 selects DefaultFetchRetries.
 	Retries int
 	// BackoffBase and BackoffMax shape the bounded, jittered exponential
-	// backoff between attempts: sleep_k ∈ [½,1)·min(Base·2^k, Max).
+	// backoff between attempts (wire.Backoff).
 	// <= 0 selects the defaults.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
@@ -447,16 +455,6 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 	return &Client{addr: addr, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// backoff returns the jittered sleep before retry attempt k (0-based):
-// uniformly in [½,1) of min(Base·2^k, Max). Called with mu held.
-func (c *Client) backoff(k int) time.Duration {
-	d := c.cfg.BackoffBase << uint(k)
-	if d > c.cfg.BackoffMax || d <= 0 {
-		d = c.cfg.BackoffMax
-	}
-	return d/2 + time.Duration(c.rng.Int63n(int64(d/2)))
-}
-
 // FetchFunc pulls one partition's contributions and hands the decoded
 // response to sink. The response's contribution blobs alias the client's
 // retained read buffer: they are valid only for the duration of the sink
@@ -483,7 +481,7 @@ func (c *Client) FetchFunc(jobID int64, dsID, part, origin int32, sink func(*wir
 				"shuffle: fetch from %s failed after %d attempts: %w", c.addr, attempt+1, err)
 		}
 		retries++
-		time.Sleep(c.backoff(attempt))
+		time.Sleep(wire.Backoff(c.rng, c.cfg.BackoffBase, c.cfg.BackoffMax, attempt))
 	}
 }
 

@@ -47,7 +47,7 @@ func startHolder(t *testing.T, mode string) *fakeHolder {
 }
 
 func (h *fakeHolder) serve(nc net.Conn) {
-	c := wire.NewConn(nc, 0)
+	c := wire.NewConnConfig(nc, wire.Config{})
 	defer c.Close()
 	for {
 		m, err := c.ReadMsg()
@@ -199,26 +199,6 @@ func TestFetchProtocolErrorNotRetried(t *testing.T) {
 	}
 }
 
-// TestBackoffBounds pins the backoff shape: sleep_k ∈ [½,1)·min(Base·2^k,
-// Max) for every step, including far past the cap (no overflow).
-func TestBackoffBounds(t *testing.T) {
-	cl := NewClient("x", ClientConfig{
-		BackoffBase: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond, Seed: 3,
-	})
-	for k := 0; k < 64; k++ {
-		want := 10 * time.Millisecond << uint(k)
-		if want > 80*time.Millisecond || want <= 0 {
-			want = 80 * time.Millisecond
-		}
-		for trial := 0; trial < 32; trial++ {
-			got := cl.backoff(k)
-			if got < want/2 || got >= want {
-				t.Fatalf("backoff(%d) = %v, want in [%v, %v)", k, got, want/2, want)
-			}
-		}
-	}
-}
-
 // storeRuntime builds a runtime around a minimal valid plan so contributions
 // can be inserted pre-encoded and served by a real Server.
 func storeRuntime(parts int) (*localrt.Runtime, *dag.Dataset) {
@@ -353,11 +333,8 @@ func mustListen(t *testing.T) net.Listener {
 // that connects and goes silent is disconnected after ReadIdle instead of
 // pinning a serving goroutine forever.
 func TestServerReadIdleCutsSilentClient(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", ServerConfig{ReadIdle: 30 * time.Millisecond},
+	srv := Serve(mustListen(t), ServerConfig{ReadIdle: 30 * time.Millisecond},
 		func(int64) *localrt.Runtime { return nil }, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer srv.Close()
 	nc, err := net.Dial("tcp", srv.Addr())
 	if err != nil {

@@ -41,22 +41,23 @@ type Conn struct {
 // applying backpressure to the control loop.
 const sendBuffer = 1024
 
-// DefaultDrainDeadline bounds the graceful-close flush window.
-const DefaultDrainDeadline = 200 * time.Millisecond
-
-// Config shapes one Conn's framing and deadline behaviour.
-type Config struct {
-	// MaxFrame bounds frames in both directions; <= 0 selects DefaultMaxFrame.
-	MaxFrame int
+// Every Conn's bounds. One value serves every connection kind, deployment
+// and test, so they are not Config fields; frames are bounded by
+// DefaultMaxFrame in both directions.
+const (
 	// WriteDeadline bounds each steady-state write in the pump. Without it a
 	// dead-but-unclosed peer stalls the single writer until the kernel TCP
 	// timeout fires (minutes), filling the outbound queue and escalating to
-	// a spurious "send queue full" transport failure. 0 disables (legacy
-	// behaviour); the master and agent configs default it on.
-	WriteDeadline time.Duration
+	// a spurious "send queue full" transport failure.
+	WriteDeadline = 10 * time.Second
 	// DrainDeadline bounds the graceful-close flush of already-queued frames
-	// (Shutdown broadcasts). <= 0 selects DefaultDrainDeadline.
-	DrainDeadline time.Duration
+	// (Shutdown broadcasts).
+	DrainDeadline = 200 * time.Millisecond
+)
+
+// Config shapes what differs between connection kinds: the outbound queue
+// and whether reads are pooled.
+type Config struct {
 	// SendQueue bounds the outbound queue; <= 0 selects the default
 	// (sendBuffer). Client-facing links on the master size this explicitly
 	// so a slow status subscriber has a stated, bounded footprint.
@@ -72,27 +73,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.DrainDeadline <= 0 {
-		c.DrainDeadline = DefaultDrainDeadline
-	}
 	if c.SendQueue <= 0 {
 		c.SendQueue = sendBuffer
 	}
 	return c
 }
 
-// NewConn starts the write pump over nc. maxFrame bounds both directions;
-// <= 0 selects DefaultMaxFrame. Deadlines take defaults (no steady-state
-// write deadline); use NewConnConfig to set them.
-func NewConn(nc net.Conn, maxFrame int) *Conn {
-	return NewConnConfig(nc, Config{MaxFrame: maxFrame})
-}
-
-// NewConnConfig starts the write pump over nc with explicit framing and
-// deadline configuration.
+// NewConnConfig starts the write pump over nc.
 func NewConnConfig(nc net.Conn, cfg Config) *Conn {
 	return NewConnFrom(nc, bufio.NewReader(nc), cfg)
 }
@@ -131,11 +118,10 @@ func (c *Conn) pump() {
 	for {
 		select {
 		case <-c.quit:
-			// Drain what was queued before the close, under the configured
-			// drain deadline, so a graceful close can deliver its final
-			// frames (Shutdown broadcasts) without risking a hang on a dead
-			// peer.
-			c.nc.SetWriteDeadline(time.Now().Add(c.cfg.DrainDeadline))
+			// Drain what was queued before the close, under the drain
+			// deadline, so a graceful close can deliver its final frames
+			// (Shutdown broadcasts) without risking a hang on a dead peer.
+			c.nc.SetWriteDeadline(time.Now().Add(DrainDeadline))
 			for {
 				select {
 				case m := <-c.out:
@@ -154,16 +140,14 @@ func (c *Conn) pump() {
 			buf = wrShrink.Next(buf, lastWrite)
 			buf = AppendFrame(buf[:0], m)
 			lastWrite = len(buf)
-			if len(buf) > c.cfg.MaxFrame+headerLen {
-				c.fail(fmt.Errorf("wire: outbound frame exceeds max %d", c.cfg.MaxFrame))
+			if len(buf) > DefaultMaxFrame+headerLen {
+				c.fail(fmt.Errorf("wire: outbound frame exceeds max %d", DefaultMaxFrame))
 				return
 			}
-			if c.cfg.WriteDeadline > 0 {
-				// Bound the steady-state write: a wedged peer fails fast
-				// here instead of stalling the pump until the kernel TCP
-				// timeout while the queue fills behind it.
-				c.nc.SetWriteDeadline(time.Now().Add(c.cfg.WriteDeadline))
-			}
+			// Bound the steady-state write: a wedged peer fails fast here
+			// instead of stalling the pump until the kernel TCP timeout
+			// while the queue fills behind it.
+			c.nc.SetWriteDeadline(time.Now().Add(WriteDeadline))
 			if _, err := w.Write(buf); err != nil {
 				c.fail(err)
 				return
@@ -255,7 +239,7 @@ func (c *Conn) shutdown(graceful bool) {
 		if graceful {
 			select {
 			case <-c.pumpDone:
-			case <-time.After(c.cfg.DrainDeadline + 50*time.Millisecond):
+			case <-time.After(DrainDeadline + 50*time.Millisecond):
 			}
 		}
 		c.nc.Close()
@@ -270,7 +254,7 @@ func (c *Conn) shutdown(graceful bool) {
 // only until the next ReadMsg — see Config.PooledReads.
 func (c *Conn) ReadMsg() (Msg, error) {
 	if !c.cfg.PooledReads {
-		typ, payload, err := ReadFrame(c.r, c.cfg.MaxFrame)
+		typ, payload, err := ReadFrame(c.r, DefaultMaxFrame)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +263,7 @@ func (c *Conn) ReadMsg() (Msg, error) {
 	// The previous message is dead by contract, so this is the first moment
 	// the retained buffer can be safely shrunk or replaced.
 	c.rbuf = c.rdShrink.Next(c.rbuf, c.lastFrame)
-	typ, payload, buf, err := ReadFrameInto(c.r, c.rbuf, c.cfg.MaxFrame)
+	typ, payload, buf, err := ReadFrameInto(c.r, c.rbuf, DefaultMaxFrame)
 	c.rbuf = buf
 	if err != nil {
 		return nil, err

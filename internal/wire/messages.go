@@ -147,12 +147,9 @@ func decodeRegister(d *Decoder) Msg {
 }
 
 // Welcome assigns the worker its identity and protocol parameters.
-// MasterShuffleAddr is where the master's canonical contribution store
-// serves fetches — the fallback holder when a peer origin is dead.
 type Welcome struct {
-	WorkerID          int32
-	HeartbeatMicros   int64
-	MasterShuffleAddr string
+	WorkerID        int32
+	HeartbeatMicros int64
 	// Gen is the master's generation number. It rises by one at every
 	// standby takeover; dispatch sequence numbers are namespaced by it, so
 	// the at-most-once (jobID, mtID, seq) commit discipline extends across
@@ -164,13 +161,11 @@ func (Welcome) Type() byte { return TWelcome }
 func (m Welcome) encode(e *Encoder) {
 	e.I32(m.WorkerID)
 	e.I64(m.HeartbeatMicros)
-	e.Str(m.MasterShuffleAddr)
 	e.I64(m.Gen)
 }
 func decodeWelcome(d *Decoder) Msg {
 	return Welcome{
-		WorkerID: d.I32(), HeartbeatMicros: d.I64(),
-		MasterShuffleAddr: d.Str(), Gen: d.I64(),
+		WorkerID: d.I32(), HeartbeatMicros: d.I64(), Gen: d.I64(),
 	}
 }
 
@@ -225,8 +220,9 @@ func decodeJobReady(d *Decoder) Msg {
 }
 
 // FetchSpec tells the executing worker where one input partition lives.
-// Origin is the worker whose contribution store serves it (-1 = the
-// master's canonical store). Addr is the address to dial.
+// Origin is the worker whose contribution store serves it and Addr that
+// worker's shuffle address. Origin -1 is the master's canonical store, which
+// answers at the master's control address, so its Addr is empty.
 type FetchSpec struct {
 	DatasetID int32
 	Part      int32

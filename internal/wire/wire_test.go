@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"testing"
@@ -168,7 +169,7 @@ func TestTrySendDropsWithoutFailing(t *testing.T) {
 	}
 	// The link must still accept frames once there is room again.
 	go func() {
-		r := NewConn(c2, 0)
+		r := NewConnConfig(c2, Config{})
 		for {
 			if _, err := r.ReadMsg(); err != nil {
 				return
@@ -552,5 +553,23 @@ func TestAppendFrameReusesBuffer(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("%d leftover bytes", r.Len())
+	}
+}
+
+// TestBackoffBounds pins the backoff shape: sleep_k ∈ [½,1)·min(base·2^k,
+// max) for every step, including far past the cap (no overflow).
+func TestBackoffBounds(t *testing.T) {
+	const base, max = 10 * time.Millisecond, 80 * time.Millisecond
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 64; k++ {
+		want := base << uint(k)
+		if want > max || want <= 0 {
+			want = max
+		}
+		for trial := 0; trial < 32; trial++ {
+			if got := Backoff(rng, base, max, k); got < want/2 || got >= want {
+				t.Fatalf("Backoff(k=%d) = %v, want in [%v, %v)", k, got, want/2, want)
+			}
+		}
 	}
 }
