@@ -53,13 +53,16 @@ equiv:
 # exactly HeartbeatMisses intervals after its row was created), the
 # submission front door every live benchmark workload enters through, the
 # fallback fetch that reads the canonical store at the master's one address
-# (its control port), and the one way a run ends — a batch run is a drain
+# (its control port), the one registration rule (a registration claims the
+# slot the master waits for or appends one, on a fresh and a takeover
+# master), and the one way a run ends — a batch run is a drain
 # from the start, so it stops after its last job (at once with none) and
 # still answers clients — under the race detector. (Also covered by `race`;
 # kept as an explicit gate so the data plane, the fallback path, worker
-# liveness, the front door and the stop rule cannot silently drop out of CI.)
+# liveness, the front door, registration and the stop rule cannot silently
+# drop out of CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,

@@ -61,6 +61,9 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`\.Deviation\(`, "Worker.Rate against Worker.NominalRate reads how far a worker runs from its profile"},
 	{`MasterShuffleAddr`, "the canonical store answers on the master's control port, the address the agent registered with"},
 	{`execMapping`, "lop.extMapping returns dag.MapKind"},
+	{`WorkerJoined`, "every registration records cpstate.WorkerRegistered"},
+	{`elasticJoin`, "registerWorker admits every registration, mid-run joins included"},
+	{`applyProfile`, "a registration's loop step (Master.admit) applies its profile"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

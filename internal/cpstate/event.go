@@ -2,7 +2,7 @@
 // of remote.Master so it can be journaled and replayed: every mutation the
 // control plane performs that a takeover reads back — a job submitted,
 // admitted, finished or cancelled; a monotask committed; a worker
-// registered, joined, draining, drained or failed; a generation bump at
+// registered, draining, drained or failed; a generation bump at
 // takeover — is a typed Event, and the only way state changes is the pure
 // Apply(state, event) function. The networking layer reduces to translating
 // frames into events.
@@ -35,7 +35,6 @@ const (
 	evWorkerFailed     byte = 9
 	evWorkerDraining   byte = 10
 	evWorkerDrained    byte = 11
-	evWorkerJoined     byte = 12
 )
 
 // Event is one control-plane mutation. Implementations are value types:
@@ -115,9 +114,11 @@ type Commit struct {
 	Writes  []CommitWrite
 }
 
-// WorkerRegistered records a worker joining (or re-attaching after a
-// failover) with its peer-fetchable shuffle address. Cores is encoded but
-// not folded: the agent re-advertises it at every registration.
+// WorkerRegistered records a registration, the one way into the registry:
+// the worker claimed slot Worker (a fresh master's first slots, or its own
+// slot re-attached after a failover) or appended it past every slot before,
+// and serves peers at ShuffleAddr. Cores is encoded but not folded: the agent
+// re-advertises it at every registration.
 type WorkerRegistered struct {
 	Worker      int32
 	ShuffleAddr string
@@ -147,15 +148,6 @@ type WorkerDrained struct {
 	Worker int32
 }
 
-// WorkerJoined records an elastic mid-run join — a worker added beyond the
-// initial cluster size. Apply semantics match WorkerRegistered; the
-// distinct event type keeps the journal's membership history legible.
-type WorkerJoined struct {
-	Worker      int32
-	ShuffleAddr string
-	Cores       int32
-}
-
 func (Generation) typ() byte       { return evGeneration }
 func (JobSubmitted) typ() byte     { return evJobSubmitted }
 func (JobAdmitted) typ() byte      { return evJobAdmitted }
@@ -167,7 +159,6 @@ func (WorkerRegistered) typ() byte { return evWorkerRegistered }
 func (WorkerFailed) typ() byte     { return evWorkerFailed }
 func (WorkerDraining) typ() byte   { return evWorkerDraining }
 func (WorkerDrained) typ() byte    { return evWorkerDrained }
-func (WorkerJoined) typ() byte     { return evWorkerJoined }
 
 func (ev Generation) encode(e *wire.Encoder) { e.I64(ev.Gen) }
 
@@ -218,12 +209,6 @@ func (ev WorkerFailed) encode(e *wire.Encoder)   { e.I32(ev.Worker) }
 func (ev WorkerDraining) encode(e *wire.Encoder) { e.I32(ev.Worker) }
 func (ev WorkerDrained) encode(e *wire.Encoder)  { e.I32(ev.Worker) }
 
-func (ev WorkerJoined) encode(e *wire.Encoder) {
-	e.I32(ev.Worker)
-	e.Str(ev.ShuffleAddr)
-	e.I32(ev.Cores)
-}
-
 // AppendEvent appends ev's canonical encoding — one type byte, then the
 // fields — to dst and returns it. The result is a journal record payload.
 func AppendEvent(dst []byte, ev Event) []byte {
@@ -265,8 +250,6 @@ func DecodeEvent(p []byte) (Event, error) {
 		ev = WorkerDraining{Worker: d.I32()}
 	case evWorkerDrained:
 		ev = WorkerDrained{Worker: d.I32()}
-	case evWorkerJoined:
-		ev = WorkerJoined{Worker: d.I32(), ShuffleAddr: d.Str(), Cores: d.I32()}
 	default:
 		return nil, fmt.Errorf("cpstate: unknown event type %d", p[0])
 	}

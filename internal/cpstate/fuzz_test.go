@@ -22,7 +22,7 @@ func FuzzDecodeEvent(f *testing.F) {
 		WorkerFailed{Worker: 2},
 		WorkerDraining{Worker: 2},
 		WorkerDrained{Worker: 2},
-		WorkerJoined{Worker: 3, ShuffleAddr: "127.0.0.1:7002", Cores: 4},
+		WorkerRegistered{Worker: 3, ShuffleAddr: "127.0.0.1:7002", Cores: 4},
 	} {
 		f.Add(AppendEvent(nil, ev))
 	}
@@ -32,6 +32,7 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{99, 1, 2, 3})
 	f.Add([]byte{evCommit, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(append(AppendEvent(nil, WorkerFailed{Worker: 1}), 0xff))
+	f.Add(AppendEvent(nil, WorkerDraining{Worker: -1})) // no slot: ignored, not an index
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		ev, err := DecodeEvent(p)

@@ -157,31 +157,56 @@ func Apply(st *State, ev Event) {
 			st.addOrigin(PartKey{ev.JobID, w.DS, w.Part}, ev.Worker)
 		}
 	case WorkerRegistered:
-		st.register(ev.Worker, ev.ShuffleAddr)
+		if ev.Worker < 0 {
+			break
+		}
+		for int(ev.Worker) >= len(st.Workers) {
+			st.Workers = append(st.Workers, WorkerState{})
+		}
+		st.Workers[ev.Worker] = WorkerState{ShuffleAddr: ev.ShuffleAddr}
 	case WorkerFailed:
-		if int(ev.Worker) < len(st.Workers) {
-			st.Workers[ev.Worker].Failed = true
+		if w := st.slot(ev.Worker); w != nil {
+			w.Failed = true
 		}
 	case WorkerDraining:
-		if int(ev.Worker) < len(st.Workers) {
-			st.Workers[ev.Worker].Draining = true
+		if w := st.slot(ev.Worker); w != nil {
+			w.Draining = true
 		}
 	case WorkerDrained:
-		if int(ev.Worker) < len(st.Workers) {
-			st.Workers[ev.Worker].Drained = true
-			st.Workers[ev.Worker].Draining = false
+		if w := st.slot(ev.Worker); w != nil {
+			w.Drained, w.Draining = true, false
 		}
-	case WorkerJoined:
-		st.register(ev.Worker, ev.ShuffleAddr)
 	}
 }
 
-// register (re)opens registry slot id, growing the registry to reach it.
-func (st *State) register(id int32, shuffleAddr string) {
-	for int(id) >= len(st.Workers) {
-		st.Workers = append(st.Workers, WorkerState{})
+// slot returns registry slot id to update, nil for an ID the registry does
+// not hold.
+func (st *State) slot(id int32) *WorkerState {
+	if id < 0 || int(id) >= len(st.Workers) {
+		return nil
 	}
-	st.Workers[id] = WorkerState{ShuffleAddr: shuffleAddr}
+	return &st.Workers[id]
+}
+
+// Replay folds a journal back into state: the snapshot (nil for none) and
+// then every event of the tail, in order. It is the one replay a takeover
+// and an offline check both run; an undecodable snapshot or event fails it.
+func Replay(snapshot []byte, events [][]byte) (*State, error) {
+	st := New()
+	if snapshot != nil {
+		var err error
+		if st, err = DecodeState(snapshot); err != nil {
+			return nil, err
+		}
+	}
+	for i, p := range events {
+		ev, err := DecodeEvent(p)
+		if err != nil {
+			return nil, fmt.Errorf("cpstate: replay event %d: %w", i, err)
+		}
+		Apply(st, ev)
+	}
+	return st, nil
 }
 
 // applyGeneration is the takeover reset: authority changes hands and

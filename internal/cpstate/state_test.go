@@ -161,7 +161,8 @@ func TestEventCodecRoundTrip(t *testing.T) {
 
 // TestReplayDeterminism: replaying the encoded event stream into a fresh
 // state yields byte-identical encoding — the failover guarantee, at the
-// state-machine layer.
+// state-machine layer — and a tail holding a record no event type decodes
+// (type 12, what an older build journaled for a mid-run join) is refused.
 func TestReplayDeterminism(t *testing.T) {
 	events := sampleEvents()
 	live := buildState(t, events)
@@ -170,18 +171,19 @@ func TestReplayDeterminism(t *testing.T) {
 	for _, ev := range events {
 		payloads = append(payloads, AppendEvent(nil, ev))
 	}
-	replayed := New()
-	for i, p := range payloads {
-		ev, err := DecodeEvent(p)
-		if err != nil {
-			t.Fatalf("payload %d: %v", i, err)
-		}
-		Apply(replayed, ev)
+	replayed, err := Replay(nil, payloads)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	a, b := live.AppendEncoded(nil), replayed.AppendEncoded(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("replayed state differs from live state:\n live   %x\n replay %x", a, b)
+	}
+
+	joined := append([]byte{12}, AppendEvent(nil, WorkerRegistered{Worker: 2, ShuffleAddr: "w2:1"})[1:]...)
+	if _, err := Replay(nil, append(payloads, joined)); err == nil {
+		t.Fatal("a tail with an unknown event type replayed without error")
 	}
 }
 

@@ -2,11 +2,13 @@ package agent
 
 // The agent against a fake master behind the Dial seam: every control
 // connection is one end of a net.Pipe whose other end the test drives frame by
-// frame, so registration, re-registration and abort handling are checked
-// without a master, a scheduler or a clock. Only the agent's shuffle listener
-// is a real (loopback) socket, and nothing dials it.
+// frame, so registration, re-registration, dispatch and abort handling are
+// checked without a master, a scheduler or a clock. Only the agent's shuffle
+// listener is a real (loopback) socket, and nothing dials it: a canonical
+// store, where a test needs one, answers over a pipe too.
 
 import (
+	"bufio"
 	"errors"
 	"net"
 	"slices"
@@ -15,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/localrt"
+	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
 )
@@ -215,5 +219,114 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	c.Send(wire.Dispatch{JobID: 1, MTID: swallowed, Seq: 12})
 	if m, ok := read(t, c).(wire.Complete); !ok || m.MTID != swallowed || m.Seq != 12 || m.Err != "" {
 		t.Fatalf("got %+v, want the completion of monotask %d seq 12", m, swallowed)
+	}
+}
+
+// prepared joins an agent to a fake master that welcomes it as worker 0 and
+// prepares micro as job 1 on it, returning the agent, the master's end of the
+// control connection and the job's plan as the agent built it.
+func prepared(t *testing.T, cfg Config) (*Agent, *wire.Conn, *workload.BuiltJob) {
+	t.Helper()
+	fm := newFakeMaster(func(int) bool { return true })
+	cfg.MasterAddrs, cfg.Dial = []string{"master"}, fm.dial
+	joined := dialAsync(t, cfg)
+	_, c := fm.welcome(t, 0, 1)
+	a := <-joined
+	if a == nil {
+		t.FailNow()
+	}
+	t.Cleanup(a.Kill)
+	name, params := workload.Micro(workload.MicroParams{})
+	bj, err := workload.Build(name, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Send(wire.Prepare{JobID: 1, Workload: name, Params: params})
+	return a, c, bj
+}
+
+// TestFallbackServedFromRegisteredMaster: a dispatch whose peer refuses the
+// dial reads the partition from the canonical store at the address the agent
+// registered with, and its completion reports the one fallback.
+func TestFallbackServedFromRegisteredMaster(t *testing.T) {
+	name, params := workload.Micro(workload.MicroParams{})
+	store, err := workload.Build(name, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The master's store holds every contribution of the job.
+	rt := localrt.New(store.Plan)
+	rt.SetCodec(workload.Codec{})
+	for _, in := range store.Inputs {
+		rt.SetInput(in.Dataset, in.Rows)
+	}
+	for _, mt := range store.Plan.RealMonotasks() {
+		if err := rt.Exec(mt); err != nil {
+			t.Fatalf("store exec %v: %v", mt, err)
+		}
+	}
+	srv := shuffle.NewServer(shuffle.ServerConfig{}, func(job int64) *localrt.Runtime {
+		if job == 1 {
+			return rt
+		}
+		return nil
+	}, nil)
+	t.Cleanup(srv.Close)
+
+	var (
+		mu     sync.Mutex
+		dialed []string
+	)
+	_, c, bj := prepared(t, Config{Cores: 1, FetchRetries: -1, ShuffleDial: func(addr string) (net.Conn, error) {
+		mu.Lock()
+		dialed = append(dialed, addr)
+		mu.Unlock()
+		if addr != "master" {
+			return nil, errors.New("connection refused")
+		}
+		client, server := net.Pipe()
+		go srv.ServeConn(server, bufio.NewReader(server), nil)
+		return client, nil
+	}})
+
+	// A monotask that reads one partition another monotask produced.
+	var reader int32 = -1
+	var spec wire.FetchSpec
+	for _, mt := range bj.Plan.RealMonotasks() {
+		if parts := localrt.InputParts(bj.Plan, mt); len(parts) == 1 && parts[0].Dataset.Creator != nil {
+			reader = int32(mt.ID)
+			spec = wire.FetchSpec{DatasetID: int32(parts[0].Dataset.ID), Part: int32(parts[0].Part), Origin: 1, Addr: "peer"}
+			break
+		}
+	}
+	if reader < 0 {
+		t.Fatal("micro plan has no monotask reading one produced partition")
+	}
+	c.Send(wire.Dispatch{JobID: 1, MTID: reader, Seq: 7, Fetches: []wire.FetchSpec{spec}})
+	m, ok := read(t, c).(wire.Complete)
+	if !ok || m.Seq != 7 || m.Err != "" || m.FetchFallbacks != 1 {
+		t.Fatalf("got %+v, want a clean completion of seq 7 with one fetch fallback", m)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"peer", "master"}; !slices.Equal(dialed, want) {
+		t.Errorf("shuffle dials %v, want %v", dialed, want)
+	}
+}
+
+// TestBadDispatchCompletesWithErr: a dispatch the agent cannot run — its job
+// was never prepared here, or it names a monotask the plan does not have —
+// still completes, with Err set, so the master can retire it.
+func TestBadDispatchCompletesWithErr(t *testing.T) {
+	_, c, bj := prepared(t, Config{Cores: 1})
+	for _, d := range []wire.Dispatch{
+		{JobID: 2, MTID: 0, Seq: 1},
+		{JobID: 1, MTID: int32(len(bj.Plan.Monotasks)), Seq: 2},
+		{JobID: 1, MTID: -1, Seq: 3},
+	} {
+		c.Send(d)
+		if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != d.JobID || m.Seq != d.Seq || m.Err == "" {
+			t.Errorf("dispatch %+v: got %+v, want its completion with Err set", d, m)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,8 +21,8 @@ import (
 	"ursa/internal/wire"
 )
 
-// replayJournal opens a journal directory offline and folds snapshot + tail
-// into a fresh state, returning the state and the raw decoded events.
+// replayJournal opens a journal directory offline and replays it through
+// cpstate.Replay, returning the state and the tail's decoded events.
 func replayJournal(t *testing.T, dir string) (*cpstate.State, []cpstate.Event) {
 	t.Helper()
 	jnl, rep, err := journal.Open(dir, journal.Options{})
@@ -31,20 +30,13 @@ func replayJournal(t *testing.T, dir string) (*cpstate.State, []cpstate.Event) {
 		t.Fatalf("reopening journal: %v", err)
 	}
 	defer jnl.Close()
-	st := cpstate.New()
-	if rep.Snapshot != nil {
-		if st, err = cpstate.DecodeState(rep.Snapshot); err != nil {
-			t.Fatalf("decoding snapshot: %v", err)
-		}
+	st, err := cpstate.Replay(rep.Snapshot, rep.Events)
+	if err != nil {
+		t.Fatalf("replaying journal: %v", err)
 	}
-	events := make([]cpstate.Event, 0, len(rep.Events))
+	events := make([]cpstate.Event, len(rep.Events))
 	for i, evb := range rep.Events {
-		ev, err := cpstate.DecodeEvent(evb)
-		if err != nil {
-			t.Fatalf("decoding event %d: %v", i, err)
-		}
-		cpstate.Apply(st, ev)
-		events = append(events, ev)
+		events[i], _ = cpstate.DecodeEvent(evb) // Replay decoded every one
 	}
 	return st, events
 }
@@ -204,13 +196,9 @@ func failover(t *testing.T, killAgent bool) *Master {
 		t.Fatalf("slot %d of the agent that died with the primary is not failed", dead)
 	}
 
-	liveBytes := tm.StateBytes()
-	tm.Close() // sync the journal tail before the offline replay
+	checkQuiesced(t, tm) // closes tm: replay == final state, one commit per monotask per generation
 
-	st, events := replayJournal(t, jdir)
-	if !bytes.Equal(st.AppendEncoded(nil), liveBytes) {
-		t.Fatal("journal replay does not reproduce the live control-plane state")
-	}
+	_, events := replayJournal(t, jdir)
 	// At-most-once across generations: no (job, monotask) commits twice —
 	// except that generation 2 re-executes what only the dead agent held —
 	// and both generations mark the journal.
@@ -328,10 +316,10 @@ func TestFailoverTakesFreshJoins(t *testing.T) {
 	}
 	for _, id := range []int32{1, 2} {
 		if !slices.ContainsFunc(events, func(ev cpstate.Event) bool {
-			j, ok := ev.(cpstate.WorkerJoined)
+			j, ok := ev.(cpstate.WorkerRegistered)
 			return ok && j.Worker == id
 		}) {
-			t.Fatalf("journal holds no WorkerJoined for slot %d", id)
+			t.Fatalf("journal holds no WorkerRegistered for slot %d", id)
 		}
 	}
 	if n := tm.Journal.Reattaches(); n != 0 {
@@ -413,14 +401,9 @@ func TestReplayMatchesLiveState(t *testing.T) {
 			t.Fatalf("submit: %v", err)
 		}
 	}
-	runCluster(t, lc)
-	liveBytes := lc.Master.StateBytes()
-	lc.Close() // syncs and closes the journal
+	runCluster(t, lc) // its quiesce check closes the master and replays the journal against it
 
 	st, _ := replayJournal(t, jdir)
-	if !bytes.Equal(st.AppendEncoded(nil), liveBytes) {
-		t.Fatal("journal replay does not reproduce the live control-plane state")
-	}
 	if st.Gen != 1 || len(st.Order) != 2 {
 		t.Fatalf("replayed state gen=%d jobs=%d, want gen=1 jobs=2", st.Gen, len(st.Order))
 	}

@@ -245,9 +245,9 @@ func TestFrontDoorAdmitsParkedBurstInOnePass(t *testing.T) {
 			errs <- err
 		}()
 	}
-	// Before Run nothing else crosses the inbox: the agents advertise no
-	// profile, so registration sends nothing to the loop.
-	waitFor(t, "the whole burst parked in the driver inbox", func() bool { return lc.Master.Sys.Drv.Pending() == burst })
+	// Before Run nothing else crosses the inbox but the one agent's
+	// registration step.
+	waitFor(t, "the whole burst parked in the driver inbox", func() bool { return lc.Master.Sys.Drv.Pending() == burst+1 })
 	runErr := make(chan error, 1)
 	go func() { runErr <- lc.Master.Run(context.Background()) }()
 	for i := 0; i < burst; i++ {

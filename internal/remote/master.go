@@ -170,10 +170,11 @@ func (c Config) withDefaults() Config {
 // open control connection. Its lifecycle (failed, draining, drained) and
 // shuffle address are the control-plane state's (State.Workers[id], read
 // through recorder.worker); recording WorkerFailed/Draining/Drained is what
-// changes them. A row is written once at registration (before Run, or on the
-// control loop for elastic joins) and dropped when the connection closes for
-// good: on failure and when a drain completes. A slot without a row never
-// registered, is gone, or — on a takeover master — has not re-attached.
+// changes them. A row is written once per registration (at once for a claim,
+// which comes before Run; by the loop step for a new slot) and dropped when
+// the connection closes for good: on failure and when a drain completes. A
+// slot without a row never registered, is gone, or — on a takeover master —
+// has not re-attached.
 type workerLink struct {
 	id   int
 	conn *wire.Conn
@@ -263,8 +264,8 @@ type Master struct {
 	// the canonical store. Loop-owned.
 	migrated int
 
-	needed int           // registrations that close ready
-	ready  chan struct{} // closed when `needed` agents have registered
+	needed int           // claims that close ready
+	ready  chan struct{} // closed when `needed` slots are claimed
 
 	leaseStop chan struct{}
 	leaseWG   sync.WaitGroup
@@ -274,9 +275,12 @@ type Master struct {
 
 	// mu guards workers against Close and the handshake goroutines; the
 	// control loop, the only writer once Run has started, reads it bare.
+	// Claims fill rows before Run; a new slot's row is appended by its loop
+	// step, so a slot handed out may not have a row yet.
 	mu      sync.Mutex
 	workers []*workerLink
-	nreg    int
+	nreg    int // claimed slots
+	next    int // the ID the next new slot gets
 	started bool
 	// held lists, in submission order, the jobs whose handles a caller holds:
 	// Master.Submit's and a takeover's inherited backlog. Their rows enter the
@@ -325,6 +329,7 @@ func newMaster(cfg Config, tk *takeoverState) (*Master, error) {
 		cfg:      cfg,
 		ready:    make(chan struct{}),
 		workers:  make([]*workerLink, cfg.Workers),
+		next:     cfg.Workers,
 		takeover: tk,
 	}
 	m.Transport = metrics.NewTransport(m.liveness)
@@ -605,9 +610,8 @@ func (m *Master) submit(rj *RemoteJob, bind func()) *live.Job {
 	})
 }
 
-// accept registers agents until the listener closes. Registration is the
-// only inbound traffic before Run; each accepted agent gets the next worker
-// ID, a Welcome, and a dedicated read loop.
+// accept hands every inbound connection to handshake until the listener
+// closes.
 func (m *Master) accept() {
 	for {
 		nc, err := m.ln.Accept()
@@ -653,6 +657,15 @@ func (m *Master) handshake(nc net.Conn) {
 	}
 }
 
+// registerWorker is the one way into the registry. A registration claims a
+// slot the master waits for — a fresh master's next of its first Workers
+// slots, or, on a takeover, the inherited slot it names if the replayed state
+// holds that slot live and unclaimed — or appends a new slot past every slot
+// handed out: an extra agent before Run, a fresh agent at a takeover and a
+// late re-attach all get a new ID. Holding m.mu, it records WorkerRegistered,
+// queues the Welcome and posts its loop step (admit), so the steps queue in
+// slot order and a claim's is queued before ready can close; its read loop
+// starts last. Only a master that Close has fenced turns an agent away.
 func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register) {
 	c := wire.NewConnFrom(nc, br, wire.Config{
 		// Pooled frames: the readLoop's only blob-carrying message is
@@ -660,70 +673,50 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		PooledReads: true,
 	})
 	m.mu.Lock()
-	if m.nreg >= m.needed {
-		started := m.started
+	id, claimed := m.claim(reg)
+	if !m.rec.record(cpstate.WorkerRegistered{
+		Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
+	}) {
 		m.mu.Unlock()
-		if started {
-			// Elastic join: an agent arriving at a full, running master —
-			// promoted or not — grows the registry past every slot it holds
-			// instead of being turned away: the autoscaler's scale-up path,
-			// but equally open to operators pointing extra ursa-worker
-			// processes at the cluster, and to an agent re-attaching after
-			// Run failed its old slot (it takes the new ID).
-			m.elasticJoin(nc, c, reg)
-			return
-		}
-		m.logf("master: rejecting extra agent from %v (cluster full)", nc.RemoteAddr())
 		c.Close()
 		return
 	}
-	var id int
-	reattach := reg.WorkerID >= 0
-	if reattach {
-		// Re-attach after a failover: the worker claims its previous slot so
-		// every ID in the replayed state (commits, origins, registry)
-		// still names it. Only a takeover master accepts these, and only for
-		// slots the registry holds as live and unclaimed.
-		id = int(reg.WorkerID)
-		if m.takeover == nil || id >= len(m.workers) || m.workers[id] != nil || !m.rec.worker(id).Live() {
-			m.mu.Unlock()
-			m.logf("master: rejecting re-attach for worker %d from %v (slot unavailable)",
-				id, nc.RemoteAddr())
-			c.Close()
-			return
-		}
-	} else {
-		if m.takeover != nil {
-			// Unknown worker joining mid-recovery, before Run: the replayed
-			// state has no slot for it, so it cannot carry any of the old
-			// generation's IDs. Once Run starts it joins elastically.
-			m.mu.Unlock()
-			m.logf("master: rejecting fresh agent from %v (takeover recovers known workers only)", nc.RemoteAddr())
-			c.Close()
-			return
-		}
-		id = m.nreg
-	}
-	m.nreg++
 	link := newLink(id, c, time.Now())
-	m.workers[id] = link
-	full := m.nreg == m.needed
+	if claimed {
+		m.workers[id] = link
+		m.nreg++
+	}
+	c.Send(m.welcome(id))
+	m.Sys.Drv.Send(func() { m.admit(link, reg, claimed) })
+	if claimed && m.nreg == m.needed {
+		close(m.ready)
+	}
 	m.mu.Unlock()
 
-	m.rec.record(cpstate.WorkerRegistered{
-		Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
-	})
+	reattach := claimed && m.takeover != nil
 	if reattach {
 		m.Journal.ObserveReattach()
 	}
-	c.Send(m.welcome(id))
 	m.logf("master: worker %d registered from %v (cores=%d shuffle=%s gen=%d reattach=%v)",
 		id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr, m.gen, reattach)
-	m.applyProfile(id, reg)
-	if full {
-		close(m.ready)
-	}
 	go m.readLoop(link)
+}
+
+// claim returns the slot a registration takes and whether it claims one the
+// master waits for; otherwise it hands out the next new slot. Under m.mu.
+// Claims end when Run starts, before the control loop reads the table.
+func (m *Master) claim(reg wire.Register) (id int, claimed bool) {
+	if !m.started {
+		if m.takeover == nil && m.nreg < m.needed {
+			return m.nreg, true
+		}
+		if id := int(reg.WorkerID); m.takeover != nil && id >= 0 && id < len(m.workers) &&
+			m.workers[id] == nil && m.rec.worker(id).Live() {
+			return id, true
+		}
+	}
+	m.next++
+	return m.next - 1, false
 }
 
 // welcome is the master's answer to a registration it accepted as worker id.
@@ -736,11 +729,14 @@ func (m *Master) welcome(id int) wire.Welcome {
 }
 
 // regProfile maps a registration's advertised hardware onto a machine
-// profile for the scheduling core. The advertised cores ride along only
-// when the agent profiles itself: an unprofiled agent's Cores field is its
-// executor parallelism, which historically did not override the master's
-// uniform scheduler accounting.
+// profile for the scheduling core, zero (the uniform CoresPerWorker
+// accounting) for an agent that does not profile itself: its Cores field is
+// its executor parallelism, which does not override the master's accounting.
+// The journal does not record profiles: every registration re-advertises one.
 func regProfile(reg wire.Register) cluster.MachineProfile {
+	if !reg.HasProfile() {
+		return cluster.MachineProfile{}
+	}
 	return cluster.MachineProfile{
 		Cores:         int(reg.Cores),
 		Mem:           resource.Bytes(reg.MemBytes),
@@ -750,78 +746,28 @@ func regProfile(reg wire.Register) cluster.MachineProfile {
 	}
 }
 
-// applyProfile forwards a registering agent's advertised machine profile
-// to the scheduling core on the control loop, so a heterogeneous fleet is
-// modeled per-machine instead of by the uniform CoresPerWorker assumption.
-// A worker that is not idle when the closure runs — a takeover reattach
-// to which the inherited backlog already dispatched — keeps the profile it
-// was scheduled under; re-basing capacities under live allocations is not
-// sound. The control-plane journal intentionally does not record profiles:
-// they are re-learned from the agent on every (re-)registration.
-func (m *Master) applyProfile(id int, reg wire.Register) {
-	if !reg.HasProfile() {
-		return
-	}
-	p := regProfile(reg)
-	m.Sys.Drv.Send(func() {
-		if !m.Sys.Core.Workers[id].Idle() {
-			m.logf("master: worker %d busy at profile apply, keeping current profile", id)
-			return
-		}
-		m.Sys.Core.SetWorkerProfile(id, p)
-		m.logf("master: worker %d profiled (cores=%d mem=%g rate=%g net=%g disk=%g)",
-			id, reg.Cores, reg.MemBytes, reg.CoreRate, reg.NetBandwidth, reg.DiskBandwidth)
-	})
-}
-
-// elasticJoin admits a fresh agent into a running cluster. The
-// registry grows by one slot on the control loop — the scheduling core
-// gains a worker, so placement and admission see the new capacity in the
-// same loop turn — and the agent receives Welcome plus a Prepare for every
-// admitted job, so dispatches that land on it later (strictly after this
-// closure, FIFO per connection) find their plans built.
-func (m *Master) elasticJoin(nc net.Conn, c *wire.Conn, reg wire.Register) {
-	joined := make(chan *workerLink, 1)
-	m.Sys.Drv.Send(func() {
+// admit is a registration's loop step: it makes the slot schedulable. A
+// claimed slot's core worker exists and is idle — claims end before Run, so
+// their steps run in the loop's first batch, before any placement pass — and
+// takes the advertised profile. A new slot gets its core worker, built on the
+// profile so the admission pass inside sees true capacities, and then its
+// connection row: the row and the core worker appear in the same loop turn.
+// Last, the worker is prepared for every admitted job, ahead of any dispatch
+// to it (FIFO per connection); jobs still queued are prepared with everyone
+// when they are admitted.
+func (m *Master) admit(link *workerLink, reg wire.Register, claimed bool) {
+	if !claimed {
+		m.Sys.Core.AddWorkerProfile(regProfile(reg))
 		m.mu.Lock()
-		id := len(m.workers)
-		link := newLink(id, c, time.Now())
 		m.workers = append(m.workers, link)
-		m.nreg++
-		m.needed++ // keep nreg >= needed: the next fresh agent is elastic too
 		m.mu.Unlock()
-		if reg.HasProfile() {
-			// The worker is built directly on a machine with the advertised
-			// profile, so the admission re-run inside sees true capacities.
-			m.Sys.Core.AddWorkerProfile(regProfile(reg))
-		} else {
-			m.Sys.Core.AddWorker()
+	} else if reg.HasProfile() {
+		m.Sys.Core.SetWorkerProfile(link.id, regProfile(reg))
+	}
+	for _, rj := range m.jobs.all() {
+		if p, ok := m.prepare(rj); ok && rj.Live.Core.State == core.JobAdmitted {
+			link.conn.Send(p)
 		}
-		m.rec.record(cpstate.WorkerJoined{
-			Worker: int32(id), ShuffleAddr: reg.ShuffleAddr, Cores: reg.Cores,
-		})
-		c.Send(m.welcome(id))
-		// A dispatch for any admitted job could land on this worker as soon
-		// as the core sees its capacity; jobs still queued are prepared here
-		// with everyone else when they are admitted.
-		for _, rj := range m.jobs.all() {
-			if p, ok := m.prepare(rj); ok && rj.Live.Core.State == core.JobAdmitted {
-				c.Send(p)
-			}
-		}
-		m.logf("master: worker %d joined elastically from %v (cores=%d shuffle=%s)",
-			id, nc.RemoteAddr(), reg.Cores, reg.ShuffleAddr)
-		joined <- link
-	})
-	select {
-	case link := <-joined:
-		go m.readLoop(link)
-	case <-time.After(handshakeTimeout):
-		// The control loop never picked the join up (master shutting down):
-		// cut the agent loose rather than pinning this goroutine. If the
-		// closure still runs later, the agent sees the close and retries.
-		m.logf("master: elastic join from %v timed out on the control loop", nc.RemoteAddr())
-		c.Close()
 	}
 }
 
@@ -1053,7 +999,8 @@ func (m *Master) failSlot(id int, cause error) {
 	}
 }
 
-// WaitWorkers blocks until all Workers agents have registered (or ctx ends).
+// WaitWorkers blocks until every slot the master waits for is claimed (or
+// ctx ends).
 func (m *Master) WaitWorkers(ctx context.Context) error {
 	select {
 	case <-m.ready:
@@ -1063,15 +1010,15 @@ func (m *Master) WaitWorkers(ctx context.Context) error {
 	}
 }
 
-// assemble waits for the cluster, then opens the registry to elastic joins.
-// A fresh master waits for its Workers. A takeover waits for its inherited
-// live slots to re-attach, for at most twice LeaseTTL: an agent alternating
-// between two master addresses, its backoff capped at LeaseTTL or less (the
-// agent default is 1 s, the lease's 2 s), tries this one at least that
-// often. Each slot still empty lost its agent with the primary and is failed
-// here, before the control loop runs (so failSlot may touch the core from
-// this goroutine). A survivor that comes later joins elastically under a
-// new ID.
+// assemble waits for the claims, then ends them: from here every
+// registration takes a new slot. A fresh master waits for its Workers. A
+// takeover waits for its inherited live slots to re-attach, for at most twice
+// LeaseTTL: an agent alternating between two master addresses, its backoff
+// capped at LeaseTTL or less (the agent default is 1 s, the lease's 2 s),
+// tries this one at least that often. Each slot still empty lost its agent
+// with the primary and is failed here, before the control loop runs (so
+// failSlot may touch the core from this goroutine). A survivor that comes
+// later registers into a new slot.
 func (m *Master) assemble(ctx context.Context) error {
 	var window time.Duration
 	var expired <-chan time.Time
@@ -1162,7 +1109,7 @@ func (m *Master) Close() error {
 		// Fence the recorder before cutting anything: the dying links and
 		// failed dispatches this teardown causes must not be journaled as
 		// WorkerFailed, or a standby would replay an all-dead registry and
-		// reject every re-attach.
+		// take no survivor back into its slot.
 		m.rec.fence()
 		m.ln.Close()
 		m.fd.close()

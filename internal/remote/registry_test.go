@@ -11,7 +11,9 @@ import (
 	"ursa/internal/dag"
 	"ursa/internal/live"
 	"ursa/internal/localrt"
+	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
+	"ursa/internal/resource"
 	"ursa/internal/wire"
 )
 
@@ -37,7 +39,7 @@ func TestBuildFetchesFromState(t *testing.T) {
 		cpstate.WorkerRegistered{Worker: 1, ShuffleAddr: "w1:1"},
 		cpstate.WorkerRegistered{Worker: 2, ShuffleAddr: "w2:1"},
 		cpstate.WorkerRegistered{Worker: 3, ShuffleAddr: "w3:1"},
-		cpstate.WorkerJoined{Worker: self, ShuffleAddr: "w4:1"},
+		cpstate.WorkerRegistered{Worker: self, ShuffleAddr: "w4:1"},
 		cpstate.JobSubmitted{JobID: job, Workload: "x"},
 		commit(10, 0, 0),
 		commit(11, 0, 1), commit(12, 1, 1),
@@ -98,7 +100,6 @@ func TestWorkerLifecyclePredicates(t *testing.T) {
 		dispatchable, attached, servesPeers bool
 	}{
 		{"registered", []cpstate.Event{reg}, row(false), true, true, true},
-		{"joined elastically", []cpstate.Event{cpstate.WorkerJoined{Worker: 0, ShuffleAddr: "w0:1"}}, row(false), true, true, true},
 		{"draining", []cpstate.Event{reg, cpstate.WorkerDraining{}}, row(false), false, true, true},
 		{"drain pending on fetch references", []cpstate.Event{reg, cpstate.WorkerDraining{}}, row(true), false, true, true},
 		{"drained", []cpstate.Event{reg, cpstate.WorkerDraining{}, cpstate.WorkerDrained{}}, nil, false, false, false},
@@ -277,4 +278,113 @@ func TestFrontDoorJobsReleasedAtQuiesce(t *testing.T) {
 	if want := directRows(t, name, params); !reflect.DeepEqual(sortedStrings(got), sortedStrings(want)) {
 		t.Fatalf("held job rows diverge: got %d want %d rows", len(got), len(want))
 	}
+}
+
+// TestRegistrationClaimsOrAppends pins the one registration rule: a
+// registration claims the slot the master waits for or appends a new one, and
+// none is turned away for its slot. A fresh master with Workers: 1 takes a
+// second agent before Run as slot 1. A takeover master takes, before Run, an
+// agent naming an inherited slot the previous generation failed, and a fresh
+// agent: each gets a new slot. Every agent advertises a one-core profile so
+// slow that a worker's placement horizon holds about one map task, so each
+// slot must reach the core with that profile and run work, and the rows must
+// equal direct execution.
+func TestRegistrationClaimsOrAppends(t *testing.T) {
+	const rate = 1e3
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 3000, InParts: 12, OutParts: 4})
+	want := sortedStrings(directRows(t, name, params))
+	dial := func(t *testing.T, addrs ...string) *agent.Agent {
+		t.Helper()
+		a, err := agent.Dial(agent.Config{
+			MasterAddrs: addrs, Cores: 1, CoreRate: rate,
+			RegisterAttempts: 200, RegisterBackoff: 10 * time.Millisecond, RegisterBackoffMax: 50 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("starting agent: %v", err)
+		}
+		t.Cleanup(a.Kill)
+		return a
+	}
+	// run submits the job, runs m to completion and checks every slot named.
+	run := func(t *testing.T, m *Master, slots ...int) {
+		t.Helper()
+		job, err := m.Submit(name, params)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := m.Run(ctx); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		got, err := job.ResultRows()
+		if err != nil {
+			t.Fatalf("result rows: %v", err)
+		}
+		if !reflect.DeepEqual(sortedStrings(got), want) {
+			t.Fatalf("rows diverge from direct execution: got %d want %d rows", len(got), len(want))
+		}
+		for _, id := range slots {
+			w := m.Sys.Core.Workers[id]
+			if c, r := w.Machine.Cores.Capacity(), w.NominalRate(resource.CPU); c != 1 || r != rate {
+				t.Errorf("slot %d: %v cores at %v rows/s in the core, want the advertised 1 at %v", id, c, r, rate)
+			}
+			if m.Transport.Worker(id).Completions == 0 {
+				t.Errorf("slot %d ran no work", id)
+			}
+		}
+		checkQuiesced(t, m)
+	}
+
+	t.Run("fresh master", func(t *testing.T) {
+		m, err := NewMaster(Config{Workers: 1, HeartbeatInterval: 50 * time.Millisecond, HeartbeatMisses: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		first, extra := dial(t, m.Addr()), dial(t, m.Addr())
+		if first.ID() != 0 || extra.ID() != 1 {
+			t.Fatalf("agents took slots %d and %d, want 0 (claimed) and 1 (new)", first.ID(), extra.ID())
+		}
+		run(t, m, 0, 1)
+	})
+
+	t.Run("takeover", func(t *testing.T) {
+		base := Config{
+			Workers: 2, JournalDir: t.TempDir(), LeaseTTL: 400 * time.Millisecond,
+			HeartbeatInterval: 50 * time.Millisecond, HeartbeatMisses: 40,
+		}
+		primary, err := NewMaster(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer primary.Close()
+		standby, err := NewStandby(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer standby.Close()
+		kept, failed := dial(t, primary.Addr(), standby.Addr()), dial(t, primary.Addr(), standby.Addr())
+		// Generation 1 fails slot 1 while its agent lives on.
+		primary.rec.record(cpstate.WorkerFailed{Worker: int32(failed.ID())})
+		primary.Close()
+
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		tm, err := standby.Takeover(ctx)
+		if err != nil {
+			t.Fatalf("takeover: %v", err)
+		}
+		defer tm.Close()
+		waitFor(t, "both agents to register with the takeover", func() bool { return kept.Gen() == 2 && failed.Gen() == 2 })
+		fresh := dial(t, standby.Addr())
+		if kept.ID() != 0 || failed.ID() != 2 || fresh.ID() != 3 {
+			t.Fatalf("agents took slots %d, %d and %d; want 0 (re-attached), 2 and 3 (new)",
+				kept.ID(), failed.ID(), fresh.ID())
+		}
+		if n := tm.Journal.Reattaches(); n != 1 {
+			t.Errorf("reattaches = %d, want 1", n)
+		}
+		run(t, tm, 0, 2, 3)
+	})
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"ursa/internal/core"
+	"ursa/internal/cpstate"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
@@ -109,7 +111,10 @@ func runCluster(t *testing.T, lc *LocalCluster) {
 // checkQuiesced fails t unless m, whose Run has returned and which is not
 // yet closed, holds nothing in flight: the scheduling core is quiesced (no
 // reservation held, scheduler-wide or per tenant), and the executor, the one
-// owner of in-flight work, holds no dispatch or fetch reference.
+// owner of in-flight work, holds no dispatch or fetch reference. A journaled
+// master is then closed and its journal checked against it: replayed through
+// cpstate.Replay, the directory reproduces the final state byte for byte, and
+// no generation committed one (job, monotask) twice.
 func checkQuiesced(t *testing.T, m *Master) {
 	t.Helper()
 	if err := m.Sys.Core.CheckQuiesced(); err != nil {
@@ -118,6 +123,30 @@ func checkQuiesced(t *testing.T, m *Master) {
 	if len(m.exec.dispatches) != 0 || len(m.exec.fetchRefs) != 0 {
 		t.Errorf("quiesced master holds %d dispatches and fetch references on %d workers",
 			len(m.exec.dispatches), len(m.exec.fetchRefs))
+	}
+	if m.cfg.JournalDir == "" {
+		return
+	}
+	if err := m.Close(); err != nil {
+		t.Errorf("closing the journaled master: %v", err)
+	}
+	st, events := replayJournal(t, m.cfg.JournalDir)
+	if !bytes.Equal(st.AppendEncoded(nil), m.StateBytes()) {
+		t.Error("journal replay does not reproduce the final control-plane state")
+	}
+	gen, committed := int64(0), make(map[cpstate.MTKey]bool)
+	for _, ev := range events {
+		switch ev := ev.(type) {
+		case cpstate.Generation:
+			gen = ev.Gen
+			clear(committed)
+		case cpstate.Commit:
+			k := cpstate.MTKey{Job: ev.JobID, MT: ev.MTID}
+			if committed[k] {
+				t.Errorf("generation %d committed job %d monotask %d twice", gen, k.Job, k.MT)
+			}
+			committed[k] = true
+		}
 	}
 }
 

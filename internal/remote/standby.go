@@ -101,22 +101,13 @@ func (s *Standby) Takeover(ctx context.Context) (*Master, error) {
 	if err != nil {
 		return nil, fmt.Errorf("remote: takeover: %w", err)
 	}
-	st := cpstate.New()
-	replayBytes := 0
-	if rep.Snapshot != nil {
-		if st, err = cpstate.DecodeState(rep.Snapshot); err != nil {
-			jnl.Close()
-			return nil, fmt.Errorf("remote: takeover snapshot: %w", err)
-		}
-		replayBytes += len(rep.Snapshot)
+	st, err := cpstate.Replay(rep.Snapshot, rep.Events)
+	if err != nil {
+		jnl.Close()
+		return nil, fmt.Errorf("remote: takeover replay: %w", err)
 	}
+	replayBytes := len(rep.Snapshot)
 	for _, evb := range rep.Events {
-		ev, err := cpstate.DecodeEvent(evb)
-		if err != nil {
-			jnl.Close()
-			return nil, fmt.Errorf("remote: takeover replay: %w", err)
-		}
-		cpstate.Apply(st, ev)
 		replayBytes += len(evb)
 	}
 	m, err := newMaster(s.cfg, &takeoverState{st: st, jnl: jnl, ln: s.ln})
