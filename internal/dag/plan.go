@@ -190,6 +190,9 @@ type Plan struct {
 	Tasks     []*Task
 	Stages    []*Stage
 	lops      []*lop
+	// chainInternal, indexed by dataset ID, marks the datasets that never
+	// leave the monotask creating them (ChainInternal). Fixed at build.
+	chainInternal []bool
 
 	// tasksDone counts the tasks whose monotasks have all completed. It only
 	// grows: ResetForRetry refuses a completed task.
@@ -211,6 +214,13 @@ func (g *Graph) Build() (*Plan, error) {
 	p.initRuntime()
 	return p, nil
 }
+
+// ChainInternal reports whether d never leaves the monotask that creates it:
+// a later step of its own collapsed chain reads it (in memory, ExecStep's
+// internal read), and no monotask reads it as a dataset. A runtime that moves
+// contributions between processes never commits it (localrt.ExecRecord), so
+// a job's result dataset must not be one.
+func (p *Plan) ChainInternal(d *Dataset) bool { return p.chainInternal[d.ID] }
 
 // MustBuild is Build for statically known-good graphs.
 func (g *Graph) MustBuild() *Plan {
@@ -259,6 +269,7 @@ func (p *Plan) buildLops() {
 		rank[o] = i
 	}
 	lopOf := make(map[*Op]*lop, len(g.ops))
+	p.chainInternal = make([]bool, len(g.datasets))
 	// Deterministic lop order: by min member rank.
 	type grp struct {
 		root *Op
@@ -302,6 +313,7 @@ func (p *Plan) buildLops() {
 				if d.Creator != nil {
 					if mi, ok := memberIdx[d.Creator]; ok {
 						m.intReads = append(m.intReads, mi)
+						p.chainInternal[d.ID] = true
 						continue
 					}
 				}
@@ -316,6 +328,13 @@ func (p *Plan) buildLops() {
 			lopOf[o] = l
 		}
 		p.lops = append(p.lops, l)
+	}
+	for _, l := range p.lops {
+		for _, m := range l.members {
+			for _, d := range m.extReads {
+				p.chainInternal[d.ID] = false
+			}
+		}
 	}
 	// Logical edges between distinct lops; sync dominates duplicates.
 	type lkey struct{ from, to *lop }

@@ -2,9 +2,13 @@ package dataset
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"ursa/internal/live"
+	"ursa/internal/localrt"
 )
 
 func TestMapFilterChain(t *testing.T) {
@@ -257,5 +261,42 @@ func TestReduceByKeyNumericStability(t *testing.T) {
 	}
 	if math.Abs(rows[0].Val-1.0) > 1e-9 {
 		t.Errorf("sum = %v, want 1.0", rows[0].Val)
+	}
+}
+
+// TestCollectChainInternal collects an intermediate that never leaves the
+// monotask creating it (a later step of the same collapsed chain reads it,
+// no monotask reads it as a dataset). Runtimes that move contributions
+// between processes do not materialize such a dataset; the rows-only
+// runtimes behind both runners keep it, so Collect still returns its rows.
+func TestCollectChainInternal(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		runner localrt.Runner
+	}{
+		{"local", localrt.LocalRunner{}},
+		{"live", &live.Runner{}},
+	} {
+		s := NewSession()
+		s.SetRunner(tc.runner)
+		nums := Parallelize(s, []int{1, 2, 3, 4, 5, 6}, 2)
+		squares := Map(nums, "square", func(x int) int { return x * x })
+		evens := Filter(squares, "evens", func(x int) bool { return x%2 == 0 })
+		plan, err := s.Graph().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plan.ChainInternal(squares.Dag()) || plan.ChainInternal(evens.Dag()) {
+			t.Fatalf("%s: squares chain-internal=%v, evens=%v; want true, false", tc.name,
+				plan.ChainInternal(squares.Dag()), plan.ChainInternal(evens.Dag()))
+		}
+		if got := MustCollect(evens); len(got) != 3 {
+			t.Errorf("%s: evens = %v, want 3 rows", tc.name, got)
+		}
+		got := MustCollect(squares)
+		sort.Ints(got)
+		if want := []int{1, 4, 9, 16, 25, 36}; !slices.Equal(got, want) {
+			t.Errorf("%s: squares = %v, want %v", tc.name, got, want)
+		}
 	}
 }

@@ -155,38 +155,36 @@ func (r *Runtime) SetWorkers(n int) {
 	r.workers = n
 }
 
-// SetInput materializes a job-input dataset by distributing rows across its
-// partitions round-robin, and records partition sizes (row counts) in the
-// plan's metadata store so usage estimation works unchanged.
+// SetInput materializes a job-input dataset: SplitInput's partitions, each
+// one contribution of InputMTID.
 func (r *Runtime) SetInput(d *dag.Dataset, rows []Row) {
-	parts := make([][]Row, d.Partitions)
-	for i, row := range rows {
-		p := i % d.Partitions
-		parts[p] = append(parts[p], row)
+	for p, part := range SplitInput(d, rows) {
+		r.InsertContribution(d, p, InputMTID, part)
 	}
-	r.SetInputPartitions(d, parts)
 }
 
-// SetInputPartitions materializes a job-input dataset with explicit
-// partitioning.
-func (r *Runtime) SetInputPartitions(d *dag.Dataset, parts [][]Row) {
-	if len(parts) != d.Partitions {
-		panic(fmt.Sprintf("localrt: dataset %d wants %d partitions, got %d",
-			d.ID, d.Partitions, len(parts)))
-	}
-	sizes := make([]float64, len(parts))
-	for i, p := range parts {
-		sizes[i] = float64(len(p))
-	}
-	d.SetInput(sizes)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, p := range parts {
-		if len(p) == 0 {
+// SplitInput is the one split rule of job inputs: it deals rows round-robin
+// over d's partitions, each sized before it is filled, and records the
+// partition sizes (row counts) in the plan's metadata store so usage
+// estimation works unchanged. Every process that seeds an input splits it
+// here, so partition contents agree across processes.
+func SplitInput(d *dag.Dataset, rows []Row) [][]Row {
+	n := d.Partitions
+	parts := make([][]Row, n)
+	sizes := make([]float64, n)
+	for p := range parts {
+		size := (len(rows) - p + n - 1) / n
+		if size <= 0 {
 			continue
 		}
-		r.insertContribLocked(d, i, contrib{mtID: InputMTID, rows: p})
+		parts[p] = make([]Row, 0, size)
+		sizes[p] = float64(size)
 	}
+	for i, row := range rows {
+		parts[i%n] = append(parts[i%n], row)
+	}
+	d.SetInput(sizes)
+	return parts
 }
 
 // Rows returns the materialized rows of a dataset after Run, concatenated
@@ -380,7 +378,8 @@ type RecordedWrite struct {
 }
 
 // ExecRecord is Exec, additionally returning the per-partition
-// contributions the monotask produced. The local commit is at-most-once
+// contributions the monotask produced — under a codec, only those that leave
+// the monotask (dag.Plan.ChainInternal). The local commit is at-most-once
 // (idempotent per producer), but the writes are returned on every
 // successful call so a re-executed monotask can still report its outputs
 // upstream.
@@ -390,6 +389,9 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 			writes, err = nil, fmt.Errorf("localrt: %v panicked: %v", mt, p)
 		}
 	}()
+	r.mu.Lock()
+	codec := r.codec
+	r.mu.Unlock()
 	steps := r.plan.ExecSteps(mt)
 	outputs := make([][]Row, len(steps))
 	for si, step := range steps {
@@ -420,6 +422,14 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 		}
 		outputs[si] = rows
 		for _, d := range step.Creates {
+			// A runtime with a codec moves contributions between processes,
+			// and a chain-internal dataset never leaves this monotask: the
+			// later step reads it from outputs above, so it is neither
+			// committed, encoded nor shipped. A rows-only runtime keeps it,
+			// because its callers may read any dataset after the run.
+			if codec != nil && r.plan.ChainInternal(d) {
+				continue
+			}
 			writes = append(writes, splitWrite(d, mt, rows)...)
 		}
 	}
@@ -428,9 +438,6 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 	// bytes committed alongside the rows. Every later serve of these
 	// contributions (shuffle fetch, Complete shipping, master checkpoint) is
 	// a byte copy of this one encoding.
-	r.mu.Lock()
-	codec := r.codec
-	r.mu.Unlock()
 	var encs []contrib
 	if codec != nil {
 		encs = make([]contrib, len(writes))

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ursa/internal/dag"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
@@ -139,8 +140,9 @@ type fetchKey struct {
 	origin int32
 }
 
-// jobState is one prepared job on the agent: the locally rebuilt plan and
-// the contribution store that both feeds executions and serves peers.
+// jobState is one prepared job on the agent: its own runtime over the
+// shared build, the contribution store that both feeds executions and
+// serves peers.
 type jobState struct {
 	rt *localrt.Runtime
 
@@ -188,6 +190,9 @@ type Agent struct {
 	clients  map[string]*shuffle.Client
 	inflight map[dispatchKey]*inflight
 
+	// builds is the read loop's own: not under mu.
+	builds buildCache
+
 	closeOnce sync.Once
 	done      chan error
 }
@@ -209,6 +214,7 @@ func Dial(cfg Config) (*Agent, error) {
 		jobs:     make(map[int64]*jobState),
 		clients:  make(map[string]*shuffle.Client),
 		inflight: make(map[dispatchKey]*inflight),
+		builds:   buildCache{byKey: make(map[buildKey]*build)},
 		done:     make(chan error, 1),
 	}
 
@@ -548,9 +554,10 @@ func (a *Agent) handlePrepare(p wire.Prepare) {
 	a.logf("agent %d: prepared job %d (%s)", a.id.Load(), p.JobID, p.Workload)
 }
 
-// prepare rebuilds the job's plan from the workload registry and seeds its
-// deterministic inputs — the cross-process identity contract: same builder,
+// prepare gives the job its own runtime over the agent's build of its
+// (workload, params) — the cross-process identity contract: same builder,
 // same params, same IDs, so nothing but (name, params) crosses the wire.
+// The runtime's inputs are the build's partitions, one contribution each.
 // Idempotent: a takeover master re-broadcasts Prepare for every live job,
 // and the existing runtime (plan, contributions, spill) must survive it.
 func (a *Agent) prepare(p wire.Prepare) error {
@@ -560,24 +567,89 @@ func (a *Agent) prepare(p wire.Prepare) error {
 	if dup {
 		return nil
 	}
-	bj, err := workload.Build(p.Workload, p.Params)
+	b, err := a.builds.get(p.Workload, p.Params)
 	if err != nil {
 		return err
 	}
-	rt := localrt.New(bj.Plan)
+	rt := localrt.New(b.plan)
 	// Encode-once: every committed contribution is serialized at commit time
 	// and served as cached bytes from then on.
 	rt.SetCodec(workload.Codec{})
 	if a.cfg.ShuffleMemBudget > 0 {
 		rt.SetSpill(a.cfg.ShuffleMemBudget, a.cfg.ShuffleSpillDir)
 	}
-	for _, in := range bj.Inputs {
-		rt.SetInput(in.Dataset, in.Rows)
+	for _, in := range b.inputs {
+		for part, rows := range in.parts {
+			rt.InsertContribution(in.ds, part, localrt.InputMTID, rows)
+		}
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.jobs[p.JobID] = &jobState{rt: rt, fetched: make(map[fetchKey]bool)}
 	return nil
+}
+
+// buildCacheRows bounds the build cache by the job-input rows its builds
+// hold. A bound on rows, not builds, keeps data-heavy jobs out: their inputs
+// would pin memory long after the job, and their build is a small share of
+// their run. 1<<14 holds a few dozen small jobs' inputs.
+const buildCacheRows = 1 << 14
+
+// build is one (workload, params) built on this agent: its plan, with the
+// input sizes recorded, and its inputs split into partitions. Every job with
+// that identity shares it read-only. Execution only reads a plan (its
+// monotasks, steps and datasets) and the rows it gathers, and UDFs may not
+// mutate their input rows, which a retried monotask re-reads (DESIGN §9).
+type build struct {
+	plan   *dag.Plan
+	inputs []builtInput
+	rows   int // input rows over all inputs
+}
+
+type builtInput struct {
+	ds    *dag.Dataset
+	parts [][]localrt.Row
+}
+
+type buildKey struct{ workload, params string }
+
+// buildCache holds the builds of recent (workload, params) identities, up to
+// buildCacheRows input rows; the oldest go first. The read loop, which
+// handles every Prepare, owns it, so it takes no lock.
+type buildCache struct {
+	byKey map[buildKey]*build
+	order []buildKey // oldest first
+	rows  int
+}
+
+// get returns the build of (name, params), building it on a miss. A build
+// whose inputs alone exceed the bound is returned but not kept.
+func (c *buildCache) get(name string, params []byte) (*build, error) {
+	key := buildKey{name, string(params)}
+	if b := c.byKey[key]; b != nil {
+		return b, nil
+	}
+	bj, err := workload.Build(name, params)
+	if err != nil {
+		return nil, err
+	}
+	b := &build{plan: bj.Plan}
+	for _, in := range bj.Inputs {
+		b.inputs = append(b.inputs, builtInput{in.Dataset, localrt.SplitInput(in.Dataset, in.Rows)})
+		b.rows += len(in.Rows)
+	}
+	if b.rows > buildCacheRows {
+		return b, nil
+	}
+	for c.rows+b.rows > buildCacheRows {
+		c.rows -= c.byKey[c.order[0]].rows
+		delete(c.byKey, c.order[0])
+		c.order = c.order[1:]
+	}
+	c.byKey[key] = b
+	c.order = append(c.order, key)
+	c.rows += b.rows
+	return b, nil
 }
 
 func (a *Agent) handleDispatch(d wire.Dispatch) {
@@ -696,8 +768,8 @@ func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inf
 	}
 	// Memory high-water proxy for the master's reservation corrector: the
 	// larger of the raw bytes this monotask materialized as input and the
-	// raw bytes it produced. The master sums these per job into an
-	// aggregate-working-set estimate it compares against the admission
+	// raw bytes of the writes it ships. The master sums these per job into
+	// an aggregate-working-set estimate it compares against the admission
 	// reservation.
 	var outRaw float64
 	for _, w := range comp.Writes {

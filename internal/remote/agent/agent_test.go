@@ -222,20 +222,28 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	}
 }
 
-// prepared joins an agent to a fake master that welcomes it as worker 0 and
-// prepares micro as job 1 on it, returning the agent, the master's end of the
-// control connection and the job's plan as the agent built it.
-func prepared(t *testing.T, cfg Config) (*Agent, *wire.Conn, *workload.BuiltJob) {
+// joined joins an agent to a fake master that welcomes it as worker 0,
+// returning the agent and the master's end of the control connection.
+func joined(t *testing.T, cfg Config) (*Agent, *wire.Conn) {
 	t.Helper()
 	fm := newFakeMaster(func(int) bool { return true })
 	cfg.MasterAddrs, cfg.Dial = []string{"master"}, fm.dial
-	joined := dialAsync(t, cfg)
+	joining := dialAsync(t, cfg)
 	_, c := fm.welcome(t, 0, 1)
-	a := <-joined
+	a := <-joining
 	if a == nil {
 		t.FailNow()
 	}
 	t.Cleanup(a.Kill)
+	return a, c
+}
+
+// prepared joins an agent and prepares micro as job 1 on it, returning the
+// agent, the master's end of the control connection and the job's plan as
+// the agent built it.
+func prepared(t *testing.T, cfg Config) (*Agent, *wire.Conn, *workload.BuiltJob) {
+	t.Helper()
+	a, c := joined(t, cfg)
 	name, params := workload.Micro(workload.MicroParams{})
 	bj, err := workload.Build(name, params)
 	if err != nil {

@@ -332,10 +332,34 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 // contract: instead of failing the run, the master pauses admission and
 // keeps the backlog queued until capacity returns — here via a fresh agent
 // joining mid-run — and the job still finishes with correct rows.
+//
+// The job's map UDF blocks until the test opens a gate, so the job is still
+// running when its only worker is killed: a job that could finish first
+// would end the batch run before the failure is seen.
 func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
-	name, params := workload.WordCount(workload.WordCountParams{Lines: 3000, InParts: 6, OutParts: 4})
+	gate := make(chan struct{})
+	var open sync.Once
+	t.Cleanup(func() { open.Do(func() { close(gate) }) })
+	name := fmt.Sprintf("gated-map-%p", gate) // the registry is process-wide; -count reruns this
+	workload.Register(name, func([]byte) (*workload.BuiltJob, error) {
+		vals := make([]int, 3000)
+		for i := range vals {
+			vals[i] = i
+		}
+		sess := dataset.NewSession()
+		pairs := dataset.FlatMap(dataset.Parallelize(sess, vals, 6), "gated", func(v int) []dataset.Pair[string, int] {
+			<-gate
+			return []dataset.Pair[string, int]{{Key: fmt.Sprintf("k%d", v%17), Val: v}}
+		})
+		sums := dataset.ReduceByKey(pairs, "sum", 4, func(a, b int) int { return a + b })
+		plan, err := sess.Graph().Build()
+		return &workload.BuiltJob{
+			Spec: core.JobSpec{Name: name, Graph: sess.Graph()},
+			Plan: plan, Inputs: sess.InputBindings(), Output: sums.Dag(),
+		}, err
+	})
 	lc := startCluster(t, 1, Config{})
-	job, err := lc.Master.Submit(name, params)
+	job, err := lc.Master.Submit(name, nil)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -352,6 +376,7 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 
 	// Capacity returns: a fresh worker joins the running cluster and the
 	// stalled backlog resumes on it.
+	open.Do(func() { close(gate) })
 	a, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
 	if err != nil {
 		t.Fatalf("joining replacement agent: %v", err)
@@ -378,7 +403,7 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("result rows: %v", err)
 	}
-	if want := directRows(t, name, params); !reflect.DeepEqual(sortedStrings(got), sortedStrings(want)) {
+	if want := directRows(t, name, nil); !reflect.DeepEqual(sortedStrings(got), sortedStrings(want)) {
 		t.Fatalf("rows diverge after all-workers-dead recovery: got %d want %d rows", len(got), len(want))
 	}
 }

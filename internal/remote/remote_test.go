@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"ursa/internal/localrt"
 	"ursa/internal/remote/agent"
 	"ursa/internal/remote/workload"
+	"ursa/internal/wire"
 )
 
 // directRows runs the workload in-process (no sockets) and returns its
@@ -244,6 +246,97 @@ func testLoopbackSQLAnalytics(t *testing.T, coreCfg core.Config) {
 		if !reflect.DeepEqual(stringify(got), stringify(want)) {
 			t.Fatalf("query %d: distributed rows diverge from direct execution\ngot:  %v\nwant: %v",
 				qi, stringify(got), stringify(want))
+		}
+	}
+}
+
+// TestLoopbackRepeatedParams: two clients concurrently submit jobs of two
+// identities — one micro and one small sql_analytics (workload, params),
+// several times each — to a 2-agent loopback, so each agent runs several
+// jobs at once over one shared build of each. Every job's rows must equal
+// direct execution. The front door forgets a job once it finishes, so the
+// test reads each job's rows from the canonical store in the master's
+// job-state hook, as the job finishes.
+func TestLoopbackRepeatedParams(t *testing.T) {
+	type identity struct {
+		name   string
+		params []byte
+		canon  func([]localrt.Row) []string
+	}
+	// micro's rows are a multiset; the query orders the SQL rows.
+	micro, sql := identity{canon: sortedStrings}, identity{canon: stringify}
+	micro.name, micro.params = workload.Micro(workload.MicroParams{Rows: 200, InParts: 3, OutParts: 2, MemEstimate: 1})
+	sql.name, sql.params = workload.SQLAnalytics(workload.SQLParams{QueryIndex: 1, SalesRows: 600})
+	jobs := []identity{micro, sql}
+	want := make([][]string, len(jobs))
+	for k, job := range jobs {
+		want[k] = job.canon(directRows(t, job.name, job.params))
+	}
+
+	lc := startCluster(t, 2, Config{Serve: true})
+	m := lc.Master
+	var (
+		mu   sync.Mutex
+		got  = make(map[int64][]localrt.Row)
+		kind = make(map[int64]int) // index into jobs
+	)
+	hook := m.Sys.Core.OnJobStateChange
+	m.Sys.Core.OnJobStateChange = func(j *core.Job) {
+		if rj := m.jobs.of(j); rj != nil && j.State == core.JobFinished {
+			rows, err := rj.ResultRows()
+			if err != nil {
+				t.Errorf("job %d result rows: %v", rj.id, err)
+			}
+			mu.Lock()
+			got[rj.id] = rows
+			mu.Unlock()
+		}
+		hook(j)
+	}
+	runErr := make(chan error, 1)
+	go func() { runErr <- m.Run(context.Background()) }()
+
+	const rounds = 3
+	logs := []*statusLog{newStatusLog(), newStatusLog()}
+	ids := make([][]int64, len(logs))
+	var wg sync.WaitGroup
+	for i, log := range logs {
+		c := dialFrontDoor(t, lc, ClientConfig{OnStatus: log.add})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k, job := range jobs {
+					id, err := c.Submit(job.name, job.params)
+					if err != nil {
+						t.Errorf("submit %s: %v", job.name, err)
+						return
+					}
+					mu.Lock()
+					kind[id] = k
+					mu.Unlock()
+					ids[i] = append(ids[i], id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, log := range logs {
+		for _, id := range ids[i] {
+			log.waitState(t, id, wire.StateFinished)
+		}
+	}
+	m.Drain()
+	waitRun(t, lc, runErr)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if n := len(logs) * rounds * len(jobs); len(kind) != n || len(got) != n {
+		t.Fatalf("%d jobs submitted, %d finished with rows; want %d of each", len(kind), len(got), n)
+	}
+	for id, k := range kind {
+		if g := jobs[k].canon(got[id]); !reflect.DeepEqual(g, want[k]) {
+			t.Errorf("job %d (%s): rows diverge from direct execution\ngot:  %v\nwant: %v", id, jobs[k].name, g, want[k])
 		}
 	}
 }

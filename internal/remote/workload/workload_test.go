@@ -81,10 +81,12 @@ func closureCases() []closureCase {
 // monotask at a time with nothing but blobs between them: each monotask runs
 // in a runtime of its own whose inputs arrive encoded from a canonical store
 // (as shuffle fetches do) and whose outputs go back encoded (as a Complete's
-// writes do). Every contribution of every dataset, job inputs included, is
-// therefore encoded and decoded by Codec{}, so a row type a builtin ships
-// but nobody registered fails here, not in a cluster job; and the result
-// must equal the codec-less run's down to the dynamic type of every cell.
+// writes do). Every contribution that leaves a monotask, job inputs
+// included, is therefore encoded and decoded by Codec{}, so a row type a
+// builtin ships but nobody registered fails here, not in a cluster job; and
+// the result must equal the codec-less run's down to the dynamic type of
+// every cell. A chain-internal dataset never leaves its monotask, so its
+// rows are never encoded, here or in a cluster.
 func TestRowTypeClosure(t *testing.T) {
 	for _, c := range closureCases() {
 		want := runDirect(t, c.name, c.params)
@@ -176,4 +178,19 @@ func runThroughBlobs(name string, params []byte) ([]localrt.Row, error) {
 		return rows, err
 	}
 	return bj.Finish(rows)
+}
+
+// TestOutputLeavesItsMonotask: a runtime with a codec never commits a
+// chain-internal dataset, so a builtin whose result were one would reach the
+// master empty.
+func TestOutputLeavesItsMonotask(t *testing.T) {
+	for _, c := range closureCases() {
+		bj, err := Build(c.name, c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if bj.Plan.ChainInternal(bj.Output) {
+			t.Errorf("%s: output dataset %d is chain-internal", c.label, bj.Output.ID)
+		}
+	}
 }

@@ -324,8 +324,9 @@ type Complete struct {
 	FetchRetries   int32
 	FetchFallbacks int32
 	// MemPeak is the observed memory high-water mark of this monotask's
-	// execution (bytes): the larger of its materialized input and its raw
-	// output. The master folds per-job maxima into the DRESS-style
+	// execution (bytes): the larger of its materialized input and the raw
+	// bytes of the writes it ships (a chain-internal intermediate is never
+	// materialized, so it does not count). The master folds per-job maxima into the DRESS-style
 	// reservation corrector, so admission's estimate learns from usage.
 	MemPeak float64
 	Err     string
