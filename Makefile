@@ -57,12 +57,15 @@ equiv:
 # slot the master waits for or appends one, on a fresh and a takeover
 # master), and the one way a run ends — a batch run is a drain
 # from the start, so it stops after its last job (at once with none) and
-# still answers clients — under the race detector. (Also covered by `race`;
-# kept as an explicit gate so the data plane, the fallback path, worker
-# liveness, the front door, registration and the stop rule cannot silently
-# drop out of CI.)
+# still answers clients — plus the lazy Prepare (a job is built only on the
+# agents it is dispatched to, and an agent's failed build fails the run with
+# the builder's message) and Close cutting an agent that registered after
+# Run returned, under the race detector. (Also covered by `race`; kept as an
+# explicit gate so the data plane, the fallback path, worker liveness, the
+# front door, registration, Prepare and the stop rule cannot silently drop
+# out of CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends|TestPrepareOnFirstDispatch|TestAgentBuildFailureFailsRun|TestCloseCutsLateRegistration' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,
@@ -118,8 +121,9 @@ fuzz-wire:
 	$(GO) test -run '^FuzzDecodeFrame$$' ./internal/wire
 
 # One-shot fuzz pass over the control-plane event codec's and snapshot
-# decoder's seed corpora. Add -fuzz '^FuzzDecodeEvent$' (or
-# '^FuzzDecodeState$') to hunt for new crashers.
+# decoder's seed corpora, a registration naming slot 2^31-1 among them (Apply
+# ignores it instead of growing the registry). Add -fuzz '^FuzzDecodeEvent$'
+# (or '^FuzzDecodeState$') to hunt for new crashers.
 fuzz-events:
 	$(GO) test -run '^(FuzzDecodeEvent|FuzzDecodeState)$$' ./internal/cpstate
 

@@ -64,6 +64,7 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`WorkerJoined`, "every registration records cpstate.WorkerRegistered"},
 	{`elasticJoin`, "registerWorker admits every registration, mid-run joins included"},
 	{`applyProfile`, "a registration's loop step (Master.admit) applies its profile"},
+	{`JobReady`, "a failed Prepare reaches the master as the Complete.Err of the Dispatch behind it"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

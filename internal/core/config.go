@@ -67,14 +67,6 @@ type Config struct {
 	// SmallMonotaskBytes is the latency-sensitive bypass threshold:
 	// monotasks smaller than this run without queueing (§4.2.3).
 	SmallMonotaskBytes float64
-	// DispatchOverhead models per-monotask control latency (thread launch,
-	// request messages). It is charged to every monotask execution.
-	DispatchOverhead eventloop.Duration
-	// OrderingWeight is W in the placement score term W·T that enforces
-	// job ordering during task placement.
-	OrderingWeight float64
-	// DefaultM2I is the default memory-to-input ratio m2i (§4.2.1).
-	DefaultM2I float64
 	// RateWindow is the processing-rate observation period at workers.
 	RateWindow eventloop.Duration
 
@@ -99,6 +91,21 @@ type Config struct {
 	TenantWeights map[string]float64
 }
 
+// Values of the paper's configuration that no deployment, experiment or test
+// varies, so they are not Config fields.
+const (
+	// dispatchOverhead models per-monotask control latency (thread launch,
+	// request messages) in simulation. It is charged to every CPU monotask
+	// execution.
+	dispatchOverhead = 2 * eventloop.Millisecond
+	// orderingWeight is W in the placement score term W·T that enforces job
+	// ordering during task placement.
+	orderingWeight = 0.05
+	// defaultM2I is the memory-to-input ratio m2i (§4.2.1) of a job whose
+	// spec sets none.
+	defaultM2I = 1.5
+)
+
 // withDefaults fills unset fields with the paper's configuration.
 func (c Config) withDefaults() Config {
 	if c.SchedInterval <= 0 {
@@ -115,15 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SmallMonotaskBytes <= 0 {
 		c.SmallMonotaskBytes = float64(16 * resource.KB)
-	}
-	if c.DispatchOverhead <= 0 {
-		c.DispatchOverhead = 2 * eventloop.Millisecond
-	}
-	if c.OrderingWeight <= 0 {
-		c.OrderingWeight = 0.05
-	}
-	if c.DefaultM2I <= 0 {
-		c.DefaultM2I = 1.5
 	}
 	if c.RateWindow <= 0 {
 		c.RateWindow = 5 * eventloop.Second

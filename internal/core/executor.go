@@ -67,10 +67,9 @@ func (simExecutor) Start(w *Worker, _ *Job, mt *dag.Monotask, done func(bytes, s
 	switch mt.Kind {
 	case resource.CPU:
 		w.Machine.Cores.MustAlloc(1)
-		overhead := w.sys.Cfg.DispatchOverhead
 		inCompute := false
 		var dispatch, compute eventloop.Timer
-		dispatch = loop.After(overhead, func() {
+		dispatch = loop.After(dispatchOverhead, func() {
 			inCompute = true
 			w.Machine.Cores.Use(1)
 			dur := eventloop.FromSeconds(mt.CPUWork / w.Machine.CoreRate())

@@ -112,10 +112,10 @@ func (j *Job) memActualFactor() float64 {
 	return 0.85
 }
 
-// m2i returns the job-level default memory-to-input ratio.
-func (j *Job) m2i(cfgDefault float64) float64 {
+// m2i returns the job's memory-to-input ratio: its spec's, else defaultM2I.
+func (j *Job) m2i() float64 {
 	if j.Spec.M2I > 0 {
 		return j.Spec.M2I
 	}
-	return cfgDefault
+	return defaultM2I
 }

@@ -41,7 +41,7 @@ func (jm *JobManager) reportReady(tasks []*dag.Task) {
 	if len(tasks) == 0 {
 		return
 	}
-	m2i := jm.job.m2i(jm.sys.Cfg.DefaultM2I)
+	m2i := jm.job.m2i()
 	var batchInput float64
 	for _, t := range tasks {
 		jm.job.Plan.Estimate(t, m2i)

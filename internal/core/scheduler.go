@@ -676,7 +676,7 @@ func (s *Scheduler) orderBoost(j *Job, now eventloop.Time) float64 {
 	}
 	boost := jobRankStep * float64(len(s.admitted)-j.rank)
 	if s.sys.Cfg.Policy == EJF {
-		boost += s.sys.Cfg.OrderingWeight * (now - j.Submitted).Seconds()
+		boost += orderingWeight * (now - j.Submitted).Seconds()
 	}
 	return boost
 }

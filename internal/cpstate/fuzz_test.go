@@ -2,6 +2,7 @@ package cpstate
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -33,6 +34,8 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{evCommit, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add(append(AppendEvent(nil, WorkerFailed{Worker: 1}), 0xff))
 	f.Add(AppendEvent(nil, WorkerDraining{Worker: -1})) // no slot: ignored, not an index
+	// Past the next slot: ignored, not a registry grown to 2^31 entries.
+	f.Add(AppendEvent(nil, WorkerRegistered{Worker: math.MaxInt32, ShuffleAddr: "x"}))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
 		ev, err := DecodeEvent(p)

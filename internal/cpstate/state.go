@@ -157,10 +157,13 @@ func Apply(st *State, ev Event) {
 			st.addOrigin(PartKey{ev.JobID, w.DS, w.Part}, ev.Worker)
 		}
 	case WorkerRegistered:
-		if ev.Worker < 0 {
+		// A registration names an existing slot or the next one: any other ID
+		// is none this build journals, and growing the registry to it would
+		// let one record allocate without bound.
+		if ev.Worker < 0 || int(ev.Worker) > len(st.Workers) {
 			break
 		}
-		for int(ev.Worker) >= len(st.Workers) {
+		if int(ev.Worker) == len(st.Workers) {
 			st.Workers = append(st.Workers, WorkerState{})
 		}
 		st.Workers[ev.Worker] = WorkerState{ShuffleAddr: ev.ShuffleAddr}

@@ -3,6 +3,7 @@ package cpstate
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -120,6 +121,26 @@ func TestUnreadFieldsNotFolded(t *testing.T) {
 	a, b := buildState(t, events).AppendEncoded(nil), buildState(t, varied).AppendEncoded(nil)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("unread event fields reached the state:\n  %x\n  %x", a, b)
+	}
+}
+
+// TestRegistrationNamesKnownOrNextSlot: a registration takes an existing slot
+// or the next one; one naming a slot past the next is ignored, so no record
+// can grow the registry beyond one slot.
+func TestRegistrationNamesKnownOrNextSlot(t *testing.T) {
+	st := New()
+	for _, ev := range []WorkerRegistered{
+		{Worker: 0, ShuffleAddr: "w0"},
+		{Worker: 5, ShuffleAddr: "w5"}, // past the next slot
+		{Worker: 1, ShuffleAddr: "w1"},
+		{Worker: 0, ShuffleAddr: "w0'"}, // a re-attach rewrites its slot
+		{Worker: 3, ShuffleAddr: "w3"},
+	} {
+		Apply(st, ev)
+	}
+	want := []WorkerState{{ShuffleAddr: "w0'"}, {ShuffleAddr: "w1"}}
+	if !reflect.DeepEqual(st.Workers, want) {
+		t.Fatalf("workers = %+v, want %+v", st.Workers, want)
 	}
 }
 

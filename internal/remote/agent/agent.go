@@ -142,12 +142,21 @@ type fetchKey struct {
 
 // jobState is one prepared job on the agent: its own runtime over the
 // shared build, the contribution store that both feeds executions and
-// serves peers.
+// serves peers. A job whose build failed keeps the error instead, and has no
+// runtime: every Dispatch for it completes with err.
 type jobState struct {
-	rt *localrt.Runtime
+	rt  *localrt.Runtime
+	err error
 
 	mu      sync.Mutex
 	fetched map[fetchKey]bool
+}
+
+// close releases the job's spill file, if it has a runtime.
+func (js *jobState) close() {
+	if js.rt != nil {
+		js.rt.Close()
+	}
 }
 
 type dispatchKey struct {
@@ -394,7 +403,7 @@ func (a *Agent) shutdown(err error) {
 		a.jobs = map[int64]*jobState{}
 		a.mu.Unlock()
 		for _, js := range jobs {
-			js.rt.Close()
+			js.close()
 		}
 		go func() {
 			a.wg.Wait()
@@ -462,7 +471,7 @@ func (a *Agent) readLoop() {
 func (a *Agent) handleMsg(m wire.Msg) error {
 	switch m := m.(type) {
 	case wire.Prepare:
-		a.handlePrepare(m)
+		a.prepare(m)
 	case wire.Dispatch:
 		a.handleDispatch(m)
 	case wire.Abort:
@@ -475,7 +484,7 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 		if js != nil {
 			// Releases the job's spill file; the shuffle server can no
 			// longer resolve the job, so nothing serves from it.
-			js.rt.Close()
+			js.close()
 		}
 	case wire.DrainWorker:
 		// The master is draining this worker: no further dispatches will
@@ -542,51 +551,45 @@ func (a *Agent) resolveJob(jobID int64) *localrt.Runtime {
 	return nil
 }
 
-// handlePrepare answers a Prepare only when it failed: the master acts on a
-// JobReady only when it carries an error, and the connection's FIFO already
-// orders every Dispatch behind the plan it needs.
-func (a *Agent) handlePrepare(p wire.Prepare) {
-	if err := a.prepare(p); err != nil {
-		a.logf("agent %d: prepare job %d (%s): %v", a.id.Load(), p.JobID, p.Workload, err)
-		a.conn.Load().Send(wire.JobReady{JobID: p.JobID, Err: err.Error()})
-		return
-	}
-	a.logf("agent %d: prepared job %d (%s)", a.id.Load(), p.JobID, p.Workload)
-}
-
 // prepare gives the job its own runtime over the agent's build of its
 // (workload, params) — the cross-process identity contract: same builder,
 // same params, same IDs, so nothing but (name, params) crosses the wire.
-// The runtime's inputs are the build's partitions, one contribution each.
-// Idempotent: a takeover master re-broadcasts Prepare for every live job,
-// and the existing runtime (plan, contributions, spill) must survive it.
-func (a *Agent) prepare(p wire.Prepare) error {
+// The runtime's inputs are the build's partitions, one contribution each. It
+// answers nothing: the master sends a job's Prepare just ahead of this
+// worker's first Dispatch of it, and the FIFO connection orders that
+// Dispatch behind the plan, or behind the build error, kept as the job's,
+// that it then completes with. Idempotent: a takeover master prepares a
+// re-attached agent again, and the existing runtime (plan, contributions,
+// spill) must survive it.
+func (a *Agent) prepare(p wire.Prepare) {
 	a.mu.Lock()
 	_, dup := a.jobs[p.JobID]
 	a.mu.Unlock()
 	if dup {
-		return nil
+		return
 	}
-	b, err := a.builds.get(p.Workload, p.Params)
-	if err != nil {
-		return err
-	}
-	rt := localrt.New(b.plan)
-	// Encode-once: every committed contribution is serialized at commit time
-	// and served as cached bytes from then on.
-	rt.SetCodec(workload.Codec{})
-	if a.cfg.ShuffleMemBudget > 0 {
-		rt.SetSpill(a.cfg.ShuffleMemBudget, a.cfg.ShuffleSpillDir)
-	}
-	for _, in := range b.inputs {
-		for part, rows := range in.parts {
-			rt.InsertContribution(in.ds, part, localrt.InputMTID, rows)
+	js := &jobState{fetched: make(map[fetchKey]bool)}
+	if b, err := a.builds.get(p.Workload, p.Params); err != nil {
+		js.err = fmt.Errorf("agent: prepare job %d (%s): %w", p.JobID, p.Workload, err)
+		a.logf("agent %d: %v", a.id.Load(), js.err)
+	} else {
+		js.rt = localrt.New(b.plan)
+		// Encode-once: every committed contribution is serialized at commit
+		// time and served as cached bytes from then on.
+		js.rt.SetCodec(workload.Codec{})
+		if a.cfg.ShuffleMemBudget > 0 {
+			js.rt.SetSpill(a.cfg.ShuffleMemBudget, a.cfg.ShuffleSpillDir)
 		}
+		for _, in := range b.inputs {
+			for part, rows := range in.parts {
+				js.rt.InsertContribution(in.ds, part, localrt.InputMTID, rows)
+			}
+		}
+		a.logf("agent %d: prepared job %d (%s)", a.id.Load(), p.JobID, p.Workload)
 	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.jobs[p.JobID] = &jobState{rt: rt, fetched: make(map[fetchKey]bool)}
-	return nil
+	a.jobs[p.JobID] = js
+	a.mu.Unlock()
 }
 
 // buildCacheRows bounds the build cache by the job-input rows its builds
@@ -660,10 +663,10 @@ func (a *Agent) handleDispatch(d wire.Dispatch) {
 	a.inflight[key] = inf
 	a.mu.Unlock()
 	if js == nil {
-		a.finish(key, inf, wire.Complete{
-			JobID: d.JobID, MTID: d.MTID, Seq: d.Seq,
-			Err: fmt.Sprintf("agent: dispatch for unprepared job %d", d.JobID),
-		})
+		js = &jobState{err: fmt.Errorf("agent: dispatch for unprepared job %d", d.JobID)}
+	}
+	if js.err != nil {
+		a.finish(key, inf, wire.Complete{JobID: d.JobID, MTID: d.MTID, Seq: d.Seq, Err: js.err.Error()})
 		return
 	}
 	a.wg.Add(1)

@@ -201,12 +201,12 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	c.Send(wire.Dispatch{JobID: 1, MTID: kept, Seq: 11})
 	c.Send(wire.Abort{JobID: 1, MTID: swallowed, Seq: 10})
 	c.Send(wire.Abort{JobID: 1, MTID: kept, Seq: 99}) // a stale abort, for an earlier dispatch
-	// A Prepare that fails is answered from the read loop, behind the Aborts:
-	// its JobReady says both were handled. It is also the first frame since
-	// the Welcome: the Prepare that succeeded answered nothing.
-	c.Send(wire.Prepare{JobID: 2, Workload: "no-such-workload"})
-	if m, ok := read(t, c).(wire.JobReady); !ok || m.JobID != 2 || m.Err == "" {
-		t.Fatalf("got %+v, want the failed Prepare's JobReady for job 2", m)
+	// A Dispatch for a job never prepared here is completed from the read
+	// loop, behind the Aborts: its Complete says both were handled. It is
+	// also the first frame since the Welcome: the Prepare answered nothing.
+	c.Send(wire.Dispatch{JobID: 2, MTID: 0, Seq: 1})
+	if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != 2 || m.Err == "" {
+		t.Fatalf("got %+v, want the failed completion of job 2's dispatch", m)
 	}
 	<-a.sem
 
@@ -323,18 +323,23 @@ func TestFallbackServedFromRegisteredMaster(t *testing.T) {
 }
 
 // TestBadDispatchCompletesWithErr: a dispatch the agent cannot run — its job
-// was never prepared here, or it names a monotask the plan does not have —
-// still completes, with Err set, so the master can retire it.
+// was never prepared here, its job's build failed, or it names a monotask the
+// plan does not have — still completes, with Err set, so the master can
+// retire it. Behind a failed Prepare, Err carries the build's error.
 func TestBadDispatchCompletesWithErr(t *testing.T) {
 	_, c, bj := prepared(t, Config{Cores: 1})
+	c.Send(wire.Prepare{JobID: 3, Workload: "no-such-workload"})
 	for _, d := range []wire.Dispatch{
 		{JobID: 2, MTID: 0, Seq: 1},
 		{JobID: 1, MTID: int32(len(bj.Plan.Monotasks)), Seq: 2},
 		{JobID: 1, MTID: -1, Seq: 3},
+		{JobID: 3, MTID: 0, Seq: 4},
 	} {
 		c.Send(d)
 		if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != d.JobID || m.Seq != d.Seq || m.Err == "" {
 			t.Errorf("dispatch %+v: got %+v, want its completion with Err set", d, m)
+		} else if d.JobID == 3 && !strings.Contains(m.Err, `unknown workload "no-such-workload"`) {
+			t.Errorf("dispatch behind a failed Prepare completed with %q, want the build's error", m.Err)
 		}
 	}
 }

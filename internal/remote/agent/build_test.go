@@ -4,7 +4,9 @@ package agent
 // each still runs in a runtime of its own.
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -19,20 +21,30 @@ const countingMicro = "agent-test-counting-micro"
 
 var microBuilds atomic.Int64
 
+// failingBuild is a workload whose builder always fails, counting its calls.
+const failingBuild = "agent-test-failing-build"
+
+var failedBuilds atomic.Int64
+
 func init() {
 	workload.Register(countingMicro, func(params []byte) (*workload.BuiltJob, error) {
 		microBuilds.Add(1)
 		return workload.Build("micro", params)
 	})
+	workload.Register(failingBuild, func([]byte) (*workload.BuiltJob, error) {
+		failedBuilds.Add(1)
+		return nil, errors.New("agent-test builder refused")
+	})
 }
 
 // settle returns once the agent's read loop has handled every frame sent
-// before it: a Prepare that fails is answered from the read loop, in order.
+// before it: a Dispatch for a job never prepared is completed from the read
+// loop, in order.
 func settle(t *testing.T, c *wire.Conn) {
 	t.Helper()
-	c.Send(wire.Prepare{JobID: -1, Workload: "no-such-workload"})
-	if m, ok := read(t, c).(wire.JobReady); !ok || m.JobID != -1 {
-		t.Fatalf("got %+v, want the failed Prepare's JobReady", m)
+	c.Send(wire.Dispatch{JobID: -1})
+	if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != -1 || m.Err == "" {
+		t.Fatalf("got %+v, want the failed completion of job -1's dispatch", m)
 	}
 }
 
@@ -155,5 +167,33 @@ func TestJobDoneLeavesSharedBuild(t *testing.T) {
 	}
 	if a.resolveJob(1) != nil {
 		t.Error("job 1 still resolves after its JobDone")
+	}
+}
+
+// TestFailedBuildCompletesDispatches: a job whose build failed keeps the
+// error, so a repeated Prepare does not build again, and every Dispatch for
+// it completes with the builder's message: that Complete is how the master
+// learns the build failed. A JobDone then forgets the job.
+func TestFailedBuildCompletesDispatches(t *testing.T) {
+	a, c := joined(t, Config{Cores: 1})
+	before := failedBuilds.Load()
+	c.Send(wire.Prepare{JobID: 1, Workload: failingBuild})
+	c.Send(wire.Prepare{JobID: 1, Workload: failingBuild})
+	for seq := uint64(1); seq <= 2; seq++ {
+		c.Send(wire.Dispatch{JobID: 1, MTID: int32(seq), Seq: seq})
+		m, ok := read(t, c).(wire.Complete)
+		if !ok || m.Seq != seq || !strings.Contains(m.Err, "agent-test builder refused") {
+			t.Fatalf("got %+v, want seq %d completed with the builder's error", m, seq)
+		}
+	}
+	if n := failedBuilds.Load() - before; n != 1 {
+		t.Errorf("a failed job was built %d times, want 1", n)
+	}
+	c.Send(wire.JobDone{JobID: 1})
+	settle(t, c)
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.jobs[1] != nil {
+		t.Error("the failed job is still held after its JobDone")
 	}
 }

@@ -408,13 +408,12 @@ func TestElasticRecoversAfterAllWorkersLost(t *testing.T) {
 	}
 }
 
-// TestElasticJoinPreparesFrontDoorJobs pins the catch-up Prepare contract
-// for mid-run joins: a worker that joins while a front-door job is already
-// admitted and dispatching must be prepared for it before any of its
-// monotasks land there. The Prepare broadcast at admission reached only the
-// workers of that moment, so the join must enumerate the job table for the
-// jobs still running — a joiner missing the Prepare rejects the first
-// dispatch as unprepared and gets failed by the master.
+// TestElasticJoinPreparesFrontDoorJobs pins the Prepare contract for mid-run
+// joins: a worker that joins while a front-door job is already admitted and
+// dispatching must be prepared for it before any of its monotasks land there.
+// The joiner holds no job when it registers; the job's first dispatch to it
+// sends the Prepare just ahead, on the same connection. A joiner missing the
+// Prepare would complete that dispatch as unprepared and fail the run.
 //
 // The job is held open on state, not on how long it takes: its map UDF blocks
 // until the test closes a gate. Worker 0 has one core, and 12 map tasks of
@@ -453,8 +452,8 @@ func TestElasticJoinPreparesFrontDoorJobs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	// Join only once the job is mid-dispatch on worker 0, so its Prepare
-	// broadcast at admission strictly predates the join.
+	// Join only once the job is mid-dispatch on worker 0, so its admission
+	// and its first Prepare strictly predate the join.
 	waitFor(t, "work in flight", func() bool { return lc.Master.Transport.Worker(0).Dispatches > 0 })
 	a, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
 	if err != nil {

@@ -98,7 +98,8 @@ func (e *remoteExecutor) Close() {
 // keeps the dispatch under a fresh sequence number (the at-most-once commit
 // token), mirrors the in-process executor's core accounting so placement
 // sees real occupancy, and ships the Dispatch with one fetch spec per
-// input-partition holder. Nothing is journaled: in-flight work is this
+// input-partition holder, preceded by the job's Prepare on the worker's
+// first dispatch of the job. Nothing is journaled: in-flight work is this
 // executor's alone, and a takeover voids it.
 func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func()) {
 	rj := e.m.jobs.of(j)
@@ -152,7 +153,17 @@ func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, do
 	// No Dispatch after the fence: commits since the fence never became
 	// origins, and an agent fed from those frozen fetch specs would keep a
 	// partial output for the next generation to reuse (DESIGN §13).
-	if link == nil || !open || !link.conn.Send(d) {
+	sent := link != nil && open
+	// A worker learns a job from its first dispatch: this is the one place a
+	// Prepare is sent, once per (worker, job), just ahead of the Dispatch on
+	// the same FIFO connection. A re-attached or new slot holds nothing yet.
+	if sent && !slices.Contains(rj.prepared, w.ID) {
+		rj.prepared = append(rj.prepared, w.ID)
+		// Always found: every source records JobSubmitted before it submits the row.
+		js, _ := e.m.rec.job(rj.id)
+		sent = link.conn.Send(wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params})
+	}
+	if !sent || !link.conn.Send(d) {
 		// The conn died under us (or Close is about to cut it); schedule the
 		// failure instead of handling it reentrantly inside the scheduler's
 		// placement pass. The abort hook below reclaims this dispatch when

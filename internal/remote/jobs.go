@@ -36,6 +36,10 @@ type RemoteJob struct {
 	client   *clientLink
 	submitID int64
 
+	// prepared lists the slots the job's Prepare was sent to: each got it
+	// just ahead of its first Dispatch of the job. Loop-owned.
+	prepared []int
+
 	// memPeak accumulates the workers' per-monotask memory high-water marks —
 	// an aggregate-materialized-working-set proxy for the job's true peak.
 	// Loop-owned.

@@ -215,10 +215,11 @@ func overdue(l *workerLink, now time.Time, interval time.Duration, misses int) b
 // drained worker is gone — its partitions route to the master's canonical
 // store and its connection is closed.
 
-// dispatchable: the worker takes Prepares and new monotasks.
+// dispatchable: the worker takes new monotasks.
 func dispatchable(l *workerLink, w cpstate.WorkerState) bool { return l != nil && w.Live() }
 
-// attached: the worker is a member holding job plans, possibly draining and
+// attached: the worker is a member that may hold job plans — this
+// generation's or, on a takeover, the previous one's — possibly draining and
 // still flushing completions: it gets JobDone and Shutdown.
 func attached(l *workerLink, w cpstate.WorkerState) bool { return l != nil && w.ServesPeers() }
 
@@ -276,9 +277,12 @@ type Master struct {
 	// mu guards workers against Close and the handshake goroutines; the
 	// control loop, the only writer once Run has started, reads it bare.
 	// Claims fill rows before Run; a new slot's row is appended by its loop
-	// step, so a slot handed out may not have a row yet.
+	// step, so a slot handed out may not have a row yet. Until then the row
+	// waits in joining (forever, if the loop has stopped), where Close finds
+	// it: Close cuts every connection the handshake accepted.
 	mu      sync.Mutex
 	workers []*workerLink
+	joining []*workerLink
 	nreg    int // claimed slots
 	next    int // the ID the next new slot gets
 	started bool
@@ -467,13 +471,6 @@ func (m *Master) onJobState(j *core.Job) {
 	switch j.State {
 	case core.JobAdmitted:
 		m.rec.record(cpstate.JobAdmitted{JobID: rj.id, Reserved: j.ReservedMem()})
-		// The hook fires before the scheduler dispatches any of the job's
-		// monotasks, and each worker connection is FIFO, so agents build the
-		// plan before any of its monotasks arrive. On a takeover master the
-		// re-Prepare is idempotent on agents that already hold the plan.
-		if p, ok := m.prepare(rj); ok {
-			m.broadcast(p, dispatchable)
-		}
 		m.fd.sendStatus(rj, wire.StateAdmitted, "")
 	case core.JobFinished:
 		if m.corrector != nil {
@@ -488,7 +485,7 @@ func (m *Master) onJobState(j *core.Job) {
 		m.release(rj)
 		m.fd.maybeFinishDrain()
 	case core.JobCancelled:
-		// Never admitted, so never prepared on the agents: no JobDone.
+		// Never admitted, so never dispatched to an agent: no JobDone.
 		m.rec.record(cpstate.JobCancelled{JobID: rj.id})
 		m.fd.sendStatus(rj, wire.StateCancelled, "cancelled")
 		m.release(rj)
@@ -685,6 +682,8 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	if claimed {
 		m.workers[id] = link
 		m.nreg++
+	} else {
+		m.joining = append(m.joining, link)
 	}
 	c.Send(m.welcome(id))
 	m.Sys.Drv.Send(func() { m.admit(link, reg, claimed) })
@@ -751,23 +750,18 @@ func regProfile(reg wire.Register) cluster.MachineProfile {
 // their steps run in the loop's first batch, before any placement pass — and
 // takes the advertised profile. A new slot gets its core worker, built on the
 // profile so the admission pass inside sees true capacities, and then its
-// connection row: the row and the core worker appear in the same loop turn.
-// Last, the worker is prepared for every admitted job, ahead of any dispatch
-// to it (FIFO per connection); jobs still queued are prepared with everyone
-// when they are admitted.
+// connection row, which leaves joining: the row and the core worker appear in
+// the same loop turn. The worker holds no job yet; each job's first dispatch
+// to it prepares it (remoteExecutor.Start).
 func (m *Master) admit(link *workerLink, reg wire.Register, claimed bool) {
 	if !claimed {
 		m.Sys.Core.AddWorkerProfile(regProfile(reg))
 		m.mu.Lock()
 		m.workers = append(m.workers, link)
+		m.joining = slices.DeleteFunc(m.joining, func(l *workerLink) bool { return l == link })
 		m.mu.Unlock()
 	} else if reg.HasProfile() {
 		m.Sys.Core.SetWorkerProfile(link.id, regProfile(reg))
-	}
-	for _, rj := range m.jobs.all() {
-		if p, ok := m.prepare(rj); ok && rj.Live.Core.State == core.JobAdmitted {
-			link.conn.Send(p)
-		}
 	}
 }
 
@@ -808,12 +802,6 @@ func (m *Master) broadcast(msg wire.Msg, to func(*workerLink, cpstate.WorkerStat
 			l.conn.Send(msg)
 		}
 	}
-}
-
-// prepare builds a job's Prepare frame from its journaled identity.
-func (m *Master) prepare(rj *RemoteJob) (wire.Prepare, bool) {
-	js, ok := m.rec.job(rj.id)
-	return wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params}, ok
 }
 
 // beginDrain is the loop-side drain entry point.
@@ -932,12 +920,6 @@ func (m *Master) readLoop(link *workerLink) {
 				msg.Writes[i].Rows = append([]byte(nil), msg.Writes[i].Rows...)
 			}
 			m.Sys.Drv.Send(func() { m.exec.handleComplete(link.id, msg) })
-		case wire.JobReady:
-			if msg.Err != "" {
-				err := fmt.Errorf("remote: worker %d failed to prepare job %d: %s",
-					link.id, msg.JobID, msg.Err)
-				m.Sys.Drv.Send(func() { m.Sys.Fail(err) })
-			}
 		case wire.DrainWorker:
 			// Worker-requested drain (the worker binary's SIGINT/SIGTERM):
 			// same master-side state machine as an operator-initiated
@@ -1114,7 +1096,7 @@ func (m *Master) Close() error {
 		m.ln.Close()
 		m.fd.close()
 		m.mu.Lock()
-		links := append([]*workerLink(nil), m.workers...)
+		links := slices.Concat(m.workers, m.joining)
 		m.mu.Unlock()
 		for _, link := range links {
 			if link != nil {

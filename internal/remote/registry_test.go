@@ -388,3 +388,28 @@ func TestRegistrationClaimsOrAppends(t *testing.T) {
 		run(t, tm, 0, 2, 3)
 	})
 }
+
+// TestCloseCutsLateRegistration: an agent that registers after Run returned
+// but before Close gets a new slot whose loop step never runs, so the slot
+// never gets its connection row. Close must cut its connection all the same:
+// the agent's Wait returns once Close has.
+func TestCloseCutsLateRegistration(t *testing.T) {
+	lc := startCluster(t, 1, Config{})
+	runCluster(t, lc) // a batch run with nothing to run ends at once
+	late, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
+	if err != nil {
+		t.Fatalf("late agent: %v", err)
+	}
+	t.Cleanup(late.Kill)
+	if late.ID() != 1 {
+		t.Fatalf("late agent took slot %d, want the new slot 1", late.ID())
+	}
+	lc.Master.Close()
+	exited := make(chan error, 1)
+	go func() { exited <- late.Wait() }()
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the late agent's connection outlived Close")
+	}
+}

@@ -25,7 +25,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		Welcome{WorkerID: 1, HeartbeatMicros: 250000, Gen: 2},
 		Heartbeat{WorkerID: 1, SentUnixMicros: 42},
 		Prepare{JobID: 1, Workload: "wc", Params: []byte{9}},
-		JobReady{JobID: 1, Err: "e"},
 		Dispatch{JobID: 1, MTID: 2, Seq: 3, Fetches: []FetchSpec{{DatasetID: 1, Part: 0, Origin: -1, Addr: "a"}}},
 		Complete{JobID: 1, MTID: 2, Seq: 3, Seconds: 0.5, FetchedWireBytes: 1, FetchedRawBytes: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 1, Rows: []byte("r")}}},
 		Abort{JobID: 1, MTID: 2, Seq: 3},
@@ -56,6 +55,11 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, m := range seeds {
 		f.Add(AppendFrame(nil, m))
 	}
+	// A well-formed frame under the unassigned type byte 5, which must
+	// decode as unknown.
+	retired := AppendFrame(nil, Prepare{JobID: 1, Workload: "wc"})
+	retired[4] = 5
+	f.Add(retired)
 	// Edge cases: empty, short header, zero-length frame, oversize claim,
 	// absurd inner list count.
 	f.Add([]byte{})

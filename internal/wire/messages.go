@@ -3,13 +3,14 @@ package wire
 import "fmt"
 
 // Message type bytes. The zero value is reserved so an all-zero frame is
-// invalid.
+// invalid. Byte 5 is unassigned and decodes as unknown: an agent answers no
+// Prepare, and a failed one reaches the master as the Complete.Err of the
+// Dispatch behind it.
 const (
 	TRegister  byte = 1  // worker → master: join the cluster
 	TWelcome   byte = 2  // master → worker: assigned identity + protocol params
 	THeartbeat byte = 3  // worker → master: liveness beacon
 	TPrepare   byte = 4  // master → worker: build a job's plan from the registry
-	TJobReady  byte = 5  // worker → master: a Prepare failed
 	TDispatch  byte = 6  // master → worker: execute one monotask
 	TComplete  byte = 7  // worker → master: measured completion + output contributions
 	TAbort     byte = 8  // master → worker: discard an in-flight dispatch
@@ -54,8 +55,6 @@ func Decode(typ byte, payload []byte) (Msg, error) {
 		m = decodeHeartbeat(d)
 	case TPrepare:
 		m = decodePrepare(d)
-	case TJobReady:
-		m = decodeJobReady(d)
 	case TDispatch:
 		m = decodeDispatch(d)
 	case TComplete:
@@ -187,6 +186,8 @@ func decodeHeartbeat(d *Decoder) Msg {
 // Prepare tells a worker to build a job's plan from the workload registry.
 // Workload + Params are the cross-process plan identity: both sides run the
 // same registered builder, so dataset and monotask IDs agree by construction.
+// The master sends it once per (worker, job), just ahead of that worker's
+// first Dispatch of the job.
 type Prepare struct {
 	JobID    int64
 	Workload string
@@ -201,22 +202,6 @@ func (m Prepare) encode(e *Encoder) {
 }
 func decodePrepare(d *Decoder) Msg {
 	return Prepare{JobID: d.I64(), Workload: d.Str(), Params: d.Blob()}
-}
-
-// JobReady reports a Prepare that failed (agents send none for one that
-// succeeded); a non-empty Err is fatal for the run.
-type JobReady struct {
-	JobID int64
-	Err   string
-}
-
-func (JobReady) Type() byte { return TJobReady }
-func (m JobReady) encode(e *Encoder) {
-	e.I64(m.JobID)
-	e.Str(m.Err)
-}
-func decodeJobReady(d *Decoder) Msg {
-	return JobReady{JobID: d.I64(), Err: d.Str()}
 }
 
 // FetchSpec tells the executing worker where one input partition lives.

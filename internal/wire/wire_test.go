@@ -50,8 +50,6 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Heartbeat{WorkerID: 3, SentUnixMicros: 1_722_000_000_123_456},
 		Prepare{JobID: 7, Workload: "wordcount", Params: []byte{1, 2, 3}},
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
-		JobReady{JobID: 7},
-		JobReady{JobID: 7, Err: "builder exploded"},
 		Dispatch{JobID: 7, MTID: 42, Seq: 9},
 		Dispatch{
 			JobID: 7, MTID: 42, Seq: 10,
