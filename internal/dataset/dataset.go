@@ -29,6 +29,8 @@ type Session struct {
 type inputBinding struct {
 	d    *dag.Dataset
 	rows []localrt.Row
+	n    int
+	gen  localrt.PartGen
 }
 
 // NewSession returns an empty session.
@@ -44,14 +46,14 @@ func (s *Session) SetRunner(r localrt.Runner) { s.runner = r }
 // the simulated cluster instead of executing locally.
 func (s *Session) Graph() *dag.Graph { return s.g }
 
-// InputBindings returns the session's parallelized inputs as plan inputs —
-// what a caller needs to run the session's graph through a scheduler
-// directly (live.System.Submit, the remote workload builders) instead
-// of via Collect.
+// InputBindings returns the session's parallelized and generated inputs as
+// plan inputs — what a caller needs to run the session's graph through a
+// scheduler directly (live.System.Submit, the remote workload builders)
+// instead of via Collect.
 func (s *Session) InputBindings() []localrt.PlanInput {
 	out := make([]localrt.PlanInput, len(s.inputs))
 	for i, in := range s.inputs {
-		out[i] = localrt.PlanInput{Dataset: in.d, Rows: in.rows}
+		out[i] = localrt.PlanInput{Dataset: in.d, Rows: in.rows, N: in.n, Gen: in.gen}
 	}
 	return out
 }
@@ -95,6 +97,21 @@ func Parallelize[T any](s *Session, rows []T, parts int) *Dataset[T] {
 		generic[i] = r
 	}
 	s.inputs = append(s.inputs, inputBinding{d: d, rows: generic})
+	return &Dataset[T]{s: s, d: d}
+}
+
+// Generate declares a job input of n rows over parts partitions that is made
+// where it is read: partition p is gen(p, parts), called by the first monotask
+// that reads it. gen must follow localrt.PartGen's rule — the rows i of the
+// whole input with i%parts == p, in order — so gen(0, 1) is the whole input.
+func Generate[T any](s *Session, n, parts int, gen func(part, parts int) []T) *Dataset[T] {
+	if parts <= 0 {
+		parts = 1
+	}
+	d := s.g.CreateData(parts)
+	s.inputs = append(s.inputs, inputBinding{d: d, n: n, gen: func(part, parts int) []localrt.Row {
+		return untyped(gen(part, parts))
+	}})
 	return &Dataset[T]{s: s, d: d}
 }
 
@@ -405,10 +422,7 @@ func Collect[T any](ds *Dataset[T]) ([]T, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
-		inputs := make([]localrt.PlanInput, len(s.inputs))
-		for i, in := range s.inputs {
-			inputs[i] = localrt.PlanInput{Dataset: in.d, Rows: in.rows}
-		}
+		inputs := s.InputBindings()
 		runner := s.runner
 		if runner == nil {
 			runner = localrt.LocalRunner{}

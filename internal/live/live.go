@@ -198,8 +198,9 @@ type Submission struct {
 }
 
 // Submit is the one way a job enters the system. It returns the job's
-// handle at once: the runtime is built and its inputs materialized on the
-// calling goroutine, so admission and the SRJF hint see real input sizes.
+// handle at once: the runtime is built and its inputs bound on the calling
+// goroutine, so admission and the SRJF hint see real input sizes; a generated
+// input is made later, by the monotasks that read it.
 // The job then crosses the driver inbox: on the loop it is enqueued on its
 // tenant's admission queue and its OnQueued runs, and at the end of that
 // batch one admission pass covers every job the batch queued. Called before
@@ -208,7 +209,7 @@ type Submission struct {
 func (s *System) Submit(sub Submission) *Job {
 	rt := localrt.New(sub.Plan)
 	for _, in := range sub.Inputs {
-		rt.SetInput(in.Dataset, in.Rows)
+		rt.BindInput(in)
 	}
 	s.exec.RegisterJob(rt)
 	j := &Job{rt: rt}

@@ -171,9 +171,10 @@ func (b *BlobRef) ReadAt(p []byte, off int64) (int, error) {
 // PartBlobsAppend appends serve handles for a partition's contributions, in
 // canonical (producer-sorted) order, to dst and returns it — the zero-copy
 // serve path. In-memory handles alias the store's cached blobs (immutable by
-// contract); job-input partitions that were never served before are encoded
-// (once) on first call.
+// contract); job-input partitions that were never served before are made,
+// if generated, and encoded (once) on first call.
 func (r *Runtime) PartBlobsAppend(dst []BlobRef, d *dag.Dataset, part int) ([]BlobRef, error) {
+	r.makeInputs(d, part, part+1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	parts := r.store[d]
@@ -309,6 +310,7 @@ type partContrib struct {
 // queue behind a decode. Two gathers that race to decode one contribution
 // both decode it; the first to publish wins and the other adopts its rows.
 func (r *Runtime) partRows(d *dag.Dataset, lo, hi int) ([]partContrib, error) {
+	r.makeInputs(d, lo, hi)
 	r.mu.Lock()
 	codec := r.codec
 	parts := r.store[d]

@@ -34,10 +34,29 @@ type Keyed interface {
 	ShuffleKey() any
 }
 
-// PlanInput binds materialized rows to a job-input dataset of a plan.
+// PlanInput binds a job-input dataset of a plan to its rows: materialized
+// (Rows), or generated (N rows made by Gen, a partition at a time, when a
+// monotask first reads the partition).
 type PlanInput struct {
 	Dataset *dag.Dataset
 	Rows    []Row
+	// N and Gen are the generated form, used when Gen is set.
+	N   int
+	Gen PartGen
+}
+
+// PartGen makes one partition of a generated job input of parts partitions:
+// the rows i of the whole input, in order, with i%parts == part — SplitInput's
+// round-robin rule, so PartGen(0, 1) is the whole input. It must be
+// deterministic and safe to call from several goroutines at once.
+type PartGen func(part, parts int) []Row
+
+// Len returns the rows the input describes, materialized or not.
+func (in PlanInput) Len() int {
+	if in.Gen != nil {
+		return in.N
+	}
+	return len(in.Rows)
 }
 
 // RowsFn resolves the materialized rows of a dataset after execution.
@@ -70,7 +89,7 @@ func (lr LocalRunner) RunPlan(plan *dag.Plan, inputs []PlanInput) (RowsFn, error
 		rt.SetWorkers(lr.Workers)
 	}
 	for _, in := range inputs {
-		rt.SetInput(in.Dataset, in.Rows)
+		rt.BindInput(in)
 	}
 	ctx := lr.Context
 	if ctx == nil {
@@ -114,7 +133,10 @@ type Runtime struct {
 	// at-most-once: a monotask re-executed after an abort (worker failure
 	// retry, §4.3) cannot double-append its rows.
 	committed map[*dag.Monotask]bool
-	workers   int
+	// inputs are the generated job inputs, each partition made on its first
+	// read (makeInputs).
+	inputs  map[*dag.Dataset]*genInput
+	workers int
 
 	// Encode-once state (see blobstore.go). codec == nil keeps the runtime
 	// rows-only — the pure-local path pays no serialization cost.
@@ -123,8 +145,15 @@ type Runtime struct {
 	spill     spillState
 }
 
-// New builds a runtime for the plan. Input datasets must be provided via
-// SetInput before Run.
+// genInput is one generated job input of a runtime: its generator and which
+// partitions have been made.
+type genInput struct {
+	gen  PartGen
+	made []bool
+}
+
+// New builds a runtime for the plan. Input datasets must be bound with
+// BindInput (or SetInput) before Run.
 func New(plan *dag.Plan) *Runtime {
 	byID := make(map[int]*dag.Dataset)
 	for _, d := range plan.Graph.Datasets() {
@@ -155,11 +184,60 @@ func (r *Runtime) SetWorkers(n int) {
 	r.workers = n
 }
 
-// SetInput materializes a job-input dataset: SplitInput's partitions, each
-// one contribution of InputMTID.
+// BindInput is the one way a job input enters a runtime. It records the
+// input's partition sizes by SplitInput's rule. Materialized rows are split
+// into their partitions at once, each one contribution of InputMTID. A
+// generated input is only registered: partition p is made by in.Gen the first
+// time a monotask (or a result read or a serve) reads it, by the reader and
+// outside r.mu, and inserted as the InputMTID contribution. Two readers that
+// race to make one partition both generate it, and the duplicate insert
+// drops the second. Call it before the runtime executes.
+func (r *Runtime) BindInput(in PlanInput) {
+	if in.Gen == nil {
+		for p, part := range SplitInput(in.Dataset, in.Rows) {
+			r.InsertContribution(in.Dataset, p, InputMTID, part)
+		}
+		return
+	}
+	d := in.Dataset
+	recordInputSizes(d, in.N)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.inputs == nil {
+		r.inputs = make(map[*dag.Dataset]*genInput)
+	}
+	r.inputs[d] = &genInput{gen: in.Gen, made: make([]bool, d.Partitions)}
+}
+
+// SetInput binds materialized rows to a job-input dataset (BindInput).
 func (r *Runtime) SetInput(d *dag.Dataset, rows []Row) {
-	for p, part := range SplitInput(d, rows) {
-		r.InsertContribution(d, p, InputMTID, part)
+	r.BindInput(PlanInput{Dataset: d, Rows: rows})
+}
+
+// makeInputs makes every partition in [lo, hi) of d that is a generated
+// input's and not yet made. The generator runs outside r.mu, so it is
+// charged to the reader and blocks no other access to the store.
+func (r *Runtime) makeInputs(d *dag.Dataset, lo, hi int) {
+	r.mu.Lock()
+	in := r.inputs[d]
+	r.mu.Unlock()
+	if in == nil {
+		return
+	}
+	for p := max(lo, 0); p < min(hi, len(in.made)); p++ {
+		r.mu.Lock()
+		made := in.made[p]
+		r.mu.Unlock()
+		if made {
+			continue
+		}
+		rows := in.gen(p, d.Partitions)
+		r.mu.Lock()
+		in.made[p] = true
+		if len(rows) > 0 {
+			r.insertContribLocked(d, p, contrib{mtID: InputMTID, rows: rows})
+		}
+		r.mu.Unlock()
 	}
 }
 
@@ -167,24 +245,38 @@ func (r *Runtime) SetInput(d *dag.Dataset, rows []Row) {
 // over d's partitions, each sized before it is filled, and records the
 // partition sizes (row counts) in the plan's metadata store so usage
 // estimation works unchanged. Every process that seeds an input splits it
-// here, so partition contents agree across processes.
+// here, or generates its partitions by the same rule (PartGen), so partition
+// contents agree across processes.
 func SplitInput(d *dag.Dataset, rows []Row) [][]Row {
-	n := d.Partitions
-	parts := make([][]Row, n)
-	sizes := make([]float64, n)
+	sizes := recordInputSizes(d, len(rows))
+	parts := make([][]Row, d.Partitions)
 	for p := range parts {
-		size := (len(rows) - p + n - 1) / n
-		if size <= 0 {
-			continue
+		if sizes[p] > 0 {
+			parts[p] = make([]Row, 0, int(sizes[p]))
 		}
-		parts[p] = make([]Row, 0, size)
-		sizes[p] = float64(size)
 	}
 	for i, row := range rows {
-		parts[i%n] = append(parts[i%n], row)
+		parts[i%d.Partitions] = append(parts[i%d.Partitions], row)
+	}
+	return parts
+}
+
+// PartLen is the row count of partition part when n rows are dealt
+// round-robin over parts partitions: the size every split and every
+// generator of a job input agrees on.
+func PartLen(n, part, parts int) int {
+	return max(0, (n-part+parts-1)/parts)
+}
+
+// recordInputSizes records, and returns, the partition sizes (row counts) of
+// a job input of n rows dealt round-robin over d's partitions.
+func recordInputSizes(d *dag.Dataset, n int) []float64 {
+	sizes := make([]float64, d.Partitions)
+	for p := range sizes {
+		sizes[p] = float64(PartLen(n, p, d.Partitions))
 	}
 	d.SetInput(sizes)
-	return parts
+	return sizes
 }
 
 // Rows returns the materialized rows of a dataset after Run, concatenated
@@ -201,6 +293,7 @@ func (r *Runtime) Rows(d *dag.Dataset) []Row {
 
 // RowsErr is Rows with storage errors surfaced instead of panicking.
 func (r *Runtime) RowsErr(d *dag.Dataset) ([]Row, error) {
+	r.makeInputs(d, 0, d.Partitions)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Row
@@ -220,6 +313,7 @@ func (r *Runtime) RowsErr(d *dag.Dataset) ([]Row, error) {
 // Partitions returns the assembled partitions of a dataset after Run. Like
 // Rows it panics on storage errors.
 func (r *Runtime) Partitions(d *dag.Dataset) [][]Row {
+	r.makeInputs(d, 0, d.Partitions)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	parts := r.store[d]

@@ -554,7 +554,8 @@ func (a *Agent) resolveJob(jobID int64) *localrt.Runtime {
 // prepare gives the job its own runtime over the agent's build of its
 // (workload, params) — the cross-process identity contract: same builder,
 // same params, same IDs, so nothing but (name, params) crosses the wire.
-// The runtime's inputs are the build's partitions, one contribution each. It
+// The runtime binds the build's inputs: a generated partition is made by the
+// monotask that reads it, so prepare itself makes no rows. It
 // answers nothing: the master sends a job's Prepare just ahead of this
 // worker's first Dispatch of it, and the FIFO connection orders that
 // Dispatch behind the plan, or behind the build error, kept as the job's,
@@ -581,9 +582,7 @@ func (a *Agent) prepare(p wire.Prepare) {
 			js.rt.SetSpill(a.cfg.ShuffleMemBudget, a.cfg.ShuffleSpillDir)
 		}
 		for _, in := range b.inputs {
-			for part, rows := range in.parts {
-				js.rt.InsertContribution(in.ds, part, localrt.InputMTID, rows)
-			}
+			js.rt.BindInput(in)
 		}
 		a.logf("agent %d: prepared job %d (%s)", a.id.Load(), p.JobID, p.Workload)
 	}
@@ -593,25 +592,19 @@ func (a *Agent) prepare(p wire.Prepare) {
 }
 
 // buildCacheRows bounds the build cache by the job-input rows its builds
-// hold. A bound on rows, not builds, keeps data-heavy jobs out: their inputs
-// would pin memory long after the job, and their build is a small share of
-// their run. 1<<14 holds a few dozen small jobs' inputs.
+// describe. A bound on rows, not builds, keeps data-heavy jobs out: their
+// build is a small share of their run. 1<<14 holds a few dozen small jobs.
 const buildCacheRows = 1 << 14
 
-// build is one (workload, params) built on this agent: its plan, with the
-// input sizes recorded, and its inputs split into partitions. Every job with
-// that identity shares it read-only. Execution only reads a plan (its
-// monotasks, steps and datasets) and the rows it gathers, and UDFs may not
-// mutate their input rows, which a retried monotask re-reads (DESIGN §9).
+// build is one (workload, params) described on this agent: its plan and its
+// inputs, generated ones as generators. Every job with that identity shares it
+// read-only. Execution only reads a plan (its monotasks, steps and datasets)
+// and the rows it gathers, and UDFs may not mutate their input rows, which a
+// retried monotask re-reads (DESIGN §9).
 type build struct {
 	plan   *dag.Plan
-	inputs []builtInput
-	rows   int // input rows over all inputs
-}
-
-type builtInput struct {
-	ds    *dag.Dataset
-	parts [][]localrt.Row
+	inputs []localrt.PlanInput
+	rows   int // input rows described over all inputs
 }
 
 type buildKey struct{ workload, params string }
@@ -632,14 +625,13 @@ func (c *buildCache) get(name string, params []byte) (*build, error) {
 	if b := c.byKey[key]; b != nil {
 		return b, nil
 	}
-	bj, err := workload.Build(name, params)
+	bj, err := workload.Describe(name, params)
 	if err != nil {
 		return nil, err
 	}
-	b := &build{plan: bj.Plan}
+	b := &build{plan: bj.Plan, inputs: bj.Inputs}
 	for _, in := range bj.Inputs {
-		b.inputs = append(b.inputs, builtInput{in.Dataset, localrt.SplitInput(in.Dataset, in.Rows)})
-		b.rows += len(in.Rows)
+		b.rows += in.Len()
 	}
 	if b.rows > buildCacheRows {
 		return b, nil

@@ -5,12 +5,16 @@ package agent
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"ursa/internal/core"
 	"ursa/internal/dag"
+	"ursa/internal/dataset"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
@@ -26,7 +30,38 @@ const failingBuild = "agent-test-failing-build"
 
 var failedBuilds atomic.Int64
 
+// countedInput is a job of one generated input of countedRows rows over
+// countedParts partitions, keyed and summed into 2; its generator counts the
+// rows it makes of each partition in generatedRows.
+const (
+	countedInput = "agent-test-counted-input"
+	countedRows  = 40
+	countedParts = 4
+)
+
+var generatedRows [countedParts]atomic.Int64
+
 func init() {
+	workload.Register(countedInput, func([]byte) (*workload.BuiltJob, error) {
+		sess := dataset.NewSession()
+		in := dataset.Generate(sess, countedRows, countedParts, func(part, parts int) []int {
+			var rows []int
+			for i := part; i < countedRows; i += parts {
+				rows = append(rows, i)
+			}
+			generatedRows[part].Add(int64(len(rows)))
+			return rows
+		})
+		keyed := dataset.Map(in, "key", func(v int) dataset.Pair[string, int] {
+			return dataset.Pair[string, int]{Key: fmt.Sprintf("k%d", v%3), Val: v}
+		})
+		sums := dataset.ReduceByKey(keyed, "sum", 2, func(a, b int) int { return a + b })
+		plan, err := sess.Graph().Build()
+		return &workload.BuiltJob{
+			Spec: core.JobSpec{Name: countedInput, Graph: sess.Graph()},
+			Plan: plan, Inputs: sess.InputBindings(), Output: sums.Dag(),
+		}, err
+	})
 	workload.Register(countingMicro, func(params []byte) (*workload.BuiltJob, error) {
 		microBuilds.Add(1)
 		return workload.Build("micro", params)
@@ -195,5 +230,108 @@ func TestFailedBuildCompletesDispatches(t *testing.T) {
 	defer a.mu.Unlock()
 	if a.jobs[1] != nil {
 		t.Error("the failed job is still held after its JobDone")
+	}
+}
+
+// generated reads how many rows of each partition countedInput's generator
+// has made.
+func generated() (n [countedParts]int64) {
+	for p := range n {
+		n[p] = generatedRows[p].Load()
+	}
+	return n
+}
+
+// TestDispatchGeneratesWhatItReads: a Prepare makes no input rows. A
+// Dispatch of a monotask that reads the job's generated input makes the
+// partitions that monotask reads and no other. A monotask dispatched, aborted
+// and dispatched again leaves each partition it reads holding its rows once.
+// Run it under -race: the aborted and the live execution may make one
+// partition at once.
+func TestDispatchGeneratesWhatItReads(t *testing.T) {
+	a, c := joined(t, Config{Cores: 2})
+	bj, err := workload.Describe(countedInput, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bj.Inputs[0]
+	var roots []*dag.Monotask // the monotasks that read the generated input
+	for _, mt := range bj.Plan.RealMonotasks() {
+		if len(mt.Ins) == 0 {
+			roots = append(roots, mt)
+		}
+	}
+	if len(roots) < 3 {
+		t.Fatalf("%s has %d root monotasks, need 3", countedInput, len(roots))
+	}
+	reads := func(mt *dag.Monotask) (parts []int) {
+		for _, dp := range localrt.InputParts(bj.Plan, mt) {
+			if dp.Dataset.ID == input.Dataset.ID {
+				parts = append(parts, dp.Part)
+			}
+		}
+		return parts
+	}
+	size := func(p int) int64 { return int64(localrt.PartLen(countedRows, p, countedParts)) }
+
+	before := generated()
+	c.Send(wire.Prepare{JobID: 1, Workload: countedInput})
+	settle(t, c)
+	if now := generated(); now != before {
+		t.Fatalf("Prepare made input rows: %v, before %v", now, before)
+	}
+	first := roots[0]
+	c.Send(wire.Dispatch{JobID: 1, MTID: int32(first.ID), Seq: 1})
+	if m, ok := read(t, c).(wire.Complete); !ok || m.Seq != 1 || m.Err != "" {
+		t.Fatalf("got %+v, want the clean completion of seq 1", m)
+	}
+	now := generated()
+	for p := range now {
+		want := int64(0)
+		if slices.Contains(reads(first), p) {
+			want = size(p)
+		}
+		if got := now[p] - before[p]; got != want {
+			t.Errorf("after %v, partition %d made %d rows, want %d", first, p, got, want)
+		}
+	}
+
+	again := roots[1]
+	c.Send(wire.Dispatch{JobID: 1, MTID: int32(again.ID), Seq: 2})
+	c.Send(wire.Abort{JobID: 1, MTID: int32(again.ID), Seq: 2})
+	c.Send(wire.Dispatch{JobID: 1, MTID: int32(again.ID), Seq: 3})
+	for {
+		m, ok := read(t, c).(wire.Complete)
+		if !ok || m.Err != "" {
+			t.Fatalf("got %+v, want a clean completion", m)
+		}
+		if m.Seq == 3 {
+			break
+		}
+	}
+	a.drain()
+	rt := a.resolveJob(1)
+	ds := rt.DatasetByID(input.Dataset.ID)
+	for _, p := range reads(again) {
+		refs, err := rt.PartBlobsAppend(nil, ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(refs) != 1 || refs[0].MTID != localrt.InputMTID {
+			t.Fatalf("partition %d holds %d contributions %+v, want the input's one", p, len(refs), refs)
+		}
+		rows, err := workload.Codec{}.DecodeBlob(refs[0].Data, refs[0].Flags, refs[0].RawLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(rows)) != size(p) {
+			t.Errorf("partition %d holds %d rows, want %d", p, len(rows), size(p))
+		}
+	}
+	now = generated()
+	for p := range now {
+		if !slices.Contains(reads(first), p) && !slices.Contains(reads(again), p) && now[p] != before[p] {
+			t.Errorf("partition %d, read by no dispatched monotask, made %d rows", p, now[p]-before[p])
+		}
 	}
 }

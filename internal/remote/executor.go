@@ -83,11 +83,20 @@ func (e *remoteExecutor) RegisterJob(rt *localrt.Runtime) {
 }
 
 // Close implements live.Backend: called after the driver exits, it
-// broadcasts Shutdown so agents drain and exit cleanly. Graceful close
-// flushes the queued frame before the sockets drop.
+// broadcasts Shutdown so agents drain and exit cleanly, those of slots whose
+// loop step never ran included, and every later registration gets one too
+// (Master.ended). Graceful close flushes the queued frame before the sockets
+// drop.
 func (e *remoteExecutor) Close() {
+	e.m.mu.Lock()
+	e.m.ended = true
+	joining := e.m.joining
+	e.m.mu.Unlock()
 	e.m.broadcast(wire.Shutdown{}, attached)
-	for _, link := range e.m.workers {
+	for _, link := range joining {
+		link.conn.Send(wire.Shutdown{})
+	}
+	for _, link := range slices.Concat(e.m.workers, joining) {
 		if link != nil {
 			link.conn.CloseGraceful()
 		}

@@ -134,7 +134,7 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 		fd.reject(link, msg.SubmitID, reason)
 		return
 	}
-	bj, err := workload.Build(msg.Workload, msg.Params)
+	bj, err := workload.Describe(msg.Workload, msg.Params)
 	if err != nil {
 		if fd.settle() {
 			fd.m.Sys.Drv.Send(fd.maybeFinishDrain)

@@ -15,7 +15,8 @@ import (
 // phase are the control-plane state's (State.Jobs under the same wire ID,
 // read through recorder.job).
 type RemoteJob struct {
-	// Built is the master's build of the workload.
+	// Built is the master's description of the workload (workload.Describe):
+	// the master never makes a generated input.
 	Built *workload.BuiltJob
 	// Live is the scheduler-side job handle; its runtime doubles as the
 	// canonical checkpoint store the completions populate. Set on the

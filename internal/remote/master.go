@@ -286,6 +286,10 @@ type Master struct {
 	nreg    int // claimed slots
 	next    int // the ID the next new slot gets
 	started bool
+	// ended is set as the run's Shutdown goes out (remoteExecutor.Close): an
+	// agent that registers later is welcomed and shut down at once, so it
+	// exits as the run's own agents do.
+	ended bool
 	// held lists, in submission order, the jobs whose handles a caller holds:
 	// Master.Submit's and a takeover's inherited backlog. Their rows enter the
 	// table only once the loop runs.
@@ -557,10 +561,11 @@ func (m *Master) resolveJob(jobID int64) *localrt.Runtime {
 	return nil
 }
 
-// Submit builds the named workload locally, records the submission, and
-// hands the job to the scheduler. Both sides run the same deterministic
-// builder, so every dataset and monotask ID the wire protocol carries agrees
-// by construction. Submit must precede Run.
+// Submit describes the named workload locally (its plan and input sizes; a
+// generated input is made only by the agents' monotasks that read it),
+// records the submission, and hands the job to the scheduler. Both sides run
+// the same deterministic builder, so every dataset and monotask ID the wire
+// protocol carries agrees by construction. Submit must precede Run.
 func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 	m.mu.Lock()
 	if m.started {
@@ -568,7 +573,7 @@ func (m *Master) Submit(name string, params []byte) (*RemoteJob, error) {
 		return nil, errors.New("remote: Submit after Run")
 	}
 	m.mu.Unlock()
-	bj, err := workload.Build(name, params)
+	bj, err := workload.Describe(name, params)
 	if err != nil {
 		return nil, err
 	}
@@ -686,6 +691,10 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 		m.joining = append(m.joining, link)
 	}
 	c.Send(m.welcome(id))
+	if m.ended {
+		c.Send(wire.Shutdown{})
+		c.CloseGraceful()
+	}
 	m.Sys.Drv.Send(func() { m.admit(link, reg, claimed) })
 	if claimed && m.nreg == m.needed {
 		close(m.ready)

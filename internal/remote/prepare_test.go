@@ -2,13 +2,15 @@ package remote
 
 // Where a job's plan is built: a worker learns a job from its first dispatch,
 // so only the agents that run a job's work build it, and a build that fails
-// there reaches the master as the failed completion of that dispatch.
+// there reaches the master as the failed completion of that dispatch. Where
+// its inputs are made: by the monotasks that read them, never at the master.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,6 +33,79 @@ var (
 	oneTaskBuilds atomic.Int64
 	refuseOneTask atomic.Bool
 )
+
+// countedInput is a workload of one generated input over 4 partitions,
+// summed by key into 2. Its params are "rows/tag": the input's row count, and
+// a tag that only tells jobs apart. Its generator counts the rows it makes in
+// generatedRows.
+const countedInput = "remote-test-counted-input"
+
+var generatedRows atomic.Int64
+
+func init() {
+	workload.Register(countedInput, func(params []byte) (*workload.BuiltJob, error) {
+		rows, _, _ := strings.Cut(string(params), "/")
+		n, err := strconv.Atoi(rows)
+		if err != nil {
+			return nil, err
+		}
+		sess := dataset.NewSession()
+		in := dataset.Generate(sess, n, 4, func(part, parts int) []int {
+			var rows []int
+			for i := part; i < n; i += parts {
+				rows = append(rows, i)
+			}
+			generatedRows.Add(int64(len(rows)))
+			return rows
+		})
+		keyed := dataset.Map(in, "key", func(v int) dataset.Pair[string, int] {
+			return dataset.Pair[string, int]{Key: fmt.Sprintf("k%d", v%5), Val: v}
+		})
+		sums := dataset.ReduceByKey(keyed, "sum", 2, func(a, b int) int { return a + b })
+		plan, err := sess.Graph().Build()
+		return &workload.BuiltJob{
+			Spec: core.JobSpec{Name: countedInput, Graph: sess.Graph(), MemEstimate: 1},
+			Plan: plan, Inputs: sess.InputBindings(), Output: sums.Dag(),
+		}, err
+	})
+}
+
+// TestInputsGeneratedWhereRead counts generated input rows: K jobs of
+// distinct identities, each of an N-row generated input, on a 2-agent
+// cluster make K*N rows in all, each partition once, by the monotask that
+// reads it. The master makes none: it binds the input sizes only. Built at
+// the master and in each agent's Prepare, they would make up to 3*K*N. Every
+// job's rows equal direct execution.
+func TestInputsGeneratedWhereRead(t *testing.T) {
+	const K, N = 6, 2000
+	params := func(k int) []byte { return []byte(fmt.Sprintf("%d/job-%d", N, k)) }
+	lc := startCluster(t, 2, Config{})
+	before := generatedRows.Load()
+	var jobs []*RemoteJob
+	for k := 0; k < K; k++ {
+		job, err := lc.Master.Submit(countedInput, params(k))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		jobs = append(jobs, job)
+	}
+	if n := generatedRows.Load() - before; n != 0 {
+		t.Fatalf("the master generated %d input rows for %d jobs, want 0", n, K)
+	}
+	runCluster(t, lc)
+	if n := generatedRows.Load() - before; n != K*N {
+		t.Errorf("%d jobs of %d input rows generated %d rows cluster-wide, want %d", K, N, n, K*N)
+	}
+	for k, job := range jobs {
+		got, err := job.ResultRows()
+		if err != nil {
+			t.Fatalf("job %d result: %v", k, err)
+		}
+		if want := sortedStrings(directRows(t, countedInput, params(k))); !slices.Equal(sortedStrings(got), want) {
+			t.Errorf("job %d rows %v, want %v", k, sortedStrings(got), want)
+		}
+	}
+}
 
 func init() {
 	workload.Register(oneTask, func(params []byte) (*workload.BuiltJob, error) {

@@ -413,3 +413,27 @@ func TestCloseCutsLateRegistration(t *testing.T) {
 		t.Fatal("the late agent's connection outlived Close")
 	}
 }
+
+// TestLateRegistrationShutsDown: an agent that registers after Run returned
+// ends as the run's own agents do. The master welcomes it and sends it
+// Shutdown at once, so its Wait returns nil before Close, not a lost
+// connection after it.
+func TestLateRegistrationShutsDown(t *testing.T) {
+	lc := startCluster(t, 1, Config{})
+	runCluster(t, lc)
+	late, err := agent.Dial(agent.Config{MasterAddrs: []string{lc.Master.Addr()}})
+	if err != nil {
+		t.Fatalf("late agent: %v", err)
+	}
+	t.Cleanup(late.Kill)
+	exited := make(chan error, 1)
+	go func() { exited <- late.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("the late agent's Wait returned %v, want nil", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the late agent was not shut down")
+	}
+}

@@ -201,7 +201,7 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		// Same deterministic builder contract as the wire protocol: (name,
 		// params) reproduces the exact plan, so dataset and monotask IDs in
 		// the replayed commits and origins stay meaningful.
-		bj, err := workload.Build(js.Workload, js.Params)
+		bj, err := workload.Describe(js.Workload, js.Params)
 		if err != nil {
 			return fmt.Errorf("remote: takeover rebuild job %d (%s): %w", id, js.Workload, err)
 		}

@@ -72,12 +72,10 @@ func buildMicro(params []byte) (*BuiltJob, error) {
 	if p.Keys <= 0 {
 		p.Keys = 8
 	}
-	vals := make([]int, p.Rows)
-	for i := range vals {
-		vals[i] = i
-	}
 	sess := dataset.NewSession()
-	ds := dataset.Parallelize(sess, vals, p.InParts)
+	ds := dataset.Generate(sess, p.Rows, p.InParts, func(part, parts int) []int {
+		return strided(p.Rows, part, parts, func(i int) int { return i })
+	})
 	keys := p.Keys
 	holdMs := p.HoldMs
 	pairs := dataset.FlatMap(ds, "key", func(v int) []dataset.Pair[string, int] {
@@ -125,12 +123,12 @@ func buildWordCount(params []byte) (*BuiltJob, error) {
 	if p.Lines <= 0 || p.InParts <= 0 || p.OutParts <= 0 {
 		return nil, fmt.Errorf("workload: wordcount params must be positive: %+v", p)
 	}
-	lines := make([]string, p.Lines)
-	for i := range lines {
-		lines[i] = fmt.Sprintf("w%d w%d common tokens", i%13, i%7)
-	}
 	sess := dataset.NewSession()
-	ds := dataset.Parallelize(sess, lines, p.InParts)
+	ds := dataset.Generate(sess, p.Lines, p.InParts, func(part, parts int) []string {
+		return strided(p.Lines, part, parts, func(i int) string {
+			return fmt.Sprintf("w%d w%d common tokens", i%13, i%7)
+		})
+	})
 	words := dataset.FlatMap(ds, "tokenize", func(line string) []dataset.Pair[string, int] {
 		fields := strings.Fields(line)
 		out := make([]dataset.Pair[string, int], len(fields))
@@ -326,28 +324,48 @@ func buildSQL(params []byte) (*BuiltJob, error) {
 	}, nil
 }
 
-// salesTable mirrors the sql_analytics example's generator: deterministic
-// under the fixed seed, so every process builds identical input rows.
-func salesTable(n int) *sqlmini.Table {
-	rng := rand.New(rand.NewSource(42))
-	regions := []string{"amer", "emea", "apac"}
-	t := &sqlmini.Table{Name: "sales", Cols: []string{"order_id", "product_id", "region", "amount"}}
-	for i := 0; i < n; i++ {
-		t.Rows = append(t.Rows, []sqlmini.Value{
-			float64(i),
-			float64(rng.Intn(20)),
-			regions[rng.Intn(len(regions))],
-			10 + 200*rng.Float64(),
-		})
+// strided makes partition part of parts of an n-row input whose row i is
+// row(i): the rows i%parts == part, in order (localrt.PartGen's rule).
+func strided[T any](n, part, parts int, row func(i int) T) []T {
+	out := make([]T, 0, localrt.PartLen(n, part, parts))
+	for i := part; i < n; i += parts {
+		out = append(out, row(i))
 	}
-	return t
+	return out
+}
+
+// salesTable mirrors the sql_analytics example's generator: n rows drawn
+// under the fixed seed. It is generated, so each partition replays the whole
+// sequence and keeps its own rows, and every process makes identical ones.
+func salesTable(n int) *sqlmini.Table {
+	regions := []string{"amer", "emea", "apac"}
+	return &sqlmini.Table{
+		Name: "sales", Cols: []string{"order_id", "product_id", "region", "amount"},
+		N: n,
+		Gen: func(part, parts int) [][]sqlmini.Value {
+			rng := rand.New(rand.NewSource(42))
+			out := make([][]sqlmini.Value, 0, localrt.PartLen(n, part, parts))
+			for i := 0; i < n; i++ {
+				product, region, amount := rng.Intn(20), rng.Intn(len(regions)), rng.Float64()
+				if i%parts == part {
+					out = append(out, []sqlmini.Value{float64(i), float64(product), regions[region], 10 + 200*amount})
+				}
+			}
+			return out
+		},
+	}
 }
 
 func productsTable() *sqlmini.Table {
+	const n = 20
 	cats := []string{"widgets", "gadgets", "gizmos", "doohickeys"}
-	t := &sqlmini.Table{Name: "products", Cols: []string{"id", "category"}}
-	for i := 0; i < 20; i++ {
-		t.Rows = append(t.Rows, []sqlmini.Value{float64(i), cats[i%len(cats)]})
+	return &sqlmini.Table{
+		Name: "products", Cols: []string{"id", "category"},
+		N: n,
+		Gen: func(part, parts int) [][]sqlmini.Value {
+			return strided(n, part, parts, func(i int) []sqlmini.Value {
+				return []sqlmini.Value{float64(i), cats[i%len(cats)]}
+			})
+		},
 	}
-	return t
 }

@@ -106,7 +106,7 @@ func TestCodecErrorMentionsWorkload(t *testing.T) {
 // keyed as execJoin keys them.
 func sqlRows(n int) []localrt.Row {
 	rows := make([]localrt.Row, n)
-	for i, r := range salesTable(n).Rows {
+	for i, r := range salesTable(n).Gen(0, 1) {
 		rows[i] = dataset.Pair[string, []sqlmini.Value]{Key: fmt.Sprintf("%v", r[1]), Val: r}
 	}
 	return rows

@@ -30,9 +30,10 @@ type BuiltJob struct {
 	// Plan is the physical plan; IDs are identical wherever the same
 	// builder ran with the same params.
 	Plan *dag.Plan
-	// Inputs are the job-input datasets with their materialized rows.
-	// Builders generate inputs deterministically from params, so every
-	// process seeds its own copy instead of shipping them.
+	// Inputs are the job-input datasets with their rows: Build materializes
+	// them all, Describe leaves generated ones a count and a generator.
+	// Builders make inputs deterministically from params, so every process
+	// makes its own copy instead of shipping them.
 	Inputs []localrt.PlanInput
 	// Output is the dataset whose rows are the job's result.
 	Output *dag.Dataset
@@ -44,7 +45,8 @@ type BuiltJob struct {
 }
 
 // BuildFunc builds a workload instance from its encoded params. It must be
-// deterministic: same params, same graph, same inputs, in any process.
+// deterministic: same params, same graph, same inputs, in any process. An
+// input it declares generated (dataset.Generate) is made where it is read.
 type BuildFunc func(params []byte) (*BuiltJob, error)
 
 var (
@@ -64,8 +66,26 @@ func Register(name string, build BuildFunc) {
 	registry[name] = build
 }
 
-// Build runs the named builder.
+// Build runs the named builder and materializes its generated inputs, for
+// callers that read a job's input rows.
 func Build(name string, params []byte) (*BuiltJob, error) {
+	bj, err := Describe(name, params)
+	if err != nil {
+		return nil, err
+	}
+	for i, in := range bj.Inputs {
+		if in.Gen != nil {
+			bj.Inputs[i] = localrt.PlanInput{Dataset: in.Dataset, Rows: in.Gen(0, 1)}
+		}
+	}
+	return bj, nil
+}
+
+// Describe runs the named builder and leaves its generated inputs a row count
+// and a partition generator each. The cluster builds jobs this way: the
+// master binds the input sizes only, and on an agent each partition is made
+// by the monotask that reads it.
+func Describe(name string, params []byte) (*BuiltJob, error) {
 	regMu.Lock()
 	build, ok := registry[name]
 	regMu.Unlock()

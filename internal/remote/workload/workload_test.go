@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -75,6 +76,67 @@ func closureCases() []closureCase {
 	}))
 	add("sql/default")("sql", nil)
 	return cases
+}
+
+// inputFingerprints pins every closure case's materialized inputs, hashed as
+// inputsFingerprint hashes them: the rows each builtin made before its inputs
+// were generated where they are read.
+var inputFingerprints = map[string]uint64{
+	"micro":            0x14d4d9543a757948,
+	"wordcount":        0xe8230b0e78c28fd6,
+	"sql_analytics/0":  0x847320ed7daca9cc,
+	"sql_analytics/1":  0x8345717263467097,
+	"sql_analytics/2":  0x847320ed7daca9cc,
+	"sql/join-project": 0x60e0649ca5f7d7fe,
+	"sql/default":      0x2e028575c22a175c,
+}
+
+func inputsFingerprint(inputs []localrt.PlanInput) uint64 {
+	h := fnv.New64a()
+	for _, in := range inputs {
+		fmt.Fprintf(h, "%d:%#v;", in.Dataset.Partitions, in.Rows)
+	}
+	return h.Sum64()
+}
+
+// TestGeneratedPartitionsMatchSplit: for every builtin, each partition a
+// generated input makes is, row for row, SplitInput's partition of Build's
+// materialized rows, and the row count it declares is theirs. Build's rows
+// are the ones the builtin made before its inputs were generated.
+func TestGeneratedPartitionsMatchSplit(t *testing.T) {
+	generated := 0
+	for _, c := range closureCases() {
+		bj, err := Build(c.name, c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if got, want := inputsFingerprint(bj.Inputs), inputFingerprints[c.label]; got != want {
+			t.Errorf("%s: materialized inputs hash to %#x, want %#x", c.label, got, want)
+		}
+		desc, err := Describe(c.name, c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		for i, in := range desc.Inputs {
+			if in.Gen == nil {
+				continue
+			}
+			generated++
+			rows := bj.Inputs[i].Rows
+			if in.N != len(rows) {
+				t.Errorf("%s: input %d declares %d rows, Build made %d", c.label, i, in.N, len(rows))
+			}
+			for p, want := range localrt.SplitInput(bj.Inputs[i].Dataset, rows) {
+				got := in.Gen(p, in.Dataset.Partitions)
+				if (len(got) > 0 || len(want) > 0) && !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: input %d partition %d generated\n %v\nwant %v", c.label, i, p, got, want)
+				}
+			}
+		}
+	}
+	if generated == 0 {
+		t.Error("no builtin generates an input")
+	}
 }
 
 // TestRowTypeClosure runs every builtin the way the cluster does, one

@@ -15,11 +15,23 @@ import (
 // Value is a cell: float64 or string.
 type Value = any
 
-// Table is an in-memory relation.
+// Table is a relation: in memory (Rows), or generated (N rows made by Gen a
+// partition at a time, by the query's monotasks that read them; Gen follows
+// localrt.PartGen's rule, so Gen(0, 1) is the whole table).
 type Table struct {
 	Name string
 	Cols []string
 	Rows [][]Value
+	N    int
+	Gen  func(part, parts int) [][]Value
+}
+
+// input declares the table as a job input of the query's session.
+func (t *Table) input(sess *dataset.Session) *dataset.Dataset[row] {
+	if t.Gen != nil {
+		return dataset.Generate(sess, t.N, queryParts, t.Gen)
+	}
+	return dataset.Parallelize(sess, t.Rows, queryParts)
 }
 
 // DB is a set of named tables.
@@ -317,7 +329,7 @@ func Compile(db *DB, q *Query) (*Compiled, error) {
 	}
 	sess := dataset.NewSession()
 	sc := newSchema(base.Name, base.Cols)
-	cur := dataset.Parallelize(sess, base.Rows, queryParts)
+	cur := base.input(sess)
 
 	where := q.Where
 	// Predicate pushdown: filters that reference only the base table run
@@ -453,7 +465,7 @@ func execJoin(db *DB, sess *dataset.Session, cur *dataset.Dataset[row], sc *sche
 	if err != nil {
 		return nil, nil, err
 	}
-	rightDS := dataset.Parallelize(sess, right.Rows, queryParts)
+	rightDS := right.input(sess)
 	keyOf := func(v Value) string { return fmt.Sprintf("%v", v) }
 	lKeyed := dataset.Map(cur, "lkey", func(r row) dataset.Pair[string, row] {
 		return dataset.Pair[string, row]{Key: keyOf(r[li]), Val: r}
