@@ -60,14 +60,17 @@ equiv:
 # still answers clients — plus the lazy Prepare (a job is built only on the
 # agents it is dispatched to, and an agent's failed build fails the run with
 # the builder's message), generated inputs made only by the monotasks that
-# read them (none at the master), and an agent that registers after Run
-# returned being shut down as the run's own agents are, and cut by Close,
-# under the race detector. (Also covered by `race`; kept as an explicit gate
+# read them (none at the master, "sql" tables included), the execution
+# frame budget (one Task and one TaskDone per task: micro ≤ 8 frames, q1 ≤ 32
+# frames and ≤ 600 000 TaskDone bytes per job), a task whose agent dies
+# between its network and CPU monotasks running whole on another, and an
+# agent that registers after Run returned being shut down as the run's own
+# agents are, and cut by Close, under the race detector. (Also covered by `race`; kept as an explicit gate
 # so the data plane, the fallback path, worker liveness, the front door,
-# registration, Prepare, input generation and the stop rule cannot silently
-# drop out of CI.)
+# registration, Prepare, input generation, the task frames and the stop rule
+# cannot silently drop out of CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends|TestPrepareOnFirstDispatch|TestAgentBuildFailureFailsRun|TestCloseCutsLateRegistration|TestInputsGeneratedWhereRead|TestLateRegistrationShutsDown' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends|TestPrepareOnFirstDispatch|TestAgentBuildFailureFailsRun|TestCloseCutsLateRegistration|TestInputsGeneratedWhereRead|TestExecutionFrameBudget|TestKillBetweenNetworkAndCPU|TestLateRegistrationShutsDown' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,

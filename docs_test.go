@@ -64,7 +64,11 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`WorkerJoined`, "every registration records cpstate.WorkerRegistered"},
 	{`elasticJoin`, "registerWorker admits every registration, mid-run joins included"},
 	{`applyProfile`, "a registration's loop step (Master.admit) applies its profile"},
-	{`JobReady`, "a failed Prepare reaches the master as the Complete.Err of the Dispatch behind it"},
+	{`JobReady`, "a failed Prepare reaches the master as the Err of the records of the Task behind it"},
+	{`\bTDispatch\b`, "a placed task crosses the wire as one wire.Task frame"},
+	{`\bTComplete\b`, "a task's records cross the wire in one wire.TaskDone frame"},
+	{`handleComplete`, "remoteExecutor.handleTaskDone commits a task's records"},
+	{`handleDispatch`, "the agent takes a placed task in handleTask"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

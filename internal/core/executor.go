@@ -28,14 +28,30 @@ type MonotaskExecutor interface {
 	Start(w *Worker, j *Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func())
 }
 
+// TaskExecutor is the execution back-end of workers that keep their own
+// monotask queues (§4.2.3), the remote agents: the scheduler places a task,
+// and the worker orders and runs its monotasks. StartTask takes a placed
+// task whole, with its job's priority snapshot for the worker's queue order;
+// the task's ready monotasks are prepared, and the rest are prepared as the
+// monotasks they depend on complete. done is delivered on the control loop
+// once per monotask, in an order that completes producers before their
+// consumers, with the monotask's processed bytes and measured seconds. The
+// abort hook is called on the control loop if the worker fails (§4.3);
+// after abort, done must not be delivered. StartTask must not call done
+// synchronously.
+type TaskExecutor interface {
+	StartTask(w *Worker, j *Job, t *dag.Task, prio float64, done func(mt *dag.Monotask, bytes, seconds float64)) (abort func())
+}
+
 // HoldCore is the core accounting of an executor that runs monotasks for
 // real, mirroring the simulated one so placement sees real occupancy: a CPU
 // monotask holds one core of its worker, allocated and in use, from Start
-// until release; other kinds hold none. release is idempotent — completion
-// and abort may both call it — and, like HoldCore itself, runs on the
-// control loop.
+// (or its task's dispatch) until release; other kinds hold none, and so does
+// a CPU monotask that finds every core held — occupancy is capped at the
+// worker's cores. release is idempotent — completion and abort may both call
+// it — and, like HoldCore itself, runs on the control loop.
 func HoldCore(w *Worker, mt *dag.Monotask) (release func()) {
-	if mt.Kind != resource.CPU {
+	if mt.Kind != resource.CPU || w.idleCores() < 1 {
 		return func() {}
 	}
 	w.Machine.Cores.MustAlloc(1)

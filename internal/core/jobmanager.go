@@ -66,11 +66,20 @@ func (jm *JobManager) reportReady(tasks []*dag.Task) {
 }
 
 // taskPlaced reacts to the scheduler assigning a task to a worker: reserve
-// its memory and send its ready monotasks to the worker's queues.
+// its memory and send its ready monotasks to the worker's queues — or, under
+// a TaskExecutor, the whole task to the worker, which queues its monotasks
+// itself.
 func (jm *JobManager) taskPlaced(t *dag.Task, w *Worker) {
 	t.Worker = w.ID
 	jm.TaskPlacedAt[t] = jm.sys.Loop.Now()
 	w.reserveTask(jm.job, t)
+	if jm.sys.tasks != nil {
+		for _, mt := range t.ReadyMonotasks() {
+			jm.job.Plan.Prepare(mt)
+		}
+		w.startTask(jm.job, t)
+		return
+	}
 	for _, mt := range t.ReadyMonotasks() {
 		jm.job.Plan.Prepare(mt)
 		w.Enqueue(jm.job, mt)
@@ -78,9 +87,10 @@ func (jm *JobManager) taskPlaced(t *dag.Task, w *Worker) {
 }
 
 // monotaskDone handles a completion report from a worker (JP → JM): update
-// the metadata store and SRJF remaining work, forward newly ready monotasks
-// of the same task to the same worker, and report newly ready tasks to the
-// scheduler.
+// the metadata store and SRJF remaining work, prepare newly ready monotasks
+// of the same task and forward them to the same worker's queues (a
+// TaskExecutor's worker already holds them), and report newly ready tasks to
+// the scheduler.
 func (jm *JobManager) monotaskDone(w *Worker, mt *dag.Monotask) {
 	j := jm.job
 	j.remaining[mt.Kind] -= mt.EstInput
@@ -90,7 +100,9 @@ func (jm *JobManager) monotaskDone(w *Worker, mt *dag.Monotask) {
 	res := j.Plan.Complete(mt)
 	for _, next := range res.NewReadyMonotasks {
 		j.Plan.Prepare(next)
-		w.Enqueue(j, next)
+		if jm.sys.tasks == nil {
+			w.Enqueue(j, next)
+		}
 	}
 	if res.TaskDone {
 		jm.TaskDoneAt[mt.Task] = jm.sys.Loop.Now()

@@ -25,6 +25,9 @@ type System struct {
 	// exec runs monotasks; the default simExecutor charges modeled
 	// durations on the virtual clock. SetExecutor swaps in a live back-end.
 	exec MonotaskExecutor
+	// tasks, when set by SetTaskExecutor, takes placed tasks whole and exec
+	// is unused: the workers queue their own monotasks.
+	tasks TaskExecutor
 
 	// OnJobFinished, if set, is invoked as each job completes.
 	OnJobFinished func(*Job)
@@ -61,6 +64,16 @@ func (s *System) SetExecutor(e MonotaskExecutor) {
 		panic("core: nil executor")
 	}
 	s.exec = e
+}
+
+// SetTaskExecutor installs a back-end whose workers take whole tasks and run
+// their monotasks in their own queues (the remote agents). Must be called
+// before any task is placed.
+func (s *System) SetTaskExecutor(e TaskExecutor) {
+	if e == nil {
+		panic("core: nil executor")
+	}
+	s.tasks = e
 }
 
 // Submit schedules a job submission at the given virtual time and returns

@@ -1,27 +1,26 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
+	"ursa/internal/mtqueue"
 	"ursa/internal/resource"
 )
 
-// Worker manages one machine's distributed monotask queues (§4.2.3): one
-// queue per resource kind, ordered by job priority and monotask size, with
-// per-kind concurrency control, plus the actual resource allocation and the
-// processing-rate monitor feeding the scheduler's APT load measure.
+// Worker manages one machine's distributed monotask queues (§4.2.3, package
+// mtqueue) — unless a TaskExecutor runs them on the machine itself — plus
+// the actual resource allocation and the processing-rate monitor feeding the
+// scheduler's APT load measure.
 type Worker struct {
 	ID      int
 	sys     *System
 	Machine *cluster.Machine
 
-	queues  [3]mtQueue // indexed by resource.CPU/Net/Disk
-	running [3]int
+	queues mtqueue.Queues[queued]
 	// load is the estimated remaining work (bytes) of monotasks assigned
 	// to this worker per kind, the numerator of APT_r(w).
 	load [3]float64
@@ -47,14 +46,21 @@ type Worker struct {
 	// OnWorkerDrained callback once the worker empties.
 	draining        bool
 	drainedNotified bool
-
-	enqSeq uint64
 }
 
 type taskMem struct {
 	job      *Job
 	reserved float64
 	used     float64
+	// abort is the TaskExecutor's hook for the placed task, nil under a
+	// MonotaskExecutor.
+	abort func()
+}
+
+// queued is a monotask in one of the worker's queues.
+type queued struct {
+	job *Job
+	mt  *dag.Monotask
 }
 
 // Failed reports whether the worker has been failed by fault injection.
@@ -69,8 +75,8 @@ func (w *Worker) Idle() bool {
 	if len(w.taskMem) != 0 || len(w.active) != 0 {
 		return false
 	}
-	for k := range w.queues {
-		if w.queues[k].Len() != 0 {
+	for _, k := range resource.MonotaskKinds {
+		if w.queues.Len(k) != 0 {
 			return false
 		}
 	}
@@ -100,17 +106,22 @@ func newWorker(sys *System, m *cluster.Machine) *Worker {
 		active:  make(map[*dag.Monotask]func()),
 	}
 	w.initRates()
-	for k := range w.queues {
-		w.queues[k].cfg = &sys.Cfg
-	}
 	return w
 }
 
-// initRates (re)builds the rate monitors from the machine's declared
-// profile: monitors are seeded with — and decay back toward — the nominal
-// per-machine rates, not a cluster-wide uniform assumption.
+// initRates (re)builds the rate monitors and the queue limits from the
+// machine's declared profile: monitors are seeded with — and decay back
+// toward — the nominal per-machine rates, not a cluster-wide uniform
+// assumption, and the CPU queue runs as many monotasks as the machine has
+// cores.
 func (w *Worker) initRates() {
 	m := w.Machine
+	w.queues.Limits = mtqueue.Limits{
+		Cores: int(m.Cores.Capacity()),
+		Net:   w.sys.Cfg.NetConcurrency,
+		Small: w.sys.Cfg.SmallMonotaskBytes,
+		FIFO:  w.sys.Cfg.DisableMonotaskOrdering,
+	}
 	netInit := m.NetBandwidth()
 	if f := w.sys.Cluster.Cfg.NetPerFlowFraction; f > 0 && f <= 1 {
 		netInit *= f
@@ -176,7 +187,7 @@ func (w *Worker) MemCapacity() float64 { return w.Machine.Mem.Capacity() }
 func (w *Worker) Load(k resource.Kind) float64 { return w.load[k] }
 
 // QueueLen returns the number of queued (not running) monotasks of kind k.
-func (w *Worker) QueueLen(k resource.Kind) int { return w.queues[k].Len() }
+func (w *Worker) QueueLen(k resource.Kind) int { return w.queues.Len(k) }
 
 func (w *Worker) idleCores() float64 { return w.Machine.Cores.Free() }
 
@@ -221,45 +232,21 @@ func taskKindEst(t *dag.Task, k resource.Kind) float64 {
 // while the monotask waits; queues drain within roughly EPT, so staleness
 // under SRJF is bounded and small.
 func (w *Worker) Enqueue(j *Job, mt *dag.Monotask) {
-	if !mt.Kind.Valid() || mt.Kind == resource.Mem {
-		panic(fmt.Sprintf("core: enqueue of non-monotask kind %v", mt.Kind))
-	}
-	w.enqSeq++
-	item := &queuedMT{
-		job:  j,
-		mt:   mt,
-		prio: j.priority,
-		seq:  w.enqSeq,
-	}
-	// Latency-sensitive small monotasks skip the queue entirely (§4.2.3).
-	if mt.Kind == resource.Net && mt.InputBytes < w.sys.Cfg.SmallMonotaskBytes {
+	item := queued{j, mt}
+	if w.queues.Add(mt.Kind, j.priority, int64(j.ID), mt.Task.Stage.ID, mt.InputBytes, item) {
 		w.start(item, false)
 		return
 	}
-	heap.Push(&w.queues[mt.Kind], item)
 	w.pump(mt.Kind)
-}
-
-// concurrencyLimit returns the per-kind concurrent execution limit
-// (§4.2.3): all cores for CPU, a small constant for network, one per disk.
-func (w *Worker) concurrencyLimit(k resource.Kind) int {
-	switch k {
-	case resource.CPU:
-		return int(w.Machine.Cores.Capacity())
-	case resource.Net:
-		return w.sys.Cfg.NetConcurrency
-	default:
-		return 1
-	}
 }
 
 // pump starts queued monotasks while concurrency and resources allow.
 func (w *Worker) pump(k resource.Kind) {
-	for w.queues[k].Len() > 0 && w.running[k] < w.concurrencyLimit(k) {
-		if k == resource.CPU && w.idleCores() < 1 {
+	for k != resource.CPU || w.idleCores() >= 1 {
+		item, ok := w.queues.Next(k)
+		if !ok {
 			return
 		}
-		item := heap.Pop(&w.queues[k]).(*queuedMT)
 		w.start(item, true)
 	}
 }
@@ -271,27 +258,43 @@ func (w *Worker) pump(k resource.Kind) {
 // and feeds the measured bytes/seconds into the worker's rate monitor.
 // counted=false marks bypassed small monotasks that do not consume a
 // concurrency slot.
-func (w *Worker) start(item *queuedMT, counted bool) {
+func (w *Worker) start(item queued, counted bool) {
 	mt := item.mt
 	mt.State = dag.MTRunning
-	if counted {
-		w.running[mt.Kind]++
-	}
 	done := func(bytes, seconds float64) {
-		w.sys.Sched.placeChanged = true // freed capacity can make a pending task placeable
 		delete(w.active, mt)
-		w.rates[mt.Kind].sample(bytes, seconds)
 		if counted {
-			w.running[mt.Kind]--
+			w.queues.Done(mt.Kind)
 		}
-		w.load[mt.Kind] -= mt.EstInput
-		if w.load[mt.Kind] < 0 {
-			w.load[mt.Kind] = 0
-		}
-		item.job.jm.monotaskDone(w, mt)
+		w.finished(item.job, mt, bytes, seconds)
 		w.pump(mt.Kind)
 	}
 	w.active[mt] = w.sys.exec.Start(w, item.job, mt, done)
+}
+
+// startTask hands a placed task to the system's TaskExecutor, which runs its
+// monotasks in the worker's own queues and reports each one's measured
+// completion. The abort hook lives with the task's reservation.
+func (w *Worker) startTask(j *Job, t *dag.Task) {
+	abort := w.sys.tasks.StartTask(w, j, t, j.priority, func(mt *dag.Monotask, bytes, seconds float64) {
+		w.finished(j, mt, bytes, seconds)
+	})
+	if tm, ok := w.taskMem[t]; ok {
+		tm.abort = abort
+		w.taskMem[t] = tm
+	}
+}
+
+// finished feeds one monotask's measured completion into the worker's rate
+// monitor and load, then into its job manager. Runs on the control loop.
+func (w *Worker) finished(j *Job, mt *dag.Monotask, bytes, seconds float64) {
+	w.sys.Sched.placeChanged = true // freed capacity can make a pending task placeable
+	w.rates[mt.Kind].sample(bytes, seconds)
+	w.load[mt.Kind] -= mt.EstInput
+	if w.load[mt.Kind] < 0 {
+		w.load[mt.Kind] = 0
+	}
+	j.jm.monotaskDone(w, mt)
 }
 
 // victim is an incomplete task a failed worker held, with its owning job.
@@ -323,6 +326,9 @@ func (w *Worker) fail() []victim {
 	// reserves the task before enqueueing any of its monotasks, and the
 	// task is released only once all of them are done.
 	for _, v := range victims {
+		if abort := w.taskMem[v.task].abort; abort != nil {
+			abort()
+		}
 		for _, mt := range v.task.Monotasks {
 			if abort, ok := w.active[mt]; ok {
 				abort()
@@ -333,64 +339,12 @@ func (w *Worker) fail() []victim {
 	if len(w.active) != 0 {
 		panic(fmt.Sprintf("core: worker %d runs %d monotasks of no resident task", w.ID, len(w.active)))
 	}
-	for k := range w.queues {
-		w.queues[k].items = nil
-		w.running[k] = 0
-		w.load[k] = 0
-	}
+	w.queues.Reset()
+	w.load = [3]float64{}
 	for _, v := range victims {
 		w.releaseTask(v.task)
 	}
 	return victims
-}
-
-// queuedMT is a queue entry with its ordering snapshot.
-type queuedMT struct {
-	job  *Job
-	mt   *dag.Monotask
-	prio float64
-	seq  uint64
-}
-
-// mtQueue orders monotasks per §4.2.3: by job priority (EJF/SRJF), then —
-// within the same job and stage — CPU monotasks by descending input size
-// (large tasks start earlier to shorten the stage) and network/disk
-// monotasks by ascending input size (make dependents ready earlier).
-type mtQueue struct {
-	cfg   *Config
-	items []*queuedMT
-}
-
-func (q *mtQueue) Len() int { return len(q.items) }
-
-func (q *mtQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if q.cfg.DisableMonotaskOrdering {
-		return a.seq < b.seq
-	}
-	if a.prio != b.prio {
-		return a.prio > b.prio // higher priority job first
-	}
-	if a.job == b.job && a.mt.Task.Stage == b.mt.Task.Stage && a.mt.InputBytes != b.mt.InputBytes {
-		if a.mt.Kind == resource.CPU {
-			return a.mt.InputBytes > b.mt.InputBytes
-		}
-		return a.mt.InputBytes < b.mt.InputBytes
-	}
-	return a.seq < b.seq
-}
-
-func (q *mtQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-
-func (q *mtQueue) Push(x any) { q.items = append(q.items, x.(*queuedMT)) }
-
-func (q *mtQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
 }
 
 // rateMonitor implements the worker's periodic processing-rate estimate

@@ -1,18 +1,25 @@
 package core
 
 import (
-	"container/heap"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
+	"ursa/internal/mtqueue"
 	"ursa/internal/resource"
 )
 
-// mkQueuedMT fabricates a queue entry without a full plan.
-func mkQueuedMT(jobPrio float64, stage *dag.Stage, kind resource.Kind, input float64, seq uint64) *queuedMT {
+// queues is a worker's queues with limits no test reaches, FIFO if asked.
+func queues(fifo bool) *mtqueue.Queues[*dag.Monotask] {
+	return &mtqueue.Queues[*dag.Monotask]{Limits: mtqueue.Limits{Cores: 1 << 20, Net: 1 << 20, FIFO: fifo}}
+}
+
+// enqueue fabricates a ready monotask without a full plan and queues it the
+// way Worker.Enqueue does: under its job's priority, job, stage and input
+// size, snapshotted now.
+func enqueue(q *mtqueue.Queues[*dag.Monotask], j *Job, stage *dag.Stage, kind resource.Kind, input float64) *dag.Monotask {
 	g := dag.NewGraph()
 	in := g.CreateData(1)
 	in.SetUniformInput(input)
@@ -22,82 +29,101 @@ func mkQueuedMT(jobPrio float64, stage *dag.Stage, kind resource.Kind, input flo
 	mt := p.RealMonotasks()[0]
 	mt.InputBytes = input
 	mt.Task.Stage = stage
-	return &queuedMT{job: &Job{priority: jobPrio}, mt: mt, prio: jobPrio, seq: seq}
+	q.Add(kind, j.priority, int64(j.ID), stage.ID, input, mt)
+	return mt
 }
 
-func popAll(q *mtQueue) []*queuedMT {
-	var out []*queuedMT
-	for q.Len() > 0 {
-		out = append(out, heap.Pop(q).(*queuedMT))
+func popAll(q *mtqueue.Queues[*dag.Monotask], kind resource.Kind) []*dag.Monotask {
+	var out []*dag.Monotask
+	for {
+		mt, ok := q.Next(kind)
+		if !ok {
+			return out
+		}
+		out = append(out, mt)
 	}
-	return out
 }
 
 func TestQueueOrdersByJobPriority(t *testing.T) {
-	cfg := Config{}
-	q := &mtQueue{cfg: &cfg}
+	q := queues(false)
 	s := &dag.Stage{}
-	low := mkQueuedMT(1, s, resource.CPU, 100, 1)
-	high := mkQueuedMT(5, s, resource.CPU, 100, 2)
-	heap.Push(q, low)
-	heap.Push(q, high)
-	got := popAll(q)
-	if got[0] != high {
+	low := enqueue(q, &Job{ID: 1, priority: 1}, s, resource.CPU, 100)
+	high := enqueue(q, &Job{ID: 2, priority: 5}, s, resource.CPU, 100)
+	got := popAll(q, resource.CPU)
+	if got[0] != high || got[1] != low {
 		t.Error("higher-priority job's monotask not first")
 	}
 }
 
 func TestQueueCPUDescendingNetAscending(t *testing.T) {
-	cfg := Config{}
 	s := &dag.Stage{}
 	j := &Job{priority: 1}
 
-	cpuQ := &mtQueue{cfg: &cfg}
-	small := mkQueuedMT(1, s, resource.CPU, 10, 1)
-	big := mkQueuedMT(1, s, resource.CPU, 1000, 2)
-	small.job, big.job = j, j
-	heap.Push(cpuQ, small)
-	heap.Push(cpuQ, big)
-	if got := popAll(cpuQ); got[0] != big {
+	q := queues(false)
+	enqueue(q, j, s, resource.CPU, 10)
+	big := enqueue(q, j, s, resource.CPU, 1000)
+	if got := popAll(q, resource.CPU); got[0] != big {
 		t.Error("CPU queue should pop the largest monotask first (§4.2.3)")
 	}
 
-	netQ := &mtQueue{cfg: &cfg}
-	smallN := mkQueuedMT(1, s, resource.Net, 10, 1)
-	bigN := mkQueuedMT(1, s, resource.Net, 1000, 2)
-	smallN.job, bigN.job = j, j
-	heap.Push(netQ, bigN)
-	heap.Push(netQ, smallN)
-	if got := popAll(netQ); got[0] != smallN {
+	enqueue(q, j, s, resource.Net, 1000)
+	smallN := enqueue(q, j, s, resource.Net, 10)
+	if got := popAll(q, resource.Net); got[0] != smallN {
 		t.Error("network queue should pop the smallest monotask first (§4.2.3)")
 	}
 }
 
 func TestQueueFIFOWhenOrderingDisabled(t *testing.T) {
-	cfg := Config{DisableMonotaskOrdering: true}
-	q := &mtQueue{cfg: &cfg}
+	q := queues(true)
 	s := &dag.Stage{}
-	first := mkQueuedMT(1, s, resource.CPU, 10, 1)
-	second := mkQueuedMT(9, s, resource.CPU, 1000, 2)
-	heap.Push(q, first)
-	heap.Push(q, second)
-	if got := popAll(q); got[0] != first {
+	first := enqueue(q, &Job{ID: 1, priority: 1}, s, resource.CPU, 10)
+	enqueue(q, &Job{ID: 2, priority: 9}, s, resource.CPU, 1000)
+	if got := popAll(q, resource.CPU); got[0] != first {
 		t.Error("disabled ordering should be FIFO")
 	}
 }
 
 func TestQueueSizeOrderingOnlyWithinSameStage(t *testing.T) {
-	cfg := Config{}
-	q := &mtQueue{cfg: &cfg}
+	q := queues(false)
 	j := &Job{priority: 1}
 	s1, s2 := &dag.Stage{ID: 1}, &dag.Stage{ID: 2}
-	early := mkQueuedMT(1, s1, resource.CPU, 10, 1)
-	lateBig := mkQueuedMT(1, s2, resource.CPU, 1000, 2)
-	early.job, lateBig.job = j, j
-	heap.Push(q, early)
-	heap.Push(q, lateBig)
-	if got := popAll(q); got[0] != early {
+	early := enqueue(q, j, s1, resource.CPU, 10)
+	enqueue(q, j, s2, resource.CPU, 1000)
+	if got := popAll(q, resource.CPU); got[0] != early {
 		t.Error("across stages FIFO should win over size ordering")
+	}
+}
+
+// TestQueueLimitsAndBypass: a kind runs at most its limit at once, and a
+// network monotask below the bypass threshold never enters its queue.
+func TestQueueLimitsAndBypass(t *testing.T) {
+	q := &mtqueue.Queues[int]{Limits: mtqueue.Limits{Cores: 2, Net: 1, Small: 16}}
+	for i := 0; i < 3; i++ {
+		if q.Add(resource.CPU, 1, 0, 0, 100, i) {
+			t.Fatal("a CPU monotask bypassed its queue")
+		}
+	}
+	if !q.Add(resource.Net, 1, 0, 0, 15, 9) {
+		t.Error("a network monotask below the threshold was queued")
+	}
+	q.Add(resource.Net, 1, 0, 0, 16, 10)
+	q.Add(resource.Net, 1, 0, 0, 17, 11)
+	started := 0
+	for _, ok := q.Next(resource.CPU); ok; _, ok = q.Next(resource.CPU) {
+		started++
+	}
+	if started != 2 || q.Len(resource.CPU) != 1 {
+		t.Errorf("started %d CPU monotasks with %d queued, want 2 and 1", started, q.Len(resource.CPU))
+	}
+	if _, ok := q.Next(resource.Net); !ok {
+		t.Fatal("no network monotask started")
+	}
+	if _, ok := q.Next(resource.Net); ok {
+		t.Error("a second network monotask started over a limit of 1")
+	}
+	q.Done(resource.Net)
+	if _, ok := q.Next(resource.Net); !ok {
+		t.Error("a freed network slot started nothing")
 	}
 }
 

@@ -53,7 +53,7 @@ type Generation struct {
 }
 
 // JobSubmitted records one job entering the control plane. JobID is the
-// stable wire-level job identity (what Prepare/Dispatch frames carry), and
+// stable wire-level job identity (what Prepare/Task frames carry), and
 // (Workload, Params) is the cross-process plan identity: a takeover master
 // re-runs the same deterministic builder, so every dataset and monotask ID
 // in the replayed state still matches what the workers hold.

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -191,8 +192,10 @@ type Plan struct {
 	Stages    []*Stage
 	lops      []*lop
 	// chainInternal, indexed by dataset ID, marks the datasets that never
-	// leave the monotask creating them (ChainInternal). Fixed at build.
+	// leave the monotask creating them (ChainInternal), and taskInternal those
+	// that never leave the task (TaskInternal). Fixed at build.
 	chainInternal []bool
+	taskInternal  []bool
 
 	// tasksDone counts the tasks whose monotasks have all completed. It only
 	// grows: ResetForRetry refuses a completed task.
@@ -210,6 +213,7 @@ func (g *Graph) Build() (*Plan, error) {
 	p.buildLops()
 	p.buildMonotasks()
 	p.buildTasks()
+	p.buildTaskInternal()
 	p.buildStages()
 	p.initRuntime()
 	return p, nil
@@ -221,6 +225,14 @@ func (g *Graph) Build() (*Plan, error) {
 // contributions between processes never commits it (localrt.ExecRecord), so
 // a job's result dataset must not be one.
 func (p *Plan) ChainInternal(d *Dataset) bool { return p.chainInternal[d.ID] }
+
+// TaskInternal reports whether d never leaves the task that creates it: some
+// monotask reads it as a dataset, and every monotask that does reads only
+// partitions written by monotasks of its own task. A runtime that moves
+// contributions between processes commits it as rows only: never encoded,
+// shipped or checkpointed (localrt.ExecRecord). A dataset nobody reads, such
+// as a job's result, is never task-internal.
+func (p *Plan) TaskInternal(d *Dataset) bool { return p.taskInternal[d.ID] }
 
 // MustBuild is Build for statically known-good graphs.
 func (g *Graph) MustBuild() *Plan {
@@ -529,6 +541,80 @@ func (p *Plan) buildTasks() {
 			}
 		}
 		t.order = all[start:len(all):len(all)]
+	}
+}
+
+// buildTaskInternal computes TaskInternal for every dataset. A creator
+// monotask of index i writes PartRange(d, P, i) of its dataset (localrt's
+// splitWrite), so owner[part] is the task of the partition's writers, or nil
+// when they span tasks; a reader then stays inside the task iff every
+// partition it reads is owned by its own task. Linear in partitions and
+// monotasks.
+func (p *Plan) buildTaskInternal() {
+	p.taskInternal = make([]bool, len(p.Graph.datasets))
+	rows := make([][]*Monotask, len(p.lops))
+	for _, l := range p.lops {
+		rows[l.id] = make([]*Monotask, l.parallelism)
+	}
+	for _, mt := range p.Monotasks {
+		if !mt.virtual {
+			rows[mt.lop.id][mt.Index] = mt
+		}
+	}
+	creator := make(map[*Dataset]*lop)
+	for _, l := range p.lops {
+		for _, m := range l.members {
+			for _, d := range m.creates {
+				creator[d] = l
+			}
+		}
+	}
+	for _, d := range p.Graph.datasets {
+		cl := creator[d]
+		if cl == nil || p.chainInternal[d.ID] || d.Partitions == 0 {
+			continue
+		}
+		owner := make([]*Task, d.Partitions)
+		owned := make([]bool, d.Partitions)
+		for _, w := range rows[cl.id] {
+			lo, hi := PartRange(d, cl.parallelism, w.Index)
+			for part := lo; part < hi; part++ {
+				if !owned[part] {
+					owner[part], owned[part] = w.Task, true
+				} else if owner[part] != w.Task {
+					owner[part] = nil
+				}
+			}
+		}
+		// sole is the one task owning every partition, or nil.
+		sole := owner[0]
+		for _, t := range owner {
+			if t != sole {
+				sole = nil
+				break
+			}
+		}
+		internal, read := true, false
+		for _, l := range p.lops {
+			for _, m := range l.members {
+				if !slices.Contains(m.extReads, d) {
+					continue
+				}
+				read = true
+				whole := l.extMapping(d) != MapPartition
+				for _, r := range rows[l.id] {
+					if whole {
+						internal = internal && sole == r.Task
+						continue
+					}
+					lo, hi := PartRange(d, l.parallelism, r.Index)
+					for part := lo; part < hi; part++ {
+						internal = internal && owner[part] == r.Task
+					}
+				}
+			}
+		}
+		p.taskInternal[d.ID] = read && internal
 	}
 }
 

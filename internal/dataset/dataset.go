@@ -158,12 +158,13 @@ func MapPartitions[T, U any](in *Dataset[T], name string, f func([]T) []U) *Data
 	return &Dataset[U]{s: in.s, d: out, op: op}
 }
 
-// Map applies f to every row.
+// Map applies f to every row. Like FlatMap and Filter it works on the
+// partition's rows as they are held, without a typed copy of the partition.
 func Map[T, U any](in *Dataset[T], name string, f func(T) U) *Dataset[U] {
-	return MapPartitions(in, name, func(rows []T) []U {
-		out := make([]U, len(rows))
+	return rowOp[T, U](in, name, func(rows []localrt.Row) []localrt.Row {
+		out := make([]localrt.Row, len(rows))
 		for i, r := range rows {
-			out[i] = f(r)
+			out[i] = f(r.(T))
 		}
 		return out
 	})
@@ -171,22 +172,24 @@ func Map[T, U any](in *Dataset[T], name string, f func(T) U) *Dataset[U] {
 
 // FlatMap applies f to every row and concatenates the results.
 func FlatMap[T, U any](in *Dataset[T], name string, f func(T) []U) *Dataset[U] {
-	return MapPartitions(in, name, func(rows []T) []U {
-		var out []U
+	return rowOp[T, U](in, name, func(rows []localrt.Row) []localrt.Row {
+		out := make([]localrt.Row, 0, len(rows))
 		for _, r := range rows {
-			out = append(out, f(r)...)
+			for _, u := range f(r.(T)) {
+				out = append(out, u)
+			}
 		}
 		return out
 	})
 }
 
-// Filter keeps rows satisfying pred. The op carries the paper's default
-// m2i = 2 for filter (§4.2.1).
+// Filter keeps rows satisfying pred; a kept row is the input row itself.
+// The op carries the paper's default m2i = 2 for filter (§4.2.1).
 func Filter[T any](in *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
-	ds := MapPartitions(in, name, func(rows []T) []T {
-		out := rows[:0:0]
+	ds := rowOp[T, T](in, name, func(rows []localrt.Row) []localrt.Row {
+		out := make([]localrt.Row, 0, len(rows))
 		for _, r := range rows {
-			if pred(r) {
+			if pred(r.(T)) {
 				out = append(out, r)
 			}
 		}
@@ -197,6 +200,16 @@ func Filter[T any](in *Dataset[T], name string, pred func(T) bool) *Dataset[T] {
 	return ds
 }
 
+// rowOp is MapPartitions over the partition's rows as held: f reads rows of
+// type T and returns rows of type U.
+func rowOp[T, U any](in *Dataset[T], name string, f func([]localrt.Row) []localrt.Row) *Dataset[U] {
+	op, out := cpuOp(in.s, name, in.d.Partitions, func(ins [][]localrt.Row) []localrt.Row {
+		return f(ins[0])
+	})
+	chain(in, op)
+	return &Dataset[U]{s: in.s, d: out, op: op}
+}
+
 // Pair is a keyed row; its key routes it through shuffles.
 type Pair[K comparable, V any] struct {
 	Key K
@@ -205,6 +218,9 @@ type Pair[K comparable, V any] struct {
 
 // ShuffleKey implements localrt.Keyed.
 func (p Pair[K, V]) ShuffleKey() any { return p.Key }
+
+// ShuffleHash implements localrt.KeyHasher.
+func (p Pair[K, V]) ShuffleHash() uint64 { return localrt.HashKey(p.Key) }
 
 // shuffleTo inserts the paper's reduceByKey wiring (§4.1.2): a CPU ser op
 // (pre-aggregation via seed, or identity), a sync network shuffle, and

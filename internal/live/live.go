@@ -15,6 +15,7 @@ package live
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -56,12 +57,12 @@ type Config struct {
 	NewBackend func(*System) Backend
 }
 
-// Backend is a live System's execution back-end: the MonotaskExecutor the
-// scheduling core drives, plus the job-registration and shutdown hooks the
-// System calls around it. The in-process executor (this package) and the
-// distributed RemoteExecutor (internal/remote) both implement it.
+// Backend is a live System's execution back-end: a core.MonotaskExecutor
+// (the in-process executor of this package, whose workers' queues are the
+// scheduling core's) or a core.TaskExecutor (the remote executor of
+// internal/remote, whose agents queue their own monotasks), plus the
+// job-registration and shutdown hooks the System calls around it.
 type Backend interface {
-	core.MonotaskExecutor
 	// RegisterJob takes the runtime that will hold a submitted job's
 	// materialized datasets (its plan is rt.Plan()). Called on the submitting
 	// goroutine as Submit builds the runtime, before the job reaches the loop.
@@ -163,7 +164,14 @@ func NewSystem(cfg Config) *System {
 	} else {
 		s.exec = newExecutor(s)
 	}
-	sys.SetExecutor(s.exec)
+	switch e := s.exec.(type) {
+	case core.TaskExecutor:
+		sys.SetTaskExecutor(e)
+	case core.MonotaskExecutor:
+		sys.SetExecutor(e)
+	default:
+		panic(fmt.Sprintf("live: backend %T executes neither monotasks nor tasks", e))
+	}
 	return s
 }
 

@@ -12,7 +12,7 @@ import (
 // plane's invariant: a contribution's rows are serialized to wire bytes
 // exactly once — at produce time on the worker that ran the monotask (or on
 // first serve, for job inputs) — and that byte-slice is what flows
-// everywhere: into the Complete message, into the master's canonical store,
+// everywhere: into the TaskDone record, into the master's canonical store,
 // out of every shuffle-fetch serve, and into the fetching peer's store.
 // Decoding happens exactly once too, at the single consumption site (gather
 // or result read). The flags byte and raw length travel with the bytes, and
@@ -125,7 +125,7 @@ func (r *Runtime) Close() {
 }
 
 // InsertEncoded records one producer's pre-encoded contribution — the
-// receive half of the data plane (master checkpointing a Complete's writes,
+// receive half of the data plane (master checkpointing a record's writes,
 // an agent storing fetched partitions). The store takes ownership of blob.
 // Idempotent per (dataset, part, producer), like InsertContribution. Rows
 // are decoded lazily at consumption.
@@ -206,7 +206,7 @@ func (r *Runtime) PartBlobsAppend(dst []BlobRef, d *dag.Dataset, part int) ([]Bl
 }
 
 // ContribBlob returns one contribution's encoded bytes plus codec metadata —
-// what an agent ships inside a Complete write. Spilled contributions are
+// what an agent ships inside a TaskDone record's write. Spilled contributions are
 // read back from disk (without re-caching).
 func (r *Runtime) ContribBlob(d *dag.Dataset, part, mtID int) (blob []byte, flags byte, rawLen int, err error) {
 	r.mu.Lock()

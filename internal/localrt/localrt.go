@@ -34,6 +34,13 @@ type Keyed interface {
 	ShuffleKey() any
 }
 
+// KeyHasher is a Keyed row that hashes its own key — HashKey of the key
+// ShuffleKey returns — so routing it boxes nothing.
+type KeyHasher interface {
+	Keyed
+	ShuffleHash() uint64
+}
+
 // PlanInput binds a job-input dataset of a plan to its rows: materialized
 // (Rows), or generated (N rows made by Gen, a partition at a time, when a
 // monotask first reads the partition).
@@ -135,7 +142,9 @@ type Runtime struct {
 	committed map[*dag.Monotask]bool
 	// inputs are the generated job inputs, each partition made on its first
 	// read (makeInputs).
-	inputs  map[*dag.Dataset]*genInput
+	inputs map[*dag.Dataset]*genInput
+	// shards caches shuffle splits of partitions (shardsOf).
+	shards  map[shardKey]*shardSplit
 	workers int
 
 	// Encode-once state (see blobstore.go). codec == nil keeps the runtime
@@ -473,10 +482,12 @@ type RecordedWrite struct {
 
 // ExecRecord is Exec, additionally returning the per-partition
 // contributions the monotask produced — under a codec, only those that leave
-// the monotask (dag.Plan.ChainInternal). The local commit is at-most-once
-// (idempotent per producer), but the writes are returned on every
-// successful call so a re-executed monotask can still report its outputs
-// upstream.
+// its task: a chain-internal dataset (dag.Plan.ChainInternal) is not
+// committed at all, and a task-internal one (dag.Plan.TaskInternal) is
+// committed as rows only, for the task's later monotasks on this process. The
+// local commit is at-most-once (idempotent per producer), but the writes are
+// returned on every successful call so a re-executed monotask can still
+// report its outputs upstream.
 func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -488,6 +499,7 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 	r.mu.Unlock()
 	steps := r.plan.ExecSteps(mt)
 	outputs := make([][]Row, len(steps))
+	var local []RecordedWrite // task-internal: committed as rows, not returned
 	for si, step := range steps {
 		inputs := make([][]Row, len(step.Reads))
 		for ri, ref := range step.Reads {
@@ -524,13 +536,17 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 			if codec != nil && r.plan.ChainInternal(d) {
 				continue
 			}
+			if codec != nil && r.plan.TaskInternal(d) {
+				local = append(local, splitWrite(d, mt, rows)...)
+				continue
+			}
 			writes = append(writes, splitWrite(d, mt, rows)...)
 		}
 	}
 	// Encode-once: with a codec installed, the produced contributions are
 	// serialized here — at produce time, outside the store lock — and the
 	// bytes committed alongside the rows. Every later serve of these
-	// contributions (shuffle fetch, Complete shipping, master checkpoint) is
+	// contributions (shuffle fetch, TaskDone shipping, master checkpoint) is
 	// a byte copy of this one encoding.
 	var encs []contrib
 	if codec != nil {
@@ -558,8 +574,19 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 			}
 			r.insertContribLocked(w.Dataset, w.Part, c)
 		}
+		for _, w := range local {
+			r.insertContribLocked(w.Dataset, w.Part, contrib{mtID: mt.ID, rows: w.Rows})
+		}
 	}
 	return writes, nil
+}
+
+// Committed reports whether mt's outputs were committed here: whether its
+// task-internal contributions, which no other process holds, are local.
+func (r *Runtime) Committed(mt *dag.Monotask) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.committed[mt]
 }
 
 // gather collects a monotask's input rows from a dataset under its mapping.
@@ -570,25 +597,34 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
 	d, paral := ref.Dataset, mt.Parallelism()
 	lo, hi := readRange(ref, mt)
-	crs, err := r.partRows(d, lo, hi)
-	if err != nil {
-		return nil, err
+	var crs []partContrib
+	if ref.Mapping != dag.MapShard {
+		var err error
+		if crs, err = r.partRows(d, lo, hi); err != nil {
+			return nil, err
+		}
 	}
 	var out []Row
 	switch {
 	case ref.Mapping == dag.MapShard:
 		// Pull-based shuffle: take this index's bucket of every partition.
-		part, k := -1, 0
-		for _, c := range crs {
-			if c.part != part {
-				part, k = c.part, 0
+		shards := make([][]Row, 0, hi-lo)
+		n := 0
+		for part := lo; part < hi; part++ {
+			buckets, err := r.shardsOf(d, part, paral)
+			if err != nil {
+				return nil, err
 			}
-			for _, row := range c.rows {
-				if bucketOf(row, part, k, paral) == mt.Index {
-					out = append(out, row)
-				}
-				k++
+			if buckets != nil {
+				shards = append(shards, buckets[mt.Index])
+				n += len(buckets[mt.Index])
 			}
+		}
+		if n > 0 {
+			out = make([]Row, 0, n)
+		}
+		for _, rows := range shards {
+			out = append(out, rows...)
 		}
 	case ref.Mapping == dag.MapPartition && d.Partitions < paral:
 		// Several monotasks split one partition: deal its rows round-robin
@@ -606,11 +642,101 @@ func (r *Runtime) gather(ref dag.ReadRef, mt *dag.Monotask) ([]Row, error) {
 			}
 		}
 	default:
+		n := 0
+		for _, c := range crs {
+			n += len(c.rows)
+		}
+		if n > 0 {
+			out = make([]Row, 0, n)
+		}
 		for _, c := range crs {
 			out = append(out, c.rows...)
 		}
 	}
 	return out, nil
+}
+
+// shardSplit is one partition's rows dealt into the buckets of a shuffle
+// read (bucketOf), computed from its first n contributions by the first
+// reader; the others wait on done and share it.
+type shardSplit struct {
+	n       int
+	done    chan struct{}
+	buckets [][]Row
+	err     error
+}
+
+type shardKey struct {
+	d           *dag.Dataset
+	part, paral int
+}
+
+// shardsOf returns partition part of d dealt into paral shuffle buckets.
+// Every reader of a shuffle reads one bucket of every partition, so the
+// partition is decoded and its rows hashed once per process, not once per
+// reader. A split is recomputed if the partition has gained contributions
+// since (a retried producer's); a store with a spill budget keeps no split,
+// so its memory stays within the budget.
+func (r *Runtime) shardsOf(d *dag.Dataset, part, paral int) ([][]Row, error) {
+	r.makeInputs(d, part, part+1)
+	r.mu.Lock()
+	n := 0
+	if parts := r.store[d]; part < len(parts) {
+		n = len(parts[part])
+	}
+	if n == 0 {
+		r.mu.Unlock()
+		return nil, nil
+	}
+	key := shardKey{d, part, paral}
+	s := r.shards[key]
+	if s != nil && s.n == n {
+		r.mu.Unlock()
+		<-s.done
+		return s.buckets, s.err
+	}
+	s = &shardSplit{n: n, done: make(chan struct{})}
+	if r.spill.budget <= 0 {
+		if r.shards == nil {
+			r.shards = make(map[shardKey]*shardSplit)
+		}
+		r.shards[key] = s
+	}
+	r.mu.Unlock()
+	defer close(s.done)
+	crs, err := r.partRows(d, part, part+1)
+	if err != nil {
+		s.err = err
+		return nil, err
+	}
+	// Two passes, so each bucket is allocated once at its size.
+	n = 0
+	for _, c := range crs {
+		n += len(c.rows)
+	}
+	of := make([]int32, n)
+	sizes := make([]int, paral)
+	k := 0
+	for _, c := range crs {
+		for _, row := range c.rows {
+			b := bucketOf(row, part, k, paral)
+			of[k] = int32(b)
+			sizes[b]++
+			k++
+		}
+	}
+	s.buckets = make([][]Row, paral)
+	for b, size := range sizes {
+		s.buckets[b] = make([]Row, 0, size)
+	}
+	k = 0
+	for _, c := range crs {
+		for _, row := range c.rows {
+			s.buckets[of[k]] = append(s.buckets[of[k]], row)
+			k++
+		}
+	}
+	return s.buckets, nil
 }
 
 // readRange is the one rule for which partitions of a dataset a monotask's
@@ -706,6 +832,9 @@ func bucketOf(row Row, part, ordinal, buckets int) int {
 	if buckets <= 1 {
 		return 0
 	}
+	if k, ok := row.(KeyHasher); ok {
+		return int(k.ShuffleHash() % uint64(buckets))
+	}
 	if k, ok := row.(Keyed); ok {
 		return int(hashKey(k.ShuffleKey()) % uint64(buckets))
 	}
@@ -716,17 +845,38 @@ func bucketOf(row Row, part, ordinal, buckets int) int {
 // reducer, so the key kinds shuffles actually use are formatted without fmt
 // and hashed inline; the result is the same either way.
 func hashKey(key any) uint64 {
+	if h, ok := hashKnown(key); ok {
+		return h
+	}
+	return hashFormatted(key)
+}
+
+// HashKey is hashKey of a key of static type K. A key of a kind hashed
+// inline is not boxed on the heap, so a KeyHasher row built on it routes
+// without allocating.
+func HashKey[K comparable](k K) uint64 {
+	if h, ok := hashKnown(k); ok {
+		return h
+	}
+	return hashFormatted(k)
+}
+
+func hashKnown(key any) (uint64, bool) {
 	var buf [32]byte
 	switch k := key.(type) {
 	case string:
-		return fnv1a(k)
+		return fnv1a(k), true
 	case int:
-		return fnv1a(strconv.AppendInt(buf[:0], int64(k), 10))
+		return fnv1a(strconv.AppendInt(buf[:0], int64(k), 10)), true
 	case int64:
-		return fnv1a(strconv.AppendInt(buf[:0], k, 10))
+		return fnv1a(strconv.AppendInt(buf[:0], k, 10)), true
 	case float64:
-		return fnv1a(strconv.AppendFloat(buf[:0], k, 'g', -1, 64))
+		return fnv1a(strconv.AppendFloat(buf[:0], k, 'g', -1, 64)), true
 	}
+	return 0, false
+}
+
+func hashFormatted(key any) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%v", key)
 	return h.Sum64()

@@ -6,7 +6,7 @@ import (
 )
 
 // Journal counts what only the master's journaling paths observe: events and
-// bytes replayed at a takeover, Complete frames rejected by the at-most-once
+// bytes replayed at a takeover, monotask records rejected by the at-most-once
 // guard, monotasks short-circuited from replayed commits, workers re-attached
 // under a new generation, and JobQuery answers of not-found. Its stats line
 // prints them beside the facts other components own, read from those owners
@@ -43,7 +43,7 @@ func (g *Journal) ObserveReplay(n, bytes int) {
 	g.replayBytes.Add(int64(bytes))
 }
 
-// ObserveDupCommit records a Complete frame rejected by the at-most-once
+// ObserveDupCommit records a monotask record rejected by the at-most-once
 // (jobID, mtID, seq) guard.
 func (g *Journal) ObserveDupCommit() { g.dupCommits.Add(1) }
 

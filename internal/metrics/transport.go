@@ -83,7 +83,8 @@ func (t *Transport) totals() (sum WorkerTransport) {
 	return sum
 }
 
-// ObserveDispatch records a monotask dispatch to a worker.
+// ObserveDispatch records a monotask dispatch to a worker: one per monotask
+// a Task frame awaits a record for.
 func (t *Transport) ObserveDispatch(id int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -1,10 +1,11 @@
 // Package agent is the worker side of the distributed data plane: a process
 // that joins a master's cluster, rebuilds job plans from the workload
-// registry, executes dispatched monotasks with the local runtime, serves its
-// partition contributions to peers over the shuffle protocol, and reports
-// *measured* completions — the (bytes, seconds) samples the master feeds
-// into its per-worker processing-rate monitors (§4.2.1–4.2.2), now crossing
-// a socket instead of a function call.
+// registry, runs each placed task's monotasks through its own per-resource
+// queues (§4.2.3) with the local runtime, serves its partition contributions
+// to peers over the shuffle protocol, and reports *measured* completions —
+// the (bytes, seconds) samples the master feeds into its per-worker
+// processing-rate monitors (§4.2.1–4.2.2), now crossing a socket instead of
+// a function call.
 package agent
 
 import (
@@ -18,8 +19,10 @@ import (
 
 	"ursa/internal/dag"
 	"ursa/internal/localrt"
+	"ursa/internal/mtqueue"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
+	"ursa/internal/resource"
 	"ursa/internal/wire"
 )
 
@@ -37,7 +40,9 @@ type Config struct {
 	// empty picks an ephemeral 127.0.0.1 port (loopback clusters) — real
 	// deployments pass host:0 or host:port so peers can reach it.
 	ShuffleAddr string
-	// Cores bounds concurrent monotask execution. Default: GOMAXPROCS.
+	// Cores bounds concurrent CPU monotasks: the CPU queue's limit. The
+	// network queue's limit and bypass are the master's (wire.Welcome).
+	// Default: GOMAXPROCS.
 	Cores int
 	// MemBytes, CoreRate, NetBandwidth and DiskBandwidth advertise this
 	// machine's profile to the master (scheduler accounting units: rows and
@@ -50,7 +55,7 @@ type Config struct {
 	NetBandwidth  float64
 	DiskBandwidth float64
 	// ExecDelay artificially stretches every monotask execution, inside
-	// the timed section the Complete message reports — the agent measures
+	// the timed section its completion record reports — the agent measures
 	// honestly, so the master's rate monitors see a machine delivering
 	// below its advertised profile. This is the contention injection knob
 	// for heterogeneous-cluster tests and smoke runs; zero for production.
@@ -143,7 +148,7 @@ type fetchKey struct {
 // jobState is one prepared job on the agent: its own runtime over the
 // shared build, the contribution store that both feeds executions and
 // serves peers. A job whose build failed keeps the error instead, and has no
-// runtime: every Dispatch for it completes with err.
+// runtime: every Task for it completes with err.
 type jobState struct {
 	rt  *localrt.Runtime
 	err error
@@ -164,9 +169,53 @@ type dispatchKey struct {
 	mt  int32
 }
 
+// inflight is an awaited monotask's entry: the task it runs in, under the
+// sequence number its record carries (Abort's match).
 type inflight struct {
-	seq     uint64
+	task *taskRun
+	seq  uint64
+}
+
+// taskRun is one Task frame in flight on the agent.
+type taskRun struct {
+	jobID int64
+	js    *jobState
+	prio  float64
+	runs  []*mtRun
+	// Under Agent.mu: the monotasks not yet settled (run, or passed over),
+	// the records to report in the order they settled, and the first
+	// failure, after which no monotask of the task runs.
+	left    int
+	records []wire.Complete
+	err     error
 	aborted atomic.Bool
+}
+
+// mtRun is one monotask of a taskRun.
+type mtRun struct {
+	task *taskRun
+	mt   *dag.Monotask
+	d    wire.Dispatch
+	// waits counts the in-task producers not yet settled (under Agent.mu);
+	// outs are the in-task consumers.
+	waits int
+	outs  []*mtRun
+}
+
+// replay reports whether the master already committed the monotask.
+func (r *mtRun) replay() bool { return r.d.Seq == 0 }
+
+// started is a monotask taken off the queues (or past them, when counted
+// is false) to run on a goroutine of its own.
+type started struct {
+	r       *mtRun
+	counted bool
+}
+
+// work is what a queue step leaves to do once Agent.mu is released.
+type work struct {
+	start []started
+	done  []wire.TaskDone
 }
 
 // Agent is one running worker agent.
@@ -185,7 +234,6 @@ type Agent struct {
 	// re-registers as its assigned worker ID instead of a fresh -1.
 	registered bool
 
-	sem  chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -197,7 +245,10 @@ type Agent struct {
 	master   string
 	jobs     map[int64]*jobState
 	clients  map[string]*shuffle.Client
-	inflight map[dispatchKey]*inflight
+	inflight map[dispatchKey]inflight
+	// queues are the agent's monotask queues (§4.2.3): Cores CPU monotasks
+	// at once, the master's network limit and bypass.
+	queues mtqueue.Queues[*mtRun]
 
 	// builds is the read loop's own: not under mu.
 	builds buildCache
@@ -218,11 +269,10 @@ func Dial(cfg Config) (*Agent, error) {
 	cfg = cfg.withDefaults()
 	a := &Agent{
 		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.Cores),
 		quit:     make(chan struct{}),
 		jobs:     make(map[int64]*jobState),
 		clients:  make(map[string]*shuffle.Client),
-		inflight: make(map[dispatchKey]*inflight),
+		inflight: make(map[dispatchKey]inflight),
 		builds:   buildCache{byKey: make(map[buildKey]*build)},
 		done:     make(chan error, 1),
 	}
@@ -283,6 +333,12 @@ func (a *Agent) register(shuffleAddr string) (wire.Welcome, error) {
 			a.gen.Store(w.Gen)
 			a.mu.Lock()
 			a.master = addr
+			a.queues.Limits = mtqueue.Limits{
+				Cores: cfg.Cores,
+				Net:   max(int(w.NetConcurrency), 1),
+				Small: w.SmallMonotaskBytes,
+				FIFO:  w.DisableMonotaskOrdering,
+			}
 			a.mu.Unlock()
 			return w, nil
 		}
@@ -431,8 +487,8 @@ func (a *Agent) heartbeats() {
 }
 
 // readLoop is the control-plane inbound path. Prepare is handled
-// synchronously so the per-connection FIFO guarantees every Dispatch for a
-// job arrives after its plan exists; Dispatch execution is asynchronous.
+// synchronously so the per-connection FIFO guarantees every Task for a job
+// arrives after its plan exists; a Task's monotasks run asynchronously.
 // With standby masters configured (len(MasterAddrs) > 1), a lost connection
 // re-registers instead of exiting: in-flight work is aborted (the next
 // master re-schedules from its replayed state), then the agent re-attaches
@@ -472,8 +528,8 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 	switch m := m.(type) {
 	case wire.Prepare:
 		a.prepare(m)
-	case wire.Dispatch:
-		a.handleDispatch(m)
+	case wire.Task:
+		a.handleTask(m)
 	case wire.Abort:
 		a.handleAbort(m)
 	case wire.JobDone:
@@ -513,23 +569,23 @@ func (a *Agent) RequestDrain(reason string) bool {
 	return a.conn.Load().Send(wire.DrainWorker{WorkerID: a.id.Load(), Reason: reason})
 }
 
-// abortInflight marks every in-flight execution aborted so its completion
-// is swallowed: those dispatches belong to a dead master's generation, and
-// the successor re-dispatches from replayed state. Local execution still
-// runs to completion — its commit into the job runtime is idempotent, so a
-// re-dispatch of the same monotask to this agent reuses the work.
+// abortInflight marks every in-flight task aborted so its records are
+// swallowed: those tasks belong to a dead master's generation, and the
+// successor re-dispatches from replayed state. A monotask already running
+// still runs to completion — its commit into the job runtime is idempotent,
+// so a re-dispatch of the same monotask to this agent reuses the work.
 func (a *Agent) abortInflight() {
 	a.mu.Lock()
 	for _, inf := range a.inflight {
-		inf.aborted.Store(true)
+		inf.task.aborted.Store(true)
 	}
-	a.inflight = make(map[dispatchKey]*inflight)
+	a.inflight = make(map[dispatchKey]inflight)
 	a.mu.Unlock()
 }
 
 var errClean = fmt.Errorf("agent: clean shutdown")
 
-// drain waits for in-flight executions to finish before a clean exit.
+// drain waits for in-flight tasks to finish before a clean exit.
 func (a *Agent) drain() {
 	for {
 		a.mu.Lock()
@@ -557,9 +613,9 @@ func (a *Agent) resolveJob(jobID int64) *localrt.Runtime {
 // The runtime binds the build's inputs: a generated partition is made by the
 // monotask that reads it, so prepare itself makes no rows. It
 // answers nothing: the master sends a job's Prepare just ahead of this
-// worker's first Dispatch of it, and the FIFO connection orders that
-// Dispatch behind the plan, or behind the build error, kept as the job's,
-// that it then completes with. Idempotent: a takeover master prepares a
+// worker's first Task of it, and the FIFO connection orders that Task
+// behind the plan, or behind the build error, kept as the job's, that it
+// then completes with. Idempotent: a takeover master prepares a
 // re-attached agent again, and the existing runtime (plan, contributions,
 // spill) must survive it.
 func (a *Agent) prepare(p wire.Prepare) {
@@ -647,62 +703,208 @@ func (c *buildCache) get(name string, params []byte) (*build, error) {
 	return b, nil
 }
 
-func (a *Agent) handleDispatch(d wire.Dispatch) {
+// handleTask takes one placed task: its monotasks enter the agent's queues
+// as their in-task producers settle, each runs on a goroutine of its own
+// once its queue lets it start, and the task's records leave in one
+// TaskDone when the last one settles. A Task the agent cannot run — its job
+// was never prepared here, its job's build failed, or it names a monotask
+// the plan does not have — completes at once, every awaited monotask with
+// Err set, so the master can retire it.
+func (a *Agent) handleTask(f wire.Task) {
 	a.mu.Lock()
-	js := a.jobs[d.JobID]
-	key := dispatchKey{d.JobID, d.MTID}
-	inf := &inflight{seq: d.Seq}
-	a.inflight[key] = inf
+	js := a.jobs[f.JobID]
 	a.mu.Unlock()
-	if js == nil {
-		js = &jobState{err: fmt.Errorf("agent: dispatch for unprepared job %d", d.JobID)}
+	tr := &taskRun{jobID: f.JobID, js: js, prio: f.Prio}
+	var err error
+	switch {
+	case js == nil:
+		err = fmt.Errorf("agent: task for unprepared job %d", f.JobID)
+	case js.err != nil:
+		err = js.err
+	default:
+		err = tr.link(js.rt.Plan(), f.MTs)
 	}
-	if js.err != nil {
-		a.finish(key, inf, wire.Complete{JobID: d.JobID, MTID: d.MTID, Seq: d.Seq, Err: js.err.Error()})
+	if err != nil {
+		td := wire.TaskDone{JobID: f.JobID}
+		for _, d := range f.MTs {
+			if d.Seq != 0 {
+				td.Records = append(td.Records, wire.Complete{JobID: f.JobID, MTID: d.MTID, Seq: d.Seq, Err: err.Error()})
+			}
+		}
+		a.conn.Load().Send(td)
 		return
 	}
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		a.execute(js, d, key, inf)
-	}()
+	var w work
+	a.mu.Lock()
+	for _, r := range tr.runs {
+		if !r.replay() {
+			a.inflight[dispatchKey{f.JobID, r.d.MTID}] = inflight{tr, r.d.Seq}
+		}
+	}
+	tr.left = len(tr.runs)
+	for _, r := range tr.runs {
+		if r.waits == 0 {
+			a.readyLocked(r, &w)
+		}
+	}
+	a.pumpLocked(&w)
+	a.mu.Unlock()
+	a.launch(w)
+}
+
+// link resolves a Task's monotasks in the plan and wires each to the
+// monotasks of the same task it reads.
+func (tr *taskRun) link(plan *dag.Plan, mts []wire.Dispatch) error {
+	byID := make(map[int]*mtRun, len(mts))
+	for _, d := range mts {
+		if int(d.MTID) < 0 || int(d.MTID) >= len(plan.Monotasks) || plan.Monotasks[d.MTID].Virtual() {
+			return fmt.Errorf("agent: job %d has no monotask %d", tr.jobID, d.MTID)
+		}
+		r := &mtRun{task: tr, mt: plan.Monotasks[d.MTID], d: d}
+		byID[r.mt.ID] = r
+		tr.runs = append(tr.runs, r)
+	}
+	for _, r := range tr.runs {
+		for _, in := range r.mt.Ins {
+			if p := byID[in.ID]; p != nil {
+				r.waits++
+				p.outs = append(p.outs, r)
+			}
+		}
+	}
+	return nil
+}
+
+// readyLocked takes a monotask whose in-task producers have all settled: it
+// enters its queue, or — when its task failed or was aborted, or it is a
+// replay whose task-internal outputs are already here — settles unrun.
+func (a *Agent) readyLocked(r *mtRun, w *work) {
+	tr := r.task
+	if tr.err != nil || tr.aborted.Load() || (r.replay() && !rerun(tr.js.rt, r.mt)) {
+		a.settleLocked(r, nil, w)
+		return
+	}
+	if a.queues.Add(r.mt.Kind, tr.prio, tr.jobID, r.mt.Task.Stage.ID, r.d.EstInput, r) {
+		w.start = append(w.start, started{r, false})
+	}
+}
+
+// rerun reports whether a replayed monotask must run again here: it creates
+// a dataset that never leaves its task, which this runtime does not hold.
+// Its other outputs are committed at their origins and fetched from there.
+func rerun(rt *localrt.Runtime, mt *dag.Monotask) bool {
+	if rt.Committed(mt) {
+		return false
+	}
+	plan := rt.Plan()
+	for _, step := range plan.ExecSteps(mt) {
+		for _, d := range step.Creates {
+			if plan.TaskInternal(d) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// settleLocked records a monotask that ran (rec) or was passed over (nil),
+// readies the in-task consumers it was the last producer of, and finishes
+// the task with its last monotask. A replay reports nothing; a monotask
+// passed over because its task failed reports that failure.
+func (a *Agent) settleLocked(r *mtRun, rec *wire.Complete, w *work) {
+	tr := r.task
+	if !r.replay() && !tr.aborted.Load() {
+		if rec == nil {
+			rec = &wire.Complete{JobID: tr.jobID, MTID: r.d.MTID, Seq: r.d.Seq,
+				Err: fmt.Sprintf("agent: %v not run: %v", r.mt, tr.err)}
+		}
+		tr.records = append(tr.records, *rec)
+	}
+	for _, c := range r.outs {
+		if c.waits--; c.waits == 0 {
+			a.readyLocked(c, w)
+		}
+	}
+	if tr.left--; tr.left > 0 {
+		return
+	}
+	for _, r := range tr.runs {
+		key := dispatchKey{tr.jobID, r.d.MTID}
+		if inf, ok := a.inflight[key]; ok && inf.task == tr {
+			delete(a.inflight, key)
+		}
+	}
+	if !tr.aborted.Load() {
+		w.done = append(w.done, wire.TaskDone{JobID: tr.jobID, Records: tr.records})
+	}
+}
+
+// pumpLocked starts queued monotasks while their kinds' limits allow.
+func (a *Agent) pumpLocked(w *work) {
+	for _, k := range [...]resource.Kind{resource.CPU, resource.Net, resource.Disk} {
+		for {
+			r, ok := a.queues.Next(k)
+			if !ok {
+				break
+			}
+			w.start = append(w.start, started{r, true})
+		}
+	}
+}
+
+// launch runs what a queue step left: started monotasks on goroutines of
+// their own, finished tasks' TaskDone frames.
+func (a *Agent) launch(w work) {
+	for _, s := range w.start {
+		a.wg.Add(1)
+		go a.run(s)
+	}
+	for _, td := range w.done {
+		a.conn.Load().Send(td)
+	}
+}
+
+// run executes one started monotask, unless its task failed or was aborted
+// meanwhile, then settles it and starts what that frees.
+func (a *Agent) run(s started) {
+	defer a.wg.Done()
+	r, tr := s.r, s.r.task
+	a.mu.Lock()
+	skip := tr.err != nil || tr.aborted.Load()
+	a.mu.Unlock()
+	var rec *wire.Complete
+	if !skip {
+		c := a.execute(tr.js, r)
+		rec = &c
+	}
+	var w work
+	a.mu.Lock()
+	if s.counted {
+		a.queues.Done(r.mt.Kind)
+	}
+	if rec != nil && rec.Err != "" && tr.err == nil {
+		tr.err = fmt.Errorf("%v: %s", r.mt, rec.Err)
+	}
+	a.settleLocked(r, rec, &w)
+	a.pumpLocked(&w)
+	a.mu.Unlock()
+	a.launch(w)
 }
 
 func (a *Agent) handleAbort(ab wire.Abort) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if inf := a.inflight[dispatchKey{ab.JobID, ab.MTID}]; inf != nil && inf.seq == ab.Seq {
-		inf.aborted.Store(true)
+	if inf, ok := a.inflight[dispatchKey{ab.JobID, ab.MTID}]; ok && inf.seq == ab.Seq {
+		inf.task.aborted.Store(true)
 	}
 }
 
-// finish sends the completion (unless aborted) and retires the dispatch.
-func (a *Agent) finish(key dispatchKey, inf *inflight, c wire.Complete) {
-	a.mu.Lock()
-	if cur := a.inflight[key]; cur == inf {
-		delete(a.inflight, key)
-	}
-	a.mu.Unlock()
-	if inf.aborted.Load() {
-		return
-	}
-	a.conn.Load().Send(c)
-}
-
-// execute runs one dispatched monotask: pull the named input partitions
-// into the local store, execute under the core bound, report the measured
-// completion. Seconds covers fetch + execution (the work the dispatch
-// caused), excluding time queued on the local core semaphore.
-func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inflight) {
+// execute runs one monotask of a task: pull the named input partitions into
+// the local store, execute, and return the measured record. Seconds covers
+// fetch + execution (the work the task caused), excluding time queued.
+func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
+	d := r.d
 	comp := wire.Complete{JobID: d.JobID, MTID: d.MTID, Seq: d.Seq}
-	plan := js.rt.Plan()
-	if int(d.MTID) < 0 || int(d.MTID) >= len(plan.Monotasks) {
-		comp.Err = fmt.Sprintf("agent: job %d has no monotask %d", d.JobID, d.MTID)
-		a.finish(key, inf, comp)
-		return
-	}
-	mt := plan.Monotasks[d.MTID]
-
 	fetchStart := time.Now()
 	wireBytes, rawBytes, retries, fallbacks, err := a.ensureInputs(js, d)
 	fetchDur := time.Since(fetchStart)
@@ -710,33 +912,21 @@ func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inf
 	comp.FetchFallbacks = int32(fallbacks)
 	if err != nil {
 		comp.Err = err.Error()
-		a.finish(key, inf, comp)
-		return
+		return comp
 	}
 
-	select {
-	case a.sem <- struct{}{}:
-	case <-a.quit:
-		return
-	}
-	var writes []localrt.RecordedWrite
 	execStart := time.Now()
-	if !inf.aborted.Load() {
-		writes, err = js.rt.ExecRecord(mt)
-		if d := a.cfg.ExecDelay; d > 0 {
-			// Contention injection: the stall sits inside the timed section,
-			// so the honestly-measured completion exposes the slow-down to
-			// the master's rate monitors.
-			time.Sleep(d)
-		}
+	writes, err := js.rt.ExecRecord(r.mt)
+	if d := a.cfg.ExecDelay; d > 0 {
+		// Contention injection: the stall sits inside the timed section,
+		// so the honestly-measured completion exposes the slow-down to
+		// the master's rate monitors.
+		time.Sleep(d)
 	}
 	execDur := time.Since(execStart)
-	<-a.sem
-
 	if err != nil {
 		comp.Err = err.Error()
-		a.finish(key, inf, comp)
-		return
+		return comp
 	}
 	comp.Seconds = (fetchDur + execDur).Seconds()
 	if comp.Seconds < 1e-6 {
@@ -747,8 +937,10 @@ func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inf
 	comp.FetchedWireBytes = wireBytes
 	comp.FetchedRawBytes = rawBytes
 	// Encode-once: the commit above already serialized every write into the
-	// contribution store, so the completion ships those exact cached bytes —
-	// no second marshal, and the master checkpoints byte-identical blobs.
+	// contribution store, so the record ships those exact cached bytes — no
+	// second marshal, and the master checkpoints byte-identical blobs. A
+	// write that never leaves the task was committed as rows and is not
+	// among them.
 	for _, w := range writes {
 		blob, flags, rawLen, err := js.rt.ContribBlob(w.Dataset, w.Part, int(d.MTID))
 		if err != nil {
@@ -774,11 +966,11 @@ func (a *Agent) execute(js *jobState, d wire.Dispatch, key dispatchKey, inf *inf
 	if outRaw > comp.MemPeak {
 		comp.MemPeak = outRaw
 	}
-	a.finish(key, inf, comp)
+	return comp
 }
 
-// ensureInputs pulls every partition the dispatch names into the local
-// contribution store. Fetches are cached per (dataset, part, origin) —
+// ensureInputs pulls every partition a monotask's fetch specs name into the
+// local contribution store. Fetches are cached per (dataset, part, origin) —
 // contribution sets are final before any reader dispatches (the dag orders
 // readers after their producers' completions), so a cached fetch can never
 // be stale. Transient peer faults are absorbed inside Client.Fetch by

@@ -2,7 +2,7 @@ package agent
 
 // The agent against a fake master behind the Dial seam: every control
 // connection is one end of a net.Pipe whose other end the test drives frame by
-// frame, so registration, re-registration, dispatch and abort handling are
+// frame, so registration, re-registration, task and abort handling are
 // checked without a master, a scheduler or a clock. Only the agent's shuffle
 // listener is a real (loopback) socket, and nothing dials it: a canonical
 // store, where a test needs one, answers over a pipe too.
@@ -20,6 +20,7 @@ import (
 	"ursa/internal/localrt"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
+	"ursa/internal/resource"
 	"ursa/internal/wire"
 )
 
@@ -54,13 +55,56 @@ func (f *fakeMaster) dial(addr string) (net.Conn, error) {
 // The heartbeat period it hands out never elapses within a test.
 func (f *fakeMaster) welcome(t *testing.T, id int32, gen int64) (wire.Register, *wire.Conn) {
 	t.Helper()
+	return f.welcomeWith(t, wire.Welcome{WorkerID: id, Gen: gen})
+}
+
+// welcomeWith is welcome answering w, queue limits and all.
+func (f *fakeMaster) welcomeWith(t *testing.T, w wire.Welcome) (wire.Register, *wire.Conn) {
+	t.Helper()
 	c := <-f.conns
 	reg, ok := read(t, c).(wire.Register)
 	if !ok {
 		t.Fatal("first frame on a control connection is not a Register")
 	}
-	c.Send(wire.Welcome{WorkerID: id, Gen: gen, HeartbeatMicros: time.Hour.Microseconds()})
+	w.HeartbeatMicros = time.Hour.Microseconds()
+	c.Send(w)
 	return reg, c
+}
+
+// task is the Task frame of one monotask, awaited under seq.
+func task(job int64, mt int32, seq uint64) wire.Task {
+	return wire.Task{JobID: job, MTs: []wire.Dispatch{{JobID: job, MTID: mt, Seq: seq}}}
+}
+
+// taskDone reads the next frame, which must be a TaskDone of one record, and
+// returns that record.
+func taskDone(t *testing.T, c *wire.Conn) wire.Complete {
+	t.Helper()
+	m := read(t, c)
+	td, ok := m.(wire.TaskDone)
+	if !ok || len(td.Records) != 1 {
+		t.Fatalf("got %+v, want a TaskDone of one record", m)
+	}
+	return td.Records[0]
+}
+
+// holdCore takes one CPU slot of the agent's queues, as a monotask running
+// elsewhere would; release returns it and starts what it held up.
+func holdCore(a *Agent) (release func()) {
+	a.mu.Lock()
+	a.queues.Add(resource.CPU, 0, -1, 0, 0, nil)
+	if _, ok := a.queues.Next(resource.CPU); !ok {
+		panic("no free CPU slot to hold")
+	}
+	a.mu.Unlock()
+	return func() {
+		var w work
+		a.mu.Lock()
+		a.queues.Done(resource.CPU)
+		a.pumpLocked(&w)
+		a.mu.Unlock()
+		a.launch(w)
+	}
 }
 
 // read returns the next frame the agent sent; the bound turns a frame that
@@ -196,29 +240,29 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	swallowed, kept := roots[0], roots[1]
 
 	c.Send(wire.Prepare{JobID: 1, Workload: name, Params: params})
-	a.sem <- struct{}{} // take the one core: both dispatches stay in flight
-	c.Send(wire.Dispatch{JobID: 1, MTID: swallowed, Seq: 10})
-	c.Send(wire.Dispatch{JobID: 1, MTID: kept, Seq: 11})
+	release := holdCore(a) // take the one core: both tasks stay in flight
+	c.Send(task(1, swallowed, 10))
+	c.Send(task(1, kept, 11))
 	c.Send(wire.Abort{JobID: 1, MTID: swallowed, Seq: 10})
 	c.Send(wire.Abort{JobID: 1, MTID: kept, Seq: 99}) // a stale abort, for an earlier dispatch
-	// A Dispatch for a job never prepared here is completed from the read
-	// loop, behind the Aborts: its Complete says both were handled. It is
-	// also the first frame since the Welcome: the Prepare answered nothing.
-	c.Send(wire.Dispatch{JobID: 2, MTID: 0, Seq: 1})
-	if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != 2 || m.Err == "" {
-		t.Fatalf("got %+v, want the failed completion of job 2's dispatch", m)
+	// A Task for a job never prepared here is completed from the read loop,
+	// behind the Aborts: its TaskDone says both were handled. It is also the
+	// first frame since the Welcome: the Prepare answered nothing.
+	c.Send(task(2, 0, 1))
+	if m := taskDone(t, c); m.JobID != 2 || m.Err == "" {
+		t.Fatalf("got %+v, want the failed record of job 2's task", m)
 	}
-	<-a.sem
+	release()
 
-	if m, ok := read(t, c).(wire.Complete); !ok || m.MTID != kept || m.Seq != 11 || m.Err != "" {
-		t.Fatalf("got %+v, want the clean completion of monotask %d seq 11", m, kept)
+	if m := taskDone(t, c); m.MTID != kept || m.Seq != 11 || m.Err != "" {
+		t.Fatalf("got %+v, want the clean record of monotask %d seq 11", m, kept)
 	}
-	// Once nothing is in flight the aborted dispatch has been retired, and the
-	// next frame on the wire is a later dispatch's completion, not its own.
+	// Once nothing is in flight the aborted task has been retired, and the
+	// next frame on the wire is a later task's TaskDone, not its own.
 	a.drain()
-	c.Send(wire.Dispatch{JobID: 1, MTID: swallowed, Seq: 12})
-	if m, ok := read(t, c).(wire.Complete); !ok || m.MTID != swallowed || m.Seq != 12 || m.Err != "" {
-		t.Fatalf("got %+v, want the completion of monotask %d seq 12", m, swallowed)
+	c.Send(task(1, swallowed, 12))
+	if m := taskDone(t, c); m.MTID != swallowed || m.Seq != 12 || m.Err != "" {
+		t.Fatalf("got %+v, want the record of monotask %d seq 12", m, swallowed)
 	}
 }
 
@@ -253,9 +297,9 @@ func prepared(t *testing.T, cfg Config) (*Agent, *wire.Conn, *workload.BuiltJob)
 	return a, c, bj
 }
 
-// TestFallbackServedFromRegisteredMaster: a dispatch whose peer refuses the
+// TestFallbackServedFromRegisteredMaster: a monotask whose peer refuses the
 // dial reads the partition from the canonical store at the address the agent
-// registered with, and its completion reports the one fallback.
+// registered with, and its record reports the one fallback.
 func TestFallbackServedFromRegisteredMaster(t *testing.T) {
 	name, params := workload.Micro(workload.MicroParams{})
 	store, err := workload.Build(name, params)
@@ -310,10 +354,11 @@ func TestFallbackServedFromRegisteredMaster(t *testing.T) {
 	if reader < 0 {
 		t.Fatal("micro plan has no monotask reading one produced partition")
 	}
-	c.Send(wire.Dispatch{JobID: 1, MTID: reader, Seq: 7, Fetches: []wire.FetchSpec{spec}})
-	m, ok := read(t, c).(wire.Complete)
-	if !ok || m.Seq != 7 || m.Err != "" || m.FetchFallbacks != 1 {
-		t.Fatalf("got %+v, want a clean completion of seq 7 with one fetch fallback", m)
+	f := task(1, reader, 7)
+	f.MTs[0].Fetches = []wire.FetchSpec{spec}
+	c.Send(f)
+	if m := taskDone(t, c); m.Seq != 7 || m.Err != "" || m.FetchFallbacks != 1 {
+		t.Fatalf("got %+v, want a clean record of seq 7 with one fetch fallback", m)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -322,24 +367,27 @@ func TestFallbackServedFromRegisteredMaster(t *testing.T) {
 	}
 }
 
-// TestBadDispatchCompletesWithErr: a dispatch the agent cannot run — its job
-// was never prepared here, its job's build failed, or it names a monotask the
-// plan does not have — still completes, with Err set, so the master can
-// retire it. Behind a failed Prepare, Err carries the build's error.
+// TestBadDispatchCompletesWithErr: a task the agent cannot run — its job was
+// never prepared here, its job's build failed, or it names a monotask the
+// plan does not have — still completes, every awaited monotask with Err set,
+// so the master can retire it. Behind a failed Prepare, Err carries the
+// build's error. A replay in such a task reports nothing.
 func TestBadDispatchCompletesWithErr(t *testing.T) {
 	_, c, bj := prepared(t, Config{Cores: 1})
 	c.Send(wire.Prepare{JobID: 3, Workload: "no-such-workload"})
-	for _, d := range []wire.Dispatch{
-		{JobID: 2, MTID: 0, Seq: 1},
-		{JobID: 1, MTID: int32(len(bj.Plan.Monotasks)), Seq: 2},
-		{JobID: 1, MTID: -1, Seq: 3},
-		{JobID: 3, MTID: 0, Seq: 4},
+	for _, f := range []wire.Task{
+		task(2, 0, 1),
+		task(1, int32(len(bj.Plan.Monotasks)), 2),
+		task(1, -1, 3),
+		task(3, 0, 4),
+		{JobID: 1, MTs: []wire.Dispatch{{JobID: 1, MTID: 0}, {JobID: 1, MTID: -1, Seq: 5}}},
 	} {
-		c.Send(d)
-		if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != d.JobID || m.Seq != d.Seq || m.Err == "" {
-			t.Errorf("dispatch %+v: got %+v, want its completion with Err set", d, m)
-		} else if d.JobID == 3 && !strings.Contains(m.Err, `unknown workload "no-such-workload"`) {
-			t.Errorf("dispatch behind a failed Prepare completed with %q, want the build's error", m.Err)
+		want := f.MTs[len(f.MTs)-1]
+		c.Send(f)
+		if m := taskDone(t, c); m.JobID != f.JobID || m.Seq != want.Seq || m.Err == "" {
+			t.Errorf("task %+v: got %+v, want its record with Err set", f, m)
+		} else if f.JobID == 3 && !strings.Contains(m.Err, `unknown workload "no-such-workload"`) {
+			t.Errorf("task behind a failed Prepare completed with %q, want the build's error", m.Err)
 		}
 	}
 }

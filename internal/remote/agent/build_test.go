@@ -73,22 +73,32 @@ func init() {
 }
 
 // settle returns once the agent's read loop has handled every frame sent
-// before it: a Dispatch for a job never prepared is completed from the read
+// before it: a Task for a job never prepared is completed from the read
 // loop, in order.
 func settle(t *testing.T, c *wire.Conn) {
 	t.Helper()
-	c.Send(wire.Dispatch{JobID: -1})
-	if m, ok := read(t, c).(wire.Complete); !ok || m.JobID != -1 || m.Err == "" {
-		t.Fatalf("got %+v, want the failed completion of job -1's dispatch", m)
+	c.Send(task(-1, 0, 1))
+	if m := taskDone(t, c); m.JobID != -1 || m.Err == "" {
+		t.Fatalf("got %+v, want the failed record of job -1's task", m)
 	}
 }
 
+// taskFrame is the Task frame of every monotask of t, each awaited under
+// its ID + 1 (Seq 0 marks a replay).
+func taskFrame(job int64, t *dag.Task) wire.Task {
+	f := wire.Task{JobID: job}
+	for _, mt := range t.Monotasks {
+		f.MTs = append(f.MTs, wire.Dispatch{JobID: job, MTID: int32(mt.ID), Seq: uint64(mt.ID) + 1})
+	}
+	return f
+}
+
 // runJob drives job jobID, prepared as micro with params, to completion on
-// the agent the way a one-worker master would: it dispatches every ready
-// monotask of its own build of the job at once (the agent holds every
-// partition, so nothing is fetched) and waits for their completions before
-// the next wave. mid, if set, runs once the first wave is in flight. It
-// returns the job's result rows from the agent's store.
+// the agent the way a one-worker master would: it sends every ready task of
+// its own build of the job at once (the agent holds every partition, so
+// nothing is fetched) and waits for their TaskDone frames before the next
+// wave. mid, if set, runs once the first wave is in flight. It returns the
+// job's result rows from the agent's store.
 func runJob(t *testing.T, a *Agent, c *wire.Conn, jobID int64, params []byte, mid func()) []localrt.Row {
 	t.Helper()
 	bj, err := workload.Build("micro", params)
@@ -99,30 +109,29 @@ func runJob(t *testing.T, a *Agent, c *wire.Conn, jobID int64, params []byte, mi
 	for _, in := range bj.Inputs {
 		localrt.SplitInput(in.Dataset, in.Rows) // the input sizes Prepare reads
 	}
-	var ready []*dag.Monotask
-	for _, task := range plan.InitialReady() {
-		ready = append(ready, task.ReadyMonotasks()...)
-	}
+	ready := plan.InitialReady()
 	for len(ready) > 0 {
 		wave := ready
 		ready = nil
-		for _, mt := range wave {
-			plan.Prepare(mt)
-			c.Send(wire.Dispatch{JobID: jobID, MTID: int32(mt.ID), Seq: uint64(mt.ID)})
+		for _, task := range wave {
+			c.Send(taskFrame(jobID, task))
 		}
 		if mid != nil {
 			mid()
 			mid = nil
 		}
 		for range wave {
-			m, ok := read(t, c).(wire.Complete)
-			if !ok || m.JobID != jobID || m.Err != "" {
-				t.Fatalf("got %+v, want a clean completion of job %d", m, jobID)
+			td, ok := read(t, c).(wire.TaskDone)
+			if !ok || td.JobID != jobID {
+				t.Fatalf("got %+v, want a TaskDone of job %d", td, jobID)
 			}
-			res := plan.Complete(plan.Monotasks[m.MTID])
-			ready = append(ready, res.NewReadyMonotasks...)
-			for _, task := range res.NewReadyTasks {
-				ready = append(ready, task.ReadyMonotasks()...)
+			for _, m := range td.Records {
+				if m.Err != "" {
+					t.Fatalf("got %+v, want a clean record", m)
+				}
+				mt := plan.Monotasks[m.MTID]
+				plan.Prepare(mt) // the records come producers first
+				ready = append(ready, plan.Complete(mt).NewReadyTasks...)
 			}
 		}
 	}
@@ -206,8 +215,8 @@ func TestJobDoneLeavesSharedBuild(t *testing.T) {
 }
 
 // TestFailedBuildCompletesDispatches: a job whose build failed keeps the
-// error, so a repeated Prepare does not build again, and every Dispatch for
-// it completes with the builder's message: that Complete is how the master
+// error, so a repeated Prepare does not build again, and every Task for it
+// completes with the builder's message: that record is how the master
 // learns the build failed. A JobDone then forgets the job.
 func TestFailedBuildCompletesDispatches(t *testing.T) {
 	a, c := joined(t, Config{Cores: 1})
@@ -215,9 +224,8 @@ func TestFailedBuildCompletesDispatches(t *testing.T) {
 	c.Send(wire.Prepare{JobID: 1, Workload: failingBuild})
 	c.Send(wire.Prepare{JobID: 1, Workload: failingBuild})
 	for seq := uint64(1); seq <= 2; seq++ {
-		c.Send(wire.Dispatch{JobID: 1, MTID: int32(seq), Seq: seq})
-		m, ok := read(t, c).(wire.Complete)
-		if !ok || m.Seq != seq || !strings.Contains(m.Err, "agent-test builder refused") {
+		c.Send(task(1, int32(seq), seq))
+		if m := taskDone(t, c); m.Seq != seq || !strings.Contains(m.Err, "agent-test builder refused") {
 			t.Fatalf("got %+v, want seq %d completed with the builder's error", m, seq)
 		}
 	}
@@ -243,9 +251,9 @@ func generated() (n [countedParts]int64) {
 }
 
 // TestDispatchGeneratesWhatItReads: a Prepare makes no input rows. A
-// Dispatch of a monotask that reads the job's generated input makes the
-// partitions that monotask reads and no other. A monotask dispatched, aborted
-// and dispatched again leaves each partition it reads holding its rows once.
+// Task whose monotask reads the job's generated input makes the partitions
+// that monotask reads and no other. A monotask dispatched, aborted and
+// dispatched again leaves each partition it reads holding its rows once.
 // Run it under -race: the aborted and the live execution may make one
 // partition at once.
 func TestDispatchGeneratesWhatItReads(t *testing.T) {
@@ -281,9 +289,9 @@ func TestDispatchGeneratesWhatItReads(t *testing.T) {
 		t.Fatalf("Prepare made input rows: %v, before %v", now, before)
 	}
 	first := roots[0]
-	c.Send(wire.Dispatch{JobID: 1, MTID: int32(first.ID), Seq: 1})
-	if m, ok := read(t, c).(wire.Complete); !ok || m.Seq != 1 || m.Err != "" {
-		t.Fatalf("got %+v, want the clean completion of seq 1", m)
+	c.Send(task(1, int32(first.ID), 1))
+	if m := taskDone(t, c); m.Seq != 1 || m.Err != "" {
+		t.Fatalf("got %+v, want the clean record of seq 1", m)
 	}
 	now := generated()
 	for p := range now {
@@ -297,15 +305,13 @@ func TestDispatchGeneratesWhatItReads(t *testing.T) {
 	}
 
 	again := roots[1]
-	c.Send(wire.Dispatch{JobID: 1, MTID: int32(again.ID), Seq: 2})
+	c.Send(task(1, int32(again.ID), 2))
 	c.Send(wire.Abort{JobID: 1, MTID: int32(again.ID), Seq: 2})
-	c.Send(wire.Dispatch{JobID: 1, MTID: int32(again.ID), Seq: 3})
+	c.Send(task(1, int32(again.ID), 3))
 	for {
-		m, ok := read(t, c).(wire.Complete)
-		if !ok || m.Err != "" {
-			t.Fatalf("got %+v, want a clean completion", m)
-		}
-		if m.Seq == 3 {
+		if m := taskDone(t, c); m.Err != "" {
+			t.Fatalf("got %+v, want a clean record", m)
+		} else if m.Seq == 3 {
 			break
 		}
 	}

@@ -13,48 +13,67 @@ import (
 	"ursa/internal/wire"
 )
 
-// remoteExecutor implements live.Backend by shipping monotasks to worker
-// agents: Start encodes a Dispatch naming the input partitions' holders,
-// the agent executes and reports a measured Complete, and handleComplete
-// commits the outputs to the master's canonical store and feeds the
-// (bytes, seconds) sample into the worker's rate monitor — the §4.2.2
-// feedback loop closed over a socket.
+// remoteExecutor implements live.Backend by shipping placed tasks to worker
+// agents: StartTask encodes one Task frame naming the task's monotasks and
+// their input partitions' holders, the agent runs them in its own
+// per-resource queues (§4.2.3) and answers with one TaskDone carrying a
+// measured record per monotask, and handleTaskDone commits each record's
+// outputs to the master's canonical store and feeds its (bytes, seconds)
+// sample into the worker's rate monitor — the §4.2.2 feedback loop closed
+// over a socket.
 //
-// Everything here is owned by the control loop: Start and the abort hooks
-// run on it by the executor contract, and completions are relayed onto it
-// through the driver inbox. Which workers hold which committed partition —
+// Everything here is owned by the control loop: StartTask and the abort
+// hooks run on it by the executor contract, and completions are relayed onto
+// it through the driver inbox. Which workers hold which committed partition —
 // the §4.3 checkpoint metadata fetch specs are built from — is not here: the
 // Commit event writes it into the control-plane state (State.Origins), and
 // buildFetches reads it there.
 type remoteExecutor struct {
 	m *Master
 
-	seq        uint64
+	seq uint64
+	// dispatches holds the record the master awaits for every monotask of a
+	// dispatched task that is not a replay, under its at-most-once token.
 	dispatches map[cpstate.MTKey]*dispatchState
-	// fetchRefs counts, per origin worker, the in-flight dispatches whose
-	// fetch specs name it as a peer-to-peer holder. A drain completes only
-	// once the worker's count reaches zero: until then some agent may still
-	// be pulling from its shuffle server, and cutting it loose would turn a
+	// fetchRefs counts, per origin worker, the in-flight tasks whose fetch
+	// specs name it as a peer-to-peer holder. A drain completes only once
+	// the worker's count reaches zero: until then some agent may still be
+	// pulling from its shuffle server, and cutting it loose would turn a
 	// graceful drain into fetch fallbacks.
 	fetchRefs map[int]int
 	// recovered marks the commits inherited from the previous generation
 	// (State.Commits) whose every output the takeover pulled back into the
-	// canonical store: when the scheduler re-places such a monotask, Start
-	// completes it from the checkpoint instead of re-dispatching (§4.3
-	// across masters).
+	// canonical store: the master completes such a monotask itself, from the
+	// checkpoint, once it is ready, and its task's frame names it as a
+	// replay (§4.3 across masters).
 	recovered map[cpstate.MTKey]bool
 }
 
+// taskState is one dispatched task: what its monotasks' records share.
+type taskState struct {
+	worker int
+	jobID  int64
+	task   *dag.Task
+	done   func(mt *dag.Monotask, bytes, seconds float64)
+	sentAt time.Time
+	// pending counts the records still awaited.
+	pending int
+	// fetchOrigins are the peer workers the task's fetch specs name — the
+	// holds counted in remoteExecutor.fetchRefs, released when the last
+	// record arrives or the task is aborted.
+	fetchOrigins []int
+	// precommits are the task's recovered monotasks, which the master
+	// completes itself as each becomes ready.
+	precommits []*dag.Monotask
+	aborted    bool
+}
+
+// dispatchState is one awaited record.
 type dispatchState struct {
 	seq     uint64
-	worker  int
+	task    *taskState
 	mt      *dag.Monotask
-	done    func(bytes, seconds float64)
 	release func()
-	sentAt  time.Time
-	// fetchOrigins are the peer workers this dispatch's fetch specs name —
-	// the holds counted in remoteExecutor.fetchRefs.
-	fetchOrigins []int
 }
 
 func newRemoteExecutor(m *Master) *remoteExecutor {
@@ -103,103 +122,146 @@ func (e *remoteExecutor) Close() {
 	}
 }
 
-// Start implements core.MonotaskExecutor. Runs on the control loop: it
-// keeps the dispatch under a fresh sequence number (the at-most-once commit
-// token), mirrors the in-process executor's core accounting so placement
-// sees real occupancy, and ships the Dispatch with one fetch spec per
-// input-partition holder, preceded by the job's Prepare on the worker's
-// first dispatch of the job. Nothing is journaled: in-flight work is this
+// StartTask implements core.TaskExecutor. Runs on the control loop: it
+// names every monotask of the task in one Task frame — a fresh sequence
+// number (the at-most-once commit token) for each that runs, Seq 0 for a
+// replay (committed already, or recovered from the previous generation's
+// checkpoint) — with one fetch spec per input-partition holder, preceded by
+// the job's Prepare on the worker's first task of the job. A CPU monotask
+// holds a core of its worker from here until its record arrives, so
+// placement sees real occupancy. Nothing is journaled: in-flight work is this
 // executor's alone, and a takeover voids it.
-func (e *remoteExecutor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func()) {
+func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, prio float64, done func(mt *dag.Monotask, bytes, seconds float64)) (abort func()) {
 	rj := e.m.jobs.of(j)
 	if rj == nil {
 		panic(fmt.Sprintf("remote: job %d has no row (use Master.Submit or the front door, not Sys.Submit)", j.ID))
 	}
-	key := cpstate.MTKey{Job: rj.id, MT: int32(mt.ID)}
-
-	// Precommit short-circuit: the previous generation already committed
-	// this monotask and the takeover pulled its outputs into the canonical
-	// store — complete it from the checkpoint instead of re-executing. The
-	// completion is posted (not run inline) so it lands outside the
-	// scheduler's placement pass, like any real completion; the worker-
-	// measured seconds re-feed the rate monitors as a normal sample.
-	if e.recovered[key] {
-		delete(e.recovered, key)
-		var seconds float64
-		e.m.rec.read(func(st *cpstate.State) { seconds = st.Commits[key].Seconds })
-		cancelled := false
-		e.m.Sys.Drv.Loop().Post(func() {
-			if cancelled {
-				return
+	ts := &taskState{worker: w.ID, jobID: rj.id, task: t, done: done, sentAt: time.Now()}
+	frame := wire.Task{JobID: rj.id, Prio: prio, MTs: make([]wire.Dispatch, len(t.Monotasks))}
+	plan := rj.rt().Plan()
+	open := e.m.rec.read(func(cp *cpstate.State) {
+		for i, mt := range t.Monotasks {
+			frame.MTs[i] = wire.Dispatch{
+				JobID: rj.id, MTID: int32(mt.ID), EstInput: mt.EstInput,
+				Fetches: buildFetches(cp, rj.id, localrt.InputParts(plan, mt), w.ID),
 			}
-			e.m.Journal.ObservePrecommit()
-			done(mt.InputBytes, seconds)
-		})
-		return func() { cancelled = true }
-	}
-
-	e.seq++
-	st := &dispatchState{
-		seq: e.seq, worker: w.ID, mt: mt, done: done, release: core.HoldCore(w, mt),
-		sentAt: time.Now(),
-	}
-	var fetches []wire.FetchSpec
-	parts := localrt.InputParts(rj.rt().Plan(), mt)
-	open := e.m.rec.read(func(cp *cpstate.State) { fetches = buildFetches(cp, rj.id, parts, w.ID) })
-	for _, sp := range fetches {
-		o := int(sp.Origin)
-		if sp.Origin < 0 || slices.Contains(st.fetchOrigins, o) {
-			continue
 		}
-		st.fetchOrigins = append(st.fetchOrigins, o)
-		e.fetchRefs[o]++
+	})
+	for i, mt := range t.Monotasks {
+		key := cpstate.MTKey{Job: rj.id, MT: int32(mt.ID)}
+		switch {
+		case mt.State == dag.MTDone:
+		case e.recovered[key]:
+			delete(e.recovered, key)
+			ts.precommits = append(ts.precommits, mt)
+		default:
+			e.seq++
+			frame.MTs[i].Seq = e.seq
+			e.dispatches[key] = &dispatchState{seq: e.seq, task: ts, mt: mt, release: core.HoldCore(w, mt)}
+			ts.pending++
+		}
+		for _, sp := range frame.MTs[i].Fetches {
+			if o := int(sp.Origin); sp.Origin >= 0 && !slices.Contains(ts.fetchOrigins, o) {
+				ts.fetchOrigins = append(ts.fetchOrigins, o)
+			}
+		}
 	}
-	e.dispatches[key] = st
-
-	d := wire.Dispatch{JobID: key.Job, MTID: key.MT, Seq: st.seq, Fetches: fetches}
+	// Recovered monotasks complete here, posted so they land outside the
+	// scheduler's placement pass like any real completion; the worker-
+	// measured seconds re-feed the rate monitors as a normal sample.
+	if len(ts.precommits) > 0 {
+		e.m.Sys.Drv.Loop().Post(func() { e.settlePrecommits(ts) })
+	}
 	link := e.m.link(w.ID)
-	e.m.Transport.ObserveDispatch(w.ID)
-	// No Dispatch after the fence: commits since the fence never became
-	// origins, and an agent fed from those frozen fetch specs would keep a
-	// partial output for the next generation to reuse (DESIGN §13).
-	sent := link != nil && open
-	// A worker learns a job from its first dispatch: this is the one place a
-	// Prepare is sent, once per (worker, job), just ahead of the Dispatch on
-	// the same FIFO connection. A re-attached or new slot holds nothing yet.
-	if sent && !slices.Contains(rj.prepared, w.ID) {
-		rj.prepared = append(rj.prepared, w.ID)
-		// Always found: every source records JobSubmitted before it submits the row.
-		js, _ := e.m.rec.job(rj.id)
-		sent = link.conn.Send(wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params})
-	}
-	if !sent || !link.conn.Send(d) {
-		// The conn died under us (or Close is about to cut it); schedule the
-		// failure instead of handling it reentrantly inside the scheduler's
-		// placement pass. The abort hook below reclaims this dispatch when
-		// FailWorker fires.
-		cause := fmt.Errorf("remote: dispatch to worker %d failed", w.ID)
-		e.m.Sys.Drv.Loop().Post(func() { e.m.failWorker(w.ID, cause) })
+	if ts.pending == 0 {
+		// Every monotask left is recovered: nothing runs on the worker.
+		ts.fetchOrigins = nil
+	} else {
+		for _, o := range ts.fetchOrigins {
+			e.fetchRefs[o]++
+		}
+		for range ts.pending {
+			e.m.Transport.ObserveDispatch(w.ID)
+		}
+		// No Task after the fence: commits since the fence never became
+		// origins, and an agent fed from those frozen fetch specs would keep a
+		// partial output for the next generation to reuse (DESIGN §13).
+		sent := link != nil && open
+		// A worker learns a job from its first task: this is the one place a
+		// Prepare is sent, once per (worker, job), just ahead of the Task on
+		// the same FIFO connection. A re-attached or new slot holds nothing yet.
+		if sent && !slices.Contains(rj.prepared, w.ID) {
+			rj.prepared = append(rj.prepared, w.ID)
+			// Always found: every source records JobSubmitted before it submits the row.
+			js, _ := e.m.rec.job(rj.id)
+			sent = link.conn.Send(wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params})
+		}
+		if !sent || !link.conn.Send(frame) {
+			// The conn died under us (or Close is about to cut it); schedule the
+			// failure instead of handling it reentrantly inside the scheduler's
+			// placement pass. The abort hook below reclaims this task when
+			// FailWorker fires.
+			cause := fmt.Errorf("remote: dispatch to worker %d failed", w.ID)
+			e.m.Sys.Drv.Loop().Post(func() { e.m.failWorker(w.ID, cause) })
+		}
 	}
 
 	return func() {
-		if e.dispatches[key] != st {
+		if ts.aborted {
 			return
 		}
-		delete(e.dispatches, key)
-		st.release()
-		e.releaseFetchRefs(st)
-		// Best-effort: tell the agent to discard the in-flight execution.
-		// If the connection is gone the seq check drops the completion.
-		if link != nil {
-			link.conn.Send(wire.Abort{JobID: key.Job, MTID: key.MT, Seq: st.seq})
+		ts.aborted = true
+		var first *dispatchState
+		for _, mt := range t.Monotasks {
+			key := cpstate.MTKey{Job: rj.id, MT: int32(mt.ID)}
+			if st := e.dispatches[key]; st != nil && st.task == ts {
+				delete(e.dispatches, key)
+				st.release()
+				if first == nil {
+					first = st
+				}
+			}
 		}
+		e.releaseFetchRefs(ts)
+		// A recovered monotask not yet completed stays recovered for the
+		// task's next placement.
+		for _, mt := range ts.precommits {
+			e.recovered[cpstate.MTKey{Job: rj.id, MT: int32(mt.ID)}] = true
+		}
+		// Best-effort: tell the agent to discard the in-flight task; any of
+		// its awaited monotasks names it. If the connection is gone the seq
+		// check drops the records.
+		if link != nil && first != nil {
+			link.conn.Send(wire.Abort{JobID: rj.id, MTID: int32(first.mt.ID), Seq: first.seq})
+		}
+	}
+}
+
+// settlePrecommits completes, from the checkpoint, each of the task's
+// recovered monotasks that is ready, until none is. Loop-owned.
+func (e *remoteExecutor) settlePrecommits(ts *taskState) {
+	for i := 0; i < len(ts.precommits) && !ts.aborted; {
+		mt := ts.precommits[i]
+		if mt.State != dag.MTReady {
+			i++
+			continue
+		}
+		ts.precommits = slices.Delete(ts.precommits, i, i+1)
+		i = 0
+		var seconds float64
+		e.m.rec.read(func(st *cpstate.State) {
+			seconds = st.Commits[cpstate.MTKey{Job: ts.jobID, MT: int32(mt.ID)}].Seconds
+		})
+		e.m.Journal.ObservePrecommit()
+		ts.done(mt, mt.InputBytes, seconds)
 	}
 }
 
 // buildFetches names a holder for every input partition a monotask of job
 // jobID, running on worker workerID, reads — a pure function of the
 // control-plane state. No recorded origin means the partition is a job input
-// (or empty): the agent seeded it locally from the deterministic builder,
+// (made by the reading monotask itself), empty, or written inside the
+// monotask's own task (the agent holds it, or re-runs its replayed producer):
 // nothing to fetch. An origin that no longer serves peers (failed, or
 // drained: its contributions now live only in the canonical store) redirects
 // the whole partition to the master's store, which holds every committed
@@ -232,26 +294,39 @@ func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, w
 	return out
 }
 
-// handleComplete commits one completion. Runs on the control loop. The
-// (key, seq, worker) check makes the commit at-most-once: completions from
-// aborted or re-dispatched attempts are dropped, so a monotask's outputs
-// enter the checkpoint exactly once and its rate sample is counted once.
-func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
+// handleTaskDone commits a task's records in the order they came, producers
+// before consumers. Runs on the control loop. The (key, seq, worker) check
+// makes each commit at-most-once: records from aborted or re-dispatched
+// attempts are dropped, so a monotask's outputs enter the checkpoint exactly
+// once and its rate sample is counted once.
+func (e *remoteExecutor) handleTaskDone(workerID int, td wire.TaskDone) {
+	for _, c := range td.Records {
+		if !e.commit(workerID, c) {
+			return
+		}
+	}
+}
+
+// commit commits one record, reporting false once the run has failed.
+func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
 	key := cpstate.MTKey{Job: c.JobID, MT: c.MTID}
 	st := e.dispatches[key]
-	if st == nil || st.seq != c.Seq || st.worker != workerID {
+	if st == nil || st.seq != c.Seq || st.task.worker != workerID {
 		// Stale: aborted, re-dispatched, duplicate, or minted by a previous
 		// generation (seq namespaces never collide across takeovers, so an
 		// old master's token can never match a new dispatch).
 		e.m.Journal.ObserveDupCommit()
-		return
+		return true
 	}
 	delete(e.dispatches, key)
 	st.release()
-	e.releaseFetchRefs(st)
+	ts := st.task
+	if ts.pending--; ts.pending == 0 {
+		e.releaseFetchRefs(ts)
+	}
 	if c.Err != "" {
 		e.m.Sys.Fail(fmt.Errorf("remote: worker %d: %v failed: %s", workerID, st.mt, c.Err))
-		return
+		return false
 	}
 	rj := e.m.jobs.get(c.JobID)
 	writes := make([]cpstate.CommitWrite, len(c.Writes))
@@ -259,13 +334,14 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		ds := rj.rt().DatasetByID(int(w.DatasetID))
 		if ds == nil {
 			e.m.Sys.Fail(fmt.Errorf("remote: worker %d wrote unknown dataset %d", workerID, w.DatasetID))
-			return
+			return false
 		}
-		// Checkpoint at the master (§4.3): completed monotask outputs are
-		// durable here even if every producing agent later dies. The blob is
-		// stored exactly as the worker encoded it — no decode, no re-encode —
-		// so fallback fetches serve byte-identical contributions, and the
-		// rows materialize lazily only if the master itself reads them.
+		// Checkpoint at the master (§4.3): completed monotask outputs that
+		// leave their task are durable here even if every producing agent
+		// later dies. The blob is stored exactly as the worker encoded it — no
+		// decode, no re-encode — so fallback fetches serve byte-identical
+		// contributions, and the rows materialize lazily only if the master
+		// itself reads them.
 		rj.rt().InsertEncoded(ds, int(w.Part), int(c.MTID), w.Rows, w.Flags, int(w.RawLen))
 		writes[i] = cpstate.CommitWrite{DS: w.DatasetID, Part: w.Part}
 	}
@@ -276,22 +352,24 @@ func (e *remoteExecutor) handleComplete(workerID int, c wire.Complete) {
 		JobID: c.JobID, MTID: c.MTID, Worker: int32(workerID), Seq: c.Seq,
 		Seconds: c.Seconds, Writes: writes,
 	})
-	e.m.Transport.ObserveCompletion(workerID, time.Since(st.sentAt).Seconds(),
+	e.m.Transport.ObserveCompletion(workerID, time.Since(ts.sentAt).Seconds(),
 		c.FetchedWireBytes, c.FetchedRawBytes, int(c.FetchRetries), int(c.FetchFallbacks))
-	st.done(st.mt.InputBytes, c.Seconds)
+	ts.done(st.mt, st.mt.InputBytes, c.Seconds)
+	e.settlePrecommits(ts)
+	return true
 }
 
-// releaseFetchRefs drops a settled dispatch's holds on its fetch origins.
+// releaseFetchRefs drops a settled task's holds on its fetch origins.
 // A draining worker whose last hold just dropped may now complete its
 // drain. Loop-owned.
-func (e *remoteExecutor) releaseFetchRefs(st *dispatchState) {
-	for _, o := range st.fetchOrigins {
+func (e *remoteExecutor) releaseFetchRefs(ts *taskState) {
+	for _, o := range ts.fetchOrigins {
 		if e.fetchRefs[o]--; e.fetchRefs[o] <= 0 {
 			delete(e.fetchRefs, o)
 			e.m.maybeFinishDrain(o)
 		}
 	}
-	st.fetchOrigins = nil
+	ts.fetchOrigins = nil
 }
 
 // migrateOrigins counts a drained worker's committed contributions: every

@@ -23,7 +23,7 @@ type RemoteJob struct {
 	// control loop as the job is queued, when the row enters the table.
 	Live *live.Job
 
-	// id is the job's stable wire-level identity — what Prepare/Dispatch
+	// id is the job's stable wire-level identity — what Prepare/Task
 	// frames and control-plane events carry. It is decoupled from
 	// core.Job.ID (a dense per-scheduler index) so a takeover master
 	// resubmitting the backlog keeps every ID the workers and the journal
@@ -38,7 +38,7 @@ type RemoteJob struct {
 	submitID int64
 
 	// prepared lists the slots the job's Prepare was sent to: each got it
-	// just ahead of its first Dispatch of the job. Loop-owned.
+	// just ahead of its first Task of the job. Loop-owned.
 	prepared []int
 
 	// memPeak accumulates the workers' per-monotask memory high-water marks —
@@ -70,7 +70,7 @@ func (j *RemoteJob) rt() *localrt.Runtime { return j.Live.Runtime() }
 
 // jobTable is the master's one index of jobs: by wire ID (frames, events,
 // the shuffle server's resolver — hence the mutex) and by scheduler job (the
-// core's hooks and the executor's Start).
+// core's hooks and the executor's StartTask).
 type jobTable struct {
 	mu     sync.Mutex
 	byID   map[int64]*RemoteJob

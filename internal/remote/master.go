@@ -1,10 +1,11 @@
 // Package remote is the master side of the distributed data plane: the live
 // scheduling core (internal/live) with its execution back-end replaced by a
-// RemoteExecutor that dispatches monotasks to worker agent processes over
-// TCP. The control plane above the Backend seam — admission under the
-// memory reservation, Algorithm-1 placement, per-resource worker queues —
-// is byte-for-byte the code the simulator runs; only the clock (wall) and
-// the executor (sockets) differ. Worker liveness is heartbeat-based: a
+// RemoteExecutor that ships placed tasks to worker agent processes over
+// TCP, each agent running the task's monotasks in its own per-resource
+// queues (§4.2.3, package mtqueue, the code the simulator's workers run).
+// The control plane above the Backend seam — admission under the memory
+// reservation, Algorithm-1 placement — is byte-for-byte the code the
+// simulator runs; only the clock (wall) and the executor (sockets) differ. Worker liveness is heartbeat-based: a
 // worker missing 3 consecutive heartbeats is failed through the core's §4.3
 // recovery path (abort in-flight, reset for retry, re-place), with the
 // master's canonical contribution store standing in for dead shuffle
@@ -671,7 +672,7 @@ func (m *Master) handshake(nc net.Conn) {
 func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register) {
 	c := wire.NewConnFrom(nc, br, wire.Config{
 		// Pooled frames: the readLoop's only blob-carrying message is
-		// Complete, whose writes are deep-copied before leaving the handler.
+		// TaskDone, whose writes are deep-copied before leaving the handler.
 		PooledReads: true,
 	})
 	m.mu.Lock()
@@ -729,10 +730,14 @@ func (m *Master) claim(reg wire.Register) (id int, claimed bool) {
 
 // welcome is the master's answer to a registration it accepted as worker id.
 func (m *Master) welcome(id int) wire.Welcome {
+	cfg := m.Sys.Core.Cfg
 	return wire.Welcome{
-		WorkerID:        int32(id),
-		HeartbeatMicros: m.cfg.HeartbeatInterval.Microseconds(),
-		Gen:             m.gen,
+		WorkerID:                int32(id),
+		HeartbeatMicros:         m.cfg.HeartbeatInterval.Microseconds(),
+		Gen:                     m.gen,
+		NetConcurrency:          int32(cfg.NetConcurrency),
+		SmallMonotaskBytes:      cfg.SmallMonotaskBytes,
+		DisableMonotaskOrdering: cfg.DisableMonotaskOrdering,
 	}
 }
 
@@ -859,7 +864,8 @@ func (m *Master) maybeFinishDrain(id int) {
 
 // recordDrained deregisters a worker whose drain is complete. Every
 // contribution it ever committed is already checkpointed in the canonical
-// store (handleComplete inserts each one), so migration is pure routing:
+// store (commit inserts each one that leaves its task; one that never
+// leaves it is never fetched), so migration is pure routing:
 // once WorkerDrained is recorded, buildFetches serves its partitions from
 // the master — no data moves. Loop-owned, or a takeover's recovery.
 func (m *Master) recordDrained(id int) {
@@ -919,16 +925,18 @@ func (m *Master) readLoop(link *workerLink) {
 		switch msg := msg.(type) {
 		case wire.Heartbeat:
 			link.lastBeat.Store(time.Now().UnixNano())
-		case wire.Complete:
+		case wire.TaskDone:
 			// Pooled reads recycle the frame buffer on the connection's next
-			// read, while handleComplete runs later on the control loop: the
+			// read, while handleTaskDone runs later on the control loop: the
 			// write blobs must be copied out now. The copy is not overhead —
 			// it becomes the canonical store's owned checkpoint blob, inserted
 			// without further copying or re-encoding.
-			for i := range msg.Writes {
-				msg.Writes[i].Rows = append([]byte(nil), msg.Writes[i].Rows...)
+			for _, c := range msg.Records {
+				for i := range c.Writes {
+					c.Writes[i].Rows = append([]byte(nil), c.Writes[i].Rows...)
+				}
 			}
-			m.Sys.Drv.Send(func() { m.exec.handleComplete(link.id, msg) })
+			m.Sys.Drv.Send(func() { m.exec.handleTaskDone(link.id, msg) })
 		case wire.DrainWorker:
 			// Worker-requested drain (the worker binary's SIGINT/SIGTERM):
 			// same master-side state machine as an operator-initiated

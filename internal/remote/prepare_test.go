@@ -107,6 +107,38 @@ func TestInputsGeneratedWhereRead(t *testing.T) {
 	}
 }
 
+// TestInputsGeneratedWhereReadSQL: a "sql" job's tables arrive as CSV text in
+// its params, and the master makes none of their rows: describing the job
+// counts them, and the agents' monotasks that read each partition parse it.
+// Its rows equal direct execution.
+func TestInputsGeneratedWhereReadSQL(t *testing.T) {
+	name, params := workload.SQLCSV(workload.SQLCSVParams{
+		Query:  "SELECT region, SUM(amount) AS total FROM sales GROUP BY region ORDER BY total DESC",
+		Tables: []workload.CSVTable{{Name: "sales", CSV: "region,amount\neast,10\nwest,5\neast,7\nnorth,9\nwest,1\n"}},
+	})
+	lc := startCluster(t, 2, Config{})
+	job, err := lc.Master.Submit(name, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	made, declared := 0, 0
+	for _, in := range job.Built.Inputs {
+		made += len(in.Rows)
+		declared += in.Len()
+	}
+	if made != 0 || declared != 5 {
+		t.Fatalf("the master made %d of the job's %d input rows, want 0 of 5", made, declared)
+	}
+	runCluster(t, lc)
+	got, err := job.ResultRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := stringify(directRows(t, name, params)); !slices.Equal(stringify(got), want) {
+		t.Errorf("rows %v, want %v", stringify(got), want)
+	}
+}
+
 func init() {
 	workload.Register(oneTask, func(params []byte) (*workload.BuiltJob, error) {
 		oneTaskBuilds.Add(1)

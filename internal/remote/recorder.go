@@ -121,7 +121,7 @@ func (r *recorder) owned() metrics.JournalOwned {
 // read runs fn on the state under the recorder's lock — the master's read
 // path into its own registry — and reports whether the recorder still
 // records (false once fenced) in the same critical section: the executor
-// sends no Dispatch whose fetch specs were read after the fence. On the
+// sends no Task whose fetch specs were read after the fence. On the
 // control loop the lock is uncontended (handshake goroutines are the only
 // other writer). fn must not keep st or anything reachable from it, and must
 // not record.

@@ -461,7 +461,7 @@ func NewClient(addr string, cfg ClientConfig) *Client {
 // call, and a sink that keeps bytes must copy them (or hand ownership of a
 // copy to a store, as the agent does). wireBytes is the payload bytes that
 // crossed the network, rawBytes their declared encoded size — the
-// numbers the agent reports in Complete. retries is how many attempts
+// numbers the agent reports in a monotask's record. retries is how many attempts
 // beyond the first were needed; err is non-nil only once the retry budget
 // is exhausted (transient transport faults — dial failures, response
 // timeouts, mid-frame truncations — are absorbed here). Protocol-level

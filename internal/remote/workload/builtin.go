@@ -245,9 +245,10 @@ type CSVTable struct {
 }
 
 // SQLCSVParams shapes the "sql" workload: an arbitrary query over tables
-// shipped as CSV in the params. Unlike "sql_analytics" (generated inputs),
-// the CSV text IS part of the job identity: every process parses the same
-// bytes, so the builder stays deterministic.
+// shipped as CSV in the params. The CSV text IS part of the job identity:
+// every process parses the same bytes, so the builder stays deterministic.
+// Each table is a generated input (sqlmini.GenCSV): describing a job only
+// counts its rows, and the monotask that reads a partition parses it.
 type SQLCSVParams struct {
 	Query  string
 	Tables []CSVTable
@@ -277,7 +278,7 @@ func buildSQL(params []byte) (*BuiltJob, error) {
 	}
 	db := sqlmini.NewDB()
 	for _, ct := range p.Tables {
-		t, err := sqlmini.LoadCSV(ct.Name, strings.NewReader(ct.CSV))
+		t, err := sqlmini.GenCSV(ct.Name, ct.CSV)
 		if err != nil {
 			return nil, fmt.Errorf("workload: sql table %q: %w", ct.Name, err)
 		}

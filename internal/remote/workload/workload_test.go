@@ -102,10 +102,22 @@ func inputsFingerprint(inputs []localrt.PlanInput) uint64 {
 // TestGeneratedPartitionsMatchSplit: for every builtin, each partition a
 // generated input makes is, row for row, SplitInput's partition of Build's
 // materialized rows, and the row count it declares is theirs. Build's rows
-// are the ones the builtin made before its inputs were generated.
+// are the ones the builtin made before its inputs were generated. Every
+// table of a "sql" job is generated.
 func TestGeneratedPartitionsMatchSplit(t *testing.T) {
 	generated := 0
 	for _, c := range closureCases() {
+		if c.name == "sql" {
+			desc, err := Describe(c.name, c.params)
+			if err != nil {
+				t.Fatalf("%s: %v", c.label, err)
+			}
+			for i, in := range desc.Inputs {
+				if in.Gen == nil {
+					t.Errorf("%s: input %d is not generated", c.label, i)
+				}
+			}
+		}
 		bj, err := Build(c.name, c.params)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
@@ -140,15 +152,16 @@ func TestGeneratedPartitionsMatchSplit(t *testing.T) {
 }
 
 // TestRowTypeClosure runs every builtin the way the cluster does, one
-// monotask at a time with nothing but blobs between them: each monotask runs
-// in a runtime of its own whose inputs arrive encoded from a canonical store
-// (as shuffle fetches do) and whose outputs go back encoded (as a Complete's
-// writes do). Every contribution that leaves a monotask, job inputs
-// included, is therefore encoded and decoded by Codec{}, so a row type a
-// builtin ships but nobody registered fails here, not in a cluster job; and
-// the result must equal the codec-less run's down to the dynamic type of
-// every cell. A chain-internal dataset never leaves its monotask, so its
-// rows are never encoded, here or in a cluster.
+// monotask at a time with nothing but blobs between tasks: each task runs in
+// a runtime of its own whose inputs arrive encoded from a canonical store (as
+// shuffle fetches do) and whose outputs go back encoded (as a completion's
+// writes do). Every contribution that leaves a task, job inputs included, is
+// therefore encoded and decoded by Codec{}, so a row type a builtin ships but
+// nobody registered fails here, not in a cluster job; and the result must
+// equal the codec-less run's down to the dynamic type of every cell. A
+// chain-internal dataset never leaves its monotask and a task-internal one
+// never leaves its task, so their rows are never encoded, here or in a
+// cluster.
 func TestRowTypeClosure(t *testing.T) {
 	for _, c := range closureCases() {
 		want := runDirect(t, c.name, c.params)
@@ -200,12 +213,17 @@ func runThroughBlobs(name string, params []byte) ([]localrt.Row, error) {
 	for _, task := range plan.InitialReady() {
 		ready = append(ready, task.ReadyMonotasks()...)
 	}
+	rts := make(map[*dag.Task]*localrt.Runtime)
 	for len(ready) > 0 {
 		mt := ready[0]
 		ready = ready[1:]
 		plan.Prepare(mt)
-		w := localrt.New(plan)
-		w.SetCodec(Codec{})
+		w := rts[mt.Task]
+		if w == nil {
+			w = localrt.New(plan)
+			w.SetCodec(Codec{})
+			rts[mt.Task] = w
+		}
 		for _, in := range localrt.InputParts(plan, mt) {
 			refs, err := canon.PartBlobsAppend(nil, in.Dataset, in.Part)
 			if err != nil {
@@ -243,16 +261,16 @@ func runThroughBlobs(name string, params []byte) ([]localrt.Row, error) {
 }
 
 // TestOutputLeavesItsMonotask: a runtime with a codec never commits a
-// chain-internal dataset, so a builtin whose result were one would reach the
-// master empty.
+// chain-internal dataset nor ships a task-internal one, so a builtin whose
+// result were either would reach the master empty.
 func TestOutputLeavesItsMonotask(t *testing.T) {
 	for _, c := range closureCases() {
 		bj, err := Build(c.name, c.params)
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		if bj.Plan.ChainInternal(bj.Output) {
-			t.Errorf("%s: output dataset %d is chain-internal", c.label, bj.Output.ID)
+		if bj.Plan.ChainInternal(bj.Output) || bj.Plan.TaskInternal(bj.Output) {
+			t.Errorf("%s: output dataset %d never leaves its monotask or task", c.label, bj.Output.ID)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func (db *DB) Get(name string) (*Table, bool) {
 }
 
 // LoadCSV reads a table from CSV with a header row; numeric-looking cells
-// become float64.
+// become float64, the rest stay strings.
 func LoadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	header, err := cr.Read()
@@ -74,17 +74,53 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sql: reading CSV: %w", err)
 		}
-		row := make([]Value, len(rec))
-		for i, cell := range rec {
-			if f, err := strconv.ParseFloat(cell, 64); err == nil {
-				row[i] = f
-			} else {
-				row[i] = cell
-			}
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, csvRow(rec))
 	}
 	return t, nil
+}
+
+// GenCSV is LoadCSV as a generated table: it reads text once for the header
+// and the row count and keeps no row, and its generator reads text again for
+// each partition, keeping rows i%parts == part (localrt.PartGen's rule).
+func GenCSV(name, text string) (*Table, error) {
+	cr := csv.NewReader(strings.NewReader(text))
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("sql: reading CSV header: %w", err)
+	}
+	n := 0
+	for ; ; n++ {
+		if _, err := cr.Read(); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("sql: reading CSV: %w", err)
+		}
+	}
+	return &Table{Name: name, Cols: header, N: n, Gen: func(part, parts int) [][]Value {
+		cr := csv.NewReader(strings.NewReader(text))
+		cr.Read() // the header; every record parsed once already
+		out := make([][]Value, 0, localrt.PartLen(n, part, parts))
+		for i := 0; i < n; i++ {
+			rec, _ := cr.Read()
+			if i%parts == part {
+				out = append(out, csvRow(rec))
+			}
+		}
+		return out
+	}}, nil
+}
+
+// csvRow types a CSV record's cells: float64 where they parse, else string.
+func csvRow(rec []string) []Value {
+	row := make([]Value, len(rec))
+	for i, cell := range rec {
+		if f, err := strconv.ParseFloat(cell, 64); err == nil {
+			row[i] = f
+		} else {
+			row[i] = cell
+		}
+	}
+	return row
 }
 
 // Result is a query's output relation.

@@ -64,7 +64,7 @@ type Config struct {
 	SendQueue int
 	// PooledReads makes ReadMsg decode frames in a connection-retained buffer
 	// instead of allocating per frame. The aliasing contract: blob-carrying
-	// fields of a decoded message (Complete.Writes rows, FetchResp contribs,
+	// fields of a decoded message (TaskDone record writes, FetchResp contribs,
 	// Prepare params) alias that buffer and are invalidated by the NEXT read
 	// on the connection. Handlers that process each message synchronously
 	// before the read loop continues are safe as-is; anything that retains a

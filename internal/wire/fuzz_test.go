@@ -25,15 +25,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		Welcome{WorkerID: 1, HeartbeatMicros: 250000, Gen: 2},
 		Heartbeat{WorkerID: 1, SentUnixMicros: 42},
 		Prepare{JobID: 1, Workload: "wc", Params: []byte{9}},
-		Dispatch{JobID: 1, MTID: 2, Seq: 3, Fetches: []FetchSpec{{DatasetID: 1, Part: 0, Origin: -1, Addr: "a"}}},
-		Complete{JobID: 1, MTID: 2, Seq: 3, Seconds: 0.5, FetchedWireBytes: 1, FetchedRawBytes: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 1, Rows: []byte("r")}}},
+		Task{JobID: 1, Prio: 2, MTs: []Dispatch{{MTID: 1}, {MTID: 2, Seq: 3, EstInput: 4, Fetches: []FetchSpec{{DatasetID: 1, Part: 0, Origin: -1, Addr: "a"}}}}},
+		TaskDone{JobID: 1, Records: []Complete{{MTID: 2, Seq: 3, Seconds: 0.5, FetchedWireBytes: 1, FetchedRawBytes: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 1, Rows: []byte("r")}}}}},
 		Abort{JobID: 1, MTID: 2, Seq: 3},
 		Fetch{JobID: 1, DatasetID: 2, Part: 3, Origin: 4},
 		FetchResp{Contribs: []PartContrib{{MTID: 1, Flags: BlobRaw, RawLen: 1, Rows: []byte("x")}}},
 		// RawLen disagreeing with the blob: the wire layer carries it as is,
 		// the codec rejects it.
 		FetchResp{Contribs: []PartContrib{{MTID: 2, Flags: BlobRaw, RawLen: 4096, Rows: []byte{0x78, 0x9c, 0x01}}}},
-		Complete{JobID: 2, MTID: 3, Seq: 4, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobRaw, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}},
+		TaskDone{JobID: 2, Records: []Complete{{MTID: 3, Seq: 4, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobRaw, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}}}},
 		JobDone{JobID: 1},
 		Shutdown{},
 		// Front-door submission frames.
@@ -50,13 +50,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		DrainWorker{WorkerID: 2, Reason: "scale-down"},
 		DrainWorker{WorkerID: 0, Reason: ""}, // self-requested, no annotation
 		DrainDone{WorkerID: 2},
-		Complete{JobID: 3, MTID: 1, Seq: 9, Seconds: 0.1, MemPeak: 1 << 20},
+		TaskDone{JobID: 3, Records: []Complete{{MTID: 1, Seq: 9, Seconds: 0.1, MemPeak: 1 << 20}, {MTID: 2, Seq: 10, Err: "x"}}},
 	}
 	for _, m := range seeds {
 		f.Add(AppendFrame(nil, m))
 	}
 	// A well-formed frame under the unassigned type byte 5, which must
-	// decode as unknown.
+	// decode as unknown (so must 6 and 7, TestRetiredTypesDecodeUnknown).
 	retired := AppendFrame(nil, Prepare{JobID: 1, Workload: "wc"})
 	retired[4] = 5
 	f.Add(retired)
@@ -66,7 +66,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
-	f.Add([]byte{0, 0, 0, 5, TDispatch, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 5, TTask, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,17 +3,16 @@ package wire
 import "fmt"
 
 // Message type bytes. The zero value is reserved so an all-zero frame is
-// invalid. Byte 5 is unassigned and decodes as unknown: an agent answers no
-// Prepare, and a failed one reaches the master as the Complete.Err of the
-// Dispatch behind it.
+// invalid. Bytes 5, 6 and 7 are unassigned and decode as unknown: an agent
+// answers no Prepare (a failed one reaches the master as the Err of the
+// records behind it), and the per-monotask Dispatch and Complete frames gave
+// way to one Task frame per placed task and one TaskDone per finished task.
 const (
 	TRegister  byte = 1  // worker → master: join the cluster
 	TWelcome   byte = 2  // master → worker: assigned identity + protocol params
 	THeartbeat byte = 3  // worker → master: liveness beacon
 	TPrepare   byte = 4  // master → worker: build a job's plan from the registry
-	TDispatch  byte = 6  // master → worker: execute one monotask
-	TComplete  byte = 7  // worker → master: measured completion + output contributions
-	TAbort     byte = 8  // master → worker: discard an in-flight dispatch
+	TAbort     byte = 8  // master → worker: discard an in-flight task
 	TFetch     byte = 9  // any → holder: request one shuffle partition
 	TFetchResp byte = 10 // holder → requester: partition contributions
 	TJobDone   byte = 11 // master → worker: job finished, release its state
@@ -27,6 +26,9 @@ const (
 
 	TDrainWorker byte = 18 // either direction: begin a graceful drain
 	TDrainDone   byte = 19 // master → worker: drain complete, exit cleanly
+
+	TTask     byte = 20 // master → worker: run one placed task's monotasks
+	TTaskDone byte = 21 // worker → master: one measured record per monotask of a task
 )
 
 // BlobRaw is the blob encoding flag every contribution carries: the blob is
@@ -55,10 +57,6 @@ func Decode(typ byte, payload []byte) (Msg, error) {
 		m = decodeHeartbeat(d)
 	case TPrepare:
 		m = decodePrepare(d)
-	case TDispatch:
-		m = decodeDispatch(d)
-	case TComplete:
-		m = decodeComplete(d)
 	case TAbort:
 		m = decodeAbort(d)
 	case TFetch:
@@ -83,6 +81,10 @@ func Decode(typ byte, payload []byte) (Msg, error) {
 		m = decodeDrainWorker(d)
 	case TDrainDone:
 		m = decodeDrainDone(d)
+	case TTask:
+		m = decodeTask(d)
+	case TTaskDone:
+		m = decodeTaskDone(d)
 	default:
 		return nil, fmt.Errorf("wire: unknown message type %d", typ)
 	}
@@ -145,7 +147,9 @@ func decodeRegister(d *Decoder) Msg {
 	}
 }
 
-// Welcome assigns the worker its identity and protocol parameters.
+// Welcome assigns the worker its identity and protocol parameters, among
+// them the limits of its monotask queues (§4.2.3), which are the master's
+// scheduler configuration (core.Config): the agent takes no flag for them.
 type Welcome struct {
 	WorkerID        int32
 	HeartbeatMicros int64
@@ -154,6 +158,13 @@ type Welcome struct {
 	// the at-most-once (jobID, mtID, seq) commit discipline extends across
 	// failovers without any per-frame generation field.
 	Gen int64
+	// NetConcurrency bounds the network monotasks the worker runs at once,
+	// and one whose estimated input is below SmallMonotaskBytes starts at
+	// once, outside that bound. DisableMonotaskOrdering makes the queues
+	// FIFO.
+	NetConcurrency          int32
+	SmallMonotaskBytes      float64
+	DisableMonotaskOrdering bool
 }
 
 func (Welcome) Type() byte { return TWelcome }
@@ -161,10 +172,14 @@ func (m Welcome) encode(e *Encoder) {
 	e.I32(m.WorkerID)
 	e.I64(m.HeartbeatMicros)
 	e.I64(m.Gen)
+	e.I32(m.NetConcurrency)
+	e.F64(m.SmallMonotaskBytes)
+	e.Bool(m.DisableMonotaskOrdering)
 }
 func decodeWelcome(d *Decoder) Msg {
 	return Welcome{
 		WorkerID: d.I32(), HeartbeatMicros: d.I64(), Gen: d.I64(),
+		NetConcurrency: d.I32(), SmallMonotaskBytes: d.F64(), DisableMonotaskOrdering: d.Bool(),
 	}
 }
 
@@ -187,7 +202,7 @@ func decodeHeartbeat(d *Decoder) Msg {
 // Workload + Params are the cross-process plan identity: both sides run the
 // same registered builder, so dataset and monotask IDs agree by construction.
 // The master sends it once per (worker, job), just ahead of that worker's
-// first Dispatch of the job.
+// first Task of the job.
 type Prepare struct {
 	JobID    int64
 	Workload string
@@ -227,31 +242,67 @@ func decodeFetchSpec(d *Decoder) FetchSpec {
 	return FetchSpec{DatasetID: d.I32(), Part: d.I32(), Origin: d.I32(), Addr: d.Str()}
 }
 
-// Dispatch asks a worker to execute one monotask of a prepared job. Seq
-// disambiguates re-dispatches of the same monotask after a failure, making
-// the master's completion commit at-most-once.
+// Dispatch is one monotask of a Task. Seq disambiguates re-dispatches of
+// the same monotask after a failure, making the master's commit of its
+// record at-most-once; Seq 0 marks a replay (see Task). EstInput is the
+// monotask's estimated input, its size in the worker's queue order and
+// bypass. Fetches name the holders of the input partitions it reads that
+// other tasks wrote. Framed alone, a Dispatch is the Task frame of a
+// one-monotask task at priority 0; inside a Task its JobID is the frame's.
 type Dispatch struct {
-	JobID   int64
-	MTID    int32
-	Seq     uint64
-	Fetches []FetchSpec
+	JobID    int64
+	MTID     int32
+	Seq      uint64
+	EstInput float64
+	Fetches  []FetchSpec
 }
 
-func (Dispatch) Type() byte { return TDispatch }
+const dispatchMin = 4 + 8 + 8 + 4 // MTID + Seq + EstInput + fetch count
+
+func (Dispatch) Type() byte { return TTask }
 func (m Dispatch) encode(e *Encoder) {
+	Task{JobID: m.JobID, MTs: []Dispatch{m}}.encode(e)
+}
+
+// Task asks a worker to run one placed task of a prepared job: the worker
+// queues its monotasks by the job's priority snapshot Prio (§4.2.3) and runs
+// each one as soon as the monotasks of the task it reads have run. MTs names
+// every monotask of the task. Those the master already committed are
+// replays, Seq 0: the worker re-runs one only if an output that never
+// leaves the task (dag.Plan.TaskInternal) is missing locally, and reports
+// nothing for it. That is how a task retried on another worker, or re-placed
+// by a takeover master, finds the outputs its own monotasks read.
+type Task struct {
+	JobID int64
+	Prio  float64
+	MTs   []Dispatch
+}
+
+func (Task) Type() byte { return TTask }
+func (m Task) encode(e *Encoder) {
 	e.I64(m.JobID)
-	e.I32(m.MTID)
-	e.U64(m.Seq)
-	e.U32(uint32(len(m.Fetches)))
-	for _, f := range m.Fetches {
-		f.encode(e)
+	e.F64(m.Prio)
+	e.U32(uint32(len(m.MTs)))
+	for _, d := range m.MTs {
+		e.I32(d.MTID)
+		e.U64(d.Seq)
+		e.F64(d.EstInput)
+		e.U32(uint32(len(d.Fetches)))
+		for _, f := range d.Fetches {
+			f.encode(e)
+		}
 	}
 }
-func decodeDispatch(d *Decoder) Msg {
-	m := Dispatch{JobID: d.I64(), MTID: d.I32(), Seq: d.U64()}
-	n := d.count(fetchSpecMin)
+func decodeTask(d *Decoder) Msg {
+	m := Task{JobID: d.I64(), Prio: d.F64()}
+	n := d.count(dispatchMin)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Fetches = append(m.Fetches, decodeFetchSpec(d))
+		mt := Dispatch{JobID: m.JobID, MTID: d.I32(), Seq: d.U64(), EstInput: d.F64()}
+		nf := d.count(fetchSpecMin)
+		for j := 0; j < nf && d.Err() == nil; j++ {
+			mt.Fetches = append(mt.Fetches, decodeFetchSpec(d))
+		}
+		m.MTs = append(m.MTs, mt)
 	}
 	return m
 }
@@ -284,11 +335,13 @@ func decodePartWrite(d *Decoder) PartWrite {
 	}
 }
 
-// Complete reports a monotask's measured execution: Seconds is the
+// Complete is one monotask's record in a TaskDone: Seconds is the
 // wall-clock execution time on the worker (the T of the §4.2.2 rate
 // estimate X/T), FetchedWireBytes the shuffle payload bytes pulled over the
-// wire to feed it, and Writes the produced partition contributions
-// (checkpointed at the master for §4.3 recovery).
+// wire to feed it, and Writes the produced partition contributions that leave
+// its task (checkpointed at the master for §4.3 recovery). Framed alone, a
+// Complete is the TaskDone of one record; inside a TaskDone its JobID is the
+// frame's.
 type Complete struct {
 	JobID   int64
 	MTID    int32
@@ -310,46 +363,72 @@ type Complete struct {
 	FetchFallbacks int32
 	// MemPeak is the observed memory high-water mark of this monotask's
 	// execution (bytes): the larger of its materialized input and the raw
-	// bytes of the writes it ships (a chain-internal intermediate is never
-	// materialized, so it does not count). The master folds per-job maxima into the DRESS-style
-	// reservation corrector, so admission's estimate learns from usage.
+	// bytes of the writes it ships (a chain- or task-internal intermediate is
+	// never shipped, so it does not count). The master folds per-job maxima
+	// into the DRESS-style reservation corrector, so admission's estimate
+	// learns from usage.
 	MemPeak float64
 	Err     string
 	Writes  []PartWrite
 }
 
-func (Complete) Type() byte { return TComplete }
+const completeMin = 4 + 8 + 8*3 + 4*2 + 8 + 4 + 4 // fixed fields + empty Err + write count
+
+func (Complete) Type() byte { return TTaskDone }
 func (m Complete) encode(e *Encoder) {
+	TaskDone{JobID: m.JobID, Records: []Complete{m}}.encode(e)
+}
+
+// TaskDone reports a finished task to the master: one record per monotask
+// the worker ran for its Task (replays report none), producers before their
+// consumers. A monotask that failed carries Err, and the records of the
+// monotasks that depend on it are absent.
+type TaskDone struct {
+	JobID   int64
+	Records []Complete
+}
+
+func (TaskDone) Type() byte { return TTaskDone }
+func (m TaskDone) encode(e *Encoder) {
 	e.I64(m.JobID)
-	e.I32(m.MTID)
-	e.U64(m.Seq)
-	e.F64(m.Seconds)
-	e.F64(m.FetchedWireBytes)
-	e.F64(m.FetchedRawBytes)
-	e.I32(m.FetchRetries)
-	e.I32(m.FetchFallbacks)
-	e.F64(m.MemPeak)
-	e.Str(m.Err)
-	e.U32(uint32(len(m.Writes)))
-	for _, w := range m.Writes {
-		w.encode(e)
+	e.U32(uint32(len(m.Records)))
+	for _, c := range m.Records {
+		e.I32(c.MTID)
+		e.U64(c.Seq)
+		e.F64(c.Seconds)
+		e.F64(c.FetchedWireBytes)
+		e.F64(c.FetchedRawBytes)
+		e.I32(c.FetchRetries)
+		e.I32(c.FetchFallbacks)
+		e.F64(c.MemPeak)
+		e.Str(c.Err)
+		e.U32(uint32(len(c.Writes)))
+		for _, w := range c.Writes {
+			w.encode(e)
+		}
 	}
 }
-func decodeComplete(d *Decoder) Msg {
-	m := Complete{
-		JobID: d.I64(), MTID: d.I32(), Seq: d.U64(),
-		Seconds: d.F64(), FetchedWireBytes: d.F64(), FetchedRawBytes: d.F64(),
-		FetchRetries: d.I32(), FetchFallbacks: d.I32(), MemPeak: d.F64(), Err: d.Str(),
-	}
-	n := d.count(partWriteMin)
+func decodeTaskDone(d *Decoder) Msg {
+	m := TaskDone{JobID: d.I64()}
+	n := d.count(completeMin)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Writes = append(m.Writes, decodePartWrite(d))
+		c := Complete{
+			JobID: m.JobID, MTID: d.I32(), Seq: d.U64(),
+			Seconds: d.F64(), FetchedWireBytes: d.F64(), FetchedRawBytes: d.F64(),
+			FetchRetries: d.I32(), FetchFallbacks: d.I32(), MemPeak: d.F64(), Err: d.Str(),
+		}
+		nw := d.count(partWriteMin)
+		for j := 0; j < nw && d.Err() == nil; j++ {
+			c.Writes = append(c.Writes, decodePartWrite(d))
+		}
+		m.Records = append(m.Records, c)
 	}
 	return m
 }
 
-// Abort tells a worker to discard an in-flight dispatch (§4.3): the task
-// was reset and will re-run elsewhere, so its completion must not commit.
+// Abort tells a worker to discard the in-flight task holding monotask MTID
+// under Seq (§4.3): the task was reset and will re-run elsewhere, so its
+// records must not commit.
 type Abort struct {
 	JobID int64
 	MTID  int32

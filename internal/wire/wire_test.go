@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -50,22 +51,34 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Heartbeat{WorkerID: 3, SentUnixMicros: 1_722_000_000_123_456},
 		Prepare{JobID: 7, Workload: "wordcount", Params: []byte{1, 2, 3}},
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
-		Dispatch{JobID: 7, MTID: 42, Seq: 9},
-		Dispatch{
-			JobID: 7, MTID: 42, Seq: 10,
-			Fetches: []FetchSpec{
-				{DatasetID: 1, Part: 0, Origin: -1, Addr: "10.0.0.1:1"},
-				{DatasetID: 1, Part: 1, Origin: 2, Addr: "10.0.0.2:2"},
+		Welcome{WorkerID: 1, HeartbeatMicros: 100_000, Gen: 1, NetConcurrency: 4,
+			SmallMonotaskBytes: 16384, DisableMonotaskOrdering: true},
+		Task{JobID: 7, Prio: 0.5, MTs: []Dispatch{{JobID: 7, MTID: 42, Seq: 9, EstInput: 100}}},
+		Task{
+			JobID: 7, Prio: -2,
+			MTs: []Dispatch{
+				{JobID: 7, MTID: 41, Seq: 0}, // a replay
+				{JobID: 7, MTID: 42, Seq: 10, EstInput: 1e6, Fetches: []FetchSpec{
+					{DatasetID: 1, Part: 0, Origin: -1, Addr: "10.0.0.1:1"},
+					{DatasetID: 1, Part: 1, Origin: 2, Addr: "10.0.0.2:2"},
+				}},
 			},
 		},
-		Complete{JobID: 7, MTID: 42, Seq: 10, Seconds: 0.125, FetchedWireBytes: 4096, FetchedRawBytes: 8192},
-		Complete{
-			JobID: 7, MTID: 42, Seq: 10, Seconds: 1e-6, Err: "exec failed",
-			Writes: []PartWrite{
-				{DatasetID: 2, Part: 3, Flags: BlobRaw, RawLen: 7, Rows: []byte("rowdata")},
-				{DatasetID: 2, Part: 4, Flags: BlobRaw, RawLen: 99, Rows: nil},
+		Task{JobID: 8},
+		TaskDone{JobID: 7, Records: []Complete{
+			{JobID: 7, MTID: 42, Seq: 10, Seconds: 0.125, FetchedWireBytes: 4096, FetchedRawBytes: 8192},
+		}},
+		TaskDone{JobID: 7, Records: []Complete{
+			{JobID: 7, MTID: 41, Seq: 9, Seconds: 0.5, FetchRetries: 2, FetchFallbacks: 1, MemPeak: 64},
+			{
+				JobID: 7, MTID: 42, Seq: 10, Seconds: 1e-6, Err: "exec failed",
+				Writes: []PartWrite{
+					{DatasetID: 2, Part: 3, Flags: BlobRaw, RawLen: 7, Rows: []byte("rowdata")},
+					{DatasetID: 2, Part: 4, Flags: BlobRaw, RawLen: 99, Rows: nil},
+				},
 			},
-		},
+		}},
+		TaskDone{JobID: 9},
 		Abort{JobID: 7, MTID: 42, Seq: 10},
 		Fetch{JobID: 7, DatasetID: 2, Part: 3, Origin: 1},
 		FetchResp{Err: "no such partition"},
@@ -91,6 +104,32 @@ func TestRoundTripAllMessages(t *testing.T) {
 			t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, m)
 		}
 	}
+	// A monotask's entry framed alone is the frame of a one-monotask task,
+	// and a record framed alone the frame of a one-record completion.
+	d := Dispatch{JobID: 7, MTID: 3, Seq: 99, EstInput: 5, Fetches: []FetchSpec{{DatasetID: 1, Origin: 0, Addr: "a"}}}
+	if got, want := roundTrip(t, d), (Task{JobID: 7, MTs: []Dispatch{d}}); !equalMsg(got, want) {
+		t.Errorf("a Dispatch framed alone decoded as %#v, want %#v", got, want)
+	}
+	c := Complete{JobID: 7, MTID: 3, Seq: 99, Seconds: 1e-4, Writes: []PartWrite{{DatasetID: 2, RawLen: 1, Rows: []byte("r")}}}
+	if got, want := roundTrip(t, c), (TaskDone{JobID: 7, Records: []Complete{c}}); !equalMsg(got, want) {
+		t.Errorf("a Complete framed alone decoded as %#v, want %#v", got, want)
+	}
+}
+
+// TestRetiredTypesDecodeUnknown: the type bytes no frame uses any more —
+// the per-monotask Dispatch (6) and Complete (7) among them — decode as
+// unknown, even under a payload that was once valid.
+func TestRetiredTypesDecodeUnknown(t *testing.T) {
+	var e Encoder
+	e.I64(1) // JobID
+	e.I32(2) // MTID
+	e.U64(3) // Seq
+	e.U32(0) // no fetches
+	for _, typ := range []byte{5, 6, 7} {
+		if _, err := Decode(typ, e.Bytes()); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+			t.Errorf("type %d decoded with %v, want an unknown-type error", typ, err)
+		}
+	}
 }
 
 // equalMsg compares messages treating nil and empty slices as equal (the
@@ -106,20 +145,39 @@ func normalize(m Msg) Msg {
 			v.Params = nil
 		}
 		return v
-	case Dispatch:
-		if len(v.Fetches) == 0 {
-			v.Fetches = nil
-		}
-		return v
-	case Complete:
-		for i := range v.Writes {
-			if len(v.Writes[i].Rows) == 0 {
-				v.Writes[i].Rows = nil
+	case Task:
+		mts := make([]Dispatch, len(v.MTs))
+		for i, d := range v.MTs {
+			if len(d.Fetches) == 0 {
+				d.Fetches = nil
 			}
+			mts[i] = d
 		}
-		if len(v.Writes) == 0 {
-			v.Writes = nil
+		if len(mts) == 0 {
+			mts = nil
 		}
+		v.MTs = mts
+		return v
+	case TaskDone:
+		recs := make([]Complete, len(v.Records))
+		for i, c := range v.Records {
+			ws := make([]PartWrite, len(c.Writes))
+			for k, w := range c.Writes {
+				if len(w.Rows) == 0 {
+					w.Rows = nil
+				}
+				ws[k] = w
+			}
+			if len(ws) == 0 {
+				ws = nil
+			}
+			c.Writes = ws
+			recs[i] = c
+		}
+		if len(recs) == 0 {
+			recs = nil
+		}
+		v.Records = recs
 		return v
 	case FetchResp:
 		for i := range v.Contribs {
@@ -231,25 +289,28 @@ func TestDecodeTrailingBytes(t *testing.T) {
 
 func TestDecodeTruncatedPayload(t *testing.T) {
 	var e Encoder
-	Complete{JobID: 1, MTID: 2, Seq: 3, Seconds: 4, Err: "xyz"}.encode(&e)
+	TaskDone{JobID: 1, Records: []Complete{{JobID: 1, MTID: 2, Seq: 3, Seconds: 4, Err: "xyz"}}}.encode(&e)
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := Decode(TComplete, full[:cut]); err == nil {
+		if _, err := Decode(TTaskDone, full[:cut]); err == nil {
 			t.Fatalf("Decode of %d/%d bytes succeeded, want error", cut, len(full))
 		}
 	}
 }
 
 func TestDecodeHugeListCount(t *testing.T) {
-	// A Dispatch whose fetch-list count claims 2^31 elements with no
+	// A Task whose monotask's fetch-list count claims 2^31 elements with no
 	// payload behind it must be rejected by the count guard, not
 	// preallocated.
 	var e Encoder
 	e.I64(1)       // JobID
+	e.F64(0)       // Prio
+	e.U32(1)       // one monotask
 	e.I32(2)       // MTID
 	e.U64(3)       // Seq
+	e.F64(0)       // EstInput
 	e.U32(1 << 31) // absurd fetch count
-	_, err := Decode(TDispatch, e.Bytes())
+	_, err := Decode(TTask, e.Bytes())
 	if err == nil {
 		t.Fatal("want error for absurd list count")
 	}
@@ -513,7 +574,7 @@ func TestConnPooledReadsDeliverMessages(t *testing.T) {
 
 	want := []Msg{
 		Prepare{JobID: 1, Workload: "wc", Params: []byte("pppp")},
-		Complete{JobID: 1, MTID: 2, Seq: 3, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 4, Rows: []byte("rows")}}},
+		TaskDone{JobID: 1, Records: []Complete{{JobID: 1, MTID: 2, Seq: 3, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 4, Rows: []byte("rows")}}}}},
 		Heartbeat{WorkerID: 5, SentUnixMicros: 6},
 	}
 	for _, m := range want {
