@@ -32,8 +32,9 @@ type entry[T any] struct {
 // tasks start earlier to shorten the stage) and network/disk monotasks by
 // ascending size (make dependents ready earlier), then in enqueue order.
 // fifo makes it enqueue order alone (Table 6's MO ablation). It is a binary
-// heap over values, with container/heap's sift order, so equal schedules pop
-// in the same order as before and no item is boxed.
+// heap over values that sifts exactly as container/heap does — the order
+// is not a strict total order, so the sift order decides pops, and the
+// simulator's schedules depend on it — without boxing an item.
 type queue[T any] struct {
 	desc  bool // sizes descending: the CPU queue
 	fifo  bool

@@ -742,10 +742,16 @@ func (a *Agent) handleTask(f wire.Task) {
 		}
 	}
 	tr.left = len(tr.runs)
+	// The monotasks that wait on none, taken before any settles: settling a
+	// replay readies its consumers itself.
+	var first []*mtRun
 	for _, r := range tr.runs {
 		if r.waits == 0 {
-			a.readyLocked(r, &w)
+			first = append(first, r)
 		}
+	}
+	for _, r := range first {
+		a.readyLocked(r, &w)
 	}
 	a.pumpLocked(&w)
 	a.mu.Unlock()

@@ -244,6 +244,11 @@ func TestElasticAutoscaleLoopbackCheckedPlacement(t *testing.T) {
 	assertPlacementChecked(t, chk)
 }
 
+// elasticExecDelay stretches every monotask of the autoscale scenario, so
+// the serialized jobs keep the queue under pressure for several autoscale
+// intervals however fast the box runs them.
+const elasticExecDelay = 10 * time.Millisecond
+
 func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 	var (
 		addrMu     sync.Mutex
@@ -255,7 +260,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		addrMu.Lock()
 		addr := masterAddr
 		addrMu.Unlock()
-		a, err := agent.Dial(agent.Config{MasterAddrs: []string{addr}})
+		a, err := agent.Dial(agent.Config{MasterAddrs: []string{addr}, ExecDelay: elasticExecDelay})
 		if err != nil {
 			return err
 		}
@@ -272,7 +277,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		}
 	})
 
-	lc := startCluster(t, 2, Config{
+	lc := startClusterWith(t, 2, Config{
 		Serve:             true,
 		MinWorkers:        2,
 		MaxWorkers:        5,
@@ -280,7 +285,7 @@ func testElasticAutoscaleLoopback(t *testing.T, coreCfg core.Config) {
 		MemPerWorker:      1,
 		Provisioner:       prov,
 		Core:              coreCfg,
-	})
+	}, agent.Config{ExecDelay: elasticExecDelay})
 	addrMu.Lock()
 	masterAddr = lc.Master.Addr()
 	addrMu.Unlock()

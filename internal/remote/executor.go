@@ -53,7 +53,6 @@ type remoteExecutor struct {
 type taskState struct {
 	worker int
 	jobID  int64
-	task   *dag.Task
 	done   func(mt *dag.Monotask, bytes, seconds float64)
 	sentAt time.Time
 	// pending counts the records still awaited.
@@ -136,7 +135,7 @@ func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, pri
 	if rj == nil {
 		panic(fmt.Sprintf("remote: job %d has no row (use Master.Submit or the front door, not Sys.Submit)", j.ID))
 	}
-	ts := &taskState{worker: w.ID, jobID: rj.id, task: t, done: done, sentAt: time.Now()}
+	ts := &taskState{worker: w.ID, jobID: rj.id, done: done, sentAt: time.Now()}
 	frame := wire.Task{JobID: rj.id, Prio: prio, MTs: make([]wire.Dispatch, len(t.Monotasks))}
 	plan := rj.rt().Plan()
 	open := e.m.rec.read(func(cp *cpstate.State) {

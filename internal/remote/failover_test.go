@@ -102,6 +102,10 @@ func failover(t *testing.T, killAgent bool) *Master {
 			RegisterAttempts:   100,
 			RegisterBackoff:    10 * time.Millisecond,
 			RegisterBackoffMax: 50 * time.Millisecond,
+			// Every monotask takes at least this long, so no job can finish
+			// between the kill trigger below and the crash: the standby
+			// must inherit all njobs.
+			ExecDelay: 5 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("starting agent %d: %v", i, err)

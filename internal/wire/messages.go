@@ -5,8 +5,8 @@ import "fmt"
 // Message type bytes. The zero value is reserved so an all-zero frame is
 // invalid. Bytes 5, 6 and 7 are unassigned and decode as unknown: an agent
 // answers no Prepare (a failed one reaches the master as the Err of the
-// records behind it), and the per-monotask Dispatch and Complete frames gave
-// way to one Task frame per placed task and one TaskDone per finished task.
+// records behind it), and a monotask never travels in a frame of its own:
+// its task's Task carries it, and that task's TaskDone its record.
 const (
 	TRegister  byte = 1  // worker → master: join the cluster
 	TWelcome   byte = 2  // master → worker: assigned identity + protocol params
