@@ -104,10 +104,11 @@ func (c *countedConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// Write counts before it writes: the master may read a frame, and its run
+// end, before the write returns.
 func (c *countedConn) Write(b []byte) (int, error) {
-	n, err := c.Conn.Write(b)
-	c.wr.feed(c.fc, b[:n])
-	return n, err
+	c.wr.feed(c.fc, b)
+	return c.Conn.Write(b)
 }
 
 // TestExecutionFrameBudget counts, per job on a 2-agent loopback, the
