@@ -216,10 +216,7 @@ type Pair[K comparable, V any] struct {
 	Val V
 }
 
-// ShuffleKey implements localrt.Keyed.
-func (p Pair[K, V]) ShuffleKey() any { return p.Key }
-
-// ShuffleHash implements localrt.KeyHasher.
+// ShuffleHash implements localrt.Keyed.
 func (p Pair[K, V]) ShuffleHash() uint64 { return localrt.HashKey(p.Key) }
 
 // shuffleTo inserts the paper's reduceByKey wiring (§4.1.2): a CPU ser op

@@ -22,7 +22,7 @@ type kv struct {
 	V int
 }
 
-func (p kv) ShuffleKey() any { return p.K }
+func (p kv) ShuffleHash() uint64 { return localrt.HashKey(p.K) }
 
 // wordCount builds the canonical map + shuffle + reduce graph.
 func wordCount(inParts, outParts int) (*dag.Graph, *dag.Dataset, *dag.Dataset) {

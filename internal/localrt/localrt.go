@@ -27,17 +27,11 @@ type Row = any
 // partition.
 type UDF func(inputs [][]Row) []Row
 
-// Keyed lets a row steer itself through a shuffle; rows that do not
-// implement it are routed deterministically by their source partition and
-// ordinal, so runs are reproducible and comparable across execution modes.
+// Keyed lets a row steer itself through a shuffle by the hash of its key,
+// HashKey of it; rows that do not implement it are routed deterministically
+// by their source partition and ordinal, so runs are reproducible and
+// comparable across execution modes.
 type Keyed interface {
-	ShuffleKey() any
-}
-
-// KeyHasher is a Keyed row that hashes its own key — HashKey of the key
-// ShuffleKey returns — so routing it boxes nothing.
-type KeyHasher interface {
-	Keyed
 	ShuffleHash() uint64
 }
 
@@ -832,27 +826,16 @@ func bucketOf(row Row, part, ordinal, buckets int) int {
 	if buckets <= 1 {
 		return 0
 	}
-	if k, ok := row.(KeyHasher); ok {
-		return int(k.ShuffleHash() % uint64(buckets))
-	}
 	if k, ok := row.(Keyed); ok {
-		return int(hashKey(k.ShuffleKey()) % uint64(buckets))
+		return int(k.ShuffleHash() % uint64(buckets))
 	}
 	return (part + ordinal) % buckets
 }
 
-// hashKey is FNV-1a over the key's %v formatting. This runs once per row per
+// HashKey is FNV-1a over the key's %v formatting. This runs once per row per
 // reducer, so the key kinds shuffles actually use are formatted without fmt
-// and hashed inline; the result is the same either way.
-func hashKey(key any) uint64 {
-	if h, ok := hashKnown(key); ok {
-		return h
-	}
-	return hashFormatted(key)
-}
-
-// HashKey is hashKey of a key of static type K. A key of a kind hashed
-// inline is not boxed on the heap, so a KeyHasher row built on it routes
+// and hashed inline; the result is the same either way. A key of a kind
+// hashed inline is not boxed on the heap, so a Keyed row built on it routes
 // without allocating.
 func HashKey[K comparable](k K) uint64 {
 	if h, ok := hashKnown(k); ok {

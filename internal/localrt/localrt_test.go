@@ -21,7 +21,7 @@ type kv struct {
 	V int
 }
 
-func (p kv) ShuffleKey() any { return p.K }
+func (p kv) ShuffleHash() uint64 { return HashKey(p.K) }
 
 // buildWordCount constructs the canonical map + shuffle + reduce graph over
 // lines of text.
@@ -277,8 +277,8 @@ func TestHashKeyFastPathMatchesFmt(t *testing.T) {
 		int32(5), uint(5), float32(2.5), [2]int{1, 2}, struct{ A, B string }{"x", "y"},
 	}
 	for _, key := range keys {
-		if got, want := hashKey(key), viaFmt(key); got != want {
-			t.Errorf("hashKey(%T %v) = %#x, fmt path %#x", key, key, got, want)
+		if got, want := HashKey(key), viaFmt(key); got != want {
+			t.Errorf("HashKey(%T %v) = %#x, fmt path %#x", key, key, got, want)
 		}
 		if got, want := bucketOf(anyKeyed{key}, 0, 0, 7), int(viaFmt(key)%7); got != want {
 			t.Errorf("bucketOf(%T %v) = %d, want %d", key, key, got, want)
@@ -288,7 +288,7 @@ func TestHashKeyFastPathMatchesFmt(t *testing.T) {
 
 type anyKeyed struct{ key any }
 
-func (k anyKeyed) ShuffleKey() any { return k.key }
+func (k anyKeyed) ShuffleHash() uint64 { return HashKey(k.key) }
 
 // TestRunContextCancel: a cancelled run returns the context error and drains
 // every launched goroutine before returning (no leaks on abort).
@@ -324,7 +324,7 @@ func TestRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestNonKeyedShuffleDeterministic: rows without ShuffleKey must land in the
+// TestNonKeyedShuffleDeterministic: rows without ShuffleHash must land in the
 // same output partitions on every run — positional routing, never value
 // identity (pointers would otherwise scatter nondeterministically).
 func TestNonKeyedShuffleDeterministic(t *testing.T) {

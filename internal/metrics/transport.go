@@ -7,10 +7,9 @@ import (
 )
 
 // Transport aggregates data-plane counters for the distributed mode: per
-// worker, dispatches and completions, the dispatch→completion RTT, shuffle
-// bytes fetched over the wire and fetch degradation; cluster-wide, the RTT
-// over all completions and the bytes the master's own fetch server handed
-// out. Membership and heartbeats are the master's: its stats line reads them
+// worker, dispatches and completions, the task round trip, shuffle bytes
+// fetched over the wire and fetch degradation; cluster-wide, the round trip
+// over all tasks and the bytes the master's own fetch server handed out. Membership and heartbeats are the master's: its stats line reads them
 // through the liveness func given to NewTransport. Safe for concurrent use —
 // the master's fetch server records served bytes off the control loop while
 // everything else arrives on it.
@@ -28,8 +27,8 @@ type Transport struct {
 type WorkerTransport struct {
 	Dispatches  int
 	Completions int
-	// RTTEWMA is the exponentially weighted dispatch→completion round trip
-	// in seconds (α = 0.2).
+	// RTTEWMA is the exponentially weighted round trip of a task, from its
+	// Task frame to its TaskDone, in seconds (α = 0.2).
 	RTTEWMA float64
 	// WireBytes counts shuffle payload bytes this worker reported fetching
 	// over the wire — what actually crossed the network. RawBytes is the
@@ -91,15 +90,14 @@ func (t *Transport) ObserveDispatch(id int) {
 	t.worker(id).Dispatches++
 }
 
-// ObserveCompletion records a completion: rtt is the dispatch→completion
-// round trip in seconds, wireBytes the shuffle payload bytes the worker
-// pulled over the wire to feed the monotask, rawBytes their declared encoded
-// size. Wire is what the network carried; raw is what the job logically
-// moved. retries and fallbacks
-// are the fetch degradation the worker reported for the monotask's inputs:
-// transient faults the retry/backoff budget absorbed, and partitions that
-// degraded to the master's canonical store after peer retries ran out.
-func (t *Transport) ObserveCompletion(id int, rtt, wireBytes, rawBytes float64, retries, fallbacks int) {
+// ObserveCompletion records a monotask's completion: wireBytes the shuffle
+// payload bytes the worker pulled over the wire to feed the monotask,
+// rawBytes their declared encoded size. Wire is what the network carried;
+// raw is what the job logically moved. retries and fallbacks are the fetch
+// degradation the worker reported for the monotask's inputs: transient
+// faults the retry/backoff budget absorbed, and partitions that degraded to
+// the master's canonical store after peer retries ran out.
+func (t *Transport) ObserveCompletion(id int, wireBytes, rawBytes float64, retries, fallbacks int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	w := t.worker(id)
@@ -108,6 +106,14 @@ func (t *Transport) ObserveCompletion(id int, rtt, wireBytes, rawBytes float64, 
 	w.RawBytes += rawBytes
 	w.FetchRetries += retries
 	w.FetchFallbacks += fallbacks
+}
+
+// ObserveRTT records a task's round trip, Task frame to TaskDone, in
+// seconds: once per task, however many monotasks it ran.
+func (t *Transport) ObserveRTT(id int, rtt float64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	w := t.worker(id)
 	w.RTTEWMA = ewma(w.RTTEWMA, rtt)
 	t.rttEWMA = ewma(t.rttEWMA, rtt)
 }

@@ -13,9 +13,9 @@ func TestTransportFetchDegradation(t *testing.T) {
 	tr := NewTransport(func(time.Time) Liveness {
 		return Liveness{Alive: 1, Slots: 2, Failed: 1, HBAge: "w0=dead w2=0.1s"}
 	})
-	tr.ObserveCompletion(2, 0.01, 0, 0, 3, 1)
-	tr.ObserveCompletion(2, 0.01, 0, 0, 2, 0)
-	tr.ObserveCompletion(5, 0.01, 0, 0, 0, 0) // an undegraded completion counts none
+	tr.ObserveCompletion(2, 0, 0, 3, 1)
+	tr.ObserveCompletion(2, 0, 0, 2, 0)
+	tr.ObserveCompletion(5, 0, 0, 0, 0) // an undegraded completion counts none
 	if got := tr.FetchRetries(); got != 5 {
 		t.Fatalf("FetchRetries = %d, want 5", got)
 	}

@@ -337,7 +337,6 @@ func (a *Agent) register(shuffleAddr string) (wire.Welcome, error) {
 				Cores: cfg.Cores,
 				Net:   max(int(w.NetConcurrency), 1),
 				Small: w.SmallMonotaskBytes,
-				FIFO:  w.DisableMonotaskOrdering,
 			}
 			a.mu.Unlock()
 			return w, nil

@@ -297,17 +297,27 @@ func buildFetches(st *cpstate.State, jobID int64, parts []localrt.DatasetPart, w
 // before consumers. Runs on the control loop. The (key, seq, worker) check
 // makes each commit at-most-once: records from aborted or re-dispatched
 // attempts are dropped, so a monotask's outputs enter the checkpoint exactly
-// once and its rate sample is counted once.
+// once and its rate sample is counted once. The frame is one sample of the
+// task's round trip.
 func (e *remoteExecutor) handleTaskDone(workerID int, td wire.TaskDone) {
+	var task *taskState
 	for _, c := range td.Records {
-		if !e.commit(workerID, c) {
+		ts, ok := e.commit(workerID, c)
+		if !ok {
 			return
 		}
+		if ts != nil {
+			task = ts
+		}
+	}
+	if task != nil {
+		e.m.Transport.ObserveRTT(workerID, time.Since(task.sentAt).Seconds())
 	}
 }
 
-// commit commits one record, reporting false once the run has failed.
-func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
+// commit commits one record, returning its task (nil for a stale record)
+// and false once the run has failed.
+func (e *remoteExecutor) commit(workerID int, c wire.Complete) (*taskState, bool) {
 	key := cpstate.MTKey{Job: c.JobID, MT: c.MTID}
 	st := e.dispatches[key]
 	if st == nil || st.seq != c.Seq || st.task.worker != workerID {
@@ -315,7 +325,7 @@ func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
 		// generation (seq namespaces never collide across takeovers, so an
 		// old master's token can never match a new dispatch).
 		e.m.Journal.ObserveDupCommit()
-		return true
+		return nil, true
 	}
 	delete(e.dispatches, key)
 	st.release()
@@ -325,7 +335,7 @@ func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
 	}
 	if c.Err != "" {
 		e.m.Sys.Fail(fmt.Errorf("remote: worker %d: %v failed: %s", workerID, st.mt, c.Err))
-		return false
+		return nil, false
 	}
 	rj := e.m.jobs.get(c.JobID)
 	writes := make([]cpstate.CommitWrite, len(c.Writes))
@@ -333,7 +343,7 @@ func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
 		ds := rj.rt().DatasetByID(int(w.DatasetID))
 		if ds == nil {
 			e.m.Sys.Fail(fmt.Errorf("remote: worker %d wrote unknown dataset %d", workerID, w.DatasetID))
-			return false
+			return nil, false
 		}
 		// Checkpoint at the master (§4.3): completed monotask outputs that
 		// leave their task are durable here even if every producing agent
@@ -351,11 +361,11 @@ func (e *remoteExecutor) commit(workerID int, c wire.Complete) bool {
 		JobID: c.JobID, MTID: c.MTID, Worker: int32(workerID), Seq: c.Seq,
 		Seconds: c.Seconds, Writes: writes,
 	})
-	e.m.Transport.ObserveCompletion(workerID, time.Since(ts.sentAt).Seconds(),
-		c.FetchedWireBytes, c.FetchedRawBytes, int(c.FetchRetries), int(c.FetchFallbacks))
+	e.m.Transport.ObserveCompletion(workerID, c.FetchedWireBytes, c.FetchedRawBytes,
+		int(c.FetchRetries), int(c.FetchFallbacks))
 	ts.done(st.mt, st.mt.InputBytes, c.Seconds)
 	e.settlePrecommits(ts)
-	return true
+	return ts, true
 }
 
 // releaseFetchRefs drops a settled task's holds on its fetch origins.

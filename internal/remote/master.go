@@ -732,12 +732,11 @@ func (m *Master) claim(reg wire.Register) (id int, claimed bool) {
 func (m *Master) welcome(id int) wire.Welcome {
 	cfg := m.Sys.Core.Cfg
 	return wire.Welcome{
-		WorkerID:                int32(id),
-		HeartbeatMicros:         m.cfg.HeartbeatInterval.Microseconds(),
-		Gen:                     m.gen,
-		NetConcurrency:          int32(cfg.NetConcurrency),
-		SmallMonotaskBytes:      cfg.SmallMonotaskBytes,
-		DisableMonotaskOrdering: cfg.DisableMonotaskOrdering,
+		WorkerID:           int32(id),
+		HeartbeatMicros:    m.cfg.HeartbeatInterval.Microseconds(),
+		Gen:                m.gen,
+		NetConcurrency:     int32(cfg.NetConcurrency),
+		SmallMonotaskBytes: cfg.SmallMonotaskBytes,
 	}
 }
 

@@ -359,7 +359,7 @@ func TestMeasuredRatesFeedback(t *testing.T) {
 		}
 	}
 	if !sawRTT {
-		t.Fatal("no dispatch→completion RTT was measured")
+		t.Fatal("no task round trip was measured")
 	}
 }
 

@@ -160,11 +160,9 @@ type Welcome struct {
 	Gen int64
 	// NetConcurrency bounds the network monotasks the worker runs at once,
 	// and one whose estimated input is below SmallMonotaskBytes starts at
-	// once, outside that bound. DisableMonotaskOrdering makes the queues
-	// FIFO.
-	NetConcurrency          int32
-	SmallMonotaskBytes      float64
-	DisableMonotaskOrdering bool
+	// once, outside that bound.
+	NetConcurrency     int32
+	SmallMonotaskBytes float64
 }
 
 func (Welcome) Type() byte { return TWelcome }
@@ -174,12 +172,11 @@ func (m Welcome) encode(e *Encoder) {
 	e.I64(m.Gen)
 	e.I32(m.NetConcurrency)
 	e.F64(m.SmallMonotaskBytes)
-	e.Bool(m.DisableMonotaskOrdering)
 }
 func decodeWelcome(d *Decoder) Msg {
 	return Welcome{
 		WorkerID: d.I32(), HeartbeatMicros: d.I64(), Gen: d.I64(),
-		NetConcurrency: d.I32(), SmallMonotaskBytes: d.F64(), DisableMonotaskOrdering: d.Bool(),
+		NetConcurrency: d.I32(), SmallMonotaskBytes: d.F64(),
 	}
 }
 

@@ -52,7 +52,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Prepare{JobID: 7, Workload: "wordcount", Params: []byte{1, 2, 3}},
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
 		Welcome{WorkerID: 1, HeartbeatMicros: 100_000, Gen: 1, NetConcurrency: 4,
-			SmallMonotaskBytes: 16384, DisableMonotaskOrdering: true},
+			SmallMonotaskBytes: 16384},
 		Task{JobID: 7, Prio: 0.5, MTs: []Dispatch{{JobID: 7, MTID: 42, Seq: 9, EstInput: 100}}},
 		Task{
 			JobID: 7, Prio: -2,
