@@ -14,9 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/core"
 	"ursa/internal/cpstate"
 	"ursa/internal/journal"
 	"ursa/internal/remote/agent"
+	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
 	"ursa/internal/wire"
 )
@@ -589,4 +591,61 @@ func TestJobStatusNotFound(t *testing.T) {
 	if err := <-runDone; err != nil {
 		t.Fatalf("serve run: %v", err)
 	}
+}
+
+// TestFailoverFencedFinishKeepsAgentJob: a job whose last records arrive
+// after the primary's fence (Close has begun) finishes on the dying master,
+// but its JobFinished is not journaled, so a successor resubmits the job and
+// pulls its committed outputs back from the agents' shuffle servers. The
+// dying master must therefore not tell the agents the job is done: an agent
+// that dropped it would answer the takeover "unknown job", every commit of
+// the job would re-execute, and its commits would land twice across the
+// generations.
+func TestFailoverFencedFinishKeepsAgentJob(t *testing.T) {
+	// Long enough that the reduce task's Task frame is surely on the wire
+	// before the fence, and its records surely arrive after it.
+	const delay = 300 * time.Millisecond
+	// A serving master: its run outlives the job, so the agent is still up
+	// to be asked what it holds.
+	lc := startClusterWith(t, 1, Config{Serve: true}, agent.Config{ExecDelay: delay})
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 200, InParts: 1, OutParts: 1})
+	job, err := lc.Master.Submit(name, params)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	runErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		runErr <- lc.Master.Run(ctx)
+	}()
+	// The map commit readies the reduce task, placed in the same loop step;
+	// its two monotasks take 2×delay on the agent.
+	waitFor(t, "the map commit", func() bool { return lc.Master.CommitCount() >= 1 })
+	time.Sleep(delay / 2)
+	lc.Master.rec.fence()
+	waitFor(t, "the job to finish", func() bool {
+		finished := make(chan bool, 1)
+		lc.Master.Sys.Drv.Send(func() { finished <- job.Live.Core.State == core.JobFinished })
+		return <-finished
+	})
+	if got := lc.Master.CommitCount(); got != 1 {
+		t.Fatalf("journaled commits = %d, want 1: the fence came too late", got)
+	}
+	var pk cpstate.PartKey
+	lc.Master.rec.read(func(st *cpstate.State) {
+		for k := range st.Origins {
+			pk = k
+		}
+	})
+	// A JobDone, had one been sent, reaches the agent long before this.
+	time.Sleep(100 * time.Millisecond)
+	c := shuffle.NewClient(lc.Agents[0].ShuffleAddr(), shuffle.ClientConfig{Retries: -1})
+	defer c.Close()
+	contribs, _, _, _, err := c.Fetch(job.id, pk.DS, pk.Part, 0)
+	if err != nil || len(contribs) == 0 {
+		t.Fatalf("the agent no longer serves job %d's committed output (%d contributions): %v", job.id, len(contribs), err)
+	}
+	lc.Master.Drain()
+	<-runErr
 }

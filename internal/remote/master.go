@@ -483,10 +483,14 @@ func (m *Master) onJobState(j *core.Job) {
 				m.corrector.Observe(js.Workload, rj.Built.Spec.MemEstimate, rj.memFactor, rj.memPeak)
 			}
 		}
-		m.rec.record(cpstate.JobFinished{JobID: rj.id})
-		m.fd.sendStatus(rj, wire.StateFinished,
-			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
-		m.broadcast(wire.JobDone{JobID: rj.id}, attached)
+		// Fenced, the finish did not happen: the journal holds the job as
+		// running, so a successor resubmits it and pulls its commits back
+		// from the agents, which must still hold it.
+		if m.rec.record(cpstate.JobFinished{JobID: rj.id}) {
+			m.fd.sendStatus(rj, wire.StateFinished,
+				fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
+			m.broadcast(wire.JobDone{JobID: rj.id}, attached)
+		}
 		m.release(rj)
 		m.fd.maybeFinishDrain()
 	case core.JobCancelled:
