@@ -857,15 +857,17 @@ func (a *Agent) pumpLocked(w *work) {
 	}
 }
 
-// launch runs what a queue step left: started monotasks on goroutines of
-// their own, finished tasks' TaskDone frames.
+// launch does what a queue step left: finished tasks' TaskDone frames
+// first, so a task's records are queued on the connection before the
+// monotasks its end let start can finish, then those monotasks, each on a
+// goroutine of its own.
 func (a *Agent) launch(w work) {
+	for _, td := range w.done {
+		a.conn.Load().Send(td)
+	}
 	for _, s := range w.start {
 		a.wg.Add(1)
 		go a.run(s)
-	}
-	for _, td := range w.done {
-		a.conn.Load().Send(td)
 	}
 }
 
