@@ -9,7 +9,8 @@ import (
 // Transport aggregates data-plane counters for the distributed mode: per
 // worker, dispatches and completions, the task round trip, shuffle bytes
 // fetched over the wire and fetch degradation; cluster-wide, the round trip
-// over all tasks and the bytes the master's own fetch server handed out. Membership and heartbeats are the master's: its stats line reads them
+// over all tasks and the bytes the master's own fetch server handed out.
+// Membership and heartbeats are the master's: its stats line reads them
 // through the liveness func given to NewTransport. Safe for concurrent use —
 // the master's fetch server records served bytes off the control loop while
 // everything else arrives on it.
