@@ -147,9 +147,10 @@ fuzz-rows:
 fuzz-journal:
 	$(GO) test -run '^FuzzReplayTail$$' ./internal/journal
 
-# Hot-path microbenchmarks with allocation counts.
+# Hot-path microbenchmarks with allocation counts, the SQL row path (q1 on
+# localrt) among them.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/core ./internal/dag ./internal/eventloop ./internal/experiments
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./internal/core ./internal/dag ./internal/eventloop ./internal/experiments ./internal/remote/workload
 
 # The end-to-end harness (bench/, the BENCHMARK.json contract) is a module of
 # its own, so none of the targets above builds it: vet it and run its tests

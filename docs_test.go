@@ -69,6 +69,7 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`\bTComplete\b`, "a task's records cross the wire in one wire.TaskDone frame"},
 	{`handleComplete`, "remoteExecutor.handleTaskDone commits a task's records"},
 	{`handleDispatch`, "the agent takes a placed task in handleTask"},
+	{`\bJoinRow`, "dataset.Join's emit makes the caller's row from each matched pair"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

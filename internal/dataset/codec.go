@@ -22,20 +22,6 @@ func PairCodec[K comparable, V any](k rowcodec.Codec[K], v rowcodec.Codec[V]) ro
 	}
 }
 
-// JoinRowCodec is the codec of JoinRow[A, B].
-func JoinRowCodec[A, B any](a rowcodec.Codec[A], b rowcodec.Codec[B]) rowcodec.Codec[JoinRow[A, B]] {
-	return rowcodec.Codec[JoinRow[A, B]]{
-		Name: "join<" + a.Name + "," + b.Name + ">",
-		Enc: func(w *rowcodec.Writer, j JoinRow[A, B]) {
-			a.Enc(w, j.Left)
-			b.Enc(w, j.Right)
-		},
-		Dec: func(r *rowcodec.Reader) JoinRow[A, B] {
-			return JoinRow[A, B]{Left: a.Dec(r), Right: b.Dec(r)}
-		},
-	}
-}
-
 // CoGroupedCodec is the codec of CoGrouped[K, A, B]. An absent side (nil,
 // as CoGroup leaves it for a key only the other side has) stays distinct
 // from an empty one.

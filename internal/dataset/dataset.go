@@ -378,28 +378,21 @@ func CoGroup[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[P
 	return &Dataset[CoGrouped[K, A, B]]{s: s, d: out, op: merge}
 }
 
-// Join inner-joins two keyed datasets.
-func Join[K comparable, A, B any](left *Dataset[Pair[K, A]], right *Dataset[Pair[K, B]],
-	name string, parts int) *Dataset[Pair[K, JoinRow[A, B]]] {
+// Join inner-joins two keyed datasets: its rows are emit(key, a, b) for every
+// matched pair, per key the left rows in order, each with the right rows in
+// order.
+func Join[K comparable, A, B, U any](left *Dataset[Pair[K, A]], right *Dataset[Pair[K, B]],
+	name string, parts int, emit func(K, A, B) U) *Dataset[U] {
 	cg := CoGroup(left, right, name, parts)
-	return FlatMap(cg, name+"-join", func(g CoGrouped[K, A, B]) []Pair[K, JoinRow[A, B]] {
-		if len(g.Left) == 0 || len(g.Right) == 0 {
-			return nil
-		}
-		out := make([]Pair[K, JoinRow[A, B]], 0, len(g.Left)*len(g.Right))
+	return FlatMap(cg, name+"-join", func(g CoGrouped[K, A, B]) []U {
+		out := make([]U, 0, len(g.Left)*len(g.Right))
 		for _, a := range g.Left {
 			for _, b := range g.Right {
-				out = append(out, Pair[K, JoinRow[A, B]]{g.Key, JoinRow[A, B]{a, b}})
+				out = append(out, emit(g.Key, a, b))
 			}
 		}
 		return out
 	})
-}
-
-// JoinRow is one matched pair of a join.
-type JoinRow[A, B any] struct {
-	Left  A
-	Right B
 }
 
 // WithBroadcast replicates a small dataset to every partition of big and

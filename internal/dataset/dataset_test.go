@@ -86,14 +86,25 @@ func TestJoin(t *testing.T) {
 	orders := Parallelize(s, []Pair[int, float64]{
 		{1, 10.0}, {1, 20.0}, {3, 5.0}, {4, 99.0},
 	}, 2)
-	joined := Join(users, orders, "user-orders", 2)
+	type order struct {
+		id     int
+		user   string
+		amount float64
+	}
+	joined := Join(users, orders, "user-orders", 2, func(id int, user string, amount float64) order {
+		return order{id, user, amount}
+	})
 	rows := MustCollect(joined)
 	if len(rows) != 3 {
 		t.Fatalf("join rows = %d, want 3 (key 2 has no order, key 4 no user)", len(rows))
 	}
+	ids := map[string]int{"ada": 1, "alan": 3}
 	totals := map[string]float64{}
 	for _, r := range rows {
-		totals[r.Val.Left] += r.Val.Right
+		if r.id != ids[r.user] {
+			t.Errorf("row %+v: key %d, want %d", r, r.id, ids[r.user])
+		}
+		totals[r.user] += r.amount
 	}
 	if totals["ada"] != 30 || totals["alan"] != 5 {
 		t.Errorf("totals = %v", totals)

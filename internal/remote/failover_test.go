@@ -593,6 +593,51 @@ func TestJobStatusNotFound(t *testing.T) {
 	}
 }
 
+// TestFailoverFencedDrainSendsNoDrainDone: a drain that completes after the
+// primary's fence (Close has begun) is not journaled, so a successor replays
+// the worker as draining and waits for its agent to re-attach. The dying
+// master must therefore not send that agent DrainDone, on which it would exit
+// for good.
+func TestFailoverFencedDrainSendsNoDrainDone(t *testing.T) {
+	// Long enough that the fence surely lands while the task still runs.
+	const delay = 300 * time.Millisecond
+	lc := startClusterWith(t, 1, Config{Serve: true}, agent.Config{ExecDelay: delay})
+	exited := make(chan error, 1)
+	go func() { exited <- lc.Agents[0].Wait() }()
+	name, params := workload.WordCount(workload.WordCountParams{Lines: 200, InParts: 1, OutParts: 1})
+	if _, err := lc.Master.Submit(name, params); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- lc.Master.Run(ctx) }()
+	inFlight := func() int {
+		n := make(chan int, 1)
+		lc.Master.Sys.Drv.Send(func() { n <- len(lc.Master.exec.dispatches) })
+		return <-n
+	}
+	waitFor(t, "a task in flight", func() bool { return inFlight() > 0 })
+	lc.Master.DrainWorker(0, "test")
+	waitFor(t, "the drain to begin", func() bool { return lc.Master.rec.worker(0).Draining })
+	lc.Master.rec.fence()
+	// The task's last record empties the worker, which completes the drain.
+	waitFor(t, "the worker to empty", func() bool { return inFlight() == 0 })
+	if lc.Master.rec.worker(0).Drained {
+		t.Fatal("the drain was journaled: the fence came too late")
+	}
+	select {
+	case err := <-exited:
+		if err == nil {
+			t.Fatal("the agent exited cleanly: the fenced master sent it DrainDone")
+		}
+		t.Fatalf("the agent exited: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	cancel()
+	<-runErr
+}
+
 // TestFailoverFencedFinishKeepsAgentJob: a job whose last records arrive
 // after the primary's fence (Close has begun) finishes on the dying master,
 // but its JobFinished is not journaled, so a successor resubmits the job and

@@ -859,8 +859,13 @@ func (m *Master) maybeFinishDrain(id int) {
 	if link == nil || !link.drainPending || m.exec.fetchRefs[id] > 0 {
 		return
 	}
+	// Fenced, the drain did not complete: the journal holds the worker as
+	// draining, so its agent stays up for a successor, and Close cuts its
+	// link with the others'.
+	if !m.recordDrained(id) {
+		return
+	}
 	m.dropLink(id)
-	m.recordDrained(id)
 	link.conn.Send(wire.DrainDone{WorkerID: int32(id)})
 	link.conn.CloseGraceful()
 }
@@ -870,12 +875,16 @@ func (m *Master) maybeFinishDrain(id int) {
 // store (commit inserts each one that leaves its task; one that never
 // leaves it is never fetched), so migration is pure routing:
 // once WorkerDrained is recorded, buildFetches serves its partitions from
-// the master — no data moves. Loop-owned, or a takeover's recovery.
-func (m *Master) recordDrained(id int) {
+// the master — no data moves. It reports whether the drain was recorded:
+// false once the recorder is fenced. Loop-owned, or a takeover's recovery.
+func (m *Master) recordDrained(id int) bool {
 	parts := m.exec.migrateOrigins(id)
-	m.rec.record(cpstate.WorkerDrained{Worker: int32(id)})
+	if !m.rec.record(cpstate.WorkerDrained{Worker: int32(id)}) {
+		return false
+	}
 	m.migrated += parts
 	m.logf("master: worker %d drained (%d partitions rerouted to the canonical store)", id, parts)
+	return true
 }
 
 // signals samples the autoscaler's view of the cluster: the scheduler's half

@@ -338,18 +338,33 @@ func strided[T any](n, part, parts int, row func(i int) T) []T {
 // salesTable mirrors the sql_analytics example's generator: n rows drawn
 // under the fixed seed. It is generated, so each partition replays the whole
 // sequence and keeps its own rows, and every process makes identical ones.
+// A partition's rows share one slab of cells, each row capped at its own four,
+// and the region and product cells are boxed once per call.
 func salesTable(n int) *sqlmini.Table {
+	const products = 20
 	regions := []string{"amer", "emea", "apac"}
 	return &sqlmini.Table{
 		Name: "sales", Cols: []string{"order_id", "product_id", "region", "amount"},
 		N: n,
 		Gen: func(part, parts int) [][]sqlmini.Value {
+			regionCells := make([]sqlmini.Value, len(regions))
+			for i, r := range regions {
+				regionCells[i] = r
+			}
+			productCells := make([]sqlmini.Value, products)
+			for i := range productCells {
+				productCells[i] = float64(i)
+			}
 			rng := rand.New(rand.NewSource(42))
 			out := make([][]sqlmini.Value, 0, localrt.PartLen(n, part, parts))
+			cells := make([]sqlmini.Value, 4*cap(out))
 			for i := 0; i < n; i++ {
-				product, region, amount := rng.Intn(20), rng.Intn(len(regions)), rng.Float64()
+				product, region, amount := rng.Intn(products), rng.Intn(len(regions)), rng.Float64()
 				if i%parts == part {
-					out = append(out, []sqlmini.Value{float64(i), float64(product), regions[region], 10 + 200*amount})
+					k := 4 * len(out)
+					r := cells[k : k+4 : k+4]
+					r[0], r[1], r[2], r[3] = float64(i), productCells[product], regionCells[region], 10+200*amount
+					out = append(out, r)
 				}
 			}
 			return out

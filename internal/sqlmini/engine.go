@@ -502,20 +502,44 @@ func execJoin(db *DB, sess *dataset.Session, cur *dataset.Dataset[row], sc *sche
 		return nil, nil, err
 	}
 	rightDS := right.input(sess)
-	keyOf := func(v Value) string { return fmt.Sprintf("%v", v) }
 	lKeyed := dataset.Map(cur, "lkey", func(r row) dataset.Pair[string, row] {
 		return dataset.Pair[string, row]{Key: keyOf(r[li]), Val: r}
 	})
 	rKeyed := dataset.Map(rightDS, "rkey", func(r row) dataset.Pair[string, row] {
 		return dataset.Pair[string, row]{Key: keyOf(r[ri]), Val: r}
 	})
-	joined := dataset.Join(lKeyed, rKeyed, "join", queryParts)
-	merged := dataset.Map(joined, "merge", func(p dataset.Pair[string, dataset.JoinRow[row, row]]) row {
-		out := make(row, 0, len(p.Val.Left)+len(p.Val.Right))
-		out = append(out, p.Val.Left...)
-		return append(out, p.Val.Right...)
+	joined := dataset.Join(lKeyed, rKeyed, "join", queryParts, func(_ string, l, r row) row {
+		out := make(row, len(l)+len(r))
+		copy(out, l)
+		copy(out[len(l):], r)
+		return out
 	})
-	return merged, sc.merge(rsc), nil
+	return joined, sc.merge(rsc), nil
+}
+
+// keyOf is a cell's join key: its fmt.Sprint form.
+func keyOf(v Value) string {
+	var b [32]byte
+	return string(appendKey(b[:0], v))
+}
+
+// appendKey appends v's fmt.Sprint form to b, without fmt for every cell type
+// rowcodec.Cell decodes: strconv's shortest 'g' form of a float64 is the
+// text %v prints for it.
+func appendKey(b []byte, v Value) []byte {
+	switch x := v.(type) {
+	case string:
+		return append(b, x...)
+	case float64:
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
+	case int:
+		return strconv.AppendInt(b, int64(x), 10)
+	case int64:
+		return strconv.AppendInt(b, x, 10)
+	case bool:
+		return strconv.AppendBool(b, x)
+	}
+	return fmt.Append(b, v)
 }
 
 func hasAgg(q *Query) bool {
@@ -640,35 +664,37 @@ func execAggregate(cur *dataset.Dataset[row], sc *schema,
 		aggKinds = append(aggKinds, it.Agg)
 	}
 
+	// A group's key is its cells' fmt.Sprint forms, each ended by a NUL. It is
+	// built in one reused buffer; only a group's first row allocates.
 	keyed := dataset.MapPartitions(cur, "pre-agg", func(rows []row) []dataset.Pair[string, groupRow] {
-		partial := map[string]*groupRow{}
-		var order []string // first-seen key order: emission must be deterministic
+		var out []dataset.Pair[string, groupRow] // first-seen key order: emission must be deterministic
+		at := map[string]int{}
+		var buf []byte
 		for _, r := range rows {
-			keyVals := make([]Value, len(keyIdx))
-			var sb strings.Builder
-			for i, ki := range keyIdx {
-				keyVals[i] = r[ki]
-				fmt.Fprintf(&sb, "%v\x00", r[ki])
+			buf = buf[:0]
+			for _, ki := range keyIdx {
+				buf = append(appendKey(buf, r[ki]), 0)
 			}
-			key := sb.String()
-			g, ok := partial[key]
+			gi, ok := at[string(buf)]
 			if !ok {
-				g = &groupRow{Keys: keyVals, Aggs: make([]aggState, len(aggEvals))}
-				partial[key] = g
-				order = append(order, key)
+				keyVals := make([]Value, len(keyIdx))
+				for i, ki := range keyIdx {
+					keyVals[i] = r[ki]
+				}
+				gi = len(out)
+				key := string(buf)
+				at[key] = gi
+				out = append(out, dataset.Pair[string, groupRow]{Key: key,
+					Val: groupRow{Keys: keyVals, Aggs: make([]aggState, len(aggEvals))}})
 			}
+			aggs := out[gi].Val.Aggs
 			for ai, eval := range aggEvals {
 				var v float64 = 1 // COUNT(*)
 				if eval != nil {
 					v = toFloat(eval(r))
 				}
-				st := aggState{Sum: v, Count: 1, Min: v, Max: v, Seen: true}
-				g.Aggs[ai] = g.Aggs[ai].merge(st)
+				aggs[ai] = aggs[ai].merge(aggState{Sum: v, Count: 1, Min: v, Max: v, Seen: true})
 			}
-		}
-		out := make([]dataset.Pair[string, groupRow], 0, len(partial))
-		for _, key := range order {
-			out = append(out, dataset.Pair[string, groupRow]{Key: key, Val: *partial[key]})
 		}
 		return out
 	})

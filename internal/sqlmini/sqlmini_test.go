@@ -1,7 +1,9 @@
 package sqlmini
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -210,5 +212,32 @@ func TestCSVTypeInference(t *testing.T) {
 	}
 	if _, ok := tbl.Rows[0][1].(string); !ok {
 		t.Errorf("string cell type = %T", tbl.Rows[0][1])
+	}
+}
+
+// TestAppendKeyMatchesSprint: the key formatter writes fmt.Sprint's text for
+// every cell type rowcodec.Cell decodes (nil, bool, int, int64, float64,
+// string), float edge cases and a seeded sweep of floats included, and for a
+// type it does not special-case.
+func TestAppendKeyMatchesSprint(t *testing.T) {
+	cells := []Value{
+		nil, true, false, 0, -1, 42, math.MaxInt64, math.MinInt64,
+		int64(0), int64(-7), int64(math.MaxInt64), int64(math.MinInt64),
+		"", "emea", "héllo\x00", uint8(3), []int{1},
+		0.0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1.0, 1e6, 1e20, 1e21, 1e-4, 1e-5, 5e-324, math.MaxFloat64, 0.1, 12.25, -3.5,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		cells = append(cells,
+			float64(rng.Intn(1e6)),
+			10+200*rng.Float64(),
+			math.Float64frombits(rng.Uint64()),
+			rng.NormFloat64()*math.Pow(10, float64(rng.Intn(60)-30)))
+	}
+	for _, c := range cells {
+		if got, want := string(appendKey([]byte("x"), c)), "x"+fmt.Sprint(c); got != want {
+			t.Errorf("appendKey(%T %v) = %q, want %q", c, c, got, want)
+		}
 	}
 }

@@ -51,14 +51,11 @@ var registerOnce sync.Once
 // query rows.
 func RegisterWireTypes() {
 	registerOnce.Do(func() {
-		joinCodec := dataset.JoinRowCodec(rowCodec, rowCodec)
 		rowcodec.Register(rowCodec)
 		rowcodec.Register(aggCodec)
 		rowcodec.Register(groupCodec)
 		rowcodec.Register(dataset.PairCodec(rowcodec.String, rowCodec))
 		rowcodec.Register(dataset.PairCodec(rowcodec.String, groupCodec))
 		rowcodec.Register(dataset.CoGroupedCodec(rowcodec.String, rowCodec, rowCodec))
-		rowcodec.Register(joinCodec)
-		rowcodec.Register(dataset.PairCodec(rowcodec.String, joinCodec))
 	})
 }

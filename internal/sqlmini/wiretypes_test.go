@@ -12,10 +12,7 @@ import (
 	"ursa/internal/sqlmini"
 )
 
-type (
-	row     = []sqlmini.Value
-	joinRow = dataset.JoinRow[row, row]
-)
+type row = []sqlmini.Value
 
 var (
 	payloadNaN = math.Float64frombits(0x7ff8000000abcdef)
@@ -23,8 +20,9 @@ var (
 )
 
 // wireSamples is one run of rows per registered row type: the scalars and
-// Pair[string,int] remote/workload registers, and the eight types
-// RegisterWireTypes does. Only the "float bits" sample holds NaNs.
+// Pair[string,int] remote/workload registers, and the six types
+// RegisterWireTypes does; plus the merged rows q1's join emits. Only the
+// "float bits" sample holds NaNs.
 var wireSamples = map[string][]localrt.Row{
 	"int":     {0, -1, math.MaxInt64, math.MinInt64},
 	"string":  {"", "a", "héllo\x00"},
@@ -59,12 +57,9 @@ var wireSamples = map[string][]localrt.Row{
 		dataset.CoGrouped[string, row, row]{Key: "left only", Left: []row{{1.0}, nil, {}}},
 		dataset.CoGrouped[string, row, row]{Key: "both", Left: []row{{1.0, "a"}}, Right: []row{{2.0}, {3.0}}},
 	},
-	"join": {
-		joinRow{},
-		joinRow{Left: row{1.0}, Right: row{}},
-	},
-	"pair<string,join>": {
-		dataset.Pair[string, joinRow]{Key: "1", Val: joinRow{Left: row{1.0, "l"}, Right: row{1.0, "r"}}},
+	"join output": {
+		row{7.0, 3.0, "emea", 123.456, 3.0, "gizmos"},
+		row{8.0, 3.0, "amer", 61.5, 3.0, "gizmos"},
 	},
 	"float bits": {
 		payloadNaN, negZero,
