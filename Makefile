@@ -62,23 +62,26 @@ equiv:
 # the builder's message), generated inputs made only by the monotasks that
 # read them (none at the master, "sql" tables included), the execution
 # frame budget (one Task and one TaskDone per task: micro ≤ 8 frames, q1 ≤ 32
-# frames and ≤ 600 000 TaskDone bytes per job), a task whose agent dies
+# frames and ≤ 600 000 TaskDone bytes per job), the monotasks of one agent
+# that read one partition at once fetching it once, a task whose agent dies
 # between its network and CPU monotasks running whole on another, and an
 # agent that registers after Run returned being shut down as the run's own
 # agents are, and cut by Close, under the race detector. (Also covered by `race`; kept as an explicit gate
 # so the data plane, the fallback path, worker liveness, the front door,
-# registration, Prepare, input generation, the task frames and the stop rule
-# cannot silently drop out of CI.)
+# registration, Prepare, input generation, the task frames, the fetch-once
+# rule and the stop rule cannot silently drop out of CI.)
 smoke-dist:
-	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends|TestPrepareOnFirstDispatch|TestAgentBuildFailureFailsRun|TestCloseCutsLateRegistration|TestInputsGeneratedWhereRead|TestExecutionFrameBudget|TestKillBetweenNetworkAndCPU|TestLateRegistrationShutsDown' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestLoopback|TestMeasuredRates|TestAgentFailureRecovery|TestLinkLiveness|TestFrontDoor|TestStatusAsFirstFrame|TestBatchRunWithoutJobsEnds|TestBatchMasterAnswersClients|TestFallbackFetchDialsRegisteredMaster|TestRegistrationClaimsOrAppends|TestPrepareOnFirstDispatch|TestAgentBuildFailureFailsRun|TestCloseCutsLateRegistration|TestInputsGeneratedWhereRead|TestExecutionFrameBudget|TestConcurrentReadersFetchOnce|TestKillBetweenNetworkAndCPU|TestLateRegistrationShutsDown' ./internal/remote
 
 # Failover smoke: kill a journaled primary mid-job, promote the standby off
 # the lease, replay snapshot + tail to byte-identical control-plane state,
 # re-attach the workers under generation 2, and finish with rows identical
-# to direct execution and zero duplicate commits — plus the offline
-# replay-determinism suite. Runs under the race detector.
+# to direct execution and no task committed twice — plus the offline
+# replay-determinism suite and the journal budget (one event per committed
+# task: micro ≤ 7 and q1 ≤ 19 events per job, each TaskCommitted naming
+# every monotask of its task). Runs under the race detector.
 smoke-failover:
-	$(GO) test -race -count=1 -run 'TestFailover|TestReplayMatchesLiveState' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestFailover|TestReplayMatchesLiveState|TestJournalEventBudget' ./internal/remote
 
 # Elastic smoke, both hosts of the one controller under the race detector:
 # a serve-mode loopback cluster scales 2→5 under admission pressure and

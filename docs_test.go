@@ -70,6 +70,11 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`handleComplete`, "remoteExecutor.handleTaskDone commits a task's records"},
 	{`handleDispatch`, "the agent takes a placed task in handleTask"},
 	{`\bJoinRow`, "dataset.Join's emit makes the caller's row from each matched pair"},
+	{`dispatchState|dispatchKey|exec\.dispatches`, "remoteExecutor.tasks holds each in-flight task by its seq"},
+	{`\bMTKey\b|CommitState`, "cpstate.State.Commits is keyed by cpstate.TaskKey"},
+	{`settlePrecommits`, "remoteExecutor.completeRecovered completes a recovered task whole"},
+	{`\brerun\(|\.replay\(\)|\.Committed\(`, "every monotask of a Task runs; there is no replay"},
+	{`TestReplayRerunsTaskInternal`, "every monotask of a Task runs; there is no replay"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

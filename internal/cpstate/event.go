@@ -1,7 +1,7 @@
 // Package cpstate is the master's control-plane state machine, carved out
 // of remote.Master so it can be journaled and replayed: every mutation the
 // control plane performs that a takeover reads back — a job submitted,
-// admitted, finished or cancelled; a monotask committed; a worker
+// admitted, finished or cancelled; a task committed; a worker
 // registered, draining, drained or failed; a generation bump at
 // takeover — is a typed Event, and the only way state changes is the pure
 // Apply(state, event) function. The networking layer reduces to translating
@@ -35,6 +35,7 @@ const (
 	evWorkerFailed     byte = 9
 	evWorkerDraining   byte = 10
 	evWorkerDrained    byte = 11
+	evTaskCommitted    byte = 13
 )
 
 // Event is one control-plane mutation. Implementations are value types:
@@ -72,7 +73,7 @@ type JobAdmitted struct {
 	Reserved float64
 }
 
-// JobFinished marks a job terminal; its per-monotask state compacts out of
+// JobFinished marks a job terminal; its commits and origins compact out of
 // the live state.
 type JobFinished struct {
 	JobID int64
@@ -85,8 +86,7 @@ type JobCancelled struct {
 
 // Placed is a monotask dispatched to a worker under a fresh sequence number.
 // No master records it any more: in-flight work is the executor's alone and
-// void at takeover. It stays decodable, and Apply ignores it, so a journal
-// tail that holds one still replays.
+// void at takeover. It stays decodable, and Apply ignores it.
 type Placed struct {
 	JobID  int64
 	MTID   int32
@@ -100,11 +100,32 @@ type CommitWrite struct {
 	Part int32
 }
 
-// Commit records an accepted completion: the (job, mt) pair is done, its
-// writes are checkpointed in the master's canonical store, and Seconds is
-// the worker-measured execution time (the §4.2.2 rate sample, re-fed on
-// replay so precommitted work still trains the rate monitors). Seq, the
-// dispatch's at-most-once token, is encoded but not folded.
+// MTCommit is one monotask of a committed task: Seconds is the
+// worker-measured execution time (the §4.2.2 rate sample, re-fed when a
+// takeover completes the task from the checkpoint) and Writes the
+// partitions it checkpointed.
+type MTCommit struct {
+	MTID    int32
+	Seconds float64
+	Writes  []CommitWrite
+}
+
+// TaskCommitted records an accepted TaskDone: task Task of the job ran whole
+// on Worker, and MTs names each of its monotasks in the task's order
+// (dag.Task.Monotasks, producers first), its writes now checkpointed in the
+// master's canonical store and Worker an origin of each. Seq, the task's
+// at-most-once token, is encoded but not folded.
+type TaskCommitted struct {
+	JobID  int64
+	Task   int32
+	Worker int32
+	Seq    uint64
+	MTs    []MTCommit
+}
+
+// Commit is one monotask's accepted completion. No master records it any
+// more: a task commits whole, as one TaskCommitted. It stays decodable, and
+// Apply ignores it.
 type Commit struct {
 	JobID   int64
 	MTID    int32
@@ -155,6 +176,7 @@ func (JobFinished) typ() byte      { return evJobFinished }
 func (JobCancelled) typ() byte     { return evJobCancelled }
 func (Placed) typ() byte           { return evPlaced }
 func (Commit) typ() byte           { return evCommit }
+func (TaskCommitted) typ() byte    { return evTaskCommitted }
 func (WorkerRegistered) typ() byte { return evWorkerRegistered }
 func (WorkerFailed) typ() byte     { return evWorkerFailed }
 func (WorkerDraining) typ() byte   { return evWorkerDraining }
@@ -192,8 +214,31 @@ func (ev Commit) encode(e *wire.Encoder) {
 	e.I32(ev.Worker)
 	e.U64(ev.Seq)
 	e.F64(ev.Seconds)
-	e.U32(uint32(len(ev.Writes)))
-	for _, w := range ev.Writes {
+	appendWrites(e, ev.Writes)
+}
+
+const mtCommitMin = 4 + 8 + 4 // MTID + Seconds + write count
+
+func (ev TaskCommitted) encode(e *wire.Encoder) {
+	e.I64(ev.JobID)
+	e.I32(ev.Task)
+	e.I32(ev.Worker)
+	e.U64(ev.Seq)
+	appendMTCommits(e, ev.MTs)
+}
+
+func appendMTCommits(e *wire.Encoder, mts []MTCommit) {
+	e.U32(uint32(len(mts)))
+	for _, c := range mts {
+		e.I32(c.MTID)
+		e.F64(c.Seconds)
+		appendWrites(e, c.Writes)
+	}
+}
+
+func appendWrites(e *wire.Encoder, writes []CommitWrite) {
+	e.U32(uint32(len(writes)))
+	for _, w := range writes {
 		e.I32(w.DS)
 		e.I32(w.Part)
 	}
@@ -241,7 +286,11 @@ func DecodeEvent(p []byte) (Event, error) {
 	case evPlaced:
 		ev = Placed{JobID: d.I64(), MTID: d.I32(), Worker: d.I32(), Seq: d.U64()}
 	case evCommit:
-		ev = decodeCommit(d)
+		ev = Commit{JobID: d.I64(), MTID: d.I32(), Worker: d.I32(),
+			Seq: d.U64(), Seconds: d.F64(), Writes: decodeWrites(d)}
+	case evTaskCommitted:
+		ev = TaskCommitted{JobID: d.I64(), Task: d.I32(), Worker: d.I32(),
+			Seq: d.U64(), MTs: decodeMTCommits(d)}
 	case evWorkerRegistered:
 		ev = WorkerRegistered{Worker: d.I32(), ShuffleAddr: d.Str(), Cores: d.I32()}
 	case evWorkerFailed:
@@ -262,12 +311,20 @@ func DecodeEvent(p []byte) (Event, error) {
 	return ev, nil
 }
 
-func decodeCommit(d *wire.Decoder) Event {
-	ev := Commit{JobID: d.I64(), MTID: d.I32(), Worker: d.I32(),
-		Seq: d.U64(), Seconds: d.F64()}
+func decodeMTCommits(d *wire.Decoder) []MTCommit {
+	var mts []MTCommit
+	n := d.Count(mtCommitMin)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		mts = append(mts, MTCommit{MTID: d.I32(), Seconds: d.F64(), Writes: decodeWrites(d)})
+	}
+	return mts
+}
+
+func decodeWrites(d *wire.Decoder) []CommitWrite {
+	var writes []CommitWrite
 	n := d.Count(commitWriteMin)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		ev.Writes = append(ev.Writes, CommitWrite{DS: d.I32(), Part: d.I32()})
+		writes = append(writes, CommitWrite{DS: d.I32(), Part: d.I32()})
 	}
-	return ev
+	return writes
 }

@@ -24,6 +24,11 @@ func FuzzDecodeEvent(f *testing.F) {
 		WorkerDraining{Worker: 2},
 		WorkerDrained{Worker: 2},
 		WorkerRegistered{Worker: 3, ShuffleAddr: "127.0.0.1:7002", Cores: 4},
+		TaskCommitted{JobID: 7, Task: 2, Worker: 1, Seq: 1<<32 | 5, MTs: []MTCommit{
+			{MTID: 3, Seconds: 0.125},
+			{MTID: 4, Seconds: 0.25, Writes: []CommitWrite{{DS: 10, Part: 0}, {DS: 10, Part: 1}}},
+		}},
+		TaskCommitted{JobID: 8, Task: 0, Worker: 0, Seq: 6}, // no monotask: decodes, names nothing
 	} {
 		f.Add(AppendEvent(nil, ev))
 	}
@@ -32,6 +37,8 @@ func FuzzDecodeEvent(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{99, 1, 2, 3})
 	f.Add([]byte{evCommit, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{evTaskCommitted, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 2, 0, 0, 0, 1,
+		0, 0, 0, 1, 0, 0, 0, 5, 0xff, 0xff, 0xff, 0xff}) // monotask count past the payload
 	f.Add(append(AppendEvent(nil, WorkerFailed{Worker: 1}), 0xff))
 	f.Add(AppendEvent(nil, WorkerDraining{Worker: -1})) // no slot: ignored, not an index
 	// Past the next slot: ignored, not a registry grown to 2^31 entries.

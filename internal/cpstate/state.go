@@ -22,10 +22,10 @@ const (
 // Terminal reports whether the phase is final.
 func (p JobPhase) Terminal() bool { return p == PhaseFinished || p == PhaseCancelled }
 
-// MTKey identifies one monotask of one job.
-type MTKey struct {
-	Job int64
-	MT  int32
+// TaskKey identifies one task of one job.
+type TaskKey struct {
+	Job  int64
+	Task int32
 }
 
 // PartKey identifies one produced partition of one job.
@@ -64,13 +64,6 @@ func (w WorkerState) Live() bool { return !w.Failed && !w.Draining && !w.Drained
 // master's canonical store instead.
 func (w WorkerState) ServesPeers() bool { return !w.Failed && !w.Drained }
 
-// CommitState is an accepted completion: what a takeover needs to complete
-// the monotask from the checkpoint (its writes) and re-feed its rate sample.
-type CommitState struct {
-	Seconds float64
-	Writes  []CommitWrite
-}
-
 // State is the deterministic control-plane state: everything a standby
 // needs to take over — jobs and their phases, the worker registry, accepted
 // commits and the partition origin map — derived purely from the event
@@ -89,9 +82,11 @@ type State struct {
 	Order []int64
 	// Workers is the registry, indexed by worker ID.
 	Workers []WorkerState
-	// Commits holds accepted completions for non-terminal jobs (terminal
-	// jobs compact out — their outputs are consumed, nothing replays them).
-	Commits map[MTKey]CommitState
+	// Commits holds the committed tasks of non-terminal jobs: what a
+	// takeover needs to complete a task from the checkpoint (its writes) and
+	// re-feed its rate samples. Terminal jobs compact out — their outputs
+	// are consumed, nothing completes them again.
+	Commits map[TaskKey][]MTCommit
 	// Origins records which workers hold committed contributions for each
 	// produced partition (sorted, unique) — the §4.3 checkpoint metadata.
 	Origins map[PartKey][]int32
@@ -101,7 +96,7 @@ type State struct {
 func New() *State {
 	return &State{
 		Jobs:    make(map[int64]*JobState),
-		Commits: make(map[MTKey]CommitState),
+		Commits: make(map[TaskKey][]MTCommit),
 		Origins: make(map[PartKey][]int32),
 	}
 }
@@ -125,9 +120,9 @@ func (st *State) MaxJobID() int64 {
 }
 
 // Apply folds one event into the state. It is the only mutation path and is
-// deterministic: same state, same event, same result. Fields a takeover
-// never reads back — Placed, a JobAdmitted's reservation, a Commit's
-// sequence number, a registration's cores — are not folded.
+// deterministic: same state, same event, same result. What a takeover
+// never reads back — Placed, Commit, a JobAdmitted's reservation, a
+// TaskCommitted's sequence number, a registration's cores — is not folded.
 func Apply(st *State, ev Event) {
 	st.Applied++
 	switch ev := ev.(type) {
@@ -149,12 +144,12 @@ func Apply(st *State, ev Event) {
 		st.finishJob(ev.JobID, PhaseFinished)
 	case JobCancelled:
 		st.finishJob(ev.JobID, PhaseCancelled)
-	case Commit:
-		st.Commits[MTKey{ev.JobID, ev.MTID}] = CommitState{
-			Seconds: ev.Seconds, Writes: append([]CommitWrite(nil), ev.Writes...),
-		}
-		for _, w := range ev.Writes {
-			st.addOrigin(PartKey{ev.JobID, w.DS, w.Part}, ev.Worker)
+	case TaskCommitted:
+		st.Commits[TaskKey{ev.JobID, ev.Task}] = ev.MTs
+		for _, c := range ev.MTs {
+			for _, w := range c.Writes {
+				st.addOrigin(PartKey{ev.JobID, w.DS, w.Part}, ev.Worker)
+			}
 		}
 	case WorkerRegistered:
 		// A registration names an existing slot or the next one: any other ID
@@ -231,9 +226,8 @@ func (st *State) finishJob(id int64, phase JobPhase) {
 		return
 	}
 	js.Phase = phase
-	// Compact: a terminal job's per-monotask state can never be replayed
-	// into work again, so it leaves the live state (and with it, the next
-	// snapshot).
+	// Compact: a terminal job's commits can never be completed again, so
+	// they leave the live state (and with it, the next snapshot).
 	for k := range st.Commits {
 		if k.Job == id {
 			delete(st.Commits, k)
@@ -264,7 +258,7 @@ const stateMagic = "UCPS"
 
 // stateVersion is bumped whenever the layout changes; DecodeState refuses
 // every other version.
-const stateVersion byte = 3
+const stateVersion byte = 4
 
 // AppendEncoded appends the state's canonical encoding to dst. Two states
 // built from the same event sequence encode byte-identically — the replay
@@ -293,28 +287,22 @@ func (st *State) AppendEncoded(dst []byte) []byte {
 		e.Bool(w.Drained)
 	}
 
-	mtKeys := make([]MTKey, 0, len(st.Commits))
+	taskKeys := make([]TaskKey, 0, len(st.Commits))
 	for k := range st.Commits {
-		mtKeys = append(mtKeys, k)
+		taskKeys = append(taskKeys, k)
 	}
-	sort.Slice(mtKeys, func(i, j int) bool {
-		a, b := mtKeys[i], mtKeys[j]
+	sort.Slice(taskKeys, func(i, j int) bool {
+		a, b := taskKeys[i], taskKeys[j]
 		if a.Job != b.Job {
 			return a.Job < b.Job
 		}
-		return a.MT < b.MT
+		return a.Task < b.Task
 	})
-	e.U32(uint32(len(mtKeys)))
-	for _, k := range mtKeys {
-		c := st.Commits[k]
+	e.U32(uint32(len(taskKeys)))
+	for _, k := range taskKeys {
 		e.I64(k.Job)
-		e.I32(k.MT)
-		e.F64(c.Seconds)
-		e.U32(uint32(len(c.Writes)))
-		for _, w := range c.Writes {
-			e.I32(w.DS)
-			e.I32(w.Part)
-		}
+		e.I32(k.Task)
+		appendMTCommits(e, st.Commits[k])
 	}
 
 	partKeys := make([]PartKey, 0, len(st.Origins))
@@ -379,15 +367,10 @@ func DecodeState(p []byte) (*State, error) {
 		})
 	}
 
-	ncommits := d.Count(8 + 4 + 8 + 4)
+	ncommits := d.Count(8 + 4 + 4)
 	for i := 0; i < ncommits && d.Err() == nil; i++ {
-		k := MTKey{d.I64(), d.I32()}
-		c := CommitState{Seconds: d.F64()}
-		nw := d.Count(commitWriteMin)
-		for j := 0; j < nw && d.Err() == nil; j++ {
-			c.Writes = append(c.Writes, CommitWrite{DS: d.I32(), Part: d.I32()})
-		}
-		st.Commits[k] = c
+		k := TaskKey{d.I64(), d.I32()}
+		st.Commits[k] = decodeMTCommits(d)
 	}
 
 	norigins := d.Count(8 + 4 + 4 + 4)

@@ -8,9 +8,10 @@ import (
 )
 
 // sampleEvents is a lifecycle covering every event type: two workers join,
-// two jobs flow through submit→admit→place→commit, one finishes (compacting
-// its monotask state), one worker dies, a takeover generation resets the
-// survivor to queued, and a third job is cancelled.
+// two jobs flow through submit→admit→commit, one finishes (compacting its
+// commits and origins), one worker dies, a takeover generation resets the
+// survivor to queued, and a third job is cancelled. Placed and Commit, which
+// no master records, are among them: Apply must ignore both.
 func sampleEvents() []Event {
 	return []Event{
 		WorkerRegistered{Worker: 0, ShuffleAddr: "127.0.0.1:7001", Cores: 4},
@@ -22,13 +23,19 @@ func sampleEvents() []Event {
 		Placed{JobID: 1, MTID: 10, Worker: 0, Seq: 1},
 		Placed{JobID: 1, MTID: 11, Worker: 1, Seq: 2},
 		Placed{JobID: 2, MTID: 20, Worker: 0, Seq: 3},
-		Commit{JobID: 1, MTID: 10, Worker: 0, Seq: 1, Seconds: 0.25,
-			Writes: []CommitWrite{{DS: 100, Part: 0}, {DS: 100, Part: 1}}},
-		Commit{JobID: 1, MTID: 11, Worker: 1, Seq: 2, Seconds: 0.5,
-			Writes: []CommitWrite{{DS: 100, Part: 0}}},
+		TaskCommitted{JobID: 1, Task: 4, Worker: 0, Seq: 1, MTs: []MTCommit{
+			{MTID: 9, Seconds: 0.125},
+			{MTID: 10, Seconds: 0.25, Writes: []CommitWrite{{DS: 100, Part: 0}, {DS: 100, Part: 1}}},
+		}},
+		TaskCommitted{JobID: 1, Task: 5, Worker: 1, Seq: 2, MTs: []MTCommit{
+			{MTID: 11, Seconds: 0.5, Writes: []CommitWrite{{DS: 100, Part: 0}}},
+		}},
 		JobFinished{JobID: 1},
-		Commit{JobID: 2, MTID: 20, Worker: 0, Seq: 3, Seconds: 1.5,
-			Writes: []CommitWrite{{DS: 200, Part: 3}}},
+		TaskCommitted{JobID: 2, Task: 0, Worker: 0, Seq: 3, MTs: []MTCommit{
+			{MTID: 20, Seconds: 1.5, Writes: []CommitWrite{{DS: 200, Part: 3}}},
+		}},
+		Commit{JobID: 2, MTID: 21, Worker: 1, Seq: 4, Seconds: 2,
+			Writes: []CommitWrite{{DS: 200, Part: 4}}},
 		WorkerFailed{Worker: 1},
 		Generation{Gen: 2},
 		JobSubmitted{JobID: 3, Tenant: "alice", Workload: "wordcount", Params: nil},
@@ -76,11 +83,16 @@ func TestApplySemantics(t *testing.T) {
 	if ph := st.Jobs[2].Phase; ph != PhaseQueued {
 		t.Fatalf("job 2 phase = %d, want queued after generation reset", ph)
 	}
-	if _, ok := st.Commits[MTKey{2, 20}]; !ok {
-		t.Fatal("job 2 commit lost across generation bump")
+	want := []MTCommit{{MTID: 20, Seconds: 1.5, Writes: []CommitWrite{{DS: 200, Part: 3}}}}
+	if got := st.Commits[TaskKey{2, 0}]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("job 2 task 0 commit = %+v across the generation bump, want %+v", got, want)
 	}
 	if got := st.Origins[PartKey{2, 200, 3}]; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("job 2 origins = %v, want [0]", got)
+	}
+	// The Placed and the Commit left no trace: one task commit, one origin.
+	if len(st.Commits) != 1 || len(st.Origins) != 1 {
+		t.Fatalf("commits %+v and origins %+v, want job 2's task 0 alone", st.Commits, st.Origins)
 	}
 
 	// Worker registry survives; the failure mark survives.
@@ -94,10 +106,10 @@ func TestApplySemantics(t *testing.T) {
 	}
 }
 
-// TestUnreadFieldsNotFolded: what no takeover reads back — Placed, a
-// JobAdmitted's reservation, a Commit's sequence number, a registration's
-// cores — leaves no trace in the state: changing all of them changes no byte
-// of its encoding.
+// TestUnreadFieldsNotFolded: what no takeover reads back — Placed, Commit,
+// a JobAdmitted's reservation, a TaskCommitted's sequence number, a
+// registration's cores — leaves no trace in the state: changing all of them
+// changes no byte of its encoding.
 func TestUnreadFieldsNotFolded(t *testing.T) {
 	events := sampleEvents()
 	varied := make([]Event, len(events))
@@ -110,6 +122,10 @@ func TestUnreadFieldsNotFolded(t *testing.T) {
 			e.Reserved *= 3
 			ev = e
 		case Commit:
+			e.JobID, e.MTID, e.Worker, e.Seq, e.Seconds = e.JobID+1, e.MTID+1, e.Worker+1, e.Seq+100, e.Seconds*2
+			e.Writes = append(e.Writes, CommitWrite{DS: 7, Part: 7})
+			ev = e
+		case TaskCommitted:
 			e.Seq += 100
 			ev = e
 		case WorkerRegistered:
@@ -285,16 +301,12 @@ func TestApplyOrderIndependentEncoding(t *testing.T) {
 		events = append(events, JobSubmitted{JobID: j, Tenant: "t", Workload: "wl"})
 		events = append(events, JobAdmitted{JobID: j, Reserved: float64(j)})
 	}
-	seq := uint64(0)
 	for i := 0; i < 400; i++ {
 		j := int64(rng.Intn(20) + 1)
-		mt := int32(rng.Intn(10))
-		w := int32(rng.Intn(4))
-		seq++
-		events = append(events, Placed{JobID: j, MTID: mt, Worker: w, Seq: seq})
+		task := int32(rng.Intn(10))
 		if rng.Intn(2) == 0 {
-			events = append(events, Commit{JobID: j, MTID: mt, Worker: w, Seq: seq,
-				Seconds: float64(i), Writes: []CommitWrite{{DS: int32(j), Part: mt}}})
+			events = append(events, TaskCommitted{JobID: j, Task: task, Worker: int32(rng.Intn(4)), Seq: uint64(i),
+				MTs: []MTCommit{{MTID: task, Seconds: float64(i), Writes: []CommitWrite{{DS: int32(j), Part: task}}}}})
 		}
 	}
 	for j := int64(1); j <= 10; j++ {
@@ -306,11 +318,11 @@ func TestApplyOrderIndependentEncoding(t *testing.T) {
 	// iteration order without changing logical content.
 	b := New()
 	for i := int64(1000); i < 1100; i++ {
-		b.Commits[MTKey{i, 0}] = CommitState{}
+		b.Commits[TaskKey{i, 0}] = nil
 		b.Origins[PartKey{i, 0, 0}] = []int32{9}
 	}
 	for i := int64(1000); i < 1100; i++ {
-		delete(b.Commits, MTKey{i, 0})
+		delete(b.Commits, TaskKey{i, 0})
 		delete(b.Origins, PartKey{i, 0, 0})
 	}
 	for _, ev := range events {

@@ -575,14 +575,6 @@ func (r *Runtime) ExecRecord(mt *dag.Monotask) (writes []RecordedWrite, err erro
 	return writes, nil
 }
 
-// Committed reports whether mt's outputs were committed here: whether its
-// task-internal contributions, which no other process holds, are local.
-func (r *Runtime) Committed(mt *dag.Monotask) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.committed[mt]
-}
-
 // gather collects a monotask's input rows from a dataset under its mapping.
 // Partitions are read in canonical contribution order, so ordinals are
 // identical on every process holding the same contributions. Contributions

@@ -6,8 +6,8 @@ import (
 )
 
 // Journal counts what only the master's journaling paths observe: events and
-// bytes replayed at a takeover, monotask records rejected by the at-most-once
-// guard, monotasks short-circuited from replayed commits, workers re-attached
+// bytes replayed at a takeover, TaskDone frames rejected by the at-most-once
+// guard, tasks completed from replayed commits, workers re-attached
 // under a new generation, and JobQuery answers of not-found. Its stats line
 // prints them beside the facts other components own, read from those owners
 // when the line is rendered. Safe for concurrent use.
@@ -43,15 +43,15 @@ func (g *Journal) ObserveReplay(n, bytes int) {
 	g.replayBytes.Add(int64(bytes))
 }
 
-// ObserveDupCommit records a monotask record rejected by the at-most-once
-// (jobID, mtID, seq) guard.
+// ObserveDupCommit records a TaskDone rejected by the at-most-once (seq,
+// worker) guard.
 func (g *Journal) ObserveDupCommit() { g.dupCommits.Add(1) }
 
-// ObservePrecommit records a monotask satisfied from a replayed commit
-// instead of re-execution.
+// ObservePrecommit records a task completed from a replayed commit instead
+// of re-execution.
 func (g *Journal) ObservePrecommit() { g.precommits.Add(1) }
 
-// Precommits returns the replay short-circuit count.
+// Precommits returns the count of tasks completed from replayed commits.
 func (g *Journal) Precommits() int { return int(g.precommits.Load()) }
 
 // ObserveReattach records a worker re-attaching under a new generation.

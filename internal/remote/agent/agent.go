@@ -154,7 +154,14 @@ type jobState struct {
 	err error
 
 	mu      sync.Mutex
-	fetched map[fetchKey]bool
+	fetched map[fetchKey]*fetchOnce
+}
+
+// fetchOnce is one (dataset, part, origin) of a job: its readers take the
+// lock in turn, and the first one to find done unset fetches it.
+type fetchOnce struct {
+	sync.Mutex
+	done bool
 }
 
 // close releases the job's spill file, if it has a runtime.
@@ -164,21 +171,10 @@ func (js *jobState) close() {
 	}
 }
 
-type dispatchKey struct {
-	job int64
-	mt  int32
-}
-
-// inflight is an awaited monotask's entry: the task it runs in, under the
-// sequence number its record carries (Abort's match).
-type inflight struct {
-	task *taskRun
-	seq  uint64
-}
-
 // taskRun is one Task frame in flight on the agent.
 type taskRun struct {
 	jobID int64
+	seq   uint64
 	js    *jobState
 	prio  float64
 	runs  []*mtRun
@@ -201,9 +197,6 @@ type mtRun struct {
 	waits int
 	outs  []*mtRun
 }
-
-// replay reports whether the master already committed the monotask.
-func (r *mtRun) replay() bool { return r.d.Seq == 0 }
 
 // started is a monotask taken off the queues (or past them, when counted
 // is false) to run on a goroutine of its own.
@@ -242,10 +235,11 @@ type Agent struct {
 	// its control port, which also serves the canonical checkpoint store,
 	// the fallback fetch holder. Under mu — rewritten at re-attach while
 	// execute goroutines read it.
-	master   string
-	jobs     map[int64]*jobState
-	clients  map[string]*shuffle.Client
-	inflight map[dispatchKey]inflight
+	master  string
+	jobs    map[int64]*jobState
+	clients map[string]*shuffle.Client
+	// inflight holds the tasks running here by their seq, Abort's match.
+	inflight map[uint64]*taskRun
 	// queues are the agent's monotask queues (§4.2.3): Cores CPU monotasks
 	// at once, the master's network limit and bypass.
 	queues mtqueue.Queues[*mtRun]
@@ -272,7 +266,7 @@ func Dial(cfg Config) (*Agent, error) {
 		quit:     make(chan struct{}),
 		jobs:     make(map[int64]*jobState),
 		clients:  make(map[string]*shuffle.Client),
-		inflight: make(map[dispatchKey]inflight),
+		inflight: make(map[uint64]*taskRun),
 		builds:   buildCache{byKey: make(map[buildKey]*build)},
 		done:     make(chan error, 1),
 	}
@@ -571,14 +565,13 @@ func (a *Agent) RequestDrain(reason string) bool {
 // abortInflight marks every in-flight task aborted so its records are
 // swallowed: those tasks belong to a dead master's generation, and the
 // successor re-dispatches from replayed state. A monotask already running
-// still runs to completion — its commit into the job runtime is idempotent,
-// so a re-dispatch of the same monotask to this agent reuses the work.
+// still runs to completion — its commit into the job runtime is idempotent.
 func (a *Agent) abortInflight() {
 	a.mu.Lock()
-	for _, inf := range a.inflight {
-		inf.task.aborted.Store(true)
+	for _, tr := range a.inflight {
+		tr.aborted.Store(true)
 	}
-	a.inflight = make(map[dispatchKey]inflight)
+	a.inflight = make(map[uint64]*taskRun)
 	a.mu.Unlock()
 }
 
@@ -624,7 +617,7 @@ func (a *Agent) prepare(p wire.Prepare) {
 	if dup {
 		return
 	}
-	js := &jobState{fetched: make(map[fetchKey]bool)}
+	js := &jobState{fetched: make(map[fetchKey]*fetchOnce)}
 	if b, err := a.builds.get(p.Workload, p.Params); err != nil {
 		js.err = fmt.Errorf("agent: prepare job %d (%s): %w", p.JobID, p.Workload, err)
 		a.logf("agent %d: %v", a.id.Load(), js.err)
@@ -705,15 +698,15 @@ func (c *buildCache) get(name string, params []byte) (*build, error) {
 // handleTask takes one placed task: its monotasks enter the agent's queues
 // as their in-task producers settle, each runs on a goroutine of its own
 // once its queue lets it start, and the task's records leave in one
-// TaskDone when the last one settles. A Task the agent cannot run — its job
-// was never prepared here, its job's build failed, or it names a monotask
-// the plan does not have — completes at once, every awaited monotask with
+// TaskDone under its seq when the last one settles. A Task the agent cannot
+// run — its job was never prepared here, its job's build failed, or it names
+// a monotask the plan does not have — completes at once, every monotask with
 // Err set, so the master can retire it.
 func (a *Agent) handleTask(f wire.Task) {
 	a.mu.Lock()
 	js := a.jobs[f.JobID]
 	a.mu.Unlock()
-	tr := &taskRun{jobID: f.JobID, js: js, prio: f.Prio}
+	tr := &taskRun{jobID: f.JobID, seq: f.Seq, js: js, prio: f.Prio}
 	var err error
 	switch {
 	case js == nil:
@@ -724,25 +717,19 @@ func (a *Agent) handleTask(f wire.Task) {
 		err = tr.link(js.rt.Plan(), f.MTs)
 	}
 	if err != nil {
-		td := wire.TaskDone{JobID: f.JobID}
+		td := wire.TaskDone{JobID: f.JobID, Seq: f.Seq}
 		for _, d := range f.MTs {
-			if d.Seq != 0 {
-				td.Records = append(td.Records, wire.Complete{JobID: f.JobID, MTID: d.MTID, Seq: d.Seq, Err: err.Error()})
-			}
+			td.Records = append(td.Records, wire.Complete{JobID: f.JobID, MTID: d.MTID, Err: err.Error()})
 		}
 		a.conn.Load().Send(td)
 		return
 	}
 	var w work
 	a.mu.Lock()
-	for _, r := range tr.runs {
-		if !r.replay() {
-			a.inflight[dispatchKey{f.JobID, r.d.MTID}] = inflight{tr, r.d.Seq}
-		}
-	}
+	a.inflight[tr.seq] = tr
 	tr.left = len(tr.runs)
-	// The monotasks that wait on none, taken before any settles: settling a
-	// replay readies its consumers itself.
+	// The monotasks that wait on none, taken before any settles: settling one
+	// passed over readies its consumers itself.
 	var first []*mtRun
 	for _, r := range tr.runs {
 		if r.waits == 0 {
@@ -781,11 +768,11 @@ func (tr *taskRun) link(plan *dag.Plan, mts []wire.Dispatch) error {
 }
 
 // readyLocked takes a monotask whose in-task producers have all settled: it
-// enters its queue, or — when its task failed or was aborted, or it is a
-// replay whose task-internal outputs are already here — settles unrun.
+// enters its queue, or — when its task failed or was aborted — settles
+// unrun.
 func (a *Agent) readyLocked(r *mtRun, w *work) {
 	tr := r.task
-	if tr.err != nil || tr.aborted.Load() || (r.replay() && !rerun(tr.js.rt, r.mt)) {
+	if tr.err != nil || tr.aborted.Load() {
 		a.settleLocked(r, nil, w)
 		return
 	}
@@ -794,33 +781,15 @@ func (a *Agent) readyLocked(r *mtRun, w *work) {
 	}
 }
 
-// rerun reports whether a replayed monotask must run again here: it creates
-// a dataset that never leaves its task, which this runtime does not hold.
-// Its other outputs are committed at their origins and fetched from there.
-func rerun(rt *localrt.Runtime, mt *dag.Monotask) bool {
-	if rt.Committed(mt) {
-		return false
-	}
-	plan := rt.Plan()
-	for _, step := range plan.ExecSteps(mt) {
-		for _, d := range step.Creates {
-			if plan.TaskInternal(d) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // settleLocked records a monotask that ran (rec) or was passed over (nil),
 // readies the in-task consumers it was the last producer of, and finishes
-// the task with its last monotask. A replay reports nothing; a monotask
-// passed over because its task failed reports that failure.
+// the task with its last monotask. A monotask passed over because its task
+// failed reports that failure.
 func (a *Agent) settleLocked(r *mtRun, rec *wire.Complete, w *work) {
 	tr := r.task
-	if !r.replay() && !tr.aborted.Load() {
+	if !tr.aborted.Load() {
 		if rec == nil {
-			rec = &wire.Complete{JobID: tr.jobID, MTID: r.d.MTID, Seq: r.d.Seq,
+			rec = &wire.Complete{JobID: tr.jobID, MTID: r.d.MTID,
 				Err: fmt.Sprintf("agent: %v not run: %v", r.mt, tr.err)}
 		}
 		tr.records = append(tr.records, *rec)
@@ -833,14 +802,11 @@ func (a *Agent) settleLocked(r *mtRun, rec *wire.Complete, w *work) {
 	if tr.left--; tr.left > 0 {
 		return
 	}
-	for _, r := range tr.runs {
-		key := dispatchKey{tr.jobID, r.d.MTID}
-		if inf, ok := a.inflight[key]; ok && inf.task == tr {
-			delete(a.inflight, key)
-		}
+	if a.inflight[tr.seq] == tr {
+		delete(a.inflight, tr.seq)
 	}
 	if !tr.aborted.Load() {
-		w.done = append(w.done, wire.TaskDone{JobID: tr.jobID, Records: tr.records})
+		w.done = append(w.done, wire.TaskDone{JobID: tr.jobID, Seq: tr.seq, Records: tr.records})
 	}
 }
 
@@ -901,8 +867,8 @@ func (a *Agent) run(s started) {
 func (a *Agent) handleAbort(ab wire.Abort) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if inf, ok := a.inflight[dispatchKey{ab.JobID, ab.MTID}]; ok && inf.seq == ab.Seq {
-		inf.task.aborted.Store(true)
+	if tr := a.inflight[ab.Seq]; tr != nil && tr.jobID == ab.JobID {
+		tr.aborted.Store(true)
 	}
 }
 
@@ -911,7 +877,7 @@ func (a *Agent) handleAbort(ab wire.Abort) {
 // fetch + execution (the work the task caused), excluding time queued.
 func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
 	d := r.d
-	comp := wire.Complete{JobID: d.JobID, MTID: d.MTID, Seq: d.Seq}
+	comp := wire.Complete{JobID: d.JobID, MTID: d.MTID}
 	fetchStart := time.Now()
 	wireBytes, rawBytes, retries, fallbacks, err := a.ensureInputs(js, d)
 	fetchDur := time.Since(fetchStart)
@@ -977,26 +943,35 @@ func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
 }
 
 // ensureInputs pulls every partition a monotask's fetch specs name into the
-// local contribution store. Fetches are cached per (dataset, part, origin) —
-// contribution sets are final before any reader dispatches (the dag orders
-// readers after their producers' completions), so a cached fetch can never
-// be stale. Transient peer faults are absorbed inside Client.Fetch by
-// retry/backoff; only once that budget is exhausted does the fetch degrade
-// to the master's canonical store (§4.3), and each such degradation is
-// counted so the master's transport metrics surface it. A spec with Origin -1
-// names that store, which answers at the master's address.
+// local contribution store. Fetches are made once per (dataset, part,
+// origin) — contribution sets are final before any reader dispatches (the
+// dag orders readers after their producers' completions), so a fetched
+// partition can never be stale — and a reader that finds a fetch of its key
+// in flight waits for it, fetching itself only if that one failed.
+// Transient peer faults are absorbed inside Client.Fetch by retry/backoff;
+// only once that budget is exhausted does the fetch degrade to the master's
+// canonical store (§4.3), and each such degradation is counted so the
+// master's transport metrics surface it. A spec with Origin -1 names that
+// store, which answers at the master's address.
 func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes float64, retries, fallbacks int, err error) {
 	masterStore := a.masterAddr()
 	for _, f := range d.Fetches {
-		js.mu.Lock()
-		seen := js.fetched[fetchKey{f.DatasetID, f.Part, f.Origin}]
-		js.mu.Unlock()
-		if seen {
-			continue
-		}
 		ds := js.rt.DatasetByID(int(f.DatasetID))
 		if ds == nil {
 			return wireBytes, rawBytes, retries, fallbacks, fmt.Errorf("agent: dispatch names unknown dataset %d", f.DatasetID)
+		}
+		key := fetchKey{f.DatasetID, f.Part, f.Origin}
+		js.mu.Lock()
+		once := js.fetched[key]
+		if once == nil {
+			once = new(fetchOnce)
+			js.fetched[key] = once
+		}
+		js.mu.Unlock()
+		once.Lock()
+		if once.done {
+			once.Unlock()
+			continue
 		}
 		// The sink copies each fetched blob out of the client's pooled frame
 		// and hands ownership to the contribution store as-is — still
@@ -1027,14 +1002,13 @@ func (a *Agent) ensureInputs(js *jobState, d wire.Dispatch) (wireBytes, rawBytes
 			n, nr, r, err = a.client(masterStore).FetchFunc(d.JobID, f.DatasetID, f.Part, -1, sink)
 			retries += r
 		}
+		once.done = err == nil
+		once.Unlock()
 		if err != nil {
 			return wireBytes, rawBytes, retries, fallbacks, err
 		}
 		wireBytes += n
 		rawBytes += nr
-		js.mu.Lock()
-		js.fetched[fetchKey{f.DatasetID, f.Part, f.Origin}] = true
-		js.mu.Unlock()
 	}
 	return wireBytes, rawBytes, retries, fallbacks, nil
 }

@@ -71,13 +71,13 @@ func (f *fakeMaster) welcomeWith(t *testing.T, w wire.Welcome) (wire.Register, *
 	return reg, c
 }
 
-// task is the Task frame of one monotask, awaited under seq.
+// task is the Task frame of one monotask, dispatched under seq.
 func task(job int64, mt int32, seq uint64) wire.Task {
-	return wire.Task{JobID: job, MTs: []wire.Dispatch{{JobID: job, MTID: mt, Seq: seq}}}
+	return wire.Task{JobID: job, Seq: seq, MTs: []wire.Dispatch{{JobID: job, MTID: mt}}}
 }
 
 // taskDone reads the next frame, which must be a TaskDone of one record, and
-// returns that record.
+// returns that record with the frame's seq in its Seq.
 func taskDone(t *testing.T, c *wire.Conn) wire.Complete {
 	t.Helper()
 	m := read(t, c)
@@ -85,7 +85,9 @@ func taskDone(t *testing.T, c *wire.Conn) wire.Complete {
 	if !ok || len(td.Records) != 1 {
 		t.Fatalf("got %+v, want a TaskDone of one record", m)
 	}
-	return td.Records[0]
+	rec := td.Records[0]
+	rec.Seq = td.Seq
+	return rec
 }
 
 // holdCore takes one CPU slot of the agent's queues, as a monotask running
@@ -243,8 +245,9 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	release := holdCore(a) // take the one core: both tasks stay in flight
 	c.Send(task(1, swallowed, 10))
 	c.Send(task(1, kept, 11))
-	c.Send(wire.Abort{JobID: 1, MTID: swallowed, Seq: 10})
-	c.Send(wire.Abort{JobID: 1, MTID: kept, Seq: 99}) // a stale abort, for an earlier dispatch
+	c.Send(wire.Abort{JobID: 1, Seq: 10})
+	c.Send(wire.Abort{JobID: 1, Seq: 99}) // a stale abort, for an earlier dispatch
+	c.Send(wire.Abort{JobID: 2, Seq: 11}) // the kept task's seq under another job
 	// A Task for a job never prepared here is completed from the read loop,
 	// behind the Aborts: its TaskDone says both were handled. It is also the
 	// first frame since the Welcome: the Prepare answered nothing.
@@ -369,9 +372,9 @@ func TestFallbackServedFromRegisteredMaster(t *testing.T) {
 
 // TestBadDispatchCompletesWithErr: a task the agent cannot run — its job was
 // never prepared here, its job's build failed, or it names a monotask the
-// plan does not have — still completes, every awaited monotask with Err set,
-// so the master can retire it. Behind a failed Prepare, Err carries the
-// build's error. A replay in such a task reports nothing.
+// plan does not have — still completes under its seq, every monotask with
+// Err set, so the master can retire it. Behind a failed Prepare, Err carries
+// the build's error.
 func TestBadDispatchCompletesWithErr(t *testing.T) {
 	_, c, bj := prepared(t, Config{Cores: 1})
 	c.Send(wire.Prepare{JobID: 3, Workload: "no-such-workload"})
@@ -380,14 +383,20 @@ func TestBadDispatchCompletesWithErr(t *testing.T) {
 		task(1, int32(len(bj.Plan.Monotasks)), 2),
 		task(1, -1, 3),
 		task(3, 0, 4),
-		{JobID: 1, MTs: []wire.Dispatch{{JobID: 1, MTID: 0}, {JobID: 1, MTID: -1, Seq: 5}}},
+		{JobID: 1, Seq: 5, MTs: []wire.Dispatch{{JobID: 1, MTID: 0}, {JobID: 1, MTID: -1}}},
 	} {
-		want := f.MTs[len(f.MTs)-1]
 		c.Send(f)
-		if m := taskDone(t, c); m.JobID != f.JobID || m.Seq != want.Seq || m.Err == "" {
-			t.Errorf("task %+v: got %+v, want its record with Err set", f, m)
-		} else if f.JobID == 3 && !strings.Contains(m.Err, `unknown workload "no-such-workload"`) {
-			t.Errorf("task behind a failed Prepare completed with %q, want the build's error", m.Err)
+		m := read(t, c)
+		td, ok := m.(wire.TaskDone)
+		if !ok || td.JobID != f.JobID || td.Seq != f.Seq || len(td.Records) != len(f.MTs) {
+			t.Fatalf("task %+v: got %+v, want its TaskDone with a record per monotask", f, m)
+		}
+		for i, rec := range td.Records {
+			if rec.MTID != f.MTs[i].MTID || rec.Err == "" {
+				t.Errorf("task %+v: record %+v, want monotask %d with Err set", f, rec, f.MTs[i].MTID)
+			} else if f.JobID == 3 && !strings.Contains(rec.Err, `unknown workload "no-such-workload"`) {
+				t.Errorf("task behind a failed Prepare completed with %q, want the build's error", rec.Err)
+			}
 		}
 	}
 }

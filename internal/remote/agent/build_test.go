@@ -83,12 +83,12 @@ func settle(t *testing.T, c *wire.Conn) {
 	}
 }
 
-// taskFrame is the Task frame of every monotask of t, each awaited under
-// its ID + 1 (Seq 0 marks a replay).
+// taskFrame is the Task frame of every monotask of t, dispatched under the
+// task's ID + 1.
 func taskFrame(job int64, t *dag.Task) wire.Task {
-	f := wire.Task{JobID: job}
+	f := wire.Task{JobID: job, Seq: uint64(t.ID) + 1}
 	for _, mt := range t.Monotasks {
-		f.MTs = append(f.MTs, wire.Dispatch{JobID: job, MTID: int32(mt.ID), Seq: uint64(mt.ID) + 1})
+		f.MTs = append(f.MTs, wire.Dispatch{JobID: job, MTID: int32(mt.ID)})
 	}
 	return f
 }
@@ -306,7 +306,7 @@ func TestDispatchGeneratesWhatItReads(t *testing.T) {
 
 	again := roots[1]
 	c.Send(task(1, int32(again.ID), 2))
-	c.Send(wire.Abort{JobID: 1, MTID: int32(again.ID), Seq: 2})
+	c.Send(wire.Abort{JobID: 1, Seq: 2})
 	c.Send(task(1, int32(again.ID), 3))
 	for {
 		if m := taskDone(t, c); m.Err != "" {

@@ -2,12 +2,10 @@ package agent
 
 // The agent's own monotask queues (§4.2.3): the CPU queue runs at most Cores
 // monotasks at once and the network queue at most the master's limit, a
-// small network monotask skips its queue, a higher-priority job's monotask
-// starts first, and a replayed monotask runs again only for an output that
-// never left its task.
+// small network monotask skips its queue, and a higher-priority job's
+// monotask starts first.
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -171,6 +169,7 @@ func TestHigherPriorityStartsFirst(t *testing.T) {
 	release := hold(a, resource.CPU, 1)
 	low, high := taskFrame(1, root), taskFrame(2, root)
 	low.Prio, high.Prio = 1, 5
+	high.Seq = low.Seq + 1 // the master's seqs are unique across jobs
 	c.Send(low)
 	c.Send(high)
 	settle(t, c)
@@ -179,49 +178,5 @@ func TestHigherPriorityStartsFirst(t *testing.T) {
 		if td, ok := read(t, c).(wire.TaskDone); !ok || td.JobID != want {
 			t.Fatalf("got %+v, want job %d's TaskDone", td, want)
 		}
-	}
-}
-
-// TestReplayRerunsTaskInternal: every shuffle task arrives with its network
-// monotask a replay, as on a retry or a takeover where the master holds that
-// monotask's commit but the output it wrote never left the task. The agent
-// runs it again, reports only the CPU monotask, and the job's rows equal
-// direct execution. Sent again, as to an agent that already holds that
-// output, each task reports its CPU monotask once more, and only once.
-func TestReplayRerunsTaskInternal(t *testing.T) {
-	params := workload.MicroParams{Rows: 300, InParts: 3, OutParts: 2}
-	a, c, plan := microJob(t, Config{Cores: 2}, wire.Welcome{}, params)
-	shuffles, _ := wave(t, c, plan, frames(plan.InitialReady(), 1))
-	var tasks []wire.Task
-	for _, task := range shuffles {
-		f := taskFrame(1, task)
-		for i, mt := range task.Monotasks {
-			if mt.Kind == resource.Net {
-				f.MTs[i].Seq = 0
-				plan.Prepare(mt)
-				plan.Complete(mt)
-			}
-		}
-		tasks = append(tasks, f)
-	}
-	for round := 0; round < 2; round++ {
-		for _, f := range tasks {
-			c.Send(f)
-			td, ok := read(t, c).(wire.TaskDone)
-			if !ok || len(td.Records) != 1 || plan.Monotasks[td.Records[0].MTID].Kind != resource.CPU || td.Records[0].Err != "" {
-				t.Fatalf("round %d: got %+v, want one clean record, the CPU monotask's", round, td)
-			}
-		}
-	}
-	_, p := workload.Micro(params)
-	want := directMicro(t, p)
-	bj, _ := workload.Build(workload.Micro(params))
-	rt := a.resolveJob(1)
-	got, err := rt.RowsErr(rt.DatasetByID(bj.Output.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("rows after replays differ from direct execution:\n got %v\nwant %v", got, want)
 	}
 }

@@ -46,14 +46,15 @@ func replayJournal(t *testing.T, dir string) (*cpstate.State, []cpstate.Event) {
 // TestFailoverStandbyTakeover is the failover chaos test: a journaled
 // primary is killed mid-run, the standby observes the lease expire, replays
 // the journal to byte-identical control-plane state, workers re-attach
-// under generation 2, replayed commits short-circuit re-execution, and the
-// final rows match direct in-process execution exactly.
+// under generation 2, tasks whose commits came back complete without
+// running again, and the final rows match direct in-process execution
+// exactly.
 func TestFailoverStandbyTakeover(t *testing.T) {
 	tm := failover(t, false)
-	// The journaled gen-1 commits were recovered into the canonical store
-	// and short-circuited instead of re-executing.
+	// Tasks the journal holds gen-1 commits of were recovered into the
+	// canonical store and completed from it instead of running again.
 	if n := tm.Journal.Precommits(); n < 1 {
-		t.Fatalf("precommits = %d, want >= 1", n)
+		t.Fatalf("recovered tasks completed = %d, want >= 1", n)
 	}
 }
 
@@ -202,20 +203,20 @@ func failover(t *testing.T, killAgent bool) *Master {
 		t.Fatalf("slot %d of the agent that died with the primary is not failed", dead)
 	}
 
-	checkQuiesced(t, tm) // closes tm: replay == final state, one commit per monotask per generation
+	checkQuiesced(t, tm) // closes tm: replay == final state, one commit per task per generation
 
 	_, events := replayJournal(t, jdir)
-	// At-most-once across generations: no (job, monotask) commits twice —
-	// except that generation 2 re-executes what only the dead agent held —
-	// and both generations mark the journal.
-	commits := make(map[cpstate.MTKey]int32) // the committing worker
+	// At-most-once across generations: no (job, task) commits twice —
+	// except that generation 2 re-runs what only the dead agent held — and
+	// both generations mark the journal.
+	commits := make(map[cpstate.TaskKey]int32) // the committing worker
 	var gens []int64
 	for _, ev := range events {
 		switch ev := ev.(type) {
-		case cpstate.Commit:
-			k := cpstate.MTKey{Job: ev.JobID, MT: ev.MTID}
+		case cpstate.TaskCommitted:
+			k := cpstate.TaskKey{Job: ev.JobID, Task: ev.Task}
 			if w, ok := commits[k]; ok && (int(w) != dead || len(gens) != 2) {
-				t.Fatalf("job %d monotask %d committed twice (want at most once)", k.Job, k.MT)
+				t.Fatalf("job %d task %d committed twice (want at most once)", k.Job, k.Task)
 			}
 			commits[k] = ev.Worker
 		case cpstate.Generation:
@@ -614,7 +615,7 @@ func TestFailoverFencedDrainSendsNoDrainDone(t *testing.T) {
 	go func() { runErr <- lc.Master.Run(ctx) }()
 	inFlight := func() int {
 		n := make(chan int, 1)
-		lc.Master.Sys.Drv.Send(func() { n <- len(lc.Master.exec.dispatches) })
+		lc.Master.Sys.Drv.Send(func() { n <- len(lc.Master.exec.tasks) })
 		return <-n
 	}
 	waitFor(t, "a task in flight", func() bool { return inFlight() > 0 })

@@ -524,10 +524,15 @@ func (m *Master) StateBytes() (b []byte) {
 	return b
 }
 
-// CommitCount returns how many accepted commits the control-plane state
-// currently holds (terminal jobs compact theirs away).
+// CommitCount returns how many committed monotasks the control-plane state
+// currently holds, summed over its task commits (terminal jobs compact
+// theirs away).
 func (m *Master) CommitCount() (n int) {
-	m.rec.read(func(st *cpstate.State) { n = len(st.Commits) })
+	m.rec.read(func(st *cpstate.State) {
+		for _, mts := range st.Commits {
+			n += len(mts)
+		}
+	})
 	return n
 }
 

@@ -30,9 +30,9 @@ func foldEvents(evs ...cpstate.Event) *cpstate.State {
 // a hand-built State is the whole input.
 func TestBuildFetchesFromState(t *testing.T) {
 	const job, self = 9, 4
-	commit := func(mt, worker int32, part int32) cpstate.Event {
-		return cpstate.Commit{JobID: job, MTID: mt, Worker: worker, Seq: uint64(mt),
-			Writes: []cpstate.CommitWrite{{DS: 1, Part: part}}}
+	commit := func(task, worker int32, part int32) cpstate.Event {
+		return cpstate.TaskCommitted{JobID: job, Task: task, Worker: worker, Seq: uint64(task),
+			MTs: []cpstate.MTCommit{{MTID: task, Writes: []cpstate.CommitWrite{{DS: 1, Part: part}}}}}
 	}
 	st := foldEvents(
 		cpstate.WorkerRegistered{Worker: 0, ShuffleAddr: "w0:1"},
@@ -48,8 +48,8 @@ func TestBuildFetchesFromState(t *testing.T) {
 		commit(15, self, 4),
 		commit(16, 0, 6), commit(17, self, 6),
 		// Another job's origins for the same (dataset, partition) never leak in.
-		cpstate.Commit{JobID: job + 1, MTID: 1, Worker: 1, Seq: 99,
-			Writes: []cpstate.CommitWrite{{DS: 1, Part: 0}}},
+		cpstate.TaskCommitted{JobID: job + 1, Task: 1, Worker: 1, Seq: 99,
+			MTs: []cpstate.MTCommit{{MTID: 1, Writes: []cpstate.CommitWrite{{DS: 1, Part: 0}}}}},
 		cpstate.WorkerFailed{Worker: 1},
 		cpstate.WorkerDraining{Worker: 2},
 		cpstate.WorkerDraining{Worker: 3},

@@ -113,18 +113,18 @@ func runCluster(t *testing.T, lc *LocalCluster) {
 // checkQuiesced fails t unless m, whose Run has returned and which is not
 // yet closed, holds nothing in flight: the scheduling core is quiesced (no
 // reservation held, scheduler-wide or per tenant), and the executor, the one
-// owner of in-flight work, holds no dispatch or fetch reference. A journaled
+// owner of in-flight work, holds no task or fetch reference. A journaled
 // master is then closed and its journal checked against it: replayed through
 // cpstate.Replay, the directory reproduces the final state byte for byte, and
-// no generation committed one (job, monotask) twice.
+// no generation committed one (job, task) twice.
 func checkQuiesced(t *testing.T, m *Master) {
 	t.Helper()
 	if err := m.Sys.Core.CheckQuiesced(); err != nil {
 		t.Error(err)
 	}
-	if len(m.exec.dispatches) != 0 || len(m.exec.fetchRefs) != 0 {
-		t.Errorf("quiesced master holds %d dispatches and fetch references on %d workers",
-			len(m.exec.dispatches), len(m.exec.fetchRefs))
+	if len(m.exec.tasks) != 0 || len(m.exec.fetchRefs) != 0 {
+		t.Errorf("quiesced master holds %d tasks and fetch references on %d workers",
+			len(m.exec.tasks), len(m.exec.fetchRefs))
 	}
 	if m.cfg.JournalDir == "" {
 		return
@@ -136,16 +136,16 @@ func checkQuiesced(t *testing.T, m *Master) {
 	if !bytes.Equal(st.AppendEncoded(nil), m.StateBytes()) {
 		t.Error("journal replay does not reproduce the final control-plane state")
 	}
-	gen, committed := int64(0), make(map[cpstate.MTKey]bool)
+	gen, committed := int64(0), make(map[cpstate.TaskKey]bool)
 	for _, ev := range events {
 		switch ev := ev.(type) {
 		case cpstate.Generation:
 			gen = ev.Gen
 			clear(committed)
-		case cpstate.Commit:
-			k := cpstate.MTKey{Job: ev.JobID, MT: ev.MTID}
+		case cpstate.TaskCommitted:
+			k := cpstate.TaskKey{Job: ev.JobID, Task: ev.Task}
 			if committed[k] {
-				t.Errorf("generation %d committed job %d monotask %d twice", gen, k.Job, k.MT)
+				t.Errorf("generation %d committed job %d task %d twice", gen, k.Job, k.Task)
 			}
 			committed[k] = true
 		}

@@ -90,7 +90,7 @@ func (s *Standby) Close() {
 // replays the journal and promotes this standby. On success the returned
 // Master is ready for the usual WaitWorkers/Run sequence: workers
 // re-attaching under the new generation fill the replayed registry's live
-// slots, and Run re-drives the inherited backlog — monotasks whose commits
+// slots, and Run re-drives the inherited backlog — tasks whose commits
 // survived in the journal complete from the checkpoint without
 // re-executing.
 func (s *Standby) Takeover(ctx context.Context) (*Master, error) {
@@ -168,10 +168,11 @@ type contribKey struct {
 // not running yet, and st is the state the recorder now folds into):
 // resubmit the non-terminal backlog under its original wire IDs, pull
 // committed outputs from the surviving workers' shuffle servers back into
-// the canonical store, and mark the commits that came back whole so they
-// short-circuit re-execution. Origins and the worker registry are read where
-// they are. The resubmitted rows enter the job table only once the loop
-// runs, so the transfer writes to the runtimes the resubmission returned.
+// the canonical store, and mark the tasks whose commits came back whole so
+// they complete without running again. Origins and the worker registry are
+// read where they are. The resubmitted rows enter the job table only once
+// the loop runs, so the transfer writes to the runtimes the resubmission
+// returned.
 func (m *Master) recoverFromState(st *cpstate.State) error {
 	for i, w := range st.Workers {
 		switch {
@@ -269,23 +270,27 @@ func (m *Master) recoverFromState(st *cpstate.State) error {
 		}
 	}
 
-	// A commit every one of whose writes made it back into the canonical
-	// store is final: when the scheduler re-places that monotask, Start
-	// completes it from the checkpoint instead of re-dispatching. Anything
-	// less re-executes — agents' local commits are idempotent, so a rerun on
-	// the original worker reuses its work.
-	for mtk, cs := range st.Commits {
-		complete := true
-		for _, wr := range cs.Writes {
-			if !have[contribKey{mtk.Job, wr.DS, wr.Part, mtk.MT}] {
-				complete = false
-				break
+	// A committed task whose commit names each of its monotasks, and all of
+	// whose writes made it back into the canonical store, is final: when the
+	// scheduler re-places it, StartTask completes it from the checkpoint
+	// instead of dispatching it. Anything less re-runs the task whole. A
+	// task's writes all have one origin, the agent that ran it, so a task
+	// comes back whole or not at all.
+	for key, mts := range st.Commits {
+		rt := rts[key.Job]
+		if rt == nil || key.Task < 0 || int(key.Task) >= len(rt.Plan().Tasks) {
+			continue
+		}
+		complete := len(mts) == len(rt.Plan().Tasks[key.Task].Monotasks)
+		for _, c := range mts {
+			for _, wr := range c.Writes {
+				complete = complete && have[contribKey{key.Job, wr.DS, wr.Part, c.MTID}]
 			}
 		}
 		if complete {
-			m.exec.recovered[mtk] = true
+			m.exec.recovered[key] = true
 		}
 	}
-	m.logf("master: takeover recovered %d/%d commits as precommits", len(m.exec.recovered), len(st.Commits))
+	m.logf("master: takeover recovered %d/%d committed tasks", len(m.exec.recovered), len(st.Commits))
 	return nil
 }

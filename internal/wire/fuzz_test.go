@@ -25,15 +25,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		Welcome{WorkerID: 1, HeartbeatMicros: 250000, Gen: 2},
 		Heartbeat{WorkerID: 1, SentUnixMicros: 42},
 		Prepare{JobID: 1, Workload: "wc", Params: []byte{9}},
-		Task{JobID: 1, Prio: 2, MTs: []Dispatch{{MTID: 1}, {MTID: 2, Seq: 3, EstInput: 4, Fetches: []FetchSpec{{DatasetID: 1, Part: 0, Origin: -1, Addr: "a"}}}}},
-		TaskDone{JobID: 1, Records: []Complete{{MTID: 2, Seq: 3, Seconds: 0.5, FetchedWireBytes: 1, FetchedRawBytes: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 1, Rows: []byte("r")}}}}},
-		Abort{JobID: 1, MTID: 2, Seq: 3},
+		Task{JobID: 1, Seq: 3, Prio: 2, MTs: []Dispatch{{MTID: 1}, {MTID: 2, EstInput: 4, Fetches: []FetchSpec{{DatasetID: 1, Part: 0, Origin: -1, Addr: "a"}}}}},
+		TaskDone{JobID: 1, Seq: 3, Records: []Complete{{MTID: 1, Seconds: 0.25}, {MTID: 2, Seconds: 0.5, FetchedWireBytes: 1, FetchedRawBytes: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 1, Rows: []byte("r")}}}}},
+		Abort{JobID: 1, Seq: 3},
 		Fetch{JobID: 1, DatasetID: 2, Part: 3, Origin: 4},
 		FetchResp{Contribs: []PartContrib{{MTID: 1, Flags: BlobRaw, RawLen: 1, Rows: []byte("x")}}},
 		// RawLen disagreeing with the blob: the wire layer carries it as is,
 		// the codec rejects it.
 		FetchResp{Contribs: []PartContrib{{MTID: 2, Flags: BlobRaw, RawLen: 4096, Rows: []byte{0x78, 0x9c, 0x01}}}},
-		TaskDone{JobID: 2, Records: []Complete{{MTID: 3, Seq: 4, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobRaw, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}}}},
+		TaskDone{JobID: 2, Seq: 4, Records: []Complete{{MTID: 3, Writes: []PartWrite{{DatasetID: 1, Part: 1, Flags: BlobRaw, RawLen: 1 << 12, Rows: []byte{0x4b, 0x4c, 0x44, 0x04, 0x00}}}}}},
 		JobDone{JobID: 1},
 		Shutdown{},
 		// Front-door submission frames.
@@ -50,7 +50,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		DrainWorker{WorkerID: 2, Reason: "scale-down"},
 		DrainWorker{WorkerID: 0, Reason: ""}, // self-requested, no annotation
 		DrainDone{WorkerID: 2},
-		TaskDone{JobID: 3, Records: []Complete{{MTID: 1, Seq: 9, Seconds: 0.1, MemPeak: 1 << 20}, {MTID: 2, Seq: 10, Err: "x"}}},
+		TaskDone{JobID: 3, Seq: 1<<32 | 9, Records: []Complete{{MTID: 1, Seconds: 0.1, MemPeak: 1 << 20}, {MTID: 2, Err: "x"}}},
 	}
 	for _, m := range seeds {
 		f.Add(AppendFrame(nil, m))

@@ -154,9 +154,9 @@ type Welcome struct {
 	WorkerID        int32
 	HeartbeatMicros int64
 	// Gen is the master's generation number. It rises by one at every
-	// standby takeover; dispatch sequence numbers are namespaced by it, so
-	// the at-most-once (jobID, mtID, seq) commit discipline extends across
-	// failovers without any per-frame generation field.
+	// standby takeover; task sequence numbers are namespaced by it, so the
+	// at-most-once commit of a task under its seq extends across failovers
+	// without any per-frame generation field.
 	Gen int64
 	// NetConcurrency bounds the network monotasks the worker runs at once,
 	// and one whose estimated input is below SmallMonotaskBytes starts at
@@ -239,13 +239,11 @@ func decodeFetchSpec(d *Decoder) FetchSpec {
 	return FetchSpec{DatasetID: d.I32(), Part: d.I32(), Origin: d.I32(), Addr: d.Str()}
 }
 
-// Dispatch is one monotask of a Task. Seq disambiguates re-dispatches of
-// the same monotask after a failure, making the master's commit of its
-// record at-most-once; Seq 0 marks a replay (see Task). EstInput is the
-// monotask's estimated input, its size in the worker's queue order and
-// bypass. Fetches name the holders of the input partitions it reads that
-// other tasks wrote. Framed alone, a Dispatch is the Task frame of a
-// one-monotask task at priority 0; inside a Task its JobID is the frame's.
+// Dispatch is one monotask of a Task. EstInput is the monotask's estimated
+// input, its size in the worker's queue order and bypass. Fetches name the
+// holders of the input partitions it reads that other tasks wrote. Framed
+// alone, a Dispatch is the Task frame of a one-monotask task at priority 0,
+// under Seq; inside a Task its JobID is the frame's and Seq is unused.
 type Dispatch struct {
 	JobID    int64
 	MTID     int32
@@ -254,23 +252,22 @@ type Dispatch struct {
 	Fetches  []FetchSpec
 }
 
-const dispatchMin = 4 + 8 + 8 + 4 // MTID + Seq + EstInput + fetch count
+const dispatchMin = 4 + 8 + 4 // MTID + EstInput + fetch count
 
 func (Dispatch) Type() byte { return TTask }
 func (m Dispatch) encode(e *Encoder) {
-	Task{JobID: m.JobID, MTs: []Dispatch{m}}.encode(e)
+	Task{JobID: m.JobID, Seq: m.Seq, MTs: []Dispatch{m}}.encode(e)
 }
 
 // Task asks a worker to run one placed task of a prepared job: the worker
 // queues its monotasks by the job's priority snapshot Prio (§4.2.3) and runs
 // each one as soon as the monotasks of the task it reads have run. MTs names
-// every monotask of the task. Those the master already committed are
-// replays, Seq 0: the worker re-runs one only if an output that never
-// leaves the task (dag.Plan.TaskInternal) is missing locally, and reports
-// nothing for it. That is how a task retried on another worker, or re-placed
-// by a takeover master, finds the outputs its own monotasks read.
+// every monotask of the task, and every one runs. Seq is the task's
+// at-most-once token: its TaskDone echoes it, an Abort names it, and the
+// master commits the task under it once.
 type Task struct {
 	JobID int64
+	Seq   uint64
 	Prio  float64
 	MTs   []Dispatch
 }
@@ -278,11 +275,11 @@ type Task struct {
 func (Task) Type() byte { return TTask }
 func (m Task) encode(e *Encoder) {
 	e.I64(m.JobID)
+	e.U64(m.Seq)
 	e.F64(m.Prio)
 	e.U32(uint32(len(m.MTs)))
 	for _, d := range m.MTs {
 		e.I32(d.MTID)
-		e.U64(d.Seq)
 		e.F64(d.EstInput)
 		e.U32(uint32(len(d.Fetches)))
 		for _, f := range d.Fetches {
@@ -291,10 +288,10 @@ func (m Task) encode(e *Encoder) {
 	}
 }
 func decodeTask(d *Decoder) Msg {
-	m := Task{JobID: d.I64(), Prio: d.F64()}
+	m := Task{JobID: d.I64(), Seq: d.U64(), Prio: d.F64()}
 	n := d.count(dispatchMin)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		mt := Dispatch{JobID: m.JobID, MTID: d.I32(), Seq: d.U64(), EstInput: d.F64()}
+		mt := Dispatch{JobID: m.JobID, MTID: d.I32(), EstInput: d.F64()}
 		nf := d.count(fetchSpecMin)
 		for j := 0; j < nf && d.Err() == nil; j++ {
 			mt.Fetches = append(mt.Fetches, decodeFetchSpec(d))
@@ -337,8 +334,8 @@ func decodePartWrite(d *Decoder) PartWrite {
 // estimate X/T), FetchedWireBytes the shuffle payload bytes pulled over the
 // wire to feed it, and Writes the produced partition contributions that leave
 // its task (checkpointed at the master for §4.3 recovery). Framed alone, a
-// Complete is the TaskDone of one record; inside a TaskDone its JobID is the
-// frame's.
+// Complete is the TaskDone of one record under Seq; inside a TaskDone its
+// JobID is the frame's and Seq is unused.
 type Complete struct {
 	JobID   int64
 	MTID    int32
@@ -369,29 +366,30 @@ type Complete struct {
 	Writes  []PartWrite
 }
 
-const completeMin = 4 + 8 + 8*3 + 4*2 + 8 + 4 + 4 // fixed fields + empty Err + write count
+const completeMin = 4 + 8*3 + 4*2 + 8 + 4 + 4 // fixed fields + empty Err + write count
 
 func (Complete) Type() byte { return TTaskDone }
 func (m Complete) encode(e *Encoder) {
-	TaskDone{JobID: m.JobID, Records: []Complete{m}}.encode(e)
+	TaskDone{JobID: m.JobID, Seq: m.Seq, Records: []Complete{m}}.encode(e)
 }
 
-// TaskDone reports a finished task to the master: one record per monotask
-// the worker ran for its Task (replays report none), producers before their
-// consumers. A monotask that failed carries Err, and the records of the
-// monotasks that depend on it are absent.
+// TaskDone reports a finished task to the master under its Task's Seq: one
+// record per monotask of the task, producers before their consumers. A
+// monotask that failed, or was not run because another of its task failed,
+// carries Err.
 type TaskDone struct {
 	JobID   int64
+	Seq     uint64
 	Records []Complete
 }
 
 func (TaskDone) Type() byte { return TTaskDone }
 func (m TaskDone) encode(e *Encoder) {
 	e.I64(m.JobID)
+	e.U64(m.Seq)
 	e.U32(uint32(len(m.Records)))
 	for _, c := range m.Records {
 		e.I32(c.MTID)
-		e.U64(c.Seq)
 		e.F64(c.Seconds)
 		e.F64(c.FetchedWireBytes)
 		e.F64(c.FetchedRawBytes)
@@ -406,11 +404,11 @@ func (m TaskDone) encode(e *Encoder) {
 	}
 }
 func decodeTaskDone(d *Decoder) Msg {
-	m := TaskDone{JobID: d.I64()}
+	m := TaskDone{JobID: d.I64(), Seq: d.U64()}
 	n := d.count(completeMin)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		c := Complete{
-			JobID: m.JobID, MTID: d.I32(), Seq: d.U64(),
+			JobID: m.JobID, MTID: d.I32(),
 			Seconds: d.F64(), FetchedWireBytes: d.F64(), FetchedRawBytes: d.F64(),
 			FetchRetries: d.I32(), FetchFallbacks: d.I32(), MemPeak: d.F64(), Err: d.Str(),
 		}
@@ -423,23 +421,21 @@ func decodeTaskDone(d *Decoder) Msg {
 	return m
 }
 
-// Abort tells a worker to discard the in-flight task holding monotask MTID
-// under Seq (§4.3): the task was reset and will re-run elsewhere, so its
-// records must not commit.
+// Abort tells a worker to discard the in-flight task dispatched under Seq
+// (§4.3): the task was reset and will re-run elsewhere, so its records must
+// not commit.
 type Abort struct {
 	JobID int64
-	MTID  int32
 	Seq   uint64
 }
 
 func (Abort) Type() byte { return TAbort }
 func (m Abort) encode(e *Encoder) {
 	e.I64(m.JobID)
-	e.I32(m.MTID)
 	e.U64(m.Seq)
 }
 func decodeAbort(d *Decoder) Msg {
-	return Abort{JobID: d.I64(), MTID: d.I32(), Seq: d.U64()}
+	return Abort{JobID: d.I64(), Seq: d.U64()}
 }
 
 // Fetch requests one shuffle partition from a holder. Origin echoes the

@@ -53,25 +53,25 @@ func TestRoundTripAllMessages(t *testing.T) {
 		Prepare{JobID: 8, Workload: "empty", Params: nil},
 		Welcome{WorkerID: 1, HeartbeatMicros: 100_000, Gen: 1, NetConcurrency: 4,
 			SmallMonotaskBytes: 16384},
-		Task{JobID: 7, Prio: 0.5, MTs: []Dispatch{{JobID: 7, MTID: 42, Seq: 9, EstInput: 100}}},
+		Task{JobID: 7, Seq: 9, Prio: 0.5, MTs: []Dispatch{{JobID: 7, MTID: 42, EstInput: 100}}},
 		Task{
-			JobID: 7, Prio: -2,
+			JobID: 7, Seq: 10, Prio: -2,
 			MTs: []Dispatch{
-				{JobID: 7, MTID: 41, Seq: 0}, // a replay
-				{JobID: 7, MTID: 42, Seq: 10, EstInput: 1e6, Fetches: []FetchSpec{
+				{JobID: 7, MTID: 41},
+				{JobID: 7, MTID: 42, EstInput: 1e6, Fetches: []FetchSpec{
 					{DatasetID: 1, Part: 0, Origin: -1, Addr: "10.0.0.1:1"},
 					{DatasetID: 1, Part: 1, Origin: 2, Addr: "10.0.0.2:2"},
 				}},
 			},
 		},
 		Task{JobID: 8},
-		TaskDone{JobID: 7, Records: []Complete{
-			{JobID: 7, MTID: 42, Seq: 10, Seconds: 0.125, FetchedWireBytes: 4096, FetchedRawBytes: 8192},
+		TaskDone{JobID: 7, Seq: 9, Records: []Complete{
+			{JobID: 7, MTID: 42, Seconds: 0.125, FetchedWireBytes: 4096, FetchedRawBytes: 8192},
 		}},
-		TaskDone{JobID: 7, Records: []Complete{
-			{JobID: 7, MTID: 41, Seq: 9, Seconds: 0.5, FetchRetries: 2, FetchFallbacks: 1, MemPeak: 64},
+		TaskDone{JobID: 7, Seq: 10, Records: []Complete{
+			{JobID: 7, MTID: 41, Seconds: 0.5, FetchRetries: 2, FetchFallbacks: 1, MemPeak: 64},
 			{
-				JobID: 7, MTID: 42, Seq: 10, Seconds: 1e-6, Err: "exec failed",
+				JobID: 7, MTID: 42, Seconds: 1e-6, Err: "exec failed",
 				Writes: []PartWrite{
 					{DatasetID: 2, Part: 3, Flags: BlobRaw, RawLen: 7, Rows: []byte("rowdata")},
 					{DatasetID: 2, Part: 4, Flags: BlobRaw, RawLen: 99, Rows: nil},
@@ -79,7 +79,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 			},
 		}},
 		TaskDone{JobID: 9},
-		Abort{JobID: 7, MTID: 42, Seq: 10},
+		Abort{JobID: 7, Seq: 10},
 		Fetch{JobID: 7, DatasetID: 2, Part: 3, Origin: 1},
 		FetchResp{Err: "no such partition"},
 		FetchResp{
@@ -104,14 +104,19 @@ func TestRoundTripAllMessages(t *testing.T) {
 			t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, m)
 		}
 	}
-	// A monotask's entry framed alone is the frame of a one-monotask task,
-	// and a record framed alone the frame of a one-record completion.
+	// A monotask's entry framed alone is the frame of a one-monotask task
+	// under the entry's Seq, and a record framed alone the frame of a
+	// one-record completion under the record's.
 	d := Dispatch{JobID: 7, MTID: 3, Seq: 99, EstInput: 5, Fetches: []FetchSpec{{DatasetID: 1, Origin: 0, Addr: "a"}}}
-	if got, want := roundTrip(t, d), (Task{JobID: 7, MTs: []Dispatch{d}}); !equalMsg(got, want) {
+	entry := d
+	entry.Seq = 0
+	if got, want := roundTrip(t, d), (Task{JobID: 7, Seq: 99, MTs: []Dispatch{entry}}); !equalMsg(got, want) {
 		t.Errorf("a Dispatch framed alone decoded as %#v, want %#v", got, want)
 	}
 	c := Complete{JobID: 7, MTID: 3, Seq: 99, Seconds: 1e-4, Writes: []PartWrite{{DatasetID: 2, RawLen: 1, Rows: []byte("r")}}}
-	if got, want := roundTrip(t, c), (TaskDone{JobID: 7, Records: []Complete{c}}); !equalMsg(got, want) {
+	record := c
+	record.Seq = 0
+	if got, want := roundTrip(t, c), (TaskDone{JobID: 7, Seq: 99, Records: []Complete{record}}); !equalMsg(got, want) {
 		t.Errorf("a Complete framed alone decoded as %#v, want %#v", got, want)
 	}
 }
@@ -289,7 +294,7 @@ func TestDecodeTrailingBytes(t *testing.T) {
 
 func TestDecodeTruncatedPayload(t *testing.T) {
 	var e Encoder
-	TaskDone{JobID: 1, Records: []Complete{{JobID: 1, MTID: 2, Seq: 3, Seconds: 4, Err: "xyz"}}}.encode(&e)
+	TaskDone{JobID: 1, Seq: 3, Records: []Complete{{JobID: 1, MTID: 2, Seconds: 4, Err: "xyz"}}}.encode(&e)
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut++ {
 		if _, err := Decode(TTaskDone, full[:cut]); err == nil {
@@ -304,10 +309,10 @@ func TestDecodeHugeListCount(t *testing.T) {
 	// preallocated.
 	var e Encoder
 	e.I64(1)       // JobID
+	e.U64(3)       // Seq
 	e.F64(0)       // Prio
 	e.U32(1)       // one monotask
 	e.I32(2)       // MTID
-	e.U64(3)       // Seq
 	e.F64(0)       // EstInput
 	e.U32(1 << 31) // absurd fetch count
 	_, err := Decode(TTask, e.Bytes())
@@ -419,7 +424,7 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	msgs := []Msg{
 		Heartbeat{WorkerID: 1, SentUnixMicros: 2},
 		JobDone{JobID: 3},
-		Abort{JobID: 4, MTID: 5, Seq: 6},
+		Abort{JobID: 4, Seq: 6},
 	}
 	for _, m := range msgs {
 		if err := WriteFrame(&stream, m); err != nil {
@@ -574,7 +579,7 @@ func TestConnPooledReadsDeliverMessages(t *testing.T) {
 
 	want := []Msg{
 		Prepare{JobID: 1, Workload: "wc", Params: []byte("pppp")},
-		TaskDone{JobID: 1, Records: []Complete{{JobID: 1, MTID: 2, Seq: 3, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 4, Rows: []byte("rows")}}}}},
+		TaskDone{JobID: 1, Seq: 3, Records: []Complete{{JobID: 1, MTID: 2, Writes: []PartWrite{{DatasetID: 1, Part: 0, Flags: BlobRaw, RawLen: 4, Rows: []byte("rows")}}}}},
 		Heartbeat{WorkerID: 5, SentUnixMicros: 6},
 	}
 	for _, m := range want {
@@ -596,7 +601,7 @@ func TestConnPooledReadsDeliverMessages(t *testing.T) {
 func TestAppendFrameReusesBuffer(t *testing.T) {
 	// Two frames appended back-to-back must both parse.
 	buf := AppendFrame(nil, JobDone{JobID: 1})
-	buf = AppendFrame(buf, Abort{JobID: 2, MTID: 3, Seq: 4})
+	buf = AppendFrame(buf, Abort{JobID: 2, Seq: 4})
 	r := bytes.NewReader(buf)
 	for i, wantType := range []byte{TJobDone, TAbort} {
 		typ, payload, err := ReadFrame(r, 0)
