@@ -40,11 +40,15 @@ race:
 # every control-loop batch that changed what is placeable, so its checks ride
 # along: CheckingPlacer against the full rebuild on every pass of a live run,
 # one pass per batch, each task placed in the batch that made it ready, and
-# the SchedInterval tick placing what only time made placeable. (Also covered
-# by `race`; kept as an explicit gate so the comparison with the reference
-# cannot silently drop out of CI.)
+# the SchedInterval tick placing what only time made placeable. The
+# in-process path runs every task through mtqueue.Runner, the agent's task
+# runner: its own tests (limits, bypass, priority order, in-task producers
+# first, a stopped task settling unrun) and a live worker failure whose retry
+# gives the rows of direct execution ride along too. (Also covered by `race`;
+# kept as an explicit gate so the comparison with the reference and the
+# in-process runner cannot silently drop out of CI.)
 equiv:
-	$(GO) test -race -count=1 -run 'Equivalence|TestTick|TestSystem|TestLivePlacementMatchesFullRebuild|TestOnePlacementPassPerBatch|TestEventPass|TestFallbackTick|TestLivePlaces' ./internal/core ./internal/experiments ./internal/live
+	$(GO) test -race -count=1 -run 'Equivalence|TestTick|TestSystem|TestLivePlacementMatchesFullRebuild|TestOnePlacementPassPerBatch|TestEventPass|TestFallbackTick|TestLivePlaces|TestRunner|TestLiveWorkerFailureRetries' ./internal/core ./internal/experiments ./internal/live ./internal/mtqueue
 
 # Distributed loopback smoke: master + worker agents over real TCP sockets
 # in one process — wordcount/SQL row equivalence against direct execution,

@@ -75,6 +75,8 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`settlePrecommits`, "remoteExecutor.completeRecovered completes a recovered task whole"},
 	{`\brerun\(|\.replay\(\)|\.Committed\(`, "every monotask of a Task runs; there is no replay"},
 	{`TestReplayRerunsTaskInternal`, "every monotask of a Task runs; there is no replay"},
+	{`MonotaskExecutor`, "the simulator's workers call simulate; real execution is a core.TaskExecutor over mtqueue.Runner"},
+	{`SetExecutor`, "live and remote install a core.TaskExecutor with SetTaskExecutor"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

@@ -22,11 +22,9 @@ type System struct {
 	jobs []*Job
 	done int
 
-	// exec runs monotasks; the default simExecutor charges modeled
-	// durations on the virtual clock. SetExecutor swaps in a live back-end.
-	exec MonotaskExecutor
-	// tasks, when set by SetTaskExecutor, takes placed tasks whole and exec
-	// is unused: the workers queue their own monotasks.
+	// tasks, when set by SetTaskExecutor, takes placed tasks whole: the
+	// workers queue their own monotasks. Without it the workers' queues run
+	// on the virtual clock (simulate).
 	tasks TaskExecutor
 
 	// OnJobFinished, if set, is invoked as each job completes.
@@ -45,10 +43,10 @@ type System struct {
 	OnWorkerDrained func(id int)
 }
 
-// NewSystem builds an Ursa system over the given cluster, using the
-// simulated (modeled-duration) monotask executor.
+// NewSystem builds an Ursa system over the given cluster. Its workers
+// simulate their monotasks unless SetTaskExecutor installs a real back-end.
 func NewSystem(loop *eventloop.Loop, clus *cluster.Cluster, cfg Config) *System {
-	sys := &System{Loop: loop, Cluster: clus, Cfg: cfg.withDefaults(), exec: simExecutor{}}
+	sys := &System{Loop: loop, Cluster: clus, Cfg: cfg.withDefaults()}
 	sys.Sched = newScheduler(sys)
 	for _, m := range clus.Machines {
 		sys.Workers = append(sys.Workers, newWorker(sys, m))
@@ -56,19 +54,9 @@ func NewSystem(loop *eventloop.Loop, clus *cluster.Cluster, cfg Config) *System 
 	return sys
 }
 
-// SetExecutor replaces the monotask execution back-end — the live
-// construction path (internal/live) installs an executor that runs real
-// work on goroutines. Must be called before any monotask starts.
-func (s *System) SetExecutor(e MonotaskExecutor) {
-	if e == nil {
-		panic("core: nil executor")
-	}
-	s.exec = e
-}
-
 // SetTaskExecutor installs a back-end whose workers take whole tasks and run
-// their monotasks in their own queues (the remote agents). Must be called
-// before any task is placed.
+// their monotasks in their own queues (the remote agents, the in-process
+// executor). Must be called before any task is placed.
 func (s *System) SetTaskExecutor(e TaskExecutor) {
 	if e == nil {
 		panic("core: nil executor")

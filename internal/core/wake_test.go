@@ -2,37 +2,73 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"ursa/internal/cluster"
 	"ursa/internal/dag"
 	"ursa/internal/eventloop"
+	"ursa/internal/mtqueue"
 	"ursa/internal/resource"
 )
 
 // heldExecutor parks every started monotask until the test completes it, so
 // a test decides which completions happen and in which control-loop batch.
-// It mirrors the real executors' core accounting: a running CPU monotask
-// holds one core of its worker.
+// It runs each worker's tasks through an mtqueue.Runner, as the real
+// executors do, and a running CPU monotask holds one core of its worker.
 type heldExecutor struct {
-	held []*heldMT
+	runners map[*Worker]*mtqueue.Runner[heldTask]
+	seq     uint64
+	held    []*heldMT
+}
+
+type heldTask struct {
+	done    func(mt *dag.Monotask, bytes, seconds float64)
+	release []func() // by monotask index, set as each starts
 }
 
 type heldMT struct {
-	w       *Worker
-	mt      *dag.Monotask
-	done    func(bytes, seconds float64)
-	release func()
-	aborted bool // its worker failed: the completion must never be reported
+	w   *Worker
+	mt  *dag.Monotask
+	e   *heldExecutor
+	r   *mtqueue.Runner[heldTask]
+	run mtqueue.Run[heldTask]
 }
 
-func (e *heldExecutor) Start(w *Worker, _ *Job, mt *dag.Monotask, done func(bytes, seconds float64)) func() {
-	h := &heldMT{w: w, mt: mt, done: done, release: HoldCore(w, mt)}
-	e.held = append(e.held, h)
+func (e *heldExecutor) StartTask(w *Worker, j *Job, t *dag.Task, prio float64, done func(mt *dag.Monotask, bytes, seconds float64)) func() {
+	if e.runners == nil {
+		e.runners = make(map[*Worker]*mtqueue.Runner[heldTask])
+	}
+	r := e.runners[w]
+	if r == nil {
+		r = &mtqueue.Runner[heldTask]{
+			Queues: mtqueue.Queues[mtqueue.Run[heldTask]]{Limits: w.queues.Limits},
+			Size:   func(t *mtqueue.Task[heldTask], i int) float64 { return t.MTs[i].InputBytes },
+		}
+		e.runners[w] = r
+	}
+	// A retried task's finished monotasks keep their outputs.
+	mts := slices.DeleteFunc(slices.Clone(t.Monotasks), func(mt *dag.Monotask) bool { return mt.State == dag.MTDone })
+	e.seq++
+	tk := &mtqueue.Task[heldTask]{Job: int64(j.ID), Seq: e.seq, Prio: prio, MTs: mts,
+		V: heldTask{done: done, release: make([]func(), len(mts))}}
+	e.hold(w, r, r.Start(tk))
 	return func() {
-		h.aborted = true
-		h.release()
+		r.Abort(tk.Job, tk.Seq)
+		for _, release := range tk.V.release {
+			if release != nil {
+				release()
+			}
+		}
+	}
+}
+
+// hold parks what a runner step started.
+func (e *heldExecutor) hold(w *Worker, r *mtqueue.Runner[heldTask], s mtqueue.Step[heldTask]) {
+	for _, run := range s.Start {
+		run.Task.V.release[run.I] = HoldCore(w, run.Monotask())
+		e.held = append(e.held, &heldMT{w: w, mt: run.Monotask(), e: e, r: r, run: run})
 	}
 }
 
@@ -43,13 +79,16 @@ func (e *heldExecutor) take() []*heldMT {
 	return h
 }
 
-// complete finishes h, reporting the given measured execution time.
+// complete finishes h, reporting the given measured execution time, unless
+// its worker failed: then the completion is never reported.
 func (h *heldMT) complete(seconds float64) {
-	if h.aborted {
+	tk := h.run.Task
+	if tk.Aborted() {
 		return
 	}
-	h.release()
-	h.done(h.mt.InputBytes, seconds)
+	tk.V.release[h.run.I]()
+	tk.V.done(h.mt, h.mt.InputBytes, seconds)
+	h.e.hold(h.w, h.r, h.r.Settle(h.run, nil))
 }
 
 // cpuJob is a single-stage job of parts CPU tasks over bytesPerTask each.
@@ -86,7 +125,7 @@ func newLiveHarnessOn(t *testing.T, clusCfg cluster.Config, cfg Config) *liveHar
 	clus := cluster.New(drv.Loop(), clusCfg)
 	sys := NewSystem(drv.Loop(), clus, cfg)
 	h := &liveHarness{t: t, drv: drv, sys: sys, exec: &heldExecutor{}, done: make(chan error, 1)}
-	sys.SetExecutor(h.exec)
+	sys.SetTaskExecutor(h.exec)
 	drv.SetBatchEnd(sys.Sched.PlaceIfChanged)
 	go func() { h.done <- drv.Run(context.Background()) }()
 	t.Cleanup(func() {
@@ -190,7 +229,7 @@ func TestEventPassPlacesAtOnce(t *testing.T) {
 		NetBandwidth: 1e9, DiskBandwidth: 2e8, CoreRate: 1e8,
 	})
 	sys := NewSystem(loop, clus, Config{SchedInterval: 10 * eventloop.Millisecond})
-	sys.SetExecutor(&heldExecutor{})
+	sys.SetTaskExecutor(&heldExecutor{})
 	const ms = eventloop.Time(eventloop.Millisecond)
 	submitAt := func(at eventloop.Time) *Job {
 		j := sys.MustSubmit(cpuJob(1, 1e3), at)
@@ -230,7 +269,7 @@ func TestEventPassesPlaceEveryJob(t *testing.T) {
 	})
 	// One core works through 1e6 bytes in one 10 ms interval.
 	sys := NewSystem(loop, clus, Config{SchedInterval: 10 * eventloop.Millisecond})
-	sys.SetExecutor(&heldExecutor{})
+	sys.SetTaskExecutor(&heldExecutor{})
 	const ms = eventloop.Time(eventloop.Millisecond)
 	submitAt := func(spec JobSpec, at eventloop.Time) *Job {
 		j := sys.MustSubmit(spec, at)
@@ -268,7 +307,7 @@ func TestPlacementPassSkipsBacklog(t *testing.T) {
 			loop, clus := testCluster(2) // 16 GB: two 8 GB reservations fill it
 			sys := NewSystem(loop, clus, Config{Policy: policy, SchedInterval: 10 * eventloop.Millisecond})
 			exec := &heldExecutor{}
-			sys.SetExecutor(exec)
+			sys.SetTaskExecutor(exec)
 			spec := func(bytes float64) JobSpec {
 				s := cpuJob(1, bytes)
 				s.MemEstimate = float64(8 * resource.GB)
@@ -383,7 +422,7 @@ func TestFallbackTickPlacesWhatEventPassCouldNot(t *testing.T) {
 	// past it by more than 3e5 queued bytes.
 	sys := NewSystem(loop, clus, Config{SchedInterval: eventloop.Millisecond, RateWindow: window})
 	exec := &heldExecutor{}
-	sys.SetExecutor(exec)
+	sys.SetTaskExecutor(exec)
 	batchEnd := func(until eventloop.Time) {
 		loop.RunUntil(until)
 		sys.Sched.PlaceIfChanged()

@@ -12,9 +12,9 @@ import (
 )
 
 // Worker manages one machine's distributed monotask queues (§4.2.3, package
-// mtqueue) — unless a TaskExecutor runs them on the machine itself — plus
-// the actual resource allocation and the processing-rate monitor feeding the
-// scheduler's APT load measure.
+// mtqueue) in simulation — a TaskExecutor runs them on the machine itself —
+// plus the actual resource allocation and the processing-rate monitor
+// feeding the scheduler's APT load measure.
 type Worker struct {
 	ID      int
 	sys     *System
@@ -52,8 +52,8 @@ type taskMem struct {
 	job      *Job
 	reserved float64
 	used     float64
-	// abort is the TaskExecutor's hook for the placed task, nil under a
-	// MonotaskExecutor.
+	// abort is the TaskExecutor's hook for the placed task, nil in
+	// simulation.
 	abort func()
 }
 
@@ -251,25 +251,22 @@ func (w *Worker) pump(k resource.Kind) {
 	}
 }
 
-// start executes one monotask through the system's executor: the simulated
-// executor charges modeled durations on the virtual clock; a live executor
-// runs the real work on goroutines and reports measured cost through the
-// driver inbox. Either way the completion (done) runs on the control loop
-// and feeds the measured bytes/seconds into the worker's rate monitor.
-// counted=false marks bypassed small monotasks that do not consume a
-// concurrency slot.
+// start simulates one dequeued monotask on the virtual clock; its
+// completion feeds its bytes and modeled seconds into the worker's rate
+// monitor. counted=false marks bypassed small monotasks that do not consume
+// a concurrency slot.
 func (w *Worker) start(item queued, counted bool) {
 	mt := item.mt
 	mt.State = dag.MTRunning
-	done := func(bytes, seconds float64) {
+	startAt := w.sys.Loop.Now()
+	w.active[mt] = simulate(w, mt, func() {
 		delete(w.active, mt)
 		if counted {
 			w.queues.Done(mt.Kind)
 		}
-		w.finished(item.job, mt, bytes, seconds)
+		w.finished(item.job, mt, mt.InputBytes, (w.sys.Loop.Now() - startAt).Seconds())
 		w.pump(mt.Kind)
-	}
-	w.active[mt] = w.sys.exec.Start(w, item.job, mt, done)
+	})
 }
 
 // startTask hands a placed task to the system's TaskExecutor, which runs its

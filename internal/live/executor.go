@@ -1,134 +1,123 @@
 package live
 
 import (
-	"context"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ursa/internal/core"
 	"ursa/internal/dag"
 	"ursa/internal/localrt"
-	"ursa/internal/resource"
+	"ursa/internal/mtqueue"
 )
 
-// executor implements core.MonotaskExecutor over real goroutines: a monotask
-// runs its actual execution steps (localrt.Runtime.Exec — UDF invocation or
-// in-memory data movement), its wall-clock duration is measured, and the
-// completion is relayed back onto the control loop through the driver inbox.
-// The worker's rate monitor therefore blends *measured* processing rates
-// into APT_r(w) — the paper's feedback loop (§4.2.2) over real numbers.
-//
-// A process-wide semaphore of GOMAXPROCS slots bounds how many CPU monotasks
-// execute concurrently; the logical per-worker concurrency limits of §4.2.3
-// are enforced upstream by the worker queues, exactly as in simulation.
+// executor is the in-process core.TaskExecutor: each logical worker runs its
+// placed tasks through an mtqueue.Runner, the worker agent's, on the control
+// loop, within CoresPerWorker CPU monotasks at once. A started monotask runs
+// its real execution steps (localrt.Runtime.Exec) on a goroutine of its
+// own, and its measured wall-clock duration crosses the driver inbox back to
+// the loop: the workers' rate monitors blend *measured* rates into APT_r(w),
+// the §4.2.2 feedback loop over real numbers.
 type executor struct {
-	sys *System
-	sem chan struct{}
+	sys     *System
+	runners []*mtqueue.Runner[task] // by worker ID
+	seq     uint64
+	wg      sync.WaitGroup
+	rts     sync.Map // *dag.Plan → *localrt.Runtime: a plan names its job
+}
 
-	mu  sync.Mutex
-	rts map[*dag.Plan]*localrt.Runtime
-
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+// task is the executor's part of a task in a runner.
+type task struct {
+	w       *core.Worker
+	rt      *localrt.Runtime
+	done    func(mt *dag.Monotask, bytes, seconds float64)
+	release []func() // frees the core a started CPU monotask holds, by index
 }
 
 func newExecutor(sys *System) *executor {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &executor{
-		sys:    sys,
-		sem:    make(chan struct{}, runtime.GOMAXPROCS(0)),
-		rts:    make(map[*dag.Plan]*localrt.Runtime),
-		ctx:    ctx,
-		cancel: cancel,
-	}
-}
-
-// RegisterJob binds a job's plan to the runtime holding its materialized
-// datasets: every submission builds its own plan, so the plan names the job.
-func (e *executor) RegisterJob(rt *localrt.Runtime) {
-	e.mu.Lock()
-	e.rts[rt.Plan()] = rt
-	e.mu.Unlock()
-}
-
-func (e *executor) runtime(j *core.Job) *localrt.Runtime {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rts[j.Plan]
-}
-
-// Close aborts pending executions and waits for in-flight goroutines — the
-// Runtime.RunContext cancellation satellite exists so this cannot leak.
-func (e *executor) Close() {
-	e.cancel()
-	e.wg.Wait()
-}
-
-// Start implements core.MonotaskExecutor. It is invoked on the control loop;
-// the completion callback is delivered back to the control loop via the
-// driver inbox with the measured bytes and wall-clock seconds.
-func (e *executor) Start(w *core.Worker, j *core.Job, mt *dag.Monotask, done func(bytes, seconds float64)) (abort func()) {
-	rt := e.runtime(j)
-	if rt == nil {
-		// Registration is part of submission; reaching execution without a
-		// runtime is a wiring bug.
-		panic(fmt.Sprintf("live: job %d has no registered runtime", j.ID))
-	}
-
-	// A running CPU monotask holds one core of its logical worker for its
-	// whole (measured) duration. release runs on the control loop, from
-	// either the completion or the abort path.
-	release := core.HoldCore(w, mt)
-
-	// aborted is set on the control loop when the worker fails (§4.3); the
-	// straggling goroutine's eventual completion is then discarded — the
-	// task was already reset for retry elsewhere.
-	var aborted atomic.Bool
-
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		bounded := mt.Kind == resource.CPU
-		if bounded {
-			select {
-			case e.sem <- struct{}{}:
-			case <-e.ctx.Done():
-				return // system shutting down; completion irrelevant
-			}
-		}
-		var err error
-		start := time.Now()
-		if !aborted.Load() {
-			err = rt.Exec(mt)
-		}
-		elapsed := time.Since(start).Seconds()
-		if elapsed < 1e-6 {
-			// Floor at the clock granularity so a trivial monotask cannot
-			// inject a near-infinite rate sample.
-			elapsed = 1e-6
-		}
-		if bounded {
-			<-e.sem
-		}
-		e.sys.Drv.Send(func() {
-			if aborted.Load() {
-				return
-			}
-			release()
-			if err != nil {
-				e.sys.Fail(fmt.Errorf("live: %v failed: %w", mt, err))
-				return
-			}
-			done(mt.InputBytes, elapsed)
+	e := &executor{sys: sys}
+	cfg := sys.Core.Cfg
+	for _, w := range sys.Core.Workers {
+		e.runners = append(e.runners, &mtqueue.Runner[task]{
+			Queues: mtqueue.Queues[mtqueue.Run[task]]{Limits: mtqueue.Limits{
+				Cores: int(w.Machine.Cores.Capacity()), Net: cfg.NetConcurrency,
+				Small: cfg.SmallMonotaskBytes, FIFO: cfg.DisableMonotaskOrdering,
+			}},
+			Size: func(t *mtqueue.Task[task], i int) float64 { return t.MTs[i].InputBytes },
 		})
-	}()
-
-	return func() {
-		aborted.Store(true)
-		release()
 	}
+	return e
+}
+
+// RegisterJob binds a job's plan to the runtime holding its datasets.
+func (e *executor) RegisterJob(rt *localrt.Runtime) { e.rts.Store(rt.Plan(), rt) }
+
+// Close waits for the monotasks still executing; their completions reach a
+// stopped driver and are dropped.
+func (e *executor) Close() { e.wg.Wait() }
+
+// StartTask implements core.TaskExecutor: the task enters its worker's
+// runner under a fresh seq, less the monotasks a failed worker finished
+// (their outputs stay, §4.3). The abort hook stops the task and frees its
+// cores at once; its running monotasks' completions are dropped.
+func (e *executor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, prio float64, done func(mt *dag.Monotask, bytes, seconds float64)) (abort func()) {
+	rt, ok := e.rts.Load(j.Plan)
+	if !ok {
+		panic(fmt.Sprintf("live: job %d has no registered runtime", j.ID)) // a wiring bug
+	}
+	mts := t.Monotasks
+	if finished := func(mt *dag.Monotask) bool { return mt.State == dag.MTDone }; slices.ContainsFunc(mts, finished) {
+		mts = slices.DeleteFunc(slices.Clone(mts), finished)
+	}
+	r := e.runners[w.ID]
+	e.seq++
+	tk := &mtqueue.Task[task]{Job: int64(j.ID), Seq: e.seq, Prio: prio, MTs: mts,
+		V: task{w: w, rt: rt.(*localrt.Runtime), done: done, release: make([]func(), len(mts))}}
+	e.launch(r, r.Start(tk))
+	return func() {
+		r.Abort(tk.Job, tk.Seq)
+		for _, release := range tk.V.release {
+			if release != nil {
+				release()
+			}
+		}
+	}
+}
+
+// launch starts what a runner step left: a CPU monotask holds a core of its
+// worker from here to its completion, and each runs on a goroutine.
+func (e *executor) launch(r *mtqueue.Runner[task], s mtqueue.Step[task]) {
+	for _, run := range s.Start {
+		tk, mt := run.Task, run.Monotask()
+		tk.V.release[run.I] = core.HoldCore(tk.V.w, mt)
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			start := time.Now()
+			err := tk.V.rt.Exec(mt)
+			// Floored at the clock granularity so a trivial monotask cannot
+			// inject a near-infinite rate sample.
+			elapsed := max(time.Since(start).Seconds(), 1e-6)
+			e.sys.Drv.Send(func() { e.finish(r, run, err, elapsed) })
+		}()
+	}
+}
+
+// finish takes a started monotask's completion on the loop: done first, so
+// the job manager prepares the consumers it frees, then the runner settles
+// it and starts what that frees. An aborted task's completion is dropped; a
+// failed monotask fails the run.
+func (e *executor) finish(r *mtqueue.Runner[task], run mtqueue.Run[task], err error, seconds float64) {
+	tk, mt := run.Task, run.Monotask()
+	tk.V.release[run.I]()
+	switch {
+	case tk.Aborted():
+	case err != nil:
+		e.sys.Fail(fmt.Errorf("live: %v failed: %w", mt, err))
+		return
+	default:
+		tk.V.done(mt, mt.InputBytes, seconds)
+	}
+	e.launch(r, r.Settle(run, err))
 }

@@ -8,14 +8,14 @@
 // measurements: APT_r(w), SRJF remaining work and placement scores are all
 // computed from observed rates, not modeled ones.
 //
-// The control plane is byte-for-byte the code the simulator runs; only the
-// Driver (clock) and the MonotaskExecutor (work) differ. See DESIGN.md §8
-// for the layering and the determinism boundary.
+// The scheduling control plane is the code the simulator runs; the Driver
+// (clock) differs, and each worker's monotask queues are the worker agent's
+// task runner (mtqueue.Runner) instead of the simulated ones. See DESIGN.md
+// §8 for the layering and the determinism boundary.
 package live
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -47,22 +47,22 @@ type Config struct {
 	// simulation, except SchedInterval (10ms of wall clock: a ready task is
 	// placed at the end of the control-loop batch that made it ready, and the
 	// tick places only what time alone makes placeable), RateWindow (1s) and
-	// SmallMonotaskBytes (1, so every monotask goes through the worker queues
-	// and the full §4.2.3 path is exercised).
+	// SmallMonotaskBytes (1, so every monotask goes through its worker's
+	// runner queues and the full §4.2.3 path is exercised).
 	Core core.Config
 	// NewBackend, when set, replaces the in-process execution back-end.
 	// This is the remote-mode seam: internal/remote installs a backend that
-	// dispatches monotasks to worker agent processes over TCP while the
+	// sends placed tasks to worker agent processes over TCP while the
 	// control plane above stays byte-for-byte identical.
 	NewBackend func(*System) Backend
 }
 
-// Backend is a live System's execution back-end: a core.MonotaskExecutor
-// (the in-process executor of this package, whose workers' queues are the
-// scheduling core's) or a core.TaskExecutor (the remote executor of
-// internal/remote, whose agents queue their own monotasks), plus the
+// Backend is a live System's execution back-end: a core.TaskExecutor (the
+// in-process executor of this package, or the remote executor of
+// internal/remote, whose agents run the same runner) plus the
 // job-registration and shutdown hooks the System calls around it.
 type Backend interface {
+	core.TaskExecutor
 	// RegisterJob takes the runtime that will hold a submitted job's
 	// materialized datasets (its plan is rt.Plan()). Called on the submitting
 	// goroutine as Submit builds the runtime, before the job reaches the loop.
@@ -164,14 +164,7 @@ func NewSystem(cfg Config) *System {
 	} else {
 		s.exec = newExecutor(s)
 	}
-	switch e := s.exec.(type) {
-	case core.TaskExecutor:
-		sys.SetTaskExecutor(e)
-	case core.MonotaskExecutor:
-		sys.SetExecutor(e)
-	default:
-		panic(fmt.Sprintf("live: backend %T executes neither monotasks nor tasks", e))
-	}
+	sys.SetTaskExecutor(s.exec)
 	return s
 }
 
@@ -249,10 +242,10 @@ func (s *System) Fail(err error) {
 // Run drives the control loop against the wall clock until Shutdown (nil),
 // Fail (the first failure) or the end of ctx (ctx's error). Call it once. It
 // does not stop when the jobs run out, and Core.OnJobFinished is the owner's
-// to set. The scheduler path is exactly the simulation's: admission under the
-// memory reservation, the same batched placement pass, per-resource worker
-// queues — only the clock, the execution back-end and what triggers the
-// passes differ: here a control-loop batch that queued jobs ends in one
+// to set. The scheduler path is the simulation's: admission under the memory
+// reservation, the same batched placement pass, per-resource worker queues
+// — only the clock, the execution back-end and what triggers the passes
+// differ: here a control-loop batch that queued jobs ends in one
 // admission pass over them, and one that changed what is placeable ends in a
 // placement pass (NewSystem wires both to the driver's end-of-batch hook),
 // with the SchedInterval tick as the time-driven fallback.

@@ -32,36 +32,42 @@ func wordCount(inParts, outParts int) (*dag.Graph, *dag.Dataset, *dag.Dataset) {
 	shuffled := g.CreateData(outParts)
 	counts := g.CreateData(outParts)
 	tokenize := g.CreateOp(resource.CPU, "tokenize").Read(lines).Create(pairs)
-	tokenize.SetUDF(localrt.UDF(func(in [][]localrt.Row) []localrt.Row {
-		agg := map[string]int{}
-		for _, row := range in[0] {
-			for _, w := range strings.Fields(row.(string)) {
-				agg[w]++
-			}
-		}
-		var out []localrt.Row
-		for w, c := range agg {
-			out = append(out, kv{w, c})
-		}
-		return out
-	}))
+	tokenize.SetUDF(localrt.UDF(tokenizeLines))
 	shuffle := g.CreateOp(resource.Net, "shuffle").Read(pairs).Create(shuffled)
 	reduce := g.CreateOp(resource.CPU, "reduce").Read(shuffled).Create(counts)
-	reduce.SetUDF(localrt.UDF(func(in [][]localrt.Row) []localrt.Row {
-		agg := map[string]int{}
-		for _, row := range in[0] {
-			p := row.(kv)
-			agg[p.K] += p.V
-		}
-		var out []localrt.Row
-		for w, c := range agg {
-			out = append(out, kv{w, c})
-		}
-		return out
-	}))
+	reduce.SetUDF(localrt.UDF(sumCounts))
 	tokenize.To(shuffle, dag.Sync)
 	shuffle.To(reduce, dag.Async)
 	return g, lines, counts
+}
+
+// tokenizeLines counts the words of its input lines.
+func tokenizeLines(in [][]localrt.Row) []localrt.Row {
+	agg := map[string]int{}
+	for _, row := range in[0] {
+		for _, w := range strings.Fields(row.(string)) {
+			agg[w]++
+		}
+	}
+	var out []localrt.Row
+	for w, c := range agg {
+		out = append(out, kv{w, c})
+	}
+	return out
+}
+
+// sumCounts adds up the counts of each word.
+func sumCounts(in [][]localrt.Row) []localrt.Row {
+	agg := map[string]int{}
+	for _, row := range in[0] {
+		p := row.(kv)
+		agg[p.K] += p.V
+	}
+	var out []localrt.Row
+	for w, c := range agg {
+		out = append(out, kv{w, c})
+	}
+	return out
 }
 
 func inputLines(n int) []localrt.Row {
@@ -398,5 +404,69 @@ func TestLiveContextCancel(t *testing.T) {
 	defer cancel()
 	if err := sys.Run(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestLiveWorkerFailureRetries: a worker that fails while it runs a reduce
+// task's CPU monotask, the task's network monotask done (§4.3), gives its
+// tasks to the other worker, which runs only what had not finished; the
+// straggler's late completion is dropped, and the job still produces the
+// rows of direct execution, leaving no core or memory held.
+func TestLiveWorkerFailureRetries(t *testing.T) {
+	input := inputLines(400)
+	g1, in1, out1 := wordCount(6, 4)
+	rt := localrt.New(g1.MustBuild())
+	rt.SetInput(in1, input)
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	direct := sortedKVs(rt.Rows(out1))
+
+	g, in, out := wordCount(6, 4)
+	started, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	g.Ops()[2].SetUDF(localrt.UDF(func(ins [][]localrt.Row) []localrt.Row {
+		once.Do(func() { close(started) })
+		<-gate
+		return sumCounts(ins)
+	}))
+	sys := NewSystem(Config{Workers: 2, CoresPerWorker: 1})
+	j := submit(sys, "wc", g, in, input)
+	stopAfter(sys, 1)
+	go func() {
+		<-started
+		sys.Drv.Send(func() {
+			for _, task := range j.Core.Plan.Stages[1].Tasks {
+				if task.Worker >= 0 && !task.Done() {
+					sys.Core.FailWorker(task.Worker)
+					break
+				}
+			}
+			close(gate)
+		})
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := sys.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkQuiesced(t, sys)
+	failed := 0
+	for _, w := range sys.Core.Workers {
+		if w.Failed() {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d workers failed, want 1", failed)
+	}
+	live := sortedKVs(j.Rows(out))
+	if len(direct) != len(live) {
+		t.Fatalf("direct has %d rows, live has %d", len(direct), len(live))
+	}
+	for i := range direct {
+		if direct[i] != live[i] {
+			t.Fatalf("row %d: direct %v, live %v", i, direct[i], live[i])
+		}
 	}
 }

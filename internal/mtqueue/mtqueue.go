@@ -1,8 +1,9 @@
 // Package mtqueue is a worker's distributed monotask queues (§4.2.3): one
 // queue per resource kind, ordered by job priority and monotask size, with
 // per-kind concurrency limits and the small-monotask bypass. The simulated
-// worker (core.Worker) and the worker agent (remote/agent) both run their
-// monotasks through it.
+// worker (core.Worker) drives Queues itself; Runner runs placed tasks
+// through them for both real executors, the worker agent (remote/agent) and
+// the in-process one (live).
 package mtqueue
 
 import (

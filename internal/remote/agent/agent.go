@@ -22,7 +22,6 @@ import (
 	"ursa/internal/mtqueue"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
-	"ursa/internal/resource"
 	"ursa/internal/wire"
 )
 
@@ -171,44 +170,12 @@ func (js *jobState) close() {
 	}
 }
 
-// taskRun is one Task frame in flight on the agent.
-type taskRun struct {
-	jobID int64
-	seq   uint64
-	js    *jobState
-	prio  float64
-	runs  []*mtRun
-	// Under Agent.mu: the monotasks not yet settled (run, or passed over),
-	// the records to report in the order they settled, and the first
-	// failure, after which no monotask of the task runs.
-	left    int
-	records []wire.Complete
-	err     error
-	aborted atomic.Bool
-}
-
-// mtRun is one monotask of a taskRun.
-type mtRun struct {
-	task *taskRun
-	mt   *dag.Monotask
-	d    wire.Dispatch
-	// waits counts the in-task producers not yet settled (under Agent.mu);
-	// outs are the in-task consumers.
-	waits int
-	outs  []*mtRun
-}
-
-// started is a monotask taken off the queues (or past them, when counted
-// is false) to run on a goroutine of its own.
-type started struct {
-	r       *mtRun
-	counted bool
-}
-
-// work is what a queue step leaves to do once Agent.mu is released.
-type work struct {
-	start []started
-	done  []wire.TaskDone
+// taskData is the agent's part of a task in its runner: the job, the
+// frame's monotasks and, by the same index, the record of each that ran.
+type taskData struct {
+	js   *jobState
+	d    []wire.Dispatch
+	recs []wire.Complete
 }
 
 // Agent is one running worker agent.
@@ -238,11 +205,10 @@ type Agent struct {
 	master  string
 	jobs    map[int64]*jobState
 	clients map[string]*shuffle.Client
-	// inflight holds the tasks running here by their seq, Abort's match.
-	inflight map[uint64]*taskRun
-	// queues are the agent's monotask queues (§4.2.3): Cores CPU monotasks
-	// at once, the master's network limit and bypass.
-	queues mtqueue.Queues[*mtRun]
+	// runner runs the tasks in flight here through the agent's monotask
+	// queues (§4.2.3): Cores CPU monotasks at once, the master's network
+	// limit and bypass, each keyed on its frame's EstInput.
+	runner mtqueue.Runner[taskData]
 
 	// builds is the read loop's own: not under mu.
 	builds buildCache
@@ -262,14 +228,14 @@ func Dial(cfg Config) (*Agent, error) {
 	}
 	cfg = cfg.withDefaults()
 	a := &Agent{
-		cfg:      cfg,
-		quit:     make(chan struct{}),
-		jobs:     make(map[int64]*jobState),
-		clients:  make(map[string]*shuffle.Client),
-		inflight: make(map[uint64]*taskRun),
-		builds:   buildCache{byKey: make(map[buildKey]*build)},
-		done:     make(chan error, 1),
+		cfg:     cfg,
+		quit:    make(chan struct{}),
+		jobs:    make(map[int64]*jobState),
+		clients: make(map[string]*shuffle.Client),
+		builds:  buildCache{byKey: make(map[buildKey]*build)},
+		done:    make(chan error, 1),
 	}
+	a.runner.Size = func(t *mtqueue.Task[taskData], i int) float64 { return t.V.d[i].EstInput }
 
 	shufAddr := cfg.ShuffleAddr
 	if shufAddr == "" {
@@ -327,7 +293,7 @@ func (a *Agent) register(shuffleAddr string) (wire.Welcome, error) {
 			a.gen.Store(w.Gen)
 			a.mu.Lock()
 			a.master = addr
-			a.queues.Limits = mtqueue.Limits{
+			a.runner.Limits = mtqueue.Limits{
 				Cores: cfg.Cores,
 				Net:   max(int(w.NetConcurrency), 1),
 				Small: w.SmallMonotaskBytes,
@@ -507,7 +473,13 @@ func (a *Agent) readLoop() {
 			return
 		}
 		a.logf("agent %d: master connection lost (%v), re-registering", a.id.Load(), err)
-		a.abortInflight()
+		// In-flight tasks belong to a dead master's generation: their records
+		// are swallowed, and the successor re-dispatches from replayed state.
+		// A monotask already running still runs to completion — its commit
+		// into the job runtime is idempotent.
+		a.mu.Lock()
+		a.runner.AbortAll()
+		a.mu.Unlock()
 		w, rerr := a.register(a.shuffle.Addr())
 		if rerr != nil {
 			a.shutdown(fmt.Errorf("agent: master connection lost: %w (re-registration: %v)", err, rerr))
@@ -524,7 +496,9 @@ func (a *Agent) handleMsg(m wire.Msg) error {
 	case wire.Task:
 		a.handleTask(m)
 	case wire.Abort:
-		a.handleAbort(m)
+		a.mu.Lock()
+		a.runner.Abort(m.JobID, m.Seq)
+		a.mu.Unlock()
 	case wire.JobDone:
 		a.mu.Lock()
 		js := a.jobs[m.JobID]
@@ -562,26 +536,13 @@ func (a *Agent) RequestDrain(reason string) bool {
 	return a.conn.Load().Send(wire.DrainWorker{WorkerID: a.id.Load(), Reason: reason})
 }
 
-// abortInflight marks every in-flight task aborted so its records are
-// swallowed: those tasks belong to a dead master's generation, and the
-// successor re-dispatches from replayed state. A monotask already running
-// still runs to completion — its commit into the job runtime is idempotent.
-func (a *Agent) abortInflight() {
-	a.mu.Lock()
-	for _, tr := range a.inflight {
-		tr.aborted.Store(true)
-	}
-	a.inflight = make(map[uint64]*taskRun)
-	a.mu.Unlock()
-}
-
 var errClean = fmt.Errorf("agent: clean shutdown")
 
 // drain waits for in-flight tasks to finish before a clean exit.
 func (a *Agent) drain() {
 	for {
 		a.mu.Lock()
-		n := len(a.inflight)
+		n := a.runner.Unfinished()
 		a.mu.Unlock()
 		if n == 0 {
 			return
@@ -695,18 +656,16 @@ func (c *buildCache) get(name string, params []byte) (*build, error) {
 	return b, nil
 }
 
-// handleTask takes one placed task: its monotasks enter the agent's queues
-// as their in-task producers settle, each runs on a goroutine of its own
-// once its queue lets it start, and the task's records leave in one
-// TaskDone under its seq when the last one settles. A Task the agent cannot
-// run — its job was never prepared here, its job's build failed, or it names
-// a monotask the plan does not have — completes at once, every monotask with
-// Err set, so the master can retire it.
+// handleTask takes one placed task into the agent's runner; its records
+// leave in one TaskDone under its seq once its last monotask settles. A Task
+// the agent cannot run — its job was never prepared here, its job's build
+// failed, or it names a monotask the plan does not have — completes at once,
+// every monotask with Err set, so the master can retire it.
 func (a *Agent) handleTask(f wire.Task) {
 	a.mu.Lock()
 	js := a.jobs[f.JobID]
 	a.mu.Unlock()
-	tr := &taskRun{jobID: f.JobID, seq: f.Seq, js: js, prio: f.Prio}
+	mts := make([]*dag.Monotask, len(f.MTs))
 	var err error
 	switch {
 	case js == nil:
@@ -714,7 +673,14 @@ func (a *Agent) handleTask(f wire.Task) {
 	case js.err != nil:
 		err = js.err
 	default:
-		err = tr.link(js.rt.Plan(), f.MTs)
+		plan := js.rt.Plan()
+		for i, d := range f.MTs {
+			if int(d.MTID) < 0 || int(d.MTID) >= len(plan.Monotasks) || plan.Monotasks[d.MTID].Virtual() {
+				err = fmt.Errorf("agent: job %d has no monotask %d", f.JobID, d.MTID)
+				break
+			}
+			mts[i] = plan.Monotasks[d.MTID]
+		}
 	}
 	if err != nil {
 		td := wire.TaskDone{JobID: f.JobID, Seq: f.Seq}
@@ -724,159 +690,54 @@ func (a *Agent) handleTask(f wire.Task) {
 		a.conn.Load().Send(td)
 		return
 	}
-	var w work
+	t := &mtqueue.Task[taskData]{Job: f.JobID, Seq: f.Seq, Prio: f.Prio, MTs: mts,
+		V: taskData{js: js, d: f.MTs, recs: make([]wire.Complete, len(mts))}}
 	a.mu.Lock()
-	a.inflight[tr.seq] = tr
-	tr.left = len(tr.runs)
-	// The monotasks that wait on none, taken before any settles: settling one
-	// passed over readies its consumers itself.
-	var first []*mtRun
-	for _, r := range tr.runs {
-		if r.waits == 0 {
-			first = append(first, r)
-		}
-	}
-	for _, r := range first {
-		a.readyLocked(r, &w)
-	}
-	a.pumpLocked(&w)
+	s := a.runner.Start(t)
 	a.mu.Unlock()
-	a.launch(w)
+	a.launch(s)
 }
 
-// link resolves a Task's monotasks in the plan and wires each to the
-// monotasks of the same task it reads.
-func (tr *taskRun) link(plan *dag.Plan, mts []wire.Dispatch) error {
-	byID := make(map[int]*mtRun, len(mts))
-	for _, d := range mts {
-		if int(d.MTID) < 0 || int(d.MTID) >= len(plan.Monotasks) || plan.Monotasks[d.MTID].Virtual() {
-			return fmt.Errorf("agent: job %d has no monotask %d", tr.jobID, d.MTID)
-		}
-		r := &mtRun{task: tr, mt: plan.Monotasks[d.MTID], d: d}
-		byID[r.mt.ID] = r
-		tr.runs = append(tr.runs, r)
-	}
-	for _, r := range tr.runs {
-		for _, in := range r.mt.Ins {
-			if p := byID[in.ID]; p != nil {
-				r.waits++
-				p.outs = append(p.outs, r)
+// launch does what a runner step left: finished tasks' TaskDone frames first
+// (a finished task is the runner's no more, so no lock), so its records are
+// queued before the monotasks its end let start can finish, then those
+// monotasks, each on a goroutine of its own.
+func (a *Agent) launch(s mtqueue.Step[taskData]) {
+	for _, t := range s.Done {
+		for i, mt := range t.MTs {
+			if !t.Ran(i) {
+				t.V.recs[i] = wire.Complete{JobID: t.Job, MTID: t.V.d[i].MTID,
+					Err: fmt.Sprintf("agent: %v not run: %v", mt, t.Err())}
 			}
 		}
+		a.conn.Load().Send(wire.TaskDone{JobID: t.Job, Seq: t.Seq, Records: t.V.recs})
 	}
-	return nil
-}
-
-// readyLocked takes a monotask whose in-task producers have all settled: it
-// enters its queue, or — when its task failed or was aborted — settles
-// unrun.
-func (a *Agent) readyLocked(r *mtRun, w *work) {
-	tr := r.task
-	if tr.err != nil || tr.aborted.Load() {
-		a.settleLocked(r, nil, w)
-		return
-	}
-	if a.queues.Add(r.mt.Kind, tr.prio, tr.jobID, r.mt.Task.Stage.ID, r.d.EstInput, r) {
-		w.start = append(w.start, started{r, false})
-	}
-}
-
-// settleLocked records a monotask that ran (rec) or was passed over (nil),
-// readies the in-task consumers it was the last producer of, and finishes
-// the task with its last monotask. A monotask passed over because its task
-// failed reports that failure.
-func (a *Agent) settleLocked(r *mtRun, rec *wire.Complete, w *work) {
-	tr := r.task
-	if !tr.aborted.Load() {
-		if rec == nil {
-			rec = &wire.Complete{JobID: tr.jobID, MTID: r.d.MTID,
-				Err: fmt.Sprintf("agent: %v not run: %v", r.mt, tr.err)}
-		}
-		tr.records = append(tr.records, *rec)
-	}
-	for _, c := range r.outs {
-		if c.waits--; c.waits == 0 {
-			a.readyLocked(c, w)
-		}
-	}
-	if tr.left--; tr.left > 0 {
-		return
-	}
-	if a.inflight[tr.seq] == tr {
-		delete(a.inflight, tr.seq)
-	}
-	if !tr.aborted.Load() {
-		w.done = append(w.done, wire.TaskDone{JobID: tr.jobID, Seq: tr.seq, Records: tr.records})
-	}
-}
-
-// pumpLocked starts queued monotasks while their kinds' limits allow.
-func (a *Agent) pumpLocked(w *work) {
-	for _, k := range [...]resource.Kind{resource.CPU, resource.Net, resource.Disk} {
-		for {
-			r, ok := a.queues.Next(k)
-			if !ok {
-				break
-			}
-			w.start = append(w.start, started{r, true})
-		}
-	}
-}
-
-// launch does what a queue step left: finished tasks' TaskDone frames
-// first, so a task's records are queued on the connection before the
-// monotasks its end let start can finish, then those monotasks, each on a
-// goroutine of its own.
-func (a *Agent) launch(w work) {
-	for _, td := range w.done {
-		a.conn.Load().Send(td)
-	}
-	for _, s := range w.start {
+	for _, run := range s.Start {
 		a.wg.Add(1)
-		go a.run(s)
+		go a.run(run)
 	}
 }
 
-// run executes one started monotask, unless its task failed or was aborted
-// meanwhile, then settles it and starts what that frees.
-func (a *Agent) run(s started) {
+// run executes one started monotask, then settles it.
+func (a *Agent) run(run mtqueue.Run[taskData]) {
 	defer a.wg.Done()
-	r, tr := s.r, s.r.task
+	t := run.Task
+	rec := a.execute(t.V.js, t.V.d[run.I], run.Monotask())
+	t.V.recs[run.I] = rec
+	var err error
+	if rec.Err != "" {
+		err = fmt.Errorf("%v: %s", run.Monotask(), rec.Err)
+	}
 	a.mu.Lock()
-	skip := tr.err != nil || tr.aborted.Load()
+	s := a.runner.Settle(run, err)
 	a.mu.Unlock()
-	var rec *wire.Complete
-	if !skip {
-		c := a.execute(tr.js, r)
-		rec = &c
-	}
-	var w work
-	a.mu.Lock()
-	if s.counted {
-		a.queues.Done(r.mt.Kind)
-	}
-	if rec != nil && rec.Err != "" && tr.err == nil {
-		tr.err = fmt.Errorf("%v: %s", r.mt, rec.Err)
-	}
-	a.settleLocked(r, rec, &w)
-	a.pumpLocked(&w)
-	a.mu.Unlock()
-	a.launch(w)
-}
-
-func (a *Agent) handleAbort(ab wire.Abort) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if tr := a.inflight[ab.Seq]; tr != nil && tr.jobID == ab.JobID {
-		tr.aborted.Store(true)
-	}
+	a.launch(s)
 }
 
 // execute runs one monotask of a task: pull the named input partitions into
 // the local store, execute, and return the measured record. Seconds covers
 // fetch + execution (the work the task caused), excluding time queued.
-func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
-	d := r.d
+func (a *Agent) execute(js *jobState, d wire.Dispatch, mt *dag.Monotask) wire.Complete {
 	comp := wire.Complete{JobID: d.JobID, MTID: d.MTID}
 	fetchStart := time.Now()
 	wireBytes, rawBytes, retries, fallbacks, err := a.ensureInputs(js, d)
@@ -889,7 +750,7 @@ func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
 	}
 
 	execStart := time.Now()
-	writes, err := js.rt.ExecRecord(r.mt)
+	writes, err := js.rt.ExecRecord(mt)
 	if d := a.cfg.ExecDelay; d > 0 {
 		// Contention injection: the stall sits inside the timed section,
 		// so the honestly-measured completion exposes the slow-down to
@@ -904,7 +765,7 @@ func (a *Agent) execute(js *jobState, r *mtRun) wire.Complete {
 	comp.Seconds = (fetchDur + execDur).Seconds()
 	if comp.Seconds < 1e-6 {
 		// Floor at clock granularity so a trivial monotask cannot inject a
-		// near-infinite rate sample (mirrors the in-process executor).
+		// near-infinite rate sample (as the in-process executor does).
 		comp.Seconds = 1e-6
 	}
 	comp.FetchedWireBytes = wireBytes

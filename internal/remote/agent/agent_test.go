@@ -10,6 +10,7 @@ package agent
 import (
 	"bufio"
 	"errors"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -17,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"ursa/internal/dag"
 	"ursa/internal/localrt"
+	"ursa/internal/mtqueue"
 	"ursa/internal/remote/shuffle"
 	"ursa/internal/remote/workload"
 	"ursa/internal/resource"
@@ -90,22 +93,32 @@ func taskDone(t *testing.T, c *wire.Conn) wire.Complete {
 	return rec
 }
 
-// holdCore takes one CPU slot of the agent's queues, as a monotask running
-// elsewhere would; release returns it and starts what it held up.
-func holdCore(a *Agent) (release func()) {
-	a.mu.Lock()
-	a.queues.Add(resource.CPU, 0, -1, 0, 0, nil)
-	if _, ok := a.queues.Next(resource.CPU); !ok {
-		panic("no free CPU slot to hold")
+// hold takes n slots of kind k in the agent's runner, as monotasks running
+// elsewhere would: a task of its own (job -1) starts n monotasks that nobody
+// runs. release aborts that task, settles them and starts what they held up.
+func hold(a *Agent, k resource.Kind, n int) (release func()) {
+	t := &mtqueue.Task[taskData]{Job: -1, Seq: math.MaxUint64, V: taskData{d: make([]wire.Dispatch, n)}}
+	task := &dag.Task{Stage: &dag.Stage{}}
+	for i := range n {
+		t.MTs = append(t.MTs, &dag.Monotask{Kind: k, Task: task})
+		t.V.d[i].EstInput = 1 << 62 // never small enough to bypass
 	}
+	a.mu.Lock()
+	held := a.runner.Start(t).Start
 	a.mu.Unlock()
+	if len(held) != n {
+		panic("no free slots to hold")
+	}
 	return func() {
-		var w work
 		a.mu.Lock()
-		a.queues.Done(resource.CPU)
-		a.pumpLocked(&w)
+		a.runner.Abort(t.Job, t.Seq)
 		a.mu.Unlock()
-		a.launch(w)
+		for _, run := range held {
+			a.mu.Lock()
+			s := a.runner.Settle(run, nil)
+			a.mu.Unlock()
+			a.launch(s)
+		}
 	}
 }
 
@@ -242,7 +255,7 @@ func TestAbortMatchesOnSeq(t *testing.T) {
 	swallowed, kept := roots[0], roots[1]
 
 	c.Send(wire.Prepare{JobID: 1, Workload: name, Params: params})
-	release := holdCore(a) // take the one core: both tasks stay in flight
+	release := hold(a, resource.CPU, 1) // take the one core: both tasks stay in flight
 	c.Send(task(1, swallowed, 10))
 	c.Send(task(1, kept, 11))
 	c.Send(wire.Abort{JobID: 1, Seq: 10})

@@ -1,9 +1,8 @@
 package agent
 
-// The agent's own monotask queues (§4.2.3): the CPU queue runs at most Cores
-// monotasks at once and the network queue at most the master's limit, a
-// small network monotask skips its queue, and a higher-priority job's
-// monotask starts first.
+// The agent's frames reach its runner (mtqueue.Runner, whose own tests cover
+// the §4.2.3 queues): the Welcome's network limit and bypass threshold and
+// each Dispatch's EstInput decide what runs at once.
 
 import (
 	"testing"
@@ -20,29 +19,6 @@ import (
 // once shows in how long a wave takes: a sleep never ends early, so a lower
 // bound on a wave's time cannot fail by chance.
 const queueDelay = 30 * time.Millisecond
-
-// hold takes n slots of kind k in the agent's queues, as monotasks running
-// elsewhere would; release returns them and starts what they held up.
-func hold(a *Agent, k resource.Kind, n int) (release func()) {
-	a.mu.Lock()
-	for i := 0; i < n; i++ {
-		a.queues.Add(k, 0, -1, 0, 1<<62, nil)
-		if _, ok := a.queues.Next(k); !ok {
-			panic("no free slot to hold")
-		}
-	}
-	a.mu.Unlock()
-	return func() {
-		var w work
-		a.mu.Lock()
-		for i := 0; i < n; i++ {
-			a.queues.Done(k)
-		}
-		a.pumpLocked(&w)
-		a.mu.Unlock()
-		a.launch(w)
-	}
-}
 
 // microJob joins an agent under welcome, prepares micro with p as job 1 and
 // returns the master's end of the connection and the job's plan, prepared
@@ -108,20 +84,6 @@ func frames(tasks []*dag.Task, size float64) []wire.Task {
 	return out
 }
 
-// TestCPUConcurrencyBoundedByCores: six CPU monotasks on two cores run in
-// three rounds, never six at once.
-func TestCPUConcurrencyBoundedByCores(t *testing.T) {
-	_, c, plan := microJob(t, Config{Cores: 2, ExecDelay: queueDelay}, wire.Welcome{},
-		workload.MicroParams{InParts: 6, OutParts: 1})
-	roots := plan.InitialReady()
-	if len(roots) != 6 {
-		t.Fatalf("micro has %d root tasks, want 6", len(roots))
-	}
-	if _, took := wave(t, c, plan, frames(roots, 1)); took < 3*queueDelay {
-		t.Errorf("six CPU monotasks on two cores took %v, under three rounds of %v", took, queueDelay)
-	}
-}
-
 // TestNetworkConcurrencyAndBypass: six shuffle tasks under a network limit
 // of two move their inputs two at a time, and a network monotask below the
 // bypass threshold starts while the network queue is full.
@@ -156,27 +118,5 @@ func TestNetworkConcurrencyAndBypass(t *testing.T) {
 	td, ok = read(t, c).(wire.TaskDone)
 	if !ok || td.Records[0].MTID != big.MTs[0].MTID {
 		t.Fatalf("after the release, got %+v, want the queued task's TaskDone", td)
-	}
-}
-
-// TestHigherPriorityStartsFirst: with the one core busy, a task of a
-// higher-priority job queued behind a lower-priority one starts first.
-func TestHigherPriorityStartsFirst(t *testing.T) {
-	a, c, plan := microJob(t, Config{Cores: 1}, wire.Welcome{}, workload.MicroParams{})
-	name, params := workload.Micro(workload.MicroParams{})
-	c.Send(wire.Prepare{JobID: 2, Workload: name, Params: params})
-	root := plan.InitialReady()[0]
-	release := hold(a, resource.CPU, 1)
-	low, high := taskFrame(1, root), taskFrame(2, root)
-	low.Prio, high.Prio = 1, 5
-	high.Seq = low.Seq + 1 // the master's seqs are unique across jobs
-	c.Send(low)
-	c.Send(high)
-	settle(t, c)
-	release()
-	for _, want := range []int64{2, 1} {
-		if td, ok := read(t, c).(wire.TaskDone); !ok || td.JobID != want {
-			t.Fatalf("got %+v, want job %d's TaskDone", td, want)
-		}
 	}
 }

@@ -2,7 +2,7 @@
 // scheduling core (internal/live) with its execution back-end replaced by a
 // RemoteExecutor that ships placed tasks to worker agent processes over
 // TCP, each agent running the task's monotasks in its own per-resource
-// queues (§4.2.3, package mtqueue, the code the simulator's workers run).
+// queues (§4.2.3, mtqueue.Runner, the code the in-process executor runs).
 // The control plane above the Backend seam — admission under the memory
 // reservation, Algorithm-1 placement — is byte-for-byte the code the
 // simulator runs; only the clock (wall) and the executor (sockets) differ. Worker liveness is heartbeat-based: a
