@@ -81,11 +81,14 @@ smoke-dist:
 # the lease, replay snapshot + tail to byte-identical control-plane state,
 # re-attach the workers under generation 2, and finish with rows identical
 # to direct execution and no task committed twice — plus the offline
-# replay-determinism suite and the journal budget (one event per committed
+# replay-determinism suite, the journal budget (one event per committed
 # task: micro ≤ 7 and q1 ≤ 19 events per job, each TaskCommitted naming
-# every monotask of its task). Runs under the race detector.
+# every monotask of its task) and the fence tests: a fenced master sends
+# nothing (no Task, no SubmitAck), and a primary fenced right after each
+# event it records hands a standby a backlog that finishes with the same
+# rows. Runs under the race detector.
 smoke-failover:
-	$(GO) test -race -count=1 -run 'TestFailover|TestReplayMatchesLiveState|TestJournalEventBudget' ./internal/remote
+	$(GO) test -race -count=1 -run 'TestFailover|TestReplayMatchesLiveState|TestJournalEventBudget|TestFence' ./internal/remote
 
 # Elastic smoke, both hosts of the one controller under the race detector:
 # a serve-mode loopback cluster scales 2→5 under admission pressure and

@@ -77,6 +77,9 @@ var deletedNames = []struct{ pattern, instead string }{
 	{`TestReplayRerunsTaskInternal`, "every monotask of a Task runs; there is no replay"},
 	{`MonotaskExecutor`, "the simulator's workers call simulate; real execution is a core.TaskExecutor over mtqueue.Runner"},
 	{`SetExecutor`, "live and remote install a core.TaskExecutor with SetTaskExecutor"},
+	{`recorder\.open`, "every frame leaves through Master.send, which drops it once the recorder is fenced"},
+	{`\bclientLink\b`, "a front-door client is its *wire.Conn"},
+	{`dropWaiter|dropQuery`, "remote.Client.call owns a reply's waiter"},
 }
 
 // docBudget is the most bytes README.md and DESIGN.md may hold together: the

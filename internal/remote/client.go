@@ -35,12 +35,10 @@ type Client struct {
 
 	mu      sync.Mutex
 	nextSub int64
-	waiters map[int64]chan wire.SubmitAck
-	// queries holds Status waiters by SubmitID. The shared nextSub counter
-	// keeps submission and query IDs disjoint, so a streamed lifecycle
-	// JobStatus (which echoes the original submission's SubmitID) can never
-	// collide with a pending query's reply.
-	queries map[int64]chan wire.JobStatus
+	// waiters holds each Submit's and Status's reply channel by SubmitID. A
+	// Submit's leaves as its ack arrives, so a streamed lifecycle JobStatus,
+	// which echoes the submission's SubmitID, never meets one.
+	waiters map[int64]chan wire.Msg
 	readErr error
 
 	done chan struct{}
@@ -61,8 +59,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		conn:     wire.NewConnConfig(nc, wire.Config{}),
 		tenant:   cfg.Tenant,
 		onStatus: cfg.OnStatus,
-		waiters:  make(map[int64]chan wire.SubmitAck),
-		queries:  make(map[int64]chan wire.JobStatus),
+		waiters:  make(map[int64]chan wire.Msg),
 		done:     make(chan struct{}),
 	}
 	go c.readLoop()
@@ -71,27 +68,23 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 
 func (c *Client) readLoop() {
 	err := c.conn.ReadLoop(func(msg wire.Msg) error {
+		var id int64
 		switch msg := msg.(type) {
 		case wire.SubmitAck:
-			c.mu.Lock()
-			ch := c.waiters[msg.SubmitID]
-			delete(c.waiters, msg.SubmitID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- msg
-			}
+			id = msg.SubmitID
 		case wire.JobStatus:
-			c.mu.Lock()
-			ch := c.queries[msg.SubmitID]
-			delete(c.queries, msg.SubmitID)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- msg
-				return nil // a query reply, not a streamed lifecycle update
-			}
-			if c.onStatus != nil {
-				c.onStatus(msg)
-			}
+			id = msg.SubmitID
+		default:
+			return nil
+		}
+		c.mu.Lock()
+		ch := c.waiters[id]
+		delete(c.waiters, id)
+		c.mu.Unlock()
+		if ch != nil {
+			ch <- msg
+		} else if st, ok := msg.(wire.JobStatus); ok && c.onStatus != nil {
+			c.onStatus(st) // a streamed lifecycle update, not a query reply
 		}
 		return nil
 	})
@@ -106,29 +99,20 @@ func (c *Client) readLoop() {
 // it, returning the cluster-wide job ID. A rejection (draining, intake full,
 // build error) comes back as an error; the connection stays usable.
 func (c *Client) Submit(workload string, params []byte) (int64, error) {
-	c.mu.Lock()
-	c.nextSub++
-	id := c.nextSub
-	ch := make(chan wire.SubmitAck, 1)
-	c.waiters[id] = ch
-	c.mu.Unlock()
-	ok := c.conn.Send(wire.SubmitJob{
-		SubmitID: id, Tenant: c.tenant, Workload: workload, Params: params,
+	reply, err := c.call(func(id int64) wire.Msg {
+		return wire.SubmitJob{SubmitID: id, Tenant: c.tenant, Workload: workload, Params: params}
 	})
-	if !ok {
-		c.dropWaiter(id)
-		return 0, fmt.Errorf("remote: front door connection lost: %w", c.err())
+	if err != nil {
+		return 0, err
 	}
-	select {
-	case ack := <-ch:
-		if ack.Err != "" {
-			return 0, fmt.Errorf("remote: submission rejected: %s", ack.Err)
-		}
-		return ack.JobID, nil
-	case <-c.done:
-		c.dropWaiter(id)
-		return 0, fmt.Errorf("remote: front door connection lost: %w", c.err())
+	ack, ok := reply.(wire.SubmitAck)
+	switch {
+	case !ok:
+		return 0, fmt.Errorf("remote: front door answered a submission with %T", reply)
+	case ack.Err != "":
+		return 0, fmt.Errorf("remote: submission rejected: %s", ack.Err)
 	}
+	return ack.JobID, nil
 }
 
 // Cancel requests cancellation of a previously acked job. Best-effort and
@@ -146,35 +130,34 @@ func (c *Client) Cancel(jobID int64) error {
 // back as wire.StateNotFound with no error: a terminal answer, so pollers
 // of a lost job stop instead of waiting forever.
 func (c *Client) Status(jobID int64) (wire.JobStatus, error) {
+	reply, err := c.call(func(id int64) wire.Msg { return wire.JobQuery{SubmitID: id, JobID: jobID} })
+	if err != nil {
+		return wire.JobStatus{}, err
+	}
+	st, _ := reply.(wire.JobStatus) // only a JobStatus echoes a query's SubmitID
+	return st, nil
+}
+
+// call sends the request req builds under a fresh SubmitID and waits for the
+// master's reply to it, or for the connection to die.
+func (c *Client) call(req func(id int64) wire.Msg) (wire.Msg, error) {
 	c.mu.Lock()
 	c.nextSub++
 	id := c.nextSub
-	ch := make(chan wire.JobStatus, 1)
-	c.queries[id] = ch
+	ch := make(chan wire.Msg, 1)
+	c.waiters[id] = ch
 	c.mu.Unlock()
-	if !c.conn.Send(wire.JobQuery{SubmitID: id, JobID: jobID}) {
-		c.dropQuery(id)
-		return wire.JobStatus{}, fmt.Errorf("remote: front door connection lost: %w", c.err())
+	if c.conn.Send(req(id)) {
+		select {
+		case reply := <-ch:
+			return reply, nil
+		case <-c.done:
+		}
 	}
-	select {
-	case st := <-ch:
-		return st, nil
-	case <-c.done:
-		c.dropQuery(id)
-		return wire.JobStatus{}, fmt.Errorf("remote: front door connection lost: %w", c.err())
-	}
-}
-
-func (c *Client) dropWaiter(id int64) {
 	c.mu.Lock()
 	delete(c.waiters, id)
 	c.mu.Unlock()
-}
-
-func (c *Client) dropQuery(id int64) {
-	c.mu.Lock()
-	delete(c.queries, id)
-	c.mu.Unlock()
+	return nil, fmt.Errorf("remote: front door connection lost: %w", c.err())
 }
 
 func (c *Client) err() error {

@@ -100,7 +100,7 @@ func (e *remoteExecutor) Close() {
 	e.m.mu.Unlock()
 	e.m.broadcast(wire.Shutdown{}, attached)
 	for _, link := range joining {
-		link.conn.Send(wire.Shutdown{})
+		e.m.send(link.conn, wire.Shutdown{})
 	}
 	for _, link := range slices.Concat(e.m.workers, joining) {
 		if link != nil {
@@ -130,7 +130,7 @@ func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, pri
 	ts := &taskState{worker: w.ID, jobID: rj.id, task: t, done: done, sentAt: time.Now()}
 	frame := wire.Task{JobID: rj.id, Seq: e.seq, Prio: prio, MTs: make([]wire.Dispatch, len(t.Monotasks))}
 	plan := rj.rt().Plan()
-	open := e.m.rec.read(func(cp *cpstate.State) {
+	e.m.rec.read(func(cp *cpstate.State) {
 		for i, mt := range t.Monotasks {
 			frame.MTs[i] = wire.Dispatch{
 				JobID: rj.id, MTID: int32(mt.ID), EstInput: mt.EstInput,
@@ -151,11 +151,8 @@ func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, pri
 	for _, o := range ts.fetchOrigins {
 		e.fetchRefs[o]++
 	}
-	// No Task after the fence: commits since the fence never became
-	// origins, and an agent fed from those frozen fetch specs would keep a
-	// partial output for the next generation to reuse (DESIGN §13).
 	link := e.m.link(w.ID)
-	sent := link != nil && open
+	sent := link != nil
 	// A worker learns a job from its first task: this is the one place a
 	// Prepare is sent, once per (worker, job), just ahead of the Task on
 	// the same FIFO connection. A re-attached or new slot holds nothing yet.
@@ -163,13 +160,13 @@ func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, pri
 		rj.prepared = append(rj.prepared, w.ID)
 		// Always found: every source records JobSubmitted before it submits the row.
 		js, _ := e.m.rec.job(rj.id)
-		sent = link.conn.Send(wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params})
+		sent = e.m.send(link.conn, wire.Prepare{JobID: rj.id, Workload: js.Workload, Params: js.Params})
 	}
-	if !sent || !link.conn.Send(frame) {
-		// The conn died under us (or Close is about to cut it); schedule the
-		// failure instead of handling it reentrantly inside the scheduler's
-		// placement pass. The abort hook below reclaims this task when
-		// FailWorker fires.
+	if !sent || !e.m.send(link.conn, frame) {
+		// The conn died under us, or the master is fenced and sends nothing:
+		// schedule the failure instead of handling it reentrantly inside the
+		// scheduler's placement pass. The abort hook below reclaims this task
+		// when FailWorker fires.
 		cause := fmt.Errorf("remote: dispatch to worker %d failed", w.ID)
 		e.m.Sys.Drv.Loop().Post(func() { e.m.failWorker(w.ID, cause) })
 	}
@@ -182,7 +179,7 @@ func (e *remoteExecutor) StartTask(w *core.Worker, j *core.Job, t *dag.Task, pri
 		// Best-effort: tell the agent to discard the in-flight task. If the
 		// connection is gone the seq check drops its TaskDone.
 		if link != nil {
-			link.conn.Send(wire.Abort{JobID: rj.id, Seq: frame.Seq})
+			e.m.send(link.conn, wire.Abort{JobID: rj.id, Seq: frame.Seq})
 		}
 	}
 }

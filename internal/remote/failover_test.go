@@ -70,9 +70,10 @@ func TestFailoverWithDeadWorker(t *testing.T) {
 // agents, crashes the primary once commits are journaled (and, if
 // killAgent, one agent with it), and runs the backlog to completion on the
 // promoted standby. It checks the rows against direct execution, the
-// re-attaches, the dead slot's failure, the offline replay against the live
-// state, and at-most-once commits across both generations. The promoted
-// master is returned closed.
+// re-attaches, the dead slot's failure and both generations' marks in the
+// journal; checkQuiesced checks the offline replay against the live state
+// and at-most-once commits across the generations. The promoted master is
+// returned closed.
 func failover(t *testing.T, killAgent bool) *Master {
 	t.Helper()
 	jdir := t.TempDir()
@@ -203,28 +204,14 @@ func failover(t *testing.T, killAgent bool) *Master {
 		t.Fatalf("slot %d of the agent that died with the primary is not failed", dead)
 	}
 
-	checkQuiesced(t, tm) // closes tm: replay == final state, one commit per task per generation
+	checkQuiesced(t, tm) // closes tm: replay == final state, at-most-once commits across generations
 
 	_, events := replayJournal(t, jdir)
-	// At-most-once across generations: no (job, task) commits twice —
-	// except that generation 2 re-runs what only the dead agent held — and
-	// both generations mark the journal.
-	commits := make(map[cpstate.TaskKey]int32) // the committing worker
 	var gens []int64
 	for _, ev := range events {
-		switch ev := ev.(type) {
-		case cpstate.TaskCommitted:
-			k := cpstate.TaskKey{Job: ev.JobID, Task: ev.Task}
-			if w, ok := commits[k]; ok && (int(w) != dead || len(gens) != 2) {
-				t.Fatalf("job %d task %d committed twice (want at most once)", k.Job, k.Task)
-			}
-			commits[k] = ev.Worker
-		case cpstate.Generation:
-			gens = append(gens, ev.Gen)
+		if g, ok := ev.(cpstate.Generation); ok {
+			gens = append(gens, g.Gen)
 		}
-	}
-	if len(commits) == 0 {
-		t.Fatal("journal holds no commits")
 	}
 	if !reflect.DeepEqual(gens, []int64{1, 2}) {
 		t.Fatalf("generation events = %v, want [1 2]", gens)

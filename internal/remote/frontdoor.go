@@ -18,26 +18,21 @@ import (
 // one reservation/rank/sort pass with no timer and no goroutine of the front
 // door's own. Acks flow back on the submitting connection; job lifecycle
 // transitions stream as JobStatus frames through the bounded client send
-// queue, dropped (and counted) when a slow subscriber's queue is full.
+// queue, dropped (and counted) when a slow subscriber's queue is full. Every
+// frame leaves through Master.send.
 type frontDoor struct {
 	m      *Master
 	Ingest *metrics.Ingest
 
-	// mu guards the client set, the drain flag and the intake: submissions
-	// accepted but not yet queued on the control loop. One lock for the flag and the count is what lets a drain answer every
-	// submission it accepted: none is counted once the flag is set, and the
-	// loop stops only when the count is zero.
+	// mu guards the client set (nil once close has run), the drain flag and
+	// the intake: submissions accepted but not yet queued on the control
+	// loop. One lock for the flag and the count is what lets a drain answer
+	// every submission it accepted: none is counted once the flag is set,
+	// and the loop stops only when the count is zero.
 	mu       sync.Mutex
-	clients  map[*clientLink]struct{}
+	clients  map[*wire.Conn]struct{}
 	draining bool
 	intake   int
-}
-
-// clientLink is one client connection. The wire.Conn's send queue is bounded
-// by clientSendQueue; acks use Send (a client that stops draining its
-// own acks is a dead peer), status updates use TrySend (drop, don't kill).
-type clientLink struct {
-	conn *wire.Conn
 }
 
 func newFrontDoor(m *Master) *frontDoor {
@@ -46,49 +41,52 @@ func newFrontDoor(m *Master) *frontDoor {
 	return &frontDoor{
 		m:       m,
 		Ingest:  metrics.NewIngest(m.Sys.AdmissionPasses),
-		clients: make(map[*clientLink]struct{}),
+		clients: make(map[*wire.Conn]struct{}),
 	}
 }
 
 func (fd *frontDoor) close() {
 	fd.mu.Lock()
-	links := make([]*clientLink, 0, len(fd.clients))
-	for l := range fd.clients {
-		links = append(links, l)
-	}
+	clients := fd.clients
+	fd.clients = nil
 	fd.mu.Unlock()
-	for _, l := range links {
-		l.conn.Close()
+	for c := range clients {
+		c.Close()
 	}
 }
 
 // serveClient owns one client connection's inbound path; runs on the
-// connection's handshake goroutine until the peer hangs up.
+// connection's handshake goroutine until the peer hangs up. A handshake that
+// ends after close is cut at once.
 func (fd *frontDoor) serveClient(c *wire.Conn, first wire.Msg) {
-	link := &clientLink{conn: c}
 	fd.mu.Lock()
-	fd.clients[link] = struct{}{}
+	if fd.clients == nil {
+		fd.mu.Unlock()
+		c.Close()
+		return
+	}
+	fd.clients[c] = struct{}{}
 	fd.mu.Unlock()
 	fd.Ingest.ObserveClient()
-	fd.handleClientMsg(link, first)
+	fd.handleClientMsg(c, first)
 	c.ReadLoop(func(msg wire.Msg) error {
-		fd.handleClientMsg(link, msg)
+		fd.handleClientMsg(c, msg)
 		return nil
 	})
 	c.Close()
 	fd.mu.Lock()
-	delete(fd.clients, link)
+	delete(fd.clients, c)
 	fd.mu.Unlock()
 }
 
-func (fd *frontDoor) handleClientMsg(link *clientLink, msg wire.Msg) {
+func (fd *frontDoor) handleClientMsg(c *wire.Conn, msg wire.Msg) {
 	switch msg := msg.(type) {
 	case wire.SubmitJob:
-		fd.submit(link, msg)
+		fd.submit(c, msg)
 	case wire.CancelJob:
 		fd.cancelJob(msg.JobID)
 	case wire.JobQuery:
-		fd.queryJob(link, msg)
+		fd.queryJob(c, msg)
 	}
 }
 
@@ -97,7 +95,7 @@ func (fd *frontDoor) handleClientMsg(link *clientLink, msg wire.Msg) {
 // has no record of — never submitted, or dropped across a restart whose
 // journal was compacted — gets a terminal StateNotFound, so a client
 // polling a lost job gets a definitive answer instead of waiting forever.
-func (fd *frontDoor) queryJob(link *clientLink, q wire.JobQuery) {
+func (fd *frontDoor) queryJob(c *wire.Conn, q wire.JobQuery) {
 	state := wire.StateNotFound
 	detail := "unknown job"
 	if js, ok := fd.m.rec.job(q.JobID); ok {
@@ -114,24 +112,22 @@ func (fd *frontDoor) queryJob(link *clientLink, q wire.JobQuery) {
 	} else {
 		fd.m.Journal.ObserveNotFound()
 	}
-	if !link.conn.TrySend(wire.JobStatus{
+	fd.m.send(c, wire.JobStatus{
 		SubmitID: q.SubmitID, JobID: q.JobID, State: state, Detail: detail,
-	}) {
-		fd.Ingest.ObserveStatusDrop(1)
-	}
+	})
 }
 
-func (fd *frontDoor) reject(link *clientLink, submitID int64, reason string) {
+func (fd *frontDoor) reject(c *wire.Conn, submitID int64, reason string) {
 	fd.Ingest.ObserveRejection()
-	link.conn.Send(wire.SubmitAck{SubmitID: submitID, Err: reason})
+	fd.m.send(c, wire.SubmitAck{SubmitID: submitID, Err: reason})
 }
 
 // submit runs on the client's read goroutine: intake control (drain, cap),
 // then the workload build, then the crossing onto the control loop, where
 // bindJob acks the job as it is queued.
-func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
+func (fd *frontDoor) submit(c *wire.Conn, msg wire.SubmitJob) {
 	if reason := fd.accept(); reason != "" {
-		fd.reject(link, msg.SubmitID, reason)
+		fd.reject(c, msg.SubmitID, reason)
 		return
 	}
 	bj, err := workload.Describe(msg.Workload, msg.Params)
@@ -139,12 +135,12 @@ func (fd *frontDoor) submit(link *clientLink, msg wire.SubmitJob) {
 		if fd.settle() {
 			fd.m.Sys.Drv.Send(fd.maybeFinishDrain)
 		}
-		fd.reject(link, msg.SubmitID, err.Error())
+		fd.reject(c, msg.SubmitID, err.Error())
 		return
 	}
 	bj.Spec.Tenant = msg.Tenant
 	rj := fd.m.newRow(msg.Workload, bj)
-	rj.client, rj.submitID = link, msg.SubmitID
+	rj.client, rj.submitID = c, msg.SubmitID
 	fd.m.submit(rj, func() { fd.bindJob(rj, msg) })
 }
 
@@ -174,14 +170,15 @@ func (fd *frontDoor) settle() (draining bool) {
 // bindJob runs on the control loop once the job's row is in the table — its
 // stable wire ID minted — and the job in its tenant queue, before the
 // admission pass that can admit it. It records the submission in the
-// control-plane state and acks it. A job that reaches the loop once a drain
-// has begun, possibly after the drain's cancel pass, is cancelled here.
+// control-plane state and acks it; a fenced master records nothing and so
+// acks nothing. A job that reaches the loop once a drain has begun, possibly
+// after the drain's cancel pass, is cancelled here.
 func (fd *frontDoor) bindJob(rj *RemoteJob, msg wire.SubmitJob) {
 	fd.m.rec.record(cpstate.JobSubmitted{
 		JobID: rj.id, Tenant: msg.Tenant, Workload: msg.Workload, Params: msg.Params,
 	})
 	fd.Ingest.ObserveSubmission()
-	rj.client.conn.Send(wire.SubmitAck{SubmitID: msg.SubmitID, JobID: rj.id})
+	fd.m.send(rj.client, wire.SubmitAck{SubmitID: msg.SubmitID, JobID: rj.id})
 	if fd.settle() {
 		fd.cancel(rj)
 		fd.maybeFinishDrain()
@@ -192,15 +189,10 @@ func (fd *frontDoor) bindJob(rj *RemoteJob, msg wire.SubmitJob) {
 // if one did (a held job has none). A full client queue drops the frame
 // (counted): no buffering, no failed link.
 func (fd *frontDoor) sendStatus(rj *RemoteJob, state byte, detail string) {
-	if rj.client == nil {
-		return
-	}
-	ok := rj.client.conn.TrySend(wire.JobStatus{
-		SubmitID: rj.submitID, JobID: rj.id,
-		State: state, Detail: detail,
-	})
-	if !ok {
-		fd.Ingest.ObserveStatusDrop(1)
+	if rj.client != nil {
+		fd.m.send(rj.client, wire.JobStatus{
+			SubmitID: rj.submitID, JobID: rj.id, State: state, Detail: detail,
+		})
 	}
 }
 

@@ -421,8 +421,11 @@ func TestFrontDoorStatusDropCounter(t *testing.T) {
 	// queue, later ones must drop.
 	conn := wire.NewConnConfig(a, wire.Config{SendQueue: 1})
 	defer conn.Close()
-	fd := &frontDoor{Ingest: metrics.NewIngest(nil)}
-	rj := &RemoteJob{client: &clientLink{conn: conn}, submitID: 1, id: 7}
+	// The frames leave through the master's gate, which counts the drops.
+	m := &Master{rec: newRecorder(cpstate.New(), nil, 1, nil)}
+	fd := &frontDoor{m: m, Ingest: metrics.NewIngest(nil)}
+	m.fd = fd
+	rj := &RemoteJob{client: conn, submitID: 1, id: 7}
 	for i := 0; i < 16; i++ {
 		fd.sendStatus(rj, wire.StateAdmitted, "")
 	}

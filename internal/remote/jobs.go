@@ -8,6 +8,7 @@ import (
 	"ursa/internal/live"
 	"ursa/internal/localrt"
 	"ursa/internal/remote/workload"
+	"ursa/internal/wire"
 )
 
 // RemoteJob is the master's row for one job, and the handle Master.Submit
@@ -34,7 +35,7 @@ type RemoteJob struct {
 	// handle (Master.Submit, a takeover's inherited backlog) — so its row and
 	// store outlive the job, until Master.Close, and ResultRows can be read
 	// after Run.
-	client   *clientLink
+	client   *wire.Conn
 	submitID int64
 
 	// prepared lists the slots the job's Prepare was sent to: each got it

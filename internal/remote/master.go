@@ -265,6 +265,8 @@ type Master struct {
 	// migrated counts the partitions whose fetch routing drains moved to
 	// the canonical store. Loop-owned.
 	migrated int
+	// silenced counts the frames send dropped because the recorder was fenced.
+	silenced atomic.Int64
 
 	needed int           // claims that close ready
 	ready  chan struct{} // closed when `needed` slots are claimed
@@ -483,14 +485,10 @@ func (m *Master) onJobState(j *core.Job) {
 				m.corrector.Observe(js.Workload, rj.Built.Spec.MemEstimate, rj.memFactor, rj.memPeak)
 			}
 		}
-		// Fenced, the finish did not happen: the journal holds the job as
-		// running, so a successor resubmits it and pulls its commits back
-		// from the agents, which must still hold it.
-		if m.rec.record(cpstate.JobFinished{JobID: rj.id}) {
-			m.fd.sendStatus(rj, wire.StateFinished,
-				fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
-			m.broadcast(wire.JobDone{JobID: rj.id}, attached)
-		}
+		m.rec.record(cpstate.JobFinished{JobID: rj.id})
+		m.fd.sendStatus(rj, wire.StateFinished,
+			fmt.Sprintf("jct=%.3fs", float64(j.Finished-j.Submitted)/1e6))
+		m.broadcast(wire.JobDone{JobID: rj.id}, attached)
 		m.release(rj)
 		m.fd.maybeFinishDrain()
 	case core.JobCancelled:
@@ -700,9 +698,9 @@ func (m *Master) registerWorker(nc net.Conn, br *bufio.Reader, reg wire.Register
 	} else {
 		m.joining = append(m.joining, link)
 	}
-	c.Send(m.welcome(id))
+	m.send(c, m.welcome(id))
 	if m.ended {
-		c.Send(wire.Shutdown{})
+		m.send(c, wire.Shutdown{})
 		c.CloseGraceful()
 	}
 	m.Sys.Drv.Send(func() { m.admit(link, reg, claimed) })
@@ -821,9 +819,28 @@ func (m *Master) dropLink(id int) {
 func (m *Master) broadcast(msg wire.Msg, to func(*workerLink, cpstate.WorkerState) bool) {
 	for id := range m.workers {
 		if l, w := m.worker(id); to(l, w) {
-			l.conn.Send(msg)
+			m.send(l.conn, msg)
 		}
 	}
+}
+
+// send is the one way a frame leaves the master, to an agent or a client.
+// From the fence on it drops and counts every frame (DESIGN §13). A JobStatus
+// that does not fit its client's queue is dropped and counted too; any other
+// frame that does not fit fails the link.
+func (m *Master) send(c *wire.Conn, msg wire.Msg) bool {
+	if m.rec.fenced.Load() {
+		m.silenced.Add(1)
+		return false
+	}
+	if _, status := msg.(wire.JobStatus); !status {
+		return c.Send(msg)
+	}
+	if !c.TrySend(msg) {
+		m.fd.Ingest.ObserveStatusDrop(1)
+		return false
+	}
+	return true
 }
 
 // beginDrain is the loop-side drain entry point.
@@ -834,7 +851,7 @@ func (m *Master) beginDrain(id int, reason string) {
 	}
 	m.rec.record(cpstate.WorkerDraining{Worker: int32(id)})
 	m.logf("master: draining worker %d (%s)", id, reason)
-	link.conn.Send(wire.DrainWorker{WorkerID: int32(id), Reason: reason})
+	m.send(link.conn, wire.DrainWorker{WorkerID: int32(id), Reason: reason})
 	// Last: the core excludes the worker from placement and admission
 	// capacity, and fires OnWorkerDrained (finishDrain) once its in-flight
 	// monotasks have all committed — synchronously right here if it is
@@ -865,13 +882,13 @@ func (m *Master) maybeFinishDrain(id int) {
 		return
 	}
 	// Fenced, the drain did not complete: the journal holds the worker as
-	// draining, so its agent stays up for a successor, and Close cuts its
-	// link with the others'.
+	// draining, so its link stays for Close to cut with the others', and
+	// its agent, told nothing, re-attaches to a successor.
 	if !m.recordDrained(id) {
 		return
 	}
 	m.dropLink(id)
-	link.conn.Send(wire.DrainDone{WorkerID: int32(id)})
+	m.send(link.conn, wire.DrainDone{WorkerID: int32(id)})
 	link.conn.CloseGraceful()
 }
 
@@ -1125,7 +1142,8 @@ func (m *Master) Close() error {
 		// Fence the recorder before cutting anything: the dying links and
 		// failed dispatches this teardown causes must not be journaled as
 		// WorkerFailed, or a standby would replay an all-dead registry and
-		// take no survivor back into its slot.
+		// take no survivor back into its slot. From here send drops every
+		// frame.
 		m.rec.fence()
 		m.ln.Close()
 		m.fd.close()

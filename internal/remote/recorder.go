@@ -2,6 +2,7 @@ package remote
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"ursa/internal/cpstate"
 	"ursa/internal/journal"
@@ -31,7 +32,8 @@ type recorder struct {
 	jnl       *journal.Journal // nil: in-memory only
 	snapEvery uint64           // snapshot after every snapEvery events this master records
 	err       error            // first journal error; the state machine keeps going
-	fenced    bool             // Close happened: no event reaches state or journal
+	fenced    atomic.Bool      // stored under mu: nothing reaches state or journal, no frame leaves
+	fenceAt   uint64           // test hook: the fenceAt-th record since construction fences
 }
 
 func newRecorder(st *cpstate.State, jnl *journal.Journal, snapEvery int, logf func(string, ...any)) *recorder {
@@ -45,19 +47,23 @@ func newRecorder(st *cpstate.State, jnl *journal.Journal, snapEvery int, logf fu
 // machine stays authoritative, matching the no-journal mode's behavior.
 func (r *recorder) record(ev cpstate.Event) bool {
 	r.mu.Lock()
-	if r.fenced {
+	if r.fenced.Load() {
 		r.mu.Unlock()
 		return false
 	}
 	cpstate.Apply(r.state, ev)
+	n := r.state.Applied - r.applied0
 	var err error
 	if r.jnl != nil {
 		_, err = r.jnl.Append(cpstate.AppendEvent(nil, ev))
-		if (r.state.Applied-r.applied0)%r.snapEvery == 0 {
+		if n%r.snapEvery == 0 {
 			if serr := r.jnl.Snapshot(r.state.AppendEncoded); err == nil {
 				err = serr
 			}
 		}
+	}
+	if n == r.fenceAt {
+		r.fenced.Store(true)
 	}
 	r.mu.Unlock()
 	if err != nil {
@@ -82,15 +88,16 @@ func (r *recorder) fail(err error) {
 	}
 }
 
-// fence ends this master's authority over the state machine: every later
-// record is dropped. Close calls it first, so the teardown's own
-// observations — worker links dying because Close cut them — never reach
-// the journal. That is exactly crash semantics: a primary that dies cannot
-// journal the failures its death causes, and the standby must replay the
-// registry as the primary last durably knew it, not as the teardown saw it.
+// fence ends this master's authority: every later record is dropped, and
+// Master.send drops every frame once a record has been (the flag is stored
+// under mu). Close calls it first, so the teardown's own observations —
+// worker links dying because Close cut them — never reach the journal or a
+// peer. That is exactly crash semantics: a primary that dies cannot journal
+// the failures its death causes, nor send anything, and the standby must
+// replay the registry as the primary last durably knew it.
 func (r *recorder) fence() {
 	r.mu.Lock()
-	r.fenced = true
+	r.fenced.Store(true)
 	r.mu.Unlock()
 }
 
@@ -119,17 +126,13 @@ func (r *recorder) owned() metrics.JournalOwned {
 }
 
 // read runs fn on the state under the recorder's lock — the master's read
-// path into its own registry — and reports whether the recorder still
-// records (false once fenced) in the same critical section: the executor
-// sends no Task whose fetch specs were read after the fence. On the
-// control loop the lock is uncontended (handshake goroutines are the only
-// other writer). fn must not keep st or anything reachable from it, and must
-// not record.
-func (r *recorder) read(fn func(st *cpstate.State)) (open bool) {
+// path into its own registry. On the control loop the lock is uncontended
+// (handshake goroutines are the only other writer). fn must not keep st or
+// anything reachable from it, and must not record.
+func (r *recorder) read(fn func(st *cpstate.State)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fn(r.state)
-	return !r.fenced
 }
 
 // worker returns registry slot id's lifecycle and shuffle address.

@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,7 +189,7 @@ func TestWireIDsMintAboveState(t *testing.T) {
 // TestFencedMasterDispatchesNothing: Close fences the recorder before it
 // cuts the links, and the control loop keeps running in between. With the
 // state as the registry, a placement made in that window would be built from
-// origins frozen at the fence — so no Dispatch may follow the fence, or an
+// origins frozen at the fence — so no Task may follow the fence, or an
 // agent would keep a half-fed output for the next generation to reuse.
 func TestFencedMasterDispatchesNothing(t *testing.T) {
 	lc := startCluster(t, 1, Config{})
@@ -204,6 +205,74 @@ func TestFencedMasterDispatchesNothing(t *testing.T) {
 	}
 	if got := lc.Master.Transport.Worker(0).Completions; got != 0 {
 		t.Fatalf("an agent executed %d monotasks for a fenced master", got)
+	}
+}
+
+// TestFencedMasterAcksNoSubmission: a submission that reaches a fenced
+// serving master is not journaled, and a successor mints wire IDs above the
+// journal's, so it could give the same ID to another job. The fenced master
+// must not ack it: the client's Submit fails once Close cuts the link, and
+// the state holds no job. Without Close the job's first frame to the only
+// worker is dropped too, which fails that worker: the run ends with every
+// worker dead.
+func TestFencedMasterAcksNoSubmission(t *testing.T) {
+	lc, runErr := startServeCluster(t, 1, Config{})
+	marked := make(chan struct{})
+	c := dialFrontDoor(t, lc, ClientConfig{OnStatus: func(st wire.JobStatus) {
+		if st.JobID < 0 {
+			close(marked)
+		}
+	}})
+	lc.Master.rec.fence()
+	_, params := workload.Micro(workload.MicroParams{Rows: 64, MemEstimate: 1})
+	type result struct {
+		id  int64
+		err error
+	}
+	submitted := make(chan result, 1)
+	go func() {
+		id, err := c.Submit("micro", params)
+		submitted <- result{id, err}
+	}()
+	select {
+	case err := <-runErr:
+		if err == nil || !strings.Contains(err.Error(), "all workers dead") {
+			t.Fatalf("the fenced master's run ended with %v, want every worker dead", err)
+		}
+	case r := <-submitted:
+		t.Fatalf("a fenced master answered the submission: job %d, err %v", r.id, r.err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the fenced master's run did not end")
+	}
+	// A marker queued on the master's side of the link, past the gate: the
+	// client reads it after any ack queued before the run ended.
+	lc.Master.fd.mu.Lock()
+	for conn := range lc.Master.fd.clients {
+		conn.Send(wire.JobStatus{JobID: -1})
+	}
+	lc.Master.fd.mu.Unlock()
+	select {
+	case <-marked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the marker never reached the client")
+	}
+	c.mu.Lock()
+	acked := len(c.waiters) == 0
+	c.mu.Unlock()
+	if acked {
+		t.Fatal("a fenced master acked the submission")
+	}
+	lc.Master.Close()
+	if r := <-submitted; r.err == nil {
+		t.Fatalf("Submit returned job %d from a fenced master", r.id)
+	}
+	lc.Master.rec.read(func(st *cpstate.State) {
+		if len(st.Jobs) != 0 {
+			t.Errorf("the fenced master's state holds %d jobs, want none", len(st.Jobs))
+		}
+	})
+	if n := lc.Master.silenced.Load(); n < 2 {
+		t.Errorf("the gate dropped %d frames, want the SubmitAck and the Prepare at least", n)
 	}
 }
 
